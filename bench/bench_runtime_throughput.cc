@@ -1,7 +1,7 @@
 // Concurrent runtime throughput on the NYF preset: queries/sec of the
-// unsharded serving engine (src/runtime/engine.h) at 1/2/4/8 worker
-// threads, then the sharded scatter/gather engine
-// (src/runtime/sharded_engine.h) across a shards × threads matrix.
+// scatter/gather serving engine (src/runtime/sharded_engine.h) across a
+// shards × threads matrix (1/2/4/8 each; the shards=1 rows are the
+// unpartitioned single-tree engine).
 //
 // Two series per configuration:
 //   * qps        — result cache disabled: raw compute scaling of the
@@ -9,20 +9,21 @@
 //   * cached_qps — warm sharded LRU cache: the serving steady state where
 //                  popular facilities repeat.
 //
-// A third section measures the WRITE path: publishes/sec and p50/p99
-// publish latency of forked (path-copying) snapshot publishes at batch
-// sizes 1/16/256, plus nodes_copied per publish against the tree's total —
-// the number that proves a publish is O(batch × depth), not a full clone.
+// A second section measures the WRITE path on a one-shard engine:
+// publishes/sec and p50/p99 publish latency of forked (path-copying)
+// snapshot publishes at batch sizes 1/16/256, plus nodes_copied per publish
+// against the tree's total — the number that proves a publish is
+// O(batch × depth), not a full clone.
 //
-// A fourth section measures BOUND-AND-PRUNE top-k: per (shards, k), the
+// A third section measures BOUND-AND-PRUNE top-k: per (shards, k), the
 // fraction of (facility, shard) slots the pruned protocol exactly
 // evaluates (exhaustive sweep = 1.0) and the pruned vs exhaustive query
 // latency. CI gates on its facilities_evaluated staying below
 // total_facilities for k=10, shards=4.
 //
-// Besides the usual table + "# csv:" lines, emits four "# json:" lines
-// ("runtime_throughput", "runtime_throughput_sharded",
-// "runtime_write_path" and "runtime_topk_prune") so the
+// Besides the usual table + "# csv:" lines, emits three "# json:" lines
+// ("runtime_throughput_sharded", "runtime_write_path" and
+// "runtime_topk_prune") so the
 // BENCH_runtime.json trajectory can track read QPS, write scaling and
 // pruning effectiveness across PRs. Honors REPRO_SCALE / REPRO_FULL
 // (bench_util.h).
@@ -33,20 +34,17 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
 
 namespace {
 
-using tq::runtime::Engine;
-using tq::runtime::EngineOptions;
 using tq::runtime::QueryRequest;
 using tq::runtime::QueryResponse;
 using tq::runtime::ShardedEngine;
 using tq::runtime::ShardedEngineOptions;
 
 struct ThroughputResult {
-  size_t shards = 0;  // 0 = unsharded engine
+  size_t shards = 0;
   size_t threads = 0;
   double qps = 0.0;
   double cached_qps = 0.0;
@@ -54,10 +52,8 @@ struct ThroughputResult {
 
 // Wall-clock queries/sec for `num_queries` service-value queries issued
 // round-robin over the catalog. `warm_pass` first runs the same stream once
-// so a second, measured pass hits the cache. Works for both engine types —
-// they speak the same Submit/QueryRequest protocol.
-template <typename EngineT>
-double MeasureQps(EngineT* engine, size_t num_queries, bool warm_pass) {
+// so a second, measured pass hits the cache.
+double MeasureQps(ShardedEngine* engine, size_t num_queries, bool warm_pass) {
   const size_t num_fac = engine->snapshot()->catalog->size();
   const auto run = [&]() {
     std::vector<std::future<QueryResponse>> futures;
@@ -101,56 +97,9 @@ int main() {
     std::printf("note: only %u hardware threads — thread-count scaling is "
                 "bounded by the machine, not the executor\n", cores);
   }
-  tq::bench::PrintSeriesHeader({"qps", "cached_qps"});
-
-  std::vector<ThroughputResult> results;
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    ThroughputResult r;
-    r.threads = threads;
-    {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.cache_capacity = 0;  // raw compute scaling
-      options.tree.beta = env.DefaultBeta();
-      options.tree.model = model;
-      Engine engine(users, routes, options);
-      r.qps = MeasureQps(&engine, num_queries, /*warm_pass=*/false);
-    }
-    {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.cache_capacity = 4096;
-      options.tree.beta = env.DefaultBeta();
-      options.tree.model = model;
-      Engine engine(users, routes, options);
-      r.cached_qps = MeasureQps(&engine, num_queries, /*warm_pass=*/true);
-    }
-    results.push_back(r);
-    char label[32];
-    std::snprintf(label, sizeof(label), "threads=%zu", threads);
-    tq::bench::PrintTimeRow(label, {"qps", "cached_qps"},
-                            {r.qps, r.cached_qps});
-  }
-
-  const double speedup =
-      results.front().qps > 0 ? results.back().qps / results.front().qps : 0;
-  std::printf("\nspeedup (8 threads vs 1, uncached): %.2fx\n", speedup);
-
-  std::printf("# json: {\"bench\":\"runtime_throughput\",\"preset\":\"nyf\","
-              "\"users\":%zu,\"facilities\":%zu,\"queries\":%zu,"
-              "\"cores\":%u,\"results\":[",
-              users.size(), routes.size(), num_queries, cores);
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::printf("%s{\"threads\":%zu,\"qps\":%.1f,\"cached_qps\":%.1f}",
-                i == 0 ? "" : ",", results[i].threads, results[i].qps,
-                results[i].cached_qps);
-  }
-  std::printf("],\"speedup_8v1\":%.3f}\n", speedup);
-
-  // Sharded scatter/gather: the shards × threads matrix. Shard count 1 vs
-  // the unsharded series above isolates the scatter/gather overhead; higher
-  // shard counts show partitioned-tree scaling.
-  tq::bench::Banner("Sharded runtime throughput — shards × threads matrix");
+  // Scatter/gather: the shards × threads matrix. Shard count 1 is the
+  // unpartitioned single-tree engine; higher shard counts show
+  // partitioned-tree scaling.
   tq::bench::PrintSeriesHeader({"qps", "cached_qps"});
   std::vector<ThroughputResult> sharded_results;
   for (const size_t shards : {1u, 2u, 4u, 8u}) {
@@ -216,16 +165,18 @@ int main() {
     double nodes_copied_per_publish = 0.0;
     double pages_shared_per_publish = 0.0;
   };
-  tq::runtime::EngineOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 2;
   options.cache_capacity = 0;
   options.tree.beta = env.DefaultBeta();
   options.tree.mode = tq::TrajMode::kSegmented;
   options.tree.model = model;
-  Engine engine(users, routes, options);
-  const size_t total_nodes = engine.snapshot()->tree->num_nodes();
+  ShardedEngine engine(users, routes, options);
+  const tq::TQTree& tree = *engine.snapshot()->shards[0]->tree;
+  const size_t total_nodes = tree.num_nodes();
   std::printf("tree: %zu nodes over %zu pages (segmented)\n", total_nodes,
-              engine.snapshot()->tree->num_pages());
+              tree.num_pages());
   tq::bench::PrintSeriesHeader(
       {"pub/s", "p50_ms", "p99_ms", "nodes_cp"});
   std::vector<WriteResult> write_results;
@@ -239,10 +190,11 @@ int main() {
     tq::Timer total_timer;
     for (size_t p = 0; p < r.publishes; ++p) {
       tq::runtime::UpdateBatch batch;
+      // One shard: a global id is its local id in the shard's user set.
       const auto snap = engine.snapshot();
       for (size_t i = 0; i < batch_size; ++i) {
         const auto id = static_cast<uint32_t>(cursor++ % users.size());
-        const auto pts = snap->users->points(id);
+        const auto pts = snap->shards[0]->users->points(id);
         batch.inserts.emplace_back(pts.begin(), pts.end());
         batch.removes.push_back(id);
       }

@@ -8,13 +8,14 @@
 #include <vector>
 
 #include "datagen/presets.h"
-#include "runtime/engine.h"
+#include "runtime/sharded_engine.h"
 
 int main() {
   // 1. Data and model, as in quickstart: taxi trips vs candidate bus routes.
   tq::TrajectorySet users = tq::presets::NytTrips(20000);
   tq::TrajectorySet routes = tq::presets::NyBusRoutes(32, 24);
-  tq::runtime::EngineOptions options;
+  tq::runtime::ShardedEngineOptions options;
+  options.num_shards = 1;  // one TQ-tree; raise to scatter/gather over N
   options.num_threads = 4;
   options.cache_capacity = 1024;
   options.tree.beta = 64;
@@ -23,7 +24,8 @@ int main() {
   // 2. The engine bulk-builds the index and publishes snapshot version 1.
   //    From here on, any thread may Submit queries; none of them ever block
   //    each other or the writer.
-  tq::runtime::Engine engine(std::move(users), std::move(routes), options);
+  tq::runtime::ShardedEngine engine(std::move(users), std::move(routes),
+                                   options);
   std::printf("engine serving %zu routes at snapshot v%llu\n",
               engine.snapshot()->catalog->size(),
               static_cast<unsigned long long>(engine.snapshot()->version));
@@ -51,7 +53,7 @@ int main() {
               ranked.ranked.front().value == best ? "yes" : "no");
 
   // 4. Live update: a new commuter cohort appears along the winning route.
-  //    The writer clones the tree copy-on-write and publishes version 2;
+  //    The writer forks the tree copy-on-write and publishes version 2;
   //    queries that were in flight keep reading version 1 until they finish.
   const auto stops = engine.snapshot()->facilities->points(best_id);
   tq::runtime::UpdateBatch batch;

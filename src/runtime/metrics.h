@@ -1,6 +1,6 @@
 // Lock-free operational counters + latency histograms for the query runtime.
 //
-// One MetricsRegistry lives inside each runtime::Engine; every worker thread
+// One MetricsRegistry lives inside each serving engine; every worker thread
 // bumps the atomics as it executes queries, and the per-query QueryStats
 // instrumentation (nodes visited, entries scanned, ...) is folded in through
 // RecordQueryStats so serving-side dashboards see the same counters the
@@ -37,7 +37,7 @@ namespace tq::runtime {
 //   cache_*                  result-cache hits / misses / LRU evictions /
 //                            entries invalidated by republishes
 //   snapshots_published      engine-wide snapshot swaps
-//   shard_tasks              per-shard scatter tasks executed (sharded only)
+//   shard_tasks              per-shard scatter tasks executed
 //   shard_publishes          individual shard snapshots republished (a
 //                            publish touching 2 of 8 shards counts 2)
 //   trajectories_*           write-batch insert / remove totals

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "runtime/prune_plan.h"
 
 namespace tq::runtime {
 
@@ -432,12 +433,11 @@ QueryResponse RemoteShardSet::RunSum(FacilityId facility,
 
 QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   const size_t num_fac = num_facilities_;
-  const size_t eff_k = std::min(k, static_cast<size_t>(num_fac));
-  const bool prune =
-      options_.prune_topk &&
-      static_cast<double>(eff_k) <
-          options_.prune_skip_ratio * static_cast<double>(num_fac);
-  if (!prune) return RunTopKExhaustive(k, trace);
+  if (!UsePrunedTopK(options_.prune_topk, options_.prune_skip_ratio, k,
+                     num_fac)) {
+    return RunTopKExhaustive(k, trace);
+  }
+  const size_t eff_k = std::min(k, num_fac);
 
   QueryResponse response;
   response.kind = QueryKind::kTopK;
@@ -447,9 +447,9 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   std::vector<size_t> parts = AliveWorkers();
   // Per-worker round-1 state; only slots in `parts` are ever read, so a
   // worker dying mid-protocol implicitly drops its contribution.
-  std::vector<std::vector<double>> bounds(n);
-  std::vector<std::vector<double>> exact(n);
-  std::vector<std::vector<uint8_t>> known(n);
+  FacilityMatrix bounds(n);
+  FacilityMatrix exact(n);
+  KnownMatrix known(n);
   uint64_t version = 0;
 
   const uint64_t r1_t0 = trace != nullptr ? NowNs() : 0;
@@ -490,42 +490,21 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
       return response;
     }
     const uint64_t co_t0 = trace != nullptr ? NowNs() : 0;
-    // B(f) over survivors, L(f) over survivors that settled f exactly.
-    std::vector<double> b(num_fac, 0.0);
-    std::vector<double> l(num_fac, 0.0);
-    for (size_t w : parts) {
-      for (size_t f = 0; f < num_fac; ++f) {
-        b[f] += bounds[w][f];
-        if (known[w][f] != 0) l[f] += exact[w][f];
-      }
-    }
-    // τ = k-th largest known lower bound; B(f) < τ proves f is not top-k.
-    std::vector<double> order = l;
-    std::nth_element(order.begin(), order.begin() + (eff_k - 1), order.end(),
-                     std::greater<double>());
-    const double tau = order[eff_k - 1];
+    // Plan over the survivors only (prune_plan.h); zero-bound slots are
+    // settled there, so no worker is asked for a facility it cannot serve.
+    const std::vector<uint32_t> candidates =
+        PlanCandidates(parts, bounds, &exact, &known, eff_k, num_fac);
     std::vector<std::vector<FacilityId>> need(n);
-    bool any_need = false;
-    for (size_t f = 0; f < num_fac; ++f) {
-      bool fully = true;
-      for (size_t w : parts) {
-        if (known[w][f] == 0) fully = false;
-      }
-      if (fully || b[f] < tau) continue;
-      for (size_t w : parts) {
-        if (known[w][f] == 0) {
-          need[w].push_back(static_cast<FacilityId>(f));
-          any_need = true;
-        }
-      }
-    }
-    if (trace != nullptr) trace->AddSpan(kSpanCoordinate, -1, co_t0, NowNs());
-    if (!any_need) break;
-
     std::vector<size_t> wave;
     for (size_t w : parts) {
+      for (const uint32_t f : candidates) {
+        if (known[w][f] == 0) need[w].push_back(f);
+      }
       if (!need[w].empty()) wave.push_back(w);
     }
+    if (trace != nullptr) trace->AddSpan(kSpanCoordinate, -1, co_t0, NowNs());
+    if (wave.empty()) break;
+
     const uint64_t r2_t0 = trace != nullptr ? NowNs() : 0;
     const bool lost = RunWave(
         &wave,
@@ -556,18 +535,8 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   // k are (the ≥ τ candidates were all refined), and every pruned facility
   // provably ranks below them.
   const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  std::vector<RankedFacility> complete;
-  for (size_t f = 0; f < num_fac; ++f) {
-    bool fully = true;
-    for (size_t w : parts) {
-      if (known[w][f] == 0) fully = false;
-    }
-    if (!fully) continue;
-    double sum = 0.0;
-    for (size_t w : parts) sum += exact[w][f];
-    complete.push_back(RankedFacility{static_cast<FacilityId>(f), sum});
-  }
-  Rank(std::move(complete), eff_k, &response);
+  response.ranked =
+      Rank(CompleteFacilities(parts, exact, &known, num_fac), eff_k);
   if (version != 0) response.snapshot_version = version;
   if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
   MarkPartialIfDegraded(parts.size(), &response);
@@ -580,13 +549,12 @@ QueryResponse RemoteShardSet::RunTopKExhaustive(size_t k,
   response.kind = QueryKind::kTopK;
   response.snapshot_version = snapshot_version();
   const size_t num_fac = num_facilities_;
-  const size_t eff_k = std::min(k, static_cast<size_t>(num_fac));
   std::vector<FacilityId> all(num_fac);
   for (size_t f = 0; f < num_fac; ++f) all[f] = static_cast<FacilityId>(f);
 
   const size_t n = channels_.size();
   std::vector<size_t> parts = AliveWorkers();
-  std::vector<std::vector<double>> values(n);
+  FacilityMatrix values(n);
   uint64_t version = 0;
   const uint64_t sc_t0 = trace != nullptr ? NowNs() : 0;
   RunWave(
@@ -614,27 +582,12 @@ QueryResponse RemoteShardSet::RunTopKExhaustive(size_t k,
     return response;
   }
   const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  std::vector<RankedFacility> complete;
-  complete.reserve(num_fac);
-  for (size_t f = 0; f < num_fac; ++f) {
-    double sum = 0.0;
-    for (size_t w : parts) sum += values[w][f];
-    complete.push_back(RankedFacility{static_cast<FacilityId>(f), sum});
-  }
-  Rank(std::move(complete), eff_k, &response);
+  response.ranked = Rank(
+      CompleteFacilities(parts, values, /*known=*/nullptr, num_fac), k);
   if (version != 0) response.snapshot_version = version;
   if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
   MarkPartialIfDegraded(parts.size(), &response);
   return response;
-}
-
-void RemoteShardSet::Rank(std::vector<RankedFacility> complete, size_t k,
-                          QueryResponse* response) {
-  const size_t take = std::min(k, complete.size());
-  std::partial_sort(complete.begin(), complete.begin() + take, complete.end(),
-                    RankedBefore);
-  complete.resize(take);
-  response->ranked = std::move(complete);
 }
 
 std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {

@@ -12,8 +12,9 @@
 //   coordinate  B(f) = Σ_w B_w(f), L(f) = Σ_{w that settled f} E_w(f),
 //             τ = k-th largest L; candidates are the not-fully-settled
 //             facilities with B(f) ≥ τ — every pruned facility satisfies
-//             SO(f) ≤ B(f) < τ ≤ k-th exact value, the same proof as the
-//             in-process protocol (sharded_engine.h).
+//             SO(f) ≤ B(f) < τ ≤ k-th exact value. The in-process engine
+//             runs the very same planner (prune_plan.h); a worker whose
+//             own B_w(f) is 0 is settled at 0 there, never asked.
 //   round 2   one plain kSum frame per worker for the candidates that
 //             worker has not settled; merge, rank by (value desc, id asc).
 //
@@ -190,9 +191,6 @@ class RemoteShardSet : public ServingEngine {
   QueryResponse RunTopK(size_t k, TraceContext* trace);
   /// Exhaustive fallback: kSum of every facility to every alive worker.
   QueryResponse RunTopKExhaustive(size_t k, TraceContext* trace);
-  /// Ranks exact per-facility totals: (value desc, id asc), truncate to k.
-  static void Rank(std::vector<RankedFacility> complete, size_t k,
-                   QueryResponse* response);
   /// Stamps the partial-result marker when fewer workers answered than are
   /// configured (StatusCode::kUnavailable + coord_partial metric).
   void MarkPartialIfDegraded(size_t answered, QueryResponse* response);

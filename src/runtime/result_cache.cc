@@ -74,33 +74,6 @@ size_t ResultCache::PutTopK(const TopKKey& key,
   return 1;
 }
 
-size_t ResultCache::InvalidateBefore(uint64_t version) {
-  size_t dropped = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.snapshot_version < version) {
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Top-k answers of superseded snapshots: every generation component is the
-  // snapshot version on the unsharded engine; on the sharded engine a
-  // version bump republished at least one shard, so a vector with any
-  // stale component can never hit again and is safe to drop.
-  dropped += EraseStaleTopK([version](const TopKKey& key) {
-    for (const uint64_t g : key.gens) {
-      if (g < version) return true;
-    }
-    return false;
-  });
-  return dropped;
-}
-
 size_t ResultCache::InvalidateShardBefore(uint32_t shard,
                                           uint64_t generation) {
   return InvalidateShardsBefore({shard}, generation);
@@ -126,14 +99,24 @@ size_t ResultCache::InvalidateShardsBefore(
   }
   // Per-shard top-k invalidation: a gathered answer dies exactly when one
   // of the republished shards contributed an older generation to its key.
-  dropped += EraseStaleTopK([&shards, generation](const TopKKey& key) {
+  const auto stale = [&shards, generation](const TopKKey& key) {
     for (const uint32_t shard : shards) {
       if (shard < key.gens.size() && key.gens[shard] < generation) {
         return true;
       }
     }
     return false;
-  });
+  };
+  std::lock_guard<std::mutex> lock(topk_mu_);
+  for (auto it = topk_lru_.begin(); it != topk_lru_.end();) {
+    if (stale(it->key)) {
+      topk_index_.erase(it->key);
+      it = topk_lru_.erase(it);
+      ++dropped;
+    } else {
+      ++it;
+    }
+  }
   return dropped;
 }
 

@@ -1,26 +1,19 @@
 // Sharded LRU cache memoising EvaluateServiceTQ results for the serving
 // engine.
 //
-// Key = (facility id, ψ bits, snapshot version, data shard): a service value
-// is a pure function of the user set and the facility's stop disk radius,
-// and the user set is identified by the snapshot version — so a hit is
-// exact, never approximate. Entries from superseded snapshots become
-// unreachable the moment the engine publishes a new version;
-// InvalidateBefore() reclaims their memory eagerly on publish, LRU eviction
-// reclaims the rest lazily.
-//
-// The data-shard component serves the sharded engine (sharded_engine.h): it
-// caches one entry per (facility, user shard), versioned by that shard's own
-// publish generation, so republishing a single shard invalidates only that
-// shard's entries (InvalidateShardBefore) and the other shards keep hitting.
-// The unsharded engine leaves the field at 0.
+// Key = (facility id, ψ bits, shard generation, data shard): a service value
+// is a pure function of the shard's user set and the facility's stop disk
+// radius, and the shard's user set is identified by its own publish
+// generation (sharded_engine.h) — so a hit is exact, never approximate.
+// Republishing a single shard makes only that shard's entries unreachable;
+// InvalidateShardsBefore() reclaims their memory eagerly on publish, LRU
+// eviction reclaims the rest lazily, and the other shards keep hitting.
 //
 // A second, smaller section memoises gathered TOP-K answers keyed by
 // (k, ψ, per-shard generation vector): a ranked list is a pure function of
 // every shard's user set, so the key carries the whole generation vector
 // and a single-shard republish invalidates exactly the lists that shard
-// contributed to (the unsharded engine uses a one-element vector holding
-// its snapshot version). Bound-and-prune top-k answers are exact, so they
+// contributed to. Bound-and-prune top-k answers are exact, so they
 // memoise under the SAME keys as exhaustive ones; only response-level hit
 // accounting moved with the protocol — a pruned gather evaluates few
 // per-(facility, shard) entries, so its QueryResponse reports cache_hit
@@ -54,18 +47,17 @@ inline uint64_t PsiBits(double psi) {
   return bits;
 }
 
-/// Thread-safe sharded LRU map from (facility, ψ, snapshot version) to a
-/// cached service value. A zero capacity disables the cache (every Get
+/// Thread-safe sharded LRU map from (facility, ψ, shard generation, shard)
+/// to a cached service value. A zero capacity disables the cache (every Get
 /// misses, Put is a no-op) — used by benches measuring raw compute scaling.
 class ResultCache {
  public:
   struct Key {
     FacilityId facility = 0;
     uint64_t psi_bits = 0;  // bit pattern of ψ (doubles as exact equality)
-    /// Snapshot version (unsharded engine) or the owning shard's publish
-    /// generation (sharded engine).
+    /// The owning shard's publish generation.
     uint64_t snapshot_version = 0;
-    /// Data shard the value was computed on; 0 for the unsharded engine.
+    /// Data shard the value was computed on.
     uint32_t shard = 0;
 
     bool operator==(const Key& o) const {
@@ -75,9 +67,8 @@ class ResultCache {
   };
 
   /// Key of one memoised gathered top-k answer. `gens` holds every data
-  /// shard's publish generation at computation time (one element — the
-  /// snapshot version — for the unsharded engine); equality is exact, so a
-  /// hit can never mix shard states.
+  /// shard's publish generation at computation time; equality is exact, so
+  /// a hit can never mix shard states.
   struct TopKKey {
     size_t k = 0;
     uint64_t psi_bits = 0;
@@ -102,10 +93,6 @@ class ResultCache {
   /// Inserts or refreshes `key`. Returns the number of entries evicted to
   /// make room (0 or 1).
   size_t Put(const Key& key, double value);
-
-  /// Drops every entry whose snapshot version is older than `version`
-  /// (publish-time invalidation). Returns the number dropped.
-  size_t InvalidateBefore(uint64_t version);
 
   /// Drops every entry of data shard `shard` whose generation is older than
   /// `generation`, leaving other shards' entries untouched (single-shard
@@ -177,24 +164,6 @@ class ResultCache {
       return static_cast<size_t>(Mix64(h));
     }
   };
-
-  /// Drops every top-k entry whose key `pred` deems stale; returns the
-  /// number dropped. Shared by both invalidation passes.
-  template <typename Pred>
-  size_t EraseStaleTopK(Pred&& pred) {
-    size_t dropped = 0;
-    std::lock_guard<std::mutex> lock(topk_mu_);
-    for (auto it = topk_lru_.begin(); it != topk_lru_.end();) {
-      if (pred(it->key)) {
-        topk_index_.erase(it->key);
-        it = topk_lru_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    return dropped;
-  }
 
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,4 +1,5 @@
-// The abstract serving-engine surface the network front-end talks to.
+// The serving protocol (QueryRequest / QueryResponse / UpdateBatch) and the
+// abstract serving-engine surface the network front-end talks to.
 //
 // src/net/server.h used to be hard-wired to ShardedEngine; the distributed
 // layer needs the SAME front-end (same wire protocol, same epoll loop, same
@@ -28,13 +29,54 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/engine.h"
+#include "query/topk.h"
 #include "runtime/histogram.h"
 #include "runtime/metrics.h"
 #include "runtime/trace.h"
 #include "storage/durability.h"
 
 namespace tq::runtime {
+
+/// Query kinds every serving engine answers.
+enum class QueryKind {
+  kServiceValue,  // SO(U, f) for one facility (Algorithms 1–2)
+  kTopK,          // kMaxRRST (Algorithms 3–4)
+};
+
+struct QueryRequest {
+  QueryKind kind = QueryKind::kServiceValue;
+  FacilityId facility = 0;  // kServiceValue only
+  size_t k = 8;             // kTopK only
+
+  static QueryRequest ServiceValue(FacilityId f) {
+    return QueryRequest{QueryKind::kServiceValue, f, 0};
+  }
+  static QueryRequest TopK(size_t k) {
+    return QueryRequest{QueryKind::kTopK, 0, k};
+  }
+};
+
+struct QueryResponse {
+  QueryKind kind = QueryKind::kServiceValue;
+  /// Non-OK when the request was rejected (e.g. facility id out of range);
+  /// a serving engine must survive malformed tenant requests, so they come
+  /// back as errors, never crashes. All other fields are meaningless then.
+  Status status;
+  /// Version of the snapshot this answer was computed against.
+  uint64_t snapshot_version = 0;
+  bool cache_hit = false;
+  double value = 0.0;                  // kServiceValue
+  std::vector<RankedFacility> ranked;  // kTopK
+  QueryStats stats;                    // zero for cache hits
+};
+
+/// One writer batch: trajectories to add to the user set and/or trajectory
+/// ids to de-index. Applied atomically — queries see either the old snapshot
+/// or the new one, never a half-applied state.
+struct UpdateBatch {
+  std::vector<std::vector<Point>> inserts;
+  std::vector<uint32_t> removes;
+};
 
 /// Engine durability knobs and recovery report, re-exported so front-end
 /// code (net/, tools/) configures engines without spelling the storage

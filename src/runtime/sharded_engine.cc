@@ -5,12 +5,14 @@
 #include <bit>
 #include <chrono>
 #include <functional>
+#include <numeric>
 #include <queue>
 #include <utility>
 
 #include "common/check.h"
 #include "net/protocol.h"
 #include "query/eval_service.h"
+#include "runtime/prune_plan.h"
 #include "tqtree/serialize.h"
 
 namespace {
@@ -90,15 +92,9 @@ ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
       pool_(options.num_threads, &metrics_) {
   // Partition the initial users; global id = position in `users`, preserved
   // by the registry so later removes can find (shard, local id).
+  InitPartition();
   const size_t n = router_.num_shards();
-  owned_begin_ = options_.owned_begin;
-  owned_end_ = options_.owned_end;
-  if (owned_begin_ == 0 && owned_end_ == 0) {
-    owned_end_ = static_cast<uint32_t>(n);  // single-process: own everything
-  }
-  TQ_CHECK(owned_begin_ < owned_end_ && owned_end_ <= n);
   std::vector<TrajectorySet> shard_sets(n);
-  shard_user_counts_.assign(n, 0);
   users_.reserve(users.size());
   for (uint32_t u = 0; u < users.size(); ++u) {
     const auto shard = static_cast<uint32_t>(router_.Route(users.points(u)));
@@ -166,13 +162,19 @@ ShardedEngine::ShardedEngine(RecoverTag, ShardedEngineOptions options,
       cache_(options_.cache_capacity, options_.cache_shards),
       router_(manifest.world, manifest.splits),
       pool_(options_.num_threads, &metrics_) {
+  InitPartition();
+}
+
+void ShardedEngine::InitPartition() {
   const size_t n = router_.num_shards();
   owned_begin_ = options_.owned_begin;
   owned_end_ = options_.owned_end;
   if (owned_begin_ == 0 && owned_end_ == 0) {
-    owned_end_ = static_cast<uint32_t>(n);
+    owned_end_ = static_cast<uint32_t>(n);  // single-process: own everything
   }
   TQ_CHECK(owned_begin_ < owned_end_ && owned_end_ <= n);
+  all_shards_.resize(n);
+  std::iota(all_shards_.begin(), all_shards_.end(), size_t{0});
   shard_user_counts_.assign(n, 0);
 }
 
@@ -590,20 +592,11 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   state->stats.resize(n);
   state->hits.assign(n, 0);
   state->remaining.store(n, std::memory_order_relaxed);
-  // Adaptive protocol selection: once the effective k covers
-  // prune_skip_ratio of the catalog, the answer must contain most
-  // facilities anyway — the bound sweep cannot prune enough to pay for
-  // itself, so the query skips straight to the exhaustive gather (same
-  // bit-identical answer, no sweep overhead).
-  const size_t num_fac = state->snap->catalog->size();
-  const bool prune =
-      options_.prune_topk &&
-      static_cast<double>(std::min(request.k, num_fac)) <
-          options_.prune_skip_ratio * static_cast<double>(num_fac);
   // Post timestamps feed the per-shard queue-wait spans; one clock read
   // covers the whole fan-out.
   const uint64_t post_ns = NowNs();
-  if (state->request.kind == QueryKind::kTopK && prune) {
+  if (topk && UsePrunedTopK(options_.prune_topk, options_.prune_skip_ratio,
+                            request.k, state->snap->catalog->size())) {
     // Bound-and-prune protocol: scatter round-1 bound-sweep tasks; the
     // coordinator (last finisher) decides what round 2 must refine.
     state->bounds.resize(n);
@@ -733,14 +726,10 @@ void ShardedEngine::Gather(GatherState* state) {
     for (const double v : state->values) sum += v;
     response.value = sum;
   } else {
-    const size_t num_fac = snap.catalog->size();
-    std::vector<RankedFacility> all(num_fac);
-    for (uint32_t f = 0; f < num_fac; ++f) {
-      double sum = 0.0;
-      for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-      all[f] = RankedFacility{f, sum};
-    }
-    RankTopK(state, std::move(all), &response);
+    RankTopK(state,
+             CompleteFacilities(all_shards_, state->fac_values,
+                                /*known=*/nullptr, snap.catalog->size()),
+             &response);
   }
   metrics_.RecordQueryStats(total);
   if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
@@ -750,14 +739,7 @@ void ShardedEngine::Gather(GatherState* state) {
 void ShardedEngine::RankTopK(GatherState* state,
                              std::vector<RankedFacility> complete,
                              QueryResponse* response) {
-  const size_t num_fac = state->snap->catalog->size();
-  const size_t k = std::min(state->request.k, num_fac);
-  TQ_CHECK(complete.size() >= k);
-  std::partial_sort(complete.begin(),
-                    complete.begin() + static_cast<std::ptrdiff_t>(k),
-                    complete.end(), RankedBefore);
-  complete.resize(k);
-  response->ranked = std::move(complete);
+  response->ranked = Rank(std::move(complete), state->request.k);
   if (cache_.enabled()) {
     metrics_.AddCacheMiss();
     metrics_.AddCacheEvictions(cache_.PutTopK(
@@ -865,49 +847,15 @@ void ShardedEngine::ExecuteTopKBoundRound(
 void ShardedEngine::CoordinateTopK(const std::shared_ptr<GatherState>& state) {
   const uint64_t coord_t0 = state->trace ? NowNs() : 0;
   const size_t n = state->snap->shards.size();
-  const FacilityCatalog& catalog = *state->snap->catalog;
-  const size_t num_fac = catalog.size();
-  const size_t k = std::min(state->request.k, num_fac);
   state->rounds++;
 
-  // Global bound B(f) = Σ_s UB_s(f) and partial lower bound
-  // L(f) = Σ_{s that evaluated f} SO_s(f) ≤ SO(U, f) (values are
-  // non-negative, so missing shards only understate).
-  std::vector<double> global_bound(num_fac, 0.0);
-  std::vector<double> global_lower(num_fac, 0.0);
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    for (size_t s = 0; s < n; ++s) {
-      global_bound[f] += state->bounds[s][f];
-      if (state->known[s][f]) global_lower[f] += state->fac_values[s][f];
-    }
-    if (global_bound[f] <= 0.0) {
-      // Nothing anywhere can serve f: settle every shard slot exactly.
-      for (size_t s = 0; s < n; ++s) {
-        state->fac_values[s][f] = 0.0;
-        state->known[s][f] = 1;
-      }
-    }
-  }
-
-  // Running k-th threshold τ: the k-th largest partial lower bound. Any
-  // facility with B(f) < τ has SO(U, f) ≤ B(f) < τ ≤ k-th exact value —
-  // strictly below the answer even on exact ties, so pruning it is safe
-  // under the (value desc, id asc) order. B(f) == τ stays a candidate.
-  std::vector<double> lower = global_lower;
-  std::nth_element(lower.begin(), lower.begin() + (k - 1), lower.end(),
-                   std::greater<double>());
-  const double threshold = lower[k - 1];
-
-  state->candidates.clear();
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    bool fully_known = true;
-    for (size_t s = 0; s < n && fully_known; ++s) {
-      fully_known = state->known[s][f] != 0;
-    }
-    if (fully_known) continue;
-    if (global_bound[f] >= threshold) state->candidates.push_back(f);
-    // else pruned: provably absent from the top-k.
-  }
+  // B(f), L(f), τ and the B(f) ≥ τ candidates (prune_plan.h). The planner
+  // also settles the zero-bound slots round-1 cursors stopped short of, so
+  // round 2 only ever evaluates slots that can contribute.
+  state->candidates =
+      PlanCandidates(all_shards_, state->bounds, &state->fac_values,
+                     &state->known, state->request.k,
+                     state->snap->catalog->size());
 
   if (coord_t0 != 0) {
     state->trace->AddSpan("coordinate", -1, coord_t0, NowNs());
@@ -949,15 +897,7 @@ void ShardedEngine::ExecuteTopKRefineRound(
   std::vector<uint8_t>& known = state->known[shard_idx];
   uint64_t evaluated = 0;
   for (const uint32_t f : state->candidates) {
-    if (known[f]) continue;  // round 1 already settled it
-    if (state->bounds[shard_idx][f] <= 0.0) {
-      // Round 1's cursor stopped before reaching this zero-bound tail
-      // entry, but 0 ≤ SO_s(f) ≤ UB_s(f) = 0 settles it without a tree
-      // traversal (another shard's positive bound made f a candidate).
-      values[f] = 0.0;
-      known[f] = 1;
-      continue;
-    }
+    if (known[f]) continue;  // round 1 or the planner already settled it
     bool hit = false;
     values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
     known[f] = 1;
@@ -993,21 +933,11 @@ void ShardedEngine::FinishTopK(GatherState* state) {
   response.stats = total;
 
   // Rank the fully-evaluated facilities only: every other facility is
-  // provably strictly below the k-th value. Summing in ascending shard
-  // order reproduces the exhaustive gather's doubles bit for bit.
-  std::vector<RankedFacility> complete;
-  complete.reserve(num_fac);
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    bool fully_known = true;
-    for (size_t s = 0; s < n && fully_known; ++s) {
-      fully_known = state->known[s][f] != 0;
-    }
-    if (!fully_known) continue;
-    double sum = 0.0;
-    for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-    complete.push_back(RankedFacility{f, sum});
-  }
-  RankTopK(state, std::move(complete), &response);
+  // provably strictly below the k-th value.
+  RankTopK(state,
+           CompleteFacilities(all_shards_, state->fac_values, &state->known,
+                              num_fac),
+           &response);
   const uint64_t evaluated =
       state->evaluated.load(std::memory_order_relaxed);
   const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
@@ -1023,28 +953,18 @@ void ShardedEngine::FinishBoundSweep(GatherState* state) {
   const size_t num_fac = snap.catalog->size();
   BoundSweepResult result;
   result.snapshot_version = snap.version;
-  result.bounds.assign(num_fac, 0.0);
 
   QueryStats total;
   for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
 
   // Per-facility bound over the owned shards (non-owned shards hold empty
   // trees, so their UB is exactly 0), plus the exact sum for facilities
-  // EVERY shard settled in round 1 — the coordinator's partial lower
-  // bounds, summed in ascending shard order for bit-identity.
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    double bound = 0.0;
-    bool fully_known = true;
-    for (size_t s = 0; s < n; ++s) {
-      bound += state->bounds[s][f];
-      fully_known = fully_known && state->known[s][f] != 0;
-    }
-    result.bounds[f] = bound;
-    if (fully_known) {
-      double sum = 0.0;
-      for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-      result.exacts.emplace_back(f, sum);
-    }
+  // EVERY shard settled in round 1 — the remote coordinator's partial
+  // lower bounds.
+  result.bounds = SumBounds(all_shards_, state->bounds, num_fac);
+  for (const RankedFacility& r : CompleteFacilities(
+           all_shards_, state->fac_values, &state->known, num_fac)) {
+    result.exacts.emplace_back(r.id, r.value);
   }
 
   const uint64_t evaluated = state->evaluated.load(std::memory_order_relaxed);

@@ -1,9 +1,14 @@
-// Scatter/gather serving across N sharded TQ-trees.
+// Scatter/gather serving across N sharded TQ-trees — the in-process serving
+// engine (one shard is the unpartitioned case).
 //
-// The unsharded Engine (engine.h) clones and republishes the WHOLE tree on
-// every write batch and answers every query from one tree. This layer
-// partitions the user set into N shards by Z-order range (shard_router.h),
-// each shard owning its own TQ-tree + evaluator over its own user subset:
+// Concurrency model — single-writer, many lock-free readers: the engine
+// owns an immutable ShardedSnapshot behind a shared_ptr, tagged with a
+// monotonically increasing version. Readers grab the current pointer (one
+// mutex-protected copy) and then run lock-free on frozen trees (every
+// z-index built before publication); in-flight queries keep their snapshot
+// alive until they finish. The engine partitions the user set into N
+// shards by Z-order range (shard_router.h), each shard owning its own
+// TQ-tree + evaluator over its own user subset:
 //
 //   * Queries scatter: a Submit fans one task per shard onto the thread
 //     pool; each task answers from its shard's frozen snapshot (cache-
@@ -29,9 +34,10 @@
 //     alone would NOT compose — a global winner may rank low in every
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
-//     the gathered sums are exactly the unsharded values, bit for bit.
+//     the gathered sums are exactly the single-tree values, bit for bit.
 //   * Top-k is BOUND-AND-PRUNE, not an exhaustive per-facility sweep
-//     (two rounds; see GatherState in sharded_engine.cc):
+//     (two rounds; see GatherState in sharded_engine.cc, with the
+//     coordinator math in prune_plan.h):
 //       round 1  every shard computes a cheap aggregate upper bound
 //                UB_s(f) for every facility (TQTree::UpperBound — node
 //                aggregates only, no entry ever scanned), then walks its
@@ -67,15 +73,18 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/engine.h"
 #include "runtime/metrics.h"
 #include "runtime/result_cache.h"
 #include "runtime/serving_engine.h"
 #include "runtime/shard_router.h"
 #include "runtime/thread_pool.h"
 #include "runtime/trace.h"
+#include "service/evaluator.h"
+#include "service/facility_index.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
+#include "tqtree/tq_tree.h"
+#include "traj/dataset.h"
 
 namespace tq::runtime {
 
@@ -155,8 +164,7 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 
 /// Multi-threaded scatter/gather engine over sharded TQ-trees. Thread-safe:
 /// any thread may Submit / RunBatch / ApplyUpdates / snapshot() concurrently.
-/// Writers are serialized among themselves; readers never block. Speaks the
-/// same QueryRequest/QueryResponse/UpdateBatch protocol as Engine.
+/// Writers are serialized among themselves; readers never block.
 class ShardedEngine : public ServingEngine {
  public:
   ShardedEngine(TrajectorySet users, TrajectorySet facilities,
@@ -279,6 +287,9 @@ class ShardedEngine : public ServingEngine {
   /// does that next.
   ShardedEngine(RecoverTag, ShardedEngineOptions options,
                 const storage::CheckpointManifest& manifest);
+  /// Both constructors' shared tail once router_ exists: resolves the owned
+  /// range and sizes the per-shard bookkeeping.
+  void InitPartition();
   /// Loads registry + shard states from `checkpoint_dir` and replays the
   /// WAL; only Recover calls this, before the engine is visible to anyone.
   Status RecoverFrom(const std::string& checkpoint_dir,
@@ -309,11 +320,9 @@ class ShardedEngine : public ServingEngine {
   /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds and
   /// collects exactly-settled facilities instead of ranking.
   void FinishBoundSweep(GatherState* state);
-  /// The ranking-and-memoisation tail both top-k paths share: sorts
-  /// `complete` (exact per-facility totals) by (value desc, id asc),
-  /// truncates to k, and memoises under the snapshot's generation vector.
-  /// Keeping it in one place keeps the pruned path provably bit-identical
-  /// to the exhaustive one.
+  /// The ranking-and-memoisation tail both top-k paths share: ranks
+  /// `complete` (exact per-facility totals, prune_plan.h Rank) and memoises
+  /// the answer under the snapshot's generation vector.
   void RankTopK(GatherState* state, std::vector<RankedFacility> complete,
                 QueryResponse* response);
   /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
@@ -342,6 +351,9 @@ class ShardedEngine : public ServingEngine {
   /// Resolved owned range ((0,0) in options = own all shards).
   uint32_t owned_begin_ = 0;
   uint32_t owned_end_ = 0;
+  /// 0..num_shards-1: the prune planner's participant list, which in
+  /// process is every shard (non-owned shards hold empty trees).
+  std::vector<size_t> all_shards_;
   MetricsRegistry metrics_;
   Tracer tracer_;
   ResultCache cache_;

@@ -2,18 +2,21 @@
 // over loopback shard-worker processes (each a ShardedEngine owning a slice
 // of the partition behind a NetServer) answers sums and top-k BIT-IDENTICALLY
 // to a single-process ShardedEngine over the full partition, for shards
-// {2, 4} × workers {1, 2} on the NYF preset; updates fan out and keep the
+// {2, 4} × workers {1, 2} on the NYF preset; round 2 never asks a worker for
+// a facility its own bound already settled at 0; updates fan out and keep the
 // identity; a killed worker degrades answers to StatusCode::kUnavailable
 // without hanging; and the new wire frame types (kRegister, kHeartbeat,
 // kBound, kStatus) round-trip losslessly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "datagen/presets.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -171,6 +174,92 @@ TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
       }
     }
   }
+}
+
+// ------------------------------------------------- zero-bound settlement
+
+// Two user clusters far apart land on different workers, so each worker's
+// bound is exactly 0 for the other cluster's facilities. When a worker's
+// round-1 cursor stops before that zero-bound tail and another worker's
+// positive bound makes such a facility a candidate, the coordinator must
+// settle the slot at 0 — never send it in a round-2 kSum.
+TEST(Distributed, ZeroBoundSlotsAreNeverRefined) {
+  Rng rng(404);
+  const Rect west = Rect::Of(0, 0, 2000, 2000);
+  const Rect east = Rect::Of(48000, 48000, 50000, 50000);
+  TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 5, west);
+  const TrajectorySet east_users = testing::RandomUsers(&rng, 300, 2, 5, east);
+  for (uint32_t u = 0; u < east_users.size(); ++u) {
+    users.Add(east_users.points(u));
+  }
+  TrajectorySet fac;
+  for (const Rect& r : {west, east}) {
+    const TrajectorySet group = testing::RandomFacilities(&rng, 6, 8, r);
+    for (uint32_t f = 0; f < group.size(); ++f) fac.Add(group.points(f));
+  }
+  const size_t num_fac = fac.size();
+  ShardedEngine reference(users, fac, EngineOptions(2));
+  for (uint32_t u = 0; u < users.size(); ++u) {
+    ASSERT_EQ(reference.LocateUser(u).shard, u < 300 ? 0u : 1u);
+  }
+  std::vector<Worker> workers = MakeWorkers(users, fac, 2, 2);
+  RemoteShardSet coord(CoordOptions(workers));
+  ASSERT_TRUE(coord.Connect().ok());
+
+  // Round 1 as the coordinator will see it (each worker's sweep is
+  // deterministic: its one owned shard alone raises the prune floor).
+  constexpr size_t kK = 1;
+  std::vector<NetResponse> round1(workers.size());
+  for (size_t w = 0; w < workers.size(); ++w) {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", workers[w].port()).ok());
+    ASSERT_TRUE(client.Bound(kK, &round1[w]).ok());
+    ASSERT_EQ(round1[w].bounds.size(), num_fac);
+  }
+  std::vector<std::vector<uint8_t>> settled(
+      workers.size(), std::vector<uint8_t>(num_fac, 0));
+  std::vector<double> upper(num_fac, 0.0);
+  std::vector<double> lower(num_fac, 0.0);
+  for (size_t w = 0; w < workers.size(); ++w) {
+    for (const auto& [f, value] : round1[w].bound_exacts) {
+      settled[w][f] = 1;
+      lower[f] += value;
+    }
+    for (size_t f = 0; f < num_fac; ++f) upper[f] += round1[w].bounds[f];
+  }
+  // k = 1: τ is the largest partial lower bound; every facility left
+  // unsettled somewhere with B(f) ≥ τ is a candidate.
+  const double tau = *std::max_element(lower.begin(), lower.end());
+  std::vector<uint64_t> positive_asks(workers.size(), 0);
+  uint64_t zero_bound_candidates = 0;
+  for (size_t f = 0; f < num_fac; ++f) {
+    if (upper[f] < tau) continue;
+    for (size_t w = 0; w < workers.size(); ++w) {
+      if (settled[w][f]) continue;
+      if (round1[w].bounds[f] > 0.0) {
+        ++positive_asks[w];
+      } else {
+        ++zero_bound_candidates;
+      }
+    }
+  }
+  ASSERT_GT(zero_bound_candidates, 0u)
+      << "no worker stopped short of a zero-bound candidate; the scenario "
+         "does not exercise settlement";
+
+  std::vector<uint64_t> before;
+  for (const Worker& w : workers) {
+    before.push_back(w.engine->metrics().Read().service_queries);
+  }
+  const QueryResponse got = RunQuery(coord, QueryRequest::TopK(kK));
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  for (size_t w = 0; w < workers.size(); ++w) {
+    // Round 2's kSum frames are the only service queries a worker sees.
+    EXPECT_EQ(workers[w].engine->metrics().Read().service_queries - before[w],
+              positive_asks[w])
+        << "worker " << w << " was asked to refine a zero-bound slot";
+  }
+  ExpectIdenticalAnswers(reference, coord, num_fac);
 }
 
 // ------------------------------------------------------ update fan-out

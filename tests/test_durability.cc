@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "net/protocol.h"
-#include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"

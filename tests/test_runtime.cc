@@ -1,9 +1,9 @@
 // Tests for the concurrent query runtime (src/runtime/): thread pool, result
-// cache, snapshot cloning, and — most importantly — that N concurrent
-// Submits agree with the serial evaluators and that a snapshot publish
-// mid-stream never produces a torn read. Run this binary under
-// -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to verify the lock-free
-// reader claim; CI's Debug job does.
+// cache, tree forks, and — most importantly — that N concurrent Submits to
+// a one-shard ShardedEngine agree with the serial evaluators and that a
+// snapshot publish mid-stream never produces a torn read. Run this binary
+// under -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to verify the
+// lock-free reader claim; CI's Debug job does.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,20 +13,19 @@
 
 #include "common/rng.h"
 #include "query/eval_service.h"
-#include "runtime/engine.h"
 #include "runtime/result_cache.h"
+#include "runtime/sharded_engine.h"
 #include "runtime/thread_pool.h"
 #include "test_util.h"
 
 namespace tq {
 namespace {
 
-using runtime::Engine;
-using runtime::EngineOptions;
-using runtime::QueryKind;
 using runtime::QueryRequest;
 using runtime::QueryResponse;
 using runtime::ResultCache;
+using runtime::ShardedEngine;
+using runtime::ShardedEngineOptions;
 using runtime::ThreadPool;
 using runtime::UpdateBatch;
 
@@ -72,19 +71,6 @@ TEST(ResultCache, HitAfterPutAndLruEviction) {
   EXPECT_FALSE(cache.Get(b, &v));
   EXPECT_TRUE(cache.Get(a, &v));
   EXPECT_TRUE(cache.Get(c, &v));
-}
-
-TEST(ResultCache, InvalidateBeforeDropsOldVersionsOnly) {
-  ResultCache cache(16, 4);
-  for (uint64_t version = 1; version <= 4; ++version) {
-    cache.Put(ResultCache::Key{9, 0, version}, static_cast<double>(version));
-  }
-  EXPECT_EQ(cache.InvalidateBefore(3), 2u);  // versions 1, 2
-  double v = 0.0;
-  EXPECT_FALSE(cache.Get(ResultCache::Key{9, 0, 1}, &v));
-  EXPECT_FALSE(cache.Get(ResultCache::Key{9, 0, 2}, &v));
-  EXPECT_TRUE(cache.Get(ResultCache::Key{9, 0, 3}, &v));
-  EXPECT_TRUE(cache.Get(ResultCache::Key{9, 0, 4}, &v));
 }
 
 TEST(ResultCache, ZeroCapacityDisables) {
@@ -148,7 +134,7 @@ TEST(TQTreeFork, ForkAnswersIdenticallyAndIsIndependent) {
   }
 }
 
-// ---------------------------------------------------------------- Engine
+// ------------------------------------------------ one-shard ShardedEngine
 
 struct EngineWorld {
   TrajectorySet users;
@@ -162,8 +148,10 @@ struct EngineWorld {
                        testing::RandomFacilities(&rng, num_facs, 8, w)};
   }
 
-  EngineOptions Options(size_t threads, size_t cache_capacity = 1024) const {
-    EngineOptions eo;
+  ShardedEngineOptions Options(size_t threads,
+                               size_t cache_capacity = 1024) const {
+    ShardedEngineOptions eo;
+    eo.num_shards = 1;
     eo.num_threads = threads;
     eo.cache_capacity = cache_capacity;
     eo.tree.beta = 16;
@@ -172,7 +160,7 @@ struct EngineWorld {
   }
 };
 
-TEST(Engine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
+TEST(OneShardEngine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
   EngineWorld world = EngineWorld::Make(901, 400, 16);
 
   // Serial reference: the same tree configuration, evaluated inline.
@@ -188,7 +176,7 @@ TEST(Engine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
         EvaluateServiceTQ(&serial_tree, serial_eval, serial_catalog.grid(f));
   }
 
-  Engine engine(world.users, world.facilities, world.Options(8));
+  ShardedEngine engine(world.users, world.facilities, world.Options(8));
   std::vector<QueryRequest> batch;
   for (int rep = 0; rep < 4; ++rep) {
     for (uint32_t f = 0; f < serial_catalog.size(); ++f) {
@@ -213,9 +201,9 @@ TEST(Engine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
   EXPECT_GT(m.nodes_visited, 0u);
 }
 
-TEST(Engine, OutOfRangeFacilityReturnsErrorNotCrash) {
+TEST(OneShardEngine, OutOfRangeFacilityReturnsErrorNotCrash) {
   EngineWorld world = EngineWorld::Make(902, 80, 4);
-  Engine engine(world.users, world.facilities, world.Options(2));
+  ShardedEngine engine(world.users, world.facilities, world.Options(2));
   const QueryResponse bad =
       engine.Submit(QueryRequest::ServiceValue(999)).get();
   EXPECT_FALSE(bad.status.ok());
@@ -227,7 +215,7 @@ TEST(Engine, OutOfRangeFacilityReturnsErrorNotCrash) {
   EXPECT_EQ(good.snapshot_version, 1u);
 }
 
-TEST(Engine, TopKMatchesSerialBestFirst) {
+TEST(OneShardEngine, TopKMatchesSerialBestFirst) {
   EngineWorld world = EngineWorld::Make(903, 300, 12);
   TQTreeOptions opt;
   opt.beta = 16;
@@ -238,7 +226,7 @@ TEST(Engine, TopKMatchesSerialBestFirst) {
   const TopKResult expected =
       TopKFacilitiesTQ(&serial_tree, serial_catalog, serial_eval, 5);
 
-  Engine engine(world.users, world.facilities, world.Options(4));
+  ShardedEngine engine(world.users, world.facilities, world.Options(4));
   const std::vector<QueryResponse> responses =
       engine.RunBatch(std::vector<QueryRequest>(8, QueryRequest::TopK(5)));
   for (const QueryResponse& response : responses) {
@@ -250,13 +238,14 @@ TEST(Engine, TopKMatchesSerialBestFirst) {
   }
 }
 
-TEST(Engine, ApplyUpdatesPublishesNewVersionWithCorrectValues) {
+TEST(OneShardEngine, ApplyUpdatesPublishesNewVersionWithCorrectValues) {
   EngineWorld world = EngineWorld::Make(905, 250, 10);
-  Engine engine(world.users, world.facilities, world.Options(4));
+  ShardedEngine engine(world.users, world.facilities, world.Options(4));
   EXPECT_EQ(engine.snapshot()->version, 1u);
 
   // Keep a pre-update snapshot alive across the publish (reader isolation).
-  const runtime::SnapshotPtr old_snap = engine.snapshot();
+  const runtime::ShardedSnapshotPtr old_snap = engine.snapshot();
+  const runtime::ShardState& old_shard = *old_snap->shards[0];
 
   UpdateBatch batch;
   Rng rng(907);
@@ -294,7 +283,7 @@ TEST(Engine, ApplyUpdatesPublishesNewVersionWithCorrectValues) {
 
   // The retained snapshot still answers with pre-update state.
   for (uint32_t f = 0; f < world.facilities.size(); ++f) {
-    EXPECT_NEAR(EvaluateServiceTQ(old_snap->tree.get(), *old_snap->eval,
+    EXPECT_NEAR(EvaluateServiceTQ(old_shard.tree.get(), *old_shard.eval,
                                   old_snap->catalog->grid(f)),
                 testing::BruteForceSO(world.users,
                                       world.facilities.points(f), world.model),
@@ -310,7 +299,7 @@ TEST(Engine, ApplyUpdatesPublishesNewVersionWithCorrectValues) {
 // writer publishes snapshots mid-stream. Every response must exactly match
 // the serial value for the snapshot version it reports — a torn read (some
 // mix of two versions) cannot satisfy that.
-TEST(Engine, PublishMidStreamNeverTearsReads) {
+TEST(OneShardEngine, PublishMidStreamNeverTearsReads) {
   EngineWorld world = EngineWorld::Make(909, 200, 8);
   constexpr size_t kReaderThreads = 4;
   constexpr size_t kQueriesPerReader = 120;
@@ -327,7 +316,8 @@ TEST(Engine, PublishMidStreamNeverTearsReads) {
         testing::RandomUsers(&rng, kInsertsPerBatch, 2, 5, w));
   }
   // Batch b removes user id b (of the initial set).
-  Engine engine(world.users, world.facilities, world.Options(kReaderThreads));
+  ShardedEngine engine(world.users, world.facilities,
+                       world.Options(kReaderThreads));
 
   std::vector<std::vector<QueryResponse>> collected(kReaderThreads);
   std::vector<std::thread> readers;

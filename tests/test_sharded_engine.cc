@@ -1,6 +1,6 @@
 // Tests for the sharded scatter/gather runtime (src/runtime/sharded_engine):
 // Z-order shard routing is a stable total partition, N-shard scatter/gather
-// agrees bit-for-bit with the unsharded Engine and with the brute-force
+// agrees bit-for-bit with the single-tree library and with the brute-force
 // oracle (tie-breaks included), writers republish only the shards a batch
 // touches, and a single-shard publish invalidates only that shard's result
 // cache entries. Run under -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to
@@ -13,7 +13,8 @@
 
 #include "common/rng.h"
 #include "datagen/presets.h"
-#include "runtime/engine.h"
+#include "query/eval_service.h"
+#include "query/topk.h"
 #include "runtime/result_cache.h"
 #include "runtime/sharded_engine.h"
 #include "test_util.h"
@@ -21,8 +22,6 @@
 namespace tq {
 namespace {
 
-using runtime::Engine;
-using runtime::EngineOptions;
 using runtime::QueryRequest;
 using runtime::QueryResponse;
 using runtime::ResultCache;
@@ -114,55 +113,68 @@ ShardedEngineOptions ShardedOptions(size_t shards, const ServiceModel& model,
   return so;
 }
 
-EngineOptions UnshardedOptions(const ServiceModel& model, size_t threads = 4,
-                               size_t cache_capacity = 2048) {
-  EngineOptions eo;
-  eo.num_threads = threads;
-  eo.cache_capacity = cache_capacity;
-  eo.tree.beta = 16;
-  eo.tree.model = model;
-  return eo;
-}
+// The library reference: one whole TQ-tree over every user, queried with
+// the single-tree Algorithms 1–4 (query/eval_service, query/topk). It shares
+// no runtime code with the engine under test.
+struct LibraryOracle {
+  LibraryOracle(const TrajectorySet& users, const TrajectorySet& facs,
+                const ServiceModel& model)
+      : tree(&users, ShardedOptions(1, model).tree),
+        eval(&users, model),
+        catalog(&facs, model.psi) {}
+
+  double Value(FacilityId f) {
+    return EvaluateServiceTQ(&tree, eval, catalog.grid(f));
+  }
+  std::vector<RankedFacility> TopK(size_t k) {
+    return TopKFacilitiesTQ(&tree, catalog, eval, k).ranked;
+  }
+
+  TQTree tree;
+  ServiceEvaluator eval;
+  FacilityCatalog catalog;
+};
 
 // The acceptance check: on the NYF preset, every shard count must reproduce
-// the unsharded engine's service values and top-k lists BIT-IDENTICALLY.
+// the library's service values and top-k lists BIT-IDENTICALLY.
 // Integer-valued service models (raw point counts, endpoint counts) make the
 // cross-shard sum exactly associative, so == on doubles is the right assert.
-TEST(ShardedEngine, NyfPresetAgreesBitIdenticallyWithUnshardedEngine) {
+TEST(ShardedEngine, NyfPresetAgreesBitIdenticallyWithLibrary) {
   const TrajectorySet users = presets::NyfCheckins(1200);
   const TrajectorySet routes = presets::NyBusRoutes(12, 10);
   for (const ServiceModel& model :
        {ServiceModel::PointCount(200.0, Normalization::kNone),
         ServiceModel::Endpoints(200.0)}) {
-    Engine reference(users, routes, UnshardedOptions(model));
+    LibraryOracle reference(users, routes, model);
     std::vector<QueryRequest> batch;
+    std::vector<double> expected;
     for (uint32_t f = 0; f < routes.size(); ++f) {
       batch.push_back(QueryRequest::ServiceValue(f));
+      expected.push_back(reference.Value(f));
     }
     batch.push_back(QueryRequest::TopK(5));
-    const std::vector<QueryResponse> expected = reference.RunBatch(batch);
+    const std::vector<RankedFacility> topk_ref = reference.TopK(5);
 
     for (const size_t shards : {1u, 2u, 4u, 8u}) {
       ShardedEngine sharded(users, routes, ShardedOptions(shards, model));
       const std::vector<QueryResponse> got = sharded.RunBatch(batch);
-      ASSERT_EQ(got.size(), expected.size());
+      ASSERT_EQ(got.size(), batch.size());
       for (uint32_t f = 0; f < routes.size(); ++f) {
         // EXPECT_EQ on double is exact comparison — bit-identical modulo
         // +0/-0, which cannot arise from non-negative service sums.
-        EXPECT_EQ(got[f].value, expected[f].value)
+        EXPECT_EQ(got[f].value, expected[f])
             << "shards=" << shards << " facility=" << f;
         EXPECT_NEAR(got[f].value,
                     testing::BruteForceSO(users, routes.points(f), model),
                     1e-9);
       }
       const QueryResponse& topk = got.back();
-      const QueryResponse& topk_ref = expected.back();
-      ASSERT_EQ(topk.ranked.size(), topk_ref.ranked.size())
+      ASSERT_EQ(topk.ranked.size(), topk_ref.size())
           << "shards=" << shards;
-      for (size_t i = 0; i < topk_ref.ranked.size(); ++i) {
-        EXPECT_EQ(topk.ranked[i].id, topk_ref.ranked[i].id)
+      for (size_t i = 0; i < topk_ref.size(); ++i) {
+        EXPECT_EQ(topk.ranked[i].id, topk_ref[i].id)
             << "shards=" << shards << " rank=" << i;
-        EXPECT_EQ(topk.ranked[i].value, topk_ref.ranked[i].value)
+        EXPECT_EQ(topk.ranked[i].value, topk_ref[i].value)
             << "shards=" << shards << " rank=" << i;
       }
     }
@@ -191,7 +203,7 @@ TEST(ShardedEngine, NormalizedModelAgreesWithOracleAtEveryShardCount) {
 
 // kMaxRRST tie-break: duplicated facilities have exactly equal values, and
 // the gathered ranking must list them by ascending facility id — matching
-// both the unsharded engine and the documented library order.
+// the library's documented order.
 TEST(ShardedEngine, TopKTieBreaksByAscendingFacilityId) {
   Rng rng(31);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -207,17 +219,16 @@ TEST(ShardedEngine, TopKTieBreaksByAscendingFacilityId) {
   const ServiceModel model =
       ServiceModel::PointCount(300.0, Normalization::kNone);
 
-  Engine reference(users, facs, UnshardedOptions(model));
-  const QueryResponse expected =
-      reference.Submit(QueryRequest::TopK(8)).get();
+  const std::vector<RankedFacility> expected =
+      LibraryOracle(users, facs, model).TopK(8);
   ShardedEngine sharded(users, facs, ShardedOptions(4, model));
   const QueryResponse got = sharded.Submit(QueryRequest::TopK(8)).get();
 
   ASSERT_EQ(got.ranked.size(), 8u);
-  ASSERT_EQ(expected.ranked.size(), 8u);
+  ASSERT_EQ(expected.size(), 8u);
   for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(got.ranked[i].id, expected.ranked[i].id) << "rank " << i;
-    EXPECT_EQ(got.ranked[i].value, expected.ranked[i].value) << "rank " << i;
+    EXPECT_EQ(got.ranked[i].id, expected[i].id) << "rank " << i;
+    EXPECT_EQ(got.ranked[i].value, expected[i].value) << "rank " << i;
   }
   for (size_t i = 0; i + 1 < 8; ++i) {
     // Duplicate pairs (f, f+4) tie exactly; the smaller id must come first.

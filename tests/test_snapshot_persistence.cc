@@ -8,9 +8,11 @@
 //     its recorded answers, and the newest snapshot matches a from-scratch
 //     TQTree oracle bit-for-bit (integer-valued model);
 //   * sharded equivalence — N-shard forked publishes stay bit-identical to
-//     an unsharded from-scratch build for N ∈ {1, 2, 4, 8};
+//     a single-tree from-scratch build for N ∈ {1, 2, 4, 8};
 //   * the top-k section of ResultCache: memoisation keyed by (k, ψ,
 //     generation vector), per-shard invalidation, engine integration.
+// The single-tree cases run a one-shard ShardedEngine and read its tree
+// through snapshot()->shards[0].
 // Run under -fsanitize=address and -fsanitize=thread in CI: page sharing
 // across snapshots is exactly where lifetime and data-race bugs would live.
 #include <gtest/gtest.h>
@@ -23,7 +25,6 @@
 #include "datagen/presets.h"
 #include "query/eval_service.h"
 #include "query/topk.h"
-#include "runtime/engine.h"
 #include "runtime/result_cache.h"
 #include "runtime/sharded_engine.h"
 #include "test_util.h"
@@ -31,8 +32,6 @@
 namespace tq {
 namespace {
 
-using runtime::Engine;
-using runtime::EngineOptions;
 using runtime::QueryRequest;
 using runtime::QueryResponse;
 using runtime::ResultCache;
@@ -51,14 +50,15 @@ using runtime::UpdateBatch;
 TEST(ForkPublishCost, SingleTrajectoryNyfPublishCopiesUnder5PercentOfNodes) {
   const TrajectorySet users = presets::NyfCheckins(20000);
   const TrajectorySet routes = presets::NyBusRoutes(12, 10);
-  EngineOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 2;
   options.tree.beta = 16;
   options.tree.mode = TrajMode::kSegmented;
   options.tree.model = ServiceModel::PointCount(200.0, Normalization::kNone);
-  Engine engine(users, routes, options);
+  ShardedEngine engine(users, routes, options);
 
-  const size_t total_nodes = engine.snapshot()->tree->num_nodes();
+  const size_t total_nodes = engine.snapshot()->shards[0]->tree->num_nodes();
   ASSERT_GT(total_nodes, 500u) << "preset too small to be meaningful";
 
   const std::vector<Point> traj{
@@ -102,26 +102,28 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet base = testing::RandomUsers(&rng, 400, 2, 6, w);
   const TrajectorySet facs = testing::RandomFacilities(&rng, 10, 8, w);
-  EngineOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 4;
   options.tree.beta = 16;
   options.tree.model = ServiceModel::PointCount(300.0, Normalization::kNone);
-  Engine engine(base, facs, options);
+  ShardedEngine engine(base, facs, options);
 
   struct Recorded {
-    runtime::SnapshotPtr snap;
+    runtime::ShardedSnapshotPtr snap;
     std::vector<double> values;              // per facility
     std::vector<RankedFacility> topk;
   };
-  const auto record = [&](const runtime::SnapshotPtr& snap) {
+  const auto record = [&](const runtime::ShardedSnapshotPtr& snap) {
     Recorded r;
     r.snap = snap;
+    const runtime::ShardState& shard = *snap->shards[0];
     for (uint32_t f = 0; f < snap->catalog->size(); ++f) {
-      r.values.push_back(EvaluateServiceTQ(snap->tree.get(), *snap->eval,
+      r.values.push_back(EvaluateServiceTQ(shard.tree.get(), *shard.eval,
                                            snap->catalog->grid(f)));
     }
     r.topk =
-        TopKFacilitiesTQ(snap->tree.get(), *snap->catalog, *snap->eval, 5)
+        TopKFacilitiesTQ(shard.tree.get(), *snap->catalog, *shard.eval, 5)
             .ranked;
     return r;
   };
@@ -158,16 +160,16 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
   // cannot arise from non-negative sums.
   for (size_t i = 0; i < retained.size(); ++i) {
     const Recorded& r = retained[i];
+    const runtime::ShardState& shard = *r.snap->shards[0];
     EXPECT_EQ(r.snap->version, i + 1);
     for (uint32_t f = 0; f < r.snap->catalog->size(); ++f) {
-      EXPECT_EQ(EvaluateServiceTQ(r.snap->tree.get(), *r.snap->eval,
+      EXPECT_EQ(EvaluateServiceTQ(shard.tree.get(), *shard.eval,
                                   r.snap->catalog->grid(f)),
                 r.values[f])
           << "version " << r.snap->version << " facility " << f;
     }
     const std::vector<RankedFacility> again =
-        TopKFacilitiesTQ(r.snap->tree.get(), *r.snap->catalog, *r.snap->eval,
-                         5)
+        TopKFacilitiesTQ(shard.tree.get(), *r.snap->catalog, *shard.eval, 5)
             .ranked;
     ASSERT_EQ(again.size(), r.topk.size());
     for (size_t j = 0; j < again.size(); ++j) {
@@ -178,15 +180,17 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
 
   // Newest snapshot vs from-scratch oracle over the surviving users
   // (integer-valued model ⇒ the different summation order cannot matter).
-  const runtime::SnapshotPtr newest = engine.snapshot();
+  // One shard: every global id is its local id in the shard's user set.
+  const runtime::ShardedSnapshotPtr newest = engine.snapshot();
+  const runtime::ShardState& newest_shard = *newest->shards[0];
   TrajectorySet survivors;
   for (uint32_t u = 0; u < total_users; ++u) {
-    if (active[u]) survivors.Add(newest->users->points(u));
+    if (active[u]) survivors.Add(newest_shard.users->points(u));
   }
   TQTree oracle(&survivors, options.tree);
   const ServiceEvaluator oracle_eval(&survivors, options.tree.model);
   for (uint32_t f = 0; f < newest->catalog->size(); ++f) {
-    EXPECT_EQ(EvaluateServiceTQ(newest->tree.get(), *newest->eval,
+    EXPECT_EQ(EvaluateServiceTQ(newest_shard.tree.get(), *newest_shard.eval,
                                 newest->catalog->grid(f)),
               EvaluateServiceTQ(&oracle, oracle_eval,
                                 newest->catalog->grid(f)))
@@ -197,7 +201,7 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
 // --------------------------------------------------- sharded equivalence
 
 // Acceptance: after forked (path-copying) publishes, an N-shard engine's
-// gathered answers stay bit-identical to an unsharded from-scratch build
+// gathered answers stay bit-identical to a single-tree from-scratch build
 // over the same surviving user set, for N ∈ {1, 2, 4, 8}.
 TEST(ShardedForkedPublish, BitIdenticalToFromScratchBuildAtEveryShardCount) {
   const TrajectorySet users = presets::NyfCheckins(1200);
@@ -313,16 +317,17 @@ TEST(ResultCacheTopK, MemoisesByGenerationVectorAndInvalidatesPerShard) {
   EXPECT_FALSE(cache.GetTopK(key, &got));
 }
 
-TEST(Engine, TopKMemoisedUntilPublishThenRecomputed) {
+TEST(OneShardEngine, TopKMemoisedUntilPublishThenRecomputed) {
   Rng rng(55);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 5, w);
   const TrajectorySet facs = testing::RandomFacilities(&rng, 8, 8, w);
-  EngineOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 2;
   options.tree.beta = 16;
   options.tree.model = ServiceModel::PointCount(300.0);
-  Engine engine(users, facs, options);
+  ShardedEngine engine(users, facs, options);
 
   const QueryResponse first = engine.Submit(QueryRequest::TopK(4)).get();
   EXPECT_FALSE(first.cache_hit);

@@ -9,18 +9,23 @@
 //     facilities × shards exhaustive-sweep count, with the skipped slots
 //     accounted in facilities_pruned;
 //   * the adaptive large-k switch (prune_skip_ratio) routes k ≥ ratio·|F|
-//     queries straight to the exhaustive gather, same answers.
+//     queries straight to the exhaustive gather, same answers;
+//   * the shared planner (runtime/prune_plan.h), property-tested on random
+//     bound/exact matrices against a brute-force top-k: ties at B == τ,
+//     k ≥ |F|, all-zero bounds and dropped participants.
 // Runs under ASan+UBSan and TSan in CI (two-round gathers hop threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "datagen/presets.h"
 #include "query/eval_service.h"
 #include "query/topk.h"
+#include "runtime/prune_plan.h"
 #include "runtime/sharded_engine.h"
 #include "service/facility_index.h"
 #include "test_util.h"
@@ -29,6 +34,8 @@
 namespace tq {
 namespace {
 
+using runtime::FacilityMatrix;
+using runtime::KnownMatrix;
 using runtime::MetricsView;
 using runtime::QueryRequest;
 using runtime::QueryResponse;
@@ -393,6 +400,171 @@ TEST(TopKPrune, PruneSkipRatioIsConfigurable) {
   ShardedEngine exhaustive(users, routes, always_skip);
   (void)exhaustive.Submit(QueryRequest::TopK(1)).get();
   EXPECT_EQ(exhaustive.metrics().Read().prune_rounds, 0u);
+
+  // The predicate both coordinators share.
+  EXPECT_TRUE(runtime::UsePrunedTopK(true, 1.1, 100, 16));
+  EXPECT_FALSE(runtime::UsePrunedTopK(true, 0.5, 8, 16));
+  EXPECT_TRUE(runtime::UsePrunedTopK(true, 0.5, 7, 16));
+  EXPECT_FALSE(runtime::UsePrunedTopK(false, 2.0, 1, 16));
+}
+
+// ------------------------------------------------------------ prune planner
+
+// One bound-and-prune round trip over the planner alone. `truth` holds
+// every participant's exact per-facility value; `exact`/`known` the round-1
+// state. Plans, refines the candidates' unsettled slots from `truth` (as
+// round 2 would), then merges and ranks. Fails the test if round 2 would
+// ask any participant for a slot whose own bound is 0.
+std::vector<RankedFacility> PlannedTopK(std::span<const size_t> parts,
+                                        const FacilityMatrix& bounds,
+                                        const FacilityMatrix& truth,
+                                        FacilityMatrix exact,
+                                        KnownMatrix known, size_t k) {
+  const size_t num_fac = truth[0].size();
+  const std::vector<uint32_t> candidates =
+      runtime::PlanCandidates(parts, bounds, &exact, &known, k, num_fac);
+  for (const size_t p : parts) {
+    for (size_t f = 0; f < num_fac; ++f) {
+      if (bounds[p][f] <= 0.0) {
+        EXPECT_TRUE(known[p][f]) << "zero-bound slot left unsettled";
+        EXPECT_EQ(exact[p][f], 0.0);
+      }
+    }
+    for (const uint32_t f : candidates) {
+      if (known[p][f]) continue;
+      EXPECT_GT(bounds[p][f], 0.0) << "refinement of a zero-bound slot";
+      exact[p][f] = truth[p][f];
+      known[p][f] = 1;
+    }
+  }
+  return runtime::Rank(
+      runtime::CompleteFacilities(parts, exact, &known, num_fac), k);
+}
+
+// Brute force: every facility's total over `parts` (ascending participant
+// order, like every engine merge), ranked (value desc, id asc).
+std::vector<RankedFacility> BruteTopK(std::span<const size_t> parts,
+                                      const FacilityMatrix& truth, size_t k) {
+  std::vector<RankedFacility> all(truth[0].size());
+  for (uint32_t f = 0; f < all.size(); ++f) {
+    all[f].id = f;
+    for (const size_t p : parts) all[f].value += truth[p][f];
+  }
+  std::sort(all.begin(), all.end(), RankedBefore);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+void ExpectSameRanking(const std::vector<RankedFacility>& got,
+                       const std::vector<RankedFacility>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "rank " << i;
+  }
+}
+
+// Property: on random non-negative exact matrices with bounds ≥ exacts and
+// random round-1 masks, plan + refine + merge equals the brute-force top-k,
+// bit for bit. Small integer values make exact ties (including B == τ)
+// common; every few trials drops one participant.
+TEST(PrunePlan, MatchesBruteForceOnRandomMatrices) {
+  Rng rng(2001);
+  // Unsettled slots hold garbage: the planner must never read them.
+  constexpr double kUnsettled = 1e9;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t num_parts = 1 + rng.NextBelow(5);
+    const size_t num_fac = 1 + rng.NextBelow(24);
+    const bool integral = rng.NextBernoulli(0.6);
+    FacilityMatrix truth(num_parts, std::vector<double>(num_fac));
+    FacilityMatrix bounds = truth;
+    FacilityMatrix exact(num_parts, std::vector<double>(num_fac, kUnsettled));
+    KnownMatrix known(num_parts, std::vector<uint8_t>(num_fac, 0));
+    for (size_t p = 0; p < num_parts; ++p) {
+      for (size_t f = 0; f < num_fac; ++f) {
+        if (!rng.NextBernoulli(0.3)) {
+          truth[p][f] = integral ? static_cast<double>(rng.NextBelow(5))
+                                 : rng.NextUniform(0.0, 10.0);
+        }
+        const bool tight = truth[p][f] == 0.0 ? rng.NextBernoulli(0.5)
+                                              : rng.NextBernoulli(0.3);
+        bounds[p][f] =
+            truth[p][f] +
+            (tight ? 0.0
+                   : (integral ? static_cast<double>(1 + rng.NextBelow(3))
+                               : rng.NextUniform(0.0, 3.0)));
+        if (rng.NextBernoulli(0.4)) {
+          exact[p][f] = truth[p][f];
+          known[p][f] = 1;
+        }
+      }
+    }
+    std::vector<size_t> parts;
+    const size_t dropped =
+        num_parts > 1 && rng.NextBernoulli(0.3) ? rng.NextBelow(num_parts)
+                                                : num_parts;
+    for (size_t p = 0; p < num_parts; ++p) {
+      if (p != dropped) parts.push_back(p);
+    }
+    const size_t k = rng.NextBelow(num_fac + 3);  // 0 and k > |F| included
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameRanking(PlannedTopK(parts, bounds, truth, exact, known, k),
+                      BruteTopK(parts, truth, k));
+  }
+}
+
+// A facility whose global bound EQUALS τ must stay a candidate: here it
+// ties the k-th value exactly and wins the tie on its smaller id.
+TEST(PrunePlan, KeepsCandidatesAtBoundEqualToTau) {
+  const FacilityMatrix truth = {{3, 0, 2, 1}, {0, 2, 0, 0}};
+  const FacilityMatrix bounds = truth;  // exact bounds: B(1) = 2
+  // p0 settled everything, p1 all but facility 1: L = {3, 0, 2, 1}, so
+  // τ = 2 at k = 2 and B(1) == τ.
+  const FacilityMatrix exact = {{3, 0, 2, 1}, {0, 0, 0, 0}};
+  const KnownMatrix known = {{1, 1, 1, 1}, {1, 0, 1, 1}};
+  const std::vector<size_t> parts = {0, 1};
+  const std::vector<RankedFacility> got =
+      PlannedTopK(parts, bounds, truth, exact, known, 2);
+  ExpectSameRanking(got, BruteTopK(parts, truth, 2));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].id, 1u);  // (2, id 1) before (2, id 2)
+}
+
+TEST(PrunePlan, AllZeroBoundsSettleWithoutRefinement) {
+  const size_t num_fac = 6;
+  const FacilityMatrix zeros(3, std::vector<double>(num_fac, 0.0));
+  FacilityMatrix exact = zeros;
+  KnownMatrix known(3, std::vector<uint8_t>(num_fac, 0));
+  const std::vector<size_t> parts = {0, 1, 2};
+  EXPECT_TRUE(
+      runtime::PlanCandidates(parts, zeros, &exact, &known, 4, num_fac)
+          .empty());
+  for (const auto& row : known) {
+    EXPECT_EQ(row, std::vector<uint8_t>(num_fac, 1));
+  }
+  // Every facility ties at 0: ascending ids, k clamped to |F|.
+  ExpectSameRanking(
+      runtime::Rank(
+          runtime::CompleteFacilities(parts, exact, &known, num_fac), 99),
+      BruteTopK(parts, zeros, 99));
+}
+
+// Leaving a participant out of the list drops its contribution entirely —
+// the coordinator's dead-worker path — and k ≥ |F| ranks everything.
+TEST(PrunePlan, DroppedParticipantAndLargeK) {
+  const FacilityMatrix truth = {{1, 4, 0}, {9, 9, 9}, {2, 0, 3}};
+  FacilityMatrix bounds = truth;
+  for (auto& row : bounds) {
+    for (double& b : row) b += 1.0;
+  }
+  const FacilityMatrix exact(3, std::vector<double>(3, 0.0));
+  const KnownMatrix known(3, std::vector<uint8_t>(3, 0));
+  const std::vector<size_t> survivors = {0, 2};
+  const std::vector<RankedFacility> got =
+      PlannedTopK(survivors, bounds, truth, exact, known, 5);
+  ExpectSameRanking(got, BruteTopK(survivors, truth, 5));
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].value, 4.0);  // participant 1's 9s never counted
 }
 
 }  // namespace

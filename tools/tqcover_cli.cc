@@ -43,7 +43,6 @@
 #include "net/server.h"
 #include "query/baseline.h"
 #include "query/topk.h"
-#include "runtime/engine.h"
 #include "runtime/remote_shard_set.h"
 #include "runtime/sharded_engine.h"
 #include "storage/checkpoint.h"
@@ -811,14 +810,12 @@ int RunListenLoop(tq::runtime::ServingEngine& engine, const Args& args) {
   return 0;
 }
 
-// The serve query/update loop, shared by the unsharded and sharded engines
-// (same Submit/ApplyUpdates/metrics protocol). `mirror` is a local copy of
-// the engine's user set: both engines assign global ids densely in insertion
+// The local serve query/update loop. `mirror` is a local copy of the
+// engine's user set: the engine assigns global ids densely in insertion
 // order, so appending each churn batch keeps the mirror's ids aligned with
 // the engine's and gives the loop trajectory points to re-insert without
 // holding old snapshots alive.
-template <typename EngineT>
-int RunServeLoop(EngineT& engine, tq::TrajectorySet mirror,
+int RunServeLoop(tq::runtime::ShardedEngine& engine, tq::TrajectorySet mirror,
                  const Args& args) {
   const size_t num_queries = args.GetSize("queries", 1000);
   const size_t topk_every = args.GetSize("topk-every", 0);
@@ -976,7 +973,7 @@ int RunCoordinator(const Args& args) {
 // Drives the concurrent runtime: a query stream (service values round-robin
 // over facilities, optionally interleaved with top-k), with optional update
 // batches published mid-stream, then a throughput + metrics report.
-// --shards N > 1 serves through the sharded scatter/gather engine.
+// --shards N partitions the users over N scatter/gather TQ-trees (default 1).
 int CmdServe(const Args& args) {
   if (args.kv.count("coordinator") != 0) return RunCoordinator(args);
   const size_t num_threads = std::max<size_t>(1, args.GetSize("threads", 4));
@@ -1026,9 +1023,6 @@ int CmdServe(const Args& args) {
 
   const size_t num_users = users.size();
   const size_t num_facilities = facilities.size();
-  // The network front-end always runs over the sharded engine (one shard is
-  // fine); a shards=1 --listen run must not fall through to the unsharded
-  // engine below.
   const bool listen = args.kv.count("listen") != 0;
   // --worker LO:HI: build trees only for an owned slice of the partition (a
   // shard-worker process behind a coordinator). Only meaningful behind the
@@ -1058,78 +1052,65 @@ int CmdServe(const Args& args) {
   tq::TrajectorySet mirror;
   if (!listen && args.GetSize("updates", 0) > 0) mirror = users;
   tq::Timer build_timer;
-  if (num_shards > 1 || listen || durability.enabled()) {
-    tq::runtime::ShardedEngineOptions options;
-    options.num_shards = num_shards;
-    options.num_threads = num_threads;
-    options.cache_capacity = cache_capacity;
-    options.prune_topk = args.GetSize("prune", 1) != 0;
-    options.prune_skip_ratio = args.GetDouble("prune-skip-ratio", 0.5);
-    options.owned_begin = owned_begin;
-    options.owned_end = owned_end;
-    options.durability = durability;
-    options.tree = tree;
-    std::unique_ptr<tq::runtime::ShardedEngine> engine;
-    if (recovering) {
-      auto r = tq::runtime::ShardedEngine::Recover(options);
-      if (!r.ok()) {
-        std::fprintf(stderr, "recover: %s\n", r.status().ToString().c_str());
-        return 1;
-      }
-      engine = std::move(*r);
-      const tq::runtime::RecoveryInfo rec = engine->recovery_info();
-      std::printf("recovered from %s: checkpoint lsn %llu + %llu WAL "
-                  "batches -> snapshot v%llu%s (%.3f s)\n",
-                  durability.data_dir.c_str(),
-                  static_cast<unsigned long long>(rec.checkpoint_lsn),
-                  static_cast<unsigned long long>(rec.replayed_batches),
-                  static_cast<unsigned long long>(rec.last_lsn),
-                  rec.wal_torn_tail ? " (torn tail truncated)" : "",
-                  static_cast<double>(rec.recovery_ns) / 1e9);
-    } else {
-      engine = std::make_unique<tq::runtime::ShardedEngine>(
-          std::move(users), std::move(facilities), options);
-    }
-    if (owned_end != 0) {
-      std::printf("shard worker up: owns shards [%u, %u) of %zu over %zu "
-                  "users, %zu facilities, %zu threads (built in %.3f s)\n",
-                  owned_begin, owned_end, engine->num_shards(), num_users,
-                  num_facilities, num_threads, build_timer.ElapsedSeconds());
-    } else {
-      std::printf("sharded engine up: %zu users over %zu shards, "
-                  "%zu facilities, %zu threads, top-k %s (built in %.3f s)\n",
-                  recovering ? engine->NumUsersTotal() : num_users,
-                  engine->num_shards(),
-                  recovering ? engine->snapshot()->catalog->size()
-                             : num_facilities,
-                  num_threads,
-                  options.prune_topk ? "bound-and-prune" : "exhaustive",
-                  build_timer.ElapsedSeconds());
-    }
-    if (durability.enabled()) {
-      std::printf("durable: data dir %s, wal-sync %s, checkpoint every "
-                  "%llu ms%s\n",
-                  durability.data_dir.c_str(),
-                  tq::storage::WalSyncName(durability.wal_sync),
-                  static_cast<unsigned long long>(
-                      durability.checkpoint_interval_ms),
-                  durability.compact_after_checkpoint ? ", compacting" : "");
-    }
-    if (listen) return RunListenLoop(*engine, args);
-    ArmSlowQueryLog(*engine, args);  // engine-owned traces cover this path
-    return RunServeLoop(*engine, std::move(mirror), args);
-  }
-  tq::runtime::EngineOptions options;
+  tq::runtime::ShardedEngineOptions options;
+  options.num_shards = num_shards;
   options.num_threads = num_threads;
   options.cache_capacity = cache_capacity;
+  options.prune_topk = args.GetSize("prune", 1) != 0;
+  options.prune_skip_ratio = args.GetDouble("prune-skip-ratio", 0.5);
+  options.owned_begin = owned_begin;
+  options.owned_end = owned_end;
+  options.durability = durability;
   options.tree = tree;
-  tq::runtime::Engine engine(std::move(users), std::move(facilities),
-                             options);
-  std::printf("engine up: %zu users, %zu facilities, %zu threads "
-              "(built in %.3f s)\n",
-              num_users, num_facilities, num_threads,
-              build_timer.ElapsedSeconds());
-  return RunServeLoop(engine, std::move(mirror), args);
+  std::unique_ptr<tq::runtime::ShardedEngine> engine;
+  if (recovering) {
+    auto r = tq::runtime::ShardedEngine::Recover(options);
+    if (!r.ok()) {
+      std::fprintf(stderr, "recover: %s\n", r.status().ToString().c_str());
+      return 1;
+    }
+    engine = std::move(*r);
+    const tq::runtime::RecoveryInfo rec = engine->recovery_info();
+    std::printf("recovered from %s: checkpoint lsn %llu + %llu WAL "
+                "batches -> snapshot v%llu%s (%.3f s)\n",
+                durability.data_dir.c_str(),
+                static_cast<unsigned long long>(rec.checkpoint_lsn),
+                static_cast<unsigned long long>(rec.replayed_batches),
+                static_cast<unsigned long long>(rec.last_lsn),
+                rec.wal_torn_tail ? " (torn tail truncated)" : "",
+                static_cast<double>(rec.recovery_ns) / 1e9);
+  } else {
+    engine = std::make_unique<tq::runtime::ShardedEngine>(
+        std::move(users), std::move(facilities), options);
+  }
+  if (owned_end != 0) {
+    std::printf("shard worker up: owns shards [%u, %u) of %zu over %zu "
+                "users, %zu facilities, %zu threads (built in %.3f s)\n",
+                owned_begin, owned_end, engine->num_shards(), num_users,
+                num_facilities, num_threads, build_timer.ElapsedSeconds());
+  } else {
+    std::printf("sharded engine up: %zu users over %zu shards, "
+                "%zu facilities, %zu threads, top-k %s (built in %.3f s)\n",
+                recovering ? engine->NumUsersTotal() : num_users,
+                engine->num_shards(),
+                recovering ? engine->snapshot()->catalog->size()
+                           : num_facilities,
+                num_threads,
+                options.prune_topk ? "bound-and-prune" : "exhaustive",
+                build_timer.ElapsedSeconds());
+  }
+  if (durability.enabled()) {
+    std::printf("durable: data dir %s, wal-sync %s, checkpoint every "
+                "%llu ms%s\n",
+                durability.data_dir.c_str(),
+                tq::storage::WalSyncName(durability.wal_sync),
+                static_cast<unsigned long long>(
+                    durability.checkpoint_interval_ms),
+                durability.compact_after_checkpoint ? ", compacting" : "");
+  }
+  if (listen) return RunListenLoop(*engine, args);
+  ArmSlowQueryLog(*engine, args);  // engine-owned traces cover this path
+  return RunServeLoop(*engine, std::move(mirror), args);
 }
 
 }  // namespace

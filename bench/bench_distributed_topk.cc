@@ -5,8 +5,8 @@
 // Each "worker process" here is an in-process slice-owning ShardedEngine
 // behind its own NetServer on an ephemeral loopback port — the same code a
 // real `tqcover_cli serve --worker` runs, minus fork/exec, so the measured
-// delta is the coordination cost (wire framing + two-round bound-and-prune
-// over TCP + merge) rather than process-spawn noise. Queries run as
+// delta is the coordination cost (wire framing + bound-and-prune waves over
+// TCP + merge) rather than process-spawn noise. Queries run as
 // synchronous round-trips through SubmitAsync, one in flight at a time:
 // the series is a LATENCY comparison, with rps = 1 / mean latency.
 //
@@ -98,8 +98,8 @@ int main() {
     ShardedEngineOptions base;
     base.num_shards = shards;
     base.num_threads = 2;
-    // Result caches off everywhere: the series compares the two-round wire
-    // protocol against the in-process protocol, both computing answers from
+    // Result caches off everywhere: the series compares the wire protocol
+    // against the in-process protocol, both computing answers from
     // the trees every time — not hash-map hit rates.
     base.cache_capacity = 0;
     base.tree.beta = env.DefaultBeta();

@@ -17,9 +17,10 @@
 //
 // A third section measures BOUND-AND-PRUNE top-k: per (shards, k), the
 // fraction of (facility, shard) slots the pruned protocol exactly
-// evaluates (exhaustive sweep = 1.0) and the pruned vs exhaustive query
-// latency. CI gates on its facilities_evaluated staying below
-// total_facilities for k=10, shards=4.
+// evaluates (exhaustive sweep = 1.0), its scatter waves per query
+// (prune_rounds: the bound sweep plus each refinement wave) and the pruned
+// vs exhaustive query latency. CI gates on its facilities_evaluated staying
+// below total_facilities for k=10, shards=4.
 //
 // Besides the usual table + "# csv:" lines, emits three "# json:" lines
 // ("runtime_throughput_sharded", "runtime_write_path" and
@@ -247,6 +248,7 @@ int main() {
     size_t k = 0;
     uint64_t facilities_evaluated = 0;
     uint64_t total_facilities = 0;  // (facility, shard) evaluation slots
+    double prune_rounds = 0.0;      // scatter waves per query
     double evaluated_fraction = 0.0;
     double pruned_ms = 0.0;
     double exhaustive_ms = 0.0;
@@ -284,6 +286,8 @@ int main() {
           (m1.facilities_evaluated - m0.facilities_evaluated) / prune_reps;
       r.evaluated_fraction = static_cast<double>(r.facilities_evaluated) /
                              static_cast<double>(r.total_facilities);
+      r.prune_rounds = static_cast<double>(m1.prune_rounds - m0.prune_rounds) /
+                       static_cast<double>(prune_reps);
       r.exhaustive_ms = 1e3 * tq::bench::TimeAvgSeconds(prune_reps, [&]() {
         (void)exhaustive.Submit(tq::runtime::QueryRequest::TopK(k)).get();
       });
@@ -305,11 +309,11 @@ int main() {
     std::printf(
         "%s{\"shards\":%zu,\"k\":%zu,\"facilities_evaluated\":%llu,"
         "\"total_facilities\":%llu,\"evaluated_fraction\":%.4f,"
-        "\"pruned_ms\":%.3f,\"exhaustive_ms\":%.3f}",
+        "\"prune_rounds\":%.2f,\"pruned_ms\":%.3f,\"exhaustive_ms\":%.3f}",
         i == 0 ? "" : ",", r.shards, r.k,
         static_cast<unsigned long long>(r.facilities_evaluated),
         static_cast<unsigned long long>(r.total_facilities),
-        r.evaluated_fraction, r.pruned_ms, r.exhaustive_ms);
+        r.evaluated_fraction, r.prune_rounds, r.pruned_ms, r.exhaustive_ms);
   }
   std::printf("]}\n");
   return 0;

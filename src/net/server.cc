@@ -662,7 +662,6 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
             resp.status = std::move(result.status);
             resp.snapshot_version = result.snapshot_version;
             resp.bounds = std::move(result.bounds);
-            resp.bound_exacts = std::move(result.exacts);
             std::string bytes;
             EncodeResponse(resp, &bytes);
             Complete(conn, seq, std::move(bytes), rx_ns);

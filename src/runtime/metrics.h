@@ -48,7 +48,7 @@ namespace tq::runtime {
 //   facilities_evaluated/facilities_pruned/prune_rounds
 //                            bound-and-prune top-k accounting: exact
 //                            per-shard evaluations done vs. skipped, and
-//                            coordinator rounds run (1 or 2 per query)
+//                            scatter waves run (the sweep + each refinement)
 //   nodes_visited/entries_scanned/exact_checks/heap_pops
 //                            folded per-query traversal QueryStats
 //   net_*                    network front-end accounting (src/net/server.h):

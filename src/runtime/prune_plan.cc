@@ -1,7 +1,6 @@
 #include "runtime/prune_plan.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace tq::runtime {
 
@@ -12,45 +11,47 @@ bool UsePrunedTopK(bool prune_topk, double prune_skip_ratio, size_t k,
              prune_skip_ratio * static_cast<double>(num_facilities);
 }
 
-std::vector<uint32_t> PlanCandidates(std::span<const size_t> participants,
-                                     const FacilityMatrix& bounds,
-                                     FacilityMatrix* exact, KnownMatrix* known,
-                                     size_t k, size_t num_facilities) {
-  // Participant-outer loops walk each row contiguously; every per-facility
-  // sum still accumulates in ascending participant order.
-  std::vector<double> upper(num_facilities, 0.0);  // B(f)
-  std::vector<double> lower(num_facilities, 0.0);  // L(f)
-  std::vector<uint8_t> open(num_facilities, 0);    // some slot unsettled
+std::vector<uint32_t> PlanWindow(std::span<const size_t> participants,
+                                 const FacilityMatrix& bounds,
+                                 FacilityMatrix* exact, KnownMatrix* known,
+                                 size_t k, size_t num_facilities) {
+  // valued[f] = (f, B(f)). Participant-outer loops walk each row
+  // contiguously; every per-facility sum still accumulates in ascending
+  // participant order.
+  std::vector<RankedFacility> valued(num_facilities);
+  std::vector<uint8_t> open(num_facilities, 0);  // some slot unsettled
+  for (size_t f = 0; f < num_facilities; ++f) {
+    valued[f].id = static_cast<FacilityId>(f);
+  }
   for (const size_t p : participants) {
     const std::vector<double>& ub = bounds[p];
     std::vector<double>& ex = (*exact)[p];
     std::vector<uint8_t>& kn = (*known)[p];
     for (size_t f = 0; f < num_facilities; ++f) {
-      upper[f] += ub[f];
       if (!kn[f] && ub[f] <= 0.0) {
         ex[f] = 0.0;
         kn[f] = 1;
       }
       if (kn[f]) {
-        lower[f] += ex[f];
+        valued[f].value += ex[f];
       } else {
+        valued[f].value += ub[f];
         open[f] = 1;
       }
     }
   }
   k = std::min(k, num_facilities);
   if (k == 0) return {};
-  // τ: the k-th largest partial lower bound (`lower` is not needed after).
-  std::nth_element(lower.begin(), lower.begin() + (k - 1), lower.end(),
-                   std::greater<double>());
-  const double tau = lower[k - 1];
-  std::vector<uint32_t> candidates;
-  for (size_t f = 0; f < num_facilities; ++f) {
-    if (open[f] && upper[f] >= tau) {
-      candidates.push_back(static_cast<uint32_t>(f));
-    }
+  // The window: the first k by (B desc, id asc), Rank's own total order.
+  std::nth_element(valued.begin(),
+                   valued.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   valued.end(), RankedBefore);
+  std::vector<uint32_t> window;
+  for (size_t i = 0; i < k; ++i) {
+    if (open[valued[i].id]) window.push_back(valued[i].id);
   }
-  return candidates;
+  std::sort(window.begin(), window.end());
+  return window;
 }
 
 std::vector<double> SumBounds(std::span<const size_t> participants,

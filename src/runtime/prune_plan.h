@@ -3,25 +3,32 @@
 // participants = shards) and the cross-process coordinator (RemoteShardSet,
 // participants = shard-worker processes).
 //
-// Both run the same two-round protocol, the threshold algorithm of Fagin,
-// Lotem and Naor (PODS 2001) over per-participant partial sums:
-//   round 1  every participant p reports a sound upper bound UB_p(f) for
-//            every facility plus the exact values SO_p(f) it already settled;
-//   plan     B(f) = Σ_p UB_p(f) and L(f) = Σ_{p settled f} SO_p(f) ≤ SO(f);
-//            τ = k-th largest L. A facility with B(f) < τ satisfies
-//            SO(f) ≤ B(f) < τ ≤ k-th exact value — strictly below the answer
-//            even on exact ties, so it is pruned. B(f) == τ stays a candidate;
-//   round 2  participants evaluate the candidates' unsettled slots;
-//   merge    facilities every participant settled are summed in ascending
-//            participant order and ranked (value desc, id asc). Ascending
-//            order is what makes a pruned answer bit-identical to the
-//            exhaustive one and a coordinator's to a single process's.
+// It is the paper's best-first kMaxRRST (Algorithm 3: expand the facility
+// with the largest optimistic value until k facilities are complete) lifted
+// to per-participant partial sums. Every slot (p, f) holds either a sound
+// upper bound UB_p(f) or, once settled, the exact SO_p(f) ≤ UB_p(f):
+//   sweep    every participant reports UB_p(f) for every facility;
+//   plan     B(f) = Σ_p (settled ? SO_p(f) : UB_p(f)), summed in ascending
+//            participant order. The WINDOW is the first k facilities by
+//            (B desc, id asc); the planner returns its unsettled members;
+//   refine   participants evaluate those facilities' unsettled slots in one
+//            wave, and the caller plans again;
+//   answer   once the window is fully settled, Rank(CompleteFacilities(...)).
+//
+// Why it is exact: a facility g outside a settled window has
+// SO(g) ≤ B(g), because every term of B(g) is ≥ its exact counterpart and
+// IEEE rounding is monotone, so the ascending-order sums keep the order.
+// Every window member w has B(w) = SO(w) — the same ascending-order exact
+// sum the exhaustive gather computes — and ranks before g on (B desc,
+// id asc), hence also on (SO desc, id asc). So the window is the top k, bit
+// for bit, even on exact ties. Each wave settles at least one slot, so the
+// loop ends after at most |participants| · |F| waves. B only ever falls
+// toward SO, so the k-th largest B never drops below the k-th answer value:
+// every facility the planner asks for has B(f) ≥ that value when asked.
 //
 // Zero bounds settle for free: 0 ≤ SO_p(f) ≤ UB_p(f) = 0, so a slot whose own
-// bound is 0 is exactly 0 without evaluation (a facility whose global bound
-// is 0 has every slot settled this way). The planner settles them before it
-// picks candidates, so round 2 never asks a participant for a slot it cannot
-// contribute to.
+// bound is 0 is exactly 0 without evaluation. The planner settles them first,
+// so no participant is ever asked for a slot it cannot contribute to.
 //
 // Everything here is pure and single-threaded. Callers own the
 // [participant][facility] matrices; the planner reads them by reference and
@@ -52,15 +59,15 @@ using KnownMatrix = std::vector<std::vector<uint8_t>>;
 bool UsePrunedTopK(bool prune_topk, double prune_skip_ratio, size_t k,
                    size_t num_facilities);
 
-/// The plan step. Settles every unsettled slot of `participants` whose own
+/// One plan step. Settles every unsettled slot of `participants` whose own
 /// bound is 0 ((*exact)[p][f] = 0, (*known)[p][f] = 1), then returns,
-/// ascending, the facilities some participant has not settled and whose
-/// B(f) ≥ τ for τ = the min(k, |F|)-th largest L(f). Empty when every
-/// facility the answer can contain is already fully settled (or k = 0).
-std::vector<uint32_t> PlanCandidates(std::span<const size_t> participants,
-                                     const FacilityMatrix& bounds,
-                                     FacilityMatrix* exact, KnownMatrix* known,
-                                     size_t k, size_t num_facilities);
+/// ascending, the facilities among the first min(k, |F|) by (B desc, id asc)
+/// that some participant has not settled. Empty once that window is fully
+/// settled (or k = 0): the answer is then Rank(CompleteFacilities(...), k).
+std::vector<uint32_t> PlanWindow(std::span<const size_t> participants,
+                                 const FacilityMatrix& bounds,
+                                 FacilityMatrix* exact, KnownMatrix* known,
+                                 size_t k, size_t num_facilities);
 
 /// B(f) = Σ_p bounds[p][f], summed in ascending participant order.
 std::vector<double> SumBounds(std::span<const size_t> participants,

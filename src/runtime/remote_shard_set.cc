@@ -445,7 +445,7 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
 
   const size_t n = channels_.size();
   std::vector<size_t> parts = AliveWorkers();
-  // Per-worker round-1 state; only slots in `parts` are ever read, so a
+  // Per-worker bound/exact state; only slots in `parts` are ever read, so a
   // worker dying mid-protocol implicitly drops its contribution.
   FacilityMatrix bounds(n);
   FacilityMatrix exact(n);
@@ -466,6 +466,8 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
         bounds[w] = std::move(resp.bounds);
         exact[w].assign(num_fac, 0.0);
         known[w].assign(num_fac, 0);
+        // Current workers settle nothing in the sweep; a settled list from
+        // an older worker is still exact, so it is still used.
         for (const auto& [f, value] : resp.bound_exacts) {
           if (f >= num_fac) {
             return Status::Internal("bound sweep exact id out of range");
@@ -478,10 +480,10 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
       });
   if (trace != nullptr) trace->AddSpan(kSpanRound1, -1, r1_t0, NowNs());
 
-  // Refinement: recompute the candidate set from the CURRENT survivors and
-  // re-scatter until nothing is missing. Each iteration either finishes
-  // (no deaths during its wave) or loses at least one worker, so the loop
-  // runs at most num_workers times.
+  // Refinement: plan the window over the CURRENT survivors and scatter one
+  // wave for its unsettled slots until the window is settled. Each wave
+  // settles at least one slot or loses at least one worker, so the loop
+  // ends.
   for (;;) {
     if (parts.empty()) {
       response.status =
@@ -492,12 +494,12 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
     const uint64_t co_t0 = trace != nullptr ? NowNs() : 0;
     // Plan over the survivors only (prune_plan.h); zero-bound slots are
     // settled there, so no worker is asked for a facility it cannot serve.
-    const std::vector<uint32_t> candidates =
-        PlanCandidates(parts, bounds, &exact, &known, eff_k, num_fac);
+    const std::vector<uint32_t> window =
+        PlanWindow(parts, bounds, &exact, &known, eff_k, num_fac);
     std::vector<std::vector<FacilityId>> need(n);
     std::vector<size_t> wave;
     for (size_t w : parts) {
-      for (const uint32_t f : candidates) {
+      for (const uint32_t f : window) {
         if (known[w][f] == 0) need[w].push_back(f);
       }
       if (!need[w].empty()) wave.push_back(w);
@@ -525,15 +527,17 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
           return Status::OK();
         });
     if (trace != nullptr) trace->AddSpan(kSpanRound2, -1, r2_t0, NowNs());
-    if (!lost) break;
-    parts.erase(std::remove_if(parts.begin(), parts.end(),
-                               [this](size_t w) { return !registry_.alive(w); }),
-                parts.end());
+    if (lost) {
+      parts.erase(
+          std::remove_if(parts.begin(), parts.end(),
+                         [this](size_t w) { return !registry_.alive(w); }),
+          parts.end());
+    }
   }
 
-  // Merge: a facility is complete when every survivor settled it. At least
-  // k are (the ≥ τ candidates were all refined), and every pruned facility
-  // provably ranks below them.
+  // Merge: a facility is complete when every survivor settled it. The
+  // settled window is among them, and every other facility provably ranks
+  // after it.
   const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
   response.ranked =
       Rank(CompleteFacilities(parts, exact, &known, num_fac), eff_k);

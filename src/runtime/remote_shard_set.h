@@ -3,20 +3,20 @@
 //
 // A RemoteShardSet owns no trees. It holds one channel (a small pool of
 // pipelined NetClient connections) per worker, a WorkerRegistry tracking
-// liveness, and runs the SAME two-round bound-and-prune top-k protocol as
+// liveness, and runs the SAME best-first bound-and-prune top-k protocol as
 // ShardedEngine — one level up, with each worker acting as a "super-shard":
 //
 //   round 1   one kBound frame per alive worker. Worker w answers with
-//             B_w(f) = Σ_{owned s} UB_s(f) per facility plus the exact
-//             values E_w(f) its local cursors already settled.
-//   coordinate  B(f) = Σ_w B_w(f), L(f) = Σ_{w that settled f} E_w(f),
-//             τ = k-th largest L; candidates are the not-fully-settled
-//             facilities with B(f) ≥ τ — every pruned facility satisfies
-//             SO(f) ≤ B(f) < τ ≤ k-th exact value. The in-process engine
-//             runs the very same planner (prune_plan.h); a worker whose
+//             B_w(f) = Σ_{owned s} UB_s(f) per facility (and an empty
+//             settled list; one from an older worker is still used).
+//   coordinate  the window planner (prune_plan.h, the in-process engine's
+//             too): B(f) = Σ_w (settled ? E_w(f) : B_w(f)), the window is
+//             the first k facilities by (B desc, id asc). A worker whose
 //             own B_w(f) is 0 is settled at 0 there, never asked.
-//   round 2   one plain kSum frame per worker for the candidates that
-//             worker has not settled; merge, rank by (value desc, id asc).
+//   round 2   one plain kSum frame per worker for the window slots that
+//             worker has not settled, then coordinate again — repeated
+//             until the window is settled; merge, rank by (value desc,
+//             id asc).
 //
 // Bit-identity: every per-facility total is a sum of per-shard values in
 // ascending shard order — workers own contiguous ascending shard ranges and
@@ -30,8 +30,8 @@
 // Failure handling: any failed RPC moves the worker to kDead in the
 // registry (worker_failures increments on the transition). A query keeps
 // going with the survivors — mid-protocol death drops ALL of that worker's
-// round-1 data, recomputes τ and the candidate set from the survivors, and
-// re-scatters the refinement wave — and the answer comes back with
+// bounds and exact values, and the next wave is planned over the
+// survivors only — and the answer comes back with
 // StatusCode::kUnavailable marking it partial (computed over the surviving
 // workers' users only). Dead workers are re-registered by the periodic
 // heartbeat pass (Tick, driven by the net server's timerfd) once they come

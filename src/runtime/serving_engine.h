@@ -98,15 +98,13 @@ struct EngineInfo {
 };
 
 /// Result of a round-1 top-k bound sweep over an engine's owned shards:
-/// per-facility upper bounds plus the facilities the sweep already settled
-/// exactly. The coordinator treats each worker as one "super-shard" —
-/// B(f) = Σ_w bounds_w[f] and L(f) = Σ_{w that settled f} exact_w(f) feed
-/// the same prune threshold proof as the in-process protocol.
+/// per-facility upper bounds. The coordinator treats each worker as one
+/// "super-shard" and feeds B(f) = Σ_w bounds_w[f] to the same window
+/// planner (prune_plan.h) as the in-process protocol.
 struct BoundSweepResult {
   Status status;
   uint64_t snapshot_version = 0;
   std::vector<double> bounds;  // one per facility, facility order
-  std::vector<std::pair<uint32_t, double>> exacts;  // (facility, exact sum)
 };
 
 /// One worker's liveness row (coordinator engines only; in-process engines

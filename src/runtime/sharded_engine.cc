@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <functional>
 #include <numeric>
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
@@ -16,17 +13,6 @@
 #include "tqtree/serialize.h"
 
 namespace {
-
-/// Raises `floor` to at least `v` (monotone max over non-negative doubles:
-/// for values ≥ 0 the IEEE-754 bit patterns sort like the values, so the
-/// global prune floor can live in one lock-free atomic word).
-void RaiseFloor(std::atomic<uint64_t>* floor, double v) {
-  const uint64_t nb = std::bit_cast<uint64_t>(v);
-  uint64_t cur = floor->load(std::memory_order_relaxed);
-  while (cur < nb && !floor->compare_exchange_weak(
-                         cur, nb, std::memory_order_relaxed)) {
-  }
-}
 
 /// The top-k cache key of a sharded snapshot: every shard's generation, in
 /// shard order. Exact vector equality means a hit can never mix two shard
@@ -47,9 +33,9 @@ namespace tq::runtime {
 
 // Shared per-query scatter/gather state. Each shard task writes only its own
 // slots; the last task to finish (remaining hits zero) performs the gather —
-// which for pruned top-k is the COORDINATOR step that may fan out a second
-// round of per-shard refinement tasks. No pool thread ever blocks on another
-// task; the rounds are sequenced by the remaining-counter barrier alone.
+// which for pruned top-k is the COORDINATOR step that may fan out another
+// wave of per-shard refinement tasks. No pool thread ever blocks on another
+// task; the waves are sequenced by the remaining-counter barrier alone.
 struct ShardedEngine::GatherState {
   QueryRequest request;
   ShardedSnapshotPtr snap;  // pins every shard's tree for the query
@@ -65,20 +51,15 @@ struct ShardedEngine::GatherState {
   TraceContextPtr trace;
 
   // Bound-and-prune top-k protocol state (prune_topk mode only).
-  std::vector<std::vector<double>> bounds;   // round 1: per shard, per fac
+  std::vector<std::vector<double>> bounds;   // sweep: per shard, per fac
   std::vector<std::vector<uint8_t>> known;   // fac_values[s][f] is exact
-  std::vector<uint32_t> candidates;          // round 2 refinement set
-  /// Running global lower bound on the k-th exact value (double bits):
-  /// shards raise it as their local top-k completes; round-1 cursors stop
-  /// once their next-best local bound falls below it.
-  std::atomic<uint64_t> floor_bits{0};
+  std::vector<uint32_t> window;              // this wave's facilities
   /// Exact per-(facility, shard) evaluations performed so far.
   std::atomic<uint64_t> evaluated{0};
-  /// Coordinator rounds executed (1 when round 1 settled everything).
-  uint32_t rounds = 0;
-  /// Set for TopKBoundSweepAsync: the query stops after round 1 and emits
-  /// bounds + exactly-settled facilities for a REMOTE coordinator instead
-  /// of coordinating locally.
+  /// Scatter waves executed: the bound sweep plus every refinement wave.
+  uint32_t rounds = 1;
+  /// Set for TopKBoundSweepAsync: the query stops after the sweep and
+  /// emits bounds for a REMOTE coordinator instead of coordinating locally.
   BoundSweepCallback bound_done;
 };
 
@@ -597,10 +578,12 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   const uint64_t post_ns = NowNs();
   if (topk && UsePrunedTopK(options_.prune_topk, options_.prune_skip_ratio,
                             request.k, state->snap->catalog->size())) {
-    // Bound-and-prune protocol: scatter round-1 bound-sweep tasks; the
-    // coordinator (last finisher) decides what round 2 must refine.
+    // Bound-and-prune protocol: scatter the bound-sweep tasks; the
+    // coordinator (last finisher) decides what the first wave refines.
+    const size_t num_fac = state->snap->catalog->size();
     state->bounds.resize(n);
-    state->known.resize(n);
+    state->fac_values.assign(n, std::vector<double>(num_fac, 0.0));
+    state->known.assign(n, std::vector<uint8_t>(num_fac, 0));
     for (size_t s = 0; s < n; ++s) {
       pool_.Post([this, state, s, post_ns]() {
         ExecuteTopKBoundRound(state, s, post_ns);
@@ -762,11 +745,10 @@ void ShardedEngine::ExecuteTopKBoundRound(
   const ShardState& shard = *state->snap->shards[shard_idx];
   const FacilityCatalog& catalog = *state->snap->catalog;
   const size_t num_fac = catalog.size();
-  // Submit answers k = 0 / empty-catalog requests directly, so k ≥ 1 here.
-  const size_t k = std::min(state->request.k, num_fac);
   QueryStats stats;
 
   // Bound sweep: one cheap aggregate bound per facility, no entry scanned.
+  // Every exact evaluation is left to the coordinator's refinement waves.
   std::vector<double>& bounds = state->bounds[shard_idx];
   bounds.resize(num_fac, 0.0);
   for (uint32_t f = 0; f < num_fac; ++f) {
@@ -774,63 +756,12 @@ void ShardedEngine::ExecuteTopKBoundRound(
                                        &stats.nodes_visited);
   }
 
-  // Incremental next-best cursor: exact evaluation in descending-bound
-  // order, stopping as soon as the next bound falls below the running
-  // threshold — the larger of this shard's own k-th exact value and the
-  // global floor other shards have already raised. Everything this round
-  // produces is advisory (it seeds the coordinator's threshold and warms
-  // the cache); stopping early can cost round-2 work but never exactness.
-  std::vector<double>& values = state->fac_values[shard_idx];
-  std::vector<uint8_t>& known = state->known[shard_idx];
-  values.resize(num_fac, 0.0);
-  known.assign(num_fac, 0);
-  std::vector<uint32_t> order(num_fac);
-  for (uint32_t f = 0; f < num_fac; ++f) order[f] = f;
-  std::sort(order.begin(), order.end(), [&bounds](uint32_t a, uint32_t b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return a < b;
-  });
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      local_topk;  // min-heap over this shard's k largest exact values
-  uint64_t evaluated = 0;
-  for (const uint32_t f : order) {
-    if (bounds[f] <= 0.0) {
-      // A zero bound IS the exact value: 0 ≤ SO_s(f) ≤ UB_s(f) = 0. The
-      // sorted cursor means every remaining facility is settled the same
-      // way, for free.
-      values[f] = 0.0;
-      known[f] = 1;
-      continue;
-    }
-    if (local_topk.size() >= k) {
-      const double threshold = std::max(
-          local_topk.top(),
-          std::bit_cast<double>(
-              state->floor_bits.load(std::memory_order_relaxed)));
-      if (bounds[f] < threshold) break;  // cursor stops; so would all later
-    }
-    bool hit = false;
-    values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
-    known[f] = 1;
-    ++evaluated;
-    local_topk.push(values[f]);
-    if (local_topk.size() > k) local_topk.pop();
-    if (local_topk.size() == k) {
-      // SO(U, f) ≥ SO_s(f), so this shard's k-th exact value lower-bounds
-      // the global k-th value — publish it for the other cursors.
-      RaiseFloor(&state->floor_bits, local_topk.top());
-    }
-  }
-
   state->stats[shard_idx] = stats;
-  state->evaluated.fetch_add(evaluated, std::memory_order_relaxed);
   metrics_.AddShardTask();
   if (t0 != 0) {
     const uint64_t t1 = NowNs();
     metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
     if (state->trace) {
-      // One span covers the shard's bound sweep AND its cursor-driven
-      // exact evaluations — the round-1 unit of work.
       state->trace->AddSpan("shard_sweep", static_cast<int32_t>(shard_idx),
                             t0, t1);
     }
@@ -846,32 +777,39 @@ void ShardedEngine::ExecuteTopKBoundRound(
 
 void ShardedEngine::CoordinateTopK(const std::shared_ptr<GatherState>& state) {
   const uint64_t coord_t0 = state->trace ? NowNs() : 0;
-  const size_t n = state->snap->shards.size();
-  state->rounds++;
 
-  // B(f), L(f), τ and the B(f) ≥ τ candidates (prune_plan.h). The planner
-  // also settles the zero-bound slots round-1 cursors stopped short of, so
-  // round 2 only ever evaluates slots that can contribute.
-  state->candidates =
-      PlanCandidates(all_shards_, state->bounds, &state->fac_values,
-                     &state->known, state->request.k,
-                     state->snap->catalog->size());
+  // The window's unsettled facilities (prune_plan.h). The planner also
+  // settles zero-bound slots, so a wave only evaluates slots that can
+  // contribute.
+  state->window =
+      PlanWindow(all_shards_, state->bounds, &state->fac_values,
+                 &state->known, state->request.k,
+                 state->snap->catalog->size());
+  std::vector<size_t> wave;  // shards with an unsettled window slot
+  for (const size_t s : all_shards_) {
+    for (const uint32_t f : state->window) {
+      if (!state->known[s][f]) {
+        wave.push_back(s);
+        break;
+      }
+    }
+  }
 
   if (coord_t0 != 0) {
     state->trace->AddSpan("coordinate", -1, coord_t0, NowNs());
   }
-  if (state->candidates.empty()) {
+  if (wave.empty()) {
     FinishTopK(state.get());
     return;
   }
-  // Round 2: refine only the surviving candidates, on every shard that has
-  // not already evaluated them. The remaining-counter barrier is reset
-  // before the fan-out; Post's queue ordering makes the candidate list
-  // visible to the round-2 tasks.
+  // Refine the window on the shards that still owe a slot of it. The
+  // remaining-counter barrier is reset before the fan-out; Post's queue
+  // ordering makes the window visible to the wave's tasks, and the wave's
+  // last task re-enters this coordinator.
   state->rounds++;
-  state->remaining.store(n, std::memory_order_relaxed);
+  state->remaining.store(wave.size(), std::memory_order_relaxed);
   const uint64_t post_ns = NowNs();
-  for (size_t s = 0; s < n; ++s) {
+  for (const size_t s : wave) {
     pool_.Post([this, state, s, post_ns]() {
       ExecuteTopKRefineRound(state, s, post_ns);
     });
@@ -896,8 +834,8 @@ void ShardedEngine::ExecuteTopKRefineRound(
   std::vector<double>& values = state->fac_values[shard_idx];
   std::vector<uint8_t>& known = state->known[shard_idx];
   uint64_t evaluated = 0;
-  for (const uint32_t f : state->candidates) {
-    if (known[f]) continue;  // round 1 or the planner already settled it
+  for (const uint32_t f : state->window) {
+    if (known[f]) continue;  // an earlier wave or the planner settled it
     bool hit = false;
     values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
     known[f] = 1;
@@ -915,7 +853,7 @@ void ShardedEngine::ExecuteTopKRefineRound(
     }
   }
   if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinishTopK(state.get());
+    CoordinateTopK(state);
   }
 }
 
@@ -932,8 +870,8 @@ void ShardedEngine::FinishTopK(GatherState* state) {
   for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
   response.stats = total;
 
-  // Rank the fully-evaluated facilities only: every other facility is
-  // provably strictly below the k-th value.
+  // Rank the fully-evaluated facilities only: they include the settled
+  // window, and every other facility provably ranks after it.
   RankTopK(state,
            CompleteFacilities(all_shards_, state->fac_values, &state->known,
                               num_fac),
@@ -949,37 +887,28 @@ void ShardedEngine::FinishTopK(GatherState* state) {
 
 void ShardedEngine::FinishBoundSweep(GatherState* state) {
   const ShardedSnapshot& snap = *state->snap;
-  const size_t n = snap.shards.size();
-  const size_t num_fac = snap.catalog->size();
   BoundSweepResult result;
   result.snapshot_version = snap.version;
 
   QueryStats total;
-  for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
+  for (const QueryStats& s : state->stats) total.Add(s);
 
   // Per-facility bound over the owned shards (non-owned shards hold empty
-  // trees, so their UB is exactly 0), plus the exact sum for facilities
-  // EVERY shard settled in round 1 — the remote coordinator's partial
-  // lower bounds.
-  result.bounds = SumBounds(all_shards_, state->bounds, num_fac);
-  for (const RankedFacility& r : CompleteFacilities(
-           all_shards_, state->fac_values, &state->known, num_fac)) {
-    result.exacts.emplace_back(r.id, r.value);
-  }
-
-  const uint64_t evaluated = state->evaluated.load(std::memory_order_relaxed);
-  const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
-  metrics_.AddTopKPruneWork(evaluated, slots - evaluated, 1);
+  // trees, so their UB is exactly 0). No prune counters: a sweep evaluates
+  // nothing exactly, and the coordinator's refinement waves arrive as kSum
+  // frames, counted as service queries.
+  result.bounds = SumBounds(all_shards_, state->bounds, snap.catalog->size());
   metrics_.RecordQueryStats(total);
   state->bound_done(std::move(result));
 }
 
-void ShardedEngine::TopKBoundSweepAsync(size_t k, BoundSweepCallback done) {
+void ShardedEngine::TopKBoundSweepAsync(size_t /*k*/,
+                                        BoundSweepCallback done) {
   auto state = std::make_shared<GatherState>();
   state->snap = snapshot();
-  // A bound sweep is one top-k query's round 1 worth of work — count and
-  // time it as a top-k query so the histogram-vs-counter invariant the CI
-  // observability smoke asserts holds on workers too.
+  // A bound sweep is one top-k query's first wave — count and time it as a
+  // top-k query so the histogram-vs-counter invariant the CI observability
+  // smoke asserts holds on workers too.
   metrics_.AddQuery(/*topk=*/true);
   const uint64_t t0 = metrics_.latency_recording() ? NowNs() : 0;
   state->bound_done = [this, t0,
@@ -995,15 +924,9 @@ void ShardedEngine::TopKBoundSweepAsync(size_t k, BoundSweepCallback done) {
     state->bound_done(std::move(result));
     return;
   }
-  state->request.kind = QueryKind::kTopK;
-  state->request.k = std::max<size_t>(1, std::min(k, num_fac));
-
   const size_t n = state->snap->shards.size();
-  state->fac_values.resize(n);
   state->stats.resize(n);
-  state->hits.assign(n, 0);
   state->bounds.resize(n);
-  state->known.resize(n);
   state->remaining.store(n, std::memory_order_relaxed);
   for (size_t s = 0; s < n; ++s) {
     pool_.Post([this, state, s]() {

@@ -35,30 +35,23 @@
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the single-tree values, bit for bit.
-//   * Top-k is BOUND-AND-PRUNE, not an exhaustive per-facility sweep
-//     (two rounds; see GatherState in sharded_engine.cc, with the
-//     coordinator math in prune_plan.h):
-//       round 1  every shard computes a cheap aggregate upper bound
+//   * Top-k is BOUND-AND-PRUNE, not an exhaustive per-facility sweep —
+//     best-first refinement in scatter waves (see GatherState in
+//     sharded_engine.cc, with the coordinator math in prune_plan.h):
+//       sweep    every shard computes a cheap aggregate upper bound
 //                UB_s(f) for every facility (TQTree::UpperBound — node
-//                aggregates only, no entry ever scanned), then walks its
-//                facilities in descending-bound order with an incremental
-//                next-best cursor, exactly evaluating until the cursor's
-//                bound falls below the running threshold — the larger of
-//                the shard's own k-th exact value and the global floor
-//                other shards have already published.
-//       gather   the coordinator (the last round-1 task) sums bounds
-//                B(f) = Σ_s UB_s(f) and partial exact values
-//                L(f) = Σ_{s evaluated f} SO_s(f) ≤ SO(U, f), takes the
-//                running k-th threshold τ = k-th largest L, and keeps as
-//                candidates only facilities with B(f) ≥ τ — every pruned
-//                facility satisfies SO(U, f) ≤ B(f) < τ ≤ k-th exact
-//                value, so it cannot reach the answer even on a tie.
-//       round 2  shards refine just the candidates they have not already
-//                evaluated; the final merge ranks fully-evaluated
-//                facilities with the usual (value desc, id asc) order.
+//                aggregates only, no entry ever scanned).
+//       plan     the coordinator (the last task of each wave) values every
+//                facility B(f) = Σ_s (evaluated ? SO_s(f) : UB_s(f)) and
+//                takes the window: the first k facilities by (B desc,
+//                id asc).
+//       refine   shards exactly evaluate the window's unsettled slots in
+//                one wave, whose last task plans again; once the window
+//                is fully evaluated it is the answer.
 //     Answers are bit-identical to the exhaustive gather: the winners'
-//     values are the same per-shard sums in the same shard order, and the
-//     pruned facilities are provably strictly below the k-th value.
+//     values are the same per-shard sums in the same shard order, and every
+//     facility outside the window has SO(U, f) ≤ B(f), so it ranks after
+//     every window member even on a tie.
 //     Cache keys are unchanged; only hit accounting moves — a top-k
 //     response reports cache_hit solely for memoised whole-answer hits,
 //     while per-(facility, shard) hits inside the rounds still count in
@@ -253,12 +246,10 @@ class ShardedEngine : public ServingEngine {
   void SubmitAsync(QueryRequest request, TraceContextPtr trace,
                    ResponseCallback done, uint64_t start_ns = 0) override;
 
-  /// Round-1 bound sweep over the owned shards, packaged for a remote
+  /// The bound sweep over the owned shards, packaged for a remote
   /// coordinator (serves kBound frames): per-facility Σ UB_s(f) over the
-  /// owned shards plus the facilities the sweep settled exactly. Runs the
-  /// SAME per-shard cursor machinery as a local pruned top-k query round 1
-  /// — the sweep is advisory there and is advisory here; the coordinator's
-  /// threshold proof is what makes pruning sound.
+  /// owned shards — the same per-shard sweep a local pruned top-k query
+  /// starts with. `k` is accepted for the wire format and unused.
   void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override;
 
   /// Submits every request, then blocks for all answers (in request order).
@@ -305,20 +296,21 @@ class ShardedEngine : public ServingEngine {
   void ExecuteShard(const std::shared_ptr<GatherState>& state, size_t shard,
                     uint64_t post_ns);
   void Gather(GatherState* state);
-  /// Round 1 of the pruned top-k protocol: one shard's bound sweep plus
-  /// cursor-driven exact evaluation of its candidate frontier.
+  /// The first wave of the pruned top-k protocol: one shard's bound sweep.
   void ExecuteTopKBoundRound(const std::shared_ptr<GatherState>& state,
                              size_t shard, uint64_t post_ns);
-  /// Round 2: one shard refines the coordinator's surviving candidates.
+  /// A refinement wave: one shard evaluates the window's slots it has not
+  /// settled yet.
   void ExecuteTopKRefineRound(const std::shared_ptr<GatherState>& state,
                               size_t shard, uint64_t post_ns);
-  /// Coordinator: runs in the last round-1 task; computes the global k-th
-  /// threshold, selects candidates, and either finishes or fans out round 2.
+  /// Coordinator: runs in the last task of every wave; plans the window
+  /// (prune_plan.h PlanWindow) and either finishes or fans out the next
+  /// refinement wave.
   void CoordinateTopK(const std::shared_ptr<GatherState>& state);
   /// Final merge of a pruned top-k query; fulfils the promise.
   void FinishTopK(GatherState* state);
-  /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds and
-  /// collects exactly-settled facilities instead of ranking.
+  /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds instead of
+  /// ranking.
   void FinishBoundSweep(GatherState* state);
   /// The ranking-and-memoisation tail both top-k paths share: ranks
   /// `complete` (exact per-facility totals, prune_plan.h Rank) and memoises

@@ -2,17 +2,21 @@
 // over loopback shard-worker processes (each a ShardedEngine owning a slice
 // of the partition behind a NetServer) answers sums and top-k BIT-IDENTICALLY
 // to a single-process ShardedEngine over the full partition, for shards
-// {2, 4} × workers {1, 2} on the NYF preset; round 2 never asks a worker for
-// a facility its own bound already settled at 0; updates fan out and keep the
-// identity; a killed worker degrades answers to StatusCode::kUnavailable
-// without hanging; and the new wire frame types (kRegister, kHeartbeat,
-// kBound, kStatus) round-trip losslessly.
+// {2, 4} × workers {1, 2} on the NYF preset, across several refinement
+// waves; no wave asks a worker for a facility its own bound already settled
+// at 0; updates fan out and keep the identity; a worker killed between waves
+// degrades answers to StatusCode::kUnavailable without hanging; and the new
+// wire frame types (kRegister, kHeartbeat, kBound, kStatus) round-trip
+// losslessly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "runtime/prune_plan.h"
 #include "runtime/remote_shard_set.h"
 #include "runtime/sharded_engine.h"
 #include "test_util.h"
@@ -99,14 +104,37 @@ RemoteShardSetOptions CoordOptions(const std::vector<Worker>& workers) {
   return ro;
 }
 
-/// Synchronous query through any ServingEngine.
-QueryResponse RunQuery(ServingEngine& engine, QueryRequest request) {
+/// Synchronous query through any ServingEngine. With `waves`, the query runs
+/// under a caller-owned trace and *waves receives the number of refinement
+/// waves the coordinator scattered (one rpc_round2 span each).
+QueryResponse RunQuery(ServingEngine& engine, QueryRequest request,
+                       size_t* waves = nullptr) {
+  runtime::TraceContextPtr trace;
+  if (waves != nullptr) {
+    trace = std::make_shared<runtime::TraceContext>("topk", request.k);
+  }
   std::promise<QueryResponse> promise;
   std::future<QueryResponse> future = promise.get_future();
   engine.SubmitAsync(
-      std::move(request), nullptr,
+      std::move(request), trace,
       [&promise](QueryResponse r) { promise.set_value(std::move(r)); }, 0);
-  return future.get();
+  QueryResponse response = future.get();
+  if (waves != nullptr) {
+    *waves = 0;
+    for (size_t i = 0; i < trace->num_spans(); ++i) {
+      if (std::string_view(trace->span(i).name) == "rpc_round2") ++*waves;
+    }
+  }
+  return response;
+}
+
+void ExpectSameRanking(const std::vector<RankedFacility>& got,
+                       const std::vector<RankedFacility>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "rank " << i;
+  }
 }
 
 void ExpectIdenticalAnswers(ServingEngine& reference, ServingEngine& coord,
@@ -123,11 +151,8 @@ void ExpectIdenticalAnswers(ServingEngine& reference, ServingEngine& coord,
     const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
     ASSERT_TRUE(want.status.ok());
     ASSERT_TRUE(got.status.ok()) << got.status.ToString();
-    ASSERT_EQ(want.ranked.size(), got.ranked.size()) << "k=" << k;
-    for (size_t i = 0; i < want.ranked.size(); ++i) {
-      EXPECT_EQ(want.ranked[i].id, got.ranked[i].id) << "k=" << k;
-      EXPECT_EQ(want.ranked[i].value, got.ranked[i].value) << "k=" << k;
-    }
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectSameRanking(got.ranked, want.ranked);
   }
 }
 
@@ -154,9 +179,12 @@ TEST(Distributed, CoordinatorMatchesSingleProcessMatrixNyf) {
   }
 }
 
+// k = 3 takes at least three refinement waves on the pruned coordinator, so
+// bit-identity holds across the whole re-planning loop, not one plan.
 TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
   const TrajectorySet users = presets::NyfCheckins(800);
-  const TrajectorySet fac = presets::NyBusRoutes(16, 10);
+  const TrajectorySet fac = presets::NyBusRoutes(24, 8);
+  constexpr size_t kMultiWaveK = 3;
   ShardedEngine reference(users, fac, EngineOptions(4));
   std::vector<Worker> workers = MakeWorkers(users, fac, 4, 2);
   for (const bool prune : {true, false}) {
@@ -164,13 +192,16 @@ TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
     ro.prune_topk = prune;
     RemoteShardSet coord(ro);
     ASSERT_TRUE(coord.Connect().ok());
-    for (const size_t k : {size_t{1}, size_t{5}, fac.size()}) {
+    for (const size_t k : {size_t{1}, kMultiWaveK, fac.size()}) {
+      SCOPED_TRACE("prune=" + std::to_string(prune) +
+                   " k=" + std::to_string(k));
+      size_t waves = 0;
       const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
-      const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
-      ASSERT_EQ(want.ranked.size(), got.ranked.size());
-      for (size_t i = 0; i < want.ranked.size(); ++i) {
-        EXPECT_EQ(want.ranked[i].id, got.ranked[i].id);
-        EXPECT_EQ(want.ranked[i].value, got.ranked[i].value);
+      const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k), &waves);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ExpectSameRanking(got.ranked, want.ranked);
+      if (prune && k == kMultiWaveK) {
+        EXPECT_GE(waves, 3u);
       }
     }
   }
@@ -179,10 +210,11 @@ TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
 // ------------------------------------------------- zero-bound settlement
 
 // Two user clusters far apart land on different workers, so each worker's
-// bound is exactly 0 for the other cluster's facilities. When a worker's
-// round-1 cursor stops before that zero-bound tail and another worker's
-// positive bound makes such a facility a candidate, the coordinator must
-// settle the slot at 0 — never send it in a round-2 kSum.
+// bound is exactly 0 for the other cluster's facilities. When another
+// worker's positive bound puts such a facility in the refinement window,
+// the coordinator must settle the zero-bound slot at 0 — never send it in a
+// kSum. The expected asks come from replaying the planner loop on the
+// workers' own bounds and exact values.
 TEST(Distributed, ZeroBoundSlotsAreNeverRefined) {
   Rng rng(404);
   const Rect west = Rect::Of(0, 0, 2000, 2000);
@@ -206,46 +238,51 @@ TEST(Distributed, ZeroBoundSlotsAreNeverRefined) {
   RemoteShardSet coord(CoordOptions(workers));
   ASSERT_TRUE(coord.Connect().ok());
 
-  // Round 1 as the coordinator will see it (each worker's sweep is
-  // deterministic: its one owned shard alone raises the prune floor).
+  // Each worker's bound sweep and exact per-facility sums, as the
+  // coordinator will see them (fetched before the measured query).
   constexpr size_t kK = 1;
-  std::vector<NetResponse> round1(workers.size());
+  const std::vector<size_t> parts = {0, 1};
+  runtime::FacilityMatrix bounds(workers.size());
+  runtime::FacilityMatrix truth(workers.size());
+  std::vector<FacilityId> all(num_fac);
+  for (size_t f = 0; f < num_fac; ++f) all[f] = static_cast<FacilityId>(f);
   for (size_t w = 0; w < workers.size(); ++w) {
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", workers[w].port()).ok());
-    ASSERT_TRUE(client.Bound(kK, &round1[w]).ok());
-    ASSERT_EQ(round1[w].bounds.size(), num_fac);
+    NetResponse bound;
+    ASSERT_TRUE(client.Bound(kK, &bound).ok());
+    ASSERT_EQ(bound.bounds.size(), num_fac);
+    EXPECT_TRUE(bound.bound_exacts.empty());  // the sweep settles nothing
+    bounds[w] = bound.bounds;
+    NetResponse sums;
+    ASSERT_TRUE(client.Sum(all, &sums).ok());
+    ASSERT_EQ(sums.sums.size(), num_fac);
+    for (const net::SumResult& s : sums.sums) truth[w].push_back(s.value);
   }
-  std::vector<std::vector<uint8_t>> settled(
-      workers.size(), std::vector<uint8_t>(num_fac, 0));
-  std::vector<double> upper(num_fac, 0.0);
-  std::vector<double> lower(num_fac, 0.0);
-  for (size_t w = 0; w < workers.size(); ++w) {
-    for (const auto& [f, value] : round1[w].bound_exacts) {
-      settled[w][f] = 1;
-      lower[f] += value;
-    }
-    for (size_t f = 0; f < num_fac; ++f) upper[f] += round1[w].bounds[f];
-  }
-  // k = 1: τ is the largest partial lower bound; every facility left
-  // unsettled somewhere with B(f) ≥ τ is a candidate.
-  const double tau = *std::max_element(lower.begin(), lower.end());
+  // The coordinator's loop: plan the window, refine its unsettled slots.
+  runtime::FacilityMatrix exact(workers.size(),
+                                std::vector<double>(num_fac, 0.0));
+  runtime::KnownMatrix known(workers.size(),
+                             std::vector<uint8_t>(num_fac, 0));
   std::vector<uint64_t> positive_asks(workers.size(), 0);
   uint64_t zero_bound_candidates = 0;
-  for (size_t f = 0; f < num_fac; ++f) {
-    if (upper[f] < tau) continue;
-    for (size_t w = 0; w < workers.size(); ++w) {
-      if (settled[w][f]) continue;
-      if (round1[w].bounds[f] > 0.0) {
+  for (;;) {
+    const std::vector<uint32_t> window =
+        runtime::PlanWindow(parts, bounds, &exact, &known, kK, num_fac);
+    if (window.empty()) break;
+    for (const uint32_t f : window) {
+      for (size_t w = 0; w < workers.size(); ++w) {
+        if (bounds[w][f] <= 0.0) ++zero_bound_candidates;
+        if (known[w][f]) continue;
         ++positive_asks[w];
-      } else {
-        ++zero_bound_candidates;
+        exact[w][f] = truth[w][f];
+        known[w][f] = 1;
       }
     }
   }
   ASSERT_GT(zero_bound_candidates, 0u)
-      << "no worker stopped short of a zero-bound candidate; the scenario "
-         "does not exercise settlement";
+      << "no window facility had a zero-bound slot; the scenario does not "
+         "exercise settlement";
 
   std::vector<uint64_t> before;
   for (const Worker& w : workers) {
@@ -288,23 +325,115 @@ TEST(Distributed, UpdateFanOutKeepsBitIdentity) {
 
 // ------------------------------------------------------- failure paths
 
+/// A worker front-end that dies mid-query: once armed, the first
+/// service-value query to reach it — the coordinator's first refinement
+/// wave — stops its NetServer from a side thread. Stop() drains and flushes
+/// that wave's answer before the sockets drop, so the worker dies between
+/// waves and the next wave finds it gone. Everything else is the engine's.
+class DiesAfterFirstWave : public ServingEngine {
+ public:
+  explicit DiesAfterFirstWave(ShardedEngine* engine) : engine_(engine) {}
+  ~DiesAfterFirstWave() override { Join(); }
+  DiesAfterFirstWave(const DiesAfterFirstWave&) = delete;
+  DiesAfterFirstWave& operator=(const DiesAfterFirstWave&) = delete;
+
+  void Arm(NetServer* server) {
+    server_ = server;
+    armed_.store(true);
+  }
+  /// Waits for the kill to finish; true when it happened.
+  bool Join() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!killer_.joinable()) return false;
+    killer_.join();
+    return true;
+  }
+
+  void SubmitAsync(QueryRequest request, runtime::TraceContextPtr trace,
+                   ResponseCallback done, uint64_t start_ns) override {
+    if (request.kind == runtime::QueryKind::kServiceValue &&
+        armed_.exchange(false)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      killer_ = std::thread([this] { server_->Stop(); });
+    }
+    engine_->SubmitAsync(std::move(request), std::move(trace),
+                         std::move(done), start_ns);
+  }
+  runtime::MetricsRegistry* mutable_metrics() override {
+    return engine_->mutable_metrics();
+  }
+  const runtime::Tracer& tracer() const override { return engine_->tracer(); }
+  runtime::Tracer* mutable_tracer() override {
+    return engine_->mutable_tracer();
+  }
+  double psi() const override { return engine_->psi(); }
+  uint64_t snapshot_version() const override {
+    return engine_->snapshot_version();
+  }
+  std::vector<uint64_t> shard_generations() const override {
+    return engine_->shard_generations();
+  }
+  runtime::EngineInfo info() const override { return engine_->info(); }
+  std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override {
+    return engine_->ApplyUpdates(batch);
+  }
+  void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override {
+    engine_->TopKBoundSweepAsync(k, std::move(done));
+  }
+
+ private:
+  ShardedEngine* engine_;
+  NetServer* server_ = nullptr;
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;  // guards killer_ (started on the worker's loop thread)
+  std::thread killer_;
+};
+
 TEST(Distributed, WorkerDeathDegradesWithoutHanging) {
   const TrajectorySet users = presets::NyfCheckins(600);
   const TrajectorySet fac = presets::NyBusRoutes(12, 10);
-  std::vector<Worker> workers = MakeWorkers(users, fac, 4, 2);
-  RemoteShardSet coord(CoordOptions(workers));
+  constexpr size_t kK = 3;  // three or more refinement waves on two workers
+  Worker survivor = MakeWorker(users, fac, 4, 0, 2);
+  ShardedEngineOptions so = EngineOptions(4);
+  so.owned_begin = 2;
+  so.owned_end = 4;
+  ShardedEngine victim_engine(users, fac, so);
+  DiesAfterFirstWave victim(&victim_engine);
+  NetServer victim_server(&victim, NetServerOptions{});
+  ASSERT_TRUE(victim_server.Start().ok());
+
+  RemoteShardSetOptions ro;
+  ro.workers = {{"127.0.0.1", survivor.port()},
+                {"127.0.0.1", victim_server.port()}};
+  ro.num_threads = 2;
+  RemoteShardSet coord(ro);
   ASSERT_TRUE(coord.Connect().ok());
   ASSERT_TRUE(RunQuery(coord, QueryRequest::ServiceValue(0)).status.ok());
+  size_t waves = 0;
+  ASSERT_TRUE(RunQuery(coord, QueryRequest::TopK(kK), &waves).status.ok());
+  ASSERT_GE(waves, 3u) << "k=" << kK << " no longer needs three waves";
 
-  workers[1].server->Stop();  // the "SIGKILL": every socket drops
+  // The victim answers the first refinement wave, then dies. The query
+  // finishes on the survivor, marked partial; the survivor owns shards
+  // [0, 2) of 4, so the answer is exactly its local engine's ranking.
+  victim.Arm(&victim_server);
+  const uint64_t victim_before =
+      victim_engine.metrics().Read().service_queries;
+  const QueryResponse partial = RunQuery(coord, QueryRequest::TopK(kK), &waves);
+  ASSERT_TRUE(victim.Join()) << "no refinement wave reached the victim";
+  EXPECT_GT(victim_engine.metrics().Read().service_queries, victim_before);
+  EXPECT_GE(waves, 2u) << "no wave left after the victim's first";
+  EXPECT_EQ(partial.status.code(), StatusCode::kUnavailable);
+  ExpectSameRanking(
+      partial.ranked,
+      RunQuery(*survivor.engine, QueryRequest::TopK(kK)).ranked);
+  EXPECT_EQ(coord.mutable_metrics()->Read().coord_partial, 1u);
 
-  // Queries keep answering from the survivor, marked partial. The surviving
-  // worker owns shards [0, 2) of 4, so the partial value is exactly its
-  // local engine's answer.
+  // Later queries keep answering from the survivor, marked partial too.
   const QueryResponse sum = RunQuery(coord, QueryRequest::ServiceValue(3));
   EXPECT_EQ(sum.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(sum.value,
-            RunQuery(*workers[0].engine, QueryRequest::ServiceValue(3)).value);
+            RunQuery(*survivor.engine, QueryRequest::ServiceValue(3)).value);
 
   const QueryResponse topk = RunQuery(coord, QueryRequest::TopK(5));
   EXPECT_EQ(topk.status.code(), StatusCode::kUnavailable);
@@ -312,7 +441,7 @@ TEST(Distributed, WorkerDeathDegradesWithoutHanging) {
 
   const auto m = coord.mutable_metrics()->Read();
   EXPECT_EQ(m.worker_failures, 1u);
-  EXPECT_GE(m.coord_partial, 2u);
+  EXPECT_EQ(m.coord_partial, 3u);
 
   const auto status = coord.Workers();
   ASSERT_EQ(status.size(), 2u);

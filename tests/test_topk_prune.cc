@@ -1,24 +1,31 @@
 // Tests for bound-and-prune distributed top-k (src/runtime/sharded_engine
-// bound rounds + src/tqtree TQTree::UpperBound):
+// sweep + refinement waves, src/tqtree TQTree::UpperBound):
 //   * the aggregate bound is sound — never below the exact service value —
 //     at every descent budget, tree mode and service model tested;
 //   * pruned top-k answers agree bit-for-bit with the exhaustive gather and
 //     with the brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
 //     shards ∈ {1, 2, 4, 8}, including tie-heavy value distributions;
-//   * the protocol actually prunes: facilities_evaluated stays below the
-//     facilities × shards exhaustive-sweep count, with the skipped slots
+//   * the protocol evaluates only what best-first order needs:
+//     facilities_evaluated stays within the positive-bound slots of
+//     facilities whose bound reaches the k-th value, with the skipped slots
 //     accounted in facilities_pruned;
 //   * the adaptive large-k switch (prune_skip_ratio) routes k ≥ ratio·|F|
 //     queries straight to the exhaustive gather, same answers;
-//   * the shared planner (runtime/prune_plan.h), property-tested on random
-//     bound/exact matrices against a brute-force top-k: ties at B == τ,
-//     k ≥ |F|, all-zero bounds and dropped participants.
-// Runs under ASan+UBSan and TSan in CI (two-round gathers hop threads).
+//   * the shared window planner (runtime/prune_plan.h), iterated to its
+//     fixpoint on random bound/exact matrices against a brute-force top-k:
+//     B == value ties across ids, k ≥ |F|, all-zero bounds and dropped
+//     participants, and never asking for a facility below the k-th value.
+// Runs under ASan+UBSan and TSan in CI (every wave's last task re-enters the
+// coordinator on whichever pool thread it ran on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,6 +75,15 @@ std::vector<RankedFacility> OracleRanking(const TrajectorySet& users,
   std::sort(all.begin(), all.end(), RankedBefore);
   all.resize(std::min(k, all.size()));
   return all;
+}
+
+void ExpectSameRanking(const std::vector<RankedFacility>& got,
+                       const std::vector<RankedFacility>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "rank " << i;
+  }
 }
 
 // ------------------------------------------------------ TQTree::UpperBound
@@ -201,25 +217,57 @@ TEST(TopKPrune, TieHeavyValuesKeepAscendingIdOrder) {
 
 // ------------------------------------------------------- prune accounting
 
-// The point of the protocol: strictly fewer exact evaluations than the
-// exhaustive facilities × shards sweep, with the skipped slots accounted.
+// The point of the protocol: exact evaluation only where a sound bound
+// cannot rule the facility out. With the shards' bounds and exact values
+// recomputed here, facilities_evaluated must stay within the positive-bound
+// slots of facilities whose initial B(f) = Σ_s UB_s(f) reaches the final
+// k-th value — strictly fewer than the exhaustive facilities × shards
+// sweep, with the skipped slots accounted.
 TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   const TrajectorySet users = presets::NyfCheckins(1500);
   const TrajectorySet routes = presets::NyBusRoutes(64, 8);
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   constexpr size_t kShards = 4;
+  constexpr size_t kK = 10;
   ShardedEngine engine(users, routes, Options(kShards, model, true));
-  (void)engine.Submit(QueryRequest::TopK(10)).get();
+  const QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
+  ASSERT_EQ(got.ranked.size(), kK);
+
+  // Per-facility bounds and exact values, summed in ascending shard order.
+  const runtime::ShardedSnapshotPtr snap = engine.snapshot();
+  const FacilityCatalog& catalog = *snap->catalog;
+  std::vector<double> bound(routes.size(), 0.0);
+  std::vector<double> exact(routes.size(), 0.0);
+  std::vector<uint64_t> positive_slots(routes.size(), 0);
+  for (const runtime::ShardStatePtr& shard : snap->shards) {
+    for (uint32_t f = 0; f < routes.size(); ++f) {
+      const double ub = shard->tree->UpperBound(
+          catalog.grid(f), engine.options().bound_levels);
+      bound[f] += ub;
+      if (ub > 0.0) ++positive_slots[f];
+      exact[f] += EvaluateServiceTQ(shard->tree.get(), *shard->eval,
+                                    catalog.grid(f), nullptr);
+    }
+  }
+  std::vector<double> ranked_exact = exact;
+  std::sort(ranked_exact.begin(), ranked_exact.end(), std::greater<>());
+  const double kth = ranked_exact[kK - 1];
+  EXPECT_EQ(got.ranked.back().value, kth);
+  uint64_t needed = 0;  // slots best-first refinement may have to evaluate
+  for (uint32_t f = 0; f < routes.size(); ++f) {
+    if (bound[f] >= kth) needed += positive_slots[f];
+  }
 
   const MetricsView m = engine.metrics().Read();
   const uint64_t slots = static_cast<uint64_t>(routes.size()) * kShards;
   EXPECT_GT(m.facilities_pruned, 0u) << "no facility was ever pruned";
+  EXPECT_LE(m.facilities_evaluated, needed)
+      << "evaluated a slot whose facility's bound is below the k-th value";
   EXPECT_LT(m.facilities_evaluated, slots)
       << "pruned top-k regressed to the exhaustive sweep";
   EXPECT_EQ(m.facilities_evaluated + m.facilities_pruned, slots);
   EXPECT_GE(m.prune_rounds, 1u);
-  EXPECT_LE(m.prune_rounds, 2u);
 
   // The exhaustive engine leaves the prune counters untouched.
   ShardedEngine exhaustive(users, routes, Options(kShards, model, false));
@@ -272,6 +320,74 @@ TEST(TopKPrune, CachedAnswerSurvivesAndInvalidatesAcrossWrites) {
     EXPECT_EQ(third.ranked[i].id, oracle[i].id) << "rank " << i;
     EXPECT_NEAR(third.ranked[i].value, oracle[i].value, 1e-9);
   }
+}
+
+// Multi-wave queries re-enter the coordinator on whichever pool thread ends
+// a wave, while a writer publishes: every answer must equal the exhaustive
+// ranking of the snapshot version it reports. The TSan job runs this.
+TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
+  const TrajectorySet users = presets::NyfCheckins(800);
+  const TrajectorySet routes = presets::NyBusRoutes(32, 8);
+  const ServiceModel model =
+      ServiceModel::PointCount(200.0, Normalization::kNone);
+  const std::vector<size_t> ks = {1, 3, 6};
+  runtime::UpdateBatch batch;
+  for (uint32_t id = 0; id < 40; ++id) {
+    batch.removes.push_back(id);
+    const auto pts = users.points(400 + id);
+    batch.inserts.emplace_back(pts.begin(), pts.end());
+  }
+
+  // want[version - 1][i]: the exhaustive answer for ks[i] at that version.
+  ShardedEngine reference(users, routes, Options(4, model, false));
+  std::vector<std::vector<std::vector<RankedFacility>>> want(2);
+  for (size_t v = 0; v < 2; ++v) {
+    if (v == 1) reference.ApplyUpdates(batch);
+    for (const size_t k : ks) {
+      want[v].push_back(reference.Submit(QueryRequest::TopK(k)).get().ranked);
+    }
+  }
+
+  ShardedEngine engine(users, routes, Options(4, model, true));
+  std::atomic<size_t> answered{0};
+  std::atomic<bool> published{false};
+  std::thread writer([&] {
+    while (answered.load() < 3) std::this_thread::yield();
+    engine.ApplyUpdates(batch);
+    published.store(true);
+  });
+  std::vector<std::vector<QueryResponse>> got(3);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < got.size(); ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = 0, after = 0; after < ks.size(); ++i) {
+        const bool late = published.load();
+        got[r].push_back(
+            engine.Submit(QueryRequest::TopK(ks[i % ks.size()])).get());
+        answered.fetch_add(1);
+        if (late) ++after;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+
+  size_t queries = 0;
+  std::vector<size_t> per_version(2, 0);
+  for (const std::vector<QueryResponse>& responses : got) {
+    for (size_t i = 0; i < responses.size(); ++i, ++queries) {
+      const QueryResponse& r = responses[i];
+      ASSERT_TRUE(r.snapshot_version == 1 || r.snapshot_version == 2);
+      ++per_version[r.snapshot_version - 1];
+      SCOPED_TRACE("version " + std::to_string(r.snapshot_version) +
+                   " k=" + std::to_string(ks[i % ks.size()]));
+      ExpectSameRanking(r.ranked, want[r.snapshot_version - 1][i % ks.size()]);
+    }
+  }
+  EXPECT_GT(per_version[0], 0u);
+  EXPECT_GT(per_version[1], 0u);
+  // More than two waves per query on average: the coordinator loop ran.
+  EXPECT_GT(engine.metrics().Read().prune_rounds, 2 * queries);
 }
 
 // ------------------------------------------------------------- edge cases
@@ -410,37 +526,6 @@ TEST(TopKPrune, PruneSkipRatioIsConfigurable) {
 
 // ------------------------------------------------------------ prune planner
 
-// One bound-and-prune round trip over the planner alone. `truth` holds
-// every participant's exact per-facility value; `exact`/`known` the round-1
-// state. Plans, refines the candidates' unsettled slots from `truth` (as
-// round 2 would), then merges and ranks. Fails the test if round 2 would
-// ask any participant for a slot whose own bound is 0.
-std::vector<RankedFacility> PlannedTopK(std::span<const size_t> parts,
-                                        const FacilityMatrix& bounds,
-                                        const FacilityMatrix& truth,
-                                        FacilityMatrix exact,
-                                        KnownMatrix known, size_t k) {
-  const size_t num_fac = truth[0].size();
-  const std::vector<uint32_t> candidates =
-      runtime::PlanCandidates(parts, bounds, &exact, &known, k, num_fac);
-  for (const size_t p : parts) {
-    for (size_t f = 0; f < num_fac; ++f) {
-      if (bounds[p][f] <= 0.0) {
-        EXPECT_TRUE(known[p][f]) << "zero-bound slot left unsettled";
-        EXPECT_EQ(exact[p][f], 0.0);
-      }
-    }
-    for (const uint32_t f : candidates) {
-      if (known[p][f]) continue;
-      EXPECT_GT(bounds[p][f], 0.0) << "refinement of a zero-bound slot";
-      exact[p][f] = truth[p][f];
-      known[p][f] = 1;
-    }
-  }
-  return runtime::Rank(
-      runtime::CompleteFacilities(parts, exact, &known, num_fac), k);
-}
-
 // Brute force: every facility's total over `parts` (ascending participant
 // order, like every engine merge), ranked (value desc, id asc).
 std::vector<RankedFacility> BruteTopK(std::span<const size_t> parts,
@@ -455,19 +540,62 @@ std::vector<RankedFacility> BruteTopK(std::span<const size_t> parts,
   return all;
 }
 
-void ExpectSameRanking(const std::vector<RankedFacility>& got,
-                       const std::vector<RankedFacility>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
-    EXPECT_EQ(got[i].value, want[i].value) << "rank " << i;
+// The coordinator loop over the planner alone. `truth` holds every
+// participant's exact per-facility value; `exact`/`known` the slots settled
+// before the first plan. Plans, refines the window's unsettled slots from
+// `truth` (as one wave would), and plans again until the window is settled,
+// then merges and ranks. Fails the test if a wave asks for a zero-bound
+// slot or an already-settled facility, if a facility it asks for has
+// B(f) below the final k-th value, or if the loop does not converge.
+std::vector<RankedFacility> PlannedTopK(std::span<const size_t> parts,
+                                        const FacilityMatrix& bounds,
+                                        const FacilityMatrix& truth,
+                                        FacilityMatrix exact,
+                                        KnownMatrix known, size_t k) {
+  const size_t num_fac = truth[0].size();
+  const std::vector<RankedFacility> brute = BruteTopK(parts, truth, k);
+  for (size_t wave = 0;; ++wave) {
+    const std::vector<uint32_t> window =
+        runtime::PlanWindow(parts, bounds, &exact, &known, k, num_fac);
+    for (const size_t p : parts) {
+      for (size_t f = 0; f < num_fac; ++f) {
+        if (bounds[p][f] <= 0.0) {
+          EXPECT_TRUE(known[p][f]) << "zero-bound slot left unsettled";
+          EXPECT_EQ(exact[p][f], 0.0);
+        }
+      }
+    }
+    if (window.empty()) break;
+    if (wave == parts.size() * num_fac) {
+      ADD_FAILURE() << "planner still refining after every slot settled";
+      break;
+    }
+    for (const uint32_t f : window) {
+      double b = 0.0;  // B(f) as the planner valued it, ascending order
+      for (const size_t p : parts) {
+        b += known[p][f] ? exact[p][f] : bounds[p][f];
+      }
+      EXPECT_GE(b, brute.back().value)
+          << "asked for facility " << f << " whose bound is below the k-th";
+      bool asked = false;
+      for (const size_t p : parts) {
+        if (known[p][f]) continue;
+        EXPECT_GT(bounds[p][f], 0.0) << "refinement of a zero-bound slot";
+        exact[p][f] = truth[p][f];
+        known[p][f] = 1;
+        asked = true;
+      }
+      EXPECT_TRUE(asked) << "window returned settled facility " << f;
+    }
   }
+  return runtime::Rank(
+      runtime::CompleteFacilities(parts, exact, &known, num_fac), k);
 }
 
 // Property: on random non-negative exact matrices with bounds ≥ exacts and
-// random round-1 masks, plan + refine + merge equals the brute-force top-k,
-// bit for bit. Small integer values make exact ties (including B == τ)
-// common; every few trials drops one participant.
+// random pre-settled masks, the planner loop + merge equals the brute-force
+// top-k, bit for bit. Small integer values make exact ties (B == value
+// across ids included) common; every few trials drops one participant.
 TEST(PrunePlan, MatchesBruteForceOnRandomMatrices) {
   Rng rng(2001);
   // Unsettled slots hold garbage: the planner must never read them.
@@ -513,21 +641,26 @@ TEST(PrunePlan, MatchesBruteForceOnRandomMatrices) {
   }
 }
 
-// A facility whose global bound EQUALS τ must stay a candidate: here it
-// ties the k-th value exactly and wins the tie on its smaller id.
-TEST(PrunePlan, KeepsCandidatesAtBoundEqualToTau) {
-  const FacilityMatrix truth = {{3, 0, 2, 1}, {0, 2, 0, 0}};
-  const FacilityMatrix bounds = truth;  // exact bounds: B(1) = 2
-  // p0 settled everything, p1 all but facility 1: L = {3, 0, 2, 1}, so
-  // τ = 2 at k = 2 and B(1) == τ.
-  const FacilityMatrix exact = {{3, 0, 2, 1}, {0, 0, 0, 0}};
-  const KnownMatrix known = {{1, 1, 1, 1}, {1, 0, 1, 1}};
+// A facility's bound B(0) = 2 ties facility 1's settled exact value 2. The
+// window breaks the tie on id, so facility 0 is refined — and, at exactly 2,
+// wins. Breaking it the other way would answer facility 1 unrefined.
+TEST(PrunePlan, BreaksBoundValueTiesById) {
+  const FacilityMatrix truth = {{1, 2}, {1, 0}};
+  const FacilityMatrix bounds = {{1, 2}, {1, 0}};
+  const FacilityMatrix exact = {{1, 2}, {0, 0}};
+  const KnownMatrix known = {{1, 1}, {0, 1}};  // only slot (1, 0) open
   const std::vector<size_t> parts = {0, 1};
-  const std::vector<RankedFacility> got =
-      PlannedTopK(parts, bounds, truth, exact, known, 2);
-  ExpectSameRanking(got, BruteTopK(parts, truth, 2));
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[1].id, 1u);  // (2, id 1) before (2, id 2)
+  std::vector<RankedFacility> got =
+      PlannedTopK(parts, bounds, truth, exact, known, 1);
+  ExpectSameRanking(got, BruteTopK(parts, truth, 1));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].id, 0u);
+
+  // The first plan asks for exactly the tied, smaller-id facility.
+  FacilityMatrix ex = exact;
+  KnownMatrix kn = known;
+  EXPECT_EQ(runtime::PlanWindow(parts, bounds, &ex, &kn, 1, 2),
+            std::vector<uint32_t>{0});
 }
 
 TEST(PrunePlan, AllZeroBoundsSettleWithoutRefinement) {
@@ -537,8 +670,7 @@ TEST(PrunePlan, AllZeroBoundsSettleWithoutRefinement) {
   KnownMatrix known(3, std::vector<uint8_t>(num_fac, 0));
   const std::vector<size_t> parts = {0, 1, 2};
   EXPECT_TRUE(
-      runtime::PlanCandidates(parts, zeros, &exact, &known, 4, num_fac)
-          .empty());
+      runtime::PlanWindow(parts, zeros, &exact, &known, 4, num_fac).empty());
   for (const auto& row : known) {
     EXPECT_EQ(row, std::vector<uint8_t>(num_fac, 1));
   }

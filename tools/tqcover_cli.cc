@@ -882,7 +882,7 @@ int RunServeLoop(tq::runtime::ShardedEngine& engine, tq::TrajectorySet mirror,
   if (m.facilities_evaluated + m.facilities_pruned > 0) {
     std::printf(
         "top-k pruning: %llu facility-shard slots evaluated, %llu pruned "
-        "(%.1f%% skipped) over %llu rounds\n",
+        "(%.1f%% skipped) over %llu scatter waves\n",
         static_cast<unsigned long long>(m.facilities_evaluated),
         static_cast<unsigned long long>(m.facilities_pruned),
         100.0 * static_cast<double>(m.facilities_pruned) /

@@ -82,8 +82,8 @@ int main() {
       tq::presets::NyBusRoutes(env.DefaultFacilities(), env.DefaultStops());
   const size_t num_fac = routes.size();
   const size_t reps = std::max<size_t>(env.reps, 3);
-  // Cycle k through small-to-broad requests so both the pruned and the
-  // exhaustive protocol legs get exercised.
+  // Cycle k through small-to-broad requests: small k settles in few waves,
+  // broad k refines much of the catalog.
   const std::vector<size_t> ks = {1, 4, 8, 16};
   const size_t queries = reps * 16;
 

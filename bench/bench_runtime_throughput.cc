@@ -16,11 +16,11 @@
 // O(batch × depth), not a full clone.
 //
 // A third section measures BOUND-AND-PRUNE top-k: per (shards, k), the
-// fraction of (facility, shard) slots the pruned protocol exactly
-// evaluates (exhaustive sweep = 1.0), its scatter waves per query
-// (prune_rounds: the bound sweep plus each refinement wave) and the pruned
-// vs exhaustive query latency. CI gates on its facilities_evaluated staying
-// below total_facilities for k=10, shards=4.
+// fraction of (facility, shard) slots the protocol exactly evaluates
+// (evaluating every facility on every shard = 1.0), its scatter waves per
+// query (prune_rounds: the bound sweep plus each refinement wave) and its
+// query latency. CI gates on its facilities_evaluated staying below
+// total_facilities for k=10, shards=4.
 //
 // Besides the usual table + "# csv:" lines, emits three "# json:" lines
 // ("runtime_throughput_sharded", "runtime_write_path" and
@@ -239,10 +239,10 @@ int main() {
   }
   std::printf("]}\n");
 
-  // Bound-and-prune top-k: evaluated fraction and latency against the
-  // exhaustive gather. Cache capacity 0 so every query runs the full
-  // protocol (no memoised-answer shortcuts, no per-facility hits).
-  tq::bench::Banner("Distributed top-k — bound-and-prune vs exhaustive");
+  // Bound-and-prune top-k: evaluated fraction and latency, including where
+  // pruning fades (k=100 ≈ |F|). Cache capacity 0 so every query runs the
+  // full protocol (no memoised-answer shortcuts, no per-facility hits).
+  tq::bench::Banner("Distributed top-k — bound-and-prune");
   struct PruneResult {
     size_t shards = 0;
     size_t k = 0;
@@ -251,27 +251,18 @@ int main() {
     double prune_rounds = 0.0;      // scatter waves per query
     double evaluated_fraction = 0.0;
     double pruned_ms = 0.0;
-    double exhaustive_ms = 0.0;
   };
   std::vector<PruneResult> prune_results;
-  tq::bench::PrintSeriesHeader({"eval_frac", "pruned_ms", "exhaust_ms"});
+  tq::bench::PrintSeriesHeader({"eval_frac", "pruned_ms"});
   const size_t prune_reps = std::max<size_t>(3, env.reps);
   for (const size_t shards : {1u, 4u, 8u}) {
     ShardedEngineOptions pruned_options;
     pruned_options.num_shards = shards;
     pruned_options.num_threads = 4;
     pruned_options.cache_capacity = 0;
-    pruned_options.prune_topk = true;
-    // This series measures the bound-and-prune PROTOCOL itself, including
-    // where it degrades (k=100 ≈ |F|) — pin the adaptive large-k skip off
-    // so the row does not silently measure the exhaustive path instead.
-    pruned_options.prune_skip_ratio = 2.0;
     pruned_options.tree.beta = env.DefaultBeta();
     pruned_options.tree.model = model;
     ShardedEngine pruned(users, routes, pruned_options);
-    ShardedEngineOptions exhaustive_options = pruned_options;
-    exhaustive_options.prune_topk = false;
-    ShardedEngine exhaustive(users, routes, exhaustive_options);
     for (const size_t k : {1u, 10u, 100u}) {
       PruneResult r;
       r.shards = shards;
@@ -288,16 +279,11 @@ int main() {
                              static_cast<double>(r.total_facilities);
       r.prune_rounds = static_cast<double>(m1.prune_rounds - m0.prune_rounds) /
                        static_cast<double>(prune_reps);
-      r.exhaustive_ms = 1e3 * tq::bench::TimeAvgSeconds(prune_reps, [&]() {
-        (void)exhaustive.Submit(tq::runtime::QueryRequest::TopK(k)).get();
-      });
       prune_results.push_back(r);
       char label[48];
       std::snprintf(label, sizeof(label), "shards=%zu,k=%zu", shards, k);
-      tq::bench::PrintTimeRow(label,
-                              {"eval_frac", "pruned_ms", "exhaust_ms"},
-                              {r.evaluated_fraction, r.pruned_ms,
-                               r.exhaustive_ms});
+      tq::bench::PrintTimeRow(label, {"eval_frac", "pruned_ms"},
+                              {r.evaluated_fraction, r.pruned_ms});
     }
   }
 
@@ -309,11 +295,11 @@ int main() {
     std::printf(
         "%s{\"shards\":%zu,\"k\":%zu,\"facilities_evaluated\":%llu,"
         "\"total_facilities\":%llu,\"evaluated_fraction\":%.4f,"
-        "\"prune_rounds\":%.2f,\"pruned_ms\":%.3f,\"exhaustive_ms\":%.3f}",
+        "\"prune_rounds\":%.2f,\"pruned_ms\":%.3f}",
         i == 0 ? "" : ",", r.shards, r.k,
         static_cast<unsigned long long>(r.facilities_evaluated),
         static_cast<unsigned long long>(r.total_facilities),
-        r.evaluated_fraction, r.prune_rounds, r.pruned_ms, r.exhaustive_ms);
+        r.evaluated_fraction, r.prune_rounds, r.pruned_ms);
   }
   std::printf("]}\n");
   return 0;

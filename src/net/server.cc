@@ -652,10 +652,10 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     case MessageType::kBound: {
       // One round-1 bound sweep, dispatched to the engine's pool like the
       // read paths (inflight-accounted so Stop() outlives the callback).
+      // The frame's k is ignored: the sweep bounds every facility.
       const uint64_t seq = AllocSlot(conn.get());
       BeginWork(1);
       engine_->TopKBoundSweepAsync(
-          request.bound_k,
           [this, conn, seq, rx_ns](runtime::BoundSweepResult result) {
             NetResponse resp;
             resp.type = MessageType::kBound;

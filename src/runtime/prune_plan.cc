@@ -4,13 +4,6 @@
 
 namespace tq::runtime {
 
-bool UsePrunedTopK(bool prune_topk, double prune_skip_ratio, size_t k,
-                   size_t num_facilities) {
-  return prune_topk &&
-         static_cast<double>(std::min(k, num_facilities)) <
-             prune_skip_ratio * static_cast<double>(num_facilities);
-}
-
 std::vector<uint32_t> PlanWindow(std::span<const size_t> participants,
                                  const FacilityMatrix& bounds,
                                  FacilityMatrix* exact, KnownMatrix* known,
@@ -66,12 +59,12 @@ std::vector<double> SumBounds(std::span<const size_t> participants,
 
 std::vector<RankedFacility> CompleteFacilities(
     std::span<const size_t> participants, const FacilityMatrix& exact,
-    const KnownMatrix* known, size_t num_facilities) {
+    const KnownMatrix& known, size_t num_facilities) {
   std::vector<double> sum(num_facilities, 0.0);
   std::vector<uint8_t> complete(num_facilities, 1);
   for (const size_t p : participants) {
     for (size_t f = 0; f < num_facilities; ++f) {
-      if (known != nullptr && !(*known)[p][f]) complete[f] = 0;
+      if (!known[p][f]) complete[f] = 0;
       sum[f] += exact[p][f];
     }
   }

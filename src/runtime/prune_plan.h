@@ -18,8 +18,8 @@
 // Why it is exact: a facility g outside a settled window has
 // SO(g) ≤ B(g), because every term of B(g) is ≥ its exact counterpart and
 // IEEE rounding is monotone, so the ascending-order sums keep the order.
-// Every window member w has B(w) = SO(w) — the same ascending-order exact
-// sum the exhaustive gather computes — and ranks before g on (B desc,
+// Every window member w has B(w) = SO(w) — the ascending-order sum of its
+// exact per-participant values — and ranks before g on (B desc,
 // id asc), hence also on (SO desc, id asc). So the window is the top k, bit
 // for bit, even on exact ties. Each wave settles at least one slot, so the
 // loop ends after at most |participants| · |F| waves. B only ever falls
@@ -52,13 +52,6 @@ using FacilityMatrix = std::vector<std::vector<double>>;
 /// known[p][f] != 0 iff exact[p][f] holds participant p's exact SO_p(f).
 using KnownMatrix = std::vector<std::vector<uint8_t>>;
 
-/// Protocol selection: bound-and-prune, or the exhaustive gather. Once the
-/// effective k (min(k, |F|)) reaches `prune_skip_ratio · |F|` most of the
-/// catalog is in the answer anyway and the bound sweep cannot pay for
-/// itself. Both protocols return bit-identical answers.
-bool UsePrunedTopK(bool prune_topk, double prune_skip_ratio, size_t k,
-                   size_t num_facilities);
-
 /// One plan step. Settles every unsettled slot of `participants` whose own
 /// bound is 0 ((*exact)[p][f] = 0, (*known)[p][f] = 1), then returns,
 /// ascending, the facilities among the first min(k, |F|) by (B desc, id asc)
@@ -76,10 +69,9 @@ std::vector<double> SumBounds(std::span<const size_t> participants,
 
 /// The complete-facility merge: every facility all `participants` settled,
 /// ascending by id, valued Σ_p exact[p][f] in ascending participant order.
-/// A null `known` means every slot is settled (the exhaustive gather).
 std::vector<RankedFacility> CompleteFacilities(
     std::span<const size_t> participants, const FacilityMatrix& exact,
-    const KnownMatrix* known, size_t num_facilities);
+    const KnownMatrix& known, size_t num_facilities);
 
 /// Ranks exact totals by (value desc, id asc) and keeps the first k.
 std::vector<RankedFacility> Rank(std::vector<RankedFacility> complete,

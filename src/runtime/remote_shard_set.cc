@@ -433,10 +433,6 @@ QueryResponse RemoteShardSet::RunSum(FacilityId facility,
 
 QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   const size_t num_fac = num_facilities_;
-  if (!UsePrunedTopK(options_.prune_topk, options_.prune_skip_ratio, k,
-                     num_fac)) {
-    return RunTopKExhaustive(k, trace);
-  }
   const size_t eff_k = std::min(k, num_fac);
 
   QueryResponse response;
@@ -540,54 +536,7 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   // after it.
   const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
   response.ranked =
-      Rank(CompleteFacilities(parts, exact, &known, num_fac), eff_k);
-  if (version != 0) response.snapshot_version = version;
-  if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
-  MarkPartialIfDegraded(parts.size(), &response);
-  return response;
-}
-
-QueryResponse RemoteShardSet::RunTopKExhaustive(size_t k,
-                                                TraceContext* trace) {
-  QueryResponse response;
-  response.kind = QueryKind::kTopK;
-  response.snapshot_version = snapshot_version();
-  const size_t num_fac = num_facilities_;
-  std::vector<FacilityId> all(num_fac);
-  for (size_t f = 0; f < num_fac; ++f) all[f] = static_cast<FacilityId>(f);
-
-  const size_t n = channels_.size();
-  std::vector<size_t> parts = AliveWorkers();
-  FacilityMatrix values(n);
-  uint64_t version = 0;
-  const uint64_t sc_t0 = trace != nullptr ? NowNs() : 0;
-  RunWave(
-      &parts,
-      [&all](size_t) { return net::NetRequest::Sum(all); },
-      [&](size_t w, net::NetResponse&& resp) -> Status {
-        if (!resp.status.ok()) return resp.status;
-        if (resp.sums.size() != num_fac) {
-          return Status::Internal("exhaustive answer-count mismatch");
-        }
-        values[w].resize(num_fac);
-        for (size_t f = 0; f < num_fac; ++f) {
-          if (resp.sums[f].code != StatusCode::kOk) {
-            return Status::Internal("exhaustive per-query error");
-          }
-          values[w][f] = resp.sums[f].value;
-        }
-        version = std::max(version, resp.snapshot_version);
-        return Status::OK();
-      });
-  if (trace != nullptr) trace->AddSpan(kSpanScatter, -1, sc_t0, NowNs());
-  if (parts.empty()) {
-    response.status = Status::Unavailable("no workers available for top-k");
-    metrics_.AddCoordPartial();
-    return response;
-  }
-  const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  response.ranked = Rank(
-      CompleteFacilities(parts, values, /*known=*/nullptr, num_fac), k);
+      Rank(CompleteFacilities(parts, exact, known, num_fac), eff_k);
   if (version != 0) response.snapshot_version = version;
   if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
   MarkPartialIfDegraded(parts.size(), &response);
@@ -644,7 +593,7 @@ std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {
   return ids;
 }
 
-void RemoteShardSet::TopKBoundSweepAsync(size_t, BoundSweepCallback done) {
+void RemoteShardSet::TopKBoundSweepAsync(BoundSweepCallback done) {
   BoundSweepResult result;
   result.status =
       Status::Unimplemented("coordinators do not serve bound sweeps");

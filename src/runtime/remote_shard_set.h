@@ -79,11 +79,6 @@ struct RemoteShardSetOptions {
   /// timerfd) and the silence threshold that declares a worker dead.
   uint64_t heartbeat_period_ms = 1000;
   uint64_t heartbeat_timeout_ms = 5000;
-  /// Top-k protocol selection, mirroring ShardedEngineOptions: skip the
-  /// bound round (straight to exhaustive kSum scatter) once the effective k
-  /// reaches `prune_skip_ratio` of the catalog.
-  bool prune_topk = true;
-  double prune_skip_ratio = 0.5;
 };
 
 class RemoteShardSet : public ServingEngine {
@@ -115,7 +110,7 @@ class RemoteShardSet : public ServingEngine {
   std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override;
   /// A coordinator could serve kBound itself (recursive coordination); this
   /// deployment never stacks coordinators, so it answers Unimplemented.
-  void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override;
+  void TopKBoundSweepAsync(BoundSweepCallback done) override;
   uint64_t tick_period_ms() const override {
     return options_.heartbeat_period_ms;
   }
@@ -189,8 +184,6 @@ class RemoteShardSet : public ServingEngine {
   // nullable — the net server's sampled frame trace).
   QueryResponse RunSum(FacilityId facility, TraceContext* trace);
   QueryResponse RunTopK(size_t k, TraceContext* trace);
-  /// Exhaustive fallback: kSum of every facility to every alive worker.
-  QueryResponse RunTopKExhaustive(size_t k, TraceContext* trace);
   /// Stamps the partial-result marker when fewer workers answered than are
   /// configured (StatusCode::kUnavailable + coord_partial metric).
   void MarkPartialIfDegraded(size_t answered, QueryResponse* response);

@@ -13,12 +13,11 @@
 // (k, ψ, per-shard generation vector): a ranked list is a pure function of
 // every shard's user set, so the key carries the whole generation vector
 // and a single-shard republish invalidates exactly the lists that shard
-// contributed to. Bound-and-prune top-k answers are exact, so they
-// memoise under the SAME keys as exhaustive ones; only response-level hit
-// accounting moved with the protocol — a pruned gather evaluates few
-// per-(facility, shard) entries, so its QueryResponse reports cache_hit
-// solely for memoised whole-answer hits, while the per-entry lookups it
-// does perform still count in the hit/miss metrics.
+// contributed to. Top-k is bound-and-prune, which evaluates only a few
+// per-(facility, shard) entries per query, so a top-k QueryResponse
+// reports cache_hit solely for memoised whole-answer hits; the per-entry
+// lookups its refinement waves perform still count in the hit/miss
+// metrics.
 //
 // Sharding: key-hash partitioning into independently locked shards keeps the
 // cache off the critical path — worker threads contend only when they hash

@@ -153,9 +153,10 @@ class ServingEngine {
   /// Synchronous write application; returns the assigned global ids.
   virtual std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) = 0;
   /// Round-1 bound sweep for one top-k query over this engine's owned
-  /// shards (serves kBound frames). `done` runs exactly once, possibly
+  /// shards (serves kBound frames). The sweep bounds every facility, so it
+  /// does not depend on the query's k. `done` runs exactly once, possibly
   /// inline, and must not block.
-  virtual void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) = 0;
+  virtual void TopKBoundSweepAsync(BoundSweepCallback done) = 0;
 
   // ---- durability ------------------------------------------------------
   /// Forces one synchronous checkpoint → WAL-trim → compaction cycle.

@@ -33,27 +33,29 @@ namespace tq::runtime {
 
 // Shared per-query scatter/gather state. Each shard task writes only its own
 // slots; the last task to finish (remaining hits zero) performs the gather —
-// which for pruned top-k is the COORDINATOR step that may fan out another
-// wave of per-shard refinement tasks. No pool thread ever blocks on another
-// task; the waves are sequenced by the remaining-counter barrier alone.
+// which for top-k is the COORDINATOR step that may fan out another wave of
+// per-shard refinement tasks. No pool thread ever blocks on another task;
+// the waves are sequenced by the remaining-counter barrier alone.
 struct ShardedEngine::GatherState {
   QueryRequest request;
   ShardedSnapshotPtr snap;  // pins every shard's tree for the query
   ResponseCallback done;    // fulfilled exactly once by the last finisher
-  std::vector<double> values;                   // kServiceValue: per shard
-  std::vector<std::vector<double>> fac_values;  // kTopK: per shard, per fac
-  std::vector<QueryStats> stats;                // per shard
-  std::vector<uint8_t> hits;                    // per shard: all lookups hit
+  std::vector<QueryStats> stats;  // per shard
   std::atomic<size_t> remaining{0};
   /// Span sink for this query, shared by every task; null when untraced.
   /// Tasks only APPEND — whoever started the trace finishes it (the net
   /// server for frame traces, the engine's done-wrapper for its own).
   TraceContextPtr trace;
 
-  // Bound-and-prune top-k protocol state (prune_topk mode only).
-  std::vector<std::vector<double>> bounds;   // sweep: per shard, per fac
-  std::vector<std::vector<uint8_t>> known;   // fac_values[s][f] is exact
-  std::vector<uint32_t> window;              // this wave's facilities
+  // Service-value state.
+  std::vector<double> values;  // per shard
+  std::vector<uint8_t> hits;   // per shard: the lookup hit the cache
+
+  // Top-k protocol state.
+  FacilityMatrix bounds;         // sweep: per shard, per fac
+  FacilityMatrix fac_values;     // exact SO_s(f), where known
+  KnownMatrix known;             // fac_values[s][f] is exact
+  std::vector<uint32_t> window;  // this wave's facilities
   /// Exact per-(facility, shard) evaluations performed so far.
   std::atomic<uint64_t> evaluated{0};
   /// Scatter waves executed: the bound sweep plus every refinement wave.
@@ -66,7 +68,7 @@ struct ShardedEngine::GatherState {
 ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
                              ShardedEngineOptions options)
     : options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kCacheShards),
       router_(users,
               users.empty() ? Rect::Of(0, 0, 1, 1) : users.BoundingBox(),
               std::max<size_t>(1, options.num_shards)),
@@ -140,7 +142,7 @@ ShardedEngine::~ShardedEngine() {
 ShardedEngine::ShardedEngine(RecoverTag, ShardedEngineOptions options,
                              const storage::CheckpointManifest& manifest)
     : options_(std::move(options)),
-      cache_(options_.cache_capacity, options_.cache_shards),
+      cache_(options_.cache_capacity, kCacheShards),
       router_(manifest.world, manifest.splits),
       pool_(options_.num_threads, &metrics_) {
   InitPartition();
@@ -540,7 +542,7 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   }
 
   // Scatter path. Queries arriving without a caller trace get an
-  // engine-owned one — SAMPLED 1-in-trace_sample, because a trace costs an
+  // engine-owned one — SAMPLED 1-in-kTraceSample, because a trace costs an
   // allocation plus per-shard-task clock reads and a ring write. The
   // armed slow-query log overrides the sampling: a slow query can only be
   // logged if it was traced from the start, so arming the log buys full
@@ -550,9 +552,7 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
     const bool slow_log_armed =
         tracer_.slow_threshold_ns() != Tracer::kSlowLogDisabled;
     thread_local uint64_t trace_seq = 0;
-    if (slow_log_armed ||
-        (options_.trace_sample != 0 &&
-         trace_seq++ % options_.trace_sample == 0)) {
+    if (slow_log_armed || trace_seq++ % kTraceSample == 0) {
       trace = tracer_.Start(topk ? "topk" : "sum",
                             topk ? request.k : request.facility);
     }
@@ -568,18 +568,14 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   };
 
   const size_t n = state->snap->shards.size();
-  state->values.resize(n, 0.0);
-  state->fac_values.resize(n);
   state->stats.resize(n);
-  state->hits.assign(n, 0);
   state->remaining.store(n, std::memory_order_relaxed);
   // Post timestamps feed the per-shard queue-wait spans; one clock read
   // covers the whole fan-out.
   const uint64_t post_ns = NowNs();
-  if (topk && UsePrunedTopK(options_.prune_topk, options_.prune_skip_ratio,
-                            request.k, state->snap->catalog->size())) {
-    // Bound-and-prune protocol: scatter the bound-sweep tasks; the
-    // coordinator (last finisher) decides what the first wave refines.
+  if (topk) {
+    // Bound-and-prune: scatter the bound-sweep tasks; the coordinator
+    // (last finisher) decides what the first wave refines.
     const size_t num_fac = state->snap->catalog->size();
     state->bounds.resize(n);
     state->fac_values.assign(n, std::vector<double>(num_fac, 0.0));
@@ -591,6 +587,8 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
     }
     return;
   }
+  state->values.resize(n, 0.0);
+  state->hits.assign(n, 0);
   for (size_t s = 0; s < n; ++s) {
     pool_.Post(
         [this, state, s, post_ns]() { ExecuteShard(state, s, post_ns); });
@@ -647,27 +645,11 @@ void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
     state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
                           post_ns, t0);
   }
-  const ShardState& shard = *state->snap->shards[shard_idx];
-  const FacilityCatalog& catalog = *state->snap->catalog;
   QueryStats stats;
   bool hit = false;
-  if (state->request.kind == QueryKind::kServiceValue) {
-    state->values[shard_idx] = ShardServiceValue(
-        shard, catalog, state->request.facility, &stats, &hit);
-  } else {
-    // Top-k needs this shard's contribution for EVERY facility: a global
-    // winner may rank arbitrarily low within a single shard, so per-shard
-    // top-k lists alone cannot be merged soundly. Warm cache entries from
-    // earlier service-value traffic (same keys) short-circuit most of it.
-    std::vector<double>& values = state->fac_values[shard_idx];
-    values.resize(catalog.size(), 0.0);
-    hit = true;
-    for (uint32_t f = 0; f < catalog.size(); ++f) {
-      bool f_hit = false;
-      values[f] = ShardServiceValue(shard, catalog, f, &stats, &f_hit);
-      hit = hit && f_hit;
-    }
-  }
+  state->values[shard_idx] =
+      ShardServiceValue(*state->snap->shards[shard_idx], *state->snap->catalog,
+                        state->request.facility, &stats, &hit);
   state->stats[shard_idx] = stats;
   state->hits[shard_idx] = hit ? 1 : 0;
   metrics_.AddShardTask();
@@ -702,32 +684,14 @@ void ShardedEngine::Gather(GatherState* state) {
   response.cache_hit = all_hit;
   response.stats = total;
 
-  if (state->request.kind == QueryKind::kServiceValue) {
-    // Disjoint user partition: SO(U, f) = Σ_s SO(U_s, f), summed in
-    // ascending shard order so the gather is deterministic.
-    double sum = 0.0;
-    for (const double v : state->values) sum += v;
-    response.value = sum;
-  } else {
-    RankTopK(state,
-             CompleteFacilities(all_shards_, state->fac_values,
-                                /*known=*/nullptr, snap.catalog->size()),
-             &response);
-  }
+  // Disjoint user partition: SO(U, f) = Σ_s SO(U_s, f), summed in
+  // ascending shard order so the gather is deterministic.
+  double sum = 0.0;
+  for (const double v : state->values) sum += v;
+  response.value = sum;
   metrics_.RecordQueryStats(total);
   if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
   state->done(std::move(response));
-}
-
-void ShardedEngine::RankTopK(GatherState* state,
-                             std::vector<RankedFacility> complete,
-                             QueryResponse* response) {
-  response->ranked = Rank(std::move(complete), state->request.k);
-  if (cache_.enabled()) {
-    metrics_.AddCacheMiss();
-    metrics_.AddCacheEvictions(cache_.PutTopK(
-        TopKKeyFor(*state->snap, state->request.k), response->ranked));
-  }
 }
 
 void ShardedEngine::ExecuteTopKBoundRound(
@@ -752,7 +716,7 @@ void ShardedEngine::ExecuteTopKBoundRound(
   std::vector<double>& bounds = state->bounds[shard_idx];
   bounds.resize(num_fac, 0.0);
   for (uint32_t f = 0; f < num_fac; ++f) {
-    bounds[f] = shard.tree->UpperBound(catalog.grid(f), options_.bound_levels,
+    bounds[f] = shard.tree->UpperBound(catalog.grid(f), kBoundLevels,
                                        &stats.nodes_visited);
   }
 
@@ -872,10 +836,14 @@ void ShardedEngine::FinishTopK(GatherState* state) {
 
   // Rank the fully-evaluated facilities only: they include the settled
   // window, and every other facility provably ranks after it.
-  RankTopK(state,
-           CompleteFacilities(all_shards_, state->fac_values, &state->known,
-                              num_fac),
-           &response);
+  response.ranked = Rank(CompleteFacilities(all_shards_, state->fac_values,
+                                            state->known, num_fac),
+                         state->request.k);
+  if (cache_.enabled()) {
+    metrics_.AddCacheMiss();
+    metrics_.AddCacheEvictions(cache_.PutTopK(
+        TopKKeyFor(snap, state->request.k), response.ranked));
+  }
   const uint64_t evaluated =
       state->evaluated.load(std::memory_order_relaxed);
   const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
@@ -902,8 +870,7 @@ void ShardedEngine::FinishBoundSweep(GatherState* state) {
   state->bound_done(std::move(result));
 }
 
-void ShardedEngine::TopKBoundSweepAsync(size_t /*k*/,
-                                        BoundSweepCallback done) {
+void ShardedEngine::TopKBoundSweepAsync(BoundSweepCallback done) {
   auto state = std::make_shared<GatherState>();
   state->snap = snapshot();
   // A bound sweep is one top-k query's first wave — count and time it as a

@@ -13,10 +13,9 @@
 //   * Queries scatter: a Submit fans one task per shard onto the thread
 //     pool; each task answers from its shard's frozen snapshot (cache-
 //     assisted), and the last finisher gathers — summing per-shard service
-//     values in ascending shard order, or merging per-shard per-facility
-//     value vectors into one ranked top-k list with the library's
-//     (value desc, facility id asc) tie-break. No pool thread ever blocks
-//     waiting on another task, so a pool of any size cannot deadlock.
+//     values in ascending shard order, or, for top-k, planning the next
+//     wave (below). No pool thread ever blocks waiting on another task, so
+//     a pool of any size cannot deadlock.
 //   * Writers are incremental twice over: a trajectory insert/remove batch
 //     is routed per shard, and only the AFFECTED shards are forked
 //     (TQTree::Fork) and republished — and each fork path-copies only the
@@ -35,9 +34,10 @@
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the single-tree values, bit for bit.
-//   * Top-k is BOUND-AND-PRUNE, not an exhaustive per-facility sweep —
-//     best-first refinement in scatter waves (see GatherState in
-//     sharded_engine.cc, with the coordinator math in prune_plan.h):
+//   * Top-k is BOUND-AND-PRUNE, the only top-k protocol and exact for every
+//     k (at k ≥ |F| the window is the whole catalog) — best-first
+//     refinement in scatter waves (see GatherState in sharded_engine.cc,
+//     with the coordinator math in prune_plan.h):
 //       sweep    every shard computes a cheap aggregate upper bound
 //                UB_s(f) for every facility (TQTree::UpperBound — node
 //                aggregates only, no entry ever scanned).
@@ -48,14 +48,13 @@
 //       refine   shards exactly evaluate the window's unsettled slots in
 //                one wave, whose last task plans again; once the window
 //                is fully evaluated it is the answer.
-//     Answers are bit-identical to the exhaustive gather: the winners'
-//     values are the same per-shard sums in the same shard order, and every
-//     facility outside the window has SO(U, f) ≤ B(f), so it ranks after
-//     every window member even on a tie.
-//     Cache keys are unchanged; only hit accounting moves — a top-k
-//     response reports cache_hit solely for memoised whole-answer hits,
-//     while per-(facility, shard) hits inside the rounds still count in
-//     the hit/miss metrics.
+//     Answers are exact bit for bit: a winner's value is its per-shard sums
+//     added in ascending shard order — the bits of evaluating every
+//     facility on every shard — and every facility outside the window has
+//     SO(U, f) ≤ B(f), so it ranks after every window member even on a tie.
+//     A top-k response reports cache_hit only for memoised whole-answer
+//     hits; per-(facility, shard) hits inside the waves still count in the
+//     hit/miss metrics.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -89,29 +88,6 @@ struct ShardedEngineOptions {
   size_t num_threads = 4;
   /// Total service-value cache entries across lock shards; 0 disables.
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
-  /// Top-k protocol: bound-and-prune (default) or the exhaustive per-shard
-  /// facility sweep. Both return bit-identical answers; the switch exists
-  /// for A/B measurement and cross-checking tests.
-  bool prune_topk = true;
-  /// TQ-tree descent budget of the per-facility bound sweep
-  /// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
-  int bound_levels = 4;
-  /// Adaptive protocol selection: when the effective k (min(k, |F|)) reaches
-  /// `prune_skip_ratio · |F|`, the bound sweep cannot prune enough to pay
-  /// for itself — the query goes straight to the exhaustive gather instead
-  /// (still bit-identical). > 1.0 never skips (the effective k tops out at
-  /// |F|, so exactly 1.0 still skips at k = |F|); 0.0 always skips (i.e.
-  /// always exhaustive, like prune_topk = false).
-  double prune_skip_ratio = 0.5;
-  /// Engine-owned traces for scatter queries submitted WITHOUT a caller
-  /// context: start one every `trace_sample` queries (0 = never). A trace
-  /// costs an allocation plus span clock reads in every shard task, so
-  /// tracing every query would tax the hot path; sampling keeps the ring
-  /// representative instead. Ignored — every query is traced — while the
-  /// slow-query log is armed (a slow query can only be logged if it was
-  /// traced from the start).
-  size_t trace_sample = 32;
   /// Owned Z-order shard range [owned_begin, owned_end) for shard-worker
   /// processes: the router still partitions the FULL user set `num_shards`
   /// ways (so every worker agrees on the geometry and on global id
@@ -160,6 +136,20 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 /// Writers are serialized among themselves; readers never block.
 class ShardedEngine : public ServingEngine {
  public:
+  /// TQ-tree descent budget of the per-facility bound sweep
+  /// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
+  static constexpr int kBoundLevels = 4;
+  /// Independently locked result-cache partitions.
+  static constexpr size_t kCacheShards = 8;
+  /// Engine-owned traces for scatter queries submitted WITHOUT a caller
+  /// context: one every kTraceSample queries. A trace costs an allocation
+  /// plus span clock reads in every shard task, so tracing every query
+  /// would tax the hot path; sampling keeps the ring representative
+  /// instead. Ignored — every query is traced — while the slow-query log is
+  /// armed (a slow query can only be logged if it was traced from the
+  /// start).
+  static constexpr size_t kTraceSample = 32;
+
   ShardedEngine(TrajectorySet users, TrajectorySet facilities,
                 ShardedEngineOptions options);
 
@@ -248,9 +238,9 @@ class ShardedEngine : public ServingEngine {
 
   /// The bound sweep over the owned shards, packaged for a remote
   /// coordinator (serves kBound frames): per-facility Σ UB_s(f) over the
-  /// owned shards — the same per-shard sweep a local pruned top-k query
-  /// starts with. `k` is accepted for the wire format and unused.
-  void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override;
+  /// owned shards — the same per-shard sweep a local top-k query starts
+  /// with.
+  void TopKBoundSweepAsync(BoundSweepCallback done) override;
 
   /// Submits every request, then blocks for all answers (in request order).
   std::vector<QueryResponse> RunBatch(const std::vector<QueryRequest>& batch);
@@ -293,10 +283,12 @@ class ShardedEngine : public ServingEngine {
 
   /// Per-shard task entry points. `post_ns` is the Post() timestamp of the
   /// task (0 when the query is untraced) — the queue-wait span.
+  /// A service-value query: one shard's SO(U_s, f).
   void ExecuteShard(const std::shared_ptr<GatherState>& state, size_t shard,
                     uint64_t post_ns);
+  /// Final sum of a service-value query; fulfils the promise.
   void Gather(GatherState* state);
-  /// The first wave of the pruned top-k protocol: one shard's bound sweep.
+  /// The first wave of the top-k protocol: one shard's bound sweep.
   void ExecuteTopKBoundRound(const std::shared_ptr<GatherState>& state,
                              size_t shard, uint64_t post_ns);
   /// A refinement wave: one shard evaluates the window's slots it has not
@@ -307,16 +299,13 @@ class ShardedEngine : public ServingEngine {
   /// (prune_plan.h PlanWindow) and either finishes or fans out the next
   /// refinement wave.
   void CoordinateTopK(const std::shared_ptr<GatherState>& state);
-  /// Final merge of a pruned top-k query; fulfils the promise.
+  /// Final merge of a top-k query: ranks the fully evaluated facilities,
+  /// memoises the answer under the snapshot's generation vector, and
+  /// fulfils the promise.
   void FinishTopK(GatherState* state);
   /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds instead of
   /// ranking.
   void FinishBoundSweep(GatherState* state);
-  /// The ranking-and-memoisation tail both top-k paths share: ranks
-  /// `complete` (exact per-facility totals, prune_plan.h Rank) and memoises
-  /// the answer under the snapshot's generation vector.
-  void RankTopK(GatherState* state, std::vector<RankedFacility> complete,
-                QueryResponse* response);
   /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
   double ShardServiceValue(const ShardState& shard,
                            const FacilityCatalog& catalog, FacilityId f,

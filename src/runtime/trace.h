@@ -8,7 +8,7 @@
 //     the encode span, and calls Tracer::Finish when the frame's last
 //     response is staged.
 //   * For in-process scatter queries submitted WITHOUT a caller trace, the
-//     sharded engine starts its own context (sampled 1-in-trace_sample,
+//     sharded engine starts its own context (sampled 1-in-kTraceSample,
 //     or every query while the slow log is armed) and finishes it right
 //     before invoking the completion callback — so slow queries are traced
 //     even when no front-end asked for it.

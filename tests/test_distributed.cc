@@ -179,30 +179,26 @@ TEST(Distributed, CoordinatorMatchesSingleProcessMatrixNyf) {
   }
 }
 
-// k = 3 takes at least three refinement waves on the pruned coordinator, so
-// bit-identity holds across the whole re-planning loop, not one plan.
-TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
+// k = 3 takes at least three refinement waves on the coordinator, so
+// bit-identity holds across the whole re-planning loop, not one plan; at
+// k = |F| the window is the whole catalog.
+TEST(Distributed, MultiWaveTopKMatchesInProcessEngine) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet fac = presets::NyBusRoutes(24, 8);
   constexpr size_t kMultiWaveK = 3;
   ShardedEngine reference(users, fac, EngineOptions(4));
   std::vector<Worker> workers = MakeWorkers(users, fac, 4, 2);
-  for (const bool prune : {true, false}) {
-    RemoteShardSetOptions ro = CoordOptions(workers);
-    ro.prune_topk = prune;
-    RemoteShardSet coord(ro);
-    ASSERT_TRUE(coord.Connect().ok());
-    for (const size_t k : {size_t{1}, kMultiWaveK, fac.size()}) {
-      SCOPED_TRACE("prune=" + std::to_string(prune) +
-                   " k=" + std::to_string(k));
-      size_t waves = 0;
-      const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
-      const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k), &waves);
-      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
-      ExpectSameRanking(got.ranked, want.ranked);
-      if (prune && k == kMultiWaveK) {
-        EXPECT_GE(waves, 3u);
-      }
+  RemoteShardSet coord(CoordOptions(workers));
+  ASSERT_TRUE(coord.Connect().ok());
+  for (const size_t k : {size_t{1}, kMultiWaveK, fac.size()}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    size_t waves = 0;
+    const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
+    const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k), &waves);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ExpectSameRanking(got.ranked, want.ranked);
+    if (k == kMultiWaveK) {
+      EXPECT_GE(waves, 3u);
     }
   }
 }
@@ -377,8 +373,8 @@ class DiesAfterFirstWave : public ServingEngine {
   std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override {
     return engine_->ApplyUpdates(batch);
   }
-  void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override {
-    engine_->TopKBoundSweepAsync(k, std::move(done));
+  void TopKBoundSweepAsync(BoundSweepCallback done) override {
+    engine_->TopKBoundSweepAsync(std::move(done));
   }
 
  private:

@@ -322,8 +322,8 @@ TEST(NetServer, LoopbackAgreesBitIdenticallyWithDirectEngine) {
           << "shards=" << shards << " facility=" << f;
     }
 
-    // One top-k frame batching k = 1, 5 (pruned protocol) and k = |F|
-    // (adaptive exhaustive path).
+    // One top-k frame batching k = 1, 5 and k = |F| (the window is the
+    // whole catalog).
     const auto full = static_cast<uint32_t>(routes.size());
     ASSERT_TRUE(client.TopK({1, 5, full}, &response).ok());
     ASSERT_TRUE(response.status.ok());

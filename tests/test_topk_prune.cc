@@ -2,15 +2,16 @@
 // sweep + refinement waves, src/tqtree TQTree::UpperBound):
 //   * the aggregate bound is sound — never below the exact service value —
 //     at every descent budget, tree mode and service model tested;
-//   * pruned top-k answers agree bit-for-bit with the exhaustive gather and
-//     with the brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
-//     shards ∈ {1, 2, 4, 8}, including tie-heavy value distributions;
+//   * top-k answers agree bit-for-bit with the snapshot oracle (every
+//     facility evaluated on every shard, summed in ascending shard order)
+//     for small k, k = |F|/2, k = |F| and k > |F| × shards ∈ {1, 2, 4, 8},
+//     under the raw point count (also equal to the brute-force ranking)
+//     and the paper's per-user-normalised Scenario 2, including tie-heavy
+//     value distributions;
 //   * the protocol evaluates only what best-first order needs:
 //     facilities_evaluated stays within the positive-bound slots of
 //     facilities whose bound reaches the k-th value, with the skipped slots
 //     accounted in facilities_pruned;
-//   * the adaptive large-k switch (prune_skip_ratio) routes k ≥ ratio·|F|
-//     queries straight to the exhaustive gather, same answers;
 //   * the shared window planner (runtime/prune_plan.h), iterated to its
 //     fixpoint on random bound/exact matrices against a brute-force top-k:
 //     B == value ties across ids, k ≥ |F|, all-zero bounds and dropped
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -50,12 +52,11 @@ using runtime::ShardedEngine;
 using runtime::ShardedEngineOptions;
 
 ShardedEngineOptions Options(size_t shards, const ServiceModel& model,
-                             bool prune, size_t cache_capacity = 0) {
+                             size_t cache_capacity = 0) {
   ShardedEngineOptions so;
   so.num_shards = shards;
   so.num_threads = 4;
   so.cache_capacity = cache_capacity;
-  so.prune_topk = prune;
   so.tree.beta = 16;
   so.tree.model = model;
   return so;
@@ -71,6 +72,26 @@ std::vector<RankedFacility> OracleRanking(const TrajectorySet& users,
   for (uint32_t f = 0; f < facs.size(); ++f) {
     all[f] = RankedFacility{
         f, testing::BruteForceSO(users, facs.points(f), model)};
+  }
+  std::sort(all.begin(), all.end(), RankedBefore);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+// Snapshot oracle: every facility evaluated exactly on every shard of
+// `snap` (EvaluateServiceTQ), summed in ascending shard order and ranked by
+// (value desc, id asc). These are the bits any exact sharded top-k must
+// return, computed without any coordinator code.
+std::vector<RankedFacility> SnapshotRanking(
+    const runtime::ShardedSnapshot& snap, size_t k) {
+  const FacilityCatalog& catalog = *snap.catalog;
+  std::vector<RankedFacility> all(catalog.size());
+  for (uint32_t f = 0; f < catalog.size(); ++f) all[f].id = f;
+  for (const runtime::ShardStatePtr& shard : snap.shards) {
+    for (uint32_t f = 0; f < catalog.size(); ++f) {
+      all[f].value += EvaluateServiceTQ(shard->tree.get(), *shard->eval,
+                                        catalog.grid(f), nullptr);
+    }
   }
   std::sort(all.begin(), all.end(), RankedBefore);
   all.resize(std::min(k, all.size()));
@@ -141,38 +162,56 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
   EXPECT_EQ(tree.UpperBound(catalog.grid(0), 4), 0.0);
 }
 
-// --------------------------------------------------- pruned top-k answers
+// ---------------------------------------------------------- top-k answers
 
-// The acceptance sweep: on the NYF preset, the pruned protocol must
-// reproduce the brute-force ranked oracle (ids, and values to float
-// tolerance) and the exhaustive gather (values bit for bit) at every
-// (k, shards) combination.
+// The acceptance sweep on NYF: at every (k, shards) combination the answer
+// equals the snapshot oracle bit for bit. Under the integer-valued raw
+// point count it also equals the brute-force ranking exactly; under the
+// paper's per-user-normalised Scenario 2 the sums are fractional, so the
+// snapshot oracle (same per-shard sums, same shard order) is the reference.
+// k runs from 1 through |F|/2 and |F| to beyond the catalog, and every
+// query runs the bound sweep, however large its k.
 TEST(TopKPrune, NyfExactAgreementWithBruteForceRanking) {
-  const TrajectorySet users = presets::NyfCheckins(1500);
-  const TrajectorySet routes = presets::NyBusRoutes(64, 8);
-  const ServiceModel model =
-      ServiceModel::PointCount(200.0, Normalization::kNone);
-  for (const size_t k : {1u, 5u, 64u}) {
-    const std::vector<RankedFacility> oracle =
-        OracleRanking(users, routes, model, k);
-    for (const size_t shards : {1u, 2u, 4u, 8u}) {
-      ShardedEngine pruned(users, routes, Options(shards, model, true));
-      ShardedEngine exhaustive(users, routes, Options(shards, model, false));
-      const QueryResponse got =
-          pruned.Submit(QueryRequest::TopK(k)).get();
-      const QueryResponse want =
-          exhaustive.Submit(QueryRequest::TopK(k)).get();
-      ASSERT_EQ(got.ranked.size(), oracle.size())
-          << "k=" << k << " shards=" << shards;
-      for (size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_EQ(got.ranked[i].id, oracle[i].id)
-            << "k=" << k << " shards=" << shards << " rank=" << i;
-        EXPECT_NEAR(got.ranked[i].value, oracle[i].value, 1e-9)
-            << "k=" << k << " shards=" << shards << " rank=" << i;
-        // Bit-identical to the exhaustive scatter/gather: same per-shard
-        // sums in the same shard order.
-        EXPECT_EQ(got.ranked[i].id, want.ranked[i].id);
-        EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
+  struct Case {
+    size_t users;
+    size_t facilities;
+    std::vector<size_t> ks;
+  };
+  const std::vector<Case> cases = {
+      {1500, 64, {1, 5, 32, 64}},
+      {900, 32, {2, 16}},   // k = |F|/2 on a smaller catalog
+      {600, 16, {1, 100}},  // k > |F| clamps to the whole catalog
+  };
+  for (const Case& c : cases) {
+    const TrajectorySet users = presets::NyfCheckins(c.users);
+    const TrajectorySet routes = presets::NyBusRoutes(c.facilities, 8);
+    for (const ServiceModel& model :
+         {ServiceModel::PointCount(200.0, Normalization::kNone),
+          ServiceModel::PointCount(200.0)}) {
+      const bool integral = model.normalization == Normalization::kNone;
+      std::vector<std::unique_ptr<ShardedEngine>> engines;
+      for (const size_t shards : {1u, 2u, 4u, 8u}) {
+        engines.push_back(std::make_unique<ShardedEngine>(
+            users, routes, Options(shards, model)));
+      }
+      for (const size_t k : c.ks) {
+        const std::vector<RankedFacility> brute =
+            integral ? OracleRanking(users, routes, model, k)
+                     : std::vector<RankedFacility>{};
+        for (const auto& engine : engines) {
+          SCOPED_TRACE("|F|=" + std::to_string(c.facilities) +
+                       " model=" + model.ToString() +
+                       " k=" + std::to_string(k) +
+                       " shards=" + std::to_string(engine->num_shards()));
+          const uint64_t rounds = engine->metrics().Read().prune_rounds;
+          const QueryResponse got =
+              engine->Submit(QueryRequest::TopK(k)).get();
+          EXPECT_GT(engine->metrics().Read().prune_rounds, rounds)
+              << "the query skipped the bound sweep";
+          ExpectSameRanking(got.ranked,
+                            SnapshotRanking(*engine->snapshot(), k));
+          if (integral) ExpectSameRanking(got.ranked, brute);
+        }
       }
     }
   }
@@ -197,7 +236,7 @@ TEST(TopKPrune, TieHeavyValuesKeepAscendingIdOrder) {
     const std::vector<RankedFacility> oracle =
         OracleRanking(users, facs, model, k);
     for (const size_t shards : {2u, 4u}) {
-      ShardedEngine pruned(users, facs, Options(shards, model, true));
+      ShardedEngine pruned(users, facs, Options(shards, model));
       const QueryResponse got =
           pruned.Submit(QueryRequest::TopK(k)).get();
       ASSERT_EQ(got.ranked.size(), oracle.size());
@@ -221,8 +260,8 @@ TEST(TopKPrune, TieHeavyValuesKeepAscendingIdOrder) {
 // cannot rule the facility out. With the shards' bounds and exact values
 // recomputed here, facilities_evaluated must stay within the positive-bound
 // slots of facilities whose initial B(f) = Σ_s UB_s(f) reaches the final
-// k-th value — strictly fewer than the exhaustive facilities × shards
-// sweep, with the skipped slots accounted.
+// k-th value — strictly fewer than evaluating all facilities × shards,
+// with the skipped slots accounted.
 TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   const TrajectorySet users = presets::NyfCheckins(1500);
   const TrajectorySet routes = presets::NyBusRoutes(64, 8);
@@ -230,7 +269,7 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
       ServiceModel::PointCount(200.0, Normalization::kNone);
   constexpr size_t kShards = 4;
   constexpr size_t kK = 10;
-  ShardedEngine engine(users, routes, Options(kShards, model, true));
+  ShardedEngine engine(users, routes, Options(kShards, model));
   const QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
   ASSERT_EQ(got.ranked.size(), kK);
 
@@ -242,8 +281,8 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   std::vector<uint64_t> positive_slots(routes.size(), 0);
   for (const runtime::ShardStatePtr& shard : snap->shards) {
     for (uint32_t f = 0; f < routes.size(); ++f) {
-      const double ub = shard->tree->UpperBound(
-          catalog.grid(f), engine.options().bound_levels);
+      const double ub = shard->tree->UpperBound(catalog.grid(f),
+                                                ShardedEngine::kBoundLevels);
       bound[f] += ub;
       if (ub > 0.0) ++positive_slots[f];
       exact[f] += EvaluateServiceTQ(shard->tree.get(), *shard->eval,
@@ -265,17 +304,9 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   EXPECT_LE(m.facilities_evaluated, needed)
       << "evaluated a slot whose facility's bound is below the k-th value";
   EXPECT_LT(m.facilities_evaluated, slots)
-      << "pruned top-k regressed to the exhaustive sweep";
+      << "top-k regressed to evaluating every slot";
   EXPECT_EQ(m.facilities_evaluated + m.facilities_pruned, slots);
   EXPECT_GE(m.prune_rounds, 1u);
-
-  // The exhaustive engine leaves the prune counters untouched.
-  ShardedEngine exhaustive(users, routes, Options(kShards, model, false));
-  (void)exhaustive.Submit(QueryRequest::TopK(10)).get();
-  const MetricsView me = exhaustive.metrics().Read();
-  EXPECT_EQ(me.facilities_evaluated, 0u);
-  EXPECT_EQ(me.facilities_pruned, 0u);
-  EXPECT_EQ(me.prune_rounds, 0u);
 }
 
 // Memoised answers and invalidation are protocol-independent: a repeated
@@ -287,7 +318,7 @@ TEST(TopKPrune, CachedAnswerSurvivesAndInvalidatesAcrossWrites) {
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   ShardedEngine engine(users, routes,
-                       Options(4, model, true, /*cache_capacity=*/2048));
+                       Options(4, model, /*cache_capacity=*/2048));
 
   const QueryResponse first = engine.Submit(QueryRequest::TopK(5)).get();
   EXPECT_FALSE(first.cache_hit);
@@ -323,8 +354,8 @@ TEST(TopKPrune, CachedAnswerSurvivesAndInvalidatesAcrossWrites) {
 }
 
 // Multi-wave queries re-enter the coordinator on whichever pool thread ends
-// a wave, while a writer publishes: every answer must equal the exhaustive
-// ranking of the snapshot version it reports. The TSan job runs this.
+// a wave, while a writer publishes: every answer must equal the snapshot
+// oracle's ranking of the version it reports. The TSan job runs this.
 TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet routes = presets::NyBusRoutes(32, 8);
@@ -338,17 +369,18 @@ TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
     batch.inserts.emplace_back(pts.begin(), pts.end());
   }
 
-  // want[version - 1][i]: the exhaustive answer for ks[i] at that version.
-  ShardedEngine reference(users, routes, Options(4, model, false));
+  // want[version - 1][i]: the snapshot oracle's answer for ks[i] on a
+  // reference engine's snapshot at that version.
+  ShardedEngine reference(users, routes, Options(4, model));
   std::vector<std::vector<std::vector<RankedFacility>>> want(2);
   for (size_t v = 0; v < 2; ++v) {
     if (v == 1) reference.ApplyUpdates(batch);
-    for (const size_t k : ks) {
-      want[v].push_back(reference.Submit(QueryRequest::TopK(k)).get().ranked);
-    }
+    const runtime::ShardedSnapshotPtr snap = reference.snapshot();
+    ASSERT_EQ(snap->version, v + 1);
+    for (const size_t k : ks) want[v].push_back(SnapshotRanking(*snap, k));
   }
 
-  ShardedEngine engine(users, routes, Options(4, model, true));
+  ShardedEngine engine(users, routes, Options(4, model));
   std::atomic<size_t> answered{0};
   std::atomic<bool> published{false};
   std::thread writer([&] {
@@ -399,7 +431,7 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
   const TrajectorySet facs = testing::RandomFacilities(&rng, 5, 6, w);
   const ServiceModel model =
       ServiceModel::PointCount(300.0, Normalization::kNone);
-  ShardedEngine engine(users, facs, Options(8, model, true));
+  ShardedEngine engine(users, facs, Options(8, model));
 
   // k = 0: empty answer, no crash.
   EXPECT_TRUE(engine.Submit(QueryRequest::TopK(0)).get().ranked.empty());
@@ -415,7 +447,7 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
 
   // More shards than users (some shards empty) with a tiny k.
   const TrajectorySet few = testing::RandomUsers(&rng, 3, 2, 4, w);
-  ShardedEngine sparse(few, facs, Options(8, model, true));
+  ShardedEngine sparse(few, facs, Options(8, model));
   const QueryResponse top =
       sparse.Submit(QueryRequest::TopK(2)).get();
   const std::vector<RankedFacility> sparse_oracle =
@@ -436,92 +468,13 @@ TEST(TopKPrune, SegmentedModeAgreesWithExhaustive) {
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   for (const size_t shards : {1u, 4u}) {
-    ShardedEngineOptions po = Options(shards, model, true);
-    po.tree.mode = TrajMode::kSegmented;
-    ShardedEngineOptions eo = Options(shards, model, false);
-    eo.tree.mode = TrajMode::kSegmented;
-    ShardedEngine pruned(users, routes, po);
-    ShardedEngine exhaustive(users, routes, eo);
-    const QueryResponse got = pruned.Submit(QueryRequest::TopK(6)).get();
-    const QueryResponse want =
-        exhaustive.Submit(QueryRequest::TopK(6)).get();
-    ASSERT_EQ(got.ranked.size(), want.ranked.size());
-    for (size_t i = 0; i < want.ranked.size(); ++i) {
-      EXPECT_EQ(got.ranked[i].id, want.ranked[i].id)
-          << "shards=" << shards << " rank=" << i;
-      EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
-    }
+    ShardedEngineOptions so = Options(shards, model);
+    so.tree.mode = TrajMode::kSegmented;
+    ShardedEngine engine(users, routes, so);
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExpectSameRanking(engine.Submit(QueryRequest::TopK(6)).get().ranked,
+                      SnapshotRanking(*engine.snapshot(), 6));
   }
-}
-
-// ------------------------------------------------- adaptive large-k switch
-
-// At k ≥ prune_skip_ratio·|F| the answer must contain at least half the
-// catalog, so the bound sweep is pure overhead — the engine must go
-// straight to the exhaustive gather (prune counters untouched) while small
-// k keeps the pruned protocol. Both answers match the oracle either way.
-TEST(TopKPrune, LargeKSkipsBoundSweepAdaptively) {
-  const TrajectorySet users = presets::NyfCheckins(900);
-  const TrajectorySet routes = presets::NyBusRoutes(32, 8);
-  const ServiceModel model =
-      ServiceModel::PointCount(200.0, Normalization::kNone);
-  ShardedEngine engine(users, routes, Options(4, model, true));
-  ASSERT_EQ(engine.options().prune_skip_ratio, 0.5);  // the documented default
-
-  // k = 16 = 0.5 · 32: at the threshold, the sweep is skipped.
-  const QueryResponse large = engine.Submit(QueryRequest::TopK(16)).get();
-  MetricsView m = engine.metrics().Read();
-  EXPECT_EQ(m.prune_rounds, 0u) << "large k still ran the bound sweep";
-  EXPECT_EQ(m.facilities_evaluated, 0u);
-
-  // k = 2 is far below the threshold: the pruned protocol runs.
-  const QueryResponse small = engine.Submit(QueryRequest::TopK(2)).get();
-  m = engine.metrics().Read();
-  EXPECT_GE(m.prune_rounds, 1u) << "small k skipped the bound sweep";
-
-  // Both paths match the brute-force ranking.
-  const std::vector<RankedFacility> oracle16 =
-      OracleRanking(users, routes, model, 16);
-  ASSERT_EQ(large.ranked.size(), oracle16.size());
-  for (size_t i = 0; i < oracle16.size(); ++i) {
-    EXPECT_EQ(large.ranked[i].id, oracle16[i].id) << "rank " << i;
-    EXPECT_EQ(large.ranked[i].value, oracle16[i].value) << "rank " << i;
-  }
-  const std::vector<RankedFacility> oracle2 =
-      OracleRanking(users, routes, model, 2);
-  ASSERT_EQ(small.ranked.size(), oracle2.size());
-  for (size_t i = 0; i < oracle2.size(); ++i) {
-    EXPECT_EQ(small.ranked[i].id, oracle2[i].id) << "rank " << i;
-    EXPECT_EQ(small.ranked[i].value, oracle2[i].value) << "rank " << i;
-  }
-}
-
-// The ratio is a real knob: ≥ 1.0 never skips (k is clamped to |F|), and
-// 0.0 always skips — equivalent to prune_topk = false.
-TEST(TopKPrune, PruneSkipRatioIsConfigurable) {
-  const TrajectorySet users = presets::NyfCheckins(600);
-  const TrajectorySet routes = presets::NyBusRoutes(16, 8);
-  const ServiceModel model =
-      ServiceModel::PointCount(200.0, Normalization::kNone);
-
-  ShardedEngineOptions never_skip = Options(2, model, true);
-  never_skip.prune_skip_ratio = 1.1;
-  ShardedEngine pruned(users, routes, never_skip);
-  // k beyond the catalog clamps to |F| = 16 < 1.1 · 16: protocol runs.
-  (void)pruned.Submit(QueryRequest::TopK(100)).get();
-  EXPECT_GE(pruned.metrics().Read().prune_rounds, 1u);
-
-  ShardedEngineOptions always_skip = Options(2, model, true);
-  always_skip.prune_skip_ratio = 0.0;
-  ShardedEngine exhaustive(users, routes, always_skip);
-  (void)exhaustive.Submit(QueryRequest::TopK(1)).get();
-  EXPECT_EQ(exhaustive.metrics().Read().prune_rounds, 0u);
-
-  // The predicate both coordinators share.
-  EXPECT_TRUE(runtime::UsePrunedTopK(true, 1.1, 100, 16));
-  EXPECT_FALSE(runtime::UsePrunedTopK(true, 0.5, 8, 16));
-  EXPECT_TRUE(runtime::UsePrunedTopK(true, 0.5, 7, 16));
-  EXPECT_FALSE(runtime::UsePrunedTopK(false, 2.0, 1, 16));
 }
 
 // ------------------------------------------------------------ prune planner
@@ -589,7 +542,7 @@ std::vector<RankedFacility> PlannedTopK(std::span<const size_t> parts,
     }
   }
   return runtime::Rank(
-      runtime::CompleteFacilities(parts, exact, &known, num_fac), k);
+      runtime::CompleteFacilities(parts, exact, known, num_fac), k);
 }
 
 // Property: on random non-negative exact matrices with bounds ≥ exacts and
@@ -677,7 +630,7 @@ TEST(PrunePlan, AllZeroBoundsSettleWithoutRefinement) {
   // Every facility ties at 0: ascending ids, k clamped to |F|.
   ExpectSameRanking(
       runtime::Rank(
-          runtime::CompleteFacilities(parts, exact, &known, num_fac), 99),
+          runtime::CompleteFacilities(parts, exact, known, num_fac), 99),
       BruteTopK(parts, zeros, 99));
 }
 

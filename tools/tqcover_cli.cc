@@ -27,8 +27,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -55,6 +57,26 @@ namespace {
 
 using tq::Status;
 
+// Whole-string unsigned decimal parse: no sign, no trailing characters, no
+// overflow.
+bool ParseSize(const std::string& s, size_t* out) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  *out = static_cast<size_t>(v);
+  return true;
+}
+
+// A malformed flag value is a usage error: report it and exit 2 rather than
+// throw from a parser or fall back to a default that changes the answers.
+[[noreturn]] void BadFlag(const std::string& key, const std::string& value) {
+  std::fprintf(stderr, "bad --%s '%s'\n", key.c_str(), value.c_str());
+  std::exit(2);
+}
+
 struct Args {
   std::string command;
   std::string target;  // optional positional HOST:PORT after the command
@@ -66,11 +88,22 @@ struct Args {
   }
   size_t GetSize(const std::string& key, size_t def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : static_cast<size_t>(std::stoull(it->second));
+    if (it == kv.end()) return def;
+    size_t v = 0;
+    if (!ParseSize(it->second, &v)) BadFlag(key, it->second);
+    return v;
   }
   double GetDouble(const std::string& key, double def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::stod(it->second);
+    if (it == kv.end()) return def;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+      BadFlag(key, it->second);
+    }
+    return v;
   }
 };
 
@@ -110,10 +143,6 @@ int Usage() {
       "           [--queries 1000] [--topk-every 0] [--k 8] [--psi 200]\n"
       "           [--scenario ...] [--beta 64] [--cache 4096]\n"
       "           [--updates 0] [--update-size 64] [--update-batch 1]\n"
-      "           [--prune 1]   # sharded top-k: bound-and-prune (0 =\n"
-      "                         # exhaustive per-shard sweeps, same answers)\n"
-      "           [--prune-skip-ratio 0.5]  # go exhaustive once k reaches\n"
-      "                                     # this fraction of |facilities|\n"
       "           [--listen PORT [--duration S]]  # serve the binary TCP\n"
       "                         # protocol (docs/PROTOCOL.md) instead of a\n"
       "                         # local query loop; 0 = ephemeral port;\n"
@@ -138,7 +167,7 @@ int Usage() {
       "                          # pages after each checkpoint\n"
       "  serve    --coordinator --workers HOST:PORT,... --listen PORT\n"
       "           [--rpc-timeout-ms 2000] [--heartbeat-ms 1000]\n"
-      "           [--heartbeat-timeout-ms 5000] [--prune 1]\n"
+      "           [--heartbeat-timeout-ms 5000]\n"
       "           [--data-dir DIR]  # persist the verified worker set into\n"
       "                         # DIR so a restart can omit --workers\n"
       "                         # no local data: serve by scatter/gather\n"
@@ -168,9 +197,10 @@ Status SaveSet(const std::string& path, const tq::TrajectorySet& set) {
 tq::ServiceModel ModelFromArgs(const Args& args) {
   const double psi = args.GetDouble("psi", 200.0);
   const std::string scenario = args.Get("scenario", "endpoints");
+  if (scenario == "endpoints") return tq::ServiceModel::Endpoints(psi);
   if (scenario == "points") return tq::ServiceModel::PointCount(psi);
   if (scenario == "length") return tq::ServiceModel::Length(psi);
-  return tq::ServiceModel::Endpoints(psi);
+  BadFlag("scenario", scenario);
 }
 
 int CmdGenerate(const Args& args) {
@@ -212,8 +242,10 @@ bool ParseHostPort(const std::string& target, std::string* host,
     return false;
   }
   *host = target.substr(0, colon);
-  const unsigned long p = std::stoul(target.substr(colon + 1));
-  if (p == 0 || p > 65535) return false;
+  size_t p = 0;
+  if (!ParseSize(target.substr(colon + 1), &p) || p == 0 || p > 65535) {
+    return false;
+  }
   *port = static_cast<uint16_t>(p);
   return true;
 }
@@ -944,8 +976,6 @@ int RunCoordinator(const Args& args) {
   options.rpc_timeout_ms = args.GetSize("rpc-timeout-ms", 2000);
   options.heartbeat_period_ms = args.GetSize("heartbeat-ms", 1000);
   options.heartbeat_timeout_ms = args.GetSize("heartbeat-timeout-ms", 5000);
-  options.prune_topk = args.GetSize("prune", 1) != 0;
-  options.prune_skip_ratio = args.GetDouble("prune-skip-ratio", 0.5);
   tq::runtime::RemoteShardSet engine(options);
   const Status st = engine.Connect();
   if (!st.ok()) {
@@ -1056,8 +1086,6 @@ int CmdServe(const Args& args) {
   options.num_shards = num_shards;
   options.num_threads = num_threads;
   options.cache_capacity = cache_capacity;
-  options.prune_topk = args.GetSize("prune", 1) != 0;
-  options.prune_skip_ratio = args.GetDouble("prune-skip-ratio", 0.5);
   options.owned_begin = owned_begin;
   options.owned_end = owned_end;
   options.durability = durability;
@@ -1090,14 +1118,12 @@ int CmdServe(const Args& args) {
                 num_facilities, num_threads, build_timer.ElapsedSeconds());
   } else {
     std::printf("sharded engine up: %zu users over %zu shards, "
-                "%zu facilities, %zu threads, top-k %s (built in %.3f s)\n",
+                "%zu facilities, %zu threads (built in %.3f s)\n",
                 recovering ? engine->NumUsersTotal() : num_users,
                 engine->num_shards(),
                 recovering ? engine->snapshot()->catalog->size()
                            : num_facilities,
-                num_threads,
-                options.prune_topk ? "bound-and-prune" : "exhaustive",
-                build_timer.ElapsedSeconds());
+                num_threads, build_timer.ElapsedSeconds());
   }
   if (durability.enabled()) {
     std::printf("durable: data dir %s, wal-sync %s, checkpoint every "

@@ -19,7 +19,6 @@
 
 #include "common/timer.h"
 #include "datagen/presets.h"
-#include "runtime/histogram.h"
 #include "quadtree/point_quadtree.h"
 #include "query/baseline.h"
 #include "query/topk.h"
@@ -124,31 +123,6 @@ inline Workload BuildWorkload(TrajectorySet users, TrajectorySet facilities,
     w.build_z_s = t.ElapsedSeconds();
   }
   return w;
-}
-
-/// Latency accumulator for the benchmark binaries, backed by the runtime's
-/// log-bucketed histogram (runtime/histogram.h) — the same machinery the
-/// serving engine exports over kStats, so bench percentiles and scraped
-/// percentiles agree on bucketing (≤ 12.5% relative error per sample).
-/// Record is wait-free and thread-striped: one recorder can be shared by
-/// every client thread of a bench cell, replacing the per-thread
-/// sort-a-vector percentile code each bench used to carry.
-class LatencyRecorder {
- public:
-  void RecordSeconds(double seconds) {
-    RecordNs(seconds <= 0 ? 0 : static_cast<uint64_t>(seconds * 1e9));
-  }
-  void RecordNs(uint64_t ns) { hist_.Record(ns); }
-  runtime::HistogramSnapshot Snapshot() const { return hist_.Read(); }
-
- private:
-  runtime::LatencyHistogram hist_;
-};
-
-/// Percentile in milliseconds off a histogram snapshot (p in [0, 1]).
-inline double PercentileMs(const runtime::HistogramSnapshot& snap,
-                           double p) {
-  return static_cast<double>(snap.Percentile(p)) / 1e6;
 }
 
 /// Average seconds over `reps` runs of `fn`.

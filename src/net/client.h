@@ -7,7 +7,7 @@
 //     Flush() writes them in one burst, Receive() drains the responses in
 //     send order. Because the server pipelines responses per connection in
 //     arrival order, N requests cost one round-trip instead of N — this is
-//     the API the throughput bench and any high-rate caller should use.
+//     the API any high-rate caller should use.
 //
 // A NetClient is NOT thread-safe; use one per thread (connections are
 // cheap — the server spends no thread on them).

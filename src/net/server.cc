@@ -499,9 +499,8 @@ uint64_t NetServer::AllocSlot(Connection* conn) {
 void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
                             const std::string& payload) {
   // Frame receive timestamp: start of the kNetFrame decode→respond
-  // histogram window (0 when latency recording is off — no clock read).
-  const uint64_t rx_ns =
-      metrics_->latency_recording() ? runtime::NowNs() : 0;
+  // histogram window.
+  const uint64_t rx_ns = runtime::NowNs();
   const uint64_t frame_idx = conn->frames_seen++;
   NetRequest request;
   const Status st = DecodeRequest(payload, &request);
@@ -556,7 +555,7 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     trace = engine_->tracer().Start(
         sum ? "net_sum" : "net_topk",
         sum ? request.facilities.size() : request.ks.size(), rx_ns);
-    if (rx_ns != 0) trace->AddSpan("decode", -1, rx_ns, runtime::NowNs());
+    trace->AddSpan("decode", -1, rx_ns, runtime::NowNs());
   }
   switch (request.type) {
     case MessageType::kSum:

@@ -157,8 +157,8 @@ class NetServer {
   /// encodes the response frame into `results_field` and completes slot
   /// `seq`. `trace` (nullable) is the frame's sampled trace — shared by
   /// every sub-query, encode-span'd and finished by the last completion.
-  /// `rx_ns` (0 = untimed) is the frame's decode timestamp feeding the
-  /// kNetFrame histogram.
+  /// `rx_ns` is the frame's decode timestamp feeding the kNetFrame
+  /// histogram.
   template <typename Result>
   void DispatchBatch(
       const std::shared_ptr<Connection>& conn, uint64_t seq,

@@ -16,9 +16,8 @@
 //
 // Latency distributions (runtime/histogram.h) ride alongside the counters:
 // one wait-free LatencyHistogram per OpFamily, recorded through
-// RecordLatency(). set_latency_recording(false) turns the whole latency
-// layer off — including the clock reads feeding it — which is how
-// bench_net_throughput measures the instrumentation overhead.
+// RecordLatency(). Recording is unconditional, so every end-to-end number
+// bench_layers reports already includes its cost.
 #ifndef TQCOVER_RUNTIME_METRICS_H_
 #define TQCOVER_RUNTIME_METRICS_H_
 
@@ -314,18 +313,9 @@ class MetricsRegistry {
     heap_pops_.fetch_add(s.heap_pops, std::memory_order_relaxed);
   }
 
-  /// One latency sample for the given family. Callers gate the clock reads
-  /// feeding this on latency_recording() so disabling the layer removes the
-  /// whole cost, not just the fetch_add (see e.g. ShardedEngine).
+  /// One latency sample for the given family.
   void RecordLatency(OpFamily family, uint64_t ns) {
-    if (!latency_recording()) return;
     histograms_[static_cast<size_t>(family)].Record(ns);
-  }
-  bool latency_recording() const {
-    return latency_recording_.load(std::memory_order_relaxed);
-  }
-  void set_latency_recording(bool on) {
-    latency_recording_.store(on, std::memory_order_relaxed);
   }
   /// 1-in-32 gate for the PER-TASK families (kShardTask, kQueueWait): a
   /// query fans into num_shards tasks, each wanting 2-3 clock reads, which
@@ -360,7 +350,6 @@ class MetricsRegistry {
   TQ_METRICS_COUNTERS(TQ_METRICS_ATOMIC)
 #undef TQ_METRICS_ATOMIC
 
-  std::atomic<bool> latency_recording_{true};
   LatencyHistogram histograms_[kNumOpFamilies];
 };
 

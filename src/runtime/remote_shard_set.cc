@@ -334,15 +334,14 @@ void RemoteShardSet::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                                  ResponseCallback done, uint64_t start_ns) {
   const bool topk = request.kind == QueryKind::kTopK;
   metrics_.AddQuery(topk);
-  const uint64_t t0 =
-      metrics_.latency_recording() ? (start_ns != 0 ? start_ns : NowNs()) : 0;
+  const uint64_t t0 = start_ns != 0 ? start_ns : NowNs();
   const OpFamily family =
       topk ? OpFamily::kTopKQuery : OpFamily::kServiceQuery;
   if (topk && (request.k == 0 || num_facilities_ == 0)) {
     QueryResponse response;
     response.kind = QueryKind::kTopK;
     response.snapshot_version = snapshot_version();
-    if (t0 != 0) metrics_.RecordLatency(family, NowNs() - t0);
+    metrics_.RecordLatency(family, NowNs() - t0);
     done(std::move(response));
     return;
   }
@@ -352,7 +351,7 @@ void RemoteShardSet::SubmitAsync(QueryRequest request, TraceContextPtr trace,
         request.kind == QueryKind::kServiceValue
             ? RunSum(request.facility, trace.get())
             : RunTopK(request.k, trace.get());
-    if (t0 != 0) metrics_.RecordLatency(family, NowNs() - t0);
+    metrics_.RecordLatency(family, NowNs() - t0);
     done(std::move(response));
   });
 }

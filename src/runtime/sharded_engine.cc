@@ -492,16 +492,13 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   // Submit-to-completion latency, recorded on EVERY completion path below
   // (error, cache hit, degenerate, scatter) so the per-kind histogram
   // counts sum exactly to queries_total — the invariant the CI
-  // observability smoke asserts. The clock read is gated on the recording
-  // toggle so disabling observability removes the whole cost; a caller
-  // start_ns (the net server's frame receive time) replaces it entirely.
-  const uint64_t t0 = metrics_.latency_recording()
-                          ? (start_ns != 0 ? start_ns : NowNs())
-                          : 0;
+  // observability smoke asserts. A caller start_ns (the net server's frame
+  // receive time) replaces the clock read.
+  const uint64_t t0 = start_ns != 0 ? start_ns : NowNs();
   const OpFamily family =
       topk ? OpFamily::kTopKQuery : OpFamily::kServiceQuery;
   auto finish_inline = [&](QueryResponse response) {
-    if (t0 != 0) metrics_.RecordLatency(family, NowNs() - t0);
+    metrics_.RecordLatency(family, NowNs() - t0);
     done(std::move(response));
   };
 
@@ -563,7 +560,7 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
     if (owns_trace && trace) {
       tracer_.Finish(*trace, response.snapshot_version);
     }
-    if (t0 != 0) metrics_.RecordLatency(family, NowNs() - t0);
+    metrics_.RecordLatency(family, NowNs() - t0);
     inner(std::move(response));
   };
 
@@ -637,10 +634,7 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
 void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
                                  size_t shard_idx, uint64_t post_ns) {
   const uint64_t t0 =
-      ((metrics_.latency_recording() && MetricsRegistry::SampleTask()) ||
-       state->trace)
-          ? NowNs()
-          : 0;
+      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
   if (state->trace && post_ns != 0) {
     state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
                           post_ns, t0);
@@ -698,10 +692,7 @@ void ShardedEngine::ExecuteTopKBoundRound(
     const std::shared_ptr<GatherState>& state, size_t shard_idx,
     uint64_t post_ns) {
   const uint64_t t0 =
-      ((metrics_.latency_recording() && MetricsRegistry::SampleTask()) ||
-       state->trace)
-          ? NowNs()
-          : 0;
+      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
   if (state->trace && post_ns != 0) {
     state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
                           post_ns, t0);
@@ -784,10 +775,7 @@ void ShardedEngine::ExecuteTopKRefineRound(
     const std::shared_ptr<GatherState>& state, size_t shard_idx,
     uint64_t post_ns) {
   const uint64_t t0 =
-      ((metrics_.latency_recording() && MetricsRegistry::SampleTask()) ||
-       state->trace)
-          ? NowNs()
-          : 0;
+      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
   if (state->trace && post_ns != 0) {
     state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
                           post_ns, t0);
@@ -877,10 +865,10 @@ void ShardedEngine::TopKBoundSweepAsync(BoundSweepCallback done) {
   // top-k query so the histogram-vs-counter invariant the CI observability
   // smoke asserts holds on workers too.
   metrics_.AddQuery(/*topk=*/true);
-  const uint64_t t0 = metrics_.latency_recording() ? NowNs() : 0;
+  const uint64_t t0 = NowNs();
   state->bound_done = [this, t0,
                        inner = std::move(done)](BoundSweepResult result) {
-    if (t0 != 0) metrics_.RecordLatency(OpFamily::kTopKQuery, NowNs() - t0);
+    metrics_.RecordLatency(OpFamily::kTopKQuery, NowNs() - t0);
     inner(std::move(result));
   };
 

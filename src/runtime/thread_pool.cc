@@ -24,16 +24,11 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Post(std::function<void()> task) {
-  // Stamp the enqueue time only while latency recording is on (so the
-  // observability off-switch removes the clock read too) and only for a
-  // 1-in-N sample of tasks (see MetricsRegistry::SampleTask) — the
-  // unstamped tasks propagate the zero sentinel and skip the dequeue-side
-  // clock read as well.
-  const uint64_t enqueue_ns = (metrics_ != nullptr &&
-                               metrics_->latency_recording() &&
-                               MetricsRegistry::SampleTask())
-                                  ? NowNs()
-                                  : 0;
+  // Stamp the enqueue time only for a 1-in-N sample of tasks (see
+  // MetricsRegistry::SampleTask) — the unstamped tasks propagate the zero
+  // sentinel and skip the dequeue-side clock read as well.
+  const uint64_t enqueue_ns =
+      (metrics_ != nullptr && MetricsRegistry::SampleTask()) ? NowNs() : 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(QueuedTask{std::move(task), enqueue_ns});

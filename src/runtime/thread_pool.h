@@ -66,7 +66,7 @@ class ThreadPool {
   std::condition_variable drain_cv_;  // Drain() waits for quiescence
   struct QueuedTask {
     std::function<void()> fn;
-    uint64_t enqueue_ns = 0;  // 0 when queue-wait tracking is off
+    uint64_t enqueue_ns = 0;  // 0 when this task is not sampled
   };
   std::deque<QueuedTask> queue_;
   size_t in_flight_ = 0;  // tasks popped but not yet finished

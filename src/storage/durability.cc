@@ -37,7 +37,6 @@ Status DurabilityManager::Start(uint64_t next_lsn) {
   }
   WalOptions wal_options;
   wal_options.sync = options_.wal_sync;
-  wal_options.segment_bytes = options_.wal_segment_bytes;
   auto wal = WalWriter::Open(WalDir(options_.data_dir), next_lsn, wal_options);
   TQ_RETURN_NOT_OK(wal.status());
   wal_ = std::move(*wal);
@@ -77,7 +76,7 @@ Result<CheckpointStats> DurabilityManager::CheckpointNow() {
   stats.wal_bytes_trimmed = *trimmed;
   trace->AddSpan("trim_wal", -1, trim_start, runtime::NowNs());
 
-  if (options_.compact_after_checkpoint && compact_) {
+  if (compact_) {
     const uint64_t compact_start = runtime::NowNs();
     stats.pages_reclaimed = compact_(stats.lsn);
     trace->AddSpan("compact", -1, compact_start, runtime::NowNs());

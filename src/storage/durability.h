@@ -42,12 +42,8 @@ struct DurabilityOptions {
   /// off: no WAL, no checkpoints, restarts lose everything (the default).
   std::string data_dir;
   WalSync wal_sync = WalSync::kAlways;
-  uint64_t wal_segment_bytes = 64ull << 20;
   /// Background checkpoint cadence; 0 = manual Checkpoint() calls only.
   uint64_t checkpoint_interval_ms = 0;
-  /// Round-trip live shard trees into fresh dense pages after each
-  /// checkpoint, releasing the historical pages long fork chains pin.
-  bool compact_after_checkpoint = true;
 
   bool enabled() const { return !data_dir.empty(); }
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -323,9 +324,11 @@ TEST(Distributed, UpdateFanOutKeepsBitIdentity) {
 
 /// A worker front-end that dies mid-query: once armed, the first
 /// service-value query to reach it — the coordinator's first refinement
-/// wave — stops its NetServer from a side thread. Stop() drains and flushes
-/// that wave's answer before the sockets drop, so the worker dies between
-/// waves and the next wave finds it gone. Everything else is the engine's.
+/// wave — stops its NetServer from a side thread. That wave's queries are
+/// held until the event loop has stopped reading; Stop() then drains and
+/// flushes their answer before the sockets drop, so the worker dies between
+/// waves and the next wave finds it gone however late the side thread is
+/// scheduled. Everything else is the engine's.
 class DiesAfterFirstWave : public ServingEngine {
  public:
   explicit DiesAfterFirstWave(ShardedEngine* engine) : engine_(engine) {}
@@ -337,12 +340,25 @@ class DiesAfterFirstWave : public ServingEngine {
     server_ = server;
     armed_.store(true);
   }
-  /// Waits for the kill to finish; true when it happened.
+  /// Waits for the kill to finish; true when it happened. The lock is not
+  /// held while joining: Stop() joins the loop thread, which may be waiting
+  /// for it in SubmitAsync.
   bool Join() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!killer_.joinable()) return false;
-    killer_.join();
-    return true;
+    std::thread killer;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      killer = std::move(killer_);
+    }
+    const bool killed = killer.joinable();
+    if (killed) killer.join();
+    // The loop has stopped, so no query is held after this.
+    std::vector<std::thread> held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held.swap(held_);
+    }
+    for (std::thread& t : held) t.join();
+    return killed;
   }
 
   void SubmitAsync(QueryRequest request, runtime::TraceContextPtr trace,
@@ -351,9 +367,24 @@ class DiesAfterFirstWave : public ServingEngine {
         armed_.exchange(false)) {
       std::lock_guard<std::mutex> lock(mu_);
       killer_ = std::thread([this] { server_->Stop(); });
+      dying_.store(true);
     }
-    engine_->SubmitAsync(std::move(request), std::move(trace),
-                         std::move(done), start_ns);
+    if (!dying_.load()) {
+      engine_->SubmitAsync(std::move(request), std::move(trace),
+                           std::move(done), start_ns);
+      return;
+    }
+    // Stop() clears running() once the loop has exited, and only then
+    // waits for in-flight queries, so a held query cannot deadlock it.
+    std::lock_guard<std::mutex> lock(mu_);
+    held_.emplace_back([this, request, trace = std::move(trace),
+                        done = std::move(done), start_ns]() mutable {
+      while (server_->running()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      engine_->SubmitAsync(request, std::move(trace), std::move(done),
+                           start_ns);
+    });
   }
   runtime::MetricsRegistry* mutable_metrics() override {
     return engine_->mutable_metrics();
@@ -381,8 +412,10 @@ class DiesAfterFirstWave : public ServingEngine {
   ShardedEngine* engine_;
   NetServer* server_ = nullptr;
   std::atomic<bool> armed_{false};
-  std::mutex mu_;  // guards killer_ (started on the worker's loop thread)
+  std::atomic<bool> dying_{false};  // the kill started: hold every query
+  std::mutex mu_;  // guards killer_ and held_ (started on the loop thread)
   std::thread killer_;
+  std::vector<std::thread> held_;  // the dying wave's queries
 };
 
 TEST(Distributed, WorkerDeathDegradesWithoutHanging) {

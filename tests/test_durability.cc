@@ -330,7 +330,8 @@ void ExpectBitIdentical(const AnswerSurface& got, const AnswerSurface& want) {
   }
 }
 
-ShardedEngineOptions DurableOptions(const std::string& data_dir) {
+ShardedEngineOptions DurableOptions(const std::string& data_dir,
+                                    WalSync sync = WalSync::kAlways) {
   ShardedEngineOptions o;
   o.num_shards = 4;
   o.num_threads = 4;
@@ -338,7 +339,7 @@ ShardedEngineOptions DurableOptions(const std::string& data_dir) {
   o.tree.beta = 16;
   o.tree.model = ServiceModel::PointCount(300.0);
   o.durability.data_dir = data_dir;
-  o.durability.wal_sync = WalSync::kAlways;
+  o.durability.wal_sync = sync;
   return o;
 }
 
@@ -373,10 +374,13 @@ Workload MakeWorkload(uint64_t seed, size_t num_batches) {
 // checkpoint covering everything, (c) a checkpoint plus trailing WAL
 // records. In every case the recovered engine must be bit-identical to an
 // engine that never crashed — same snapshot version, same per-shard
-// generations, same answers to the last FP bit.
+// generations, same answers to the last FP bit. `sync` is the victim's
+// --wal-sync policy; every policy writes each record before its publish, so
+// all of them survive a process kill (only power loss tells them apart).
 void RunKillPointScenario(const std::string& name, size_t checkpoint_after,
                           uint64_t expect_checkpoint_lsn,
-                          uint64_t expect_replayed) {
+                          uint64_t expect_replayed,
+                          WalSync sync = WalSync::kAlways) {
   const std::string dir = TempDir("kill_" + name);
   const Workload wl = MakeWorkload(/*seed=*/97, /*num_batches=*/4);
   const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
@@ -390,7 +394,7 @@ void RunKillPointScenario(const std::string& name, size_t checkpoint_after,
   const AnswerSurface expected = Answers(&reference, nf);
 
   {
-    ShardedEngine victim(wl.users, wl.facilities, DurableOptions(dir));
+    ShardedEngine victim(wl.users, wl.facilities, DurableOptions(dir, sync));
     for (size_t b = 0; b < wl.batches.size(); ++b) {
       victim.ApplyUpdates(wl.batches[b]);
       if (checkpoint_after == b + 1) {
@@ -403,10 +407,10 @@ void RunKillPointScenario(const std::string& name, size_t checkpoint_after,
     EXPECT_GE(m.checkpoints, 1u) << name;
     // Destroyed here WITHOUT a final checkpoint: everything after
     // checkpoint_after lives only in the WAL, exactly like a SIGKILL
-    // (kAlways fsyncs each batch before its publish).
+    // (the WAL write(2)s each batch before its publish).
   }
 
-  auto recovered = ShardedEngine::Recover(DurableOptions(dir));
+  auto recovered = ShardedEngine::Recover(DurableOptions(dir, sync));
   ASSERT_TRUE(recovered.ok()) << name << ": " << recovered.status().ToString();
   ShardedEngine* engine = recovered->get();
 
@@ -434,7 +438,7 @@ void RunKillPointScenario(const std::string& name, size_t checkpoint_after,
   const uint64_t version_after = engine->snapshot_version();
   recovered->reset();
 
-  auto again = ShardedEngine::Recover(DurableOptions(dir));
+  auto again = ShardedEngine::Recover(DurableOptions(dir, sync));
   ASSERT_TRUE(again.ok()) << name << ": " << again.status().ToString();
   EXPECT_EQ((*again)->snapshot_version(), version_after) << name;
   ExpectBitIdentical(Answers(again->get(), nf), after_extra);
@@ -444,6 +448,17 @@ TEST(CrashRecovery, WalOnly) {
   // No manual checkpoint: only the initial one (LSN 1); all 4 batches replay.
   RunKillPointScenario("wal_only", /*checkpoint_after=*/0,
                        /*expect_checkpoint_lsn=*/1, /*expect_replayed=*/4);
+}
+
+TEST(CrashRecovery, WalOnlyUnderBatchAndOffSync) {
+  // The same WAL-only kill point under the two relaxed policies: kBatch
+  // (fsync on the background tick) and kOff (never fsync).
+  RunKillPointScenario("wal_only_batch", /*checkpoint_after=*/0,
+                       /*expect_checkpoint_lsn=*/1, /*expect_replayed=*/4,
+                       WalSync::kBatch);
+  RunKillPointScenario("wal_only_off", /*checkpoint_after=*/0,
+                       /*expect_checkpoint_lsn=*/1, /*expect_replayed=*/4,
+                       WalSync::kOff);
 }
 
 TEST(CrashRecovery, CheckpointCoversEverything) {
@@ -525,7 +540,6 @@ TEST(Compaction, ReclaimsPagesWithoutPerturbingRetainedSnapshots) {
   const Workload wl = MakeWorkload(/*seed=*/171, /*num_batches=*/8);
   const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
   ShardedEngineOptions options = DurableOptions(dir);
-  options.durability.compact_after_checkpoint = true;
   ShardedEngine engine(wl.users, wl.facilities, options);
   for (const UpdateBatch& batch : wl.batches) {
     engine.ApplyUpdates(batch);

@@ -179,16 +179,6 @@ TEST(Metrics, ToJsonContainsEveryCounterAndHistogramFamily) {
   EXPECT_EQ(view.queries_total, 1u);
 }
 
-TEST(Metrics, LatencyRecordingGateDropsSamples) {
-  MetricsRegistry registry;
-  registry.set_latency_recording(false);
-  registry.RecordLatency(OpFamily::kPublish, 999);
-  EXPECT_EQ(registry.histogram(OpFamily::kPublish).Read().count, 0u);
-  registry.set_latency_recording(true);
-  registry.RecordLatency(OpFamily::kPublish, 999);
-  EXPECT_EQ(registry.histogram(OpFamily::kPublish).Read().count, 1u);
-}
-
 // --------------------------------------------------------------- traces
 
 TEST(Trace, SpansRecordAndRebaseRelativeToStart) {

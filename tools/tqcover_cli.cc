@@ -163,8 +163,6 @@ int Usage() {
       "                         # batch, recover from DIR's checkpoint on\n"
       "                         # restart (docs/DURABILITY.md)\n"
       "           [--wal-sync always|batch|off] [--checkpoint-interval-ms 0]\n"
-      "           [--compact 1]  # round-trip shard trees into fresh dense\n"
-      "                          # pages after each checkpoint\n"
       "  serve    --coordinator --workers HOST:PORT,... --listen PORT\n"
       "           [--rpc-timeout-ms 2000] [--heartbeat-ms 1000]\n"
       "           [--heartbeat-timeout-ms 5000]\n"
@@ -1012,6 +1010,31 @@ int CmdServe(const Args& args) {
   tq::TQTreeOptions tree;
   tree.beta = args.GetSize("beta", 64);
   tree.model = ModelFromArgs(args);
+  const bool listen = args.kv.count("listen") != 0;
+  // --worker LO:HI: build trees only for an owned slice of the partition (a
+  // shard-worker process behind a coordinator). Only meaningful behind the
+  // wire protocol — a local query loop over a slice answers partial sums.
+  // Parsed before any file is opened, so a mistyped range fails fast.
+  uint32_t owned_begin = 0;
+  uint32_t owned_end = 0;
+  const std::string worker = args.Get("worker");
+  if (!worker.empty()) {
+    const size_t colon = worker.find(':');
+    size_t lo = 0;
+    size_t hi = 0;
+    if (colon == std::string::npos ||
+        !ParseSize(worker.substr(0, colon), &lo) ||
+        !ParseSize(worker.substr(colon + 1), &hi) || hi <= lo ||
+        hi > num_shards) {
+      BadFlag("worker", worker);
+    }
+    if (!listen) {
+      std::fprintf(stderr, "serve: --worker requires --listen\n");
+      return 2;
+    }
+    owned_begin = static_cast<uint32_t>(lo);
+    owned_end = static_cast<uint32_t>(hi);
+  }
 
   // --data-dir DIR: durable serving (WAL + background checkpoints). When
   // the dir already holds a committed checkpoint the engine recovers from
@@ -1031,7 +1054,6 @@ int CmdServe(const Args& args) {
     }
     durability.checkpoint_interval_ms =
         args.GetSize("checkpoint-interval-ms", 0);
-    durability.compact_after_checkpoint = args.GetSize("compact", 1) != 0;
   }
   const bool recovering =
       durability.enabled() &&
@@ -1053,30 +1075,6 @@ int CmdServe(const Args& args) {
 
   const size_t num_users = users.size();
   const size_t num_facilities = facilities.size();
-  const bool listen = args.kv.count("listen") != 0;
-  // --worker LO:HI: build trees only for an owned slice of the partition (a
-  // shard-worker process behind a coordinator). Only meaningful behind the
-  // wire protocol — a local query loop over a slice answers partial sums.
-  uint32_t owned_begin = 0;
-  uint32_t owned_end = 0;
-  const std::string worker = args.Get("worker");
-  if (!worker.empty()) {
-    unsigned lo = 0;
-    unsigned hi = 0;
-    if (std::sscanf(worker.c_str(), "%u:%u", &lo, &hi) != 2 || hi <= lo ||
-        hi > num_shards) {
-      std::fprintf(stderr, "serve: bad --worker range '%s' (want LO:HI "
-                           "within 0:%zu)\n",
-                   worker.c_str(), num_shards);
-      return 2;
-    }
-    if (!listen) {
-      std::fprintf(stderr, "serve: --worker requires --listen\n");
-      return 2;
-    }
-    owned_begin = lo;
-    owned_end = hi;
-  }
   // The churn mirror costs a full user-set copy — only pay it when update
   // batches are actually requested (see RunServeLoop).
   tq::TrajectorySet mirror;
@@ -1127,12 +1125,11 @@ int CmdServe(const Args& args) {
   }
   if (durability.enabled()) {
     std::printf("durable: data dir %s, wal-sync %s, checkpoint every "
-                "%llu ms%s\n",
+                "%llu ms, compacting\n",
                 durability.data_dir.c_str(),
                 tq::storage::WalSyncName(durability.wal_sync),
                 static_cast<unsigned long long>(
-                    durability.checkpoint_interval_ms),
-                durability.compact_after_checkpoint ? ", compacting" : "");
+                    durability.checkpoint_interval_ms));
   }
   if (listen) return RunListenLoop(*engine, args);
   ArmSlowQueryLog(*engine, args);  // engine-owned traces cover this path

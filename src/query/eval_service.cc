@@ -40,17 +40,29 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
   return out;
 }
 
+const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid) {
+  static thread_local std::vector<uint64_t> mask;
+  return tree.MarkCandidates(grid.stops(), grid.psi(), &mask) ? mask.data()
+                                                              : nullptr;
+}
+
 namespace {
+
+bool IsCandidate(const uint64_t* candidates, uint32_t traj_id) {
+  return candidates == nullptr ||
+         ((candidates[traj_id >> 6] >> (traj_id & 63)) & 1) != 0;
+}
 
 // Applies `fn` to every entry of node `idx`'s list that survives pruning
 // against the facility component's serving corridor. This is the zReduce
-// step for TQ(Z) trees and the plain linear scan for TQ(B). `zmode_override`
+// step for TQ(Z) trees and the plain linear scan for TQ(B), followed by
+// the point-cell filter (`candidates`, see CandidateMask). `zmode_override`
 // weakens kStartEnd filtering for served-set collection (see
 // ZIndex::ForEachCandidate).
 template <typename Fn>
 void VisitCandidates(TQTree* tree, int32_t idx,
-                     const ZIndex::Corridor& corridor, Fn&& fn,
-                     QueryStats* stats,
+                     const ZIndex::Corridor& corridor,
+                     const uint64_t* candidates, Fn&& fn, QueryStats* stats,
                      std::optional<ZPruneMode> zmode_override = std::nullopt) {
   const TQNode& node = tree->node(idx);
   if (node.entries.empty()) return;
@@ -62,8 +74,10 @@ void VisitCandidates(TQTree* tree, int32_t idx,
     zi->ForEachCandidate(
         corridor,
         [&](uint32_t entry_index) {
+          const TrajEntry& e = node.entries[entry_index];
+          if (!IsCandidate(candidates, e.traj_id)) return;
           if (stats != nullptr) stats->exact_checks++;
-          fn(node.entries[entry_index]);
+          fn(e);
         },
         stats != nullptr ? &rs : nullptr, zmode_override);
     if (stats != nullptr) {
@@ -80,6 +94,7 @@ void VisitCandidates(TQTree* tree, int32_t idx,
   for (const TrajEntry& e : node.entries) {
     if (stats != nullptr) stats->entries_scanned++;
     if (precheck && !e.mbr.Intersects(comp_embr)) continue;
+    if (!IsCandidate(candidates, e.traj_id)) continue;
     if (stats != nullptr) stats->exact_checks++;
     fn(e);
   }
@@ -121,8 +136,8 @@ struct EntrySink {
 
 double EvaluateServiceRec(TQTree* tree, int32_t idx,
                           const ServiceEvaluator& eval, const StopGrid& grid,
-                          const Component& comp, ServiceAccumulator* acc,
-                          QueryStats* stats) {
+                          const Component& comp, const uint64_t* candidates,
+                          ServiceAccumulator* acc, QueryStats* stats) {
   if (comp.empty()) return 0.0;  // Alg. 1 line 1.2
   if (stats != nullptr) stats->nodes_visited++;
   double so = 0.0;
@@ -133,11 +148,11 @@ double EvaluateServiceRec(TQTree* tree, int32_t idx,
       if (tree->node(child).sub <= 0.0) continue;  // empty subtree
       const Component child_comp =
           ClipComponent(grid, comp, tree->node(child).rect);
-      so += EvaluateServiceRec(tree, child, eval, grid, child_comp, acc,
-                               stats);
+      so += EvaluateServiceRec(tree, child, eval, grid, child_comp,
+                               candidates, acc, stats);
     }
   }
-  so += EvaluateNodeList(tree, idx, eval, grid, comp, acc, stats);
+  so += EvaluateNodeList(tree, idx, eval, grid, comp, candidates, acc, stats);
   return so;
 }
 
@@ -145,8 +160,8 @@ double EvaluateServiceRec(TQTree* tree, int32_t idx,
 
 double EvaluateNodeList(TQTree* tree, int32_t idx,
                         const ServiceEvaluator& eval, const StopGrid& grid,
-                        const Component& comp, ServiceAccumulator* acc,
-                        QueryStats* stats) {
+                        const Component& comp, const uint64_t* candidates,
+                        ServiceAccumulator* acc, QueryStats* stats) {
   if (comp.empty() || tree->node(idx).entries.empty()) return 0.0;
   TQ_DCHECK(tree->options().mode == TrajMode::kWhole || acc != nullptr);
   // Scratch reused across calls; safe because the recursion only builds the
@@ -158,23 +173,25 @@ double EvaluateNodeList(TQTree* tree, int32_t idx,
       comp_stops, grid.psi(),
       Rect::BoundingBox(comp_stops).Expanded(grid.psi())};
   EntrySink sink{&eval, &grid, acc, 0.0};
-  VisitCandidates(tree, idx, corridor, std::ref(sink), stats);
+  VisitCandidates(tree, idx, corridor, candidates, std::ref(sink), stats);
   return sink.value;
 }
 
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats) {
   const Component full = FullComponent(grid);
+  const uint64_t* candidates = CandidateMask(*tree, grid);
   if (tree->options().mode == TrajMode::kSegmented) {
     // Arena accumulator reused across queries on this thread: Rebind clears
     // marks but keeps the table/word allocations warm.
     static thread_local ServiceAccumulator acc(&eval);
     acc.Rebind(&eval);
-    EvaluateServiceRec(tree, tree->root(), eval, grid, full, &acc, stats);
+    EvaluateServiceRec(tree, tree->root(), eval, grid, full, candidates, &acc,
+                       stats);
     return acc.Total();
   }
-  return EvaluateServiceRec(tree, tree->root(), eval, grid, full, nullptr,
-                            stats);
+  return EvaluateServiceRec(tree, tree->root(), eval, grid, full, candidates,
+                            nullptr, stats);
 }
 
 namespace {
@@ -182,6 +199,7 @@ namespace {
 // Served-set gathering visitor: unions each candidate's ServeDetail.
 void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
                       const StopGrid& grid, const Component& comp,
+                      const uint64_t* candidates,
                       std::unordered_map<uint32_t, DynamicBitset>* out,
                       QueryStats* stats) {
   if (comp.empty()) return;
@@ -193,7 +211,8 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
       if (tree->node(child).sub <= 0.0) continue;
       const Component child_comp =
           ClipComponent(grid, comp, tree->node(child).rect);
-      CollectServedRec(tree, child, eval, grid, child_comp, out, stats);
+      CollectServedRec(tree, child, eval, grid, child_comp, candidates, out,
+                       stats);
     }
   }
   if (node.entries.empty()) return;
@@ -212,7 +231,7 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
       comp_stops, grid.psi(),
       Rect::BoundingBox(comp_stops).Expanded(grid.psi())};
   VisitCandidates(
-      tree, idx, corridor,
+      tree, idx, corridor, candidates,
       [&](const TrajEntry& e) {
         auto mask_for = [&](uint32_t user) -> DynamicBitset& {
           auto it = out->find(user);
@@ -250,7 +269,8 @@ void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      std::unordered_map<uint32_t, DynamicBitset>* out,
                      QueryStats* stats) {
   const Component full = FullComponent(grid);
-  CollectServedRec(tree, tree->root(), eval, grid, full, out, stats);
+  CollectServedRec(tree, tree->root(), eval, grid, full,
+                   CandidateMask(*tree, grid), out, stats);
 }
 
 }  // namespace tq

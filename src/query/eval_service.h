@@ -36,8 +36,16 @@ Rect ComponentEmbr(const StopGrid& grid, const Component& comp);
 std::vector<Point> ComponentStops(const StopGrid& grid,
                                   const Component& comp);
 
+/// The point-cell candidate filter for the facility behind `grid`
+/// (TQTree::MarkCandidates): a thread-local bitmap over `tree`'s trajectory
+/// ids, valid until the next call on this thread, or null when the tree has
+/// no point-cell table and every unit is a candidate.
+const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid);
+
 /// Algorithm 2 (evaluateNodeTrajectories): service contribution of node
-/// `idx`'s own list UL for the facility component `comp`.
+/// `idx`'s own list UL for the facility component `comp`. A unit whose bit
+/// in `candidates` (CandidateMask of the same facility, or null) is clear
+/// scores 0 and is skipped before its exact check.
 ///
 /// Whole-trajectory trees return the summed S(u, f) directly (each user is
 /// stored exactly once, so summation is safe). Segmented trees mark served
@@ -45,8 +53,8 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
 /// read the running total from the accumulator.
 double EvaluateNodeList(TQTree* tree, int32_t idx,
                         const ServiceEvaluator& eval, const StopGrid& grid,
-                        const Component& comp, ServiceAccumulator* acc,
-                        QueryStats* stats);
+                        const Component& comp, const uint64_t* candidates,
+                        ServiceAccumulator* acc, QueryStats* stats);
 
 /// Algorithm 1 (evaluateService): SO(U, f) by recursive division of the
 /// facility over the TQ-tree, starting from the root.

@@ -53,10 +53,14 @@ void RelaxState(TQTree* tree, const ServiceEvaluator& eval,
   if (stats != nullptr) stats->relax_rounds++;
   std::vector<PairQF> next;
   const bool segmented = tree->options().mode == TrajMode::kSegmented;
+  // States of different facilities interleave in the heap, so the
+  // facility's candidate mask is marked afresh for every relaxation.
+  const uint64_t* candidates = CandidateMask(*tree, grid);
   for (PairQF& pair : s->qflist) {
     s->hserve -= pair.h_share;
-    const double gained = EvaluateNodeList(tree, pair.node, eval, grid,
-                                           pair.comp, s->acc.get(), stats);
+    const double gained =
+        EvaluateNodeList(tree, pair.node, eval, grid, pair.comp, candidates,
+                         s->acc.get(), stats);
     if (!segmented) s->aserve += gained;
     const TQNode& node = tree->node(pair.node);
     if (pair.local_only || node.IsLeaf()) continue;

@@ -1,6 +1,7 @@
 // Algorithms 3 & 4 of the paper: best-first top-k facility search
 // (TopKFacilities / relaxState) over the TQ-tree, plus an exhaustive variant
-// used by tests and by the MaxkCovRST candidate-pool step.
+// the tests cross-check it against. (The MaxkCovRST candidate pool,
+// GreedyCoverTQ, is built with the best-first search.)
 #ifndef TQCOVER_QUERY_TOPK_H_
 #define TQCOVER_QUERY_TOPK_H_
 
@@ -40,8 +41,8 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
                             const ServiceEvaluator& eval, size_t k);
 
 /// kMaxRRST by exhaustively evaluating SO(U, f) for every facility with
-/// Algorithm 1, then sorting. Same answers as the best-first search; used as
-/// a cross-check and wherever all service values are needed anyway.
+/// Algorithm 1, then sorting. Same answers as the best-first search; the
+/// tests' cross-check for it.
 TopKResult TopKFacilitiesExhaustiveTQ(TQTree* tree,
                                       const FacilityCatalog& catalog,
                                       const ServiceEvaluator& eval, size_t k);

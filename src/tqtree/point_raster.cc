@@ -1,6 +1,7 @@
 #include "tqtree/point_raster.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "geom/distance.h"
@@ -16,32 +17,64 @@ namespace {
 /// looseness unchanged. Zero mass stays exactly zero.
 constexpr double kDriftInflation = 1.0 + 1e-6;
 
+/// Relative widening of each stop's ψ-square in the cell walk. The serve
+/// predicate compares a rounded squared distance with fl(ψ²), so a served
+/// point can sit a few ulps beyond the exact square; this margin, orders of
+/// magnitude above those ulps and far below any cell width, keeps such a
+/// point's cell in the walk.
+constexpr double kWalkSlack = 1e-12;
+
 }  // namespace
 
-PointRaster::PointRaster(const Rect& world, size_t resolution)
-    : world_(world), resolution_(std::max<size_t>(1, resolution)) {
+RasterGrid::RasterGrid(const Rect& world) : world_(world) {
   TQ_CHECK(!world.IsEmpty());
-  const double r = static_cast<double>(resolution_);
+  const auto r = static_cast<double>(kRasterResolution);
   inv_cell_w_ = world_.Width() > 0 ? r / world_.Width() : 0.0;
   inv_cell_h_ = world_.Height() > 0 ? r / world_.Height() : 0.0;
-  mass_.assign(resolution_ * resolution_, 0.0);
 }
 
-size_t PointRaster::ColOf(double x) const {
+size_t RasterGrid::ColOf(double x) const {
   // Monotone clamped mapping: out-of-world coordinates share the border
   // column, so a point and a stop beyond the world still meet in it.
   const double c = (x - world_.min_x) * inv_cell_w_;
   if (c <= 0.0) return 0;
   const auto col = static_cast<size_t>(c);
-  return std::min(col, resolution_ - 1);
+  return std::min(col, kRasterResolution - 1);
 }
 
-size_t PointRaster::RowOf(double y) const {
+size_t RasterGrid::RowOf(double y) const {
   const double r = (y - world_.min_y) * inv_cell_h_;
   if (r <= 0.0) return 0;
   const auto row = static_cast<size_t>(r);
-  return std::min(row, resolution_ - 1);
+  return std::min(row, kRasterResolution - 1);
 }
+
+void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
+                                std::vector<uint32_t>* cells) const {
+  // Dedupe covered cells: consecutive stops of one route overlap heavily at
+  // ψ scale, and a cell listed twice would be summed (or scanned) twice.
+  cells->clear();
+  for (const Point& s : stops) {
+    const double rx = psi + kWalkSlack * (std::abs(s.x) + psi);
+    const double ry = psi + kWalkSlack * (std::abs(s.y) + psi);
+    const size_t c0 = ColOf(s.x - rx);
+    const size_t c1 = ColOf(s.x + rx);
+    const size_t r0 = RowOf(s.y - ry);
+    const size_t r1 = RowOf(s.y + ry);
+    for (size_t r = r0; r <= r1; ++r) {
+      for (size_t c = c0; c <= c1; ++c) {
+        cells->push_back(static_cast<uint32_t>(r * kRasterResolution + c));
+      }
+    }
+  }
+  std::sort(cells->begin(), cells->end());
+  cells->erase(std::unique(cells->begin(), cells->end()), cells->end());
+}
+
+// ------------------------------------------------------------ PointRaster
+
+PointRaster::PointRaster(const Rect& world)
+    : grid_(world), mass_(RasterGrid::kNumCells, 0.0) {}
 
 void PointRaster::AddTrajectory(std::span<const Point> points,
                                 const ServiceModel& model, double sign) {
@@ -51,16 +84,13 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
       // S(u,f) = 1 requires the source within ψ of a stop; cap the whole
       // user's value on its source point alone (destination would double
       // the deposited mass for no extra soundness).
-      mass_[RowOf(points.front().y) * resolution_ +
-            ColOf(points.front().x)] += sign;
+      mass_[grid_.CellOf(points.front())] += sign;
       break;
     case Scenario::kPointCount: {
       const double w = model.normalization == Normalization::kPerUser
                            ? 1.0 / static_cast<double>(points.size())
                            : 1.0;
-      for (const Point& p : points) {
-        mass_[RowOf(p.y) * resolution_ + ColOf(p.x)] += sign * w;
-      }
+      for (const Point& p : points) mass_[grid_.CellOf(p)] += sign * w;
       break;
     }
     case Scenario::kLength: {
@@ -71,7 +101,7 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
                               ? (total > 0.0 ? 1.0 / total : 0.0)
                               : 1.0;
       for (size_t i = 0; i + 1 < points.size(); ++i) {
-        mass_[RowOf(points[i].y) * resolution_ + ColOf(points[i].x)] +=
+        mass_[grid_.CellOf(points[i])] +=
             sign * Distance(points[i], points[i + 1]) * norm;
       }
       break;
@@ -81,26 +111,11 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
 
 double PointRaster::MassNearStops(std::span<const Point> stops,
                                   double psi) const {
-  // Dedupe covered cells first: consecutive stops of one route overlap
-  // heavily at ψ scale, and double-counting would inflate the bound by the
-  // overlap factor. thread_local scratch: this runs once per (facility,
-  // shard) inside the bound sweep, so per-call allocation would churn
-  // (same pattern as the ZKeyRanges scratch in zindex.cc).
+  // thread_local scratch: this runs once per (facility, shard) inside the
+  // bound sweep, so per-call allocation would churn (same pattern as the
+  // ZKeyRanges scratch in zindex.cc).
   static thread_local std::vector<uint32_t> cells;
-  cells.clear();
-  for (const Point& s : stops) {
-    const size_t c0 = ColOf(s.x - psi);
-    const size_t c1 = ColOf(s.x + psi);
-    const size_t r0 = RowOf(s.y - psi);
-    const size_t r1 = RowOf(s.y + psi);
-    for (size_t r = r0; r <= r1; ++r) {
-      for (size_t c = c0; c <= c1; ++c) {
-        cells.push_back(static_cast<uint32_t>(r * resolution_ + c));
-      }
-    }
-  }
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  grid_.CellsNearStops(stops, psi, &cells);
   double sum = 0.0;
   // max(0): a cell whose deposits all cancelled may hold a tiny negative
   // residue; it must not subtract from other cells' real mass.
@@ -112,6 +127,58 @@ double PointRaster::TotalMass() const {
   double sum = 0.0;
   for (const double m : mass_) sum += std::max(0.0, m);
   return sum;
+}
+
+// --------------------------------------------------------- PointCellTable
+
+PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
+                               std::span<const uint32_t> ids)
+    : grid_(world),
+      num_trajectories_(ids.size()),
+      offsets_(RasterGrid::kNumCells + 1, 0) {
+  // Two passes (count, then fill) over the points, so no (cell, id) pair
+  // list is ever materialised. `last[c]` is the id that last claimed cell
+  // c, which lists a trajectory once per cell however many of its points
+  // the cell holds. Counts land in offsets_[c + 1], so the prefix sum leaves
+  // each cell's start in offsets_[c]; the fill then advances offsets_[c]
+  // to its end, which is where the final shift by one slot puts it back.
+  constexpr uint32_t kNone = ~uint32_t{0};
+  std::vector<uint32_t> last(RasterGrid::kNumCells, kNone);
+  for (const uint32_t id : ids) {
+    for (const Point& p : users.points(id)) {
+      const uint32_t c = grid_.CellOf(p);
+      if (last[c] == id) continue;
+      last[c] = id;
+      ++offsets_[c + 1];
+    }
+  }
+  for (size_t c = 0; c < RasterGrid::kNumCells; ++c) {
+    offsets_[c + 1] += offsets_[c];
+  }
+  ids_.resize(offsets_.back());
+  std::fill(last.begin(), last.end(), kNone);
+  for (const uint32_t id : ids) {
+    for (const Point& p : users.points(id)) {
+      const uint32_t c = grid_.CellOf(p);
+      if (last[c] == id) continue;
+      last[c] = id;
+      ids_[offsets_[c]++] = id;
+    }
+  }
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
+}
+
+void PointCellTable::MarkNearStops(std::span<const Point> stops, double psi,
+                                   uint64_t* mask) const {
+  static thread_local std::vector<uint32_t> cells;
+  grid_.CellsNearStops(stops, psi, &cells);
+  for (const uint32_t c : cells) {
+    for (uint32_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
+      const uint32_t id = ids_[i];
+      mask[id >> 6] |= uint64_t{1} << (id & 63);
+    }
+  }
 }
 
 }  // namespace tq

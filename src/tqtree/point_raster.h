@@ -1,12 +1,14 @@
-// Point-mass raster: the TQ-tree's tree-level density aggregate behind the
-// cheap per-facility service upper bound (TQTree::UpperBound).
+// Tree-level rasters over a fixed R×R grid of the TQ-tree's world: the
+// point-mass raster behind the cheap per-facility service upper bound
+// (TQTree::UpperBound) and the point-cell table behind the exact-check
+// candidate filter of multipoint trees (TQTree::MarkCandidates).
 //
 // Node-granularity aggregates (sub / local_ub / z-node ub) cannot
 // discriminate facilities on workloads where units roam: a check-in
 // trajectory spanning half the city parks in an upper node whose list bound
 // charges EVERY facility the unit's full value. The raster attacks the same
 // bound from the opposite side — it forgets units entirely and aggregates
-// the per-POINT value caps on a fixed R×R grid over the tree's world:
+// the per-POINT value caps on the grid:
 //
 //   * every indexed trajectory deposits, into the cell of each of its
 //     points, the largest service value that point alone can unlock under
@@ -19,15 +21,22 @@
 //     ψ-squares (each covered cell counted once, however many stop squares
 //     overlap it).
 //
+// The point-cell table walks the same cells for the same reason, but keeps
+// identities instead of mass: per cell, the trajectories with a point in
+// it. A whole unit none of whose points lies in a cell near the stops has
+// no point within ψ of any stop, so it scores exactly 0 under every
+// scenario and its exact check can be skipped without changing any sum.
+//
 // Cell coordinates clamp monotonically at the world border, so points and
-// stops beyond it still land in consistent border cells and the bound stays
-// sound. Cost per facility is O(stops × cells-per-ψ-square) — independent
-// of both the number of users and the tree shape.
+// stops beyond it still land in consistent border cells and both stay
+// sound. Cost per facility is O(stops × cells-per-ψ-square) for the walk —
+// independent of both the number of users and the tree shape.
 //
 // The raster is shared across TQTree::Fork() like node pages are: forks
 // alias it read-only and the first Insert/Remove on either side copies it
 // (one R×R memcpy per writing publish), so retained snapshots keep the
-// exact mass their answers were bounded with.
+// exact mass their answers were bounded with. The table is immutable and
+// shared outright; see TQTree for how inserts reach it.
 #ifndef TQCOVER_TQTREE_POINT_RASTER_H_
 #define TQCOVER_TQTREE_POINT_RASTER_H_
 
@@ -38,18 +47,49 @@
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "service/models.h"
+#include "traj/dataset.h"
 
 namespace tq {
 
-/// Fixed-resolution grid of per-cell service-value caps. Copyable (that is
-/// the fork copy-on-write path); not thread-safe for writes.
+/// Cells per axis of every tree's raster grid.
+inline constexpr size_t kRasterResolution = 256;
+
+/// The R×R cell geometry over a tree's world, shared by the point-mass
+/// raster and the point-cell table.
+class RasterGrid {
+ public:
+  static constexpr size_t kNumCells = kRasterResolution * kRasterResolution;
+
+  /// `world` must be non-empty.
+  explicit RasterGrid(const Rect& world);
+
+  /// Row-major id of the (clamped) cell holding `p`.
+  uint32_t CellOf(const Point& p) const {
+    return static_cast<uint32_t>(RowOf(p.y) * kRasterResolution +
+                                 ColOf(p.x));
+  }
+
+  /// Replaces `cells` with the ascending, de-duplicated ids of every cell
+  /// intersecting some stop's ψ-square. Every point within ψ of a stop lies
+  /// in one of them, including under floating-point rounding of the
+  /// distance predicate.
+  void CellsNearStops(std::span<const Point> stops, double psi,
+                      std::vector<uint32_t>* cells) const;
+
+ private:
+  size_t ColOf(double x) const;
+  size_t RowOf(double y) const;
+
+  Rect world_;
+  double inv_cell_w_ = 0.0;
+  double inv_cell_h_ = 0.0;
+};
+
+/// Grid of per-cell service-value caps. Copyable (that is the fork
+/// copy-on-write path); not thread-safe for writes.
 class PointRaster {
  public:
-  /// `world` must be non-empty; `resolution` ≥ 1 is the cell count per axis.
-  PointRaster(const Rect& world, size_t resolution);
-
-  size_t resolution() const { return resolution_; }
-  const Rect& world() const { return world_; }
+  explicit PointRaster(const Rect& world);
 
   /// Deposits (`sign` = +1) or withdraws (`sign` = -1) one trajectory's
   /// per-point value caps under `model`. Add/remove must use the same
@@ -69,14 +109,34 @@ class PointRaster {
   double TotalMass() const;
 
  private:
-  size_t ColOf(double x) const;
-  size_t RowOf(double y) const;
+  RasterGrid grid_;
+  std::vector<double> mass_;  // row-major, RasterGrid::kNumCells
+};
 
-  Rect world_;
-  size_t resolution_ = 0;
-  double inv_cell_w_ = 0.0;
-  double inv_cell_h_ = 0.0;
-  std::vector<double> mass_;  // row-major resolution × resolution
+/// Immutable per-cell trajectory lists (CSR over the grid's cells): cell c
+/// lists, in build order, every trajectory of the build set with at least
+/// one point in c.
+class PointCellTable {
+ public:
+  /// Indexes trajectories `ids` (distinct) of `users` over the grid of
+  /// `world`.
+  PointCellTable(const Rect& world, const TrajectorySet& users,
+                 std::span<const uint32_t> ids);
+
+  /// Number of trajectories the table was built over.
+  size_t num_trajectories() const { return num_trajectories_; }
+
+  /// ORs into `mask` (one bit per trajectory id) the id of every listed
+  /// trajectory with a point in a cell some stop's ψ-square touches. Every
+  /// trajectory of the build set with a point within ψ of a stop is set.
+  void MarkNearStops(std::span<const Point> stops, double psi,
+                     uint64_t* mask) const;
+
+ private:
+  RasterGrid grid_;
+  size_t num_trajectories_ = 0;
+  std::vector<uint32_t> offsets_;  // kNumCells + 1: cell c is [c, c + 1)
+  std::vector<uint32_t> ids_;
 };
 
 }  // namespace tq

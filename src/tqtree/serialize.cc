@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "tqtree/aggregates.h"
+#include "tqtree/point_raster.h"
 
 namespace tq {
 
@@ -56,9 +57,11 @@ class PodReader {
 };
 
 /// The packed header fields the geometry hash covers (and the header
-/// carries), in stream order.
+/// carries), in stream order. `raster_resolution` is a retired option's
+/// slot: writers store kRasterResolution, readers hash whatever the stream
+/// holds and otherwise ignore it (the grid is a build-time constant).
 void PackGeometry(const TQTreeOptions& opt, const Rect& world,
-                  std::string* out) {
+                  uint64_t raster_resolution, std::string* out) {
   PutPod(out, static_cast<uint64_t>(opt.beta));
   PutPod(out, static_cast<int32_t>(opt.max_depth));
   PutPod(out, static_cast<uint8_t>(opt.variant));
@@ -67,8 +70,23 @@ void PackGeometry(const TQTreeOptions& opt, const Rect& world,
   PutPod(out, static_cast<uint8_t>(opt.model.normalization));
   PutPod(out, opt.model.psi);
   PutPod(out, static_cast<uint8_t>(opt.basic_entry_mbr_precheck));
-  PutPod(out, static_cast<uint64_t>(opt.bound_raster_resolution));
+  PutPod(out, raster_resolution);
   PutRect(out, world);
+}
+
+uint64_t GeometryHash(const TQTreeOptions& options, const Rect& world,
+                      uint64_t raster_resolution) {
+  std::string packed;
+  PackGeometry(options, world, raster_resolution, &packed);
+  // FNV-1a over the packed bytes: stable across runs (no pointer or seed
+  // material), cheap, and collision-safe enough for a mismatch CHECK — the
+  // page CRCs handle corruption.
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : packed) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 Status Truncated(const char* where) {
@@ -159,17 +177,7 @@ Status StringSnapshotSource::Read(void* data, size_t n) {
 }
 
 uint64_t TQTreeGeometryHash(const TQTreeOptions& options, const Rect& world) {
-  std::string packed;
-  PackGeometry(options, world, &packed);
-  // FNV-1a over the packed bytes: stable across runs (no pointer or seed
-  // material), cheap, and collision-safe enough for a mismatch CHECK — the
-  // page CRCs handle corruption.
-  uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : packed) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return GeometryHash(options, world, kRasterResolution);
 }
 
 /// Friend of TQTree with raw access to pages_ / bookkeeping.
@@ -179,7 +187,7 @@ class TQTreeSerializer {
     std::string buf;
     buf.append(kMagic, sizeof(kMagic));
     PutPod(&buf, kVersion);
-    PackGeometry(tree.options_, tree.world_, &buf);
+    PackGeometry(tree.options_, tree.world_, kRasterResolution, &buf);
     PutPod(&buf, TQTreeGeometryHash(tree.options_, tree.world_));
     PutPod(&buf, static_cast<uint64_t>(tree.users_->size()));
     PutPod(&buf, static_cast<uint64_t>(tree.num_nodes_));
@@ -233,7 +241,8 @@ class TQTreeSerializer {
     }
     // Fixed-size header: everything before the page records.
     std::string geom;
-    PackGeometry(TQTreeOptions{}, Rect::Of(0, 0, 1, 1), &geom);
+    PackGeometry(TQTreeOptions{}, Rect::Of(0, 0, 1, 1), kRasterResolution,
+                 &geom);
     const size_t header_len = sizeof(kMagic) + sizeof(uint32_t) + geom.size() +
                               3 * sizeof(uint64_t) + sizeof(uint32_t);
     std::string buf;
@@ -282,8 +291,7 @@ class TQTreeSerializer {
     opt.model.scenario = static_cast<Scenario>(scenario);
     opt.model.normalization = static_cast<Normalization>(norm);
     opt.basic_entry_mbr_precheck = precheck != 0;
-    opt.bound_raster_resolution = raster_res;
-    if (TQTreeGeometryHash(opt, world) != geometry_hash) {
+    if (GeometryHash(opt, world, raster_res) != geometry_hash) {
       return Status::InvalidArgument(
           "snapshot geometry hash mismatch (stream corrupt, or written by "
           "an incompatible geometry)");

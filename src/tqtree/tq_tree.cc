@@ -151,6 +151,10 @@ std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   fork->raster_ = raster_;
   fork->raster_owned_ = false;
   raster_owned_ = false;
+  // The point-cell table is immutable, so both sides share it outright;
+  // each keeps its own pending list from here on.
+  fork->cells_ = cells_;
+  fork->cell_pending_ = cell_pending_;
   if (fork->prune_mode_ != prune_mode_) {
     // The extended user set changed the soundness-preserving prune mode
     // (e.g. a longer trajectory appeared); every shared z-index was built
@@ -170,6 +174,7 @@ void TQTree::BulkBuild() {
 void TQTree::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   RasterApply(traj_id, 1.0);
+  if (cells_ != nullptr) cell_pending_.push_back(traj_id);
   if (options_.mode == TrajMode::kWhole) {
     InsertEntry(MakeWholeEntry(*users_, traj_id, options_.model));
   } else {
@@ -503,8 +508,14 @@ void TQTree::BuildAllZIndexes() {
   // Freezing also materialises the point-mass raster (first freeze, or a
   // deserialised tree): forks inherit it, so steady-state publishes only
   // pay the copy-on-write path in RasterApply.
-  if (raster_ == nullptr && options_.bound_raster_resolution > 0) {
-    BuildRaster();
+  if (raster_ == nullptr) BuildRaster();
+  // The point-cell table is rebuilt only once the pending inserts it has to
+  // carry exceed 1/8 of its size, so a steady stream of small publishes
+  // pays O(1) amortised rebuild work per insert.
+  if (prune_mode_ == ZPruneMode::kMbr &&
+      (cells_ == nullptr ||
+       cell_pending_.size() * 8 > cells_->num_trajectories())) {
+    BuildCellTable();
   }
   // Last: the z-index rebuilds above go through MutableNode, which clears
   // the arena flag.
@@ -535,21 +546,45 @@ void TQTree::BuildBoundArena() {
   bound_arena_ = std::move(a);
 }
 
-void TQTree::BuildRaster() {
-  raster_ = std::make_shared<PointRaster>(
-      world_, options_.bound_raster_resolution);
-  raster_owned_ = true;
+std::vector<uint32_t> TQTree::IndexedTrajectories() const {
   // The indexed trajectory set is whatever the node lists currently hold
   // (bulk build indexes every user; Remove de-indexes): walk the entries,
-  // depositing each trajectory once however many segments it spread into.
+  // taking each trajectory once however many segments it spread into.
   std::vector<uint8_t> seen(users_->size(), 0);
+  std::vector<uint32_t> ids;
   for (size_t i = 0; i < num_nodes_; ++i) {
     for (const TrajEntry& e : node(static_cast<int32_t>(i)).entries) {
       if (seen[e.traj_id]) continue;
       seen[e.traj_id] = 1;
-      raster_->AddTrajectory(users_->points(e.traj_id), options_.model, 1.0);
+      ids.push_back(e.traj_id);
     }
   }
+  return ids;
+}
+
+void TQTree::BuildRaster() {
+  raster_ = std::make_shared<PointRaster>(world_);
+  raster_owned_ = true;
+  for (const uint32_t id : IndexedTrajectories()) {
+    raster_->AddTrajectory(users_->points(id), options_.model, 1.0);
+  }
+}
+
+void TQTree::BuildCellTable() {
+  cells_ = std::make_shared<const PointCellTable>(world_, *users_,
+                                                  IndexedTrajectories());
+  cell_pending_.clear();
+}
+
+bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
+                            std::vector<uint64_t>* mask) const {
+  if (cells_ == nullptr) return false;
+  mask->assign((users_->size() + 63) / 64, 0);
+  cells_->MarkNearStops(stops, psi, mask->data());
+  for (const uint32_t id : cell_pending_) {
+    (*mask)[id >> 6] |= uint64_t{1} << (id & 63);
+  }
+  return true;
 }
 
 void TQTree::RasterApply(uint32_t traj_id, double sign) {

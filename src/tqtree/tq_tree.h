@@ -40,8 +40,9 @@
 
 namespace tq {
 
-class PointRaster;  // tqtree/point_raster.h
-class StopGrid;     // service/stop_grid.h
+class PointCellTable;  // tqtree/point_raster.h
+class PointRaster;     // tqtree/point_raster.h
+class StopGrid;        // service/stop_grid.h
 
 /// Which second-level organisation a tree uses.
 enum class IndexVariant { kBasic, kZOrder };
@@ -62,10 +63,6 @@ struct TQTreeOptions {
   ServiceModel model;
   /// Ablation: give TQ(B)'s linear scan a per-entry MBR pre-check.
   bool basic_entry_mbr_precheck = false;
-  /// Cells per axis of the point-mass raster backing UpperBound()
-  /// (point_raster.h); 0 disables it (bounds then come from node
-  /// aggregates alone — far looser on roaming-unit workloads).
-  size_t bound_raster_resolution = 256;
 };
 
 /// Structural statistics (index size accounting of §III-B).
@@ -192,6 +189,21 @@ class TQTree {
   double UpperBoundScalarReference(const StopGrid& grid, int max_levels = 4,
                                    size_t* nodes_visited = nullptr) const;
 
+  /// Exact-check candidate filter of kMbr trees (whole multipoint
+  /// trajectories under Scenarios 2 and 3, where zReduce can only prune by
+  /// MBR). Replaces `mask` with one bit per id of users() and sets the bit
+  /// of every trajectory that may have a point within `psi` of a stop: the
+  /// trajectories listed in the point-cell table's cells near the stops,
+  /// plus every trajectory inserted since the table was built. A unit whose
+  /// bit is clear has no point within ψ of any stop and scores exactly 0,
+  /// so skipping its exact check changes no sum.
+  ///
+  /// Returns false, leaving `mask` alone, when the tree has no table (any
+  /// other prune mode, or a kMbr tree never frozen): every unit is then a
+  /// candidate. Thread-safe on a frozen tree.
+  bool MarkCandidates(std::span<const Point> stops, double psi,
+                      std::vector<uint64_t>* mask) const;
+
   /// Nodes on the path root → `idx`, inclusive.
   std::vector<int32_t> PathTo(int32_t idx) const;
 
@@ -203,7 +215,10 @@ class TQTree {
   /// queries are read-only until the next Insert/Remove — the freezing step
   /// the concurrent runtime performs before publishing a tree snapshot. On a
   /// fork, only nodes the write batch touched are dirty, so this rebuilds
-  /// O(batch × depth) z-indexes, not the whole tree's.
+  /// O(batch × depth) z-indexes, not the whole tree's. Freezing also
+  /// materialises the point-mass raster and, on kMbr trees, the point-cell
+  /// table (rebuilt only once the inserts pending since its build exceed
+  /// 1/8 of the trajectories it holds).
   void BuildAllZIndexes();
 
   /// Inserts trajectory `traj_id` of the user set (as a whole unit or as all
@@ -243,9 +258,15 @@ class TQTree {
     return pages_[p]->nodes[static_cast<size_t>(idx) & kNodePageMask];
   }
   void CopyPage(size_t page_index);
+  /// Ids of the trajectories the node lists currently hold, each once, in
+  /// first-seen node-entry order.
+  std::vector<uint32_t> IndexedTrajectories() const;
   /// Rebuilds the point-mass raster from the currently indexed
   /// trajectories (first freeze, and deserialised trees).
   void BuildRaster();
+  /// Rebuilds the point-cell table from the currently indexed trajectories
+  /// and empties the pending list.
+  void BuildCellTable();
   /// Deposits (+1) / withdraws (-1) `traj_id`'s point weights, copying a
   /// raster shared with forks first (raster copy-on-write).
   void RasterApply(uint32_t traj_id, double sign);
@@ -310,10 +331,16 @@ class TQTree {
   size_t max_points_ = 0;
   /// Point-mass raster for UpperBound(); built on first freeze, shared
   /// with forks until either side writes (raster_owned_ gates in-place
-  /// mutation, mirroring the page epochs). Null until frozen or when
-  /// disabled by options.
+  /// mutation, mirroring the page epochs). Null until frozen.
   std::shared_ptr<PointRaster> raster_;
   bool raster_owned_ = false;
+  /// Point-cell table for MarkCandidates(); built at freeze on kMbr trees,
+  /// immutable and shared with forks. Trajectories inserted after its
+  /// build are candidates via `cell_pending_` (per tree, copied by Fork);
+  /// removals need no update, since a stale id marks a trajectory that no
+  /// list holds.
+  std::shared_ptr<const PointCellTable> cells_;
+  std::vector<uint32_t> cell_pending_;
   BoundArena bound_arena_;
 };
 

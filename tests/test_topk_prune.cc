@@ -109,40 +109,76 @@ void ExpectSameRanking(const std::vector<RankedFacility>& got,
 
 // ------------------------------------------------------ TQTree::UpperBound
 
+// UpperBound ≥ the exact value for every facility at every descent budget,
+// and a deeper descent never loosens it.
+void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
+                                const FacilityCatalog& catalog,
+                                const std::string& where) {
+  SCOPED_TRACE(where);
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const double exact =
+        EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr);
+    for (const int levels : {0, 2, 6}) {
+      size_t nodes = 0;
+      const double bound = tree->UpperBound(catalog.grid(f), levels, &nodes);
+      EXPECT_GE(bound, exact) << "facility=" << f << " levels=" << levels;
+      EXPECT_GT(nodes, 0u);
+    }
+    EXPECT_LE(tree->UpperBound(catalog.grid(f), 6),
+              tree->UpperBound(catalog.grid(f), 0));
+  }
+}
+
 // Soundness at every descent budget: the aggregate bound may be loose but
 // must never fall below the exact value, or pruning would drop answers.
+// Covers every scenario and normalisation (the point-mass raster deposits
+// each differently) on fresh trees and through a fork that inserts and
+// removes: the fork's raster is copied on its first write, so the parent's
+// bound must still cover the parent's own exact values afterwards.
 TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
   Rng rng(97);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet users = testing::RandomUsers(&rng, 400, 2, 6, w);
+  TrajectorySet extended = users;
+  const TrajectorySet more = testing::RandomUsers(&rng, 80, 2, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
   const TrajectorySet facs = testing::RandomFacilities(&rng, 24, 8, w);
   for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
     for (const ServiceModel& model :
          {ServiceModel::PointCount(300.0, Normalization::kNone),
-          ServiceModel::Endpoints(300.0), ServiceModel::PointCount(150.0)}) {
+          ServiceModel::Endpoints(300.0), ServiceModel::PointCount(150.0),
+          ServiceModel::Length(300.0, Normalization::kNone),
+          ServiceModel::Length(300.0, Normalization::kPerUser)}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " scenario=" +
+                   std::to_string(static_cast<int>(model.scenario)) +
+                   " norm=" +
+                   std::to_string(static_cast<int>(model.normalization)));
       TQTreeOptions options;
       options.beta = 16;
       options.mode = mode;
       options.model = model;
       TQTree tree(&users, options);
-      const ServiceEvaluator eval(&users, model);
+      // The extended set is an append-only extension, so one evaluator
+      // serves the parent and the fork alike.
+      const ServiceEvaluator eval(&extended, model);
       const FacilityCatalog catalog(&facs, model.psi);
-      for (uint32_t f = 0; f < facs.size(); ++f) {
-        const double exact =
-            EvaluateServiceTQ(&tree, eval, catalog.grid(f), nullptr);
-        for (const int levels : {0, 2, 6}) {
-          size_t nodes = 0;
-          const double bound =
-              tree.UpperBound(catalog.grid(f), levels, &nodes);
-          EXPECT_GE(bound, exact)
-              << "mode=" << static_cast<int>(mode)
-              << " facility=" << f << " levels=" << levels;
-          EXPECT_GT(nodes, 0u);
-        }
-        // Deeper descent can only tighten (or keep) the bound.
-        EXPECT_LE(tree.UpperBound(catalog.grid(f), 6),
-                  tree.UpperBound(catalog.grid(f), 0));
+      ExpectBoundNeverBelowExact(&tree, eval, catalog, "fresh");
+
+      std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+      for (uint32_t u = static_cast<uint32_t>(users.size());
+           u < extended.size(); ++u) {
+        fork->Insert(u);
       }
+      for (uint32_t u = 0; u < users.size(); u += 4) {
+        ASSERT_TRUE(fork->Remove(u));
+      }
+      ExpectBoundNeverBelowExact(fork.get(), eval, catalog,
+                                 "fork before freeze");
+      fork->BuildAllZIndexes();
+      ExpectBoundNeverBelowExact(fork.get(), eval, catalog, "fork frozen");
+      ExpectBoundNeverBelowExact(&tree, eval, catalog,
+                                 "parent after fork writes");
     }
   }
 }
@@ -354,27 +390,51 @@ TEST(TopKPrune, CachedAnswerSurvivesAndInvalidatesAcrossWrites) {
 }
 
 // Multi-wave queries re-enter the coordinator on whichever pool thread ends
-// a wave, while a writer publishes: every answer must equal the snapshot
-// oracle's ranking of the version it reports. The TSan job runs this.
+// a wave, while a writer publishes three batches that insert and remove
+// multipoint users (newly inserted ones included): every answer must equal
+// the snapshot oracle's ranking of the version it reports. Readers run the
+// point-cell filter (thread-local masks over shared tables) on snapshots
+// whose forks are taking pending inserts and folding them into rebuilt
+// tables. The TSan job runs this.
 TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet routes = presets::NyBusRoutes(32, 8);
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   const std::vector<size_t> ks = {1, 3, 6};
-  runtime::UpdateBatch batch;
-  for (uint32_t id = 0; id < 40; ++id) {
-    batch.removes.push_back(id);
-    const auto pts = users.points(400 + id);
-    batch.inserts.emplace_back(pts.begin(), pts.end());
-  }
+  // Batch b removes `removes` global ids and inserts the points of users
+  // [next, next + inserts); inserted users take the next global ids.
+  std::vector<runtime::UpdateBatch> batches(3);
+  uint32_t next = 400;
+  const auto fill = [&](runtime::UpdateBatch* batch,
+                        std::vector<uint32_t> removes, uint32_t inserts) {
+    batch->removes = std::move(removes);
+    for (uint32_t i = 0; i < inserts; ++i, ++next) {
+      const auto pts = users.points(next);
+      batch->inserts.emplace_back(pts.begin(), pts.end());
+    }
+  };
+  const auto range = [](uint32_t from, uint32_t to) {
+    std::vector<uint32_t> ids;
+    for (uint32_t id = from; id < to; ++id) ids.push_back(id);
+    return ids;
+  };
+  const auto size = static_cast<uint32_t>(users.size());
+  fill(&batches[0], range(0, 40), 40);  // new ids size .. size + 39
+  std::vector<uint32_t> second = range(40, 60);
+  for (uint32_t id = size; id < size + 20; ++id) second.push_back(id);
+  fill(&batches[1], std::move(second), 60);  // new ids size + 40 .. + 99
+  std::vector<uint32_t> third = range(60, 100);
+  for (uint32_t id = size + 40; id < size + 60; ++id) third.push_back(id);
+  fill(&batches[2], std::move(third), 40);
+  const size_t versions = batches.size() + 1;
 
   // want[version - 1][i]: the snapshot oracle's answer for ks[i] on a
   // reference engine's snapshot at that version.
   ShardedEngine reference(users, routes, Options(4, model));
-  std::vector<std::vector<std::vector<RankedFacility>>> want(2);
-  for (size_t v = 0; v < 2; ++v) {
-    if (v == 1) reference.ApplyUpdates(batch);
+  std::vector<std::vector<std::vector<RankedFacility>>> want(versions);
+  for (size_t v = 0; v < versions; ++v) {
+    if (v > 0) reference.ApplyUpdates(batches[v - 1]);
     const runtime::ShardedSnapshotPtr snap = reference.snapshot();
     ASSERT_EQ(snap->version, v + 1);
     for (const size_t k : ks) want[v].push_back(SnapshotRanking(*snap, k));
@@ -384,8 +444,12 @@ TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
   std::atomic<size_t> answered{0};
   std::atomic<bool> published{false};
   std::thread writer([&] {
-    while (answered.load() < 3) std::this_thread::yield();
-    engine.ApplyUpdates(batch);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      // Let a few answers land between publishes.
+      const size_t until = answered.load() + 3;
+      while (answered.load() < until) std::this_thread::yield();
+      engine.ApplyUpdates(batches[b]);
+    }
     published.store(true);
   });
   std::vector<std::vector<QueryResponse>> got(3);
@@ -405,19 +469,19 @@ TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
   for (std::thread& t : readers) t.join();
 
   size_t queries = 0;
-  std::vector<size_t> per_version(2, 0);
+  std::vector<size_t> per_version(versions, 0);
   for (const std::vector<QueryResponse>& responses : got) {
     for (size_t i = 0; i < responses.size(); ++i, ++queries) {
       const QueryResponse& r = responses[i];
-      ASSERT_TRUE(r.snapshot_version == 1 || r.snapshot_version == 2);
+      ASSERT_TRUE(r.snapshot_version >= 1 && r.snapshot_version <= versions);
       ++per_version[r.snapshot_version - 1];
       SCOPED_TRACE("version " + std::to_string(r.snapshot_version) +
                    " k=" + std::to_string(ks[i % ks.size()]));
       ExpectSameRanking(r.ranked, want[r.snapshot_version - 1][i % ks.size()]);
     }
   }
-  EXPECT_GT(per_version[0], 0u);
-  EXPECT_GT(per_version[1], 0u);
+  EXPECT_GT(per_version.front(), 0u);
+  EXPECT_GT(per_version.back(), 0u);
   // More than two waves per query on average: the coordinator loop ran.
   EXPECT_GT(engine.metrics().Read().prune_rounds, 2 * queries);
 }

@@ -1,13 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/rng.h"
+#include "query/eval_service.h"
+#include "query/topk.h"
+#include "service/facility_index.h"
 #include "test_util.h"
 #include "tqtree/aggregates.h"
+#include "tqtree/point_raster.h"
+#include "tqtree/serialize.h"
 #include "tqtree/tq_tree.h"
 
 namespace tq {
+
+// Test hook (friend of TQTree): the point-cell filter's pending list.
+class TQTreeBuilderAccess {
+ public:
+  static size_t PendingCandidates(const TQTree& tree) {
+    return tree.cell_pending_.size();
+  }
+};
+
 namespace {
 
 TQTreeOptions MakeOptions(IndexVariant variant, TrajMode mode,
@@ -257,6 +273,233 @@ TEST(TQTree, UnitUpperBoundSegmentPointOwnership) {
   double total = 0;
   for (uint32_t s = 0; s < 3; ++s) total += UnitUpperBound(users, 0, s, m);
   EXPECT_DOUBLE_EQ(total, 4.0);
+}
+
+// ------------------------------------------- point-cell candidate filter
+
+// Ids the tree's node lists currently hold.
+std::vector<uint32_t> IndexedIds(const TQTree& tree) {
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    for (const TrajEntry& e : tree.node(static_cast<int32_t>(i)).entries) {
+      ids.push_back(e.traj_id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+bool IntegerValued(const ServiceModel& m) {
+  return m.scenario == Scenario::kEndpoints ||
+         (m.scenario == Scenario::kPointCount &&
+          m.normalization == Normalization::kNone);
+}
+
+// Checks the filter on `tree` against every facility: each indexed user
+// that scores > 0 (by the evaluator and by brute force) has its bit set,
+// no user whose bit is clear gets an exact check, and the library's answers
+// equal brute force over the indexed users — exactly for the
+// integer-valued models. Returns how many (user, facility) pairs the
+// filter cleared.
+size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
+                            const std::string& where) {
+  SCOPED_TRACE(where);
+  const TrajectorySet& users = tree->users();
+  const ServiceModel& model = tree->options().model;
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&facs, model.psi);
+  const std::vector<uint32_t> indexed = IndexedIds(*tree);
+  size_t cleared = 0;
+  std::vector<RankedFacility> want(facs.size());
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    std::vector<uint64_t> mask;
+    const bool filtered = tree->MarkCandidates(grid.stops(), grid.psi(), &mask);
+    EXPECT_EQ(filtered, tree->prune_mode() == ZPruneMode::kMbr);
+    if (filtered) {
+      EXPECT_EQ(mask.size(), (users.size() + 63) / 64);
+    }
+    double so = 0.0;
+    size_t candidates = 0;
+    for (const uint32_t u : indexed) {
+      const double v = testing::BruteForceService(users, u, grid.stops(), model);
+      so += v;
+      if (!filtered) continue;
+      const bool bit = ((mask[u >> 6] >> (u & 63)) & 1) != 0;
+      if (bit) {
+        ++candidates;
+      } else {
+        ++cleared;
+      }
+      if (v > 0.0 || eval.Evaluate(u, grid) > 0.0) {
+        EXPECT_TRUE(bit) << "user " << u << " facility " << f;
+      }
+    }
+    want[f] = RankedFacility{f, so};
+    QueryStats stats;
+    const double got = EvaluateServiceTQ(tree, eval, grid, &stats);
+    // Whole units: one entry per user, so every exact check is a candidate.
+    if (filtered) {
+      EXPECT_LE(stats.exact_checks, candidates) << "facility " << f;
+    }
+    if (IntegerValued(model)) {
+      EXPECT_EQ(got, so) << "facility " << f;
+    } else {
+      EXPECT_NEAR(got, so, 1e-9 * std::max(1.0, so)) << "facility " << f;
+    }
+  }
+  if (IntegerValued(model)) {
+    std::sort(want.begin(), want.end(), RankedBefore);
+    for (const size_t k : {size_t{1}, size_t{5}, facs.size()}) {
+      const TopKResult top = TopKFacilitiesTQ(tree, catalog, eval, k);
+      EXPECT_EQ(top.ranked.size(), k);
+      if (top.ranked.size() != k) continue;
+      for (size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(top.ranked[i].id, want[i].id) << "k=" << k << " rank " << i;
+        EXPECT_EQ(top.ranked[i].value, want[i].value)
+            << "k=" << k << " rank " << i;
+      }
+    }
+  }
+  return cleared;
+}
+
+// Soundness of the point-cell filter under every model, through the life of
+// a tree: fresh, after inserts (pending list, then folded into a rebuilt
+// table), after removals, on both sides of a fork and after a save/load
+// round trip. Points and stops sit on raster cell borders (a point exactly
+// ψ beyond a stop across a border) and outside the world box, where cells
+// clamp.
+TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
+  Rng rng(331);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  TrajectorySet base = testing::RandomUsers(&rng, 300, 3, 8, w);
+  // Pin the bounding box to `w`, so the world of every tree below is known.
+  const Point frame[] = {{0, 0}, {20000, 0}, {20000, 20000}};
+  base.Add(frame);
+  const ServiceModel probe_model = ServiceModel::PointCount(150.0);
+  const Rect world = TQTree(&base, MakeOptions(IndexVariant::kZOrder,
+                                               TrajMode::kWhole, probe_model))
+                         .world();
+  const double cw = world.Width() / static_cast<double>(kRasterResolution);
+  const double ch = world.Height() / static_cast<double>(kRasterResolution);
+  const double psi = 150.0;
+
+  TrajectorySet facs = testing::RandomFacilities(&rng, 20, 8, w);
+  // Users on cell borders, each with a facility whose stop lies exactly ψ
+  // away on the other side of the border (and one sharing the border).
+  TrajectorySet users = base;
+  for (int j = 0; j < 12; ++j) {
+    const double x =
+        world.min_x + static_cast<double>(20 + rng.NextBelow(200)) * cw;
+    const double y =
+        world.min_y + static_cast<double>(20 + rng.NextBelow(200)) * ch;
+    const Point on_border[] = {{x, y}, {x + 0.5 * cw, y}, {x, y + 3.0 * ch}};
+    users.Add(on_border);
+    const Point stops[] = {{x - psi, y}, {x, y + 3.0 * ch + psi}};
+    facs.Add(stops);
+  }
+  // Users outside the world box, inserted after the build, and facilities
+  // near them whose ψ-squares also leave the world.
+  TrajectorySet extended = users;
+  std::vector<uint32_t> outside;
+  for (int j = 0; j < 8; ++j) {
+    const double y = rng.NextUniform(world.min_y, world.max_y);
+    const double dx = 100.0 + 40.0 * j;
+    const Point out[] = {{world.max_x + dx, y},
+                         {world.max_x + dx + 30.0, y + 30.0},
+                         {world.min_x - dx, world.max_y + dx}};
+    outside.push_back(extended.Add(out));
+    const Point stops[] = {{world.max_x + dx - 100.0, y},
+                           {world.min_x - dx + psi, world.max_y + dx}};
+    facs.Add(stops);
+  }
+  // Plain random extension users (inserted after the build).
+  TrajectorySet more = testing::RandomUsers(&rng, 60, 3, 8, w);
+  std::vector<uint32_t> later;
+  for (uint32_t u = 0; u < more.size(); ++u) {
+    later.push_back(extended.Add(more.points(u)));
+  }
+
+  for (const ServiceModel& model :
+       {ServiceModel::Endpoints(psi),
+        ServiceModel::PointCount(psi, Normalization::kNone),
+        ServiceModel::PointCount(psi, Normalization::kPerUser),
+        ServiceModel::Length(psi, Normalization::kNone),
+        ServiceModel::Length(psi, Normalization::kPerUser)}) {
+    SCOPED_TRACE("scenario " + std::to_string(static_cast<int>(
+                                   model.scenario)) +
+                 " norm " +
+                 std::to_string(static_cast<int>(model.normalization)));
+    const bool multipoint_mbr = model.scenario != Scenario::kEndpoints;
+    TQTree fresh(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
+                                     model, 16));
+    ASSERT_EQ(fresh.world(), world);
+    ASSERT_EQ(fresh.prune_mode() == ZPruneMode::kMbr, multipoint_mbr);
+    const size_t fresh_cleared = CheckCandidateFilter(&fresh, facs, "fresh");
+    // The filter must actually filter where it exists.
+    if (multipoint_mbr) {
+      EXPECT_GT(fresh_cleared, 0u);
+    }
+    // TQ(B) trees filter their linear scan once frozen.
+    TQTree basic(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
+                                     model, 16));
+    basic.BuildAllZIndexes();
+    CheckCandidateFilter(&basic, facs, "TQ(B), frozen");
+
+    // Inserts go to the pending list (no refreeze yet), then stay there
+    // through a freeze while they are few.
+    std::unique_ptr<TQTree> fork = fresh.Fork(&extended);
+    for (const uint32_t u : outside) fork->Insert(u);
+    CheckCandidateFilter(fork.get(), facs, "fork, pending inserts");
+    fork->BuildAllZIndexes();
+    if (multipoint_mbr) {
+      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), outside.size());
+    }
+    CheckCandidateFilter(fork.get(), facs, "fork, frozen with pending");
+    // The parent keeps its own (empty) pending list and its answers.
+    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(fresh), 0u);
+    CheckCandidateFilter(&fresh, facs, "parent after fork writes");
+
+    // A fork of a tree with pending inserts inherits them; both sides share
+    // the table and write independently.
+    {
+      std::unique_ptr<TQTree> grandchild = fork->Fork(&extended);
+      ASSERT_TRUE(grandchild->Remove(1));
+      ASSERT_TRUE(grandchild->Remove(outside[1]));
+      grandchild->BuildAllZIndexes();
+      CheckCandidateFilter(grandchild.get(), facs, "grandchild");
+      CheckCandidateFilter(fork.get(), facs, "fork after grandchild writes");
+    }
+
+    // Removals leave stale ids in the table.
+    for (uint32_t u = 0; u < users.size(); u += 3) {
+      ASSERT_TRUE(fork->Remove(u));
+    }
+    ASSERT_TRUE(fork->Remove(outside[0]));
+    CheckCandidateFilter(fork.get(), facs, "fork after removes");
+
+    // Enough inserts to pass 1/8 of the table fold into a rebuild at the
+    // next freeze; re-inserting a removed user is a pending insert too.
+    for (const uint32_t u : later) fork->Insert(u);
+    fork->Insert(outside[0]);
+    CheckCandidateFilter(fork.get(), facs, "fork, many pending");
+    fork->BuildAllZIndexes();
+    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), 0u);
+    CheckCandidateFilter(fork.get(), facs, "fork, folded table");
+
+    // Save/load round trip rebuilds the table from the node lists.
+    std::string bytes;
+    StringSnapshotSink sink(&bytes);
+    ASSERT_TRUE(WriteTQTreeSnapshot(*fork, &sink).ok());
+    StringSnapshotSource source(bytes);
+    Result<std::unique_ptr<TQTree>> loaded =
+        ReadTQTreeSnapshot(&source, &extended);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(**loaded), 0u);
+    CheckCandidateFilter(loaded->get(), facs, "loaded");
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Figure 7: total kMaxRRST query time on NYT.
 //   (a) vs #user trajectories; (b) vs k; (c) vs #stops; (d) vs #facilities.
-// Series: BL, TQ(B), TQ(Z) — TQ rows use the best-first search (Alg. 3/4).
+// Series: BL, TQ(B), TQ(Z) — TQ rows use the best-first search (Alg. 3).
 #include <cstdio>
 
 #include "bench_util.h"

@@ -40,23 +40,21 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
   return out;
 }
 
-const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid) {
+const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid,
+                              bool any_endpoint) {
   static thread_local std::vector<uint64_t> mask;
-  return tree.MarkCandidates(grid.stops(), grid.psi(), &mask) ? mask.data()
-                                                              : nullptr;
+  return tree.MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint)
+             ? mask.data()
+             : nullptr;
 }
 
 namespace {
 
-bool IsCandidate(const uint64_t* candidates, uint32_t traj_id) {
-  return candidates == nullptr ||
-         ((candidates[traj_id >> 6] >> (traj_id & 63)) & 1) != 0;
-}
-
 // Applies `fn` to every entry of node `idx`'s list that survives pruning
 // against the facility component's serving corridor. This is the zReduce
-// step for TQ(Z) trees and the plain linear scan for TQ(B), followed by
-// the point-cell filter (`candidates`, see CandidateMask). `zmode_override`
+// step for TQ(Z) trees (which tests the point-cell filter `candidates`, see
+// CandidateMask, before its z-range probes) and the plain linear scan for
+// TQ(B), followed by the same filter. `zmode_override`
 // weakens kStartEnd filtering for served-set collection (see
 // ZIndex::ForEachCandidate).
 template <typename Fn>
@@ -72,12 +70,10 @@ void VisitCandidates(TQTree* tree, int32_t idx,
   if (zi != nullptr) {
     ZIndex::ReduceStats rs;
     zi->ForEachCandidate(
-        corridor,
+        corridor, candidates,
         [&](uint32_t entry_index) {
-          const TrajEntry& e = node.entries[entry_index];
-          if (!IsCandidate(candidates, e.traj_id)) return;
           if (stats != nullptr) stats->exact_checks++;
-          fn(e);
+          fn(node.entries[entry_index]);
         },
         stats != nullptr ? &rs : nullptr, zmode_override);
     if (stats != nullptr) {
@@ -134,6 +130,30 @@ struct EntrySink {
   }
 };
 
+// Algorithm 2 (evaluateNodeTrajectories): service contribution of node
+// `idx`'s own list UL for the facility component `comp`. Whole-trajectory
+// trees return the summed S(u, f) directly (each user is stored exactly
+// once). Segmented trees mark served points/segments into `acc`
+// (deduplication across nodes) and return 0.
+double EvaluateNodeList(TQTree* tree, int32_t idx,
+                        const ServiceEvaluator& eval, const StopGrid& grid,
+                        const Component& comp, const uint64_t* candidates,
+                        ServiceAccumulator* acc, QueryStats* stats) {
+  if (comp.empty() || tree->node(idx).entries.empty()) return 0.0;
+  TQ_DCHECK(tree->options().mode == TrajMode::kWhole || acc != nullptr);
+  // Scratch reused across calls; safe because the recursion only builds the
+  // corridor after returning from child subtrees.
+  static thread_local std::vector<Point> comp_stops;
+  comp_stops.clear();
+  for (const uint32_t si : comp) comp_stops.push_back(grid.stops()[si]);
+  const ZIndex::Corridor corridor{
+      comp_stops, grid.psi(),
+      Rect::BoundingBox(comp_stops).Expanded(grid.psi())};
+  EntrySink sink{&eval, &grid, acc, 0.0};
+  VisitCandidates(tree, idx, corridor, candidates, std::ref(sink), stats);
+  return sink.value;
+}
+
 double EvaluateServiceRec(TQTree* tree, int32_t idx,
                           const ServiceEvaluator& eval, const StopGrid& grid,
                           const Component& comp, const uint64_t* candidates,
@@ -158,25 +178,6 @@ double EvaluateServiceRec(TQTree* tree, int32_t idx,
 
 }  // namespace
 
-double EvaluateNodeList(TQTree* tree, int32_t idx,
-                        const ServiceEvaluator& eval, const StopGrid& grid,
-                        const Component& comp, const uint64_t* candidates,
-                        ServiceAccumulator* acc, QueryStats* stats) {
-  if (comp.empty() || tree->node(idx).entries.empty()) return 0.0;
-  TQ_DCHECK(tree->options().mode == TrajMode::kWhole || acc != nullptr);
-  // Scratch reused across calls; safe because the recursion only builds the
-  // corridor after returning from child subtrees.
-  static thread_local std::vector<Point> comp_stops;
-  comp_stops.clear();
-  for (const uint32_t si : comp) comp_stops.push_back(grid.stops()[si]);
-  const ZIndex::Corridor corridor{
-      comp_stops, grid.psi(),
-      Rect::BoundingBox(comp_stops).Expanded(grid.psi())};
-  EntrySink sink{&eval, &grid, acc, 0.0};
-  VisitCandidates(tree, idx, corridor, candidates, std::ref(sink), stats);
-  return sink.value;
-}
-
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats) {
   const Component full = FullComponent(grid);
@@ -195,6 +196,15 @@ double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
 }
 
 namespace {
+
+// Lemma 1: a user whose source alone is served still matters for combined
+// coverage, so the AND filters (exact for SO evaluation under Scenario 1) —
+// zReduce's z-cells and the endpoint candidate mask — must weaken to OR
+// when gathering served sets.
+bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval) {
+  return tree.prune_mode() == ZPruneMode::kStartEnd &&
+         eval.model().scenario == Scenario::kEndpoints;
+}
 
 // Served-set gathering visitor: unions each candidate's ServeDetail.
 void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
@@ -216,12 +226,8 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
     }
   }
   if (node.entries.empty()) return;
-  // Lemma 1: a user whose source alone is served still matters for combined
-  // coverage, so the AND filter (exact for SO evaluation under Scenario 1)
-  // must weaken to OR when gathering served sets.
   std::optional<ZPruneMode> zmode_override;
-  if (tree->prune_mode() == ZPruneMode::kStartEnd &&
-      eval.model().scenario == Scenario::kEndpoints) {
+  if (AnyEndpointCollection(*tree, eval)) {
     zmode_override = ZPruneMode::kStartOrEnd;
   }
   static thread_local std::vector<Point> comp_stops;
@@ -250,8 +256,14 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
             mask_for(e.traj_id).Set(e.seg_index);
           }
         } else {
-          const bool s = grid.Serves(e.start);
-          const bool t = grid.Serves(e.end);
+          // Scenario 1 details hold the source and destination bits only
+          // (see ServeDetail).
+          const bool endpoints = eval.model().scenario == Scenario::kEndpoints;
+          const size_t last = eval.users().NumPoints(e.traj_id) - 1;
+          const bool s =
+              (!endpoints || e.seg_index == 0) && grid.Serves(e.start);
+          const bool t = (!endpoints || e.seg_index + 1 == last) &&
+                         grid.Serves(e.end);
           if (s || t) {
             DynamicBitset& m = mask_for(e.traj_id);
             if (s) m.Set(e.seg_index);
@@ -270,7 +282,9 @@ void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      QueryStats* stats) {
   const Component full = FullComponent(grid);
   CollectServedRec(tree, tree->root(), eval, grid, full,
-                   CandidateMask(*tree, grid), out, stats);
+                   CandidateMask(*tree, grid,
+                                 AnyEndpointCollection(*tree, eval)),
+                   out, stats);
 }
 
 }  // namespace tq

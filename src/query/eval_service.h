@@ -37,24 +37,12 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
                                   const Component& comp);
 
 /// The point-cell candidate filter for the facility behind `grid`
-/// (TQTree::MarkCandidates): a thread-local bitmap over `tree`'s trajectory
-/// ids, valid until the next call on this thread, or null when the tree has
-/// no point-cell table and every unit is a candidate.
-const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid);
-
-/// Algorithm 2 (evaluateNodeTrajectories): service contribution of node
-/// `idx`'s own list UL for the facility component `comp`. A unit whose bit
-/// in `candidates` (CandidateMask of the same facility, or null) is clear
-/// scores 0 and is skipped before its exact check.
-///
-/// Whole-trajectory trees return the summed S(u, f) directly (each user is
-/// stored exactly once, so summation is safe). Segmented trees mark served
-/// points/segments into `acc` (deduplication across nodes) and return 0;
-/// read the running total from the accumulator.
-double EvaluateNodeList(TQTree* tree, int32_t idx,
-                        const ServiceEvaluator& eval, const StopGrid& grid,
-                        const Component& comp, const uint64_t* candidates,
-                        ServiceAccumulator* acc, QueryStats* stats);
+/// (TQTree::MarkCandidates, in its `any_endpoint` form if asked): a
+/// thread-local bitmap over `tree`'s trajectory ids, valid until the next
+/// call on this thread, or null when the tree has no point-cell tables and
+/// every unit is a candidate.
+const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid,
+                              bool any_endpoint = false);
 
 /// Algorithm 1 (evaluateService): SO(U, f) by recursive division of the
 /// facility over the TQ-tree, starting from the root.

@@ -16,7 +16,7 @@ struct QueryStats {
   size_t entries_scanned = 0;    // entries touched in node lists
   size_t exact_checks = 0;       // entries surviving pruning
   size_t heap_pops = 0;          // best-first top-k pops
-  size_t relax_rounds = 0;       // relaxState invocations
+  size_t relax_rounds = 0;       // exact refinements of best-first top-k
   ZIndex::ReduceStats zreduce;
 
   void Add(const QueryStats& o) {

@@ -1,7 +1,8 @@
-// Algorithms 3 & 4 of the paper: best-first top-k facility search
-// (TopKFacilities / relaxState) over the TQ-tree, plus an exhaustive variant
-// the tests cross-check it against. (The MaxkCovRST candidate pool,
-// GreedyCoverTQ, is built with the best-first search.)
+// kMaxRRST over the TQ-tree: the paper's best-first top-k facility search
+// (Algorithm 3), keyed by a cheap cell bound instead of Algorithm 4's
+// per-level relaxation, plus an exhaustive variant the tests cross-check it
+// against. (The MaxkCovRST candidate pool, GreedyCoverTQ, is built with the
+// best-first search.)
 #ifndef TQCOVER_QUERY_TOPK_H_
 #define TQCOVER_QUERY_TOPK_H_
 
@@ -33,10 +34,13 @@ struct TopKResult {
   QueryStats stats;
 };
 
-/// kMaxRRST via the paper's best-first strategy: one exploration state per
-/// facility, keyed by fserve = aserve + hserve; the state with the largest
-/// upper bound is relaxed one tree level at a time (Algorithm 4) until k
-/// facilities complete (Algorithm 3).
+/// kMaxRRST via the paper's best-first strategy (Algorithm 3): one max-heap
+/// over facilities, each keyed by TQTree::CellUpperBound. A popped bound is
+/// replaced by the facility's exact EvaluateServiceTQ value; a popped exact
+/// value is final, since every key left in the heap bounds its facility's
+/// value from above. Ties pop by ascending id, bounds and exact values
+/// alike, so the answer is the exhaustive ranking's first k, ids and value
+/// bits included. `stats.relax_rounds` counts the exact refinements.
 TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
                             const ServiceEvaluator& eval, size_t k);
 

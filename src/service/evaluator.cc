@@ -142,6 +142,9 @@ ServeDetail ServiceEvaluator::EvaluateDetail(uint32_t user,
       // and the bitset's tail invariant holds.
       out[w] = lo & ((lo >> 1) | (hi << 63));
     }
+  } else if (model_.scenario == Scenario::kEndpoints) {
+    if (grid.Serves(pts.front())) d.mask.Set(0);
+    if (grid.Serves(pts.back())) d.mask.Set(pts.size() - 1);
   } else {
     grid.ServesBatch(pts, d.mask.WordData());
   }
@@ -160,6 +163,10 @@ ServeDetail ServiceEvaluator::EvaluateDetailScalar(uint32_t user,
       if (prev_served && cur_served) d.mask.Set(i - 1);
       prev_served = cur_served;
     }
+  } else if (model_.scenario == Scenario::kEndpoints) {
+    if (pts.empty()) return d;
+    if (grid.ServesScalar(pts.front())) d.mask.Set(0);
+    if (grid.ServesScalar(pts.back())) d.mask.Set(pts.size() - 1);
   } else {
     for (size_t i = 0; i < pts.size(); ++i) {
       if (grid.ServesScalar(pts[i])) d.mask.Set(i);

@@ -22,6 +22,9 @@ namespace tq {
 
 /// Which parts of a user trajectory a facility (or facility set) serves.
 /// For Scenario 1/2 the mask is over points; for Scenario 3 over segments.
+/// Scenario 1 service depends on the source and the destination alone, so
+/// only their bits (0 and |u| - 1) are ever set: Any() means "some endpoint
+/// served", the partial service Lemma 1 keeps.
 struct ServeDetail {
   DynamicBitset mask;
 

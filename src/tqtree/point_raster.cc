@@ -10,13 +10,6 @@ namespace tq {
 
 namespace {
 
-/// Covers floating-point drift of cell masses accumulated over long
-/// add/remove histories (each cycle can leave ~ulp residue): the bound is
-/// inflated by this factor, which dwarfs the relative drift of any
-/// realistic churn volume while leaving the bound's ~small-multiple
-/// looseness unchanged. Zero mass stays exactly zero.
-constexpr double kDriftInflation = 1.0 + 1e-6;
-
 /// Relative widening of each stop's ψ-square in the cell walk. The serve
 /// predicate compares a rounded squared distance with fl(ψ²), so a served
 /// point can sit a few ulps beyond the exact square; this margin, orders of
@@ -116,11 +109,15 @@ double PointRaster::MassNearStops(std::span<const Point> stops,
   // ZKeyRanges scratch in zindex.cc).
   static thread_local std::vector<uint32_t> cells;
   grid_.CellsNearStops(stops, psi, &cells);
+  return MassInCells(cells);
+}
+
+double PointRaster::MassInCells(std::span<const uint32_t> cells) const {
   double sum = 0.0;
   // max(0): a cell whose deposits all cancelled may hold a tiny negative
   // residue; it must not subtract from other cells' real mass.
   for (const uint32_t cell : cells) sum += std::max(0.0, mass_[cell]);
-  return sum * kDriftInflation;
+  return sum * kRasterDriftInflation;
 }
 
 double PointRaster::TotalMass() const {
@@ -132,10 +129,16 @@ double PointRaster::TotalMass() const {
 // --------------------------------------------------------- PointCellTable
 
 PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
-                               std::span<const uint32_t> ids)
+                               std::span<const uint32_t> ids,
+                               CellPoints points)
     : grid_(world),
       num_trajectories_(ids.size()),
       offsets_(RasterGrid::kNumCells + 1, 0) {
+  const auto listed = [&users, points](uint32_t id) {
+    const std::span<const Point> all = users.points(id);
+    if (all.empty() || points == CellPoints::kAll) return all;
+    return points == CellPoints::kSource ? all.first(1) : all.last(1);
+  };
   // Two passes (count, then fill) over the points, so no (cell, id) pair
   // list is ever materialised. `last[c]` is the id that last claimed cell
   // c, which lists a trajectory once per cell however many of its points
@@ -145,7 +148,7 @@ PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
   constexpr uint32_t kNone = ~uint32_t{0};
   std::vector<uint32_t> last(RasterGrid::kNumCells, kNone);
   for (const uint32_t id : ids) {
-    for (const Point& p : users.points(id)) {
+    for (const Point& p : listed(id)) {
       const uint32_t c = grid_.CellOf(p);
       if (last[c] == id) continue;
       last[c] = id;
@@ -158,7 +161,7 @@ PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
   ids_.resize(offsets_.back());
   std::fill(last.begin(), last.end(), kNone);
   for (const uint32_t id : ids) {
-    for (const Point& p : users.points(id)) {
+    for (const Point& p : listed(id)) {
       const uint32_t c = grid_.CellOf(p);
       if (last[c] == id) continue;
       last[c] = id;
@@ -169,10 +172,8 @@ PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
   offsets_[0] = 0;
 }
 
-void PointCellTable::MarkNearStops(std::span<const Point> stops, double psi,
-                                   uint64_t* mask) const {
-  static thread_local std::vector<uint32_t> cells;
-  grid_.CellsNearStops(stops, psi, &cells);
+void PointCellTable::MarkCells(std::span<const uint32_t> cells,
+                               uint64_t* mask) const {
   for (const uint32_t c : cells) {
     for (uint32_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
       const uint32_t id = ids_[i];

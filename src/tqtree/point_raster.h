@@ -1,7 +1,8 @@
 // Tree-level rasters over a fixed R×R grid of the TQ-tree's world: the
-// point-mass raster behind the cheap per-facility service upper bound
-// (TQTree::UpperBound) and the point-cell table behind the exact-check
-// candidate filter of multipoint trees (TQTree::MarkCandidates).
+// point-mass raster behind the cheap per-facility service upper bounds
+// (TQTree::UpperBound, TQTree::CellUpperBound) and the point-cell tables
+// behind the exact-check candidate filter of whole-trajectory trees
+// (TQTree::MarkCandidates).
 //
 // Node-granularity aggregates (sub / local_ub / z-node ub) cannot
 // discriminate facilities on workloads where units roam: a check-in
@@ -21,11 +22,14 @@
 //     ψ-squares (each covered cell counted once, however many stop squares
 //     overlap it).
 //
-// The point-cell table walks the same cells for the same reason, but keeps
-// identities instead of mass: per cell, the trajectories with a point in
-// it. A whole unit none of whose points lies in a cell near the stops has
-// no point within ψ of any stop, so it scores exactly 0 under every
-// scenario and its exact check can be skipped without changing any sum.
+// A point-cell table walks the same cells for the same reason, but keeps
+// identities instead of mass: per cell, the trajectories with a listed
+// point in it — any point, only the source, or only the destination (see
+// CellPoints). A whole unit none of whose points lies in a cell near the
+// stops has no point within ψ of any stop, so it scores exactly 0 under
+// every scenario and its exact check can be skipped without changing any
+// sum; under both-endpoint service (Scenario 1, and Scenario 3 on two-point
+// units) a unit whose source OR destination cell is far scores 0 as well.
 //
 // Cell coordinates clamp monotonically at the world border, so points and
 // stops beyond it still land in consistent border cells and both stay
@@ -35,8 +39,8 @@
 // The raster is shared across TQTree::Fork() like node pages are: forks
 // alias it read-only and the first Insert/Remove on either side copies it
 // (one R×R memcpy per writing publish), so retained snapshots keep the
-// exact mass their answers were bounded with. The table is immutable and
-// shared outright; see TQTree for how inserts reach it.
+// exact mass their answers were bounded with. The tables are immutable and
+// shared outright; see TQTree for how inserts reach them.
 #ifndef TQCOVER_TQTREE_POINT_RASTER_H_
 #define TQCOVER_TQTREE_POINT_RASTER_H_
 
@@ -53,6 +57,13 @@ namespace tq {
 
 /// Cells per axis of every tree's raster grid.
 inline constexpr size_t kRasterResolution = 256;
+
+/// Covers floating-point drift in the raster's bounds: cell masses
+/// accumulated over long add/remove histories (each cycle can leave ~ulp
+/// residue), and sums taken in an order other than the exact evaluation's.
+/// A bound inflated by this factor stays a bound; one deflated by rounding
+/// would prune real answers. Zero stays exactly zero.
+inline constexpr double kRasterDriftInflation = 1.0 + 1e-6;
 
 /// The R×R cell geometry over a tree's world, shared by the point-mass
 /// raster and the point-cell table.
@@ -99,11 +110,12 @@ class PointRaster {
 
   /// Upper bound on the service value reachable from `stops` with radius
   /// `psi`: summed mass of every cell intersecting a stop's ψ-square, each
-  /// cell counted once. Includes a small multiplicative inflation so
-  /// floating-point drift from long add/remove histories can never push
-  /// the bound below the true remaining mass (an inflated bound is still a
-  /// bound; a deflated one would prune real answers).
+  /// cell counted once, inflated by kRasterDriftInflation.
   double MassNearStops(std::span<const Point> stops, double psi) const;
+
+  /// MassNearStops over precomputed `cells` (RasterGrid::CellsNearStops of
+  /// the same world).
+  double MassInCells(std::span<const uint32_t> cells) const;
 
   /// Total deposited mass (tests / diagnostics).
   double TotalMass() const;
@@ -113,24 +125,29 @@ class PointRaster {
   std::vector<double> mass_;  // row-major, RasterGrid::kNumCells
 };
 
+/// Which points of each trajectory a PointCellTable lists.
+enum class CellPoints { kAll, kSource, kDestination };
+
 /// Immutable per-cell trajectory lists (CSR over the grid's cells): cell c
-/// lists, in build order, every trajectory of the build set with at least
-/// one point in c.
+/// lists, in build order, every trajectory of the build set with a listed
+/// point (per CellPoints) in c.
 class PointCellTable {
  public:
   /// Indexes trajectories `ids` (distinct) of `users` over the grid of
   /// `world`.
   PointCellTable(const Rect& world, const TrajectorySet& users,
-                 std::span<const uint32_t> ids);
+                 std::span<const uint32_t> ids, CellPoints points);
+
+  const RasterGrid& grid() const { return grid_; }
 
   /// Number of trajectories the table was built over.
   size_t num_trajectories() const { return num_trajectories_; }
 
-  /// ORs into `mask` (one bit per trajectory id) the id of every listed
-  /// trajectory with a point in a cell some stop's ψ-square touches. Every
-  /// trajectory of the build set with a point within ψ of a stop is set.
-  void MarkNearStops(std::span<const Point> stops, double psi,
-                     uint64_t* mask) const;
+  /// ORs into `mask` (one bit per trajectory id) the id of every trajectory
+  /// listed in `cells` (ids of this table's grid). With the cells of
+  /// RasterGrid::CellsNearStops, every trajectory of the build set with a
+  /// listed point within ψ of a stop is set.
+  void MarkCells(std::span<const uint32_t> cells, uint64_t* mask) const;
 
  private:
   RasterGrid grid_;

@@ -360,7 +360,7 @@ class TQTreeSerializer {
         }
       }
     }
-    if (opt.variant == IndexVariant::kZOrder) tree->BuildAllZIndexes();
+    tree->BuildAllZIndexes();  // freeze, as the constructor does
     return tree;
   }
 

@@ -133,8 +133,8 @@ Status WriteTQTreeSnapshot(const TQTree& tree, SnapshotSink* sink);
 
 /// Reads a snapshot stream written by WriteTQTreeSnapshot. `users` must be
 /// the trajectory set the tree was built over (checked by size; per-entry
-/// ids are bounds-checked) and must outlive the tree. Z-indexes are rebuilt
-/// eagerly for kZOrder trees, mirroring the building constructor. All
+/// ids are bounds-checked) and must outlive the tree. The tree comes back
+/// frozen (BuildAllZIndexes), mirroring the building constructor. All
 /// failures are typed Status values (kInvalidArgument for format/geometry
 /// trouble, kIOError passed through from the source).
 Result<std::unique_ptr<TQTree>> ReadTQTreeSnapshot(SnapshotSource* source,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 
 #include "common/check.h"
@@ -73,7 +74,7 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options)
   root.rect = world_;
   root.depth = 0;
   BulkBuild();
-  if (options_.variant == IndexVariant::kZOrder) BuildAllZIndexes();
+  BuildAllZIndexes();
 }
 
 // ---------------------------------------------------------- page storage
@@ -151,16 +152,21 @@ std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   fork->raster_ = raster_;
   fork->raster_owned_ = false;
   raster_owned_ = false;
-  // The point-cell table is immutable, so both sides share it outright;
-  // each keeps its own pending list from here on.
+  // The point-cell tables are immutable, so both sides share them
+  // outright; each keeps its own pending list from here on.
   fork->cells_ = cells_;
+  fork->end_cells_ = end_cells_;
   fork->cell_pending_ = cell_pending_;
   if (fork->prune_mode_ != prune_mode_) {
     // The extended user set changed the soundness-preserving prune mode
     // (e.g. a longer trajectory appeared); every shared z-index was built
-    // for the old mode and must be rebuilt. Degenerates to full-clone cost,
-    // but stays correct. Rare: mode depends only on max_points crossing 2.
+    // for the old mode and must be rebuilt, and so must the cell tables,
+    // whose kind follows the mode. Degenerates to full-clone cost, but
+    // stays correct. Rare: mode depends only on max_points crossing 2.
     fork->MarkAllZIndexesDirty();
+    fork->cells_.reset();
+    fork->end_cells_.reset();
+    fork->cell_pending_.clear();
   }
   return fork;
 }
@@ -405,7 +411,7 @@ double TQTree::UpperBoundImpl(const StopGrid& grid, int max_levels,
 
   // Proper ancestors of q0 can store units whose MBR spills outside their
   // children yet still reaches into the EMBR — except under the two-point +
-  // kStartEnd argument (see TopKFacilitiesTQ), where such a unit provably
+  // kStartEnd argument (see two_point_units()), where such a unit provably
   // scores zero and the whole path can be skipped.
   if (!(two_point_units() && prune_mode_ == ZPruneMode::kStartEnd)) {
     for (const int32_t a : PathTo(q0)) {
@@ -509,13 +515,13 @@ void TQTree::BuildAllZIndexes() {
   // deserialised tree): forks inherit it, so steady-state publishes only
   // pay the copy-on-write path in RasterApply.
   if (raster_ == nullptr) BuildRaster();
-  // The point-cell table is rebuilt only once the pending inserts it has to
-  // carry exceed 1/8 of its size, so a steady stream of small publishes
-  // pays O(1) amortised rebuild work per insert.
-  if (prune_mode_ == ZPruneMode::kMbr &&
+  // The point-cell tables are rebuilt only once the pending inserts they
+  // have to carry exceed 1/8 of their size, so a steady stream of small
+  // publishes pays O(1) amortised rebuild work per insert.
+  if (options_.mode == TrajMode::kWhole &&
       (cells_ == nullptr ||
        cell_pending_.size() * 8 > cells_->num_trajectories())) {
-    BuildCellTable();
+    BuildCellTables();
   }
   // Last: the z-index rebuilds above go through MutableNode, which clears
   // the arena flag.
@@ -570,21 +576,74 @@ void TQTree::BuildRaster() {
   }
 }
 
-void TQTree::BuildCellTable() {
-  cells_ = std::make_shared<const PointCellTable>(world_, *users_,
-                                                  IndexedTrajectories());
+void TQTree::BuildCellTables() {
+  const std::vector<uint32_t> ids = IndexedTrajectories();
+  if (prune_mode_ == ZPruneMode::kStartEnd) {
+    cells_ = std::make_shared<const PointCellTable>(world_, *users_, ids,
+                                                    CellPoints::kSource);
+    end_cells_ = std::make_shared<const PointCellTable>(
+        world_, *users_, ids, CellPoints::kDestination);
+  } else {
+    cells_ = std::make_shared<const PointCellTable>(world_, *users_, ids,
+                                                    CellPoints::kAll);
+    end_cells_.reset();
+  }
   cell_pending_.clear();
 }
 
-bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
-                            std::vector<uint64_t>* mask) const {
-  if (cells_ == nullptr) return false;
-  mask->assign((users_->size() + 63) / 64, 0);
-  cells_->MarkNearStops(stops, psi, mask->data());
+void TQTree::MarkCandidateCells(std::span<const uint32_t> cells,
+                                bool any_endpoint,
+                                std::vector<uint64_t>* mask) const {
+  const size_t words = (users_->size() + 63) / 64;
+  mask->assign(words, 0);
+  cells_->MarkCells(cells, mask->data());
+  if (end_cells_ != nullptr) {
+    if (any_endpoint) {
+      end_cells_->MarkCells(cells, mask->data());
+    } else {
+      // Both endpoints near: destinations go to a second mask, which the
+      // sources' mask is then intersected with.
+      static thread_local std::vector<uint64_t> ends;
+      ends.assign(words, 0);
+      end_cells_->MarkCells(cells, ends.data());
+      for (size_t w = 0; w < words; ++w) (*mask)[w] &= ends[w];
+    }
+  }
   for (const uint32_t id : cell_pending_) {
     (*mask)[id >> 6] |= uint64_t{1} << (id & 63);
   }
+}
+
+bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
+                            std::vector<uint64_t>* mask,
+                            bool any_endpoint) const {
+  if (cells_ == nullptr) return false;
+  static thread_local std::vector<uint32_t> cells;
+  cells_->grid().CellsNearStops(stops, psi, &cells);
+  MarkCandidateCells(cells, any_endpoint, mask);
   return true;
+}
+
+double TQTree::CellUpperBound(const StopGrid& grid) const {
+  if (cells_ == nullptr) return UpperBound(grid);
+  static thread_local std::vector<uint32_t> cells;
+  static thread_local std::vector<uint64_t> mask;
+  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
+  MarkCandidateCells(cells, /*any_endpoint=*/false, &mask);
+  // Every unit that scores has its bit set and scores at most its own
+  // upper bound; a set bit of a removed trajectory only loosens the sum.
+  double sum = 0.0;
+  for (size_t w = 0; w < mask.size(); ++w) {
+    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      const auto id = static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+      sum += UnitUpperBound(*users_, id, kWholeUnit, options_.model);
+    }
+  }
+  // Inflated like the raster: the exact evaluation adds the same kind of
+  // terms in bucket order, which may round above this id-order sum.
+  sum *= kRasterDriftInflation;
+  TQ_DCHECK(raster_ != nullptr);  // built at the freeze that built the tables
+  return std::min(sum, raster_->MassInCells(cells));
 }
 
 void TQTree::RasterApply(uint32_t traj_id, double sign) {

@@ -112,10 +112,14 @@ class TQTree {
 
   /// True when every stored unit is a two-point unit (segments, or whole
   /// trajectories of a source-destination dataset). Then a unit's stored MBR
-  /// is exactly its endpoint MBR, so a unit with both endpoints inside a
-  /// facility's EMBR lies wholly inside it — combined with kStartEnd pruning
-  /// (no partial credit), top-k may skip the inter-node lists of
-  /// ContainingNode's ancestors (see TopKFacilitiesTQ).
+  /// is exactly its endpoint MBR. Combined with kStartEnd pruning (a unit
+  /// scores only with BOTH endpoints within ψ, no partial credit), a unit
+  /// stored at a proper ancestor of ContainingNode(EMBR) scores zero: it is
+  /// stored there because its MBR does not fit the child on the path, so
+  /// it does not fit the EMBR inside that child either, and one endpoint
+  /// lies outside the EMBR. UpperBound skips those ancestor lists. (Whole
+  /// multipoint trajectories break the second half: middle points inflate
+  /// the MBR beyond the served endpoints.)
   bool two_point_units() const {
     return options_.mode == TrajMode::kSegmented || max_points_ <= 2;
   }
@@ -168,7 +172,7 @@ class TQTree {
   /// otherwise; at the level budget the subtree is closed with the
   /// children's `sub` aggregates. Ancestors of the containing node
   /// contribute their list bound unless the two-point + kStartEnd argument
-  /// of TopKFacilitiesTQ proves them zero.
+  /// (see two_point_units()) proves them zero.
   ///
   /// Never smaller than EvaluateServiceTQ's exact value; larger
   /// `max_levels` tightens the bound at the price of visiting up to 4×
@@ -189,20 +193,37 @@ class TQTree {
   double UpperBoundScalarReference(const StopGrid& grid, int max_levels = 4,
                                    size_t* nodes_visited = nullptr) const;
 
-  /// Exact-check candidate filter of kMbr trees (whole multipoint
-  /// trajectories under Scenarios 2 and 3, where zReduce can only prune by
-  /// MBR). Replaces `mask` with one bit per id of users() and sets the bit
-  /// of every trajectory that may have a point within `psi` of a stop: the
-  /// trajectories listed in the point-cell table's cells near the stops,
-  /// plus every trajectory inserted since the table was built. A unit whose
-  /// bit is clear has no point within ψ of any stop and scores exactly 0,
-  /// so skipping its exact check changes no sum.
+  /// Exact-check candidate filter of whole-trajectory trees. Replaces
+  /// `mask` with one bit per id of users() and sets the bit of every
+  /// trajectory that may score for a facility with stops `stops` and
+  /// radius `psi`, from the point-cell tables' cells near the stops:
+  ///   * kStartEnd trees (Scenario 1, and Scenario 3 on two-point units),
+  ///     where a unit scores only with both endpoints within ψ: the
+  ///     trajectories whose source cell AND destination cell are near. With
+  ///     `any_endpoint`, source OR destination — the partially served users
+  ///     served-set collection keeps (Lemma 1);
+  ///   * kStartOrEnd and kMbr trees: the trajectories with any point in a
+  ///     near cell (`any_endpoint` changes nothing);
+  /// plus, in every form, each trajectory inserted since the tables were
+  /// built. A unit whose bit is clear scores exactly 0 (with
+  /// `any_endpoint`, serves no point at all), so skipping its exact check
+  /// changes no sum.
   ///
-  /// Returns false, leaving `mask` alone, when the tree has no table (any
-  /// other prune mode, or a kMbr tree never frozen): every unit is then a
-  /// candidate. Thread-safe on a frozen tree.
+  /// Returns false, leaving `mask` alone, when the tree has no tables
+  /// (segmented trees, and a fork whose prune mode changed until its next
+  /// freeze): every unit is then a candidate. Thread-safe on a frozen tree.
   bool MarkCandidates(std::span<const Point> stops, double psi,
-                      std::vector<uint64_t>* mask) const;
+                      std::vector<uint64_t>* mask,
+                      bool any_endpoint = false) const;
+
+  /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`
+  /// from the cell structures alone — no node or bucket is visited: the
+  /// smaller of the raster's mass near the stops and Σ UnitUpperBound over
+  /// the MarkCandidates set (pending inserts included), the sum inflated by
+  /// kRasterDriftInflation. Falls back to UpperBound(grid) on a tree
+  /// without tables. The key of the library's best-first kMaxRRST.
+  /// Thread-safe on a frozen tree.
+  double CellUpperBound(const StopGrid& grid) const;
 
   /// Nodes on the path root → `idx`, inclusive.
   std::vector<int32_t> PathTo(int32_t idx) const;
@@ -216,9 +237,10 @@ class TQTree {
   /// the concurrent runtime performs before publishing a tree snapshot. On a
   /// fork, only nodes the write batch touched are dirty, so this rebuilds
   /// O(batch × depth) z-indexes, not the whole tree's. Freezing also
-  /// materialises the point-mass raster and, on kMbr trees, the point-cell
-  /// table (rebuilt only once the inserts pending since its build exceed
-  /// 1/8 of the trajectories it holds).
+  /// materialises the point-mass raster, the bound-sweep arena and, on
+  /// whole-trajectory trees, the point-cell tables (rebuilt only once the
+  /// inserts pending since their build exceed 1/8 of the trajectories they
+  /// hold). Trees of both variants are frozen at construction and at load.
   void BuildAllZIndexes();
 
   /// Inserts trajectory `traj_id` of the user set (as a whole unit or as all
@@ -264,9 +286,12 @@ class TQTree {
   /// Rebuilds the point-mass raster from the currently indexed
   /// trajectories (first freeze, and deserialised trees).
   void BuildRaster();
-  /// Rebuilds the point-cell table from the currently indexed trajectories
+  /// Rebuilds the point-cell tables from the currently indexed trajectories
   /// and empties the pending list.
-  void BuildCellTable();
+  void BuildCellTables();
+  /// MarkCandidates over precomputed near-stop `cells`.
+  void MarkCandidateCells(std::span<const uint32_t> cells, bool any_endpoint,
+                          std::vector<uint64_t>* mask) const;
   /// Deposits (+1) / withdraws (-1) `traj_id`'s point weights, copying a
   /// raster shared with forks first (raster copy-on-write).
   void RasterApply(uint32_t traj_id, double sign);
@@ -334,12 +359,15 @@ class TQTree {
   /// mutation, mirroring the page epochs). Null until frozen.
   std::shared_ptr<PointRaster> raster_;
   bool raster_owned_ = false;
-  /// Point-cell table for MarkCandidates(); built at freeze on kMbr trees,
-  /// immutable and shared with forks. Trajectories inserted after its
-  /// build are candidates via `cell_pending_` (per tree, copied by Fork);
-  /// removals need no update, since a stale id marks a trajectory that no
-  /// list holds.
+  /// Point-cell tables for MarkCandidates(); built at freeze on
+  /// whole-trajectory trees, immutable and shared with forks. kStartEnd
+  /// trees list sources in `cells_` and destinations in `end_cells_`; other
+  /// trees list every point in `cells_` and have no `end_cells_`.
+  /// Trajectories inserted after the build are candidates via
+  /// `cell_pending_` (per tree, copied by Fork); removals need no update,
+  /// since a stale id marks a trajectory that no list holds.
   std::shared_ptr<const PointCellTable> cells_;
+  std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> cell_pending_;
   BoundArena bound_arena_;
 };

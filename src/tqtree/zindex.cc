@@ -53,7 +53,7 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
         node_rect.Contains(entries[i].end)) {
       indexed.push_back(i);
     } else {
-      outliers_.emplace_back(i, entries[i].mbr);
+      outliers_.push_back(Outlier{i, entries[i].traj_id, entries[i].mbr});
     }
   }
 
@@ -88,8 +88,10 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
             });
 
   entry_mbrs_.resize(refs_.size());
+  traj_ids_.resize(refs_.size());
   for (size_t i = 0; i < refs_.size(); ++i) {
     entry_mbrs_[i] = entries[refs_[i].entry_index].mbr;
+    traj_ids_[i] = entries[refs_[i].entry_index].traj_id;
   }
 
   // Chunk the sorted list into z-nodes of ≤ β entries.
@@ -127,6 +129,7 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
 }
 
 void ZIndex::ForEachCandidate(const Corridor& corridor,
+                              const uint64_t* candidates,
                               const std::function<void(uint32_t)>& fn,
                               ReduceStats* stats,
                               std::optional<ZPruneMode> mode_override) const {
@@ -140,24 +143,32 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
   }
   if (stats != nullptr) stats->buckets_total += buckets_.size();
   // Outliers (entries beyond the node's z-addressable rectangle) are always
-  // scanned, whatever the filter decides below.
-  for (const auto& [entry_index, mbr] : outliers_) {
+  // scanned, whatever the z filter decides below.
+  for (const Outlier& o : outliers_) {
     if (stats != nullptr) stats->entries_scanned++;
-    if (mbr.Intersects(corridor.embr)) {
+    if (IsCandidate(candidates, o.traj_id) && o.mbr.Intersects(corridor.embr)) {
       if (stats != nullptr) stats->candidates++;
-      fn(entry_index);
+      fn(o.entry_index);
     }
   }
   if (refs_.empty()) return;
-  // Lists of a couple of buckets gain nothing from filtering: the cover
-  // walks cost more than just exact-checking every entry.
-  if (refs_.size() <= 2 * beta_) {
+  // Every entry of the list passes the z filter: only the candidate bits
+  // decide.
+  const auto scan_all = [&] {
     if (stats != nullptr) {
       stats->buckets_visited += buckets_.size();
       stats->entries_scanned += refs_.size();
-      stats->candidates += refs_.size();
     }
-    for (const EntryRef& r : refs_) fn(r.entry_index);
+    for (size_t i = 0; i < refs_.size(); ++i) {
+      if (!IsCandidate(candidates, traj_ids_[i])) continue;
+      if (stats != nullptr) stats->candidates++;
+      fn(refs_[i].entry_index);
+    }
+  };
+  // Lists of a couple of buckets gain nothing from filtering: the cover
+  // walks cost more than just exact-checking every entry.
+  if (refs_.size() <= 2 * beta_) {
+    scan_all();
     return;
   }
   const Rect& embr = corridor.embr;
@@ -172,7 +183,8 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
       if (stats != nullptr) stats->buckets_visited++;
       for (uint32_t i = b.begin; i < b.end; ++i) {
         if (stats != nullptr) stats->entries_scanned++;
-        if (entry_mbrs_[i].Intersects(embr)) {
+        if (IsCandidate(candidates, traj_ids_[i]) &&
+            entry_mbrs_[i].Intersects(embr)) {
           if (stats != nullptr) stats->candidates++;
           fn(refs_[i].entry_index);
         }
@@ -191,12 +203,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     const double stop_area = static_cast<double>(corridor.stops.size()) *
                              (2.0 * corridor.psi) * (2.0 * corridor.psi);
     if (!require_both_pre && stop_area > 0.8 * node_area) {
-      if (stats != nullptr) {
-        stats->buckets_visited += buckets_.size();
-        stats->entries_scanned += refs_.size();
-        stats->candidates += refs_.size();
-      }
-      for (const EntryRef& r : refs_) fn(r.entry_index);
+      scan_all();
       return;
     }
   }
@@ -227,12 +234,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     const double selectivity =
         require_both ? std::min(s_sel, e_sel) : s_sel + e_sel - s_sel * e_sel;
     if (selectivity > 0.6) {
-      if (stats != nullptr) {
-        stats->buckets_visited += buckets_.size();
-        stats->entries_scanned += refs_.size();
-        stats->candidates += refs_.size();
-      }
-      for (const EntryRef& r : refs_) fn(r.entry_index);
+      scan_all();
       return;
     }
   }
@@ -256,6 +258,8 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     if (stats != nullptr) stats->buckets_visited++;
     for (uint32_t i = b.begin; i < b.end; ++i) {
       if (stats != nullptr) stats->entries_scanned++;
+      // Bit first: a cleared trajectory skips both range probes.
+      if (!IsCandidate(candidates, traj_ids_[i])) continue;
       const EntryRef& r = refs_[i];
       const bool s_in = RangesContain(start_ranges, r.start_key);
       const bool e_in = RangesContain(end_ranges, r.end_key);
@@ -270,8 +274,8 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
 double ZIndex::UpperBound(const Corridor& corridor,
                           std::span<const TrajEntry> entries) const {
   double bound = 0.0;
-  for (const auto& [entry_index, mbr] : outliers_) {
-    if (corridor.Reaches(mbr)) bound += entries[entry_index].ub;
+  for (const Outlier& o : outliers_) {
+    if (corridor.Reaches(o.mbr)) bound += entries[o.entry_index].ub;
   }
   // Mode hoisted out of the sweep; `reachable ? ub : 0.0` keeps the loop
   // body branch-free over the SoA arrays. Adding +0.0 for skipped buckets
@@ -311,8 +315,8 @@ double ZIndex::UpperBound(const Corridor& corridor,
 double ZIndex::UpperBoundScalarReference(
     const Corridor& corridor, std::span<const TrajEntry> entries) const {
   double bound = 0.0;
-  for (const auto& [entry_index, mbr] : outliers_) {
-    if (corridor.ReachesScalar(mbr)) bound += entries[entry_index].ub;
+  for (const Outlier& o : outliers_) {
+    if (corridor.ReachesScalar(o.mbr)) bound += entries[o.entry_index].ub;
   }
   for (const Bucket& b : buckets_) {
     if (b.ub <= 0.0) continue;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
+#include "datagen/presets.h"
 #include "query/baseline.h"
 #include "query/topk.h"
 #include "test_util.h"
@@ -23,9 +26,21 @@ struct World {
   }
 };
 
-// All rankings must agree on values (sets may differ only on exact ties).
+// Best-first answers are the exhaustive ranking's first k, bit for bit:
+// same ids in the same order, and every value is EvaluateServiceTQ's.
 void ExpectSameRanking(const TopKResult& a, const TopKResult& b,
-                       const char* what) {
+                       const std::string& what) {
+  ASSERT_EQ(a.ranked.size(), b.ranked.size()) << what;
+  for (size_t i = 0; i < a.ranked.size(); ++i) {
+    EXPECT_EQ(a.ranked[i].id, b.ranked[i].id) << what << " rank " << i;
+    EXPECT_EQ(a.ranked[i].value, b.ranked[i].value) << what << " rank " << i;
+  }
+}
+
+// Another index sums each facility in its own order, so only the values
+// agree, up to rounding (ids may differ only on such near-ties).
+void ExpectSameValues(const TopKResult& a, const TopKResult& b,
+                      const std::string& what) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size()) << what;
   for (size_t i = 0; i < a.ranked.size(); ++i) {
     EXPECT_NEAR(a.ranked[i].value, b.ranked[i].value, 1e-6)
@@ -33,33 +48,82 @@ void ExpectSameRanking(const TopKResult& a, const TopKResult& b,
   }
 }
 
+// Every model, both variants, whole and segmented trees, two-point and
+// multipoint users, and k from 1 to beyond the catalog.
 TEST(TopK, BestFirstMatchesExhaustiveAndBaseline) {
-  for (const ServiceModel& model : testing::AllModels(250.0)) {
-    World world = World::Make(601, 400, 2, 2, 24, model);
-    TQTreeOptions opt;
-    opt.beta = 8;
-    opt.model = model;
-    TQTree tree(&world.users, opt);
-    const ServiceEvaluator eval(&world.users, model);
-    const FacilityCatalog catalog(&world.facilities, model.psi);
-    PointQuadtree pq(world.users.BoundingBox().Expanded(1.0), 32);
-    pq.InsertAll(world.users);
-
-    const size_t k = 8;
-    const TopKResult best_first = TopKFacilitiesTQ(&tree, catalog, eval, k);
-    const TopKResult exhaustive =
-        TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, k);
-    const TopKResult baseline = TopKFacilitiesBaseline(pq, catalog, eval, k);
-    ExpectSameRanking(best_first, exhaustive, model.ToString().c_str());
-    ExpectSameRanking(best_first, baseline, model.ToString().c_str());
-    // And every reported value must be the facility's true SO.
-    for (const RankedFacility& rf : best_first.ranked) {
-      EXPECT_NEAR(rf.value,
-                  testing::BruteForceSO(world.users,
-                                        world.facilities.points(rf.id),
-                                        model),
-                  1e-6);
+  for (const size_t max_pts : {size_t{2}, size_t{6}}) {
+    for (const ServiceModel& model : testing::AllModels(250.0)) {
+      World world = World::Make(601, 400, 2, max_pts, 24, model);
+      const ServiceEvaluator eval(&world.users, model);
+      const FacilityCatalog catalog(&world.facilities, model.psi);
+      PointQuadtree pq(world.users.BoundingBox().Expanded(1.0), 32);
+      pq.InsertAll(world.users);
+      const size_t nf = world.facilities.size();
+      for (const IndexVariant variant :
+           {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+        for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+          TQTreeOptions opt;
+          opt.beta = 8;
+          opt.model = model;
+          opt.variant = variant;
+          opt.mode = mode;
+          TQTree tree(&world.users, opt);
+          for (const size_t k : {size_t{1}, nf / 2, nf, nf + 3}) {
+            const std::string what =
+                model.ToString() + " max_pts=" + std::to_string(max_pts) +
+                (variant == IndexVariant::kBasic ? " TQ(B)" : " TQ(Z)") +
+                (mode == TrajMode::kWhole ? " whole" : " segmented") +
+                " k=" + std::to_string(k);
+            const TopKResult best_first =
+                TopKFacilitiesTQ(&tree, catalog, eval, k);
+            const TopKResult exhaustive =
+                TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, k);
+            const TopKResult baseline =
+                TopKFacilitiesBaseline(pq, catalog, eval, k);
+            ExpectSameRanking(best_first, exhaustive, what);
+            ExpectSameValues(best_first, baseline, what);
+            // And every reported value is the facility's true SO.
+            for (const RankedFacility& rf : best_first.ranked) {
+              EXPECT_NEAR(rf.value,
+                          testing::BruteForceSO(world.users,
+                                                world.facilities.points(rf.id),
+                                                model),
+                          1e-6)
+                  << what;
+            }
+          }
+        }
+      }
     }
+  }
+}
+
+// Regression: the per-level relaxation summed each facility in its own
+// visiting order, so on NYF check-ins under the paper's per-user Scenario 2
+// about half the returned values differed from EvaluateServiceTQ's in the
+// last bits. Every value must be exactly the facility's EvaluateServiceTQ.
+TEST(TopK, PerUserScenario2ValuesAreEvaluateServiceBits) {
+  const TrajectorySet users = presets::NyfCheckins(3000);
+  const TrajectorySet routes = presets::NyBusRoutes(32, 16);
+  const ServiceModel model =
+      ServiceModel::PointCount(200.0, Normalization::kPerUser);
+  TQTreeOptions opt;
+  opt.beta = 16;
+  opt.model = model;
+  TQTree tree(&users, opt);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&routes, model.psi);
+  for (const size_t k : {size_t{1}, size_t{8}, routes.size()}) {
+    const TopKResult top = TopKFacilitiesTQ(&tree, catalog, eval, k);
+    ASSERT_EQ(top.ranked.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      const RankedFacility& rf = top.ranked[i];
+      EXPECT_EQ(rf.value,
+                EvaluateServiceTQ(&tree, eval, catalog.grid(rf.id)))
+          << "k=" << k << " rank " << i << " facility " << rf.id;
+    }
+    ExpectSameRanking(top, TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, k),
+                      "k=" + std::to_string(k));
   }
 }
 
@@ -144,16 +208,16 @@ TEST(TopK, DeterministicAcrossRuns) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
   for (size_t i = 0; i < a.ranked.size(); ++i) {
     EXPECT_EQ(a.ranked[i].id, b.ranked[i].id);
-    EXPECT_DOUBLE_EQ(a.ranked[i].value, b.ranked[i].value);
+    EXPECT_EQ(a.ranked[i].value, b.ranked[i].value);
   }
 }
 
 TEST(TopK, BestFirstDoesLessWorkThanExhaustiveForSmallK) {
   // Two-tier workload: one dominant hub facility serving a dense cluster,
   // many satellite facilities each serving a small pocket. With k = 1 the
-  // hub completes first and every satellite's optimistic bound (its q-node
-  // subtree population) stays below the hub's actual value, so best-first
-  // never inspects the satellites' candidate lists.
+  // hub completes first and every satellite's cell bound (the users whose
+  // endpoints lie near its route) stays below the hub's actual value, so
+  // best-first never evaluates the satellites.
   const ServiceModel model = ServiceModel::Endpoints(400.0);
   Rng rng(613);
   TrajectorySet users;
@@ -191,17 +255,20 @@ TEST(TopK, BestFirstDoesLessWorkThanExhaustiveForSmallK) {
   const TopKResult ex = TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, 1);
   ASSERT_EQ(bf.ranked.size(), 1u);
   EXPECT_EQ(bf.ranked[0].id, 0u);  // the hub wins
-  EXPECT_NEAR(bf.ranked[0].value, ex.ranked[0].value, 1e-9);
-  // The best-first search must not fully evaluate every facility.
+  ExpectSameRanking(bf, ex, "hub");
+  // The best-first search must not fully evaluate every facility: the hub
+  // is its only refinement.
   EXPECT_LT(bf.stats.exact_checks, ex.stats.exact_checks)
       << "best-first pruning saved nothing";
+  EXPECT_EQ(bf.stats.relax_rounds, 1u);
 }
 
 TEST(TopK, AncestorStoredPartialServiceIsCounted) {
   // Regression: a trajectory spanning the root split (stored in the root's
   // inter-node list) with ONE endpoint near a facility wholly contained in a
   // quadrant. Under point-count service it contributes 0.5; the best-first
-  // search must include ancestor lists or it silently drops this.
+  // search's bound and its exact evaluation must both count ancestor lists
+  // or it silently drops this.
   TrajectorySet users;
   const Point spanner[] = {{2000, 2000}, {8000, 8000}};
   users.Add(spanner);
@@ -237,6 +304,8 @@ TEST(TopK, AncestorStoredPartialServiceIsCounted) {
       testing::BruteForceSO(users, facs.points(0), model);
   ASSERT_EQ(bf.ranked.size(), 1u);
   EXPECT_NEAR(bf.ranked[0].value, oracle, 1e-9);
+  ExpectSameRanking(bf, TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, 1),
+                    "spanner");
   // And the spanner really is worth 0.5 to this facility.
   EXPECT_DOUBLE_EQ(eval.Evaluate(0, catalog.grid(0)), 0.5);
 }
@@ -247,7 +316,7 @@ TEST(TopK, AncestorStoredMultipointEndpointServiceIsCounted) {
   // the served endpoints. Source and destination both sit next to the
   // facility (full service of 1.0), but the detour through (8000,8000)
   // spans the root split, parking the unit in an ancestor inter-node list.
-  // kStartEnd pruning alone must NOT make best-first skip ancestors here.
+  // kStartEnd pruning alone must NOT make the search skip ancestors here.
   TrajectorySet users;
   const Point detour[] = {{1950, 2000}, {8000, 8000}, {2050, 2000}};
   users.Add(detour);
@@ -280,6 +349,8 @@ TEST(TopK, AncestorStoredMultipointEndpointServiceIsCounted) {
   const double oracle = testing::BruteForceSO(users, facs.points(0), model);
   ASSERT_EQ(bf.ranked.size(), 1u);
   EXPECT_NEAR(bf.ranked[0].value, oracle, 1e-9);
+  ExpectSameRanking(bf, TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, 1),
+                    "detour");
   // The detour trajectory itself is fully served despite its huge MBR.
   EXPECT_DOUBLE_EQ(eval.Evaluate(0, catalog.grid(0)), 1.0);
 }
@@ -315,7 +386,7 @@ TEST(TopK, TieBreakingByIdMatchesExhaustive) {
   ASSERT_EQ(ex.ranked.size(), k);
   for (size_t i = 0; i < k; ++i) {
     EXPECT_EQ(bf.ranked[i].id, ex.ranked[i].id) << "rank " << i;
-    EXPECT_DOUBLE_EQ(bf.ranked[i].value, ex.ranked[i].value) << "rank " << i;
+    EXPECT_EQ(bf.ranked[i].value, ex.ranked[i].value) << "rank " << i;
   }
   // The tie groups really are exact ties, and within each the smaller id
   // must precede the larger.
@@ -331,7 +402,7 @@ TEST(TopK, TieBreakingByIdMatchesExhaustive) {
     const size_t hi = pos(static_cast<FacilityId>(f + half));
     ASSERT_LT(lo, k);
     ASSERT_LT(hi, k);
-    EXPECT_DOUBLE_EQ(bf.ranked[lo].value, bf.ranked[hi].value);
+    EXPECT_EQ(bf.ranked[lo].value, bf.ranked[hi].value);
     EXPECT_LT(lo, hi) << "tie between facility " << f << " and " << f + half
                       << " not broken by ascending id";
   }

@@ -486,6 +486,108 @@ TEST(TopKPrune, ConcurrentMultiWaveQueriesAcrossAPublish) {
   EXPECT_GT(engine.metrics().Read().prune_rounds, 2 * queries);
 }
 
+// The same across publishes on a two-point Scenario 1 world (NYT trips),
+// whose trees filter exact checks by both endpoint cell tables: readers mix
+// SO and top-k queries, so pool threads mark the both-endpoints mask (and
+// its destination scratch) over shared tables while forks take pending
+// inserts, de-index users and fold pending inserts into rebuilt tables.
+// Every answer equals the snapshot oracle of the version it reports. The
+// TSan job runs this.
+TEST(TopKPrune, ConcurrentTwoPointSoAndTopKAcrossPublishes) {
+  const TrajectorySet users = presets::NytTrips(800);
+  const TrajectorySet routes = presets::NyBusRoutes(24, 8);
+  const ServiceModel model = ServiceModel::Endpoints(200.0);
+  const std::vector<size_t> ks = {1, 4, routes.size()};
+  // Batch b removes a run of ids and re-inserts the trips of users
+  // [next, next + inserts) under new ids.
+  std::vector<runtime::UpdateBatch> batches(3);
+  uint32_t next = 300;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (uint32_t id = 40 * static_cast<uint32_t>(b);
+         id < 40 * static_cast<uint32_t>(b) + 30; ++id) {
+      batches[b].removes.push_back(id);
+    }
+    for (uint32_t i = 0; i < 50; ++i, ++next) {
+      const auto pts = users.points(next);
+      batches[b].inserts.emplace_back(pts.begin(), pts.end());
+    }
+  }
+  const size_t versions = batches.size() + 1;
+
+  // Per version: the snapshot oracle's SO of every facility and its
+  // ranking for each k.
+  ShardedEngine reference(users, routes, Options(4, model));
+  std::vector<std::vector<double>> want_so(versions);
+  std::vector<std::vector<std::vector<RankedFacility>>> want_top(versions);
+  for (size_t v = 0; v < versions; ++v) {
+    if (v > 0) reference.ApplyUpdates(batches[v - 1]);
+    const runtime::ShardedSnapshotPtr snap = reference.snapshot();
+    ASSERT_EQ(snap->version, v + 1);
+    const std::vector<RankedFacility> all =
+        SnapshotRanking(*snap, routes.size());
+    want_so[v].resize(routes.size());
+    for (const RankedFacility& rf : all) want_so[v][rf.id] = rf.value;
+    for (const size_t k : ks) want_top[v].push_back(SnapshotRanking(*snap, k));
+  }
+
+  ShardedEngine engine(users, routes, Options(4, model));
+  std::atomic<size_t> answered{0};
+  std::atomic<bool> published{false};
+  std::thread writer([&] {
+    for (const runtime::UpdateBatch& batch : batches) {
+      const size_t until = answered.load() + 4;
+      while (answered.load() < until) std::this_thread::yield();
+      engine.ApplyUpdates(batch);
+    }
+    published.store(true);
+  });
+  // Query i of reader r: top-k for ks[i % 3] on odd i, else the SO of a
+  // facility that walks the catalog.
+  const auto request = [&](size_t r, size_t i) {
+    if (i % 2 == 1) return QueryRequest::TopK(ks[(i / 2) % ks.size()]);
+    return QueryRequest::ServiceValue(
+        static_cast<FacilityId>((7 * r + i) % routes.size()));
+  };
+  std::vector<std::vector<QueryResponse>> got(3);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < got.size(); ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = 0, after = 0; after < 2 * ks.size(); ++i) {
+        const bool late = published.load();
+        got[r].push_back(engine.Submit(request(r, i)).get());
+        answered.fetch_add(1);
+        if (late) ++after;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+
+  std::vector<size_t> per_version(versions, 0);
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t i = 0; i < got[r].size(); ++i) {
+      const QueryResponse& resp = got[r][i];
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      ASSERT_TRUE(resp.snapshot_version >= 1 &&
+                  resp.snapshot_version <= versions);
+      const size_t v = resp.snapshot_version - 1;
+      ++per_version[v];
+      const QueryRequest req = request(r, i);
+      SCOPED_TRACE("version " + std::to_string(v + 1) + " query " +
+                   std::to_string(i));
+      if (req.kind == runtime::QueryKind::kTopK) {
+        ExpectSameRanking(resp.ranked,
+                          want_top[v][(i / 2) % ks.size()]);
+      } else {
+        EXPECT_EQ(resp.value, want_so[v][req.facility])
+            << "facility " << req.facility;
+      }
+    }
+  }
+  EXPECT_GT(per_version.front(), 0u);
+  EXPECT_GT(per_version.back(), 0u);
+}
+
 // ------------------------------------------------------------- edge cases
 
 TEST(TopKPrune, DegenerateRequestsStayExact) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "query/eval_service.h"
@@ -297,11 +299,15 @@ bool IntegerValued(const ServiceModel& m) {
 }
 
 // Checks the filter on `tree` against every facility: each indexed user
-// that scores > 0 (by the evaluator and by brute force) has its bit set,
-// no user whose bit is clear gets an exact check, and the library's answers
-// equal brute force over the indexed users — exactly for the
-// integer-valued models. Returns how many (user, facility) pairs the
-// filter cleared.
+// that scores > 0 (by the evaluator and by brute force) has its bit set in
+// the default mask, each user with any served detail has its bit set in the
+// any-endpoint mask, no user whose bit is clear gets an exact check, the
+// cell bound is never below the exact value, served-set collection finds
+// exactly the users with a served detail, and the library's answers equal
+// brute force over the indexed users — exactly for the integer-valued
+// models, and top-k always returns EvaluateServiceTQ's bits in the
+// exhaustive order. Returns how many (user, facility) pairs the default
+// mask cleared.
 size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
                             const std::string& where) {
   SCOPED_TRACE(where);
@@ -310,56 +316,76 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
   const ServiceEvaluator eval(&users, model);
   const FacilityCatalog catalog(&facs, model.psi);
   const std::vector<uint32_t> indexed = IndexedIds(*tree);
+  const auto bit = [](const std::vector<uint64_t>& mask, uint32_t u) {
+    return ((mask[u >> 6] >> (u & 63)) & 1) != 0;
+  };
   size_t cleared = 0;
-  std::vector<RankedFacility> want(facs.size());
+  std::vector<RankedFacility> exact(facs.size());
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid& grid = catalog.grid(f);
     std::vector<uint64_t> mask;
-    const bool filtered = tree->MarkCandidates(grid.stops(), grid.psi(), &mask);
-    EXPECT_EQ(filtered, tree->prune_mode() == ZPruneMode::kMbr);
-    if (filtered) {
-      EXPECT_EQ(mask.size(), (users.size() + 63) / 64);
-    }
+    std::vector<uint64_t> any_mask;
+    const bool filtered =
+        tree->MarkCandidates(grid.stops(), grid.psi(), &mask) &&
+        tree->MarkCandidates(grid.stops(), grid.psi(), &any_mask,
+                             /*any_endpoint=*/true);
+    EXPECT_TRUE(filtered) << "facility " << f;
+    if (!filtered) continue;
+    EXPECT_EQ(mask.size(), (users.size() + 63) / 64);
+    EXPECT_EQ(any_mask.size(), mask.size());
     double so = 0.0;
     size_t candidates = 0;
+    std::map<uint32_t, DynamicBitset> want_served;
     for (const uint32_t u : indexed) {
       const double v = testing::BruteForceService(users, u, grid.stops(), model);
       so += v;
-      if (!filtered) continue;
-      const bool bit = ((mask[u >> 6] >> (u & 63)) & 1) != 0;
-      if (bit) {
+      if (bit(mask, u)) {
         ++candidates;
       } else {
         ++cleared;
       }
       if (v > 0.0 || eval.Evaluate(u, grid) > 0.0) {
-        EXPECT_TRUE(bit) << "user " << u << " facility " << f;
+        EXPECT_TRUE(bit(mask, u)) << "user " << u << " facility " << f;
+      }
+      ServeDetail detail = eval.EvaluateDetail(u, grid);
+      if (detail.Any()) {
+        EXPECT_TRUE(bit(any_mask, u))
+            << "any-endpoint: user " << u << " facility " << f;
+        want_served.emplace(u, std::move(detail.mask));
       }
     }
-    want[f] = RankedFacility{f, so};
     QueryStats stats;
     const double got = EvaluateServiceTQ(tree, eval, grid, &stats);
+    exact[f] = RankedFacility{f, got};
     // Whole units: one entry per user, so every exact check is a candidate.
-    if (filtered) {
-      EXPECT_LE(stats.exact_checks, candidates) << "facility " << f;
-    }
+    EXPECT_LE(stats.exact_checks, candidates) << "facility " << f;
+    EXPECT_GE(tree->CellUpperBound(grid), got) << "facility " << f;
     if (IntegerValued(model)) {
       EXPECT_EQ(got, so) << "facility " << f;
     } else {
       EXPECT_NEAR(got, so, 1e-9 * std::max(1.0, so)) << "facility " << f;
     }
-  }
-  if (IntegerValued(model)) {
-    std::sort(want.begin(), want.end(), RankedBefore);
-    for (const size_t k : {size_t{1}, size_t{5}, facs.size()}) {
-      const TopKResult top = TopKFacilitiesTQ(tree, catalog, eval, k);
-      EXPECT_EQ(top.ranked.size(), k);
-      if (top.ranked.size() != k) continue;
-      for (size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(top.ranked[i].id, want[i].id) << "k=" << k << " rank " << i;
-        EXPECT_EQ(top.ranked[i].value, want[i].value)
-            << "k=" << k << " rank " << i;
+    std::unordered_map<uint32_t, DynamicBitset> served;
+    CollectServedTQ(tree, eval, grid, &served);
+    EXPECT_EQ(served.size(), want_served.size()) << "facility " << f;
+    for (const auto& [u, detail] : want_served) {
+      const auto it = served.find(u);
+      if (it == served.end()) {
+        ADD_FAILURE() << "not collected: user " << u << " facility " << f;
+        continue;
       }
+      EXPECT_TRUE(it->second == detail) << "user " << u << " facility " << f;
+    }
+  }
+  std::sort(exact.begin(), exact.end(), RankedBefore);
+  for (const size_t k : {size_t{1}, size_t{5}, facs.size()}) {
+    const TopKResult top = TopKFacilitiesTQ(tree, catalog, eval, k);
+    EXPECT_EQ(top.ranked.size(), k);
+    if (top.ranked.size() != k) continue;
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(top.ranked[i].id, exact[i].id) << "k=" << k << " rank " << i;
+      EXPECT_EQ(top.ranked[i].value, exact[i].value)
+          << "k=" << k << " rank " << i;
     }
   }
   return cleared;
@@ -370,14 +396,24 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
 // table), after removals, on both sides of a fork and after a save/load
 // round trip. Points and stops sit on raster cell borders (a point exactly
 // ψ beyond a stop across a border) and outside the world box, where cells
-// clamp.
-TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
-  Rng rng(331);
+// clamp. `two_point` builds source-destination users, whose Scenario 1 and
+// 3 trees filter by source and destination tables (both near, or either
+// near for served-set collection) and whose Scenario 2 trees by the
+// any-point table; multipoint users get endpoint tables under Scenario 1
+// and the any-point table otherwise.
+void CheckPointCellLifecycle(bool two_point) {
+  Rng rng(two_point ? 337 : 331);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
-  TrajectorySet base = testing::RandomUsers(&rng, 300, 3, 8, w);
+  const size_t min_pts = two_point ? 2 : 3;
+  const size_t max_pts = two_point ? 2 : 8;
+  // Drops the middle points of a trajectory in the two-point world.
+  const auto shape = [two_point](std::vector<Point> pts) {
+    if (two_point) pts.erase(pts.begin() + 1, pts.end() - 1);
+    return pts;
+  };
+  TrajectorySet base = testing::RandomUsers(&rng, 300, min_pts, max_pts, w);
   // Pin the bounding box to `w`, so the world of every tree below is known.
-  const Point frame[] = {{0, 0}, {20000, 0}, {20000, 20000}};
-  base.Add(frame);
+  base.Add(shape({{0, 0}, {20000, 0}, {20000, 20000}}));
   const ServiceModel probe_model = ServiceModel::PointCount(150.0);
   const Rect world = TQTree(&base, MakeOptions(IndexVariant::kZOrder,
                                                TrajMode::kWhole, probe_model))
@@ -387,16 +423,16 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
   const double psi = 150.0;
 
   TrajectorySet facs = testing::RandomFacilities(&rng, 20, 8, w);
-  // Users on cell borders, each with a facility whose stop lies exactly ψ
-  // away on the other side of the border (and one sharing the border).
+  // Users on cell borders, each with a facility whose stops lie exactly ψ
+  // away from the source and the destination on the other side of a
+  // border (and one sharing the border).
   TrajectorySet users = base;
   for (int j = 0; j < 12; ++j) {
     const double x =
         world.min_x + static_cast<double>(20 + rng.NextBelow(200)) * cw;
     const double y =
         world.min_y + static_cast<double>(20 + rng.NextBelow(200)) * ch;
-    const Point on_border[] = {{x, y}, {x + 0.5 * cw, y}, {x, y + 3.0 * ch}};
-    users.Add(on_border);
+    users.Add(shape({{x, y}, {x + 0.5 * cw, y}, {x, y + 3.0 * ch}}));
     const Point stops[] = {{x - psi, y}, {x, y + 3.0 * ch + psi}};
     facs.Add(stops);
   }
@@ -407,16 +443,16 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
   for (int j = 0; j < 8; ++j) {
     const double y = rng.NextUniform(world.min_y, world.max_y);
     const double dx = 100.0 + 40.0 * j;
-    const Point out[] = {{world.max_x + dx, y},
-                         {world.max_x + dx + 30.0, y + 30.0},
-                         {world.min_x - dx, world.max_y + dx}};
-    outside.push_back(extended.Add(out));
+    outside.push_back(extended.Add(shape({{world.max_x + dx, y},
+                                          {world.max_x + dx + 30.0, y + 30.0},
+                                          {world.min_x - dx,
+                                           world.max_y + dx}})));
     const Point stops[] = {{world.max_x + dx - 100.0, y},
                            {world.min_x - dx + psi, world.max_y + dx}};
     facs.Add(stops);
   }
   // Plain random extension users (inserted after the build).
-  TrajectorySet more = testing::RandomUsers(&rng, 60, 3, 8, w);
+  TrajectorySet more = testing::RandomUsers(&rng, 60, min_pts, max_pts, w);
   std::vector<uint32_t> later;
   for (uint32_t u = 0; u < more.size(); ++u) {
     later.push_back(extended.Add(more.points(u)));
@@ -432,21 +468,17 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
                                    model.scenario)) +
                  " norm " +
                  std::to_string(static_cast<int>(model.normalization)));
-    const bool multipoint_mbr = model.scenario != Scenario::kEndpoints;
     TQTree fresh(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
                                      model, 16));
     ASSERT_EQ(fresh.world(), world);
-    ASSERT_EQ(fresh.prune_mode() == ZPruneMode::kMbr, multipoint_mbr);
+    ASSERT_EQ(fresh.two_point_units(), two_point);
     const size_t fresh_cleared = CheckCandidateFilter(&fresh, facs, "fresh");
-    // The filter must actually filter where it exists.
-    if (multipoint_mbr) {
-      EXPECT_GT(fresh_cleared, 0u);
-    }
-    // TQ(B) trees filter their linear scan once frozen.
+    // The filter must actually filter.
+    EXPECT_GT(fresh_cleared, 0u);
+    // TQ(B) trees are frozen at construction and filter their linear scan.
     TQTree basic(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
                                      model, 16));
-    basic.BuildAllZIndexes();
-    CheckCandidateFilter(&basic, facs, "TQ(B), frozen");
+    CheckCandidateFilter(&basic, facs, "TQ(B)");
 
     // Inserts go to the pending list (no refreeze yet), then stay there
     // through a freeze while they are few.
@@ -454,16 +486,14 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
     for (const uint32_t u : outside) fork->Insert(u);
     CheckCandidateFilter(fork.get(), facs, "fork, pending inserts");
     fork->BuildAllZIndexes();
-    if (multipoint_mbr) {
-      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), outside.size());
-    }
+    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), outside.size());
     CheckCandidateFilter(fork.get(), facs, "fork, frozen with pending");
     // The parent keeps its own (empty) pending list and its answers.
     EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(fresh), 0u);
     CheckCandidateFilter(&fresh, facs, "parent after fork writes");
 
     // A fork of a tree with pending inserts inherits them; both sides share
-    // the table and write independently.
+    // the tables and write independently.
     {
       std::unique_ptr<TQTree> grandchild = fork->Fork(&extended);
       ASSERT_TRUE(grandchild->Remove(1));
@@ -473,14 +503,14 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
       CheckCandidateFilter(fork.get(), facs, "fork after grandchild writes");
     }
 
-    // Removals leave stale ids in the table.
+    // Removals leave stale ids in the tables.
     for (uint32_t u = 0; u < users.size(); u += 3) {
       ASSERT_TRUE(fork->Remove(u));
     }
     ASSERT_TRUE(fork->Remove(outside[0]));
     CheckCandidateFilter(fork.get(), facs, "fork after removes");
 
-    // Enough inserts to pass 1/8 of the table fold into a rebuild at the
+    // Enough inserts to pass 1/8 of the tables fold into a rebuild at the
     // next freeze; re-inserting a removed user is a pending insert too.
     for (const uint32_t u : later) fork->Insert(u);
     fork->Insert(outside[0]);
@@ -489,17 +519,56 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
     EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), 0u);
     CheckCandidateFilter(fork.get(), facs, "fork, folded table");
 
-    // Save/load round trip rebuilds the table from the node lists.
-    std::string bytes;
-    StringSnapshotSink sink(&bytes);
-    ASSERT_TRUE(WriteTQTreeSnapshot(*fork, &sink).ok());
-    StringSnapshotSource source(bytes);
-    Result<std::unique_ptr<TQTree>> loaded =
-        ReadTQTreeSnapshot(&source, &extended);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(**loaded), 0u);
-    CheckCandidateFilter(loaded->get(), facs, "loaded");
+    // Save/load round trip rebuilds the tables from the node lists, for
+    // both variants.
+    for (TQTree* saved : {fork.get(), &basic}) {
+      std::string bytes;
+      StringSnapshotSink sink(&bytes);
+      ASSERT_TRUE(WriteTQTreeSnapshot(*saved, &sink).ok());
+      StringSnapshotSource source(bytes);
+      Result<std::unique_ptr<TQTree>> loaded =
+          ReadTQTreeSnapshot(&source, saved == &basic ? &users : &extended);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(**loaded), 0u);
+      CheckCandidateFilter(loaded->get(), facs, "loaded");
+    }
   }
+}
+
+TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
+  CheckPointCellLifecycle(/*two_point=*/false);
+}
+
+TEST(TQTree, EndpointCellFilterNeverDropsAServedUser) {
+  CheckPointCellLifecycle(/*two_point=*/true);
+}
+
+// A fork whose extended user set turns a two-point Scenario 3 tree
+// (endpoint tables) into a multipoint one (any-point table) drops the
+// shared tables until its next freeze rebuilds them in the new kind.
+TEST(TQTree, PruneModeFlipRebuildsCellTables) {
+  Rng rng(339);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 2, w);
+  TrajectorySet extended = users;
+  const TrajectorySet more = testing::RandomUsers(&rng, 40, 3, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  const ServiceModel model = ServiceModel::Length(150.0);
+  TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
+                                  model, 16));
+  ASSERT_EQ(tree.prune_mode(), ZPruneMode::kStartEnd);
+  std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+  ASSERT_EQ(fork->prune_mode(), ZPruneMode::kMbr);
+  for (uint32_t u = static_cast<uint32_t>(users.size()); u < extended.size();
+       ++u) {
+    fork->Insert(u);
+  }
+  std::vector<uint64_t> mask;
+  EXPECT_FALSE(fork->MarkCandidates(facs.points(0), 150.0, &mask));
+  fork->BuildAllZIndexes();
+  CheckCandidateFilter(fork.get(), facs, "flipped fork, frozen");
+  CheckCandidateFilter(&tree, facs, "parent");
 }
 
 }  // namespace

@@ -39,11 +39,6 @@ bool DynamicBitset::None() const {
 
 bool DynamicBitset::All() const { return Count() == num_bits_; }
 
-void DynamicBitset::UnionWith(const DynamicBitset& other) {
-  TQ_CHECK(num_bits_ == other.num_bits_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
 size_t DynamicBitset::CountNewFrom(const DynamicBitset& other) const {
   TQ_CHECK(num_bits_ == other.num_bits_);
   size_t n = 0;

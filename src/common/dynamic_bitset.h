@@ -1,7 +1,8 @@
-// Compact dynamic bitset used for per-user served-point/segment masks in the
-// MaxkCovRST coverage state. std::vector<bool> is avoided for its proxy
-// iterator pitfalls; this type also provides the popcount/union operations the
-// coverage algebra needs.
+// Compact dynamic bitset holding one user's served-point/segment mask
+// (ServeDetail). std::vector<bool> is avoided for its proxy iterator
+// pitfalls; raw word access lets the mask feed the evaluator's word-span
+// functions. The MaxkCovRST hot path keeps its masks in flat word arenas
+// instead (query/served_gather.h, cover/served_sets.h).
 #ifndef TQCOVER_COMMON_DYNAMIC_BITSET_H_
 #define TQCOVER_COMMON_DYNAMIC_BITSET_H_
 
@@ -32,9 +33,6 @@ class DynamicBitset {
 
   /// True if every bit is set.
   bool All() const;
-
-  /// this |= other. Sizes must match.
-  void UnionWith(const DynamicBitset& other);
 
   /// Number of bits that would become set by UnionWith(other) but are not
   /// currently set: |other \ this|. Sizes must match.

@@ -18,25 +18,27 @@ size_t Choose(size_t n, size_t k, size_t cap) {
   return c;
 }
 
+// `state` is empty on entry and on return: one state, cleared between
+// combinations, serves the whole enumeration.
 void Enumerate(const std::vector<FacilityServedSet>& sets, size_t k,
                size_t first, std::vector<size_t>* current,
-               const ServiceEvaluator& eval, ExactCoverResult* best) {
+               CoverageState* state, ExactCoverResult* best) {
   if (current->size() == k) {
     ++best->combinations_evaluated;
-    CoverageState state(&eval);
-    for (const size_t i : *current) state.Add(sets[i]);
-    if (state.total() > best->total) {
-      best->total = state.total();
-      best->users_served = state.users_served();
+    for (const size_t i : *current) state->Add(sets[i]);
+    if (state->total() > best->total) {
+      best->total = state->total();
+      best->users_served = state->users_served();
       best->chosen.clear();
       for (const size_t i : *current) best->chosen.push_back(sets[i].id);
     }
+    state->Clear();
     return;
   }
   const size_t remaining = k - current->size();
   for (size_t i = first; i + remaining <= sets.size(); ++i) {
     current->push_back(i);
-    Enumerate(sets, k, i + 1, current, eval, best);
+    Enumerate(sets, k, i + 1, current, state, best);
     current->pop_back();
   }
 }
@@ -52,7 +54,8 @@ ExactCoverResult ExactCover(const std::vector<FacilityServedSet>& sets,
   TQ_CHECK_MSG(combos <= max_combinations,
                "ExactCover: combination count exceeds the safety cap");
   std::vector<size_t> current;
-  Enumerate(sets, k, 0, &current, eval, &best);
+  CoverageState state(&eval);
+  Enumerate(sets, k, 0, &current, &state, &best);
   if (best.total < 0.0) best.total = 0.0;  // k > |sets|: empty answer
   return best;
 }

@@ -12,11 +12,14 @@ namespace {
 
 using Chromosome = std::vector<FacilityId>;  // k distinct facility ids
 
+// SO of chromosome `c`, through `state`, which is empty on entry and on
+// return.
 double Fitness(const Chromosome& c, ServedSetCache* cache,
-               const ServiceEvaluator& eval) {
-  CoverageState state(&eval);
-  for (const FacilityId f : c) state.Add(cache->Get(f));
-  return state.total();
+               CoverageState* state) {
+  for (const FacilityId f : c) state->Add(cache->Get(f));
+  const double total = state->total();
+  state->Clear();
+  return total;
 }
 
 Chromosome RandomChromosome(size_t num_facilities, size_t k, Rng* rng) {
@@ -77,9 +80,10 @@ CoverResult GeneticCover(ServedSetCache* cache, size_t num_facilities,
     population.push_back(RandomChromosome(num_facilities, k, &rng));
   }
   std::vector<double> fitness(population.size());
+  CoverageState state(&eval);
   auto evaluate_all = [&]() {
     for (size_t i = 0; i < population.size(); ++i) {
-      fitness[i] = Fitness(population[i], cache, eval);
+      fitness[i] = Fitness(population[i], cache, &state);
     }
   };
   evaluate_all();
@@ -123,7 +127,6 @@ CoverResult GeneticCover(ServedSetCache* cache, size_t num_facilities,
   const size_t best_idx = static_cast<size_t>(
       std::max_element(fitness.begin(), fitness.end()) - fitness.begin());
   result.chosen = population[best_idx];
-  CoverageState state(&eval);
   for (const FacilityId f : result.chosen) state.Add(cache->Get(f));
   result.total = state.total();
   result.users_served = state.users_served();

@@ -7,39 +7,58 @@
 
 namespace tq {
 
-FacilityServedSet FinalizeServedSet(
-    FacilityId id, std::unordered_map<uint32_t, DynamicBitset>&& gathered,
-    const ServiceEvaluator& eval) {
+namespace {
+
+// The gather every served-set collection on this thread fills.
+ServedGather& ThreadGather() {
+  thread_local ServedGather gather;
+  return gather;
+}
+
+// Facility `id`'s served set from a gather: users ascending, `so` summed in
+// that order.
+FacilityServedSet FinalizeServedSet(FacilityId id,
+                                    const ServedGather& gathered,
+                                    const ServiceEvaluator& eval) {
+  std::vector<uint32_t> users = gathered.users();
+  std::sort(users.begin(), users.end());
   FacilityServedSet fs;
   fs.id = id;
-  fs.served.reserve(gathered.size());
-  for (auto& [user, mask] : gathered) {
-    const double value = eval.ValueOfMask(user, mask);
-    fs.so += value;
-    // Keep only masks that can ever contribute: empty masks are noise.
-    if (!mask.None()) fs.served.emplace_back(user, std::move(mask));
+  fs.users.reserve(users.size());
+  fs.offsets.reserve(users.size() + 1);
+  for (const uint32_t user : users) {
+    const std::span<const uint64_t> mask = gathered.MaskOf(user);
+    fs.so += eval.ValueOfMask(user, mask);
+    fs.Append(user, mask);
   }
-  std::sort(fs.served.begin(), fs.served.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return fs;
+}
+
+}  // namespace
+
+void FacilityServedSet::Append(uint32_t user, std::span<const uint64_t> mask) {
+  TQ_DCHECK(users.empty() || users.back() < user);
+  users.push_back(user);
+  words.insert(words.end(), mask.begin(), mask.end());
+  offsets.push_back(static_cast<uint32_t>(words.size()));
 }
 
 FacilityServedSet CollectServedSetTQ(TQTree* tree,
                                      const FacilityCatalog& catalog,
                                      const ServiceEvaluator& eval,
-                                     FacilityId id) {
-  std::unordered_map<uint32_t, DynamicBitset> gathered;
-  CollectServedTQ(tree, eval, catalog.grid(id), &gathered);
-  return FinalizeServedSet(id, std::move(gathered), eval);
+                                     FacilityId id, const uint64_t* pool) {
+  ServedGather& gather = ThreadGather();
+  CollectServedTQ(tree, eval, catalog.grid(id), &gather, pool);
+  return FinalizeServedSet(id, gather, eval);
 }
 
 FacilityServedSet CollectServedSetBaseline(const PointQuadtree& index,
                                            const FacilityCatalog& catalog,
                                            const ServiceEvaluator& eval,
                                            FacilityId id) {
-  std::unordered_map<uint32_t, DynamicBitset> gathered;
-  CollectServedBaseline(index, eval, catalog.grid(id), &gathered);
-  return FinalizeServedSet(id, std::move(gathered), eval);
+  ServedGather& gather = ThreadGather();
+  CollectServedBaseline(index, eval, catalog.grid(id), &gather);
+  return FinalizeServedSet(id, gather, eval);
 }
 
 ServedSetCache::ServedSetCache(TQTree* tree, const FacilityCatalog* catalog,

@@ -7,37 +7,45 @@
 #ifndef TQCOVER_COVER_SERVED_SETS_H_
 #define TQCOVER_COVER_SERVED_SETS_H_
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "common/dynamic_bitset.h"
 #include "quadtree/point_quadtree.h"
 #include "query/eval_service.h"
 #include "service/facility_index.h"
 
 namespace tq {
 
-/// Everything facility `id` serves, with its standalone SO(U, id).
+/// Everything facility `id` serves, with its standalone SO(U, id), in
+/// compressed-row form: one word vector for all the masks.
 struct FacilityServedSet {
   FacilityId id = 0;
   double so = 0.0;
-  /// (user, served mask), sorted by user id. Masks follow the
-  /// ServiceEvaluator layout for the model in use.
-  std::vector<std::pair<uint32_t, DynamicBitset>> served;
+  /// Served users, ascending. User `users[i]`'s mask is
+  /// words[offsets[i], offsets[i + 1]) in the ServiceEvaluator layout for
+  /// the model in use, with at least one bit set.
+  std::vector<uint32_t> users;
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint64_t> words;
+
+  size_t size() const { return users.size(); }
+  std::span<const uint64_t> mask(size_t i) const {
+    return {words.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+  /// Appends `user`, which must exceed every user so far, with `mask`.
+  void Append(uint32_t user, std::span<const uint64_t> mask);
 };
 
-/// Builds a served set from a gathered user→mask map.
-FacilityServedSet FinalizeServedSet(
-    FacilityId id, std::unordered_map<uint32_t, DynamicBitset>&& gathered,
-    const ServiceEvaluator& eval);
-
-/// Served set via the TQ-tree traversal (Algorithm 1's pruning).
+/// Served set via the TQ-tree traversal (Algorithm 1's pruning). A
+/// non-null `pool` restricts it to the users with a bit set there (see
+/// CollectServedTQ).
 FacilityServedSet CollectServedSetTQ(TQTree* tree,
                                      const FacilityCatalog& catalog,
                                      const ServiceEvaluator& eval,
-                                     FacilityId id);
+                                     FacilityId id,
+                                     const uint64_t* pool = nullptr);
 
 /// Served set via baseline range queries (for G-BL).
 FacilityServedSet CollectServedSetBaseline(const PointQuadtree& index,

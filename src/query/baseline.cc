@@ -117,18 +117,10 @@ TopKResult TopKFacilitiesBaselineRTree(const PointRTree& index,
 
 void CollectServedBaseline(const PointQuadtree& index,
                            const ServiceEvaluator& eval, const StopGrid& grid,
-                           std::unordered_map<uint32_t, DynamicBitset>* out) {
-  const std::vector<uint32_t> candidates =
-      GatherCandidates(index, grid, nullptr);
-  for (const uint32_t user : candidates) {
-    ServeDetail d = eval.EvaluateDetail(user, grid);
-    if (!d.Any()) continue;
-    auto it = out->find(user);
-    if (it == out->end()) {
-      out->emplace(user, std::move(d.mask));
-    } else {
-      it->second.UnionWith(d.mask);
-    }
+                           ServedGather* out) {
+  out->Reset(eval);
+  for (const uint32_t user : GatherCandidates(index, grid, nullptr)) {
+    out->AddDetail(user, grid);
   }
 }
 

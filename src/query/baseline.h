@@ -4,11 +4,9 @@
 #ifndef TQCOVER_QUERY_BASELINE_H_
 #define TQCOVER_QUERY_BASELINE_H_
 
-#include <unordered_map>
-
-#include "common/dynamic_bitset.h"
 #include "quadtree/point_quadtree.h"
 #include "query/query_stats.h"
+#include "query/served_gather.h"
 #include "query/topk.h"
 #include "rtree/point_rtree.h"
 #include "service/evaluator.h"
@@ -41,10 +39,11 @@ TopKResult TopKFacilitiesBaseline(const PointQuadtree& index,
                                   const FacilityCatalog& catalog,
                                   const ServiceEvaluator& eval, size_t k);
 
-/// Served-user detail masks, baseline way (for MaxkCovRST's G-BL).
+/// Served-user detail masks, baseline way (for MaxkCovRST's G-BL), into
+/// `out` (reset first).
 void CollectServedBaseline(const PointQuadtree& index,
                            const ServiceEvaluator& eval, const StopGrid& grid,
-                           std::unordered_map<uint32_t, DynamicBitset>* out);
+                           ServedGather* out);
 
 /// The same baseline on the R-tree substrate (the index family used by the
 /// trajectory-search related work, §VII). Answers are identical to the

@@ -195,22 +195,17 @@ double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                             nullptr, stats);
 }
 
-namespace {
-
-// Lemma 1: a user whose source alone is served still matters for combined
-// coverage, so the AND filters (exact for SO evaluation under Scenario 1) —
-// zReduce's z-cells and the endpoint candidate mask — must weaken to OR
-// when gathering served sets.
 bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval) {
   return tree.prune_mode() == ZPruneMode::kStartEnd &&
          eval.model().scenario == Scenario::kEndpoints;
 }
 
+namespace {
+
 // Served-set gathering visitor: unions each candidate's ServeDetail.
 void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
                       const StopGrid& grid, const Component& comp,
-                      const uint64_t* candidates,
-                      std::unordered_map<uint32_t, DynamicBitset>* out,
+                      const uint64_t* candidates, ServedGather* out,
                       QueryStats* stats) {
   if (comp.empty()) return;
   if (stats != nullptr) stats->nodes_visited++;
@@ -236,39 +231,36 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
   const ZIndex::Corridor corridor{
       comp_stops, grid.psi(),
       Rect::BoundingBox(comp_stops).Expanded(grid.psi())};
+  const Scenario scenario = eval.model().scenario;
   VisitCandidates(
       tree, idx, corridor, candidates,
       [&](const TrajEntry& e) {
-        auto mask_for = [&](uint32_t user) -> DynamicBitset& {
-          auto it = out->find(user);
-          if (it == out->end()) {
-            it = out->emplace(user, DynamicBitset(eval.MaskSize(user))).first;
-          }
-          return it->second;
-        };
+        const size_t last = eval.users().NumPoints(e.traj_id) - 1;
         if (e.IsWhole()) {
-          ServeDetail d = eval.EvaluateDetail(e.traj_id, grid);
-          if (d.Any()) mask_for(e.traj_id).UnionWith(d.mask);
+          if (scenario == Scenario::kEndpoints) {
+            // A whole unit's start and end are the trajectory's source and
+            // destination: the only bits of a Scenario 1 detail.
+            if (grid.Serves(e.start)) out->SetBit(e.traj_id, 0);
+            if (grid.Serves(e.end)) out->SetBit(e.traj_id, last);
+          } else {
+            out->AddDetail(e.traj_id, grid);
+          }
           return;
         }
-        if (eval.model().scenario == Scenario::kLength) {
+        if (scenario == Scenario::kLength) {
           if (grid.Serves(e.start) && grid.Serves(e.end)) {
-            mask_for(e.traj_id).Set(e.seg_index);
+            out->SetBit(e.traj_id, e.seg_index);
           }
-        } else {
-          // Scenario 1 details hold the source and destination bits only
-          // (see ServeDetail).
-          const bool endpoints = eval.model().scenario == Scenario::kEndpoints;
-          const size_t last = eval.users().NumPoints(e.traj_id) - 1;
-          const bool s =
-              (!endpoints || e.seg_index == 0) && grid.Serves(e.start);
-          const bool t = (!endpoints || e.seg_index + 1 == last) &&
-                         grid.Serves(e.end);
-          if (s || t) {
-            DynamicBitset& m = mask_for(e.traj_id);
-            if (s) m.Set(e.seg_index);
-            if (t) m.Set(e.seg_index + 1);
-          }
+          return;
+        }
+        // Scenario 1 details hold the source and destination bits only
+        // (see ServeDetail).
+        const bool endpoints = scenario == Scenario::kEndpoints;
+        if ((!endpoints || e.seg_index == 0) && grid.Serves(e.start)) {
+          out->SetBit(e.traj_id, e.seg_index);
+        }
+        if ((!endpoints || e.seg_index + 1 == last) && grid.Serves(e.end)) {
+          out->SetBit(e.traj_id, e.seg_index + 1);
         }
       },
       stats, zmode_override);
@@ -277,14 +269,24 @@ void CollectServedRec(TQTree* tree, int32_t idx, const ServiceEvaluator& eval,
 }  // namespace
 
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
-                     const StopGrid& grid,
-                     std::unordered_map<uint32_t, DynamicBitset>* out,
-                     QueryStats* stats) {
+                     const StopGrid& grid, ServedGather* out,
+                     const uint64_t* pool, QueryStats* stats) {
+  out->Reset(eval);
+  const uint64_t* candidates =
+      CandidateMask(*tree, grid, AnyEndpointCollection(*tree, eval));
+  if (pool != nullptr && candidates != nullptr) {
+    static thread_local std::vector<uint64_t> both;
+    both.resize((tree->users().size() + 63) / 64);
+    for (size_t w = 0; w < both.size(); ++w) {
+      both[w] = candidates[w] & pool[w];
+    }
+    candidates = both.data();
+  } else if (pool != nullptr) {
+    candidates = pool;
+  }
   const Component full = FullComponent(grid);
-  CollectServedRec(tree, tree->root(), eval, grid, full,
-                   CandidateMask(*tree, grid,
-                                 AnyEndpointCollection(*tree, eval)),
-                   out, stats);
+  CollectServedRec(tree, tree->root(), eval, grid, full, candidates, out,
+                   stats);
 }
 
 }  // namespace tq

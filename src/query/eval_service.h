@@ -4,11 +4,10 @@
 #define TQCOVER_QUERY_EVAL_SERVICE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/dynamic_bitset.h"
 #include "query/query_stats.h"
+#include "query/served_gather.h"
 #include "service/accumulator.h"
 #include "service/evaluator.h"
 #include "service/stop_grid.h"
@@ -49,11 +48,20 @@ const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid,
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats = nullptr);
 
-/// Same traversal, but collects each served user's ServeDetail mask instead
-/// of a value (the per-facility served sets that MaxkCovRST consumes).
+/// Lemma 1: a user whose source alone is served still matters for combined
+/// coverage, so on kStartEnd trees under Scenario 1 served-set collection
+/// weakens the both-endpoints filters (zReduce's z-cells and the candidate
+/// mask) to either-endpoint. True when that applies.
+bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval);
+
+/// Same traversal, but gathers each served user's ServeDetail mask into
+/// `out` (reset first) instead of a value: the per-facility served sets
+/// MaxkCovRST consumes. A non-null `pool` — a MarkCandidates bitmap of this
+/// tree — further restricts the exact checks to the users whose bit it has
+/// set.
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
-                     const StopGrid& grid,
-                     std::unordered_map<uint32_t, DynamicBitset>* out,
+                     const StopGrid& grid, ServedGather* out,
+                     const uint64_t* pool = nullptr,
                      QueryStats* stats = nullptr);
 
 }  // namespace tq

@@ -1,5 +1,6 @@
 #include "service/evaluator.h"
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -122,10 +123,17 @@ size_t ServiceEvaluator::MaskSize(uint32_t user) const {
 
 ServeDetail ServiceEvaluator::EvaluateDetail(uint32_t user,
                                              const StopGrid& grid) const {
-  const auto pts = users_->points(user);
   ServeDetail d;
   d.mask = DynamicBitset(MaskSize(user));
-  if (d.mask.size() == 0) return d;
+  EvaluateDetail(user, grid, {d.mask.WordData(), d.mask.NumWords()});
+  return d;
+}
+
+void ServiceEvaluator::EvaluateDetail(uint32_t user, const StopGrid& grid,
+                                      std::span<uint64_t> out) const {
+  TQ_DCHECK(out.size() == MaskWords(user));
+  if (out.empty()) return;
+  const auto pts = users_->points(user);
   if (model_.scenario == Scenario::kLength) {
     // Point mask into scratch, then segment bit i-1 = point i-1 & point i —
     // wordwise m & (m >> 1), with the next word supplying the carried bit.
@@ -133,9 +141,7 @@ ServeDetail ServiceEvaluator::EvaluateDetail(uint32_t user,
     const size_t pt_words = (pts.size() + 63) / 64;
     if (mask.size() < pt_words) mask.resize(pt_words);
     grid.ServesBatch(pts, mask.data());
-    uint64_t* out = d.mask.WordData();
-    const size_t seg_words = d.mask.NumWords();
-    for (size_t w = 0; w < seg_words; ++w) {
+    for (size_t w = 0; w < out.size(); ++w) {
       const uint64_t lo = mask[w];
       const uint64_t hi = (w + 1 < pt_words) ? mask[w + 1] : 0;
       // Point-mask tail bits are zero, so segment bits >= n-1 come out zero
@@ -143,12 +149,13 @@ ServeDetail ServiceEvaluator::EvaluateDetail(uint32_t user,
       out[w] = lo & ((lo >> 1) | (hi << 63));
     }
   } else if (model_.scenario == Scenario::kEndpoints) {
-    if (grid.Serves(pts.front())) d.mask.Set(0);
-    if (grid.Serves(pts.back())) d.mask.Set(pts.size() - 1);
+    std::fill(out.begin(), out.end(), 0);
+    const size_t last = pts.size() - 1;
+    if (grid.Serves(pts.front())) out[0] |= 1;
+    if (grid.Serves(pts.back())) out[last >> 6] |= uint64_t{1} << (last & 63);
   } else {
-    grid.ServesBatch(pts, d.mask.WordData());
+    grid.ServesBatch(pts, out.data());
   }
-  return d;
 }
 
 ServeDetail ServiceEvaluator::EvaluateDetailScalar(uint32_t user,
@@ -177,21 +184,40 @@ ServeDetail ServiceEvaluator::EvaluateDetailScalar(uint32_t user,
 
 double ServiceEvaluator::ValueOfMask(uint32_t user,
                                      const DynamicBitset& mask) const {
-  const auto pts = users_->points(user);
+  return ValueOfMask(user, {mask.WordData(), mask.NumWords()});
+}
+
+double ServiceEvaluator::ValueOfMask(uint32_t user,
+                                     std::span<const uint64_t> mask) const {
+  TQ_DCHECK(mask.size() == MaskWords(user));
+  const size_t n = users_->NumPoints(user);
+  if (mask.empty()) return 0.0;
   switch (model_.scenario) {
-    case Scenario::kEndpoints:
-      return (mask.Test(0) && mask.Test(pts.size() - 1)) ? 1.0 : 0.0;
+    case Scenario::kEndpoints: {
+      const size_t last = n - 1;
+      return ((mask[0] & 1) != 0 && ((mask[last >> 6] >> (last & 63)) & 1))
+                 ? 1.0
+                 : 0.0;
+    }
     case Scenario::kPointCount: {
-      const auto served = static_cast<double>(mask.Count());
+      size_t count = 0;
+      for (const uint64_t w : mask) count += std::popcount(w);
+      const auto served = static_cast<double>(count);
       if (model_.normalization == Normalization::kPerUser) {
-        return served / static_cast<double>(pts.size());
+        return served / static_cast<double>(n);
       }
       return served;
     }
     case Scenario::kLength: {
+      // Set bits in ascending order: the same additions, in the same order,
+      // as a walk over every segment that skips the unserved ones.
+      const auto pts = users_->points(user);
       double served_len = 0.0;
-      for (size_t i = 0; i + 1 < pts.size(); ++i) {
-        if (mask.Test(i)) served_len += Distance(pts[i], pts[i + 1]);
+      for (size_t w = 0; w < mask.size(); ++w) {
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          const size_t i = w * 64 + std::countr_zero(bits);
+          served_len += Distance(pts[i], pts[i + 1]);
+        }
       }
       if (model_.normalization == Normalization::kPerUser) {
         const double total = users_->length(user);

@@ -13,6 +13,9 @@
 #ifndef TQCOVER_SERVICE_EVALUATOR_H_
 #define TQCOVER_SERVICE_EVALUATOR_H_
 
+#include <cstdint>
+#include <span>
+
 #include "common/dynamic_bitset.h"
 #include "service/models.h"
 #include "service/stop_grid.h"
@@ -52,6 +55,12 @@ class ServiceEvaluator {
   /// Served-point/segment mask of `user` under `grid` (for coverage algebra).
   ServeDetail EvaluateDetail(uint32_t user, const StopGrid& grid) const;
 
+  /// EvaluateDetail into caller storage: overwrites the MaskWords(user)
+  /// words of `out`, bits at and past MaskSize(user) zero. The ServeDetail
+  /// overload wraps this.
+  void EvaluateDetail(uint32_t user, const StopGrid& grid,
+                      std::span<uint64_t> out) const;
+
   /// Scalar reference for EvaluateDetail (per-point ServesScalar probes).
   ServeDetail EvaluateDetailScalar(uint32_t user, const StopGrid& grid) const;
 
@@ -60,8 +69,15 @@ class ServiceEvaluator {
   /// EvaluateDetail for this model.
   double ValueOfMask(uint32_t user, const DynamicBitset& mask) const;
 
+  /// ValueOfMask over the MaskWords(user) raw words of a mask — the one
+  /// implementation, which the DynamicBitset overload wraps. Allocation-free.
+  double ValueOfMask(uint32_t user, std::span<const uint64_t> mask) const;
+
   /// Size of the detail mask for `user` under the current model.
   size_t MaskSize(uint32_t user) const;
+
+  /// 64-bit words of the detail mask for `user`: ceil(MaskSize / 64).
+  size_t MaskWords(uint32_t user) const { return (MaskSize(user) + 63) / 64; }
 
  private:
   const TrajectorySet* users_;

@@ -127,19 +127,6 @@ TEST(DynamicBitset, SetTestClear) {
   EXPECT_EQ(b.Count(), 2u);
 }
 
-TEST(DynamicBitset, UnionWith) {
-  DynamicBitset a(70), b(70);
-  a.Set(0);
-  a.Set(69);
-  b.Set(1);
-  b.Set(69);
-  a.UnionWith(b);
-  EXPECT_TRUE(a.Test(0));
-  EXPECT_TRUE(a.Test(1));
-  EXPECT_TRUE(a.Test(69));
-  EXPECT_EQ(a.Count(), 3u);
-}
-
 TEST(DynamicBitset, CountNewFrom) {
   DynamicBitset a(100), b(100);
   a.Set(5);

@@ -21,14 +21,12 @@ TEST(CoverageState, AddAndTotalUnionSemantics) {
 
   FacilityServedSet fa;
   fa.id = 0;
-  DynamicBitset ma(2);
-  ma.Set(0);
-  fa.served.emplace_back(0u, ma);
+  const uint64_t ma = 0b01;
+  fa.Append(0u, {&ma, 1});
   FacilityServedSet fb;
   fb.id = 1;
-  DynamicBitset mb(2);
-  mb.Set(1);
-  fb.served.emplace_back(0u, mb);
+  const uint64_t mb = 0b10;
+  fb.Append(0u, {&mb, 1});
 
   CoverageState state(&eval);
   EXPECT_DOUBLE_EQ(state.MarginalGain(fa), 0.0);
@@ -91,7 +89,8 @@ TEST(ServedSets, SingleFacilitySoMatchesOracle) {
           testing::BruteForceSO(users, facs.points(f), model);
       EXPECT_NEAR(via_tq.so, oracle, 1e-6) << model.ToString();
       EXPECT_NEAR(via_bl.so, oracle, 1e-6) << model.ToString();
-      EXPECT_EQ(via_tq.served.size(), via_bl.served.size());
+      EXPECT_EQ(via_tq.users, via_bl.users);
+      EXPECT_EQ(via_tq.words, via_bl.words);
     }
   }
 }
@@ -168,16 +167,20 @@ TEST(CoverageState, ClearResets) {
   const ServiceEvaluator eval(&users, ServiceModel::Endpoints(5));
   FacilityServedSet fs;
   fs.id = 0;
-  DynamicBitset m(2);
-  m.Set(0);
-  m.Set(1);
-  fs.served.emplace_back(0u, m);
+  const uint64_t m = 0b11;
+  fs.Append(0u, {&m, 1});
   CoverageState state(&eval);
   state.Add(fs);
   EXPECT_DOUBLE_EQ(state.total(), 1.0);
   state.Clear();
   EXPECT_DOUBLE_EQ(state.total(), 0.0);
   EXPECT_EQ(state.users_served(), 0u);
+  EXPECT_DOUBLE_EQ(state.ValueOf(0), 0.0);
+  // A cleared state starts over: the user is new again.
+  EXPECT_DOUBLE_EQ(state.MarginalGain(fs), 1.0);
+  state.Add(fs);
+  EXPECT_DOUBLE_EQ(state.total(), 1.0);
+  EXPECT_EQ(state.users_served(), 1u);
 }
 
 }  // namespace

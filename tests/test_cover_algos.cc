@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "cover/exact.h"
 #include "cover/genetic.h"
 #include "cover/greedy.h"
+#include "query/topk.h"
 #include "test_util.h"
 
 namespace tq {
@@ -232,6 +235,185 @@ TEST(UsersServedMetric, CountsFullyServedUsersUnderScenario1) {
   const CoverResult greedy = GreedyCover(cw.sets, 4, *cw.eval);
   // Under Scenario 1 every served user contributes exactly 1.
   EXPECT_NEAR(static_cast<double>(greedy.users_served), greedy.total, 1e-9);
+}
+
+// Point quadtree over the users with `indexed[u]` set: the baseline's view
+// of the same user set a tree indexes.
+std::unique_ptr<PointQuadtree> BaselineIndex(const TrajectorySet& users,
+                                             const std::vector<bool>& indexed) {
+  auto pq = std::make_unique<PointQuadtree>(
+      users.BoundingBox().Expanded(1.0), 32);
+  for (uint32_t u = 0; u < users.size(); ++u) {
+    if (!indexed[u]) continue;
+    const auto pts = users.points(u);
+    for (size_t i = 0; i < pts.size(); ++i) {
+      pq->Insert(PointEntry{pts[i], u, static_cast<uint32_t>(i)});
+    }
+  }
+  return pq;
+}
+
+// GreedyCoverTQ against the plain greedy over the baseline's served sets of
+// the same pool. The pool filters drop only users that add an exact 0 to
+// every gain, so chosen, total and users served agree bit for bit.
+void ExpectTwoStepMatchesPlainGreedy(TQTree* tree, const PointQuadtree& pq,
+                                     const FacilityCatalog& catalog,
+                                     const ServiceEvaluator& eval,
+                                     const std::string& label) {
+  for (const size_t k : {1u, 4u, 8u, 16u}) {
+    SCOPED_TRACE(label + " k=" + std::to_string(k));
+    const TopKResult pool = TopKFacilitiesTQ(
+        tree, catalog, eval, DefaultPoolSize(k, catalog.size()));
+    std::vector<FacilityServedSet> sets;
+    for (const RankedFacility& rf : pool.ranked) {
+      sets.push_back(CollectServedSetBaseline(pq, catalog, eval, rf.id));
+    }
+    const CoverResult want = GreedyCover(sets, k, eval);
+    const CoverResult got = GreedyCoverTQ(tree, catalog, eval, k);
+    EXPECT_EQ(got.chosen, want.chosen);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.users_served, want.users_served);
+    EXPECT_EQ(got.pool_size, pool.ranked.size());
+  }
+}
+
+TEST(GreedyCoverTQ, MatchesPlainGreedyOverBaselineSetsOfThePool) {
+  for (const bool two_point : {true, false}) {
+    Rng rng(two_point ? 1041 : 1043);
+    const Rect w = Rect::Of(0, 0, 20000, 20000);
+    const TrajectorySet users =
+        testing::RandomUsers(&rng, 600, 2, two_point ? 2 : 6, w);
+    const TrajectorySet facs = testing::RandomFacilities(&rng, 40, 10, w);
+    const auto pq =
+        BaselineIndex(users, std::vector<bool>(users.size(), true));
+    for (const ServiceModel& model : testing::AllModels(300.0)) {
+      const ServiceEvaluator eval(&users, model);
+      const FacilityCatalog catalog(&facs, model.psi);
+      for (const auto& [variant, mode, name] :
+           {std::tuple{IndexVariant::kZOrder, TrajMode::kWhole, "TQ(Z)"},
+            std::tuple{IndexVariant::kBasic, TrajMode::kWhole, "TQ(B)"},
+            std::tuple{IndexVariant::kZOrder, TrajMode::kSegmented,
+                       "segmented"}}) {
+        TQTreeOptions opt;
+        opt.beta = 16;
+        opt.variant = variant;
+        opt.mode = mode;
+        opt.model = model;
+        TQTree tree(&users, opt);
+        ExpectTwoStepMatchesPlainGreedy(
+            &tree, *pq, catalog, eval,
+            std::string(name) + (two_point ? " two-point " : " multipoint ") +
+                model.ToString());
+      }
+    }
+  }
+}
+
+TEST(GreedyCoverTQ, MatchesPlainGreedyOnAForkAfterUpdates) {
+  // A fork with removals (stale candidate bits) and inserts the candidate
+  // tables have not absorbed (pending inserts).
+  Rng rng(1045);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet base = testing::RandomUsers(&rng, 500, 2, 2, w);
+  const TrajectorySet more = testing::RandomUsers(&rng, 40, 2, 2, w);
+  TrajectorySet extended = base;
+  for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 40, 10, w);
+  for (const ServiceModel& model : testing::AllModels(300.0)) {
+    TQTreeOptions opt;
+    opt.beta = 16;
+    opt.model = model;
+    TQTree tree(&base, opt);
+    std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+    std::vector<bool> indexed(extended.size(), true);
+    for (uint32_t u = 0; u < base.size(); u += 4) {
+      ASSERT_TRUE(fork->Remove(u));
+      indexed[u] = false;
+    }
+    for (uint32_t u = base.size(); u < extended.size(); ++u) fork->Insert(u);
+    const auto pq = BaselineIndex(extended, indexed);
+    const ServiceEvaluator eval(&extended, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    ExpectTwoStepMatchesPlainGreedy(fork.get(), *pq, catalog, eval,
+                                    "fork " + model.ToString());
+  }
+}
+
+TEST(GreedyCoverTQ, ZeroKIsEmptyAndDoesNoTreeWork) {
+  CoverWorld cw = CoverWorld::Make(1047, 100, 10);
+  const CoverResult r = GreedyCoverTQ(cw.tree.get(), *cw.catalog, *cw.eval, 0);
+  EXPECT_TRUE(r.chosen.empty());
+  EXPECT_EQ(r.total, 0.0);
+  EXPECT_EQ(r.users_served, 0u);
+  EXPECT_EQ(r.pool_size, 0u);
+}
+
+// Lemma 1 at the edge of the pool (Scenario 1, ψ = 10). Facilities A and B
+// each fully serve two users of their own and C one, so a pool of two holds
+// A and B. User x has its source at A and its destination at C only; user y
+// its source at A and its destination at B.
+TEST(GreedyCoverTQ, PoolFiltersKeepCrossFacilityUsersOnly) {
+  TrajectorySet users;
+  const auto add = [&users](Point s, Point t) {
+    const Point pts[] = {s, t};
+    users.Add(pts);
+  };
+  add({0, 0}, {0, 100});        // A's own
+  add({0, 100}, {0, 0});        // A's own
+  add({1000, 0}, {1000, 100});  // B's own
+  add({1000, 100}, {1000, 0});  // B's own
+  add({2000, 0}, {2000, 100});  // C's own
+  add({0, 0}, {2000, 100});     // x: source at A, destination at C only
+  add({0, 100}, {1000, 0});     // y: source at A, destination at B
+  const uint32_t x = 5, y = 6;
+  TrajectorySet facs;
+  const Point fa[] = {{0, 0}, {0, 100}};
+  const Point fb[] = {{1000, 0}, {1000, 100}};
+  const Point fc[] = {{2000, 0}, {2000, 100}};
+  facs.Add(fa);
+  facs.Add(fb);
+  facs.Add(fc);
+  const ServiceModel model = ServiceModel::Endpoints(10.0);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&facs, model.psi);
+  for (const auto& [variant, mode, name] :
+       {std::tuple{IndexVariant::kZOrder, TrajMode::kWhole, "TQ(Z)"},
+        std::tuple{IndexVariant::kBasic, TrajMode::kWhole, "TQ(B)"},
+        std::tuple{IndexVariant::kZOrder, TrajMode::kSegmented,
+                   "segmented"}}) {
+    SCOPED_TRACE(name);
+    TQTreeOptions opt;
+    opt.variant = variant;
+    opt.mode = mode;
+    opt.model = model;
+    TQTree tree(&users, opt);
+    // Alone, A keeps both partially served users (Lemma 1).
+    const FacilityServedSet alone = CollectServedSetTQ(&tree, catalog, eval, 0);
+    EXPECT_EQ(alone.users, (std::vector<uint32_t>{0, 1, x, y}));
+    EXPECT_EQ(alone.so, 2.0);
+    // Restricted to the pool {A, B}, x drops out: its destination is near
+    // no pooled stop. Trees without candidate tables mark nothing.
+    std::vector<uint64_t> pool_mask;
+    const std::vector<Point> pooled = {fa[0], fa[1], fb[0], fb[1]};
+    if (tree.MarkCandidates(pooled, model.psi, &pool_mask)) {
+      const FacilityServedSet in_pool =
+          CollectServedSetTQ(&tree, catalog, eval, 0, pool_mask.data());
+      EXPECT_EQ(in_pool.users, (std::vector<uint32_t>{0, 1, y}));
+      EXPECT_EQ(in_pool.so, 2.0);
+    }
+    // The cover of the pool counts y (A's source, B's destination) and not
+    // x, even though the chosen A serves x's source.
+    const CoverResult cover = GreedyCoverTQ(&tree, catalog, eval, 2, 2);
+    EXPECT_EQ(cover.pool_size, 2u);
+    EXPECT_EQ(std::set<FacilityId>(cover.chosen.begin(), cover.chosen.end()),
+              (std::set<FacilityId>{0, 1}));
+    EXPECT_EQ(cover.total, 5.0);
+    EXPECT_EQ(cover.users_served, 5u);
+    // With C pooled too, x completes only through C.
+    const CoverResult all = GreedyCoverTQ(&tree, catalog, eval, 3, 3);
+    EXPECT_EQ(all.total, 7.0);
+    EXPECT_EQ(all.users_served, 7u);
+  }
 }
 
 }  // namespace

@@ -120,11 +120,11 @@ TEST(EvalService, CollectServedMatchesEvaluate) {
       const ServiceEvaluator eval(&users, model);
       for (uint32_t f = 0; f < facs.size(); ++f) {
         const StopGrid grid(facs.points(f), model.psi);
-        std::unordered_map<uint32_t, DynamicBitset> served;
+        ServedGather served;
         CollectServedTQ(&tree, eval, grid, &served);
         double so = 0.0;
-        for (const auto& [user, mask] : served) {
-          so += eval.ValueOfMask(user, mask);
+        for (const uint32_t user : served.users()) {
+          so += eval.ValueOfMask(user, served.MaskOf(user));
         }
         EXPECT_NEAR(so, EvaluateServiceTQ(&tree, eval, grid), 1e-6)
             << model.ToString();

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +209,68 @@ TEST(SimdKernels, EvaluateDetailMasksIdenticalAndConsistent) {
         // The mask must reproduce the direct evaluation exactly.
         EXPECT_BIT_EQ(eval.ValueOfMask(u, batch.mask), eval.Evaluate(u, grid))
             << "user " << u << " model " << model.ToString();
+      }
+    }
+  }
+}
+
+// The span forms write and read raw mask words in caller storage; they must
+// reproduce the scalar detail and the per-bit mask valuation bit for bit.
+TEST(SimdKernels, SpanDetailAndValueAgreeWithScalar) {
+  const TrajectorySet users = EdgeShapeUsers(43);
+  Rng rng(47);
+  // Per-bit reference valuation: the ascending walk over every mask bit.
+  const auto reference_value = [&users](const ServiceModel& model,
+                                        uint32_t u, const DynamicBitset& m) {
+    const auto pts = users.points(u);
+    switch (model.scenario) {
+      case Scenario::kEndpoints:
+        return (m.Test(0) && m.Test(pts.size() - 1)) ? 1.0 : 0.0;
+      case Scenario::kPointCount: {
+        const auto served = static_cast<double>(m.Count());
+        return model.normalization == Normalization::kPerUser
+                   ? served / static_cast<double>(pts.size())
+                   : served;
+      }
+      case Scenario::kLength: {
+        double len = 0.0;
+        for (size_t i = 0; i + 1 < pts.size(); ++i) {
+          if (m.Test(i)) len += Distance(pts[i], pts[i + 1]);
+        }
+        if (model.normalization == Normalization::kNone) return len;
+        const double total = users.length(u);
+        return total > 0.0 ? len / total : 0.0;
+      }
+    }
+    return -1.0;
+  };
+  for (const double psi : {60.0, 200.0}) {
+    const StopGrid grid(RandomStops(rng, 50), psi);
+    for (const ServiceModel& model : AllModels(psi)) {
+      const ServiceEvaluator eval(&users, model);
+      for (uint32_t u = 0; u < users.size(); ++u) {
+        SCOPED_TRACE("user " + std::to_string(u) + " " + model.ToString());
+        const ServeDetail scalar = eval.EvaluateDetailScalar(u, grid);
+        ASSERT_EQ(eval.MaskWords(u), scalar.mask.NumWords());
+        // Garbage in the caller's words must not leak into the detail.
+        std::vector<uint64_t> words(eval.MaskWords(u), ~uint64_t{0});
+        eval.EvaluateDetail(u, grid, words);
+        EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                               scalar.mask.WordData()));
+        EXPECT_BIT_EQ(eval.ValueOfMask(u, std::span<const uint64_t>(words)),
+                      reference_value(model, u, scalar.mask));
+        // Arbitrary masks, not only the ones a grid produces.
+        for (int trial = 0; trial < 8; ++trial) {
+          DynamicBitset m(eval.MaskSize(u));
+          for (size_t i = 0; i < m.size(); ++i) {
+            if (rng.NextBernoulli(0.5)) m.Set(i);
+          }
+          if (m.empty()) continue;
+          const std::span<const uint64_t> raw(m.WordData(), m.NumWords());
+          EXPECT_BIT_EQ(eval.ValueOfMask(u, raw),
+                        reference_value(model, u, m));
+          EXPECT_BIT_EQ(eval.ValueOfMask(u, m), eval.ValueOfMask(u, raw));
+        }
       }
     }
   }

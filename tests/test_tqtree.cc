@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -365,16 +366,20 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
     } else {
       EXPECT_NEAR(got, so, 1e-9 * std::max(1.0, so)) << "facility " << f;
     }
-    std::unordered_map<uint32_t, DynamicBitset> served;
+    ServedGather served;
     CollectServedTQ(tree, eval, grid, &served);
-    EXPECT_EQ(served.size(), want_served.size()) << "facility " << f;
+    EXPECT_EQ(served.users().size(), want_served.size()) << "facility " << f;
+    const std::set<uint32_t> collected(served.users().begin(),
+                                       served.users().end());
     for (const auto& [u, detail] : want_served) {
-      const auto it = served.find(u);
-      if (it == served.end()) {
+      if (collected.count(u) == 0) {
         ADD_FAILURE() << "not collected: user " << u << " facility " << f;
         continue;
       }
-      EXPECT_TRUE(it->second == detail) << "user " << u << " facility " << f;
+      const std::span<const uint64_t> mask = served.MaskOf(u);
+      EXPECT_TRUE(std::equal(mask.begin(), mask.end(), detail.WordData(),
+                             detail.WordData() + detail.NumWords()))
+          << "user " << u << " facility " << f;
     }
   }
   std::sort(exact.begin(), exact.end(), RankedBefore);

@@ -32,8 +32,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -106,6 +108,17 @@ struct Args {
     return v;
   }
 };
+
+// The value of flag `key`, which must be one of `allowed` (the first is the
+// default).
+std::string GetChoice(const Args& args, const std::string& key,
+                      std::initializer_list<std::string_view> allowed) {
+  const std::string v = args.Get(key, std::string(*allowed.begin()));
+  for (const std::string_view a : allowed) {
+    if (v == a) return v;
+  }
+  BadFlag(key, v);
+}
 
 int Usage() {
   std::fprintf(
@@ -661,6 +674,11 @@ int CmdStats(const Args& args) {
 }
 
 int CmdTopK(const Args& args) {
+  const tq::ServiceModel model = ModelFromArgs(args);
+  const size_t k = args.GetSize("k", 8);
+  const std::string method =
+      GetChoice(args, "method", {"tqz", "tqb", "bl", "blr"});
+  const std::string mode = GetChoice(args, "mode", {"whole", "segmented"});
   tq::TrajectorySet users, facilities;
   Status st = LoadSet(args.Get("users"), &users);
   if (st.ok()) st = LoadSet(args.Get("facilities"), &facilities);
@@ -668,9 +686,6 @@ int CmdTopK(const Args& args) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  const tq::ServiceModel model = ModelFromArgs(args);
-  const size_t k = args.GetSize("k", 8);
-  const std::string method = args.Get("method", "tqz");
   const tq::ServiceEvaluator evaluator(&users, model);
   const tq::FacilityCatalog catalog(&facilities, model.psi);
 
@@ -688,9 +703,8 @@ int CmdTopK(const Args& args) {
     opt.model = model;
     opt.variant = method == "tqb" ? tq::IndexVariant::kBasic
                                   : tq::IndexVariant::kZOrder;
-    opt.mode = args.Get("mode", "whole") == "segmented"
-                   ? tq::TrajMode::kSegmented
-                   : tq::TrajMode::kWhole;
+    opt.mode = mode == "segmented" ? tq::TrajMode::kSegmented
+                                   : tq::TrajMode::kWhole;
     std::unique_ptr<tq::TQTree> tree;
     const std::string load = args.Get("load-index");
     if (!load.empty()) {
@@ -724,6 +738,10 @@ int CmdTopK(const Args& args) {
 }
 
 int CmdCover(const Args& args) {
+  const tq::ServiceModel model = ModelFromArgs(args);
+  const size_t k = args.GetSize("k", 8);
+  const std::string solver =
+      GetChoice(args, "solver", {"greedy", "genetic", "baseline"});
   tq::TrajectorySet users, facilities;
   Status st = LoadSet(args.Get("users"), &users);
   if (st.ok()) st = LoadSet(args.Get("facilities"), &facilities);
@@ -731,9 +749,6 @@ int CmdCover(const Args& args) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  const tq::ServiceModel model = ModelFromArgs(args);
-  const size_t k = args.GetSize("k", 8);
-  const std::string solver = args.Get("solver", "greedy");
   const tq::ServiceEvaluator evaluator(&users, model);
   const tq::FacilityCatalog catalog(&facilities, model.psi);
 

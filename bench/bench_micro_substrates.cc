@@ -204,27 +204,6 @@ BENCHMARK(BM_EvaluateScenario1);
 BENCHMARK(BM_EvaluateScenario2);
 BENCHMARK(BM_EvaluateScenario3);
 
-// The cache-resident bound sweep: TQTree::UpperBound over a frozen NYF tree
-// (SoA arena + wide reachability kernels) for a rotation of facility grids.
-void BM_ZIndexBucketScan(benchmark::State& state) {
-  const TrajectorySet users = presets::NyfCheckins(20000);
-  const TrajectorySet routes = presets::NyBusRoutes(16, 32);
-  TQTreeOptions opt;
-  opt.beta = 64;
-  opt.model = ServiceModel::PointCount(400.0);
-  TQTree tree(&users, opt);
-  tree.BuildAllZIndexes();
-  std::vector<StopGrid> grids;
-  for (uint32_t f = 0; f < routes.size(); ++f) {
-    grids.emplace_back(routes.points(f), opt.model.psi);
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.UpperBound(grids[i++ % grids.size()]));
-  }
-}
-BENCHMARK(BM_ZIndexBucketScan);
-
 void BM_PointQuadtreeDiskQuery(benchmark::State& state) {
   const TrajectorySet users = presets::NytTrips(50000);
   PointQuadtree pq(users.BoundingBox().Expanded(1.0), 128);
@@ -404,32 +383,6 @@ void EmitKernelMicroJson() {
       });
       rows.push_back({names[s], seed_ns, scalar_ns, vector_ns});
     }
-  }
-
-  {  // Bound sweep: pages + scalar kernels vs SoA arena + wide kernels.
-    const TrajectorySet users = presets::NyfCheckins(20000);
-    const TrajectorySet routes = presets::NyBusRoutes(16, 32);
-    TQTreeOptions opt;
-    opt.beta = 64;
-    opt.model = ServiceModel::PointCount(400.0);
-    TQTree tree(&users, opt);
-    tree.BuildAllZIndexes();
-    std::vector<StopGrid> grids;
-    for (uint32_t f = 0; f < routes.size(); ++f) {
-      grids.emplace_back(routes.points(f), opt.model.psi);
-    }
-    volatile double sink = 0.0;
-    const double scalar_ns = TimeNsPerUnit(grids.size(), [&] {
-      double total = 0.0;
-      for (const StopGrid& g : grids) total += tree.UpperBoundScalarReference(g);
-      sink = total;
-    });
-    const double vector_ns = TimeNsPerUnit(grids.size(), [&] {
-      double total = 0.0;
-      for (const StopGrid& g : grids) total += tree.UpperBound(g);
-      sink = total;
-    });
-    rows.push_back({"zindex_bucket_scan", 0.0, scalar_ns, vector_ns});
   }
 
 #if defined(TQ_SIMD_FORCE_SCALAR)

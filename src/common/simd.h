@@ -142,8 +142,8 @@ inline uint32_t LanesInRect(const double* pts, double min_x, double min_y,
 }
 
 /// Lanes of 4 consecutive AoS points whose squared min-distance to the
-/// rectangle is <= psi2 — the reachability predicate of the bound sweep
-/// (ψ-disk of the point intersects the rectangle, in squared form).
+/// rectangle is <= psi2 — the reachability predicate of zReduce's bucket
+/// filter (ψ-disk of the point intersects the rectangle, in squared form).
 inline uint32_t LanesDiskReachRect(const double* pts, double min_x,
                                    double min_y, double max_x, double max_y,
                                    double psi2) {

@@ -49,7 +49,9 @@ namespace tq::runtime {
 //                            per-shard evaluations done vs. skipped, and
 //                            scatter waves run (the sweep + each refinement)
 //   nodes_visited/entries_scanned/exact_checks/heap_pops
-//                            folded per-query traversal QueryStats
+//                            folded per-query traversal QueryStats of the
+//                            exact evaluations (the top-k bound sweep
+//                            visits no node)
 //   net_*                    network front-end accounting (src/net/server.h):
 //                            connections accepted, frames decoded, update
 //                            frames merged into a pending publish, payload

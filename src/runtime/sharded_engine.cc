@@ -700,18 +700,15 @@ void ShardedEngine::ExecuteTopKBoundRound(
   const ShardState& shard = *state->snap->shards[shard_idx];
   const FacilityCatalog& catalog = *state->snap->catalog;
   const size_t num_fac = catalog.size();
-  QueryStats stats;
 
-  // Bound sweep: one cheap aggregate bound per facility, no entry scanned.
+  // Bound sweep: one cheap cell bound per facility, no node visited.
   // Every exact evaluation is left to the coordinator's refinement waves.
   std::vector<double>& bounds = state->bounds[shard_idx];
   bounds.resize(num_fac, 0.0);
   for (uint32_t f = 0; f < num_fac; ++f) {
-    bounds[f] = shard.tree->UpperBound(catalog.grid(f), kBoundLevels,
-                                       &stats.nodes_visited);
+    bounds[f] = shard.tree->CellUpperBound(catalog.grid(f));
   }
 
-  state->stats[shard_idx] = stats;
   metrics_.AddShardTask();
   if (t0 != 0) {
     const uint64_t t1 = NowNs();

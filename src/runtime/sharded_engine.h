@@ -38,9 +38,9 @@
 //     k (at k ≥ |F| the window is the whole catalog) — best-first
 //     refinement in scatter waves (see GatherState in sharded_engine.cc,
 //     with the coordinator math in prune_plan.h):
-//       sweep    every shard computes a cheap aggregate upper bound
-//                UB_s(f) for every facility (TQTree::UpperBound — node
-//                aggregates only, no entry ever scanned).
+//       sweep    every shard computes a cheap upper bound UB_s(f) for
+//                every facility (TQTree::CellUpperBound — point-cell
+//                tables and the raster, no node or entry visited).
 //       plan     the coordinator (the last task of each wave) values every
 //                facility B(f) = Σ_s (evaluated ? SO_s(f) : UB_s(f)) and
 //                takes the window: the first k facilities by (B desc,
@@ -136,9 +136,6 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 /// Writers are serialized among themselves; readers never block.
 class ShardedEngine : public ServingEngine {
  public:
-  /// TQ-tree descent budget of the per-facility bound sweep
-  /// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
-  static constexpr int kBoundLevels = 4;
   /// Independently locked result-cache partitions.
   static constexpr size_t kCacheShards = 8;
   /// Engine-owned traces for scatter queries submitted WITHOUT a caller

@@ -1,15 +1,15 @@
 // Tree-level rasters over a fixed R×R grid of the TQ-tree's world: the
-// point-mass raster behind the cheap per-facility service upper bounds
-// (TQTree::UpperBound, TQTree::CellUpperBound) and the point-cell tables
-// behind the exact-check candidate filter of whole-trajectory trees
+// point-mass raster behind the cheap per-facility service upper bound
+// (TQTree::CellUpperBound) and the point-cell tables behind both that bound
+// and the exact-check candidate filter of whole-trajectory trees
 // (TQTree::MarkCandidates).
 //
-// Node-granularity aggregates (sub / local_ub / z-node ub) cannot
-// discriminate facilities on workloads where units roam: a check-in
-// trajectory spanning half the city parks in an upper node whose list bound
-// charges EVERY facility the unit's full value. The raster attacks the same
-// bound from the opposite side — it forgets units entirely and aggregates
-// the per-POINT value caps on the grid:
+// Node-granularity aggregates (sub / local_ub) cannot discriminate
+// facilities on workloads where units roam: a check-in trajectory spanning
+// half the city parks in an upper node whose list bound charges EVERY
+// facility the unit's full value. The raster bounds SO from the other
+// side — it forgets units entirely and aggregates the per-POINT value caps
+// on the grid:
 //
 //   * every indexed trajectory deposits, into the cell of each of its
 //     points, the largest service value that point alone can unlock under

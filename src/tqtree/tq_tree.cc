@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "geom/distance.h"
 #include "service/stop_grid.h"
 #include "tqtree/aggregates.h"
 #include "tqtree/point_raster.h"
@@ -91,7 +90,6 @@ void TQTree::CopyPage(size_t page_index) {
 }
 
 int32_t TQTree::AppendNode() {
-  bound_arena_.valid = false;  // new node id the arena doesn't cover
   const size_t slot = num_nodes_ & kNodePageMask;
   if (slot == 0) {
     // Fresh page: owned by construction, no copy.
@@ -329,170 +327,6 @@ void TQTree::MaybeSplit(int32_t idx) {
   for (int q = 0; q < 4; ++q) MaybeSplit(first + q);
 }
 
-int32_t TQTree::ContainingNode(const Rect& r) const {
-  int32_t idx = 0;
-  for (;;) {
-    const TQNode& n = node(idx);
-    if (n.IsLeaf()) return idx;
-    const int32_t child = ChildContaining(idx, r);
-    if (child < 0) return idx;
-    idx = child;
-  }
-}
-
-template <bool kUseArena, bool kScalar>
-double TQTree::UpperBoundImpl(const StopGrid& grid, int max_levels,
-                              size_t* nodes_visited) const {
-  const Rect& embr = grid.embr();
-  const int32_t q0 = ContainingNode(embr);
-  const ZIndex::Corridor corridor{grid.stops(), grid.psi(), embr};
-  double bound = 0.0;
-  size_t visited = 0;
-
-  const auto reaches = [&corridor](const Rect& r) {
-    if constexpr (kScalar) {
-      return corridor.ReachesScalar(r);
-    } else {
-      return corridor.Reaches(r);
-    }
-  };
-  const auto sub_of = [this](int32_t i) -> double {
-    if constexpr (kUseArena) {
-      return bound_arena_.sub[static_cast<size_t>(i)];
-    } else {
-      return node(i).sub;
-    }
-  };
-  const auto rect_of = [this](int32_t i) -> const Rect& {
-    if constexpr (kUseArena) {
-      return bound_arena_.rect[static_cast<size_t>(i)];
-    } else {
-      return node(i).rect;
-    }
-  };
-  const auto first_child_of = [this](int32_t i) -> int32_t {
-    if constexpr (kUseArena) {
-      return bound_arena_.first_child[static_cast<size_t>(i)];
-    } else {
-      return node(i).first_child;
-    }
-  };
-  // A node's own list, bounded at z-node granularity when the node has a
-  // built z-index: Σ bucket ub over buckets the corridor can geometrically
-  // reach (ZIndex::UpperBound). This is what gives the bound discriminating
-  // power on real data — long-span units pool in the upper nodes' lists,
-  // where `local_ub` alone would charge every facility the full pool.
-  const auto local_bound = [this, &corridor](int32_t i) -> double {
-    if constexpr (kUseArena) {
-      const auto si = static_cast<size_t>(i);
-      const ZIndex* zi = bound_arena_.zindex[si];
-      if (zi != nullptr) {
-        if constexpr (kScalar) {
-          return zi->UpperBoundScalarReference(corridor,
-                                               bound_arena_.entries[si]);
-        } else {
-          return zi->UpperBound(corridor, bound_arena_.entries[si]);
-        }
-      }
-      return bound_arena_.local_ub[si];
-    } else {
-      const TQNode& n = node(i);
-      if (n.entries.empty()) return 0.0;
-      if (n.zindex != nullptr && !n.zindex_dirty) {
-        if constexpr (kScalar) {
-          return n.zindex->UpperBoundScalarReference(corridor, n.entries);
-        } else {
-          return n.zindex->UpperBound(corridor, n.entries);
-        }
-      }
-      return n.local_ub;
-    }
-  };
-
-  // Proper ancestors of q0 can store units whose MBR spills outside their
-  // children yet still reaches into the EMBR — except under the two-point +
-  // kStartEnd argument (see two_point_units()), where such a unit provably
-  // scores zero and the whole path can be skipped.
-  if (!(two_point_units() && prune_mode_ == ZPruneMode::kStartEnd)) {
-    for (const int32_t a : PathTo(q0)) {
-      if (a == q0) continue;
-      ++visited;
-      bound += local_bound(a);
-    }
-  }
-
-  struct Frame {
-    int32_t idx;
-    int level;
-  };
-  std::vector<Frame> stack{{q0, 0}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    ++visited;
-    if (sub_of(frame.idx) <= 0.0) continue;  // nothing stored below
-    // A unit can score only if one of its points is within ψ of a stop,
-    // and every point of every unit in n's subtree lies inside n.rect.
-    if (!reaches(rect_of(frame.idx))) continue;
-    bound += local_bound(frame.idx);
-    const int32_t first_child = first_child_of(frame.idx);
-    if (first_child < 0) continue;  // leaf
-    if (frame.level >= max_levels) {
-      // Descent budget exhausted: close the subtree with the children's
-      // aggregate bounds (skipping unreachable quadrants) instead of
-      // n.sub, so the local part above still benefits from the z-node
-      // refinement.
-      for (int q = 0; q < 4; ++q) {
-        const int32_t c = first_child + q;
-        ++visited;
-        if (sub_of(c) > 0.0 && reaches(rect_of(c))) bound += sub_of(c);
-      }
-      continue;
-    }
-    for (int q = 0; q < 4; ++q) {
-      stack.push_back(Frame{first_child + q, frame.level + 1});
-    }
-  }
-  // The point-mass raster bounds the same quantity from the opposite side
-  // (per-point value caps near the stops, unit structure forgotten); each
-  // bound is independently sound, so their min is too. On roaming-unit
-  // workloads the raster is the discriminating one.
-  if (raster_ != nullptr) {
-    bound = std::min(bound,
-                     raster_->MassNearStops(corridor.stops, corridor.psi));
-  }
-  if (nodes_visited != nullptr) *nodes_visited += visited;
-  return bound;
-}
-
-double TQTree::UpperBound(const StopGrid& grid, int max_levels,
-                          size_t* nodes_visited) const {
-  if (bound_arena_.valid) {
-    return UpperBoundImpl<true, false>(grid, max_levels, nodes_visited);
-  }
-  return UpperBoundImpl<false, false>(grid, max_levels, nodes_visited);
-}
-
-double TQTree::UpperBoundScalarReference(const StopGrid& grid, int max_levels,
-                                         size_t* nodes_visited) const {
-  return UpperBoundImpl<false, true>(grid, max_levels, nodes_visited);
-}
-
-std::vector<int32_t> TQTree::PathTo(int32_t idx) const {
-  // Rebuild the path by re-descending toward idx's rectangle centre.
-  std::vector<int32_t> path;
-  const Rect target = node(idx).rect;
-  int32_t cur = 0;
-  path.push_back(cur);
-  while (cur != idx) {
-    const TQNode& n = node(cur);
-    TQ_CHECK_MSG(!n.IsLeaf(), "PathTo: idx not reachable from root");
-    cur = n.first_child + n.rect.QuadrantOf(target.Center());
-    path.push_back(cur);
-  }
-  return path;
-}
-
 const ZIndex* TQTree::zindex(int32_t idx) {
   if (options_.variant != IndexVariant::kZOrder) return nullptr;
   // Const pre-checks first: an up-to-date (possibly shared) index must not
@@ -523,33 +357,6 @@ void TQTree::BuildAllZIndexes() {
        cell_pending_.size() * 8 > cells_->num_trajectories())) {
     BuildCellTables();
   }
-  // Last: the z-index rebuilds above go through MutableNode, which clears
-  // the arena flag.
-  BuildBoundArena();
-}
-
-void TQTree::BuildBoundArena() {
-  BoundArena a;
-  a.sub.resize(num_nodes_);
-  a.rect.resize(num_nodes_);
-  a.first_child.resize(num_nodes_);
-  a.local_ub.resize(num_nodes_);
-  a.zindex.resize(num_nodes_);
-  a.entries.resize(num_nodes_);
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    const TQNode& n = node(static_cast<int32_t>(i));
-    a.sub[i] = n.sub;
-    a.rect[i] = n.rect;
-    a.first_child[i] = n.first_child;
-    a.local_ub[i] = n.entries.empty() ? 0.0 : n.local_ub;
-    a.zindex[i] = (!n.entries.empty() && n.zindex != nullptr &&
-                   !n.zindex_dirty)
-                      ? n.zindex.get()
-                      : nullptr;
-    a.entries[i] = std::span<const TrajEntry>(n.entries);
-  }
-  a.valid = true;
-  bound_arena_ = std::move(a);
 }
 
 std::vector<uint32_t> TQTree::IndexedTrajectories() const {
@@ -625,7 +432,12 @@ bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
 }
 
 double TQTree::CellUpperBound(const StopGrid& grid) const {
-  if (cells_ == nullptr) return UpperBound(grid);
+  TQ_DCHECK(raster_ != nullptr);  // built at construction and at load
+  // No tables (segmented trees, a fork whose prune mode flipped until its
+  // next freeze): the raster's mass near the stops alone bounds SO.
+  if (cells_ == nullptr) {
+    return raster_->MassNearStops(grid.stops(), grid.psi());
+  }
   static thread_local std::vector<uint32_t> cells;
   static thread_local std::vector<uint64_t> mask;
   cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
@@ -642,7 +454,6 @@ double TQTree::CellUpperBound(const StopGrid& grid) const {
   // Inflated like the raster: the exact evaluation adds the same kind of
   // terms in bucket order, which may round above this id-order sum.
   sum *= kRasterDriftInflation;
-  TQ_DCHECK(raster_ != nullptr);  // built at the freeze that built the tables
   return std::min(sum, raster_->MassInCells(cells));
 }
 

@@ -110,20 +110,6 @@ class TQTree {
   const Rect& world() const { return world_; }
   ZPruneMode prune_mode() const { return prune_mode_; }
 
-  /// True when every stored unit is a two-point unit (segments, or whole
-  /// trajectories of a source-destination dataset). Then a unit's stored MBR
-  /// is exactly its endpoint MBR. Combined with kStartEnd pruning (a unit
-  /// scores only with BOTH endpoints within ψ, no partial credit), a unit
-  /// stored at a proper ancestor of ContainingNode(EMBR) scores zero: it is
-  /// stored there because its MBR does not fit the child on the path, so
-  /// it does not fit the EMBR inside that child either, and one endpoint
-  /// lies outside the EMBR. UpperBound skips those ancestor lists. (Whole
-  /// multipoint trajectories break the second half: middle points inflate
-  /// the MBR beyond the served endpoints.)
-  bool two_point_units() const {
-    return options_.mode == TrajMode::kSegmented || max_points_ <= 2;
-  }
-
   int32_t root() const { return 0; }
   const TQNode& node(int32_t idx) const {
     return pages_[static_cast<size_t>(idx) >> kNodePageShift]
@@ -154,45 +140,6 @@ class TQTree {
   /// Copy-on-write accounting since the last Fork() that created this tree.
   const CowStats& cow_stats() const { return cow_stats_; }
 
-  /// Smallest node whose rectangle contains `r` (the paper's
-  /// containingQNode); the root when nothing smaller contains it.
-  int32_t ContainingNode(const Rect& r) const;
-
-  /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`,
-  /// derived purely from node aggregates — no entry list is ever scanned.
-  ///
-  /// Descends at most `max_levels` levels below ContainingNode(EMBR): a
-  /// node whose rectangle no stop's ψ-disk reaches contributes nothing
-  /// (every unit in its subtree has its MBR, hence all its points, inside
-  /// the rectangle); a visited node's own list is bounded at z-node
-  /// granularity when a built z-index is available (ZIndex::UpperBound:
-  /// Σ bucket ub over corridor-reachable buckets — crucial because
-  /// long-span units pool in upper-node lists where `local_ub` alone
-  /// cannot discriminate facilities), falling back to `local_ub`
-  /// otherwise; at the level budget the subtree is closed with the
-  /// children's `sub` aggregates. Ancestors of the containing node
-  /// contribute their list bound unless the two-point + kStartEnd argument
-  /// (see two_point_units()) proves them zero.
-  ///
-  /// Never smaller than EvaluateServiceTQ's exact value; larger
-  /// `max_levels` tightens the bound at the price of visiting up to 4×
-  /// more nodes per level. Cost is O(nodes × buckets-per-node × stops)
-  /// over the visited frontier — no entry is ever scanned, which is what
-  /// makes the sharded engine's bound-and-prune top-k sweep cheap.
-  /// Thread-safe on a FROZEN tree (const: never builds a z-index; call
-  /// BuildAllZIndexes() first for the tight bucket-level bound).
-  /// `nodes_visited`, if given, is incremented by the number of q-nodes
-  /// inspected.
-  double UpperBound(const StopGrid& grid, int max_levels = 4,
-                    size_t* nodes_visited = nullptr) const;
-
-  /// Scalar reference for UpperBound: the same traversal over the node
-  /// pages (never the SoA arena) with the scalar reachability kernels.
-  /// Bit-identical to UpperBound by construction — the agreement suite
-  /// (tests/test_simd_kernels.cc) holds both paths to it.
-  double UpperBoundScalarReference(const StopGrid& grid, int max_levels = 4,
-                                   size_t* nodes_visited = nullptr) const;
-
   /// Exact-check candidate filter of whole-trajectory trees. Replaces
   /// `mask` with one bit per id of users() and sets the bit of every
   /// trajectory that may score for a facility with stops `stops` and
@@ -220,13 +167,11 @@ class TQTree {
   /// from the cell structures alone — no node or bucket is visited: the
   /// smaller of the raster's mass near the stops and Σ UnitUpperBound over
   /// the MarkCandidates set (pending inserts included), the sum inflated by
-  /// kRasterDriftInflation. Falls back to UpperBound(grid) on a tree
-  /// without tables. The key of the library's best-first kMaxRRST.
-  /// Thread-safe on a frozen tree.
+  /// kRasterDriftInflation. A tree without tables (see MarkCandidates) is
+  /// bounded by the raster's mass alone. The only facility bound: the key
+  /// of the library's best-first kMaxRRST and of the sharded engine's bound
+  /// sweep. Thread-safe on a frozen tree.
   double CellUpperBound(const StopGrid& grid) const;
-
-  /// Nodes on the path root → `idx`, inclusive.
-  std::vector<int32_t> PathTo(int32_t idx) const;
 
   /// Z-index over `idx`'s list, rebuilding if dirty. Returns nullptr for
   /// kBasic trees and for empty lists.
@@ -237,10 +182,10 @@ class TQTree {
   /// the concurrent runtime performs before publishing a tree snapshot. On a
   /// fork, only nodes the write batch touched are dirty, so this rebuilds
   /// O(batch × depth) z-indexes, not the whole tree's. Freezing also
-  /// materialises the point-mass raster, the bound-sweep arena and, on
-  /// whole-trajectory trees, the point-cell tables (rebuilt only once the
-  /// inserts pending since their build exceed 1/8 of the trajectories they
-  /// hold). Trees of both variants are frozen at construction and at load.
+  /// materialises the point-mass raster and, on whole-trajectory trees, the
+  /// point-cell tables (rebuilt only once the inserts pending since their
+  /// build exceed 1/8 of the trajectories they hold). Trees of both
+  /// variants are frozen at construction and at load.
   void BuildAllZIndexes();
 
   /// Inserts trajectory `traj_id` of the user set (as a whole unit or as all
@@ -271,10 +216,6 @@ class TQTree {
   /// valid until another CopyPage of the SAME page — appends never move
   /// existing nodes, unlike the old contiguous node array.
   TQNode& MutableNode(int32_t idx) {
-    // Any write invalidates the bound-sweep arena; it is rebuilt at the next
-    // freeze (BuildAllZIndexes). One store — negligible next to the copy
-    // check.
-    bound_arena_.valid = false;
     const auto p = static_cast<size_t>(idx) >> kNodePageShift;
     if (pages_[p]->epoch != epoch_) CopyPage(p);
     return pages_[p]->nodes[static_cast<size_t>(idx) & kNodePageMask];
@@ -303,35 +244,6 @@ class TQTree {
   void ResizeNodes(size_t n);
   void MarkAllZIndexesDirty();
 
-  /// SoA mirror of the per-node fields the bound sweep reads (hot-field
-  /// arena): UpperBound's descent strides four ~32-192-byte TQNode records
-  /// per level through the page table; the arena packs sub/rect/child/list
-  /// bound into contiguous per-field vectors indexed by node id, so the
-  /// sweep touches a handful of streaming cache lines instead. `zindex`
-  /// holds raw pointers into the shared_ptr-owned per-node indexes — valid
-  /// exactly while `valid` is set, because every mutation path goes through
-  /// MutableNode/AppendNode which clear it, and the owning pages outlive
-  /// the arena within this tree instance.
-  struct BoundArena {
-    bool valid = false;
-    std::vector<double> sub;
-    std::vector<Rect> rect;
-    std::vector<int32_t> first_child;
-    std::vector<double> local_ub;  // 0.0 when the node list is empty
-    std::vector<const ZIndex*> zindex;  // null unless built and clean
-    std::vector<std::span<const TrajEntry>> entries;
-  };
-  /// (Re)builds the arena from the current nodes; called at freeze time.
-  void BuildBoundArena();
-
-  /// One traversal source for every UpperBound flavour, so the arena and
-  /// page paths (and the vector and scalar kernels) visit the same nodes in
-  /// the same order and add the same terms — bounds are identical by
-  /// construction, not by coincidence.
-  template <bool kUseArena, bool kScalar>
-  double UpperBoundImpl(const StopGrid& grid, int max_levels,
-                        size_t* nodes_visited) const;
-
   void BulkBuild();
   void InsertEntry(const TrajEntry& e);
   void StoreAt(int32_t idx, const TrajEntry& e);
@@ -354,7 +266,7 @@ class TQTree {
   CowStats cow_stats_;
   size_t num_units_ = 0;
   size_t max_points_ = 0;
-  /// Point-mass raster for UpperBound(); built on first freeze, shared
+  /// Point-mass raster for CellUpperBound(); built on first freeze, shared
   /// with forks until either side writes (raster_owned_ gates in-place
   /// mutation, mirroring the page epochs). Null until frozen.
   std::shared_ptr<PointRaster> raster_;
@@ -369,7 +281,6 @@ class TQTree {
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> cell_pending_;
-  BoundArena bound_arena_;
 };
 
 /// Derives the soundness-preserving prune mode for a tree configuration (see

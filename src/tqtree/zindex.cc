@@ -110,21 +110,8 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
       b.start_mbr.Include(e.start);
       b.end_mbr.Include(e.end);
       b.units_mbr = b.units_mbr.UnionWith(e.mbr);
-      b.ub += e.ub;
     }
     buckets_.push_back(b);
-  }
-
-  // SoA sweep mirror (see header). The per-bucket reach geometry is fixed by
-  // the prune mode at construction, so the sweep loops need no mode switch.
-  sweep_rect_a_.reserve(buckets_.size());
-  sweep_rect_b_.reserve(buckets_.size());
-  sweep_ub_.reserve(buckets_.size());
-  for (const Bucket& b : buckets_) {
-    sweep_rect_a_.push_back(prune_mode == ZPruneMode::kMbr ? b.units_mbr
-                                                           : b.start_mbr);
-    sweep_rect_b_.push_back(b.end_mbr);
-    sweep_ub_.push_back(b.ub > 0.0 ? b.ub : 0.0);
   }
 }
 
@@ -269,74 +256,6 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
       }
     }
   }
-}
-
-double ZIndex::UpperBound(const Corridor& corridor,
-                          std::span<const TrajEntry> entries) const {
-  double bound = 0.0;
-  for (const Outlier& o : outliers_) {
-    if (corridor.Reaches(o.mbr)) bound += entries[o.entry_index].ub;
-  }
-  // Mode hoisted out of the sweep; `reachable ? ub : 0.0` keeps the loop
-  // body branch-free over the SoA arrays. Adding +0.0 for skipped buckets
-  // is bit-exact against the reference's skip: the running bound and every
-  // stored ub are non-negative, and x + 0.0 == x for x ≥ +0.0.
-  const size_t nb = sweep_ub_.size();
-  switch (prune_mode_) {
-    case ZPruneMode::kMbr:
-      // Interior points may be served: any point of any member unit lies
-      // inside the bucket's union MBR.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += corridor.Reaches(sweep_rect_a_[i]) ? sweep_ub_[i] : 0.0;
-      }
-      break;
-    case ZPruneMode::kStartOrEnd:
-      // Only unit endpoints can be served; either end may score alone.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += (corridor.Reaches(sweep_rect_a_[i]) ||
-                  corridor.Reaches(sweep_rect_b_[i]))
-                     ? sweep_ub_[i]
-                     : 0.0;
-      }
-      break;
-    case ZPruneMode::kStartEnd:
-      // A unit scores only with BOTH endpoints within ψ of stops.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += (corridor.Reaches(sweep_rect_a_[i]) &&
-                  corridor.Reaches(sweep_rect_b_[i]))
-                     ? sweep_ub_[i]
-                     : 0.0;
-      }
-      break;
-  }
-  return bound;
-}
-
-double ZIndex::UpperBoundScalarReference(
-    const Corridor& corridor, std::span<const TrajEntry> entries) const {
-  double bound = 0.0;
-  for (const Outlier& o : outliers_) {
-    if (corridor.ReachesScalar(o.mbr)) bound += entries[o.entry_index].ub;
-  }
-  for (const Bucket& b : buckets_) {
-    if (b.ub <= 0.0) continue;
-    bool near = false;
-    switch (prune_mode_) {
-      case ZPruneMode::kMbr:
-        near = corridor.ReachesScalar(b.units_mbr);
-        break;
-      case ZPruneMode::kStartOrEnd:
-        near = corridor.ReachesScalar(b.start_mbr) ||
-               corridor.ReachesScalar(b.end_mbr);
-        break;
-      case ZPruneMode::kStartEnd:
-        near = corridor.ReachesScalar(b.start_mbr) &&
-               corridor.ReachesScalar(b.end_mbr);
-        break;
-    }
-    if (near) bound += b.ub;
-  }
-  return bound;
 }
 
 }  // namespace tq

@@ -9,7 +9,7 @@
 //         Morton keys as tie-breaks — the paper's "partitioned until the end
 //         point of each such trajectory is assigned a different z-id" — and
 //         the sorted list is chunked into z-nodes (buckets) of ≤ β entries,
-//         each carrying MBRs and a service upper bound.
+//         each carrying MBRs.
 //
 // zReduce covers the facility component's EMBR with start cells and end
 // cells; an entry survives only if its start z-id lies in a covered start
@@ -89,10 +89,8 @@ class ZIndex {
     double psi = 0.0;
     Rect embr;
 
-    /// True iff some stop's ψ-disk intersects `r` — THE reachability
-    /// predicate every pruning layer shares (zReduce bucket filtering,
-    /// the z-node bound, the tree bound), so bound and evaluator can
-    /// never diverge geometrically. Tested in squared form
+    /// True iff some stop's ψ-disk intersects `r` — the reachability
+    /// predicate of zReduce's bucket filtering. Tested in squared form
     /// (min_d²(stop, r) ≤ fl(ψ²)) with the 4-wide kernel: correctly
     /// rounded subtract/multiply/add are monotone, so for any point p
     /// inside r served by stop s the clamped rect distances compute
@@ -125,26 +123,6 @@ class ZIndex {
                         std::optional<ZPruneMode> mode_override =
                             std::nullopt) const;
 
-  /// Aggregate upper bound on the service this node's list can contribute
-  /// to the corridor's facility: Σ bucket `ub` over z-nodes the corridor
-  /// can reach, plus reachable outliers. A bucket is reachable per the
-  /// prune mode's own geometry — units MBR (kMbr), start OR end MBR
-  /// (kStartOrEnd), start AND end MBRs (kStartEnd) within ψ of a stop —
-  /// so a skipped bucket provably holds no serveable entry, by the same
-  /// argument that makes zReduce exact. No entry is ever inspected:
-  /// cost is O(buckets × stops). `entries` is the node's entry list
-  /// (outlier ubs live there). Powers TQTree::UpperBound, which powers
-  /// the sharded engine's bound-and-prune top-k.
-  double UpperBound(const Corridor& corridor,
-                    std::span<const TrajEntry> entries) const;
-
-  /// Scalar reference for UpperBound: the per-bucket mode switch with
-  /// ReachesScalar. Bit-identical to UpperBound by construction (predicate
-  /// kernels agree lane-for-lane; the sweep adds the same non-negative
-  /// bucket ubs in the same ascending order).
-  double UpperBoundScalarReference(const Corridor& corridor,
-                                   std::span<const TrajEntry> entries) const;
-
  private:
   struct EntryRef {
     uint64_t start_key = 0;   // adaptive start-cell key (range begin)
@@ -162,7 +140,6 @@ class ZIndex {
     Rect start_mbr = Rect::Empty();
     Rect end_mbr = Rect::Empty();
     Rect units_mbr = Rect::Empty();  // union of unit MBRs (kMbr pruning)
-    double ub = 0.0;                 // Σ entry ub — the z-node's "sub"
   };
 
   ZPruneMode prune_mode_;
@@ -171,15 +148,6 @@ class ZIndex {
   std::unique_ptr<CellTree> end_tree_;
   std::vector<EntryRef> refs_;
   std::vector<Bucket> buckets_;
-  // SoA mirror of the bucket fields the bound sweep reads, so UpperBound
-  // streams two or three contiguous arrays instead of striding the ~130-byte
-  // Bucket records. rect_a is the units MBR under kMbr, else the start MBR;
-  // rect_b is the end MBR (unused under kMbr). ub is clamped to ≥ 0 so the
-  // branchless sweep's `reachable ? ub : 0.0` matches the reference's
-  // skip-if-nonpositive exactly.
-  std::vector<Rect> sweep_rect_a_;
-  std::vector<Rect> sweep_rect_b_;
-  std::vector<double> sweep_ub_;
   std::vector<Rect> entry_mbrs_;  // parallel to refs_, for kMbr pruning
   // Parallel to refs_: the entry's trajectory id, so the candidate-bit test
   // streams 4-byte ids instead of the wide refs.

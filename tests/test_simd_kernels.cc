@@ -4,13 +4,11 @@
 // Every vectorized path in the engine retains its scalar reference in the
 // same binary: simd::* vs simd::scalar::*, StopGrid::Serves/ServesBatch vs
 // ServesScalar, ServiceEvaluator::Evaluate/EvaluateDetail vs the *Scalar
-// twins, Corridor::Reaches vs ReachesScalar, and TQTree::UpperBound (SoA
-// arena + wide kernels) vs UpperBoundScalarReference (node pages + scalar
-// kernels). These tests hold each pair bit-for-bit equal — EXPECT_EQ on the
-// raw double bits, never a tolerance — across scenarios × normalizations ×
-// edge shapes (1-point and 2-point trajectories, segment scenarios on
-// length-<2 inputs, spans crossing and not crossing 64-bit mask words, exact
-// ψ-threshold distances). The suite runs in every CI cell: baseline,
+// twins, and Corridor::Reaches vs ReachesScalar. These tests hold each pair
+// bit-for-bit equal — EXPECT_EQ on the raw double bits, never a tolerance —
+// across scenarios × normalizations × edge shapes (1-point and 2-point
+// trajectories, segment scenarios on length-<2 inputs, spans crossing and
+// not crossing 64-bit mask words, exact ψ-threshold distances). The suite runs in every CI cell: baseline,
 // -march=x86-64-v3, forced-scalar (-DTQ_SIMD=scalar), ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
@@ -291,50 +289,6 @@ TEST(SimdKernels, CorridorReachesAgreesWithScalar) {
   }
 }
 
-TEST(SimdKernels, TreeUpperBoundMatchesScalarReferenceBitForBit) {
-  const TrajectorySet users = presets::NyfCheckins(400);
-  const TrajectorySet routes = presets::NyBusRoutes(12, 24);
-  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
-    for (const ServiceModel& model : AllModels(400.0)) {
-      TQTreeOptions opt;
-      opt.beta = 16;
-      opt.mode = mode;
-      opt.model = model;
-      TQTree tree(&users, opt);
-      tree.BuildAllZIndexes();
-      for (uint32_t f = 0; f < routes.size(); ++f) {
-        const StopGrid grid(routes.points(f), model.psi);
-        // Arena + wide kernels vs node pages + scalar kernels: one shared
-        // traversal template, so the bounds must match to the bit.
-        EXPECT_BIT_EQ(tree.UpperBound(grid),
-                      tree.UpperBoundScalarReference(grid))
-            << "facility " << f << " model " << model.ToString();
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, TreeUpperBoundAgreesAfterMutationAndRefreeze) {
-  TrajectorySet users = presets::NyfCheckins(300);
-  const TrajectorySet routes = presets::NyBusRoutes(6, 20);
-  const ServiceModel model = ServiceModel::PointCount(400.0);
-  TQTreeOptions opt;
-  opt.beta = 16;
-  opt.model = model;
-  TQTree tree(&users, opt);
-  tree.BuildAllZIndexes();
-  const StopGrid grid(routes.points(0), model.psi);
-  EXPECT_BIT_EQ(tree.UpperBound(grid), tree.UpperBoundScalarReference(grid));
-  // Mutations invalidate the SoA arena; the page fallback path must agree
-  // with the scalar reference too, and so must the rebuilt arena.
-  tree.Remove(0);
-  EXPECT_BIT_EQ(tree.UpperBound(grid), tree.UpperBoundScalarReference(grid));
-  tree.Insert(0);
-  EXPECT_BIT_EQ(tree.UpperBound(grid), tree.UpperBoundScalarReference(grid));
-  tree.BuildAllZIndexes();
-  EXPECT_BIT_EQ(tree.UpperBound(grid), tree.UpperBoundScalarReference(grid));
-}
-
 TEST(SimdKernels, AccumulatorArenaMatchesMapReference) {
   const TrajectorySet users = EdgeShapeUsers(47);
   Rng rng(53);
@@ -402,8 +356,9 @@ TEST(SimdKernels, AccumulatorArenaMatchesMapReference) {
 }
 
 // Read-only concurrency over the shared frozen structures — the shape the
-// sharded engine runs the kernels in. TSan runs this suite in CI; any hidden
-// shared mutable state in the batch paths (scratch buffers, arena) trips it.
+// sharded engine runs the kernels and its bound sweep in. TSan runs this
+// suite in CI; any hidden shared mutable state in the batch paths or in the
+// bound's scratch (cell lists, candidate masks) trips it.
 TEST(SimdKernels, ConcurrentReadersAgree) {
   const TrajectorySet users = presets::NyfCheckins(200);
   const TrajectorySet routes = presets::NyBusRoutes(4, 16);
@@ -414,16 +369,20 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
   TQTree tree(&users, opt);
   tree.BuildAllZIndexes();
   std::vector<StopGrid> grids;
+  std::vector<uint64_t> bound_bits;  // single-threaded reference
   for (uint32_t f = 0; f < routes.size(); ++f) {
     grids.emplace_back(routes.points(f), model.psi);
+    bound_bits.push_back(
+        std::bit_cast<uint64_t>(tree.CellUpperBound(grids.back())));
   }
   std::vector<std::thread> threads;
   std::vector<int> failures(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      for (const StopGrid& grid : grids) {
-        if (std::bit_cast<uint64_t>(tree.UpperBound(grid)) !=
-            std::bit_cast<uint64_t>(tree.UpperBoundScalarReference(grid))) {
+      for (size_t f = 0; f < grids.size(); ++f) {
+        const StopGrid& grid = grids[f];
+        if (std::bit_cast<uint64_t>(tree.CellUpperBound(grid)) !=
+            bound_bits[f]) {
           failures[t]++;
         }
         for (uint32_t u = 0; u < users.size(); ++u) {

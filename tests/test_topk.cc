@@ -341,7 +341,7 @@ TEST(TopK, AncestorStoredMultipointEndpointServiceIsCounted) {
   opt.beta = 8;
   opt.model = model;
   TQTree tree(&users, opt);
-  ASSERT_FALSE(tree.two_point_units());
+  ASSERT_EQ(users.NumPoints(0), 3u);  // the detour is a multipoint unit
   const ServiceEvaluator eval(&users, model);
   const FacilityCatalog catalog(&facs, model.psi);
 

@@ -1,7 +1,7 @@
 // Tests for bound-and-prune distributed top-k (src/runtime/sharded_engine
-// sweep + refinement waves, src/tqtree TQTree::UpperBound):
-//   * the aggregate bound is sound — never below the exact service value —
-//     at every descent budget, tree mode and service model tested;
+// sweep + refinement waves, src/tqtree TQTree::CellUpperBound):
+//   * the cell bound is sound — never below the exact service value — in
+//     every tree mode and service model tested;
 //   * top-k answers agree bit-for-bit with the snapshot oracle (every
 //     facility evaluated on every shard, summed in ascending shard order)
 //     for small k, k = |F|/2, k = |F| and k > |F| × shards ∈ {1, 2, 4, 8},
@@ -107,10 +107,9 @@ void ExpectSameRanking(const std::vector<RankedFacility>& got,
   }
 }
 
-// ------------------------------------------------------ TQTree::UpperBound
+// ------------------------------------------------- TQTree::CellUpperBound
 
-// UpperBound ≥ the exact value for every facility at every descent budget,
-// and a deeper descent never loosens it.
+// CellUpperBound ≥ the exact value for every facility.
 void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
                                 const FacilityCatalog& catalog,
                                 const std::string& where) {
@@ -118,21 +117,16 @@ void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
   for (uint32_t f = 0; f < catalog.size(); ++f) {
     const double exact =
         EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr);
-    for (const int levels : {0, 2, 6}) {
-      size_t nodes = 0;
-      const double bound = tree->UpperBound(catalog.grid(f), levels, &nodes);
-      EXPECT_GE(bound, exact) << "facility=" << f << " levels=" << levels;
-      EXPECT_GT(nodes, 0u);
-    }
-    EXPECT_LE(tree->UpperBound(catalog.grid(f), 6),
-              tree->UpperBound(catalog.grid(f), 0));
+    EXPECT_GE(tree->CellUpperBound(catalog.grid(f)), exact)
+        << "facility=" << f;
   }
 }
 
-// Soundness at every descent budget: the aggregate bound may be loose but
-// must never fall below the exact value, or pruning would drop answers.
-// Covers every scenario and normalisation (the point-mass raster deposits
-// each differently) on fresh trees and through a fork that inserts and
+// Soundness: the bound may be loose but must never fall below the exact
+// value, or pruning would drop answers. Covers every scenario and
+// normalisation (the point-mass raster deposits each differently), whole
+// trees (cell tables, pending inserts before the fork's freeze) and
+// segmented trees (raster alone), fresh and through a fork that inserts and
 // removes: the fork's raster is copied on its first write, so the parent's
 // bound must still cover the parent's own exact values afterwards.
 TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
@@ -193,9 +187,13 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
   const ServiceModel model = ServiceModel::PointCount(10.0);
   TQTreeOptions options;
   options.model = model;
-  TQTree tree(&users, options);
   const FacilityCatalog catalog(&facs, model.psi);
-  EXPECT_EQ(tree.UpperBound(catalog.grid(0), 4), 0.0);
+  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+    options.mode = mode;
+    TQTree tree(&users, options);
+    EXPECT_EQ(tree.CellUpperBound(catalog.grid(0)), 0.0)
+        << "mode=" << static_cast<int>(mode);
+  }
 }
 
 // ---------------------------------------------------------- top-k answers
@@ -317,8 +315,7 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   std::vector<uint64_t> positive_slots(routes.size(), 0);
   for (const runtime::ShardStatePtr& shard : snap->shards) {
     for (uint32_t f = 0; f < routes.size(); ++f) {
-      const double ub = shard->tree->UpperBound(catalog.grid(f),
-                                                ShardedEngine::kBoundLevels);
+      const double ub = shard->tree->CellUpperBound(catalog.grid(f));
       bound[f] += ub;
       if (ub > 0.0) ++positive_slots[f];
       exact[f] += EvaluateServiceTQ(shard->tree.get(), *shard->eval,

@@ -161,66 +161,6 @@ TEST(TQTree, LongerTrajectoriesLiveHigher) {
   EXPECT_GT(below, 0u);
 }
 
-TEST(TQTree, ContainingNodeIsSmallestEnclosing) {
-  Rng rng(307);
-  const Rect w = Rect::Of(0, 0, 10000, 10000);
-  const TrajectorySet users = testing::RandomUsers(&rng, 1000, 2, 2, w);
-  TQTree tree(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
-                                  ServiceModel::Endpoints(100), 8));
-  // Probes must stay inside the tree's world (ContainingNode falls back to
-  // the root — which need not contain the probe — otherwise).
-  const Rect world = tree.world();
-  for (int trial = 0; trial < 50; ++trial) {
-    const double x = rng.NextUniform(world.min_x, world.max_x - 900);
-    const double y = rng.NextUniform(world.min_y, world.max_y - 900);
-    const Rect probe = Rect::Of(x, y, x + rng.NextUniform(1, 800),
-                                y + rng.NextUniform(1, 800));
-    const int32_t idx = tree.ContainingNode(probe);
-    const TQNode& n = tree.node(idx);
-    EXPECT_TRUE(n.rect.ContainsRect(probe));
-    // No child contains it (else idx would not be smallest).
-    if (!n.IsLeaf()) {
-      for (int q = 0; q < 4; ++q) {
-        EXPECT_FALSE(tree.node(n.first_child + q).rect.ContainsRect(probe));
-      }
-    }
-  }
-}
-
-TEST(TQTree, PathToWalksRootToNode) {
-  Rng rng(309);
-  const Rect w = Rect::Of(0, 0, 10000, 10000);
-  const TrajectorySet users = testing::RandomUsers(&rng, 1000, 2, 2, w);
-  TQTree tree(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
-                                  ServiceModel::Endpoints(100), 8));
-  const Rect probe = Rect::Of(100, 100, 150, 150);
-  const int32_t idx = tree.ContainingNode(probe);
-  const auto path = tree.PathTo(idx);
-  ASSERT_GE(path.size(), 1u);
-  EXPECT_EQ(path.front(), tree.root());
-  EXPECT_EQ(path.back(), idx);
-  for (size_t i = 1; i < path.size(); ++i) {
-    EXPECT_TRUE(tree.node(path[i - 1])
-                    .rect.ContainsRect(tree.node(path[i]).rect));
-  }
-}
-
-TEST(TQTree, TwoPointDetection) {
-  Rng rng(311);
-  const Rect w = Rect::Of(0, 0, 1000, 1000);
-  const TrajectorySet two = testing::RandomUsers(&rng, 50, 2, 2, w);
-  const TrajectorySet multi = testing::RandomUsers(&rng, 50, 3, 6, w);
-  TQTree t1(&two, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
-                              ServiceModel::Endpoints(50)));
-  TQTree t2(&multi, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
-                                ServiceModel::Endpoints(50)));
-  TQTree t3(&multi, MakeOptions(IndexVariant::kBasic, TrajMode::kSegmented,
-                                ServiceModel::PointCount(50)));
-  EXPECT_TRUE(t1.two_point_units());
-  EXPECT_FALSE(t2.two_point_units());
-  EXPECT_TRUE(t3.two_point_units());
-}
-
 TEST(TQTree, DerivePruneModeMatrix) {
   const ServiceModel endpoints = ServiceModel::Endpoints(50);
   const ServiceModel count = ServiceModel::PointCount(50);
@@ -476,7 +416,8 @@ void CheckPointCellLifecycle(bool two_point) {
     TQTree fresh(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
                                      model, 16));
     ASSERT_EQ(fresh.world(), world);
-    ASSERT_EQ(fresh.two_point_units(), two_point);
+    ASSERT_EQ(fresh.prune_mode(),
+              DerivePruneMode(TrajMode::kWhole, model, two_point ? 2 : 3));
     const size_t fresh_cleared = CheckCandidateFilter(&fresh, facs, "fresh");
     // The filter must actually filter.
     EXPECT_GT(fresh_cleared, 0u);
@@ -558,7 +499,12 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
   TrajectorySet extended = users;
   const TrajectorySet more = testing::RandomUsers(&rng, 40, 3, 6, w);
   for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
-  const TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  // Routes along users' own points, two-point and multipoint, so that
+  // facilities serve distinct positive values.
+  for (const uint32_t u : {0u, 1u, 2u, 300u, 301u, 302u}) {
+    facs.Add(extended.points(u));
+  }
   const ServiceModel model = ServiceModel::Length(150.0);
   TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
                                   model, 16));
@@ -571,6 +517,34 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
   }
   std::vector<uint64_t> mask;
   EXPECT_FALSE(fork->MarkCandidates(facs.points(0), 150.0, &mask));
+  // Without tables the bound falls back to the raster alone; it must stay
+  // sound, and the library top-k keyed on it must stay exact.
+  {
+    SCOPED_TRACE("flipped fork, no tables");
+    const ServiceEvaluator eval(&extended, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    size_t positive = 0;
+    for (uint32_t f = 0; f < facs.size(); ++f) {
+      const double exact =
+          EvaluateServiceTQ(fork.get(), eval, catalog.grid(f), nullptr);
+      EXPECT_GE(fork->CellUpperBound(catalog.grid(f)), exact)
+          << "facility " << f;
+      if (exact > 0.0) ++positive;
+    }
+    EXPECT_GE(positive, 6u);
+    for (const size_t k : {size_t{1}, size_t{5}, facs.size()}) {
+      const TopKResult top = TopKFacilitiesTQ(fork.get(), catalog, eval, k);
+      const TopKResult want =
+          TopKFacilitiesExhaustiveTQ(fork.get(), catalog, eval, k);
+      ASSERT_EQ(top.ranked.size(), want.ranked.size()) << "k=" << k;
+      for (size_t i = 0; i < want.ranked.size(); ++i) {
+        EXPECT_EQ(top.ranked[i].id, want.ranked[i].id)
+            << "k=" << k << " rank " << i;
+        EXPECT_EQ(top.ranked[i].value, want.ranked[i].value)
+            << "k=" << k << " rank " << i;
+      }
+    }
+  }
   fork->BuildAllZIndexes();
   CheckCandidateFilter(fork.get(), facs, "flipped fork, frozen");
   CheckCandidateFilter(&tree, facs, "parent");

@@ -2,8 +2,7 @@
 // workload — how many entries each stage touches, and what the zReduce
 // z-cell filter contributes on top of the q-node hierarchy.
 //
-// Rows: BL (quadtree range gather), TQ(B) plain scan, TQ(B)+MBR precheck
-// (optional entry-level rejection), TQ(Z) zReduce.
+// Rows: BL (quadtree range gather), TQ(B) plain scan, TQ(Z) zReduce.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -29,9 +28,6 @@ int main() {
   opt.model = model;
   opt.variant = IndexVariant::kBasic;
   TQTree tq_basic(&users, opt);
-  opt.basic_entry_mbr_precheck = true;
-  TQTree tq_basic_pre(&users, opt);
-  opt.basic_entry_mbr_precheck = false;
   opt.variant = IndexVariant::kZOrder;
   TQTree tq_z(&users, opt);
 
@@ -109,7 +105,6 @@ int main() {
     report(name, stats, s);
   };
   run_tree("TQ(B)", &tq_basic);
-  run_tree("TQ(B)+precheck", &tq_basic_pre);
   run_tree("TQ(Z)", &tq_z);
   if (sink < 0) std::printf("impossible\n");
   return 0;

@@ -1,9 +1,16 @@
-// Algorithms 1 & 2 of the paper: divide-and-conquer service-value evaluation
-// over the TQ-tree, with the two-phase pruning (q-node pruning + zReduce).
+// Service-value evaluation over the TQ-tree. On a whole-trajectory tree
+// with point-cell tables, SO(U, f) is one candidate mask
+// (TQTree::MarkCandidates) and one exact check per set bit, summed in
+// ascending id order. Algorithms 1 & 2 of the paper — divide-and-conquer
+// over the quadtree with the two-phase pruning (q-node pruning + zReduce) —
+// serve the trees without tables: segmented trees, and whole trees between
+// a prune-mode flip and the next freeze, where the walk only marks the
+// bitmap that feeds the same id-order sum.
 #ifndef TQCOVER_QUERY_EVAL_SERVICE_H_
 #define TQCOVER_QUERY_EVAL_SERVICE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "query/query_stats.h"
@@ -35,30 +42,34 @@ Rect ComponentEmbr(const StopGrid& grid, const Component& comp);
 std::vector<Point> ComponentStops(const StopGrid& grid,
                                   const Component& comp);
 
-/// The point-cell candidate filter for the facility behind `grid`
-/// (TQTree::MarkCandidates, in its `any_endpoint` form if asked): a
-/// thread-local bitmap over `tree`'s trajectory ids, valid until the next
-/// call on this thread, or null when the tree has no point-cell tables and
-/// every unit is a candidate.
-const uint64_t* CandidateMask(const TQTree& tree, const StopGrid& grid,
-                              bool any_endpoint = false);
-
-/// Algorithm 1 (evaluateService): SO(U, f) by recursive division of the
-/// facility over the TQ-tree, starting from the root.
+/// SO(U, f). On a whole-trajectory tree: Σ ServiceEvaluator::Evaluate over
+/// the candidate mask's ids in ascending order, so the value has one
+/// summation order whatever the tree's variant, β or update history (and
+/// equals EvaluateServiceBaseline's bits). `stats->exact_checks` counts the
+/// set bits; `nodes_visited` stays 0 unless the tree has no tables. On a
+/// segmented tree: Algorithm 1 (evaluateService), crediting each served
+/// point or segment once.
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats = nullptr);
 
+/// Σ ServiceEvaluator::Evaluate over `ids` in the given order: with the
+/// ascending ids of a whole tree's candidate set (TQTree::CellUpperBound
+/// lists them), the bits EvaluateServiceTQ returns.
+double EvaluateServiceOver(std::span<const uint32_t> ids,
+                           const ServiceEvaluator& eval, const StopGrid& grid,
+                           QueryStats* stats = nullptr);
+
 /// Lemma 1: a user whose source alone is served still matters for combined
 /// coverage, so on kStartEnd trees under Scenario 1 served-set collection
-/// weakens the both-endpoints filters (zReduce's z-cells and the candidate
-/// mask) to either-endpoint. True when that applies.
+/// weakens the both-endpoints candidate mask to either-endpoint. True when
+/// that applies.
 bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval);
 
-/// Same traversal, but gathers each served user's ServeDetail mask into
+/// Same candidates, but gathers each served user's ServeDetail mask into
 /// `out` (reset first) instead of a value: the per-facility served sets
 /// MaxkCovRST consumes. A non-null `pool` — a MarkCandidates bitmap of this
 /// tree — further restricts the exact checks to the users whose bit it has
-/// set.
+/// set. Whole-trajectory trees gather in ascending id order.
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      const StopGrid& grid, ServedGather* out,
                      const uint64_t* pool = nullptr,

@@ -14,7 +14,8 @@ struct QueryStats {
   size_t nodes_visited = 0;      // q-nodes touched by the recursion
   size_t lists_evaluated = 0;    // node lists inspected
   size_t entries_scanned = 0;    // entries touched in node lists
-  size_t exact_checks = 0;       // entries surviving pruning
+  size_t exact_checks = 0;       // users (whole trees) or entries
+                                 // (segmented) given the exact check
   size_t heap_pops = 0;          // best-first top-k pops
   size_t relax_rounds = 0;       // exact refinements of best-first top-k
   ZIndex::ReduceStats zreduce;

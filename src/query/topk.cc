@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 #include <vector>
 
 namespace tq {
@@ -33,10 +34,21 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
   k = std::min(k, num_fac);
   if (k == 0) return result;
 
+  // The bound pass walks each facility's candidate set anyway; with tables
+  // it keeps the ids (facility f's are ids[begin[f], begin[f + 1])), so a
+  // refinement sums over them instead of marking the mask again.
+  const bool listed = tree->has_cell_tables();
+  static thread_local std::vector<uint32_t> ids;
+  static thread_local std::vector<size_t> begin;
+  ids.clear();
+  begin.assign(num_fac + 1, 0);
   std::vector<HeapItem> items;
   items.reserve(num_fac);
   for (uint32_t f = 0; f < num_fac; ++f) {
-    items.push_back(HeapItem{tree->CellUpperBound(catalog.grid(f)), f, false});
+    items.push_back(HeapItem{
+        tree->CellUpperBound(catalog.grid(f), listed ? &ids : nullptr), f,
+        false});
+    begin[f + 1] = ids.size();
   }
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapLess> pq(
       HeapLess{}, std::move(items));
@@ -49,8 +61,13 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
       continue;
     }
     result.stats.relax_rounds++;
-    const double value = EvaluateServiceTQ(tree, eval, catalog.grid(top.id),
-                                           &result.stats);
+    const StopGrid& grid = catalog.grid(top.id);
+    const double value =
+        listed ? EvaluateServiceOver(
+                     std::span(ids).subspan(begin[top.id],
+                                            begin[top.id + 1] - begin[top.id]),
+                     eval, grid, &result.stats)
+               : EvaluateServiceTQ(tree, eval, grid, &result.stats);
     pq.push(HeapItem{value, top.id, true});
   }
   return result;

@@ -617,11 +617,12 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
   }
   *cache_hit = false;
   // Pool threads land here concurrently on the same frozen shard tree; the
-  // kernel layer underneath (StopGrid neighborhood lists, the tree's bound
-  // arena, the evaluator's served-mask batch path) is immutable after
-  // freeze, and each thread's segmented-evaluation scratch lives in a
-  // thread_local ServiceAccumulator arena inside EvaluateServiceTQ — so a
-  // cache miss costs zero allocation on the steady state and no locks.
+  // kernel layer underneath (StopGrid neighborhood lists, the tree's cell
+  // tables and indexed-ids bitmap, the evaluator's served-mask batch path)
+  // is immutable after freeze, and each thread's scratch (candidate mask,
+  // segmented accumulator) lives in thread_locals inside EvaluateServiceTQ
+  // — so a cache miss costs zero allocation on the steady state and no
+  // locks.
   value = EvaluateServiceTQ(shard.tree.get(), *shard.eval, catalog.grid(f),
                             stats);
   if (cache_.enabled()) {

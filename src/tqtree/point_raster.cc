@@ -1,6 +1,7 @@
 #include "tqtree/point_raster.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -46,7 +47,12 @@ void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
                                 std::vector<uint32_t>* cells) const {
   // Dedupe covered cells: consecutive stops of one route overlap heavily at
   // ψ scale, and a cell listed twice would be summed (or scanned) twice.
-  cells->clear();
+  // Each covered cell sets its bit in a thread-local bitmap over the grid;
+  // reading the touched words back lists every cell once, ascending, and
+  // leaves the bitmap clear for the next call.
+  static thread_local std::vector<uint64_t> covered(kNumCells / 64, 0);
+  size_t lo = covered.size();
+  size_t hi = 0;
   for (const Point& s : stops) {
     const double rx = psi + kWalkSlack * (std::abs(s.x) + psi);
     const double ry = psi + kWalkSlack * (std::abs(s.y) + psi);
@@ -56,12 +62,20 @@ void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
     const size_t r1 = RowOf(s.y + ry);
     for (size_t r = r0; r <= r1; ++r) {
       for (size_t c = c0; c <= c1; ++c) {
-        cells->push_back(static_cast<uint32_t>(r * kRasterResolution + c));
+        const size_t cell = r * kRasterResolution + c;
+        covered[cell >> 6] |= uint64_t{1} << (cell & 63);
       }
     }
+    lo = std::min(lo, (r0 * kRasterResolution + c0) >> 6);
+    hi = std::max(hi, ((r1 * kRasterResolution + c1) >> 6) + 1);
   }
-  std::sort(cells->begin(), cells->end());
-  cells->erase(std::unique(cells->begin(), cells->end()), cells->end());
+  cells->clear();
+  for (size_t w = lo; w < hi; ++w) {
+    for (uint64_t bits = covered[w]; bits != 0; bits &= bits - 1) {
+      cells->push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+    covered[w] = 0;
+  }
 }
 
 // ------------------------------------------------------------ PointRaster

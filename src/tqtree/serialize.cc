@@ -56,12 +56,20 @@ class PodReader {
   size_t pos_ = 0;
 };
 
+/// Header slots of retired options. Writers store Current(); readers hash
+/// whatever the stream holds and otherwise ignore it, so files written
+/// while the options existed still load.
+struct RetiredSlots {
+  uint8_t entry_mbr_precheck = 0;  // a TQ(B) scan ablation
+  uint64_t raster_resolution = 0;  // the grid is a build-time constant
+
+  static RetiredSlots Current() { return {0, kRasterResolution}; }
+};
+
 /// The packed header fields the geometry hash covers (and the header
-/// carries), in stream order. `raster_resolution` is a retired option's
-/// slot: writers store kRasterResolution, readers hash whatever the stream
-/// holds and otherwise ignore it (the grid is a build-time constant).
+/// carries), in stream order.
 void PackGeometry(const TQTreeOptions& opt, const Rect& world,
-                  uint64_t raster_resolution, std::string* out) {
+                  const RetiredSlots& retired, std::string* out) {
   PutPod(out, static_cast<uint64_t>(opt.beta));
   PutPod(out, static_cast<int32_t>(opt.max_depth));
   PutPod(out, static_cast<uint8_t>(opt.variant));
@@ -69,15 +77,15 @@ void PackGeometry(const TQTreeOptions& opt, const Rect& world,
   PutPod(out, static_cast<uint8_t>(opt.model.scenario));
   PutPod(out, static_cast<uint8_t>(opt.model.normalization));
   PutPod(out, opt.model.psi);
-  PutPod(out, static_cast<uint8_t>(opt.basic_entry_mbr_precheck));
-  PutPod(out, raster_resolution);
+  PutPod(out, retired.entry_mbr_precheck);
+  PutPod(out, retired.raster_resolution);
   PutRect(out, world);
 }
 
 uint64_t GeometryHash(const TQTreeOptions& options, const Rect& world,
-                      uint64_t raster_resolution) {
+                      const RetiredSlots& retired) {
   std::string packed;
-  PackGeometry(options, world, raster_resolution, &packed);
+  PackGeometry(options, world, retired, &packed);
   // FNV-1a over the packed bytes: stable across runs (no pointer or seed
   // material), cheap, and collision-safe enough for a mismatch CHECK — the
   // page CRCs handle corruption.
@@ -177,7 +185,7 @@ Status StringSnapshotSource::Read(void* data, size_t n) {
 }
 
 uint64_t TQTreeGeometryHash(const TQTreeOptions& options, const Rect& world) {
-  return GeometryHash(options, world, kRasterResolution);
+  return GeometryHash(options, world, RetiredSlots::Current());
 }
 
 /// Friend of TQTree with raw access to pages_ / bookkeeping.
@@ -187,7 +195,7 @@ class TQTreeSerializer {
     std::string buf;
     buf.append(kMagic, sizeof(kMagic));
     PutPod(&buf, kVersion);
-    PackGeometry(tree.options_, tree.world_, kRasterResolution, &buf);
+    PackGeometry(tree.options_, tree.world_, RetiredSlots::Current(), &buf);
     PutPod(&buf, TQTreeGeometryHash(tree.options_, tree.world_));
     PutPod(&buf, static_cast<uint64_t>(tree.users_->size()));
     PutPod(&buf, static_cast<uint64_t>(tree.num_nodes_));
@@ -241,8 +249,8 @@ class TQTreeSerializer {
     }
     // Fixed-size header: everything before the page records.
     std::string geom;
-    PackGeometry(TQTreeOptions{}, Rect::Of(0, 0, 1, 1), kRasterResolution,
-                 &geom);
+    PackGeometry(TQTreeOptions{}, Rect::Of(0, 0, 1, 1),
+                 RetiredSlots::Current(), &geom);
     const size_t header_len = sizeof(kMagic) + sizeof(uint32_t) + geom.size() +
                               3 * sizeof(uint64_t) + sizeof(uint32_t);
     std::string buf;
@@ -269,14 +277,16 @@ class TQTreeSerializer {
           " (this build reads version " + std::to_string(kVersion) + ")");
     }
     TQTreeOptions opt;
-    uint64_t beta = 0, raster_res = 0;
+    uint64_t beta = 0;
     int32_t max_depth = 0;
-    uint8_t variant = 0, mode = 0, scenario = 0, norm = 0, precheck = 0;
+    uint8_t variant = 0, mode = 0, scenario = 0, norm = 0;
+    RetiredSlots retired;
     Rect world;
     uint64_t geometry_hash = 0, users_size = 0, node_count = 0;
     if (!r.Get(&beta) || !r.Get(&max_depth) || !r.Get(&variant) ||
         !r.Get(&mode) || !r.Get(&scenario) || !r.Get(&norm) ||
-        !r.Get(&opt.model.psi) || !r.Get(&precheck) || !r.Get(&raster_res) ||
+        !r.Get(&opt.model.psi) || !r.Get(&retired.entry_mbr_precheck) ||
+        !r.Get(&retired.raster_resolution) ||
         !r.GetRect(&world) || !r.Get(&geometry_hash) || !r.Get(&users_size) ||
         !r.Get(&node_count)) {
       return Truncated("header");
@@ -290,8 +300,7 @@ class TQTreeSerializer {
     opt.mode = static_cast<TrajMode>(mode);
     opt.model.scenario = static_cast<Scenario>(scenario);
     opt.model.normalization = static_cast<Normalization>(norm);
-    opt.basic_entry_mbr_precheck = precheck != 0;
-    if (GeometryHash(opt, world, raster_res) != geometry_hash) {
+    if (GeometryHash(opt, world, retired) != geometry_hash) {
       return Status::InvalidArgument(
           "snapshot geometry hash mismatch (stream corrupt, or written by "
           "an incompatible geometry)");
@@ -360,6 +369,7 @@ class TQTreeSerializer {
         }
       }
     }
+    tree->IndexEntries();
     tree->BuildAllZIndexes();  // freeze, as the constructor does
     return tree;
   }

@@ -150,6 +150,10 @@ std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   fork->raster_ = raster_;
   fork->raster_owned_ = false;
   raster_owned_ = false;
+  // The indexed-ids bitmap likewise.
+  fork->indexed_ = indexed_;
+  fork->indexed_owned_ = false;
+  indexed_owned_ = false;
   // The point-cell tables are immutable, so both sides share them
   // outright; each keeps its own pending list from here on.
   fork->cells_ = cells_;
@@ -178,6 +182,7 @@ void TQTree::BulkBuild() {
 void TQTree::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   RasterApply(traj_id, 1.0);
+  SetIndexed(traj_id, true);
   if (cells_ != nullptr) cell_pending_.push_back(traj_id);
   if (options_.mode == TrajMode::kWhole) {
     InsertEntry(MakeWholeEntry(*users_, traj_id, options_.model));
@@ -359,17 +364,37 @@ void TQTree::BuildAllZIndexes() {
   }
 }
 
-std::vector<uint32_t> TQTree::IndexedTrajectories() const {
-  // The indexed trajectory set is whatever the node lists currently hold
-  // (bulk build indexes every user; Remove de-indexes): walk the entries,
-  // taking each trajectory once however many segments it spread into.
-  std::vector<uint8_t> seen(users_->size(), 0);
-  std::vector<uint32_t> ids;
+void TQTree::SetIndexed(uint32_t traj_id, bool on) {
+  if (!indexed_owned_) {
+    // Copy-on-write: the bitmap is shared with a forked snapshot whose
+    // masks must stay frozen.
+    indexed_ = std::make_shared<std::vector<uint64_t>>(*indexed_);
+    indexed_owned_ = true;
+  }
+  std::vector<uint64_t>& live = *indexed_;
+  if ((traj_id >> 6) >= live.size()) live.resize((traj_id >> 6) + 1, 0);
+  const uint64_t bit = uint64_t{1} << (traj_id & 63);
+  if (on) {
+    live[traj_id >> 6] |= bit;
+  } else {
+    live[traj_id >> 6] &= ~bit;
+  }
+}
+
+void TQTree::IndexEntries() {
   for (size_t i = 0; i < num_nodes_; ++i) {
     for (const TrajEntry& e : node(static_cast<int32_t>(i)).entries) {
-      if (seen[e.traj_id]) continue;
-      seen[e.traj_id] = 1;
-      ids.push_back(e.traj_id);
+      SetIndexed(e.traj_id, true);
+    }
+  }
+}
+
+std::vector<uint32_t> TQTree::IndexedTrajectories() const {
+  std::vector<uint32_t> ids;
+  const std::vector<uint64_t>& live = *indexed_;
+  for (size_t w = 0; w < live.size(); ++w) {
+    for (uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+      ids.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
     }
   }
   return ids;
@@ -419,6 +444,11 @@ void TQTree::MarkCandidateCells(std::span<const uint32_t> cells,
   for (const uint32_t id : cell_pending_) {
     (*mask)[id >> 6] |= uint64_t{1} << (id & 63);
   }
+  // Tables and pending list keep the ids of removed trajectories.
+  const std::vector<uint64_t>& live = *indexed_;
+  for (size_t w = 0; w < words; ++w) {
+    (*mask)[w] &= w < live.size() ? live[w] : 0;
+  }
 }
 
 bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
@@ -431,7 +461,8 @@ bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
   return true;
 }
 
-double TQTree::CellUpperBound(const StopGrid& grid) const {
+double TQTree::CellUpperBound(const StopGrid& grid,
+                              std::vector<uint32_t>* candidates) const {
   TQ_DCHECK(raster_ != nullptr);  // built at construction and at load
   // No tables (segmented trees, a fork whose prune mode flipped until its
   // next freeze): the raster's mass near the stops alone bounds SO.
@@ -443,16 +474,17 @@ double TQTree::CellUpperBound(const StopGrid& grid) const {
   cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
   MarkCandidateCells(cells, /*any_endpoint=*/false, &mask);
   // Every unit that scores has its bit set and scores at most its own
-  // upper bound; a set bit of a removed trajectory only loosens the sum.
+  // upper bound; no removed trajectory has a bit.
   double sum = 0.0;
   for (size_t w = 0; w < mask.size(); ++w) {
     for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
       const auto id = static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
       sum += UnitUpperBound(*users_, id, kWholeUnit, options_.model);
+      if (candidates != nullptr) candidates->push_back(id);
     }
   }
-  // Inflated like the raster: the exact evaluation adds the same kind of
-  // terms in bucket order, which may round above this id-order sum.
+  // Inflated like the raster: a unit's cap and the exact value it caps are
+  // computed by different formulas, which may round differently.
   sum *= kRasterDriftInflation;
   return std::min(sum, raster_->MassInCells(cells));
 }
@@ -474,6 +506,7 @@ bool TQTree::Remove(uint32_t traj_id) {
     const TrajEntry e = MakeWholeEntry(*users_, traj_id, options_.model);
     if (!RemoveUnit(traj_id, e.seg_index, e.mbr, e.ub, e.agg)) return false;
     RasterApply(traj_id, -1.0);
+    SetIndexed(traj_id, false);
     return true;
   }
   bool all = true;
@@ -482,10 +515,13 @@ bool TQTree::Remove(uint32_t traj_id) {
     const TrajEntry e = MakeSegmentEntry(*users_, traj_id, s, options_.model);
     all = RemoveUnit(traj_id, s, e.mbr, e.ub, e.agg) && all;
   }
-  // Withdraw the raster mass only on a complete removal: leftover segments
-  // keep their deposits, which can only overstate (never understate) the
-  // bound.
-  if (all) RasterApply(traj_id, -1.0);
+  // Withdraw the raster mass and the indexed bit only on a complete
+  // removal: leftover segments keep their deposits, which can only
+  // overstate (never understate) the bound.
+  if (all) {
+    RasterApply(traj_id, -1.0);
+    SetIndexed(traj_id, false);
+  }
   return all;
 }
 

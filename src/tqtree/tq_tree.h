@@ -61,8 +61,6 @@ struct TQTreeOptions {
   TrajMode mode = TrajMode::kWhole;
   /// Service model the per-node upper bounds are computed for.
   ServiceModel model;
-  /// Ablation: give TQ(B)'s linear scan a per-entry MBR pre-check.
-  bool basic_entry_mbr_precheck = false;
 };
 
 /// Structural statistics (index size accounting of §III-B).
@@ -152,9 +150,10 @@ class TQTree {
   ///   * kStartOrEnd and kMbr trees: the trajectories with any point in a
   ///     near cell (`any_endpoint` changes nothing);
   /// plus, in every form, each trajectory inserted since the tables were
-  /// built. A unit whose bit is clear scores exactly 0 (with
-  /// `any_endpoint`, serves no point at all), so skipping its exact check
-  /// changes no sum.
+  /// built; then ANDed with the indexed-ids bitmap, so no bit of a
+  /// trajectory Remove() de-indexed is ever set. A unit whose bit is clear
+  /// scores exactly 0 (with `any_endpoint`, serves no point at all), so
+  /// summing the exact values of the set bits alone gives SO.
   ///
   /// Returns false, leaving `mask` alone, when the tree has no tables
   /// (segmented trees, and a fork whose prune mode changed until its next
@@ -163,15 +162,22 @@ class TQTree {
                       std::vector<uint64_t>* mask,
                       bool any_endpoint = false) const;
 
+  /// True when MarkCandidates filters (the tree has point-cell tables).
+  bool has_cell_tables() const { return cells_ != nullptr; }
+
   /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`
   /// from the cell structures alone — no node or bucket is visited: the
   /// smaller of the raster's mass near the stops and Σ UnitUpperBound over
-  /// the MarkCandidates set (pending inserts included), the sum inflated by
-  /// kRasterDriftInflation. A tree without tables (see MarkCandidates) is
-  /// bounded by the raster's mass alone. The only facility bound: the key
-  /// of the library's best-first kMaxRRST and of the sharded engine's bound
-  /// sweep. Thread-safe on a frozen tree.
-  double CellUpperBound(const StopGrid& grid) const;
+  /// the MarkCandidates set, the sum inflated by kRasterDriftInflation. A
+  /// tree without tables (see MarkCandidates) is bounded by the raster's
+  /// mass alone. The only facility bound: the key of the library's
+  /// best-first kMaxRRST and of the sharded engine's bound sweep.
+  ///
+  /// With tables and a non-null `candidates`, also appends the ascending
+  /// ids of that MarkCandidates set, so a caller can later sum SO over
+  /// them without marking the mask again. Thread-safe on a frozen tree.
+  double CellUpperBound(const StopGrid& grid,
+                        std::vector<uint32_t>* candidates = nullptr) const;
 
   /// Z-index over `idx`'s list, rebuilding if dirty. Returns nullptr for
   /// kBasic trees and for empty lists.
@@ -221,8 +227,12 @@ class TQTree {
     return pages_[p]->nodes[static_cast<size_t>(idx) & kNodePageMask];
   }
   void CopyPage(size_t page_index);
-  /// Ids of the trajectories the node lists currently hold, each once, in
-  /// first-seen node-entry order.
+  /// Sets (`on`) or clears `traj_id`'s bit of the indexed-ids bitmap,
+  /// copying a bitmap shared with forks first.
+  void SetIndexed(uint32_t traj_id, bool on);
+  /// Rebuilds the indexed-ids bitmap from the node lists (load path).
+  void IndexEntries();
+  /// Ids of the indexed trajectories, ascending.
   std::vector<uint32_t> IndexedTrajectories() const;
   /// Rebuilds the point-mass raster from the currently indexed
   /// trajectories (first freeze, and deserialised trees).
@@ -271,13 +281,20 @@ class TQTree {
   /// mutation, mirroring the page epochs). Null until frozen.
   std::shared_ptr<PointRaster> raster_;
   bool raster_owned_ = false;
+  /// One bit per indexed trajectory id: Insert sets it, a full Remove
+  /// clears it. Never null; shared with forks until either side writes
+  /// (indexed_owned_, like raster_owned_). Grows on demand; missing words
+  /// read as zero.
+  std::shared_ptr<std::vector<uint64_t>> indexed_ =
+      std::make_shared<std::vector<uint64_t>>();
+  bool indexed_owned_ = true;
   /// Point-cell tables for MarkCandidates(); built at freeze on
   /// whole-trajectory trees, immutable and shared with forks. kStartEnd
   /// trees list sources in `cells_` and destinations in `end_cells_`; other
   /// trees list every point in `cells_` and have no `end_cells_`.
   /// Trajectories inserted after the build are candidates via
-  /// `cell_pending_` (per tree, copied by Fork); removals need no update,
-  /// since a stale id marks a trajectory that no list holds.
+  /// `cell_pending_` (per tree, copied by Fork). Removed ids stay listed in
+  /// both; MarkCandidateCells clears them with `indexed_`.
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> cell_pending_;

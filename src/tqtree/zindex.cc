@@ -53,7 +53,7 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
         node_rect.Contains(entries[i].end)) {
       indexed.push_back(i);
     } else {
-      outliers_.push_back(Outlier{i, entries[i].traj_id, entries[i].mbr});
+      outliers_.push_back(Outlier{i, entries[i].mbr});
     }
   }
 
@@ -88,10 +88,8 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
             });
 
   entry_mbrs_.resize(refs_.size());
-  traj_ids_.resize(refs_.size());
   for (size_t i = 0; i < refs_.size(); ++i) {
     entry_mbrs_[i] = entries[refs_[i].entry_index].mbr;
-    traj_ids_[i] = entries[refs_[i].entry_index].traj_id;
   }
 
   // Chunk the sorted list into z-nodes of ≤ β entries.
@@ -116,41 +114,27 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
 }
 
 void ZIndex::ForEachCandidate(const Corridor& corridor,
-                              const uint64_t* candidates,
                               const std::function<void(uint32_t)>& fn,
-                              ReduceStats* stats,
-                              std::optional<ZPruneMode> mode_override) const {
-  ZPruneMode mode = prune_mode_;
-  if (mode_override.has_value()) {
-    // Only weakening is sound: kStartEnd → kStartOrEnd.
-    TQ_CHECK(*mode_override == prune_mode_ ||
-             (prune_mode_ == ZPruneMode::kStartEnd &&
-              *mode_override == ZPruneMode::kStartOrEnd));
-    mode = *mode_override;
-  }
+                              ReduceStats* stats) const {
   if (stats != nullptr) stats->buckets_total += buckets_.size();
   // Outliers (entries beyond the node's z-addressable rectangle) are always
   // scanned, whatever the z filter decides below.
   for (const Outlier& o : outliers_) {
     if (stats != nullptr) stats->entries_scanned++;
-    if (IsCandidate(candidates, o.traj_id) && o.mbr.Intersects(corridor.embr)) {
+    if (o.mbr.Intersects(corridor.embr)) {
       if (stats != nullptr) stats->candidates++;
       fn(o.entry_index);
     }
   }
   if (refs_.empty()) return;
-  // Every entry of the list passes the z filter: only the candidate bits
-  // decide.
+  // Every entry of the list passes the z filter.
   const auto scan_all = [&] {
     if (stats != nullptr) {
       stats->buckets_visited += buckets_.size();
       stats->entries_scanned += refs_.size();
+      stats->candidates += refs_.size();
     }
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      if (!IsCandidate(candidates, traj_ids_[i])) continue;
-      if (stats != nullptr) stats->candidates++;
-      fn(refs_[i].entry_index);
-    }
+    for (const EntryRef& r : refs_) fn(r.entry_index);
   };
   // Lists of a couple of buckets gain nothing from filtering: the cover
   // walks cost more than just exact-checking every entry.
@@ -160,7 +144,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
   }
   const Rect& embr = corridor.embr;
 
-  if (mode == ZPruneMode::kMbr) {
+  if (prune_mode_ == ZPruneMode::kMbr) {
     // Interior points may be served: only MBR pruning is sound. Buckets are
     // pruned against the corridor (any stop disk touching the union MBR),
     // entries against the cheap EMBR rectangle.
@@ -170,8 +154,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
       if (stats != nullptr) stats->buckets_visited++;
       for (uint32_t i = b.begin; i < b.end; ++i) {
         if (stats != nullptr) stats->entries_scanned++;
-        if (IsCandidate(candidates, traj_ids_[i]) &&
-            entry_mbrs_[i].Intersects(embr)) {
+        if (entry_mbrs_[i].Intersects(embr)) {
           if (stats != nullptr) stats->candidates++;
           fn(refs_[i].entry_index);
         }
@@ -180,7 +163,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     return;
   }
 
-  const bool require_both_pre = mode == ZPruneMode::kStartEnd;
+  const bool require_both = prune_mode_ == ZPruneMode::kStartEnd;
   // Cheap pre-estimate: if the stops' serving squares alone would blanket
   // this node, filtering cannot pay — scan directly and skip the cover walk.
   {
@@ -189,7 +172,7 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
         std::max(world.Width() * world.Height(), 1e-9);
     const double stop_area = static_cast<double>(corridor.stops.size()) *
                              (2.0 * corridor.psi) * (2.0 * corridor.psi);
-    if (!require_both_pre && stop_area > 0.8 * node_area) {
+    if (!require_both && stop_area > 0.8 * node_area) {
       scan_all();
       return;
     }
@@ -205,7 +188,6 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
                                         &start_ranges, &start_leaves);
   end_tree_->CoverRangesNearStopsInto(corridor.stops, corridor.psi,
                                       &end_ranges, &end_leaves);
-  const bool require_both = mode == ZPruneMode::kStartEnd;
   if (require_both && (start_ranges.empty() || end_ranges.empty())) return;
   if (start_ranges.empty() && end_ranges.empty()) return;
 
@@ -245,8 +227,6 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     if (stats != nullptr) stats->buckets_visited++;
     for (uint32_t i = b.begin; i < b.end; ++i) {
       if (stats != nullptr) stats->entries_scanned++;
-      // Bit first: a cleared trajectory skips both range probes.
-      if (!IsCandidate(candidates, traj_ids_[i])) continue;
       const EntryRef& r = refs_[i];
       const bool s_in = RangesContain(start_ranges, r.start_key);
       const bool e_in = RangesContain(end_ranges, r.end_key);

@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,13 +50,6 @@ enum class ZPruneMode {
   /// trajectories under interior-point service models).
   kMbr,
 };
-
-/// True when `candidates` (one bit per trajectory id, as TQTree::
-/// MarkCandidates fills it) is null or has `traj_id`'s bit set.
-inline bool IsCandidate(const uint64_t* candidates, uint32_t traj_id) {
-  return candidates == nullptr ||
-         ((candidates[traj_id >> 6] >> (traj_id & 63)) & 1) != 0;
-}
 
 /// Immutable z-order bucket list for one q-node. Rebuilt (not patched) after
 /// node updates; the TQ-tree owns the dirty tracking.
@@ -104,24 +96,11 @@ class ZIndex {
   };
 
   /// Invokes `fn` for every entry that survives zReduce pruning against the
-  /// corridor. Entries are passed by index into the node's entry list (the
-  /// order given at construction). `stats` may be null.
-  ///
-  /// `candidates` (one bit per trajectory id, TQTree::MarkCandidates; null
-  /// keeps every entry) is tested first: an entry whose trajectory bit is
-  /// clear is dropped before its z-range probes. Survivors keep bucket
-  /// order.
-  ///
-  /// `mode_override` may weaken a kStartEnd index to kStartOrEnd: served-set
-  /// collection for MaxkCovRST must keep *partially* served users (a source
-  /// served by one facility, the destination by another — Lemma 1), while
-  /// plain SO evaluation of the same tree correctly drops them. Overrides
-  /// that would strengthen the filter are rejected.
-  void ForEachCandidate(const Corridor& corridor, const uint64_t* candidates,
+  /// corridor, in bucket order. Entries are passed by index into the node's
+  /// entry list (the order given at construction). `stats` may be null.
+  void ForEachCandidate(const Corridor& corridor,
                         const std::function<void(uint32_t)>& fn,
-                        ReduceStats* stats = nullptr,
-                        std::optional<ZPruneMode> mode_override =
-                            std::nullopt) const;
+                        ReduceStats* stats = nullptr) const;
 
  private:
   struct EntryRef {
@@ -149,15 +128,11 @@ class ZIndex {
   std::vector<EntryRef> refs_;
   std::vector<Bucket> buckets_;
   std::vector<Rect> entry_mbrs_;  // parallel to refs_, for kMbr pruning
-  // Parallel to refs_: the entry's trajectory id, so the candidate-bit test
-  // streams 4-byte ids instead of the wide refs.
-  std::vector<uint32_t> traj_ids_;
   // Entries with points outside the node rectangle (possible after dynamic
   // inserts beyond the construction-time world): z-cells cannot represent
   // them, so they are always scanned. Empty in the common case.
   struct Outlier {
     uint32_t entry_index = 0;
-    uint32_t traj_id = 0;
     Rect mbr;
   };
   std::vector<Outlier> outliers_;

@@ -1,6 +1,8 @@
 // The backbone integration invariant: BL, TQ(B) and TQ(Z) are different
 // *search strategies* over the same exact service semantics, so all three
 // must produce identical service values and top-k rankings on any workload.
+// On whole-trajectory trees every method sums the per-user values in
+// ascending user id, so the values agree bit for bit, for every model.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -42,8 +44,8 @@ TEST_P(EquivalenceTest, AllThreeMethodsAgreeOnServiceValues) {
     const double bl = EvaluateServiceBaseline(pq, eval, grid);
     const double tb = EvaluateServiceTQ(&tq_basic, eval, grid);
     const double tz = EvaluateServiceTQ(&tq_z, eval, grid);
-    EXPECT_NEAR(bl, tb, 1e-6) << "BL vs TQ(B), facility " << f;
-    EXPECT_NEAR(bl, tz, 1e-6) << "BL vs TQ(Z), facility " << f;
+    EXPECT_EQ(bl, tb) << "BL vs TQ(B), facility " << f;
+    EXPECT_EQ(bl, tz) << "BL vs TQ(Z), facility " << f;
   }
 }
 
@@ -51,6 +53,45 @@ INSTANTIATE_TEST_SUITE_P(AllModels, EquivalenceTest, ::testing::Range(0, 5),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "model" + std::to_string(info.param);
                          });
+
+TEST(Equivalence, MultipointBitEqualAcrossIndexes) {
+  // Multipoint users under every model, per-user-normalised fractional
+  // scenarios included: the value of each facility must not depend on the
+  // index that found its candidates.
+  Rng rng(711);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 800, 3, 9, w);
+  TrajectorySet facs = testing::RandomFacilities(&rng, 16, 12, w);
+  // Routes along users' own points, so that many users score.
+  for (const uint32_t u : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+    facs.Add(users.points(u));
+  }
+  PointQuadtree pq(users.BoundingBox().Expanded(1.0), 32);
+  pq.InsertAll(users);
+  for (const ServiceModel& model : testing::AllModels(400.0)) {
+    SCOPED_TRACE(model.ToString());
+    const ServiceEvaluator eval(&users, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    TQTreeOptions opt;
+    opt.beta = 16;
+    opt.model = model;
+    opt.variant = IndexVariant::kBasic;
+    TQTree tq_basic(&users, opt);
+    opt.variant = IndexVariant::kZOrder;
+    TQTree tq_z(&users, opt);
+    size_t positive = 0;
+    for (uint32_t f = 0; f < catalog.size(); ++f) {
+      const StopGrid& grid = catalog.grid(f);
+      const double bl = EvaluateServiceBaseline(pq, eval, grid);
+      EXPECT_EQ(bl, EvaluateServiceTQ(&tq_basic, eval, grid))
+          << "BL vs TQ(B), facility " << f;
+      EXPECT_EQ(bl, EvaluateServiceTQ(&tq_z, eval, grid))
+          << "BL vs TQ(Z), facility " << f;
+      if (bl > 0.0) ++positive;
+    }
+    EXPECT_GE(positive, 8u);
+  }
+}
 
 TEST(Equivalence, PresetWorkloadNytLike) {
   // Scaled-down NYT preset: the exact workload family the benchmarks use.
@@ -72,7 +113,8 @@ TEST(Equivalence, PresetWorkloadNytLike) {
   const TopKResult tz = TopKFacilitiesTQ(&tq_z, catalog, eval, k);
   ASSERT_EQ(bl.ranked.size(), tz.ranked.size());
   for (size_t i = 0; i < k; ++i) {
-    EXPECT_NEAR(bl.ranked[i].value, tz.ranked[i].value, 1e-6) << "rank " << i;
+    EXPECT_EQ(bl.ranked[i].id, tz.ranked[i].id) << "rank " << i;
+    EXPECT_EQ(bl.ranked[i].value, tz.ranked[i].value) << "rank " << i;
   }
   // Sanity: the winning route serves a meaningful number of users.
   EXPECT_GT(bl.ranked[0].value, 0.0);
@@ -128,29 +170,9 @@ TEST(Equivalence, BetaDoesNotChangeAnswers) {
       if (beta == 2u) {
         reference.push_back(v);
       } else {
-        EXPECT_NEAR(v, reference[f], 1e-9) << "beta=" << beta;
+        EXPECT_EQ(v, reference[f]) << "beta=" << beta;
       }
     }
-  }
-}
-
-TEST(Equivalence, BasicMbrPrecheckAblationKeepsAnswers) {
-  Rng rng(709);
-  const Rect w = Rect::Of(0, 0, 30000, 30000);
-  const TrajectorySet users = testing::RandomUsers(&rng, 500, 2, 2, w);
-  const TrajectorySet facs = testing::RandomFacilities(&rng, 8, 10, w);
-  const ServiceModel model = ServiceModel::Endpoints(200.0);
-  const ServiceEvaluator eval(&users, model);
-  TQTreeOptions opt;
-  opt.variant = IndexVariant::kBasic;
-  opt.model = model;
-  TQTree plain(&users, opt);
-  opt.basic_entry_mbr_precheck = true;
-  TQTree prechecked(&users, opt);
-  for (uint32_t f = 0; f < facs.size(); ++f) {
-    const StopGrid grid(facs.points(f), model.psi);
-    EXPECT_NEAR(EvaluateServiceTQ(&plain, eval, grid),
-                EvaluateServiceTQ(&prechecked, eval, grid), 1e-9);
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "common/rng.h"
 #include "query/eval_service.h"
 #include "test_util.h"
@@ -147,8 +150,25 @@ TEST(EvalService, StatsCountPruning) {
   const StopGrid grid(stops, 150.0);
   QueryStats stats;
   EvaluateServiceTQ(&tree, eval, grid, &stats);
-  EXPECT_GT(stats.nodes_visited, 0u);
+  // A whole tree with point-cell tables visits no node: one exact check per
+  // bit of the candidate mask.
+  std::vector<uint64_t> mask;
+  ASSERT_TRUE(tree.MarkCandidates(grid.stops(), grid.psi(), &mask));
+  size_t marked = 0;
+  for (const uint64_t word : mask) marked += std::popcount(word);
+  EXPECT_EQ(stats.nodes_visited, 0u);
+  EXPECT_EQ(stats.exact_checks, marked);
   EXPECT_LT(stats.exact_checks, users.size() / 2)
+      << "pruning had no effect";
+
+  // A segmented tree has no tables and still walks the quadtree.
+  TQTreeOptions seg_opt = opt;
+  seg_opt.mode = TrajMode::kSegmented;
+  TQTree segmented(&users, seg_opt);
+  QueryStats seg_stats;
+  EvaluateServiceTQ(&segmented, eval, grid, &seg_stats);
+  EXPECT_GT(seg_stats.nodes_visited, 0u);
+  EXPECT_LT(seg_stats.exact_checks, users.size() / 2)
       << "pruning had no effect";
 }
 

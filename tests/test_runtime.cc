@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -185,9 +186,17 @@ TEST(OneShardEngine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
   }
   const std::vector<QueryResponse> responses = engine.RunBatch(batch);
   ASSERT_EQ(responses.size(), batch.size());
+  // The shard tree is a whole tree with point-cell tables: an evaluation
+  // visits no node and exact-checks each bit of the facility's mask once.
+  size_t want_checks = 0;
   for (size_t i = 0; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].snapshot_version, 1u);
     EXPECT_DOUBLE_EQ(responses[i].value, expected[batch[i].facility]);
+    if (responses[i].cache_hit) continue;
+    const StopGrid& grid = serial_catalog.grid(batch[i].facility);
+    std::vector<uint64_t> mask;
+    ASSERT_TRUE(serial_tree.MarkCandidates(grid.stops(), grid.psi(), &mask));
+    for (const uint64_t word : mask) want_checks += std::popcount(word);
   }
   // Second pass over the same facilities: all cache hits, same answers.
   const std::vector<QueryResponse> again = engine.RunBatch(batch);
@@ -198,7 +207,8 @@ TEST(OneShardEngine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
   const runtime::MetricsView m = engine.metrics().Read();
   EXPECT_GE(m.cache_hits, batch.size());
   EXPECT_EQ(m.queries_total, 2 * batch.size());
-  EXPECT_GT(m.nodes_visited, 0u);
+  EXPECT_EQ(m.nodes_visited, 0u);
+  EXPECT_EQ(m.exact_checks, want_checks);
 }
 
 TEST(OneShardEngine, OutOfRangeFacilityReturnsErrorNotCrash) {

@@ -93,8 +93,8 @@ TEST_P(TQTreeSerializeTest, RoundTripPreservesEverything) {
   // Answers identical.
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid grid(facs.points(f), opt.model.psi);
-    EXPECT_NEAR(EvaluateServiceTQ(&original, eval, grid),
-                EvaluateServiceTQ(&restored, eval, grid), 1e-12)
+    EXPECT_EQ(EvaluateServiceTQ(&original, eval, grid),
+              EvaluateServiceTQ(&restored, eval, grid))
         << "config " << config << " facility " << f;
   }
 

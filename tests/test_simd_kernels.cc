@@ -12,9 +12,10 @@
 // -march=x86-64-v3, forced-scalar (-DTQ_SIMD=scalar), ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -24,7 +25,10 @@
 #include "common/simd.h"
 #include "datagen/presets.h"
 #include "geom/distance.h"
+#include "query/eval_service.h"
+#include "query/topk.h"
 #include "service/accumulator.h"
+#include "service/facility_index.h"
 #include "service/evaluator.h"
 #include "service/models.h"
 #include "service/stop_grid.h"
@@ -359,32 +363,58 @@ TEST(SimdKernels, AccumulatorArenaMatchesMapReference) {
 // sharded engine runs the kernels and its bound sweep in. TSan runs this
 // suite in CI; any hidden shared mutable state in the batch paths or in the
 // bound's scratch (cell lists, candidate masks) trips it.
+// Everything a reader takes from one frozen whole tree, as raw bits: per
+// facility the cell bound, SO and the served set (users ascending, then
+// their mask words), then the top-k ids and value bits.
+std::vector<uint64_t> ReaderDigest(TQTree* tree, const ServiceEvaluator& eval,
+                                   const FacilityCatalog& catalog) {
+  std::vector<uint64_t> out;
+  ServedGather served;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    out.push_back(std::bit_cast<uint64_t>(tree->CellUpperBound(grid)));
+    out.push_back(std::bit_cast<uint64_t>(EvaluateServiceTQ(tree, eval, grid)));
+    CollectServedTQ(tree, eval, grid, &served);
+    std::vector<uint32_t> users = served.users();
+    std::sort(users.begin(), users.end());
+    for (const uint32_t u : users) {
+      out.push_back(u);
+      for (const uint64_t w : served.MaskOf(u)) out.push_back(w);
+    }
+  }
+  for (const RankedFacility& r :
+       TopKFacilitiesTQ(tree, catalog, eval, 3).ranked) {
+    out.push_back(r.id);
+    out.push_back(std::bit_cast<uint64_t>(r.value));
+  }
+  return out;
+}
+
+// Concurrent readers of one frozen whole tree get a serial pass's bits
+// while a writer forks it and publishes Insert/Remove batches on the fork:
+// the fork shares the tree's pages, raster and indexed-ids bitmap and
+// copies each on its first write.
 TEST(SimdKernels, ConcurrentReadersAgree) {
   const TrajectorySet users = presets::NyfCheckins(200);
   const TrajectorySet routes = presets::NyBusRoutes(4, 16);
   const ServiceModel model = ServiceModel::PointCount(400.0);
   const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&routes, model.psi);
   TQTreeOptions opt;
   opt.model = model;
   TQTree tree(&users, opt);
   tree.BuildAllZIndexes();
-  std::vector<StopGrid> grids;
-  std::vector<uint64_t> bound_bits;  // single-threaded reference
-  for (uint32_t f = 0; f < routes.size(); ++f) {
-    grids.emplace_back(routes.points(f), model.psi);
-    bound_bits.push_back(
-        std::bit_cast<uint64_t>(tree.CellUpperBound(grids.back())));
-  }
+  ASSERT_TRUE(tree.has_cell_tables());
+  const std::vector<uint64_t> serial = ReaderDigest(&tree, eval, catalog);
   std::vector<std::thread> threads;
   std::vector<int> failures(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      for (size_t f = 0; f < grids.size(); ++f) {
-        const StopGrid& grid = grids[f];
-        if (std::bit_cast<uint64_t>(tree.CellUpperBound(grid)) !=
-            bound_bits[f]) {
-          failures[t]++;
-        }
+      for (int rep = 0; rep < 10; ++rep) {
+        if (ReaderDigest(&tree, eval, catalog) != serial) failures[t]++;
+      }
+      for (uint32_t f = 0; f < catalog.size(); ++f) {
+        const StopGrid& grid = catalog.grid(f);
         for (uint32_t u = 0; u < users.size(); ++u) {
           if (std::bit_cast<uint64_t>(eval.Evaluate(u, grid)) !=
               std::bit_cast<uint64_t>(eval.EvaluateScalar(u, grid))) {
@@ -393,6 +423,18 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
         }
       }
     });
+  }
+  // The writer: fork, remove, re-insert (a pending id), remove again, and
+  // freeze, the way a publish does.
+  for (uint32_t round = 0; round < 6; ++round) {
+    std::unique_ptr<TQTree> fork = tree.Fork(&users);
+    for (uint32_t u = round; u < users.size(); u += 7) {
+      EXPECT_TRUE(fork->Remove(u));
+    }
+    fork->Insert(round);
+    EXPECT_TRUE(fork->Remove(round + 1));
+    fork->BuildAllZIndexes();
+    EXPECT_NE(ReaderDigest(fork.get(), eval, catalog), serial);
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 4; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;

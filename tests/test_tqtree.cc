@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <span>
@@ -242,7 +243,8 @@ bool IntegerValued(const ServiceModel& m) {
 // Checks the filter on `tree` against every facility: each indexed user
 // that scores > 0 (by the evaluator and by brute force) has its bit set in
 // the default mask, each user with any served detail has its bit set in the
-// any-endpoint mask, no user whose bit is clear gets an exact check, the
+// any-endpoint mask, no user outside the index has a bit, the exact checks
+// are exactly the set bits, the
 // cell bound is never below the exact value, served-set collection finds
 // exactly the users with a served detail, and the library's answers equal
 // brute force over the indexed users — exactly for the integer-valued
@@ -295,11 +297,17 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
         want_served.emplace(u, std::move(detail.mask));
       }
     }
+    // Only indexed users have bits: removed ones stay listed in the tables
+    // but are cleared by the indexed-ids bitmap.
+    size_t marked = 0;
+    for (const uint64_t word : mask) marked += std::popcount(word);
+    EXPECT_EQ(marked, candidates) << "facility " << f;
     QueryStats stats;
     const double got = EvaluateServiceTQ(tree, eval, grid, &stats);
     exact[f] = RankedFacility{f, got};
-    // Whole units: one entry per user, so every exact check is a candidate.
-    EXPECT_LE(stats.exact_checks, candidates) << "facility " << f;
+    // One exact check per candidate bit, and no tree walk.
+    EXPECT_EQ(stats.exact_checks, candidates) << "facility " << f;
+    EXPECT_EQ(stats.nodes_visited, 0u) << "facility " << f;
     EXPECT_GE(tree->CellUpperBound(grid), got) << "facility " << f;
     if (IntegerValued(model)) {
       EXPECT_EQ(got, so) << "facility " << f;
@@ -449,7 +457,7 @@ void CheckPointCellLifecycle(bool two_point) {
       CheckCandidateFilter(fork.get(), facs, "fork after grandchild writes");
     }
 
-    // Removals leave stale ids in the tables.
+    // Removals leave stale ids in the tables; no mask may carry them.
     for (uint32_t u = 0; u < users.size(); u += 3) {
       ASSERT_TRUE(fork->Remove(u));
     }

@@ -2,7 +2,12 @@
 // answer exactly like a tree bulk-built on the final data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "common/rng.h"
+#include "query/baseline.h"
 #include "query/eval_service.h"
 #include "test_util.h"
 
@@ -13,8 +18,8 @@ void ExpectSameAnswers(TQTree* a, TQTree* b, const TrajectorySet& facs,
                        const ServiceEvaluator& eval, const char* what) {
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid grid(facs.points(f), eval.model().psi);
-    EXPECT_NEAR(EvaluateServiceTQ(a, eval, grid),
-                EvaluateServiceTQ(b, eval, grid), 1e-9)
+    EXPECT_EQ(EvaluateServiceTQ(a, eval, grid),
+              EvaluateServiceTQ(b, eval, grid))
         << what << " facility " << f;
   }
 }
@@ -158,6 +163,183 @@ TEST(Updates, ZIndexRebuildsAfterUpdates) {
   const double after = EvaluateServiceTQ(&tree, eval, grid);
   EXPECT_NEAR(after, 0.0, 1e-9);
   EXPECT_NEAR(before, static_cast<double>(served.size()), 1e-9);
+}
+
+// ------------------------------------------- removals and the cell tables
+//
+// Removed ids stay listed in a whole tree's point-cell tables (and in its
+// pending list); the indexed-ids bitmap keeps them out of every mask, sum,
+// served set and bound.
+
+// The baseline over the users `live` marks: a point quadtree holding only
+// their points.
+PointQuadtree LiveBaseline(const TrajectorySet& users,
+                           const std::vector<bool>& live) {
+  PointQuadtree pq(users.BoundingBox().Expanded(1.0), 32);
+  for (uint32_t u = 0; u < users.size(); ++u) {
+    if (!live[u]) continue;
+    const auto pts = users.points(u);
+    for (uint32_t i = 0; i < pts.size(); ++i) pq.Insert({pts[i], u, i});
+  }
+  return pq;
+}
+
+// Checks every facility of `facs` on `tree` against the baseline over
+// `live`: equal SO bits and served sets, no candidate bit (either form) of a
+// de-indexed user, and a cell bound no lower than SO. Returns the SO values.
+std::vector<double> ExpectLiveAnswers(TQTree* tree,
+                                      const std::vector<bool>& live,
+                                      const TrajectorySet& facs,
+                                      const char* what) {
+  SCOPED_TRACE(what);
+  const TrajectorySet& users = tree->users();
+  const ServiceModel& model = tree->options().model;
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&facs, model.psi);
+  const PointQuadtree pq = LiveBaseline(users, live);
+  std::vector<double> values;
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    const double so = EvaluateServiceTQ(tree, eval, grid);
+    values.push_back(so);
+    EXPECT_EQ(so, EvaluateServiceBaseline(pq, eval, grid)) << "facility " << f;
+    EXPECT_GE(tree->CellUpperBound(grid), so) << "facility " << f;
+    for (const bool any_endpoint : {false, true}) {
+      std::vector<uint64_t> mask;
+      EXPECT_TRUE(
+          tree->MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint));
+      mask.resize((users.size() + 63) / 64);
+      for (uint32_t u = 0; u < users.size(); ++u) {
+        if (live[u]) continue;
+        EXPECT_EQ((mask[u >> 6] >> (u & 63)) & 1, 0u)
+            << "de-indexed user " << u << " facility " << f
+            << " any_endpoint " << any_endpoint;
+      }
+    }
+    ServedGather got;
+    CollectServedTQ(tree, eval, grid, &got);
+    ServedGather want;
+    CollectServedBaseline(pq, eval, grid, &want);
+    std::vector<uint32_t> got_users = got.users();
+    std::vector<uint32_t> want_users = want.users();
+    std::sort(got_users.begin(), got_users.end());
+    std::sort(want_users.begin(), want_users.end());
+    EXPECT_EQ(got_users, want_users) << "facility " << f;
+    if (got_users != want_users) continue;
+    for (const uint32_t u : got_users) {
+      const auto a = got.MaskOf(u);
+      const auto b = want.MaskOf(u);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "user " << u << " facility " << f;
+    }
+  }
+  return values;
+}
+
+// Ids with a bit in some facility's candidate mask: users the tables list
+// near a facility.
+std::vector<uint32_t> ListedIds(const TQTree& tree, const TrajectorySet& facs) {
+  std::vector<bool> seen(tree.users().size(), false);
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    std::vector<uint64_t> mask;
+    EXPECT_TRUE(tree.MarkCandidates(facs.points(f),
+                                    tree.options().model.psi, &mask));
+    for (uint32_t u = 0; u < seen.size(); ++u) {
+      if ((mask[u >> 6] >> (u & 63)) & 1) seen[u] = true;
+    }
+  }
+  std::vector<uint32_t> ids;
+  for (uint32_t u = 0; u < seen.size(); ++u) {
+    if (seen[u]) ids.push_back(u);
+  }
+  return ids;
+}
+
+void CheckRemovalsAgainstTables(size_t min_pts, size_t max_pts,
+                                const ServiceModel& model,
+                                IndexVariant variant) {
+  Rng rng(813 + max_pts);
+  const Rect w = Rect::Of(0, 0, 8000, 8000);
+  const TrajectorySet users =
+      testing::RandomUsers(&rng, 600, min_pts, max_pts, w);
+  TrajectorySet facs = testing::RandomFacilities(&rng, 12, 16, w);
+  for (const uint32_t u : {0u, 1u, 2u, 3u}) facs.Add(users.points(u));
+  // An extension inserted after the tables are built: pending ids.
+  TrajectorySet extended = users;
+  const TrajectorySet more =
+      testing::RandomUsers(&rng, 20, min_pts, max_pts, w);
+  std::vector<uint32_t> added;
+  for (uint32_t u = 0; u < more.size(); ++u) {
+    added.push_back(extended.Add(more.points(u)));
+  }
+  facs.Add(more.points(0));
+  facs.Add(more.points(1));
+
+  TQTreeOptions opt;
+  opt.beta = 8;
+  opt.variant = variant;
+  opt.model = model;
+  TQTree tree(&users, opt);
+  std::vector<bool> live(users.size(), true);
+
+  // (1) Remove ids the tables list, half before and half after a freeze.
+  const std::vector<uint32_t> listed = ListedIds(tree, facs);
+  ASSERT_GE(listed.size(), 20u);
+  for (size_t i = 0; i < listed.size(); i += 2) {
+    ASSERT_TRUE(tree.Remove(listed[i]));
+    live[listed[i]] = false;
+    if (i == listed.size() / 2) tree.BuildAllZIndexes();
+  }
+  ExpectLiveAnswers(&tree, live, facs, "removed listed ids");
+  tree.BuildAllZIndexes();
+  const std::vector<double> parent_values =
+      ExpectLiveAnswers(&tree, live, facs, "removed listed ids, frozen");
+
+  // (4) A fork whose child writes while the parent is still read.
+  std::unique_ptr<TQTree> child = tree.Fork(&extended);
+  std::vector<bool> child_live = live;
+  child_live.resize(extended.size(), false);
+  // (2) Insert then remove a pending id.
+  for (const uint32_t u : added) {
+    child->Insert(u);
+    child_live[u] = true;
+  }
+  for (size_t i = 0; i < added.size(); i += 2) {
+    ASSERT_TRUE(child->Remove(added[i]));
+    child_live[added[i]] = false;
+  }
+  // (3) Remove then re-insert: both a table-listed and a pending id.
+  ASSERT_TRUE(child->Remove(listed[1]));
+  child->Insert(listed[1]);
+  ASSERT_TRUE(child->Remove(added[1]));
+  child->Insert(added[1]);
+  // The child's removals must not reach the parent.
+  ASSERT_TRUE(child->Remove(listed[3]));
+  child_live[listed[3]] = false;
+  EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child unfrozen"),
+            parent_values);
+  ExpectLiveAnswers(child.get(), child_live, facs, "child, unfrozen");
+  child->BuildAllZIndexes();
+  ExpectLiveAnswers(child.get(), child_live, facs, "child, frozen");
+  EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child frozen"),
+            parent_values);
+}
+
+TEST(Updates, RemovedIdsLeaveTwoPointEndpointTables) {
+  for (const IndexVariant variant :
+       {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+    CheckRemovalsAgainstTables(2, 2, ServiceModel::Endpoints(300.0),
+                               variant);
+  }
+}
+
+TEST(Updates, RemovedIdsLeaveMultipointPointTables) {
+  for (const IndexVariant variant :
+       {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+    CheckRemovalsAgainstTables(
+        3, 7, ServiceModel::PointCount(300.0, Normalization::kPerUser),
+        variant);
+  }
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ std::set<uint32_t> Candidates(const ZIndex& zi,
   std::set<uint32_t> out;
   const ZIndex::Corridor corridor{stops, psi,
                                   Rect::BoundingBox(stops).Expanded(psi)};
-  zi.ForEachCandidate(corridor, nullptr, [&](uint32_t i) { out.insert(i); });
+  zi.ForEachCandidate(corridor, [&](uint32_t i) { out.insert(i); });
   return out;
 }
 
@@ -105,7 +105,7 @@ TEST(ZIndex, ActuallyPrunesOnClusteredData) {
       stops, 100.0, Rect::BoundingBox(stops).Expanded(100.0)};
   ZIndex::ReduceStats stats;
   size_t cands = 0;
-  zi.ForEachCandidate(corridor, nullptr, [&](uint32_t) { ++cands; }, &stats);
+  zi.ForEachCandidate(corridor, [&](uint32_t) { ++cands; }, &stats);
   EXPECT_LT(cands, entries.size() / 4) << "pruning ineffective";
   EXPECT_LT(stats.entries_scanned, entries.size())
       << "zReduce scanned the whole list";

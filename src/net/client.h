@@ -69,7 +69,7 @@ class NetClient {
   /// Liveness probe; the response echoes `seq` and reports queries_total.
   Status Heartbeat(uint64_t seq, NetResponse* response);
   /// Round-1 top-k bound sweep over the peer's owned shards: response->
-  /// bounds (per facility) and response->bound_exacts (settled facilities).
+  /// bounds (per facility).
   Status Bound(uint32_t k, NetResponse* response);
   /// Cluster status: the peer's own info plus, on a coordinator, its
   /// per-worker liveness table.

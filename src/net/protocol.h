@@ -303,8 +303,9 @@ struct NetResponse {
   WireDurability durability;                  // kStatus
   /// kBound: per-facility upper bounds Σ_{owned s} UB_s(f), facility order.
   std::vector<double> bounds;
-  /// kBound: facilities the worker settled exactly, as (facility id,
-  /// Σ_{owned s} SO_s(f)) pairs. Current workers send none; still decoded.
+  /// kBound: a settled list of (facility id, exact value) pairs. Workers
+  /// send it empty and receivers ignore it; it is still encoded and
+  /// decoded so the frame layout is unchanged.
   std::vector<std::pair<uint32_t, double>> bound_exacts;
   uint64_t heartbeat_seq = 0;      // kHeartbeat: echoed request seq
   uint64_t heartbeat_queries = 0;  // kHeartbeat: worker's queries_total

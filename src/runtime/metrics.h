@@ -45,9 +45,10 @@ namespace tq::runtime {
 //                            physically duplicated, node pages still shared
 //                            at publish time, total ApplyUpdates wall ns
 //   facilities_evaluated/facilities_pruned/prune_rounds
-//                            bound-and-prune top-k accounting: exact
-//                            per-shard evaluations done vs. skipped, and
-//                            scatter waves run (the sweep + each refinement)
+//                            bound-and-prune top-k accounting (the
+//                            coordinator): exact per-participant
+//                            evaluations done vs. skipped, and waves run
+//                            (the bound wave + each refinement)
 //   nodes_visited/entries_scanned/exact_checks/heap_pops
 //                            folded per-query traversal QueryStats of the
 //                            exact evaluations (the top-k bound sweep
@@ -222,7 +223,8 @@ class MetricsRegistry {
     publish_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Folds one pruned top-k gather's work accounting into the registry.
+  /// Folds one coordinated top-k query's work accounting into the
+  /// registry.
   void AddTopKPruneWork(uint64_t evaluated, uint64_t pruned,
                         uint64_t rounds) {
     facilities_evaluated_.fetch_add(evaluated, std::memory_order_relaxed);
@@ -274,7 +276,9 @@ class MetricsRegistry {
   }
   void AddSubPushed() { subs_pushed_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Coordinator accounting (bumped by runtime::RemoteShardSet only).
+  /// Multi-process accounting: partial answers (runtime::Coordinator; only
+  /// a remote transport ever loses a participant), RPCs, heartbeats and
+  /// worker failures (runtime::RemoteShardSet).
   void AddCoordRpcs(uint64_t n) {
     if (n) coord_rpcs_.fetch_add(n, std::memory_order_relaxed);
   }

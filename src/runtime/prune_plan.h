@@ -1,7 +1,6 @@
-// The bound-and-prune top-k planner: the coordinator math of distributed
-// kMaxRRST, shared by the in-process scatter/gather engine (ShardedEngine,
-// participants = shards) and the cross-process coordinator (RemoteShardSet,
-// participants = shard-worker processes).
+// The bound-and-prune top-k planner: the math of distributed kMaxRRST,
+// called only by the Coordinator (coordinator.h), whose participants are
+// shards in process and shard-worker processes over the wire.
 //
 // It is the paper's best-first kMaxRRST (Algorithm 3: expand the facility
 // with the largest optimistic value until k facilities are complete) lifted
@@ -30,11 +29,11 @@
 // bound is 0 is exactly 0 without evaluation. The planner settles them first,
 // so no participant is ever asked for a slot it cannot contribute to.
 //
-// Everything here is pure and single-threaded. Callers own the
+// Everything here is pure and single-threaded. The caller owns the
 // [participant][facility] matrices; the planner reads them by reference and
 // settles slots in place, so the hot path makes no per-query copy. Only the
-// listed participants are read: a coordinator drops a dead worker by leaving
-// it out of the list.
+// listed participants are read: the coordinator drops a failed participant
+// by leaving it out of the list.
 #ifndef TQCOVER_RUNTIME_PRUNE_PLAN_H_
 #define TQCOVER_RUNTIME_PRUNE_PLAN_H_
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "runtime/prune_plan.h"
 
 namespace tq::runtime {
 
@@ -23,10 +21,8 @@ constexpr char kWorkerSetFile[] = "workers.txt";
 
 // Span names must have static storage duration (trace.h contract).
 constexpr const char* kSpanRound1 = "rpc_round1";
-constexpr const char* kSpanCoordinate = "coordinate";
 constexpr const char* kSpanRound2 = "rpc_round2";
 constexpr const char* kSpanScatter = "rpc_scatter";
-constexpr const char* kSpanMerge = "merge";
 
 }  // namespace
 
@@ -202,8 +198,8 @@ void RemoteShardSet::MarkFailed(size_t w) {
   }
 }
 
-bool RemoteShardSet::RunWave(
-    std::vector<size_t>* parts,
+std::vector<size_t> RemoteShardSet::RunWave(
+    std::span<const size_t> parts,
     const std::function<net::NetRequest(size_t)>& make_request,
     const std::function<Status(size_t, net::NetResponse&&)>& consume) {
   struct Slot {
@@ -213,11 +209,11 @@ bool RemoteShardSet::RunWave(
     bool sent = false;
   };
   std::vector<Slot> slots;
-  slots.reserve(parts->size());
-  metrics_.AddCoordRpcs(parts->size());
+  slots.reserve(parts.size());
+  metrics_.AddCoordRpcs(parts.size());
   // Scatter: send + flush to every participant before reading anyone's
   // answer, so the workers compute concurrently.
-  for (size_t w : *parts) {
+  for (size_t w : parts) {
     Slot slot;
     slot.w = w;
     slot.client = AcquireClient(w);
@@ -254,14 +250,7 @@ bool RemoteShardSet::RunWave(
       failed.push_back(slot.w);
     }
   }
-  if (failed.empty()) return false;
-  parts->erase(std::remove_if(parts->begin(), parts->end(),
-                              [&failed](size_t w) {
-                                return std::find(failed.begin(), failed.end(),
-                                                 w) != failed.end();
-                              }),
-               parts->end());
-  return true;
+  return failed;
 }
 
 Status RemoteShardSet::Rpc(size_t w,
@@ -332,214 +321,72 @@ std::vector<WorkerStatus> RemoteShardSet::Workers() const {
 
 void RemoteShardSet::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                                  ResponseCallback done, uint64_t start_ns) {
-  const bool topk = request.kind == QueryKind::kTopK;
-  metrics_.AddQuery(topk);
-  const uint64_t t0 = start_ns != 0 ? start_ns : NowNs();
-  const OpFamily family =
-      topk ? OpFamily::kTopKQuery : OpFamily::kServiceQuery;
-  if (topk && (request.k == 0 || num_facilities_ == 0)) {
-    QueryResponse response;
-    response.kind = QueryKind::kTopK;
-    response.snapshot_version = snapshot_version();
-    metrics_.RecordLatency(family, NowNs() - t0);
-    done(std::move(response));
-    return;
-  }
-  pool_.Post([this, request, trace = std::move(trace),
-              done = std::move(done), t0, family]() {
-    QueryResponse response =
-        request.kind == QueryKind::kServiceValue
-            ? RunSum(request.facility, trace.get())
-            : RunTopK(request.k, trace.get());
-    metrics_.RecordLatency(family, NowNs() - t0);
-    done(std::move(response));
-  });
+  coordinator_.Submit(request, {num_facilities_, snapshot_version(), nullptr},
+                      std::move(trace), std::move(done), start_ns);
 }
 
-void RemoteShardSet::MarkPartialIfDegraded(size_t answered,
-                                           QueryResponse* response) {
-  if (answered >= channels_.size()) return;
-  metrics_.AddCoordPartial();
-  if (response->status.ok()) {
-    response->status = Status::Unavailable(
-        "partial result: answered by " + std::to_string(answered) + " of " +
-        std::to_string(channels_.size()) + " workers");
-  }
+void RemoteShardSet::Bound(const CoordinatedQueryPtr& query) {
+  pool_.Post([this, query]() { RunQueryWave(query, /*bound=*/true); });
 }
 
-QueryResponse RemoteShardSet::RunSum(FacilityId facility,
-                                     TraceContext* trace) {
-  QueryResponse response;
-  response.kind = QueryKind::kServiceValue;
-  response.snapshot_version = snapshot_version();
-  if (facility >= num_facilities_) {
-    response.status = Status::OutOfRange(
-        "facility " + std::to_string(facility) + " >= " +
-        std::to_string(num_facilities_));
-    return response;
-  }
-  std::vector<size_t> parts = AliveWorkers();
-  const size_t n = channels_.size();
-  std::vector<double> values(n, 0.0);
-  std::vector<uint8_t> answered(n, 0);
-  uint64_t version = 0;
-  Status query_status;  // first per-query (not transport) error, if any
-  const uint64_t span0 = trace != nullptr ? NowNs() : 0;
-  RunWave(
-      &parts,
-      [facility](size_t) {
-        return net::NetRequest::Sum({facility});
-      },
-      [&](size_t w, net::NetResponse&& resp) -> Status {
-        if (!resp.status.ok()) return resp.status;
-        if (resp.sums.size() != 1) {
-          return Status::Internal("sum frame answer-count mismatch");
-        }
-        if (resp.sums[0].code != StatusCode::kOk) {
-          // The worker rejected the QUERY (not the transport): propagate
-          // without scoring the worker dead.
-          if (query_status.ok()) {
-            query_status = Status(resp.sums[0].code,
-                                  "worker rejected facility query");
-          }
-          return Status::OK();
-        }
-        values[w] = resp.sums[0].value;
-        answered[w] = 1;
-        version = std::max(version, resp.snapshot_version);
-        return Status::OK();
-      });
-  if (trace != nullptr) trace->AddSpan(kSpanScatter, -1, span0, NowNs());
-  if (!query_status.ok()) {
-    response.status = query_status;
-    return response;
-  }
-  // Ascending worker order == ascending shard order (Connect() verified the
-  // tiling), so this sum is bit-identical to the single-process gather for
-  // integer-valued models.
-  double sum = 0.0;
-  size_t count = 0;
-  for (size_t w = 0; w < n; ++w) {
-    if (answered[w] == 0) continue;
-    sum += values[w];
-    ++count;
-  }
-  response.value = sum;
-  if (version != 0) response.snapshot_version = version;
-  MarkPartialIfDegraded(count, &response);
-  return response;
+void RemoteShardSet::Evaluate(const CoordinatedQueryPtr& query) {
+  pool_.Post([this, query]() { RunQueryWave(query, /*bound=*/false); });
 }
 
-QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
-  const size_t num_fac = num_facilities_;
-  const size_t eff_k = std::min(k, num_fac);
-
-  QueryResponse response;
-  response.kind = QueryKind::kTopK;
-  response.snapshot_version = snapshot_version();
-
-  const size_t n = channels_.size();
-  std::vector<size_t> parts = AliveWorkers();
-  // Per-worker bound/exact state; only slots in `parts` are ever read, so a
-  // worker dying mid-protocol implicitly drops its contribution.
-  FacilityMatrix bounds(n);
-  FacilityMatrix exact(n);
-  KnownMatrix known(n);
-  uint64_t version = 0;
-
-  const uint64_t r1_t0 = trace != nullptr ? NowNs() : 0;
-  RunWave(
-      &parts,
-      [eff_k](size_t) {
-        return net::NetRequest::Bound(static_cast<uint32_t>(eff_k));
-      },
-      [&](size_t w, net::NetResponse&& resp) -> Status {
-        if (!resp.status.ok()) return resp.status;
-        if (resp.bounds.size() != num_fac) {
-          return Status::Internal("bound sweep facility-count mismatch");
-        }
-        bounds[w] = std::move(resp.bounds);
-        exact[w].assign(num_fac, 0.0);
-        known[w].assign(num_fac, 0);
-        // Current workers settle nothing in the sweep; a settled list from
-        // an older worker is still exact, so it is still used.
-        for (const auto& [f, value] : resp.bound_exacts) {
-          if (f >= num_fac) {
-            return Status::Internal("bound sweep exact id out of range");
-          }
-          exact[w][f] = value;
-          known[w][f] = 1;
-        }
-        version = std::max(version, resp.snapshot_version);
-        return Status::OK();
-      });
-  if (trace != nullptr) trace->AddSpan(kSpanRound1, -1, r1_t0, NowNs());
-
-  // Refinement: plan the window over the CURRENT survivors and scatter one
-  // wave for its unsettled slots until the window is settled. Each wave
-  // settles at least one slot or loses at least one worker, so the loop
-  // ends.
-  for (;;) {
-    if (parts.empty()) {
-      response.status =
-          Status::Unavailable("no workers available for top-k");
-      metrics_.AddCoordPartial();
-      return response;
-    }
-    const uint64_t co_t0 = trace != nullptr ? NowNs() : 0;
-    // Plan over the survivors only (prune_plan.h); zero-bound slots are
-    // settled there, so no worker is asked for a facility it cannot serve.
-    const std::vector<uint32_t> window =
-        PlanWindow(parts, bounds, &exact, &known, eff_k, num_fac);
-    std::vector<std::vector<FacilityId>> need(n);
-    std::vector<size_t> wave;
-    for (size_t w : parts) {
-      for (const uint32_t f : window) {
-        if (known[w][f] == 0) need[w].push_back(f);
+void RemoteShardSet::RunQueryWave(const CoordinatedQueryPtr& query,
+                                  bool bound) {
+  const bool sum = query->kind == CoordinatedQuery::Kind::kSum;
+  const size_t num_fac = query->basis.num_facilities;
+  const auto k = static_cast<uint32_t>(std::min(query->k, num_fac));
+  std::vector<std::vector<FacilityId>> need(channels_.size());
+  if (!bound) {
+    for (const size_t w : query->wave) {
+      for (const FacilityId f : query->window) {
+        if (query->Owes(w, f)) need[w].push_back(f);
       }
-      if (!need[w].empty()) wave.push_back(w);
     }
-    if (trace != nullptr) trace->AddSpan(kSpanCoordinate, -1, co_t0, NowNs());
-    if (wave.empty()) break;
-
-    const uint64_t r2_t0 = trace != nullptr ? NowNs() : 0;
-    const bool lost = RunWave(
-        &wave,
-        [&need](size_t w) { return net::NetRequest::Sum(need[w]); },
-        [&](size_t w, net::NetResponse&& resp) -> Status {
-          if (!resp.status.ok()) return resp.status;
+  }
+  const uint64_t t0 = query->trace ? NowNs() : 0;
+  const std::vector<size_t> failed = RunWave(
+      query->wave,
+      [&](size_t w) {
+        return bound ? net::NetRequest::Bound(k) : net::NetRequest::Sum(need[w]);
+      },
+      [&](size_t w, net::NetResponse&& resp) -> Status {
+        if (!resp.status.ok()) return resp.status;
+        ParticipantAnswer& answer = query->answers[w];
+        if (bound) {
+          // Bounds only: a settled list (bound_exacts) is ignored — every
+          // bound already dominates its exact value.
+          if (resp.bounds.size() != num_fac) {
+            return Status::Internal("bound sweep facility-count mismatch");
+          }
+          query->bounds[w] = std::move(resp.bounds);
+        } else {
           if (resp.sums.size() != need[w].size()) {
-            return Status::Internal("refinement answer-count mismatch");
+            return Status::Internal("sum frame answer-count mismatch");
           }
           for (size_t i = 0; i < need[w].size(); ++i) {
             if (resp.sums[i].code != StatusCode::kOk) {
-              return Status::Internal("refinement per-query error");
+              // A rejected sum is the query's answer, not a worker failure;
+              // a rejected refinement slot is a malformed answer.
+              if (!sum) return Status::Internal("refinement per-query error");
+              answer.rejected = resp.sums[i].code;
+              return Status::OK();
             }
-            exact[w][need[w][i]] = resp.sums[i].value;
-            known[w][need[w][i]] = 1;
+            query->Settle(w, need[w][i], resp.sums[i].value);
           }
-          version = std::max(version, resp.snapshot_version);
-          return Status::OK();
-        });
-    if (trace != nullptr) trace->AddSpan(kSpanRound2, -1, r2_t0, NowNs());
-    if (lost) {
-      parts.erase(
-          std::remove_if(parts.begin(), parts.end(),
-                         [this](size_t w) { return !registry_.alive(w); }),
-          parts.end());
-    }
+        }
+        answer.snapshot_version = resp.snapshot_version;
+        return Status::OK();
+      });
+  for (const size_t w : failed) query->answers[w].failed = true;
+  if (t0 != 0) {
+    query->trace->AddSpan(
+        bound ? kSpanRound1 : (sum ? kSpanScatter : kSpanRound2), -1, t0,
+        NowNs());
   }
-
-  // Merge: a facility is complete when every survivor settled it. The
-  // settled window is among them, and every other facility provably ranks
-  // after it.
-  const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  response.ranked =
-      Rank(CompleteFacilities(parts, exact, known, num_fac), eff_k);
-  if (version != 0) response.snapshot_version = version;
-  if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
-  MarkPartialIfDegraded(parts.size(), &response);
-  return response;
+  query->coordinator->Continue(query);
 }
 
 std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {
@@ -559,10 +406,9 @@ std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {
     ids[i] = static_cast<uint32_t>(base + i);
   }
 
-  std::vector<size_t> parts = AliveWorkers();
   uint64_t version = 0;
   RunWave(
-      &parts,
+      AliveWorkers(),
       [&batch](size_t) {
         return net::NetRequest::Update(batch.inserts, batch.removes);
       },
@@ -590,14 +436,6 @@ std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {
     snapshot_version_ = std::max(snapshot_version_, version);
   }
   return ids;
-}
-
-void RemoteShardSet::TopKBoundSweepAsync(BoundSweepCallback done) {
-  BoundSweepResult result;
-  result.status =
-      Status::Unimplemented("coordinators do not serve bound sweeps");
-  result.snapshot_version = snapshot_version();
-  done(std::move(result));
 }
 
 void RemoteShardSet::Tick() {

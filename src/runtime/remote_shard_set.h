@@ -2,40 +2,40 @@
 // "shards" are shard-worker PROCESSES reached over the wire protocol.
 //
 // A RemoteShardSet owns no trees. It holds one channel (a small pool of
-// pipelined NetClient connections) per worker, a WorkerRegistry tracking
-// liveness, and runs the SAME best-first bound-and-prune top-k protocol as
-// ShardedEngine — one level up, with each worker acting as a "super-shard":
+// pipelined NetClient connections) per worker and a WorkerRegistry tracking
+// liveness, and it is the remote ShardTransport of the serving protocol's
+// one Coordinator (coordinator.h) — the same sum and bound-and-prune top-k
+// loop ShardedEngine runs over its shards, with each worker a participant:
 //
-//   round 1   one kBound frame per alive worker. Worker w answers with
-//             B_w(f) = Σ_{owned s} UB_s(f) per facility (and an empty
-//             settled list; one from an older worker is still used).
-//   coordinate  the window planner (prune_plan.h, the in-process engine's
-//             too): B(f) = Σ_w (settled ? E_w(f) : B_w(f)), the window is
-//             the first k facilities by (B desc, id asc). A worker whose
-//             own B_w(f) is 0 is settled at 0 there, never asked.
-//   round 2   one plain kSum frame per worker for the window slots that
-//             worker has not settled, then coordinate again — repeated
-//             until the window is settled; merge, rank by (value desc,
-//             id asc).
+//   Bound     one kBound frame per alive worker. Worker w answers with
+//             B_w(f) = Σ_{owned s} UB_s(f) per facility.
+//   Evaluate  one plain kSum frame per worker for the facilities it owes
+//             (a sum's one facility, or the window slots it has not
+//             settled; a worker whose own B_w(f) is 0 is settled at 0 by
+//             the planner, never asked).
+//
+// Each wave is one pool task: it runs the pipelined RPC wave (every frame
+// flushed before any answer is read) and then continues the query, so the
+// coordinator's plan loop never recurses and never holds a thread between
+// waves.
 //
 // Bit-identity: every per-facility total is a sum of per-shard values in
 // ascending shard order — workers own contiguous ascending shard ranges and
-// are summed in worker order, and a worker's non-owned shards contribute an
-// exact 0.0. For integer-valued service models (point/endpoint counts, the
-// NYF/NYBus presets) every partial sum is exact below 2^53, so coordinator
-// answers equal the single-process ShardedEngine bit for bit — the property
-// the CI distributed-smoke job diffs. Float-valued models (e.g. "length")
-// agree only up to summation associativity.
+// are summed in worker order. For integer-valued service models
+// (point/endpoint counts, the NYF/NYBus presets) every partial sum is exact
+// below 2^53, so coordinator answers equal the single-process ShardedEngine
+// bit for bit — the property the CI distributed-smoke job diffs.
+// Float-valued models (e.g. "length") agree only up to summation
+// associativity.
 //
-// Failure handling: any failed RPC moves the worker to kDead in the
-// registry (worker_failures increments on the transition). A query keeps
-// going with the survivors — mid-protocol death drops ALL of that worker's
-// bounds and exact values, and the next wave is planned over the
-// survivors only — and the answer comes back with
-// StatusCode::kUnavailable marking it partial (computed over the surviving
-// workers' users only). Dead workers are re-registered by the periodic
-// heartbeat pass (Tick, driven by the net server's timerfd) once they come
-// back AND their geometry still matches.
+// Failure handling: a transport error or malformed answer moves the worker
+// to kDead in the registry (worker_failures increments on the transition)
+// and drops it from the rest of the query; the coordinator answers over the
+// survivors with StatusCode::kUnavailable marking the result partial. A
+// worker's rejection of a sum query (not of the transport) is that query's
+// answer and does not score the worker. Dead workers are re-registered by
+// the periodic heartbeat pass (Tick, driven by the net server's timerfd)
+// once they come back AND their geometry still matches.
 //
 // Writes fan out to every alive worker: each applies the identical batch,
 // and because global-id assignment is deterministic (ShardedEngine routes
@@ -50,12 +50,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "net/client.h"
+#include "runtime/coordinator.h"
 #include "runtime/histogram.h"
 #include "runtime/metrics.h"
 #include "runtime/serving_engine.h"
@@ -69,7 +71,7 @@ struct RemoteShardSetOptions {
   /// Worker endpoints, in ascending owned-shard-range order (Connect
   /// verifies the ranges are contiguous and cover [0, num_shards)).
   std::vector<std::pair<std::string, uint16_t>> workers;
-  /// Pool threads running distributed queries (each query occupies one
+  /// Pool threads running distributed queries (each wave occupies one
   /// thread for its scatter/gather round-trips).
   size_t num_threads = 4;
   /// Cap on any single worker send/recv; an expired RPC counts as a worker
@@ -81,7 +83,7 @@ struct RemoteShardSetOptions {
   uint64_t heartbeat_timeout_ms = 5000;
 };
 
-class RemoteShardSet : public ServingEngine {
+class RemoteShardSet : public ServingEngine, private ShardTransport {
  public:
   explicit RemoteShardSet(RemoteShardSetOptions options);
   /// Drains in-flight distributed queries, then joins the pool.
@@ -108,9 +110,6 @@ class RemoteShardSet : public ServingEngine {
   void SubmitAsync(QueryRequest request, TraceContextPtr trace,
                    ResponseCallback done, uint64_t start_ns = 0) override;
   std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override;
-  /// A coordinator could serve kBound itself (recursive coordination); this
-  /// deployment never stacks coordinators, so it answers Unimplemented.
-  void TopKBoundSweepAsync(BoundSweepCallback done) override;
   uint64_t tick_period_ms() const override {
     return options_.heartbeat_period_ms;
   }
@@ -160,13 +159,13 @@ class RemoteShardSet : public ServingEngine {
   /// Scores one failed RPC: registry transition, worker_failures metric on
   /// alive -> dead, and the channel's (now stale) idle sockets dropped.
   void MarkFailed(size_t w);
-  /// Runs one pipelined RPC wave over `*parts`: every request is flushed
-  /// before any response is read — workers compute concurrently — then
-  /// responses are consumed in ascending worker order. `consume` returning
-  /// non-OK counts as that worker failing. Failed workers are scored dead
-  /// and removed from `*parts`; returns true when any were.
-  bool RunWave(
-      std::vector<size_t>* parts,
+  /// Runs one pipelined RPC wave over `parts` (ascending): every request is
+  /// flushed before any response is read — workers compute concurrently —
+  /// then responses are consumed in ascending worker order. `consume`
+  /// returning non-OK counts as that worker failing. Failed workers are
+  /// scored dead and returned.
+  std::vector<size_t> RunWave(
+      std::span<const size_t> parts,
       const std::function<net::NetRequest(size_t)>& make_request,
       const std::function<Status(size_t, net::NetResponse&&)>& consume);
   /// Runs `fn` against one client of worker `w`, recording the RTT into the
@@ -180,13 +179,13 @@ class RemoteShardSet : public ServingEngine {
   /// The heartbeat pass body (pool thread).
   void HeartbeatPass();
 
-  // Distributed query execution (each runs on one pool thread; `trace`
-  // nullable — the net server's sampled frame trace).
-  QueryResponse RunSum(FacilityId facility, TraceContext* trace);
-  QueryResponse RunTopK(size_t k, TraceContext* trace);
-  /// Stamps the partial-result marker when fewer workers answered than are
-  /// configured (StatusCode::kUnavailable + coord_partial metric).
-  void MarkPartialIfDegraded(size_t answered, QueryResponse* response);
+  // ShardTransport: participant p is worker p.
+  std::vector<size_t> Participants() const override { return AliveWorkers(); }
+  size_t num_participants() const override { return channels_.size(); }
+  void Bound(const CoordinatedQueryPtr& query) override;
+  void Evaluate(const CoordinatedQueryPtr& query) override;
+  /// One wave of `query` as one RPC wave (pool thread), then continues it.
+  void RunQueryWave(const CoordinatedQueryPtr& query, bool bound);
 
   RemoteShardSetOptions options_;
   MetricsRegistry metrics_;
@@ -209,6 +208,8 @@ class RemoteShardSet : public ServingEngine {
   std::mutex writer_mu_;  // serializes ApplyUpdates fan-outs
   std::atomic<uint64_t> heartbeat_seq_{0};
   std::atomic<bool> heartbeat_inflight_{false};
+
+  Coordinator coordinator_{this, &metrics_, /*sampled_traces=*/nullptr};
 
   ThreadPool pool_;  // last member: joins before the rest is torn down
 };

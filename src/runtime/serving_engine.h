@@ -1,11 +1,9 @@
 // The serving protocol (QueryRequest / QueryResponse / UpdateBatch) and the
-// abstract serving-engine surface the network front-end talks to.
-//
-// src/net/server.h used to be hard-wired to ShardedEngine; the distributed
-// layer needs the SAME front-end (same wire protocol, same epoll loop, same
-// pipelining) over a coordinator that owns no trees at all — only
-// connections to shard-worker processes. This interface is exactly the
-// slice of engine behaviour the front-end consumes, nothing more:
+// abstract serving-engine surface the network front-end talks to — the
+// same front-end (wire protocol, epoll loop, pipelining) over an in-process
+// engine and over a coordinator that owns no trees, only connections to
+// shard-worker processes. This interface is exactly the slice of engine
+// behaviour the front-end consumes:
 //
 //   * async query dispatch (SubmitAsync) and synchronous write application
 //     (ApplyUpdates) — the two data paths;
@@ -16,9 +14,10 @@
 //     per-worker liveness table (Workers, serving kStatus frames), and the
 //     periodic Tick the front-end's timerfd drives (heartbeats).
 //
-// ShardedEngine implements it in-process; RemoteShardSet implements it over
-// the wire. The front-end cannot tell them apart — which is precisely the
-// test the distributed smoke matrix runs.
+// Both implementations answer queries through one Coordinator
+// (coordinator.h): ShardedEngine over its owned shards, RemoteShardSet over
+// its workers. The front-end cannot tell them apart — which is precisely
+// the test the distributed smoke matrix runs.
 #ifndef TQCOVER_RUNTIME_SERVING_ENGINE_H_
 #define TQCOVER_RUNTIME_SERVING_ENGINE_H_
 
@@ -98,9 +97,8 @@ struct EngineInfo {
 };
 
 /// Result of a round-1 top-k bound sweep over an engine's owned shards:
-/// per-facility upper bounds. The coordinator treats each worker as one
-/// "super-shard" and feeds B(f) = Σ_w bounds_w[f] to the same window
-/// planner (prune_plan.h) as the in-process protocol.
+/// per-facility upper bounds — one remote worker's answer to a coordinator's
+/// bound wave.
 struct BoundSweepResult {
   Status status;
   uint64_t snapshot_version = 0;
@@ -155,8 +153,15 @@ class ServingEngine {
   /// Round-1 bound sweep for one top-k query over this engine's owned
   /// shards (serves kBound frames). The sweep bounds every facility, so it
   /// does not depend on the query's k. `done` runs exactly once, possibly
-  /// inline, and must not block.
-  virtual void TopKBoundSweepAsync(BoundSweepCallback done) = 0;
+  /// inline, and must not block. Engines that own no shards (coordinators
+  /// are never stacked) answer kUnimplemented.
+  virtual void TopKBoundSweepAsync(BoundSweepCallback done) {
+    BoundSweepResult result;
+    result.status =
+        Status::Unimplemented("coordinators do not serve bound sweeps");
+    result.snapshot_version = snapshot_version();
+    done(std::move(result));
+  }
 
   // ---- durability ------------------------------------------------------
   /// Forces one synchronous checkpoint → WAL-trim → compaction cycle.

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "net/protocol.h"
 #include "query/eval_service.h"
-#include "runtime/prune_plan.h"
 #include "tqtree/serialize.h"
 
 namespace {
@@ -30,40 +29,6 @@ tq::runtime::ResultCache::TopKKey TopKKeyFor(
 }  // namespace
 
 namespace tq::runtime {
-
-// Shared per-query scatter/gather state. Each shard task writes only its own
-// slots; the last task to finish (remaining hits zero) performs the gather —
-// which for top-k is the COORDINATOR step that may fan out another wave of
-// per-shard refinement tasks. No pool thread ever blocks on another task;
-// the waves are sequenced by the remaining-counter barrier alone.
-struct ShardedEngine::GatherState {
-  QueryRequest request;
-  ShardedSnapshotPtr snap;  // pins every shard's tree for the query
-  ResponseCallback done;    // fulfilled exactly once by the last finisher
-  std::vector<QueryStats> stats;  // per shard
-  std::atomic<size_t> remaining{0};
-  /// Span sink for this query, shared by every task; null when untraced.
-  /// Tasks only APPEND — whoever started the trace finishes it (the net
-  /// server for frame traces, the engine's done-wrapper for its own).
-  TraceContextPtr trace;
-
-  // Service-value state.
-  std::vector<double> values;  // per shard
-  std::vector<uint8_t> hits;   // per shard: the lookup hit the cache
-
-  // Top-k protocol state.
-  FacilityMatrix bounds;         // sweep: per shard, per fac
-  FacilityMatrix fac_values;     // exact SO_s(f), where known
-  KnownMatrix known;             // fac_values[s][f] is exact
-  std::vector<uint32_t> window;  // this wave's facilities
-  /// Exact per-(facility, shard) evaluations performed so far.
-  std::atomic<uint64_t> evaluated{0};
-  /// Scatter waves executed: the bound sweep plus every refinement wave.
-  uint32_t rounds = 1;
-  /// Set for TopKBoundSweepAsync: the query stops after the sweep and
-  /// emits bounds for a REMOTE coordinator instead of coordinating locally.
-  BoundSweepCallback bound_done;
-};
 
 ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
                              ShardedEngineOptions options)
@@ -156,8 +121,6 @@ void ShardedEngine::InitPartition() {
     owned_end_ = static_cast<uint32_t>(n);  // single-process: own everything
   }
   TQ_CHECK(owned_begin_ < owned_end_ && owned_end_ <= n);
-  all_shards_.resize(n);
-  std::iota(all_shards_.begin(), all_shards_.end(), size_t{0});
   shard_user_counts_.assign(n, 0);
 }
 
@@ -484,111 +447,122 @@ void ShardedEngine::SubmitAsync(QueryRequest request, ResponseCallback done) {
 
 void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                                 ResponseCallback done, uint64_t start_ns) {
-  auto state = std::make_shared<GatherState>();
-  state->request = request;
-  state->snap = snapshot();
-  const bool topk = request.kind == QueryKind::kTopK;
-  metrics_.AddQuery(topk);
-  // Submit-to-completion latency, recorded on EVERY completion path below
-  // (error, cache hit, degenerate, scatter) so the per-kind histogram
-  // counts sum exactly to queries_total — the invariant the CI
-  // observability smoke asserts. A caller start_ns (the net server's frame
-  // receive time) replaces the clock read.
   const uint64_t t0 = start_ns != 0 ? start_ns : NowNs();
-  const OpFamily family =
-      topk ? OpFamily::kTopKQuery : OpFamily::kServiceQuery;
-  auto finish_inline = [&](QueryResponse response) {
-    metrics_.RecordLatency(family, NowNs() - t0);
-    done(std::move(response));
-  };
-
-  // Malformed tenant requests come back as errors before any scatter.
-  if (request.kind == QueryKind::kServiceValue &&
-      request.facility >= state->snap->catalog->size()) {
-    QueryResponse response;
-    response.kind = request.kind;
-    response.snapshot_version = state->snap->version;
-    response.status = Status::OutOfRange(
-        "facility id " + std::to_string(request.facility) +
-        " out of range (catalog has " +
-        std::to_string(state->snap->catalog->size()) + ")");
-    finish_inline(std::move(response));
-    return;
-  }
-
-  // A memoised gathered top-k answer for this exact generation vector
-  // short-circuits the whole scatter (per-shard invalidation: only a
-  // republish of a contributing shard can stale it).
+  ShardedSnapshotPtr snap = snapshot();
   if (request.kind == QueryKind::kTopK) {
+    // A memoised top-k answer for this exact generation vector
+    // short-circuits every wave (per-shard invalidation: only a republish
+    // of a contributing shard can stale it).
+    ResultCache::TopKKey key = TopKKeyFor(*snap, request.k);
     QueryResponse response;
-    response.kind = request.kind;
-    response.snapshot_version = state->snap->version;
-    if (cache_.GetTopK(TopKKeyFor(*state->snap, request.k),
-                       &response.ranked)) {
-      response.cache_hit = true;
+    if (cache_.GetTopK(key, &response.ranked)) {
+      metrics_.AddQuery(/*topk=*/true);
       metrics_.AddCacheHit();
-      finish_inline(std::move(response));
+      response.kind = QueryKind::kTopK;
+      response.snapshot_version = snap->version;
+      response.cache_hit = true;
+      metrics_.RecordLatency(OpFamily::kTopKQuery, NowNs() - t0);
+      done(std::move(response));
       return;
     }
-    // Degenerate ranking (k = 0 or an empty catalog) needs no scatter at
-    // all — answer empty immediately, like the malformed-request path.
-    if (request.k == 0 || state->snap->catalog->size() == 0) {
-      finish_inline(std::move(response));
-      return;
+    // Otherwise memoise the ranking the waves produce. A k = 0 or
+    // empty-catalog request ranks nothing and is not memoised.
+    if (cache_.enabled()) {
+      done = [this, key = std::move(key),
+              inner = std::move(done)](QueryResponse response) {
+        if (response.status.ok() && !response.ranked.empty()) {
+          metrics_.AddCacheMiss();
+          metrics_.AddCacheEvictions(cache_.PutTopK(key, response.ranked));
+        }
+        inner(std::move(response));
+      };
     }
   }
+  // The query pins its snapshot (braced initializers run in order).
+  coordinator_.Submit(request,
+                      {snap->catalog->size(), snap->version, std::move(snap)},
+                      std::move(trace), std::move(done), t0);
+}
 
-  // Scatter path. Queries arriving without a caller trace get an
-  // engine-owned one — SAMPLED 1-in-kTraceSample, because a trace costs an
-  // allocation plus per-shard-task clock reads and a ring write. The
-  // armed slow-query log overrides the sampling: a slow query can only be
-  // logged if it was traced from the start, so arming the log buys full
-  // tracing at full cost, deliberately.
-  const bool owns_trace = trace == nullptr;
-  if (owns_trace) {
-    const bool slow_log_armed =
-        tracer_.slow_threshold_ns() != Tracer::kSlowLogDisabled;
-    thread_local uint64_t trace_seq = 0;
-    if (slow_log_armed || trace_seq++ % kTraceSample == 0) {
-      trace = tracer_.Start(topk ? "topk" : "sum",
-                            topk ? request.k : request.facility);
-    }
-  }
-  state->trace = trace;
-  state->done = [this, t0, family, trace, owns_trace,
-                 inner = std::move(done)](QueryResponse response) {
-    if (owns_trace && trace) {
-      tracer_.Finish(*trace, response.snapshot_version);
-    }
-    metrics_.RecordLatency(family, NowNs() - t0);
-    inner(std::move(response));
-  };
+void ShardedEngine::TopKBoundSweepAsync(BoundSweepCallback done) {
+  ShardedSnapshotPtr snap = snapshot();
+  coordinator_.Sweep({snap->catalog->size(), snap->version, std::move(snap)},
+                     std::move(done));
+}
 
-  const size_t n = state->snap->shards.size();
-  state->stats.resize(n);
-  state->remaining.store(n, std::memory_order_relaxed);
-  // Post timestamps feed the per-shard queue-wait spans; one clock read
-  // covers the whole fan-out.
-  const uint64_t post_ns = NowNs();
-  if (topk) {
-    // Bound-and-prune: scatter the bound-sweep tasks; the coordinator
-    // (last finisher) decides what the first wave refines.
-    const size_t num_fac = state->snap->catalog->size();
-    state->bounds.resize(n);
-    state->fac_values.assign(n, std::vector<double>(num_fac, 0.0));
-    state->known.assign(n, std::vector<uint8_t>(num_fac, 0));
-    for (size_t s = 0; s < n; ++s) {
-      pool_.Post([this, state, s, post_ns]() {
-        ExecuteTopKBoundRound(state, s, post_ns);
-      });
-    }
-    return;
+std::vector<size_t> ShardedEngine::Participants() const {
+  std::vector<size_t> parts(num_participants());
+  std::iota(parts.begin(), parts.end(), size_t{0});
+  return parts;
+}
+
+void ShardedEngine::Bound(const CoordinatedQueryPtr& query) {
+  Scatter(query, /*bound=*/true);
+}
+
+void ShardedEngine::Evaluate(const CoordinatedQueryPtr& query) {
+  Scatter(query, /*bound=*/false);
+}
+
+void ShardedEngine::Scatter(const CoordinatedQueryPtr& query, bool bound) {
+  // The last task may continue — and replan the wave — as soon as it is
+  // posted, so the loop reads nothing of the query after the last Post.
+  const size_t n = query->wave.size();
+  query->remaining.store(n, std::memory_order_relaxed);
+  // One clock read covers the whole fan-out's queue-wait spans.
+  const uint64_t post_ns = query->trace ? NowNs() : 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = query->wave[i];
+    pool_.Post([this, query, p, bound, post_ns]() {
+      RunShardTask(query, p, bound, post_ns);
+    });
   }
-  state->values.resize(n, 0.0);
-  state->hits.assign(n, 0);
-  for (size_t s = 0; s < n; ++s) {
-    pool_.Post(
-        [this, state, s, post_ns]() { ExecuteShard(state, s, post_ns); });
+}
+
+void ShardedEngine::RunShardTask(const CoordinatedQueryPtr& query, size_t p,
+                                 bool bound, uint64_t post_ns) {
+  const uint64_t t0 =
+      (MetricsRegistry::SampleTask() || query->trace) ? NowNs() : 0;
+  const auto shard_idx = static_cast<int32_t>(owned_begin_ + p);
+  if (post_ns != 0) query->trace->AddSpan("queue_wait", shard_idx, post_ns, t0);
+  const auto& snap =
+      *static_cast<const ShardedSnapshot*>(query->basis.pin.get());
+  const ShardState& shard = *snap.shards[owned_begin_ + p];
+  const FacilityCatalog& catalog = *snap.catalog;
+  ParticipantAnswer& answer = query->answers[p];
+  if (bound) {
+    // One cheap cell bound per facility, no node visited.
+    std::vector<double>& bounds = query->bounds[p];
+    bounds.resize(catalog.size());
+    for (uint32_t f = 0; f < catalog.size(); ++f) {
+      bounds[f] = shard.tree->CellUpperBound(catalog.grid(f));
+    }
+  } else {
+    bool all_hit = true;
+    for (const FacilityId f : query->window) {
+      if (!query->Owes(p, f)) continue;  // an earlier wave or the planner
+      bool hit = false;
+      query->Settle(p, f,
+                    ShardServiceValue(shard, catalog, f, &answer.stats, &hit));
+      all_hit = all_hit && hit;
+    }
+    answer.cache_hit = all_hit;
+  }
+  answer.snapshot_version = snap.version;
+  metrics_.AddShardTask();
+  if (t0 != 0) {
+    const uint64_t t1 = NowNs();
+    metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
+    if (query->trace) {
+      const bool sum = query->kind == CoordinatedQuery::Kind::kSum;
+      query->trace->AddSpan(
+          bound ? "shard_sweep" : (sum ? "shard_eval" : "shard_refine"),
+          shard_idx, t0, t1);
+    }
+  }
+  // acq_rel: the last finisher acquires every other task's answer writes.
+  if (query->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    coordinator_.Continue(query);
   }
 }
 
@@ -630,262 +604,6 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
     metrics_.AddCacheEvictions(cache_.Put(key, value));
   }
   return value;
-}
-
-void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
-                                 size_t shard_idx, uint64_t post_ns) {
-  const uint64_t t0 =
-      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
-  if (state->trace && post_ns != 0) {
-    state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
-                          post_ns, t0);
-  }
-  QueryStats stats;
-  bool hit = false;
-  state->values[shard_idx] =
-      ShardServiceValue(*state->snap->shards[shard_idx], *state->snap->catalog,
-                        state->request.facility, &stats, &hit);
-  state->stats[shard_idx] = stats;
-  state->hits[shard_idx] = hit ? 1 : 0;
-  metrics_.AddShardTask();
-  if (t0 != 0) {
-    const uint64_t t1 = NowNs();
-    metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
-    if (state->trace) {
-      state->trace->AddSpan("shard_eval", static_cast<int32_t>(shard_idx),
-                            t0, t1);
-    }
-  }
-  // acq_rel: the last decrementer acquires every other task's slot writes.
-  if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    Gather(state.get());
-  }
-}
-
-void ShardedEngine::Gather(GatherState* state) {
-  const uint64_t merge_t0 = state->trace ? NowNs() : 0;
-  const ShardedSnapshot& snap = *state->snap;
-  const size_t n = snap.shards.size();
-  QueryResponse response;
-  response.kind = state->request.kind;
-  response.snapshot_version = snap.version;
-
-  QueryStats total;
-  bool all_hit = true;
-  for (size_t s = 0; s < n; ++s) {
-    total.Add(state->stats[s]);
-    all_hit = all_hit && state->hits[s] != 0;
-  }
-  response.cache_hit = all_hit;
-  response.stats = total;
-
-  // Disjoint user partition: SO(U, f) = Σ_s SO(U_s, f), summed in
-  // ascending shard order so the gather is deterministic.
-  double sum = 0.0;
-  for (const double v : state->values) sum += v;
-  response.value = sum;
-  metrics_.RecordQueryStats(total);
-  if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
-  state->done(std::move(response));
-}
-
-void ShardedEngine::ExecuteTopKBoundRound(
-    const std::shared_ptr<GatherState>& state, size_t shard_idx,
-    uint64_t post_ns) {
-  const uint64_t t0 =
-      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
-  if (state->trace && post_ns != 0) {
-    state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
-                          post_ns, t0);
-  }
-  const ShardState& shard = *state->snap->shards[shard_idx];
-  const FacilityCatalog& catalog = *state->snap->catalog;
-  const size_t num_fac = catalog.size();
-
-  // Bound sweep: one cheap cell bound per facility, no node visited.
-  // Every exact evaluation is left to the coordinator's refinement waves.
-  std::vector<double>& bounds = state->bounds[shard_idx];
-  bounds.resize(num_fac, 0.0);
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    bounds[f] = shard.tree->CellUpperBound(catalog.grid(f));
-  }
-
-  metrics_.AddShardTask();
-  if (t0 != 0) {
-    const uint64_t t1 = NowNs();
-    metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
-    if (state->trace) {
-      state->trace->AddSpan("shard_sweep", static_cast<int32_t>(shard_idx),
-                            t0, t1);
-    }
-  }
-  if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (state->bound_done) {
-      FinishBoundSweep(state.get());
-    } else {
-      CoordinateTopK(state);
-    }
-  }
-}
-
-void ShardedEngine::CoordinateTopK(const std::shared_ptr<GatherState>& state) {
-  const uint64_t coord_t0 = state->trace ? NowNs() : 0;
-
-  // The window's unsettled facilities (prune_plan.h). The planner also
-  // settles zero-bound slots, so a wave only evaluates slots that can
-  // contribute.
-  state->window =
-      PlanWindow(all_shards_, state->bounds, &state->fac_values,
-                 &state->known, state->request.k,
-                 state->snap->catalog->size());
-  std::vector<size_t> wave;  // shards with an unsettled window slot
-  for (const size_t s : all_shards_) {
-    for (const uint32_t f : state->window) {
-      if (!state->known[s][f]) {
-        wave.push_back(s);
-        break;
-      }
-    }
-  }
-
-  if (coord_t0 != 0) {
-    state->trace->AddSpan("coordinate", -1, coord_t0, NowNs());
-  }
-  if (wave.empty()) {
-    FinishTopK(state.get());
-    return;
-  }
-  // Refine the window on the shards that still owe a slot of it. The
-  // remaining-counter barrier is reset before the fan-out; Post's queue
-  // ordering makes the window visible to the wave's tasks, and the wave's
-  // last task re-enters this coordinator.
-  state->rounds++;
-  state->remaining.store(wave.size(), std::memory_order_relaxed);
-  const uint64_t post_ns = NowNs();
-  for (const size_t s : wave) {
-    pool_.Post([this, state, s, post_ns]() {
-      ExecuteTopKRefineRound(state, s, post_ns);
-    });
-  }
-}
-
-void ShardedEngine::ExecuteTopKRefineRound(
-    const std::shared_ptr<GatherState>& state, size_t shard_idx,
-    uint64_t post_ns) {
-  const uint64_t t0 =
-      (MetricsRegistry::SampleTask() || state->trace) ? NowNs() : 0;
-  if (state->trace && post_ns != 0) {
-    state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
-                          post_ns, t0);
-  }
-  const ShardState& shard = *state->snap->shards[shard_idx];
-  const FacilityCatalog& catalog = *state->snap->catalog;
-  QueryStats stats;
-  std::vector<double>& values = state->fac_values[shard_idx];
-  std::vector<uint8_t>& known = state->known[shard_idx];
-  uint64_t evaluated = 0;
-  for (const uint32_t f : state->window) {
-    if (known[f]) continue;  // an earlier wave or the planner settled it
-    bool hit = false;
-    values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
-    known[f] = 1;
-    ++evaluated;
-  }
-  state->stats[shard_idx].Add(stats);
-  state->evaluated.fetch_add(evaluated, std::memory_order_relaxed);
-  metrics_.AddShardTask();
-  if (t0 != 0) {
-    const uint64_t t1 = NowNs();
-    metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
-    if (state->trace) {
-      state->trace->AddSpan("shard_refine", static_cast<int32_t>(shard_idx),
-                            t0, t1);
-    }
-  }
-  if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    CoordinateTopK(state);
-  }
-}
-
-void ShardedEngine::FinishTopK(GatherState* state) {
-  const uint64_t merge_t0 = state->trace ? NowNs() : 0;
-  const ShardedSnapshot& snap = *state->snap;
-  const size_t n = snap.shards.size();
-  const size_t num_fac = snap.catalog->size();
-  QueryResponse response;
-  response.kind = state->request.kind;
-  response.snapshot_version = snap.version;
-
-  QueryStats total;
-  for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
-  response.stats = total;
-
-  // Rank the fully-evaluated facilities only: they include the settled
-  // window, and every other facility provably ranks after it.
-  response.ranked = Rank(CompleteFacilities(all_shards_, state->fac_values,
-                                            state->known, num_fac),
-                         state->request.k);
-  if (cache_.enabled()) {
-    metrics_.AddCacheMiss();
-    metrics_.AddCacheEvictions(cache_.PutTopK(
-        TopKKeyFor(snap, state->request.k), response.ranked));
-  }
-  const uint64_t evaluated =
-      state->evaluated.load(std::memory_order_relaxed);
-  const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
-  metrics_.AddTopKPruneWork(evaluated, slots - evaluated, state->rounds);
-  metrics_.RecordQueryStats(total);
-  if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
-  state->done(std::move(response));
-}
-
-void ShardedEngine::FinishBoundSweep(GatherState* state) {
-  const ShardedSnapshot& snap = *state->snap;
-  BoundSweepResult result;
-  result.snapshot_version = snap.version;
-
-  QueryStats total;
-  for (const QueryStats& s : state->stats) total.Add(s);
-
-  // Per-facility bound over the owned shards (non-owned shards hold empty
-  // trees, so their UB is exactly 0). No prune counters: a sweep evaluates
-  // nothing exactly, and the coordinator's refinement waves arrive as kSum
-  // frames, counted as service queries.
-  result.bounds = SumBounds(all_shards_, state->bounds, snap.catalog->size());
-  metrics_.RecordQueryStats(total);
-  state->bound_done(std::move(result));
-}
-
-void ShardedEngine::TopKBoundSweepAsync(BoundSweepCallback done) {
-  auto state = std::make_shared<GatherState>();
-  state->snap = snapshot();
-  // A bound sweep is one top-k query's first wave — count and time it as a
-  // top-k query so the histogram-vs-counter invariant the CI observability
-  // smoke asserts holds on workers too.
-  metrics_.AddQuery(/*topk=*/true);
-  const uint64_t t0 = NowNs();
-  state->bound_done = [this, t0,
-                       inner = std::move(done)](BoundSweepResult result) {
-    metrics_.RecordLatency(OpFamily::kTopKQuery, NowNs() - t0);
-    inner(std::move(result));
-  };
-
-  const size_t num_fac = state->snap->catalog->size();
-  if (num_fac == 0) {
-    BoundSweepResult result;
-    result.snapshot_version = state->snap->version;
-    state->bound_done(std::move(result));
-    return;
-  }
-  const size_t n = state->snap->shards.size();
-  state->stats.resize(n);
-  state->bounds.resize(n);
-  state->remaining.store(n, std::memory_order_relaxed);
-  for (size_t s = 0; s < n; ++s) {
-    pool_.Post([this, state, s]() {
-      ExecuteTopKBoundRound(state, s, /*post_ns=*/0);
-    });
-  }
 }
 
 std::vector<uint32_t> ShardedEngine::ApplyUpdates(const UpdateBatch& batch) {

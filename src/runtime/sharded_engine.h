@@ -10,12 +10,14 @@
 // shards by Z-order range (shard_router.h), each shard owning its own
 // TQ-tree + evaluator over its own user subset:
 //
-//   * Queries scatter: a Submit fans one task per shard onto the thread
-//     pool; each task answers from its shard's frozen snapshot (cache-
-//     assisted), and the last finisher gathers — summing per-shard service
-//     values in ascending shard order, or, for top-k, planning the next
-//     wave (below). No pool thread ever blocks waiting on another task, so
-//     a pool of any size cannot deadlock.
+//   * Queries scatter: the engine is the in-process ShardTransport of the
+//     serving protocol's one Coordinator (coordinator.h). A wave posts one
+//     pool task per owned shard of the query's pinned snapshot; each task
+//     answers from its shard's frozen tree (cache-assisted), and the last
+//     finisher hands the wave back to the coordinator, which sums in
+//     ascending shard order or plans the next top-k wave. No pool thread
+//     ever blocks waiting on another task, so a pool of any size cannot
+//     deadlock.
 //   * Writers are incremental twice over: a trajectory insert/remove batch
 //     is routed per shard, and only the AFFECTED shards are forked
 //     (TQTree::Fork) and republished — and each fork path-copies only the
@@ -34,27 +36,13 @@
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the single-tree values, bit for bit.
-//   * Top-k is BOUND-AND-PRUNE, the only top-k protocol and exact for every
-//     k (at k ≥ |F| the window is the whole catalog) — best-first
-//     refinement in scatter waves (see GatherState in sharded_engine.cc,
-//     with the coordinator math in prune_plan.h):
-//       sweep    every shard computes a cheap upper bound UB_s(f) for
-//                every facility (TQTree::CellUpperBound — point-cell
-//                tables and the raster, no node or entry visited).
-//       plan     the coordinator (the last task of each wave) values every
-//                facility B(f) = Σ_s (evaluated ? SO_s(f) : UB_s(f)) and
-//                takes the window: the first k facilities by (B desc,
-//                id asc).
-//       refine   shards exactly evaluate the window's unsettled slots in
-//                one wave, whose last task plans again; once the window
-//                is fully evaluated it is the answer.
-//     Answers are exact bit for bit: a winner's value is its per-shard sums
-//     added in ascending shard order — the bits of evaluating every
-//     facility on every shard — and every facility outside the window has
-//     SO(U, f) ≤ B(f), so it ranks after every window member even on a tie.
-//     A top-k response reports cache_hit only for memoised whole-answer
-//     hits; per-(facility, shard) hits inside the waves still count in the
-//     hit/miss metrics.
+//   * Top-k is BOUND-AND-PRUNE (prune_plan.h), the only top-k protocol and
+//     exact for every k: a bound wave (TQTree::CellUpperBound per facility —
+//     point-cell tables and the raster, no node or entry visited), then
+//     refinement waves for the window's unsettled slots until the window is
+//     settled. A top-k response reports cache_hit only for memoised
+//     whole-answer hits; per-(facility, shard) hits inside the waves still
+//     count in the hit/miss metrics.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -65,6 +53,7 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/coordinator.h"
 #include "runtime/metrics.h"
 #include "runtime/result_cache.h"
 #include "runtime/serving_engine.h"
@@ -91,9 +80,8 @@ struct ShardedEngineOptions {
   /// Owned Z-order shard range [owned_begin, owned_end) for shard-worker
   /// processes: the router still partitions the FULL user set `num_shards`
   /// ways (so every worker agrees on the geometry and on global id
-  /// assignment), but only the owned shards get trees built — the others
-  /// stay empty and contribute an exact 0.0 to every sum, keeping a set of
-  /// workers with disjoint covering ranges bit-identical to one process.
+  /// assignment), but only the owned shards get trees built and answer
+  /// queries — the others stay empty and are never evaluated or cached.
   /// (0, 0) means "own everything" (the single-process default).
   uint32_t owned_begin = 0;
   uint32_t owned_end = 0;
@@ -134,18 +122,10 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 /// Multi-threaded scatter/gather engine over sharded TQ-trees. Thread-safe:
 /// any thread may Submit / RunBatch / ApplyUpdates / snapshot() concurrently.
 /// Writers are serialized among themselves; readers never block.
-class ShardedEngine : public ServingEngine {
+class ShardedEngine : public ServingEngine, private ShardTransport {
  public:
   /// Independently locked result-cache partitions.
   static constexpr size_t kCacheShards = 8;
-  /// Engine-owned traces for scatter queries submitted WITHOUT a caller
-  /// context: one every kTraceSample queries. A trace costs an allocation
-  /// plus span clock reads in every shard task, so tracing every query
-  /// would tax the hot path; sampling keeps the ring representative
-  /// instead. Ignored — every query is traced — while the slow-query log is
-  /// armed (a slow query can only be logged if it was traced from the
-  /// start).
-  static constexpr size_t kTraceSample = 32;
 
   ShardedEngine(TrajectorySet users, TrajectorySet facilities,
                 ShardedEngineOptions options);
@@ -205,8 +185,8 @@ class ShardedEngine : public ServingEngine {
   /// Total users ever added (inserts are append-only; removes de-index).
   size_t NumUsersTotal() const;
 
-  /// Scatters one query across all shards; the returned future completes
-  /// when the last shard's task has been gathered.
+  /// Scatters one query across the owned shards; the returned future
+  /// completes when the query's last wave has been gathered.
   std::future<QueryResponse> Submit(QueryRequest request);
 
   /// Completion callback for SubmitAsync. Runs exactly once: on the pool
@@ -224,7 +204,8 @@ class ShardedEngine : public ServingEngine {
   /// merge) to `trace`, and the CALLER finishes it (Tracer::Finish) — the
   /// net server shares one frame trace across all of a frame's sub-queries
   /// this way. Passing nullptr is identical to the two-argument overload:
-  /// scatter queries get an engine-owned trace finished just before `done`.
+  /// scatter queries get a sampled engine-owned trace (Coordinator::
+  /// kTraceSample) finished just before `done`.
   /// `start_ns` (optional) backdates the query's latency-histogram sample
   /// to an earlier NowNs() reading — the net server passes the frame's
   /// receive timestamp, which both amortizes one clock read across the
@@ -235,8 +216,7 @@ class ShardedEngine : public ServingEngine {
 
   /// The bound sweep over the owned shards, packaged for a remote
   /// coordinator (serves kBound frames): per-facility Σ UB_s(f) over the
-  /// owned shards — the same per-shard sweep a local top-k query starts
-  /// with.
+  /// owned shards — the same bound wave a local top-k query starts with.
   void TopKBoundSweepAsync(BoundSweepCallback done) override;
 
   /// Submits every request, then blocks for all answers (in request order).
@@ -257,7 +237,6 @@ class ShardedEngine : public ServingEngine {
   storage::RecoveryInfo recovery_info() const override;
 
  private:
-  struct GatherState;
   struct RecoverTag {};
 
   /// Recovery shell: adopts the manifest's partition geometry (world +
@@ -278,31 +257,19 @@ class ShardedEngine : public ServingEngine {
   /// cannot log is misconfigured, not degraded.
   void StartDurability(uint64_t next_lsn, bool initial_checkpoint);
 
-  /// Per-shard task entry points. `post_ns` is the Post() timestamp of the
-  /// task (0 when the query is untraced) — the queue-wait span.
-  /// A service-value query: one shard's SO(U_s, f).
-  void ExecuteShard(const std::shared_ptr<GatherState>& state, size_t shard,
+  // ShardTransport: participant p is owned shard owned_begin_ + p of the
+  // query's pinned snapshot (QueryBasis::pin).
+  std::vector<size_t> Participants() const override;
+  size_t num_participants() const override { return owned_end_ - owned_begin_; }
+  void Bound(const CoordinatedQueryPtr& query) override;
+  void Evaluate(const CoordinatedQueryPtr& query) override;
+  /// Posts one pool task per participant of the query's wave; the last one
+  /// to finish continues the query.
+  void Scatter(const CoordinatedQueryPtr& query, bool bound);
+  /// One shard's part of a wave. `post_ns` is the Post() timestamp (0 when
+  /// the query is untraced) — the queue-wait span.
+  void RunShardTask(const CoordinatedQueryPtr& query, size_t p, bool bound,
                     uint64_t post_ns);
-  /// Final sum of a service-value query; fulfils the promise.
-  void Gather(GatherState* state);
-  /// The first wave of the top-k protocol: one shard's bound sweep.
-  void ExecuteTopKBoundRound(const std::shared_ptr<GatherState>& state,
-                             size_t shard, uint64_t post_ns);
-  /// A refinement wave: one shard evaluates the window's slots it has not
-  /// settled yet.
-  void ExecuteTopKRefineRound(const std::shared_ptr<GatherState>& state,
-                              size_t shard, uint64_t post_ns);
-  /// Coordinator: runs in the last task of every wave; plans the window
-  /// (prune_plan.h PlanWindow) and either finishes or fans out the next
-  /// refinement wave.
-  void CoordinateTopK(const std::shared_ptr<GatherState>& state);
-  /// Final merge of a top-k query: ranks the fully evaluated facilities,
-  /// memoises the answer under the snapshot's generation vector, and
-  /// fulfils the promise.
-  void FinishTopK(GatherState* state);
-  /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds instead of
-  /// ranking.
-  void FinishBoundSweep(GatherState* state);
   /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
   double ShardServiceValue(const ShardState& shard,
                            const FacilityCatalog& catalog, FacilityId f,
@@ -329,13 +296,11 @@ class ShardedEngine : public ServingEngine {
   /// Resolved owned range ((0,0) in options = own all shards).
   uint32_t owned_begin_ = 0;
   uint32_t owned_end_ = 0;
-  /// 0..num_shards-1: the prune planner's participant list, which in
-  /// process is every shard (non-owned shards hold empty trees).
-  std::vector<size_t> all_shards_;
   MetricsRegistry metrics_;
   Tracer tracer_;
   ResultCache cache_;
   ShardRouter router_;
+  Coordinator coordinator_{this, &metrics_, &tracer_};
 
   mutable std::mutex snapshot_mu_;  // guards snapshot_ pointer swap only
   ShardedSnapshotPtr snapshot_;

@@ -8,11 +8,11 @@
 //     the encode span, and calls Tracer::Finish when the frame's last
 //     response is staged.
 //   * For in-process scatter queries submitted WITHOUT a caller trace, the
-//     sharded engine starts its own context (sampled 1-in-kTraceSample,
-//     or every query while the slow log is armed) and finishes it right
-//     before invoking the completion callback — so slow queries are traced
-//     even when no front-end asked for it.
-// Shard tasks only ever APPEND spans to whatever context the GatherState
+//     engine's coordinator starts its own context (sampled
+//     1-in-Coordinator::kTraceSample, or every query while the slow log is
+//     armed) and finishes it right before invoking the completion callback
+//     — so slow queries are traced even when no front-end asked for it.
+// Waves only ever APPEND spans to whatever context the coordinated query
 // carries; they never finish it.
 //
 // Concurrency: TraceContext::AddSpan is wait-free (atomic slot claim into a

@@ -4,7 +4,9 @@
 // to a single-process ShardedEngine over the full partition, for shards
 // {2, 4} × workers {1, 2} on the NYF preset, across several refinement
 // waves; no wave asks a worker for a facility its own bound already settled
-// at 0; updates fan out and keep the identity; a worker killed between waves
+// at 0, and the coordinator's prune counters account every (worker,
+// facility) slot; a worker evaluates and caches only the shards it owns;
+// updates fan out and keep the identity; a worker killed between waves
 // degrades answers to StatusCode::kUnavailable without hanging; and the new
 // wire frame types (kRegister, kHeartbeat, kBound, kStatus) round-trip
 // losslessly.
@@ -285,15 +287,62 @@ TEST(Distributed, ZeroBoundSlotsAreNeverRefined) {
   for (const Worker& w : workers) {
     before.push_back(w.engine->metrics().Read().service_queries);
   }
+  const runtime::MetricsView coord_before = coord.mutable_metrics()->Read();
   const QueryResponse got = RunQuery(coord, QueryRequest::TopK(kK));
   ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  uint64_t worker_queries = 0;
   for (size_t w = 0; w < workers.size(); ++w) {
     // Round 2's kSum frames are the only service queries a worker sees.
-    EXPECT_EQ(workers[w].engine->metrics().Read().service_queries - before[w],
-              positive_asks[w])
+    const uint64_t asked =
+        workers[w].engine->metrics().Read().service_queries - before[w];
+    EXPECT_EQ(asked, positive_asks[w])
         << "worker " << w << " was asked to refine a zero-bound slot";
+    worker_queries += asked;
   }
+  // The coordinator counts its waves' slots like the in-process engine:
+  // every (worker, facility) slot is evaluated or pruned, and each
+  // evaluated slot is one service query on its worker.
+  const runtime::MetricsView coord_after = coord.mutable_metrics()->Read();
+  const uint64_t evaluated =
+      coord_after.facilities_evaluated - coord_before.facilities_evaluated;
+  const uint64_t pruned =
+      coord_after.facilities_pruned - coord_before.facilities_pruned;
+  EXPECT_EQ(evaluated + pruned, num_fac * workers.size());
+  EXPECT_EQ(evaluated, worker_queries);
   ExpectIdenticalAnswers(reference, coord, num_fac);
+}
+
+// ------------------------------------------------------ owned shards only
+
+// A worker evaluates and caches only the shards it owns: a sum on a worker
+// owning [1, 2) of 4 shards runs one shard task and misses the cache once,
+// and its value is that shard's part of the single-process sum, bit for bit.
+TEST(Distributed, WorkerEvaluatesOnlyOwnedShards) {
+  const TrajectorySet users = presets::NyfCheckins(600);
+  const TrajectorySet fac = presets::NyBusRoutes(12, 10);
+  ShardedEngineOptions so = EngineOptions(4);
+  so.owned_begin = 1;
+  so.owned_end = 2;
+  ShardedEngine worker(users, fac, so);
+  // The single-process engine restricted to shard 1's users.
+  TrajectorySet shard_users;
+  ShardedEngine reference(users, fac, EngineOptions(4));
+  for (uint32_t u = 0; u < users.size(); ++u) {
+    if (reference.LocateUser(u).shard == 1) shard_users.Add(users.points(u));
+  }
+  ASSERT_GT(shard_users.size(), 0u);
+  ShardedEngine single(shard_users, fac, EngineOptions(1));
+  for (FacilityId f = 0; f < fac.size(); ++f) {
+    const runtime::MetricsView before = worker.metrics().Read();
+    const QueryResponse got = RunQuery(worker, QueryRequest::ServiceValue(f));
+    const runtime::MetricsView after = worker.metrics().Read();
+    ASSERT_TRUE(got.status.ok());
+    EXPECT_EQ(after.shard_tasks - before.shard_tasks, 1u);
+    EXPECT_EQ(after.cache_misses - before.cache_misses, 1u);
+    EXPECT_EQ(got.value,
+              RunQuery(single, QueryRequest::ServiceValue(f)).value)
+        << "facility " << f;
+  }
 }
 
 // ------------------------------------------------------ update fan-out

@@ -77,10 +77,6 @@ void NetClient::Close() {
   sendbuf_.clear();
   frames_ = FrameAssembler();
   pending_ = 0;
-  pushes_.clear();
-  solicited_.clear();
-  last_epoch_.clear();
-  push_gaps_ = 0;
 }
 
 Status NetClient::Send(const NetRequest& request) {
@@ -100,68 +96,17 @@ Status NetClient::Flush() {
 
 Status NetClient::Receive(NetResponse* response) {
   if (!connected()) return Status::InvalidArgument("not connected");
-  // ReceivePush may have read past this response already.
-  if (!solicited_.empty()) {
-    *response = std::move(solicited_.front());
-    solicited_.pop_front();
-    --pending_;
-    return Status::OK();
-  }
   if (pending_ == 0) {
     return Status::InvalidArgument("no request in flight");
   }
   TQ_RETURN_NOT_OK(Flush());
-  for (;;) {
-    std::string payload;
-    TQ_RETURN_NOT_OK(ReadFrame(&payload));
-    NetResponse r;
-    TQ_RETURN_NOT_OK(DecodeResponse(payload, &r));
-    if (r.type == MessageType::kPush) {
-      // Unsolicited frame riding between two solicited ones: buffer it
-      // for ReceivePush and keep draining toward our response.
-      NotePush(r);
-      pushes_.push_back(std::move(r));
-      continue;
-    }
-    --pending_;
-    *response = std::move(r);
-    return Status::OK();
-  }
-}
-
-Status NetClient::ReceivePush(NetResponse* push) {
-  if (!connected()) return Status::InvalidArgument("not connected");
-  if (!pushes_.empty()) {
-    *push = std::move(pushes_.front());
-    pushes_.pop_front();
-    return Status::OK();
-  }
-  TQ_RETURN_NOT_OK(Flush());
-  for (;;) {
-    std::string payload;
-    TQ_RETURN_NOT_OK(ReadFrame(&payload));
-    NetResponse r;
-    TQ_RETURN_NOT_OK(DecodeResponse(payload, &r));
-    if (r.type == MessageType::kPush) {
-      NotePush(r);
-      *push = std::move(r);
-      return Status::OK();
-    }
-    if (pending_ == 0) {
-      // Nothing was solicited, yet a non-push frame arrived: the stream
-      // is out of agreement with our bookkeeping — fail loudly.
-      return Status::IOError("unsolicited non-push response");
-    }
-    solicited_.push_back(std::move(r));
-  }
-}
-
-void NetClient::NotePush(const NetResponse& push) {
-  // Epochs start at 1, so the map's zero-initialized slot makes the first
-  // push of a subscription expected exactly when its epoch is 1.
-  uint64_t& last = last_epoch_[push.sub_id];
-  if (push.push_epoch != last + 1) ++push_gaps_;
-  if (push.push_epoch > last) last = push.push_epoch;
+  std::string payload;
+  TQ_RETURN_NOT_OK(ReadFrame(&payload));
+  NetResponse r;  // decode fresh: a reused *response keeps no stale fields
+  TQ_RETURN_NOT_OK(DecodeResponse(payload, &r));
+  --pending_;
+  *response = std::move(r);
+  return Status::OK();
 }
 
 Status NetClient::Sum(const std::vector<FacilityId>& facilities,
@@ -206,21 +151,6 @@ Status NetClient::Bound(uint32_t k, NetResponse* response) {
 
 Status NetClient::ClusterStatus(NetResponse* response) {
   TQ_RETURN_NOT_OK(Send(NetRequest::ClusterStatus()));
-  return Receive(response);
-}
-
-Status NetClient::SubscribeSum(FacilityId facility, NetResponse* response) {
-  TQ_RETURN_NOT_OK(Send(NetRequest::SubscribeSum(facility)));
-  return Receive(response);
-}
-
-Status NetClient::SubscribeTopK(uint32_t k, NetResponse* response) {
-  TQ_RETURN_NOT_OK(Send(NetRequest::SubscribeTopK(k)));
-  return Receive(response);
-}
-
-Status NetClient::Unsubscribe(uint64_t sub_id, NetResponse* response) {
-  TQ_RETURN_NOT_OK(Send(NetRequest::Unsubscribe(sub_id)));
   return Receive(response);
 }
 

@@ -15,9 +15,7 @@
 #define TQCOVER_NET_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -75,39 +73,6 @@ class NetClient {
   /// per-worker liveness table.
   Status ClusterStatus(NetResponse* response);
 
-  // ---- standing queries: subscribe once, receive pushes ----------------
-  //
-  // A subscription registers a query on the server; every publish that
-  // could change its answer produces an unsolicited kPush frame. Pushes
-  // arrive interleaved with solicited responses: Receive() transparently
-  // buffers any push it runs into (drain with ReceivePush), and
-  // ReceivePush() buffers any solicited response it runs into. Each push
-  // carries a per-subscription epoch starting at 1 and incrementing by
-  // one; a skipped number means the server dropped a push for this slow
-  // consumer — push_gaps() counts those, and the next push carries a
-  // fresh full answer anyway.
-
-  /// Registers a standing service-value query; response->sub_id is the id.
-  /// The first push (epoch 1) carries the answer as of registration.
-  Status SubscribeSum(FacilityId facility, NetResponse* response);
-  /// Registers a standing top-k query.
-  Status SubscribeTopK(uint32_t k, NetResponse* response);
-  /// Deregisters one subscription (ids are per-connection).
-  Status Unsubscribe(uint64_t sub_id, NetResponse* response);
-  /// Blocks for the next push frame (buffered first, then the wire).
-  /// Solicited responses encountered on the way are buffered for
-  /// Receive(). Set a timeout to poll instead of blocking forever.
-  Status ReceivePush(NetResponse* push);
-  /// Pushes buffered by Receive() and not yet handed out.
-  size_t buffered_pushes() const { return pushes_.size(); }
-  /// Epoch discontinuities observed across every subscription so far.
-  uint64_t push_gaps() const { return push_gaps_; }
-  /// Highest epoch seen for one subscription (0 = no push yet).
-  uint64_t last_push_epoch(uint64_t sub_id) const {
-    const auto it = last_epoch_.find(sub_id);
-    return it == last_epoch_.end() ? 0 : it->second;
-  }
-
   // ---- async batch API: pipeline frames, then drain --------------------
 
   /// Queues one request frame locally (no I/O). Pair every Send with one
@@ -124,8 +89,6 @@ class NetClient {
  private:
   Status WriteAll(const char* data, size_t n);
   Status ReadFrame(std::string* payload);
-  /// Epoch bookkeeping for one just-decoded push frame.
-  void NotePush(const NetResponse& push);
 
   void ApplyTimeout();
 
@@ -134,11 +97,6 @@ class NetClient {
   std::string sendbuf_;  // frames queued by Send, drained by Flush
   FrameAssembler frames_;
   size_t pending_ = 0;
-  // Frames read while looking for the other kind (see ReceivePush docs).
-  std::deque<NetResponse> pushes_;
-  std::deque<NetResponse> solicited_;
-  std::unordered_map<uint64_t, uint64_t> last_epoch_;  // sub_id → epoch
-  uint64_t push_gaps_ = 0;
 };
 
 }  // namespace tq::net

@@ -79,6 +79,8 @@ class Reader {
     return static_cast<uint64_t>(count) * min_entry_bytes <=
            data_.size() - pos_;
   }
+  /// Skips bytes a Plausible() check has already shown are present.
+  void Skip(size_t n) { pos_ += n; }
   bool Done() const { return pos_ == data_.size(); }
 
  private:
@@ -230,19 +232,7 @@ void EncodeRequest(const NetRequest& request, std::string* out) {
     case MessageType::kRegister:
     case MessageType::kStatus:
       break;  // identity / status requests carry no body
-    case MessageType::kSubscribe:
-      PutU8(out, request.sub_op);
-      if (request.sub_op == 0) {
-        PutU8(out, static_cast<uint8_t>(request.sub_kind));
-        PutU32(out, request.sub_kind == SubscriptionKind::kSum
-                        ? request.sub_facility
-                        : request.sub_k);
-      } else {
-        PutU64(out, request.sub_id);
-      }
-      break;
     case MessageType::kError:
-    case MessageType::kPush:
       break;  // never encoded as a request; empty body
   }
   PatchLength(out, frame_start);
@@ -329,11 +319,7 @@ void EncodeResponse(const NetResponse& response, std::string* out) {
       case MessageType::kBound:
         PutU32(out, static_cast<uint32_t>(response.bounds.size()));
         for (const double b : response.bounds) PutF64(out, b);
-        PutU32(out, static_cast<uint32_t>(response.bound_exacts.size()));
-        for (const auto& [f, v] : response.bound_exacts) {
-          PutU32(out, f);
-          PutF64(out, v);
-        }
+        PutU32(out, 0);  // settled (id, value) pairs: always none
         break;
       case MessageType::kStatus:
         PutWorkerInfo(out, response.worker_info);
@@ -355,25 +341,6 @@ void EncodeResponse(const NetResponse& response, std::string* out) {
         PutU64(out, response.durability.last_lsn);
         PutU64(out, response.durability.replayed_batches);
         PutU64(out, response.durability.recovery_ns);
-        break;
-      case MessageType::kSubscribe:
-        PutU64(out, response.sub_id);
-        break;
-      case MessageType::kPush:
-        PutU64(out, response.sub_id);
-        PutU64(out, response.push_epoch);
-        PutU8(out, static_cast<uint8_t>(response.push_kind));
-        if (response.push_kind == SubscriptionKind::kSum) {
-          PutU8(out, static_cast<uint8_t>(response.push_sum.code));
-          PutF64(out, response.push_sum.value);
-        } else {
-          PutU8(out, static_cast<uint8_t>(response.push_topk.code));
-          PutU32(out, static_cast<uint32_t>(response.push_topk.ranked.size()));
-          for (const RankedFacility& rf : response.push_topk.ranked) {
-            PutU32(out, rf.id);
-            PutF64(out, rf.value);
-          }
-        }
         break;
       case MessageType::kError:
         break;  // status carries everything
@@ -447,33 +414,6 @@ Status DecodeRequest(std::string_view payload, NetRequest* out) {
     case MessageType::kStatus:
       out->type = MessageType::kStatus;
       break;
-    case MessageType::kSubscribe: {
-      out->type = MessageType::kSubscribe;
-      if (!r.GetU8(&out->sub_op)) return Truncated("subscribe request");
-      if (out->sub_op == 0) {
-        uint8_t kind = 0;
-        uint32_t arg = 0;
-        if (!r.GetU8(&kind) || !r.GetU32(&arg)) {
-          return Truncated("subscribe request");
-        }
-        if (kind > static_cast<uint8_t>(SubscriptionKind::kTopK)) {
-          return Status::InvalidArgument("unknown subscription kind " +
-                                         std::to_string(kind));
-        }
-        out->sub_kind = static_cast<SubscriptionKind>(kind);
-        if (out->sub_kind == SubscriptionKind::kSum) {
-          out->sub_facility = arg;
-        } else {
-          out->sub_k = arg;
-        }
-      } else if (out->sub_op == 1) {
-        if (!r.GetU64(&out->sub_id)) return Truncated("subscribe request");
-      } else {
-        return Status::InvalidArgument("unknown subscribe op " +
-                                       std::to_string(out->sub_op));
-      }
-      break;
-    }
     default:
       return Status::InvalidArgument("unknown request type " +
                                      std::to_string(type));
@@ -497,7 +437,7 @@ Status DecodeResponse(std::string_view payload, NetResponse* out) {
                                    std::to_string(version) +
                                    " not supported");
   }
-  if (type > static_cast<uint8_t>(MessageType::kPush)) {
+  if (type > static_cast<uint8_t>(MessageType::kStatus)) {
     return Status::InvalidArgument("unknown response type " +
                                    std::to_string(type));
   }
@@ -639,16 +579,12 @@ Status DecodeResponse(std::string_view payload, NetResponse* out) {
       for (uint32_t i = 0; i < count; ++i) {
         if (!r.GetF64(&out->bounds[i])) return Truncated("bound response");
       }
+      // Settled (u32 id, f64 value) pairs: no peer sends any and none is
+      // read, but the slot stays so older peers' frames still decode.
       if (!r.GetU32(&count) || !r.Plausible(count, 12)) {
         return Truncated("bound response");
       }
-      out->bound_exacts.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        if (!r.GetU32(&out->bound_exacts[i].first) ||
-            !r.GetF64(&out->bound_exacts[i].second)) {
-          return Truncated("bound response");
-        }
-      }
+      r.Skip(static_cast<size_t>(count) * 12);
       break;
     }
     case MessageType::kStatus: {
@@ -672,43 +608,6 @@ Status DecodeResponse(std::string_view payload, NetResponse* out) {
           !r.GetU64(&d.last_lsn) || !r.GetU64(&d.replayed_batches) ||
           !r.GetU64(&d.recovery_ns)) {
         return Truncated("status response");
-      }
-      break;
-    }
-    case MessageType::kSubscribe: {
-      if (!r.GetU64(&out->sub_id)) return Truncated("subscribe response");
-      break;
-    }
-    case MessageType::kPush: {
-      uint8_t kind = 0;
-      if (!r.GetU64(&out->sub_id) || !r.GetU64(&out->push_epoch) ||
-          !r.GetU8(&kind)) {
-        return Truncated("push response");
-      }
-      if (kind > static_cast<uint8_t>(SubscriptionKind::kTopK)) {
-        return Status::InvalidArgument("unknown push kind " +
-                                       std::to_string(kind));
-      }
-      out->push_kind = static_cast<SubscriptionKind>(kind);
-      uint8_t c = 0;
-      if (out->push_kind == SubscriptionKind::kSum) {
-        if (!r.GetU8(&c) || !r.GetF64(&out->push_sum.value)) {
-          return Truncated("push response");
-        }
-        out->push_sum.code = CodeFromWire(c);
-      } else {
-        uint32_t n = 0;
-        if (!r.GetU8(&c) || !r.GetU32(&n) || !r.Plausible(n, 12)) {
-          return Truncated("push response");
-        }
-        out->push_topk.code = CodeFromWire(c);
-        out->push_topk.ranked.resize(n);
-        for (uint32_t j = 0; j < n; ++j) {
-          RankedFacility& rf = out->push_topk.ranked[j];
-          if (!r.GetU32(&rf.id) || !r.GetF64(&rf.value)) {
-            return Truncated("push response");
-          }
-        }
       }
       break;
     }

@@ -61,19 +61,8 @@ enum class MessageType : uint8_t {
   kHeartbeat = 6,  // coordinator -> worker: liveness probe (echoed seq)
   kBound = 7,      // round-1 top-k bound sweep over the worker's shards
   kStatus = 8,     // cluster status: self info + per-worker liveness table
-  // Standing (continuous) queries — the protocol's first push-based frames.
-  // Added ADDITIVELY (like kStats): the version byte did not bump because no
-  // existing frame layout changed; an old server answers kSubscribe with
-  // InvalidArgument (unknown type) and closes.
-  kSubscribe = 9,  // register/remove a standing sum or top-k query
-  kPush = 10,      // server -> client, UNSOLICITED: a re-evaluated standing
-                   // query's fresh result (epoch-tagged for gap detection)
-};
-
-/// Kind of standing query a kSubscribe registers.
-enum class SubscriptionKind : uint8_t {
-  kSum = 0,   // one facility's service value
-  kTopK = 1,  // a whole top-k ranking
+  // Types 9 and 10 are retired (they carried standing queries) and must
+  // never be reused: both sides reject them as unknown.
 };
 
 /// One latency histogram summary inside a stats response — the wire form of
@@ -189,14 +178,6 @@ struct NetRequest {
   uint32_t bound_k = 0;
   /// kHeartbeat: caller-chosen sequence number, echoed by the response.
   uint64_t heartbeat_seq = 0;
-  /// kSubscribe: 0 = subscribe (register a standing query), 1 = unsubscribe.
-  uint8_t sub_op = 0;
-  /// kSubscribe op 0: what to watch.
-  SubscriptionKind sub_kind = SubscriptionKind::kSum;
-  FacilityId sub_facility = 0;  // kind kSum: the facility to watch
-  uint32_t sub_k = 0;           // kind kTopK: the ranking size
-  /// kSubscribe op 1: the server-assigned id to remove.
-  uint64_t sub_id = 0;
 
   static NetRequest Sum(std::vector<FacilityId> facilities) {
     NetRequest r;
@@ -246,29 +227,6 @@ struct NetRequest {
     r.type = MessageType::kStatus;
     return r;
   }
-  static NetRequest SubscribeSum(FacilityId facility) {
-    NetRequest r;
-    r.type = MessageType::kSubscribe;
-    r.sub_op = 0;
-    r.sub_kind = SubscriptionKind::kSum;
-    r.sub_facility = facility;
-    return r;
-  }
-  static NetRequest SubscribeTopK(uint32_t k) {
-    NetRequest r;
-    r.type = MessageType::kSubscribe;
-    r.sub_op = 0;
-    r.sub_kind = SubscriptionKind::kTopK;
-    r.sub_k = k;
-    return r;
-  }
-  static NetRequest Unsubscribe(uint64_t id) {
-    NetRequest r;
-    r.type = MessageType::kSubscribe;
-    r.sub_op = 1;
-    r.sub_id = id;
-    return r;
-  }
 };
 
 /// Per-query result inside a batched sum response. Individual queries can
@@ -302,26 +260,11 @@ struct NetResponse {
   std::vector<WireWorkerStatus> workers;      // kStatus (empty on workers)
   WireDurability durability;                  // kStatus
   /// kBound: per-facility upper bounds Σ_{owned s} UB_s(f), facility order.
+  /// (The frame also keeps a settled-pairs slot, always encoded empty and
+  /// skipped on decode; see docs/PROTOCOL.md.)
   std::vector<double> bounds;
-  /// kBound: a settled list of (facility id, exact value) pairs. Workers
-  /// send it empty and receivers ignore it; it is still encoded and
-  /// decoded so the frame layout is unchanged.
-  std::vector<std::pair<uint32_t, double>> bound_exacts;
   uint64_t heartbeat_seq = 0;      // kHeartbeat: echoed request seq
   uint64_t heartbeat_queries = 0;  // kHeartbeat: worker's queries_total
-  /// kSubscribe: the subscription id (newly assigned on subscribe, the
-  /// removed one echoed on unsubscribe). kPush: the subscription it answers.
-  uint64_t sub_id = 0;
-  /// kPush: per-subscription push sequence number, starting at 1 and
-  /// incrementing by exactly 1 per evaluation — including evaluations whose
-  /// push the server DROPPED because the connection sat at its outbox high
-  /// watermark. A client that sees epoch N+2 after N therefore knows it
-  /// missed a result (it read too slowly) and should re-issue the query
-  /// fresh to resynchronize.
-  uint64_t push_epoch = 0;
-  SubscriptionKind push_kind = SubscriptionKind::kSum;  // kPush: result kind
-  SumResult push_sum;       // kPush, kind kSum: the fresh service value
-  RankedResult push_topk;   // kPush, kind kTopK: the fresh ranking
 };
 
 /// Appends one whole frame (header + payload) for `request` to `*out`.

@@ -77,24 +77,6 @@ struct NetServer::PendingUpdate {
   std::vector<uint32_t> removes;
 };
 
-/// One standing query. All fields are guarded by the server's subs_mu_.
-/// `last_gens` is the per-shard generation vector at the subscription's most
-/// recent evaluation DISPATCH — a publish whose post-publish generations
-/// equal it cannot have changed the answer (every per-shard contribution is
-/// keyed by its shard generation, the result cache's own invariant), so the
-/// subscription is skipped without any engine work.
-struct NetServer::Subscription {
-  uint64_t id = 0;
-  std::shared_ptr<Connection> conn;
-  SubscriptionKind kind = SubscriptionKind::kSum;
-  FacilityId facility = 0;  // kind kSum
-  uint32_t k = 0;           // kind kTopK
-  std::vector<uint64_t> last_gens;
-  uint64_t epoch = 0;     // pushes assigned so far (staged OR dropped)
-  bool inflight = false;  // one evaluation outstanding at most
-  bool repeat = false;    // generations advanced while inflight: run again
-};
-
 namespace {
 
 /// Fan-in state of one batched read frame: sub-query i writes its own slot;
@@ -155,6 +137,8 @@ WireStats BuildWireStats(const runtime::MetricsView& m,
 
 /// Hard cap on traces in one stats response, whatever the client asked for.
 constexpr uint32_t kMaxStatsTraces = 64;
+/// Pending-connection queue of the listening socket.
+constexpr int kListenBacklog = 64;
 
 WireWorkerInfo ToWireInfo(const runtime::EngineInfo& info) {
   WireWorkerInfo w;
@@ -206,7 +190,7 @@ Status NetServer::Start() {
     listen_fd_ = -1;
     return st;
   }
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     const Status st = Errno("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -273,11 +257,6 @@ void NetServer::Stop() {
     ::close(fd);
   }
   connections_.clear();
-  {
-    // Standing queries die with their connections.
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    subs_.clear();
-  }
   {
     std::lock_guard<std::mutex> lock(dirty_mu_);
     dirty_.clear();
@@ -525,9 +504,9 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   // queue — once the global backlog crosses the limit, answer in-protocol
   // with kOverloaded instead of queueing more. The frame is still answered
   // (pipelining never stalls) and the connection survives; a well-behaved
-  // client backs off and retries. Inline types (stats, heartbeat, status,
-  // subscribe) cost no pool work and are never shed — so overload stays
-  // observable and subscriptions stay manageable while shedding.
+  // client backs off and retries. Inline types (stats, heartbeat, status)
+  // cost no pool work and are never shed — so overload stays observable
+  // while shedding.
   if ((request.type == MessageType::kSum ||
        request.type == MessageType::kTopK ||
        request.type == MessageType::kBound) &&
@@ -668,32 +647,9 @@ void NetServer::HandleFrame(const std::shared_ptr<Connection>& conn,
           });
       break;
     }
-    case MessageType::kSubscribe: {
-      NetResponse resp;
-      resp.type = MessageType::kSubscribe;
-      if (request.sub_op == 1) {
-        if (RemoveSubscription(conn.get(), request.sub_id)) {
-          resp.sub_id = request.sub_id;
-        } else {
-          resp.status = Status::NotFound(
-              "no subscription " + std::to_string(request.sub_id) +
-              " on this connection");
-        }
-      } else if (request.sub_kind == SubscriptionKind::kSum &&
-                 request.sub_facility >= engine_->info().num_facilities) {
-        resp.status = Status::OutOfRange(
-            "facility " + std::to_string(request.sub_facility) +
-            " beyond the catalog");
-      } else {
-        resp.sub_id = AddSubscription(conn, request);
-      }
-      AnswerInline(conn, std::move(resp), rx_ns);
-      break;
-    }
     case MessageType::kError:
-    case MessageType::kPush:
-      // kPush is server→client only; DecodeRequest already rejected both,
-      // so these arms are unreachable — kept for switch exhaustiveness.
+      // Response-only; DecodeRequest already rejected it, so this arm is
+      // unreachable — kept for switch exhaustiveness.
       FailConnection(conn, MessageType::kError,
                      Status::InvalidArgument("not a request type"));
       break;
@@ -810,10 +766,6 @@ void NetServer::FlushUpdates() {
   }
   const std::vector<uint64_t> generations = engine_->shard_generations();
   const uint64_t version = engine_->snapshot_version();
-  // Standing queries react to the publish before its own responses are
-  // staged or not at all — the generation comparison inside decides, per
-  // subscription, whether this batch could have changed its answer.
-  if (published) NotifySubscriptions(generations);
   size_t id_offset = 0;
   for (size_t i = 0; i < pending.size(); ++i) {
     NetResponse resp;
@@ -946,7 +898,6 @@ void NetServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
     // Whatever was still queued will never be sent: take it off the gauge.
     metrics_->SubNetOutboxBytes(conn->outbox.size() - conn->out_off);
   }
-  DropConnectionSubscriptions(conn.get());
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   connections_.erase(conn->fd);
@@ -1011,197 +962,6 @@ void NetServer::EndWork() {
   queued_work_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(inflight_mu_);
   if (--inflight_ == 0) inflight_cv_.notify_all();
-}
-
-size_t NetServer::active_subscriptions() const {
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  return subs_.size();
-}
-
-uint64_t NetServer::AddSubscription(const std::shared_ptr<Connection>& conn,
-                                    const NetRequest& request) {
-  std::vector<uint64_t> gens = engine_->shard_generations();
-  uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    id = next_sub_id_++;
-    Subscription& sub = subs_[id];
-    sub.id = id;
-    sub.conn = conn;
-    sub.kind = request.sub_kind;
-    sub.facility = request.sub_facility;
-    sub.k = request.sub_k;
-    sub.last_gens = std::move(gens);
-    sub.inflight = true;  // the initial evaluation, dispatched below
-  }
-  metrics_->AddSubRegistered();
-  metrics_->AddSubsEvaluated(1);
-  BeginWork(1);
-  DispatchSubEval(id, request.sub_kind, request.sub_facility, request.sub_k,
-                  conn);
-  return id;
-}
-
-bool NetServer::RemoveSubscription(const Connection* conn, uint64_t sub_id) {
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  auto it = subs_.find(sub_id);
-  if (it == subs_.end() || it->second.conn.get() != conn) return false;
-  // An evaluation still in flight finds the entry gone and drops its push.
-  subs_.erase(it);
-  return true;
-}
-
-void NetServer::DropConnectionSubscriptions(const Connection* conn) {
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  for (auto it = subs_.begin(); it != subs_.end();) {
-    if (it->second.conn.get() == conn) {
-      it = subs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void NetServer::NotifySubscriptions(
-    const std::vector<uint64_t>& generations) {
-  struct Eval {
-    uint64_t id;
-    SubscriptionKind kind;
-    FacilityId facility;
-    uint32_t k;
-    std::shared_ptr<Connection> conn;
-  };
-  std::vector<Eval> evals;
-  uint64_t skipped = 0;
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (auto& [id, sub] : subs_) {
-      if (sub.last_gens == generations) {
-        // No shard this subscription's answer depends on changed — and a
-        // query reads every shard, so unchanged generations mean an
-        // unchanged answer. Skip the evaluation entirely.
-        ++skipped;
-        continue;
-      }
-      if (sub.inflight) {
-        // A publish landed mid-evaluation: coalesce into one follow-up
-        // pass after the current one stages its push.
-        sub.repeat = true;
-        continue;
-      }
-      sub.last_gens = generations;
-      sub.inflight = true;
-      evals.push_back({id, sub.kind, sub.facility, sub.k, sub.conn});
-    }
-  }
-  if (skipped != 0) metrics_->AddSubsSkipped(skipped);
-  if (evals.empty()) return;
-  metrics_->AddSubsEvaluated(evals.size());
-  BeginWork(evals.size());
-  for (Eval& e : evals) {
-    DispatchSubEval(e.id, e.kind, e.facility, e.k, std::move(e.conn));
-  }
-}
-
-void NetServer::DispatchSubEval(uint64_t sub_id, SubscriptionKind kind,
-                                FacilityId facility, uint32_t k,
-                                std::shared_ptr<Connection> conn) {
-  const runtime::QueryRequest query =
-      kind == SubscriptionKind::kSum
-          ? runtime::QueryRequest::ServiceValue(facility)
-          : runtime::QueryRequest::TopK(k);
-  engine_->SubmitAsync(
-      query, nullptr,
-      [this, sub_id, kind, facility, k, conn](runtime::QueryResponse r) {
-        // Assign the epoch first: a push that ends up dropped (slow
-        // consumer at the high watermark) still consumes its number, and
-        // the resulting gap is how the client learns it missed one.
-        uint64_t epoch = 0;
-        bool gone = false;
-        {
-          std::lock_guard<std::mutex> lock(subs_mu_);
-          auto it = subs_.find(sub_id);
-          if (it == subs_.end()) {
-            gone = true;  // unsubscribed / connection closed mid-eval
-          } else {
-            epoch = ++it->second.epoch;
-          }
-        }
-        if (!gone) {
-          NetResponse resp;
-          resp.type = MessageType::kPush;
-          resp.snapshot_version = r.snapshot_version;
-          resp.sub_id = sub_id;
-          resp.push_epoch = epoch;
-          resp.push_kind = kind;
-          if (kind == SubscriptionKind::kSum) {
-            resp.push_sum = SumResult{r.status.code(), r.value};
-          } else {
-            resp.push_topk =
-                RankedResult{r.status.code(), std::move(r.ranked)};
-          }
-          std::string bytes;
-          EncodeResponse(resp, &bytes);
-          if (StagePush(conn, bytes)) metrics_->AddSubPushed();
-        }
-        // Only after the push is staged (or dropped) may a coalesced
-        // follow-up run: one evaluation exists per subscription at a time,
-        // so its pushes reach the outbox in epoch order.
-        bool redispatch = false;
-        if (!gone) {
-          std::vector<uint64_t> gens = engine_->shard_generations();
-          std::lock_guard<std::mutex> lock(subs_mu_);
-          auto it = subs_.find(sub_id);
-          if (it != subs_.end()) {
-            if (it->second.repeat) {
-              it->second.repeat = false;
-              it->second.last_gens = std::move(gens);
-              redispatch = true;  // inflight stays true across the hand-off
-            } else {
-              it->second.inflight = false;
-            }
-          }
-        }
-        if (redispatch) {
-          metrics_->AddSubsEvaluated(1);
-          BeginWork(1);  // before EndWork: inflight_ never dips to zero
-          DispatchSubEval(sub_id, kind, facility, k, std::move(conn));
-        }
-        EndWork();
-      },
-      0);
-}
-
-bool NetServer::StagePush(const std::shared_ptr<Connection>& conn,
-                          const std::string& frame_bytes) {
-  bool stage = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return false;
-    const size_t backlog = conn->outbox.size() - conn->out_off;
-    if (options_.outbox_high_bytes != 0 &&
-        backlog + frame_bytes.size() > options_.outbox_high_bytes) {
-      // A subscriber that stopped reading does not get to grow the outbox
-      // without bound. Read-side pause cannot help here (pushes are not
-      // reads), so the frame is dropped — its epoch was already assigned,
-      // and the gap tells the client to resynchronize.
-      return false;
-    }
-    conn->outbox += frame_bytes;
-    metrics_->AddNetOutboxBytes(frame_bytes.size());
-    if (!conn->dirty) {
-      conn->dirty = true;
-      stage = true;
-    }
-  }
-  if (stage) {
-    {
-      std::lock_guard<std::mutex> lock(dirty_mu_);
-      dirty_.push_back(conn);
-    }
-    WakeLoop();
-  }
-  return true;
 }
 
 }  // namespace tq::net

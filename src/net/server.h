@@ -68,7 +68,6 @@ struct NetServerOptions {
   /// is never parked behind an unreachable threshold or starved by other
   /// connections' traffic.
   size_t update_batch = 1;
-  int listen_backlog = 64;
   /// Per-connection frame-trace sampling: every `trace_sample`-th read
   /// frame (the first included) gets a TraceContext threaded through its
   /// sub-queries and lands in the engine's recent-trace ring. 0 disables
@@ -83,21 +82,19 @@ struct NetServerOptions {
   /// `outbox_low_bytes` — so a client that pipelines requests without ever
   /// reading responses caps the server's per-connection memory at roughly
   /// high + one read buffer of responses instead of growing without bound.
-  /// Subscription pushes to a connection at/above the high watermark are
-  /// DROPPED (the epoch still advances, so the client detects the gap).
-  /// 0 disables pausing (and push dropping) entirely.
+  /// 0 disables pausing entirely.
   size_t outbox_high_bytes = 4u << 20;
   size_t outbox_low_bytes = 1u << 20;
   /// Admission control: when more than this many engine sub-queries are
   /// queued or running on behalf of the whole server, new kSum/kTopK/kBound
   /// frames are answered immediately with StatusCode::kOverloaded instead
   /// of being dispatched (`net_shed` counts them). Already-dispatched work
-  /// and inline frame types (stats, heartbeat, subscribe, update) are never
-  /// shed. 0 disables admission control.
+  /// and inline frame types (stats, register, heartbeat, status) and
+  /// updates are never shed. 0 disables admission control.
   size_t max_queued = 0;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel's autotuned
   /// default. Setting it pins the kernel-side buffering per connection,
-  /// which makes the watermark/drop behavior above deterministic — the
+  /// which makes the watermark/pause behavior above deterministic — the
   /// backpressure tests rely on that; production normally leaves it 0.
   int sndbuf_bytes = 0;
 };
@@ -131,14 +128,9 @@ class NetServer {
   /// The actually-bound port (resolves port 0 requests after Start()).
   uint16_t port() const { return port_; }
 
-  /// Standing queries currently registered (all connections). Test/monitor
-  /// helper; the subs_* metrics carry the cumulative story.
-  size_t active_subscriptions() const;
-
  private:
   struct Connection;
   struct PendingUpdate;
-  struct Subscription;
 
   void EventLoop();
   void Accept();
@@ -191,7 +183,7 @@ class NetServer {
   void FailConnection(const std::shared_ptr<Connection>& conn,
                       MessageType type, Status status);
   /// Answers one frame inline on the loop thread (stats, register, errors,
-  /// shed responses, subscribe acks): encodes and completes the next slot.
+  /// shed responses): encodes and completes the next slot.
   void AnswerInline(const std::shared_ptr<Connection>& conn,
                     NetResponse&& resp, uint64_t rx_ns);
   /// Applies the backpressure watermarks to a connection's current backlog
@@ -204,32 +196,6 @@ class NetServer {
            queued_work_.load(std::memory_order_relaxed) >=
                options_.max_queued;
   }
-  /// Registers a standing query for `conn` and dispatches its initial
-  /// evaluation. Returns the assigned subscription id.
-  uint64_t AddSubscription(const std::shared_ptr<Connection>& conn,
-                           const NetRequest& request);
-  /// Removes one subscription if it exists AND belongs to `conn`.
-  bool RemoveSubscription(const Connection* conn, uint64_t sub_id);
-  /// Drops every subscription registered by a closing connection.
-  void DropConnectionSubscriptions(const Connection* conn);
-  /// Publish hook: walks the registry, skips subscriptions whose recorded
-  /// generation vector already matches `generations`, and re-evaluates the
-  /// rest (at most one in-flight evaluation per subscription; publishes
-  /// landing mid-evaluation coalesce into one follow-up pass).
-  void NotifySubscriptions(const std::vector<uint64_t>& generations);
-  /// Dispatches one subscription evaluation onto the engine pool. Caller
-  /// must have marked the subscription in-flight under subs_mu_ and counted
-  /// it via BeginWork().
-  void DispatchSubEval(uint64_t sub_id, SubscriptionKind kind,
-                       FacilityId facility, uint32_t k,
-                       std::shared_ptr<Connection> conn);
-  /// Appends one already-encoded unsolicited frame to a connection's outbox
-  /// (any thread), bypassing the request FIFO — frames are atomic units, so
-  /// a push can ride between two solicited responses but never inside one.
-  /// Returns false (frame dropped) when the connection is closed or its
-  /// backlog would cross the high watermark.
-  bool StagePush(const std::shared_ptr<Connection>& conn,
-                 const std::string& frame_bytes);
   /// In-flight work accounting shared by every dispatched engine call:
   /// Stop() waits on it, and admission control reads the atomic mirror.
   void BeginWork(size_t n);
@@ -279,14 +245,6 @@ class NetServer {
   /// Relaxed mirror of inflight_ for the admission-control fast path (the
   /// loop thread must not contend on inflight_mu_ per frame).
   std::atomic<size_t> queued_work_{0};
-
-  // Standing-query registry. Mutated by the loop thread (subscribe /
-  // unsubscribe / publish notification / connection close) and by
-  // evaluation completions on pool threads (epoch assignment, coalesced
-  // redispatch) — guarded by subs_mu_, never held across a blocking call.
-  mutable std::mutex subs_mu_;
-  std::unordered_map<uint64_t, Subscription> subs_;
-  uint64_t next_sub_id_ = 1;
 };
 
 }  // namespace tq::net

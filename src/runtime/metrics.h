@@ -63,11 +63,6 @@ namespace tq::runtime {
 //                            connection's outbox crossed the high watermark,
 //                            and bytes currently staged in outboxes
 //                            (a gauge: Add/Sub, not monotone)
-//   subs_*                   standing-query accounting (src/net/server.h):
-//                            subscriptions registered over their lifetime,
-//                            per-publish re-evaluations actually run vs.
-//                            skipped because no subscribed shard's
-//                            generation changed, and kPush frames staged
 //   coord_*/heartbeats_sent/worker_failures
 //                            coordinator accounting (runtime/remote_shard_set):
 //                            worker RPCs issued, queries answered from fewer
@@ -113,10 +108,6 @@ namespace tq::runtime {
   X(net_shed)                  \
   X(net_paused_connections)    \
   X(net_outbox_bytes)          \
-  X(subs_registered)           \
-  X(subs_evaluated)            \
-  X(subs_skipped)              \
-  X(subs_pushed)               \
   X(coord_rpcs)                \
   X(coord_partial)             \
   X(heartbeats_sent)           \
@@ -263,18 +254,6 @@ class MetricsRegistry {
   void SubNetOutboxBytes(uint64_t n) {
     if (n) net_outbox_bytes_.fetch_sub(n, std::memory_order_relaxed);
   }
-
-  /// Standing-query accounting (bumped by net::NetServer only).
-  void AddSubRegistered() {
-    subs_registered_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddSubsEvaluated(uint64_t n) {
-    if (n) subs_evaluated_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddSubsSkipped(uint64_t n) {
-    if (n) subs_skipped_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddSubPushed() { subs_pushed_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Multi-process accounting: partial answers (runtime::Coordinator; only
   /// a remote transport ever loses a participant), RPCs, heartbeats and

@@ -356,8 +356,7 @@ void RemoteShardSet::RunQueryWave(const CoordinatedQueryPtr& query,
         if (!resp.status.ok()) return resp.status;
         ParticipantAnswer& answer = query->answers[w];
         if (bound) {
-          // Bounds only: a settled list (bound_exacts) is ignored — every
-          // bound already dominates its exact value.
+          // Bounds only: every bound already dominates its exact value.
           if (resp.bounds.size() != num_fac) {
             return Status::Internal("bound sweep facility-count mismatch");
           }

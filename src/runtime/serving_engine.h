@@ -132,11 +132,11 @@ class ServingEngine {
   /// The serving ψ, fixed for the engine's lifetime.
   virtual double psi() const = 0;
   virtual uint64_t snapshot_version() const = 0;
-  /// Per-shard publish generations, shard order (kUpdate responses, and
-  /// the net server's standing-query affect detector). Contract: a shard's
-  /// generation changes iff a publish modified that shard's contents, so
-  /// an unchanged generation vector guarantees every query answer is
-  /// unchanged — the basis for skipping subscription re-evaluations.
+  /// Per-shard publish generations, shard order (kUpdate responses).
+  /// Contract: a shard's generation changes iff a publish modified that
+  /// shard's contents, so an unchanged generation vector guarantees every
+  /// query answer is unchanged — the result cache keys on it, which is why
+  /// a client re-reading after a no-op publish is served from the cache.
   virtual std::vector<uint64_t> shard_generations() const = 0;
   virtual EngineInfo info() const = 0;
   /// Liveness table for kStatus frames; empty unless this is a coordinator.

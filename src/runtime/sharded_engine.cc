@@ -688,7 +688,7 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
     state->shard = static_cast<uint32_t>(s);
     // Generation advances ONLY for republished shards (this loop skips
     // untouched ones entirely) — the shard_generations() contract that
-    // both the result cache and standing-query skipping rely on.
+    // the result cache relies on.
     state->generation = next->version;
     state->tree = std::move(tree);
     state->eval =

@@ -251,7 +251,6 @@ TEST(Distributed, ZeroBoundSlotsAreNeverRefined) {
     NetResponse bound;
     ASSERT_TRUE(client.Bound(kK, &bound).ok());
     ASSERT_EQ(bound.bounds.size(), num_fac);
-    EXPECT_TRUE(bound.bound_exacts.empty());  // the sweep settles nothing
     bounds[w] = bound.bounds;
     NetResponse sums;
     ASSERT_TRUE(client.Sum(all, &sums).ok());
@@ -603,14 +602,12 @@ TEST(DistributedProtocol, StatusAndBoundResponsesRoundTrip) {
   bound.type = MessageType::kBound;
   bound.snapshot_version = 3;
   bound.bounds = {1.5, 0.0, 2.25};
-  bound.bound_exacts = {{1, 0.0}, {2, 2.0}};
   wire.clear();
   EncodeResponse(bound, &wire);
   ASSERT_TRUE(
       DecodeResponse(wire.substr(net::kFrameHeaderBytes), &decoded).ok());
   EXPECT_EQ(decoded.type, MessageType::kBound);
   EXPECT_EQ(decoded.bounds, bound.bounds);
-  EXPECT_EQ(decoded.bound_exacts, bound.bound_exacts);
 }
 
 // A live worker answers kRegister / kHeartbeat / kBound / kStatus frames
@@ -640,11 +637,6 @@ TEST(DistributedProtocol, WorkerServesIdentityFrames) {
   ASSERT_TRUE(client.Bound(3, &bound).ok());
   ASSERT_TRUE(bound.status.ok());
   ASSERT_EQ(bound.bounds.size(), fac.size());
-  // Every settled exact must respect its own bound.
-  for (const auto& [f, exact] : bound.bound_exacts) {
-    ASSERT_LT(f, fac.size());
-    EXPECT_LE(exact, bound.bounds[f]);
-  }
 
   NetResponse status;
   ASSERT_TRUE(client.ClusterStatus(&status).ok());

@@ -1,6 +1,5 @@
 // Adversarial-client tests for the net front-end's production hardening
-// (src/net/): backpressure watermarks, admission-control load shedding, and
-// standing subscription queries.
+// (src/net/): backpressure watermarks and admission-control load shedding.
 //
 //   * A pipelining client that NEVER reads must not grow server memory
 //     without bound: the per-connection outbox gauge stays bounded while
@@ -12,13 +11,9 @@
 //   * Overload sheds with an IN-PROTOCOL kOverloaded answer (net_shed),
 //     never an OOM, a hang, or a dropped frame — and the stats frame stays
 //     answerable throughout, so overload is observable.
-//   * Standing queries push results bit-identical to re-issuing the same
-//     query fresh; publishes that change nothing push nothing (only
-//     subs_skipped moves); slow consumers lose pushes but never ordering —
-//     the per-subscription epoch sequence exposes every gap.
 //
 // Run under -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to check the
-// loop-thread / pool-callback / subscription-registry handoffs; CI does,
+// loop-thread / pool-callback handoffs; CI does,
 // and under ASan via the ctest sweep.
 #include <gtest/gtest.h>
 
@@ -32,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,7 +60,7 @@ ShardedEngineOptions EngineOptions(size_t shards, size_t cache = 2048,
   so.num_threads = threads;
   so.cache_capacity = cache;
   so.tree.beta = 16;
-  // Integer-valued model: pushed and fresh answers must match bit for bit.
+  // Integer-valued model: every answer is exact, so comparisons are bitwise.
   so.tree.model = ServiceModel::PointCount(200.0, Normalization::kNone);
   return so;
 }
@@ -364,332 +358,6 @@ TEST(NetBackpressure, OverloadShedsWithInProtocolAnswers) {
     if (name == "net_shed") scraped_shed = value;
   }
   EXPECT_EQ(scraped_shed, shed);
-  server.Stop();
-}
-
-// ------------------------------------------------- standing subscriptions
-
-// THE subscription acceptance check: random publish batches against a mix
-// of standing sum and top-k queries; once quiesced, each subscription's
-// latest push must equal re-issuing the same query fresh, BIT for BIT, and
-// no epoch gaps appear at default watermarks.
-TEST(NetBackpressure, SubscriptionPushesMatchFreshQueriesBitIdentically) {
-  const TrajectorySet users = presets::NyfCheckins(1000);
-  const TrajectorySet routes = presets::NyBusRoutes(10, 8);
-  ShardedEngine engine(users, routes, EngineOptions(4));
-  NetServer server(&engine, NetServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-
-  NetClient sub;
-  ASSERT_TRUE(sub.Connect("127.0.0.1", server.port()).ok());
-  struct Standing {
-    net::SubscriptionKind kind;
-    FacilityId facility;
-    uint32_t k;
-  };
-  std::map<uint64_t, Standing> standing;
-  NetResponse response;
-  for (FacilityId f = 0; f < 5; ++f) {
-    ASSERT_TRUE(sub.SubscribeSum(f, &response).ok());
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    standing[response.sub_id] = {net::SubscriptionKind::kSum, f, 0};
-  }
-  for (const uint32_t k : {3u, 8u}) {
-    ASSERT_TRUE(sub.SubscribeTopK(k, &response).ok());
-    ASSERT_TRUE(response.status.ok());
-    standing[response.sub_id] = {net::SubscriptionKind::kTopK, 0, k};
-  }
-  ASSERT_EQ(standing.size(), 7u);
-  EXPECT_EQ(server.active_subscriptions(), 7u);
-
-  // Random churn through a second connection: inserts from the preset pool
-  // plus removes of previously assigned ids.
-  NetClient publisher;
-  ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
-  Rng rng(1234);
-  std::vector<uint32_t> live_ids;
-  for (int round = 0; round < 12; ++round) {
-    std::vector<std::vector<Point>> inserts;
-    const size_t n_ins = 1 + rng.NextBelow(3);
-    for (size_t i = 0; i < n_ins; ++i) {
-      const auto pts =
-          users.points(static_cast<uint32_t>(rng.NextBelow(users.size())));
-      inserts.emplace_back(pts.begin(), pts.end());
-    }
-    std::vector<uint32_t> removes;
-    if (!live_ids.empty() && rng.NextBelow(2) == 0) {
-      removes.push_back(live_ids.back());
-      live_ids.pop_back();
-    }
-    ASSERT_TRUE(publisher.Update(inserts, removes, &response).ok());
-    ASSERT_TRUE(response.status.ok());
-    for (const uint32_t id : response.assigned_ids) live_ids.push_back(id);
-  }
-
-  // Quiesce: evaluations and pushes stop moving once the last publish's
-  // coalesced re-evaluations settle.
-  uint64_t evaluated = 0, pushed = 0;
-  ASSERT_TRUE(WaitFor([&] {
-    const MetricsView m = engine.metrics().Read();
-    const bool stable =
-        m.subs_evaluated == evaluated && m.subs_pushed == pushed;
-    evaluated = m.subs_evaluated;
-    pushed = m.subs_pushed;
-    return stable && pushed != 0;
-  }));
-
-  // Drain every push; remember the latest per subscription.
-  sub.set_timeout_ms(300);
-  std::map<uint64_t, NetResponse> latest;
-  size_t received = 0;
-  NetResponse push;
-  while (sub.ReceivePush(&push).ok()) {
-    ASSERT_EQ(push.type, MessageType::kPush);
-    ASSERT_EQ(standing.count(push.sub_id), 1u) << "push for unknown sub";
-    ++received;
-    latest[push.sub_id] = push;
-  }
-  EXPECT_EQ(received, engine.metrics().Read().subs_pushed);
-  EXPECT_EQ(sub.push_gaps(), 0u) << "dropped pushes at default watermarks";
-  ASSERT_EQ(latest.size(), standing.size()) << "a subscription never pushed";
-
-  // Bit-identity: the latest push equals the same query issued fresh.
-  sub.set_timeout_ms(5000);
-  for (const auto& [id, spec] : standing) {
-    const NetResponse& last = latest[id];
-    EXPECT_EQ(last.push_epoch, sub.last_push_epoch(id));
-    if (spec.kind == net::SubscriptionKind::kSum) {
-      ASSERT_TRUE(sub.Sum({spec.facility}, &response).ok());
-      ASSERT_TRUE(response.status.ok());
-      ASSERT_EQ(last.push_sum.code, StatusCode::kOk);
-      EXPECT_EQ(last.push_sum.value, response.sums[0].value)
-          << "sum sub " << id << " facility " << spec.facility;
-    } else {
-      ASSERT_TRUE(sub.TopK({spec.k}, &response).ok());
-      ASSERT_TRUE(response.status.ok());
-      ASSERT_EQ(last.push_topk.code, StatusCode::kOk);
-      const auto& want = response.topks[0].ranked;
-      ASSERT_EQ(last.push_topk.ranked.size(), want.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(last.push_topk.ranked[i].id, want[i].id);
-        EXPECT_EQ(last.push_topk.ranked[i].value, want[i].value);
-      }
-    }
-  }
-  EXPECT_EQ(engine.metrics().Read().subs_registered, 7u);
-  server.Stop();
-}
-
-// A publish whose batch changes no shard (removes of unknown ids, or an
-// empty batch) must re-evaluate NOTHING: only subs_skipped moves, no push
-// appears. This is the generation-vector affect check doing its job.
-TEST(NetBackpressure, NoOpPublishSkipsEverySubscription) {
-  const TrajectorySet users = presets::NyfCheckins(600);
-  const TrajectorySet routes = presets::NyBusRoutes(6, 8);
-  ShardedEngine engine(users, routes, EngineOptions(2));
-  NetServer server(&engine, NetServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  NetClient sub;
-  ASSERT_TRUE(sub.Connect("127.0.0.1", server.port()).ok());
-  NetResponse response;
-  for (FacilityId f = 0; f < 3; ++f) {
-    ASSERT_TRUE(sub.SubscribeSum(f, &response).ok());
-    ASSERT_TRUE(response.status.ok());
-  }
-  // Let the three initial evaluations land before snapshotting counters.
-  ASSERT_TRUE(
-      WaitFor([&] { return engine.metrics().Read().subs_pushed == 3; }));
-  const MetricsView before = engine.metrics().Read();
-  EXPECT_EQ(before.subs_evaluated, 3u);
-
-  // Remove an id that does not exist: the publish runs, no shard changes.
-  NetClient publisher;
-  ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(publisher.Update({}, {1000000}, &response).ok());
-  ASSERT_TRUE(response.status.ok());
-  // The skip accounting happens before the update ack is staged, so it is
-  // already visible here.
-  MetricsView after = engine.metrics().Read();
-  EXPECT_EQ(after.subs_skipped, before.subs_skipped + 3);
-  EXPECT_EQ(after.subs_evaluated, before.subs_evaluated);
-  EXPECT_EQ(after.subs_pushed, before.subs_pushed);
-
-  // And stays that way: no delayed evaluation sneaks in.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  after = engine.metrics().Read();
-  EXPECT_EQ(after.subs_evaluated, before.subs_evaluated);
-  EXPECT_EQ(after.subs_pushed, before.subs_pushed);
-
-  // An entirely empty batch is not even a publish: nothing moves at all.
-  ASSERT_TRUE(publisher.Update({}, {}, &response).ok());
-  ASSERT_TRUE(response.status.ok());
-  EXPECT_EQ(engine.metrics().Read().subs_skipped, after.subs_skipped);
-
-  // A real insert after all this still reaches every subscription.
-  const auto pts = users.points(0);
-  ASSERT_TRUE(publisher
-                  .Update({std::vector<Point>(pts.begin(), pts.end())}, {},
-                          &response)
-                  .ok());
-  ASSERT_TRUE(
-      WaitFor([&] { return engine.metrics().Read().subs_pushed >= 6; }));
-  server.Stop();
-}
-
-// Slow consumer: a subscriber that stops reading loses pushes once its
-// outbox backlog hits the high watermark — but every lost push burns its
-// epoch number, so the next delivered push exposes the gap. (Read-side
-// pause cannot protect a push-based stream; the epoch tag is the client's
-// resynchronization signal.)
-TEST(NetBackpressure, DroppedPushesLeaveDetectableEpochGaps) {
-  const TrajectorySet users = presets::NyfCheckins(800);
-  const TrajectorySet routes = presets::NyBusRoutes(128, 6);
-  ShardedEngine engine(users, routes, EngineOptions(2));
-  NetServerOptions options;
-  options.outbox_high_bytes = 8u << 10;  // pushes ≈1.6 KiB: drops come fast
-  options.outbox_low_bytes = 2u << 10;
-  // Pin the kernel-side buffer: with an autotuned SO_SNDBUF the kernel
-  // happily absorbs this whole test's push volume and the app backlog
-  // never reaches the watermark.
-  options.sndbuf_bytes = 4 << 10;
-  NetServer server(&engine, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  // Raw subscriber with a tiny receive window that never reads.
-  const int fd = RawConnect(server.port(), /*rcvbuf_bytes=*/4 << 10);
-  ASSERT_GE(fd, 0);
-  std::string wire;
-  EncodeRequest(NetRequest::SubscribeTopK(128), &wire);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
-  ASSERT_TRUE(
-      WaitFor([&] { return engine.metrics().Read().subs_evaluated == 1; }));
-
-  // Serialized publishes: wait out each evaluation so nothing coalesces —
-  // every publish then consumes exactly one epoch (pushed or dropped).
-  NetClient publisher;
-  ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
-  constexpr uint64_t kPublishes = 120;
-  NetResponse response;
-  for (uint64_t i = 1; i <= kPublishes; ++i) {
-    const auto pts =
-        users.points(static_cast<uint32_t>(i % users.size()));
-    ASSERT_TRUE(publisher
-                    .Update({std::vector<Point>(pts.begin(), pts.end())},
-                            {}, &response)
-                    .ok());
-    ASSERT_TRUE(response.status.ok());
-    ASSERT_TRUE(WaitFor([&] {
-      return engine.metrics().Read().subs_evaluated == 1 + i;
-    })) << "publish " << i;
-  }
-  // Far more epochs were assigned than pushes staged: drops happened.
-  const MetricsView mid = engine.metrics().Read();
-  ASSERT_EQ(mid.subs_evaluated, 1 + kPublishes);
-  ASSERT_LT(mid.subs_pushed, mid.subs_evaluated)
-      << "no push was ever dropped — shrink the watermark";
-
-  // Drain what was delivered. Drops interleave with deliveries (the kernel
-  // buffer keeps draining bytes between publishes), so the received epochs
-  // are strictly increasing but NOT contiguous — exactly what a client
-  // resynchronizing from push_epoch would see.
-  std::vector<NetResponse> frames = ReadFrames(
-      fd, /*want=*/static_cast<size_t>(kPublishes) + 2, /*timeout_ms=*/500);
-  uint64_t last_epoch = 0;
-  size_t pushes_seen = 0, gaps = 0;
-  for (const NetResponse& r : frames) {
-    if (r.type != MessageType::kPush) {
-      EXPECT_EQ(r.type, MessageType::kSubscribe);  // the subscribe ack
-      continue;
-    }
-    ++pushes_seen;
-    EXPECT_GT(r.push_epoch, last_epoch) << "pushes out of order";
-    if (r.push_epoch != last_epoch + 1) ++gaps;  // the client's gap rule
-    last_epoch = r.push_epoch;
-  }
-  ASSERT_GE(pushes_seen, 1u);
-  EXPECT_LT(pushes_seen, static_cast<size_t>(1 + kPublishes))
-      << "every assigned epoch was delivered — nothing dropped";
-
-  // One more publish now that the backlog is drained: its push delivers
-  // with the next fresh epoch. Whether the drops interleaved with the
-  // drained stream or truncated its tail, fewer epochs arrived than were
-  // assigned, so somewhere — possibly only at this final push — the
-  // sequence must jump: the client-visible gap.
-  const auto pts = users.points(7);
-  ASSERT_TRUE(publisher
-                  .Update({std::vector<Point>(pts.begin(), pts.end())}, {},
-                          &response)
-                  .ok());
-  const std::vector<NetResponse> tail =
-      ReadFrames(fd, /*want=*/1, /*timeout_ms=*/5000);
-  ASSERT_EQ(tail.size(), 1u);
-  ASSERT_EQ(tail[0].type, MessageType::kPush);
-  EXPECT_EQ(tail[0].push_epoch, 2 + kPublishes);
-  if (tail[0].push_epoch != last_epoch + 1) ++gaps;
-  EXPECT_GE(gaps, 1u) << "drops left no visible epoch gap";
-  ::close(fd);
-  server.Stop();
-}
-
-// Subscription lifecycle accounting: per-connection ownership of ids,
-// NotFound on double/foreign unsubscribe, and close-of-connection reaping
-// every registration.
-TEST(NetBackpressure, UnsubscribeAndConnectionCloseReapSubscriptions) {
-  const TrajectorySet users = presets::NyfCheckins(400);
-  const TrajectorySet routes = presets::NyBusRoutes(6, 8);
-  ShardedEngine engine(users, routes, EngineOptions(2));
-  NetServer server(&engine, NetServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-
-  NetClient a;
-  ASSERT_TRUE(a.Connect("127.0.0.1", server.port()).ok());
-  NetResponse response;
-  std::vector<uint64_t> ids;
-  for (FacilityId f = 0; f < 3; ++f) {
-    ASSERT_TRUE(a.SubscribeSum(f, &response).ok());
-    ASSERT_TRUE(response.status.ok());
-    ids.push_back(response.sub_id);
-  }
-  EXPECT_EQ(server.active_subscriptions(), 3u);
-  // Out-of-catalog facility: rejected in-protocol, nothing registered.
-  ASSERT_TRUE(a.SubscribeSum(9999, &response).ok());
-  EXPECT_EQ(response.status.code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(server.active_subscriptions(), 3u);
-
-  ASSERT_TRUE(a.Unsubscribe(ids[1], &response).ok());
-  ASSERT_TRUE(response.status.ok());
-  EXPECT_EQ(response.sub_id, ids[1]);
-  EXPECT_EQ(server.active_subscriptions(), 2u);
-  // Double unsubscribe: NotFound, connection survives.
-  ASSERT_TRUE(a.Unsubscribe(ids[1], &response).ok());
-  EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
-
-  // Another connection cannot unsubscribe A's standing queries.
-  NetClient b;
-  ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(b.Unsubscribe(ids[0], &response).ok());
-  EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(server.active_subscriptions(), 2u);
-
-  // Closing the owning connection reaps the rest.
-  a.Close();
-  ASSERT_TRUE(WaitFor([&] { return server.active_subscriptions() == 0; }));
-
-  // Publishes after the reap evaluate nothing and push nothing.
-  const MetricsView before = engine.metrics().Read();
-  const auto pts = users.points(0);
-  ASSERT_TRUE(b.Update({std::vector<Point>(pts.begin(), pts.end())}, {},
-                       &response)
-                  .ok());
-  ASSERT_TRUE(response.status.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const MetricsView after = engine.metrics().Read();
-  EXPECT_EQ(after.subs_evaluated, before.subs_evaluated);
-  EXPECT_EQ(after.subs_skipped, before.subs_skipped);
-  EXPECT_EQ(after.subs_pushed, before.subs_pushed);
-  ASSERT_TRUE(b.Sum({0}, &response).ok());
-  EXPECT_TRUE(response.status.ok());
   server.Stop();
 }
 

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +54,43 @@ ShardedEngineOptions EngineOptions(size_t shards, size_t cache = 2048) {
 }
 
 // ------------------------------------------------------------- protocol
+
+// Little-endian writers for hand-built payloads, independent of the codec.
+void PutLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+void PutLeF64(std::string* out, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  PutLe(out, bits, 8);
+}
+
+// A request payload of type 9 — retired; it once carried a standing-query
+// registration (op 0, kind 1, k = 8) — which must now decode as unknown.
+std::string RetiredRequestPayload() {
+  std::string p;
+  PutLe(&p, net::kProtocolVersion, 1);
+  PutLe(&p, 9, 1);
+  PutLeF64(&p, 0.0);  // ψ
+  PutLe(&p, 0, 1);
+  PutLe(&p, 1, 1);
+  PutLe(&p, 8, 4);
+  return p;
+}
+
+// The common head of an OK response payload: version, type, status 0, an
+// empty message and the snapshot version.
+std::string OkResponseHead(uint8_t type, uint64_t snapshot_version) {
+  std::string p;
+  PutLe(&p, net::kProtocolVersion, 1);
+  PutLe(&p, type, 1);
+  PutLe(&p, 0, 1);
+  PutLe(&p, 0, 4);
+  PutLe(&p, snapshot_version, 8);
+  return p;
+}
 
 TEST(NetProtocol, RequestRoundTripsAllTypes) {
   for (const NetRequest& original :
@@ -114,12 +152,59 @@ TEST(NetProtocol, ResponseRoundTripsValuesAndErrors) {
   ASSERT_TRUE(DecodeResponse(payload, &decoded).ok());
   EXPECT_EQ(decoded.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(decoded.status.message(), "bad things");
+
+  // kBound keeps its settled (u32 id, f64 value) list slot: the encoder
+  // writes a zero count, and a decoder skips a peer's non-empty list.
+  NetResponse bound;
+  bound.type = MessageType::kBound;
+  bound.snapshot_version = 7;
+  bound.bounds = {1.5, 0.0, 2.25};
+  wire.clear();
+  EncodeResponse(bound, &wire);
+  std::string bounds_only =
+      OkResponseHead(static_cast<uint8_t>(MessageType::kBound), 7);
+  PutLe(&bounds_only, 3, 4);
+  for (const double b : bound.bounds) PutLeF64(&bounds_only, b);
+  EXPECT_EQ(wire.substr(net::kFrameHeaderBytes),
+            bounds_only + std::string(4, '\0'));  // zero settled count
+  // Two settled pairs follow, under a count of `count`.
+  const auto with_settled = [&bounds_only](uint32_t count) {
+    std::string p = bounds_only;
+    PutLe(&p, count, 4);
+    PutLe(&p, 1, 4);
+    PutLeF64(&p, 0.0);
+    PutLe(&p, 2, 4);
+    PutLeF64(&p, 2.0);
+    return p;
+  };
+  NetResponse from_peer;
+  ASSERT_TRUE(DecodeResponse(with_settled(2), &from_peer).ok());
+  EXPECT_EQ(from_peer.type, MessageType::kBound);
+  EXPECT_EQ(from_peer.snapshot_version, 7u);
+  EXPECT_EQ(from_peer.bounds, bound.bounds);
+  // A settled count running past the payload is truncation.
+  const Status st = DecodeResponse(with_settled(3), &from_peer);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("truncated bound response"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(NetProtocol, DecodeRejectsGarbageAndTruncation) {
   NetRequest out;
   EXPECT_FALSE(DecodeRequest("", &out).ok());
   EXPECT_FALSE(DecodeRequest("garbage bytes here", &out).ok());
+  // Types 9 and 10 are retired: unknown in both directions.
+  EXPECT_EQ(DecodeRequest(RetiredRequestPayload(), &out).code(),
+            StatusCode::kInvalidArgument);
+  {
+    std::string retired_push = OkResponseHead(10, 3);
+    PutLe(&retired_push, 7, 8);  // what was a subscription id
+    NetResponse decoded;
+    const Status st = DecodeResponse(retired_push, &decoded);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("unknown response type"), std::string::npos)
+        << st.ToString();
+  }
   // An empty insert trajectory violates the library invariant the shard
   // router depends on — it must die at decode, never reach the engine.
   {
@@ -141,130 +226,21 @@ TEST(NetProtocol, DecodeRejectsGarbageAndTruncation) {
   EXPECT_TRUE(DecodeRequest(payload, &out).ok());
 }
 
-TEST(NetProtocol, SubscribeRoundTripsBothOps) {
-  for (const NetRequest& original :
-       {NetRequest::SubscribeSum(17), NetRequest::SubscribeTopK(8),
-        NetRequest::Unsubscribe(0xDEADBEEFCAFEULL)}) {
-    std::string wire;
-    EncodeRequest(original, &wire);
-    NetRequest decoded;
-    const Status st =
-        DecodeRequest(wire.substr(net::kFrameHeaderBytes), &decoded);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(decoded.type, MessageType::kSubscribe);
-    EXPECT_EQ(decoded.sub_op, original.sub_op);
-    EXPECT_EQ(decoded.sub_kind, original.sub_kind);
-    EXPECT_EQ(decoded.sub_facility, original.sub_facility);
-    EXPECT_EQ(decoded.sub_k, original.sub_k);
-    EXPECT_EQ(decoded.sub_id, original.sub_id);
-  }
-  // Both op bodies, truncated at every byte: fail, never crash/over-read.
-  for (const NetRequest& original :
-       {NetRequest::SubscribeTopK(8), NetRequest::Unsubscribe(12345)}) {
-    std::string wire;
-    EncodeRequest(original, &wire);
-    const std::string payload = wire.substr(net::kFrameHeaderBytes);
-    NetRequest out;
-    for (size_t len = 0; len < payload.size(); ++len) {
-      EXPECT_FALSE(DecodeRequest(payload.substr(0, len), &out).ok())
-          << "truncation at " << len << " decoded";
-    }
-    EXPECT_TRUE(DecodeRequest(payload, &out).ok());
-  }
-  // An out-of-range op byte is rejected.
-  {
-    NetRequest bogus = NetRequest::Unsubscribe(1);
-    bogus.sub_op = 2;
-    std::string wire;
-    EncodeRequest(bogus, &wire);
-    NetRequest out;
-    EXPECT_FALSE(
-        DecodeRequest(wire.substr(net::kFrameHeaderBytes), &out).ok());
-  }
-}
-
-TEST(NetProtocol, PushAndOverloadedResponsesRoundTrip) {
-  // A kTopK push with real payload.
-  NetResponse push;
-  push.type = MessageType::kPush;
-  push.snapshot_version = 9;
-  push.sub_id = 0x1122334455667788ULL;
-  push.push_epoch = 41;
-  push.push_kind = net::SubscriptionKind::kTopK;
-  push.push_topk.ranked = {{5, 12.0}, {1, 12.0}, {0, 3.5}};
-  std::string wire;
-  EncodeResponse(push, &wire);
-  {
-    NetResponse decoded;
-    ASSERT_TRUE(
-        DecodeResponse(wire.substr(net::kFrameHeaderBytes), &decoded).ok());
-    EXPECT_EQ(decoded.type, MessageType::kPush);
-    EXPECT_TRUE(decoded.status.ok());
-    EXPECT_EQ(decoded.sub_id, push.sub_id);
-    EXPECT_EQ(decoded.push_epoch, 41u);
-    EXPECT_EQ(decoded.push_kind, net::SubscriptionKind::kTopK);
-    ASSERT_EQ(decoded.push_topk.ranked.size(), 3u);
-    EXPECT_EQ(decoded.push_topk.ranked[2].id, 0u);
-    EXPECT_EQ(decoded.push_topk.ranked[2].value, 3.5);
-  }
-  // Truncated anywhere, the push body must fail to decode.
-  {
-    const std::string payload = wire.substr(net::kFrameHeaderBytes);
-    NetResponse out;
-    for (size_t len = 0; len < payload.size(); ++len) {
-      EXPECT_FALSE(DecodeResponse(payload.substr(0, len), &out).ok())
-          << "truncation at " << len << " decoded";
-    }
-  }
-  // Same for a kSum push.
-  NetResponse sum_push;
-  sum_push.type = MessageType::kPush;
-  sum_push.sub_id = 7;
-  sum_push.push_epoch = 1;
-  sum_push.push_kind = net::SubscriptionKind::kSum;
-  sum_push.push_sum = {StatusCode::kOk, 123.0};
-  wire.clear();
-  EncodeResponse(sum_push, &wire);
-  {
-    const std::string payload = wire.substr(net::kFrameHeaderBytes);
-    NetResponse out;
-    ASSERT_TRUE(DecodeResponse(payload, &out).ok());
-    EXPECT_EQ(out.push_sum.code, StatusCode::kOk);
-    EXPECT_EQ(out.push_sum.value, 123.0);
-    for (size_t len = 0; len < payload.size(); ++len) {
-      EXPECT_FALSE(DecodeResponse(payload.substr(0, len), &out).ok());
-    }
-  }
+TEST(NetProtocol, OverloadedResponseRoundTrips) {
   // The kOverloaded status code survives the wire with its message — the
   // shed answer must be recognizable in-protocol, not a generic error.
   NetResponse shed;
   shed.type = MessageType::kTopK;
   shed.status = Status::Overloaded("134 queries queued (max 128)");
-  wire.clear();
+  std::string wire;
   EncodeResponse(shed, &wire);
-  {
-    NetResponse decoded;
-    ASSERT_TRUE(
-        DecodeResponse(wire.substr(net::kFrameHeaderBytes), &decoded).ok());
-    EXPECT_EQ(decoded.type, MessageType::kTopK);
-    EXPECT_EQ(decoded.status.code(), StatusCode::kOverloaded);
-    EXPECT_EQ(decoded.status.message(), "134 queries queued (max 128)");
-    EXPECT_TRUE(decoded.topks.empty());
-  }
-  // A kSubscribe ack round-trips its assigned id.
-  NetResponse ack;
-  ack.type = MessageType::kSubscribe;
-  ack.snapshot_version = 3;
-  ack.sub_id = 99;
-  wire.clear();
-  EncodeResponse(ack, &wire);
-  {
-    NetResponse decoded;
-    ASSERT_TRUE(
-        DecodeResponse(wire.substr(net::kFrameHeaderBytes), &decoded).ok());
-    EXPECT_EQ(decoded.type, MessageType::kSubscribe);
-    EXPECT_EQ(decoded.sub_id, 99u);
-  }
+  NetResponse decoded;
+  ASSERT_TRUE(
+      DecodeResponse(wire.substr(net::kFrameHeaderBytes), &decoded).ok());
+  EXPECT_EQ(decoded.type, MessageType::kTopK);
+  EXPECT_EQ(decoded.status.code(), StatusCode::kOverloaded);
+  EXPECT_EQ(decoded.status.message(), "134 queries queued (max 128)");
+  EXPECT_TRUE(decoded.topks.empty());
 }
 
 TEST(NetProtocol, FrameAssemblerSplitsByteDribble) {
@@ -506,8 +482,8 @@ TEST(NetServer, UpdateFramesCoalesceIntoOnePublish) {
   ASSERT_TRUE(client.Flush().ok());
   const uint32_t base = static_cast<uint32_t>(users.size());
   uint64_t last_version = 0;
+  NetResponse response;
   for (size_t i = 0; i < 3; ++i) {
-    NetResponse response;
     ASSERT_TRUE(client.Receive(&response).ok());
     ASSERT_TRUE(response.status.ok());
     ASSERT_EQ(response.assigned_ids.size(), 1u);
@@ -523,6 +499,29 @@ TEST(NetServer, UpdateFramesCoalesceIntoOnePublish) {
   EXPECT_EQ(m.net_batches_coalesced + publishes, 3u);
   EXPECT_EQ(m.trajectories_inserted, 3u);
   EXPECT_EQ(last_version, 1 + publishes);
+
+  // No-op updates. Removing an unknown id changes no shard, so the ack
+  // repeats the generations and a re-issued read is a cache hit with the
+  // same bits; an all-empty frame is answered without a publish.
+  NetResponse first, remove_ack, again, empty_ack;
+  ASSERT_TRUE(client.Sum({0, 3}, &first).ok());
+  ASSERT_TRUE(client.Update({}, {1000000}, &remove_ack).ok());
+  ASSERT_TRUE(remove_ack.status.ok());
+  EXPECT_EQ(remove_ack.shard_generations, response.shard_generations);
+  const runtime::MetricsView before = engine.metrics().Read();
+  ASSERT_TRUE(client.Sum({0, 3}, &again).ok());
+  const runtime::MetricsView after = engine.metrics().Read();
+  EXPECT_GT(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  ASSERT_EQ(again.sums.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(again.sums[i].code, StatusCode::kOk);
+    EXPECT_EQ(again.sums[i].value, first.sums[i].value);
+  }
+  ASSERT_TRUE(client.Update({}, {}, &empty_ack).ok());
+  ASSERT_TRUE(empty_ack.status.ok());
+  EXPECT_EQ(engine.metrics().Read().snapshots_published,
+            after.snapshots_published);
 }
 
 // ------------------------------------------------------ failure handling
@@ -567,17 +566,23 @@ TEST(NetServer, MalformedFrameGetsErrorResponseThenClose) {
   NetServer server(&engine, NetServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = RawConnect(server.port());
-  ASSERT_GE(fd, 0);
-  // Well-framed garbage: length says 7, payload is no valid request.
-  const std::string bad("\x07\x00\x00\x00garbage", 11);
-  ASSERT_EQ(::send(fd, bad.data(), bad.size(), 0),
-            static_cast<ssize_t>(bad.size()));
-  const std::vector<NetResponse> responses = DrainResponses(fd);
-  ASSERT_EQ(responses.size(), 1u);  // error response, then EOF
-  EXPECT_EQ(responses[0].type, MessageType::kError);
-  EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
-  ::close(fd);
+  // Well-framed garbage (length says 7, payload is no valid request), and
+  // a well-formed frame of the retired request type 9.
+  std::string retired;
+  PutLe(&retired, RetiredRequestPayload().size(), 4);
+  retired += RetiredRequestPayload();
+  for (const std::string& bad :
+       {std::string("\x07\x00\x00\x00garbage", 11), retired}) {
+    const int fd = RawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, bad.data(), bad.size(), 0),
+              static_cast<ssize_t>(bad.size()));
+    const std::vector<NetResponse> responses = DrainResponses(fd);
+    ASSERT_EQ(responses.size(), 1u);  // error response, then EOF
+    EXPECT_EQ(responses[0].type, MessageType::kError);
+    EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
+    ::close(fd);
+  }
 
   // The server survives and keeps serving fresh connections.
   NetClient client;

@@ -1,7 +1,5 @@
 #include "cover/served_sets.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "query/baseline.h"
 
@@ -17,19 +15,14 @@ ServedGather& ThreadGather() {
 
 // Facility `id`'s served set from a gather: users ascending, `so` summed in
 // that order.
-FacilityServedSet FinalizeServedSet(FacilityId id,
-                                    const ServedGather& gathered,
-                                    const ServiceEvaluator& eval) {
-  std::vector<uint32_t> users = gathered.users();
-  std::sort(users.begin(), users.end());
+FacilityServedSet FinalizeServedSet(FacilityId id, ServedGather& gathered) {
   FacilityServedSet fs;
   fs.id = id;
-  fs.users.reserve(users.size());
-  fs.offsets.reserve(users.size() + 1);
-  for (const uint32_t user : users) {
-    const std::span<const uint64_t> mask = gathered.MaskOf(user);
-    fs.so += eval.ValueOfMask(user, mask);
-    fs.Append(user, mask);
+  fs.so = gathered.SumAscending();
+  fs.users.reserve(gathered.users().size());
+  fs.offsets.reserve(gathered.users().size() + 1);
+  for (const uint32_t user : gathered.users()) {
+    fs.Append(user, gathered.MaskOf(user));
   }
   return fs;
 }
@@ -49,7 +42,7 @@ FacilityServedSet CollectServedSetTQ(TQTree* tree,
                                      FacilityId id, const uint64_t* pool) {
   ServedGather& gather = ThreadGather();
   CollectServedTQ(tree, eval, catalog.grid(id), &gather, pool);
-  return FinalizeServedSet(id, gather, eval);
+  return FinalizeServedSet(id, gather);
 }
 
 FacilityServedSet CollectServedSetBaseline(const PointQuadtree& index,
@@ -58,7 +51,7 @@ FacilityServedSet CollectServedSetBaseline(const PointQuadtree& index,
                                            FacilityId id) {
   ServedGather& gather = ThreadGather();
   CollectServedBaseline(index, eval, catalog.grid(id), &gather);
-  return FinalizeServedSet(id, gather, eval);
+  return FinalizeServedSet(id, gather);
 }
 
 ServedSetCache::ServedSetCache(TQTree* tree, const FacilityCatalog* catalog,

@@ -50,6 +50,25 @@ double ScoreCandidates(const std::vector<uint32_t>& candidates,
   return so;
 }
 
+// Exhaustive top-k: SO of every facility (one gather and scoring each),
+// ranked by RankedBefore.
+template <typename Index>
+TopKResult TopKByScoring(const Index& index, const FacilityCatalog& catalog,
+                         const ServiceEvaluator& eval, size_t k) {
+  TopKResult result;
+  std::vector<RankedFacility> all(catalog.size());
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    all[f].id = f;
+    all[f].value = ScoreCandidates(GatherCandidates(index, grid, &result.stats),
+                                   eval, grid, &result.stats);
+  }
+  std::sort(all.begin(), all.end(), RankedBefore);
+  all.resize(std::min(k, all.size()));
+  result.ranked = std::move(all);
+  return result;
+}
+
 }  // namespace
 
 double EvaluateServiceBaseline(const PointQuadtree& index,
@@ -67,26 +86,6 @@ double EvaluateServiceBaselineDisks(const PointQuadtree& index,
                          grid, stats);
 }
 
-TopKResult TopKFacilitiesBaseline(const PointQuadtree& index,
-                                  const FacilityCatalog& catalog,
-                                  const ServiceEvaluator& eval, size_t k) {
-  TopKResult result;
-  std::vector<RankedFacility> all(catalog.size());
-  for (uint32_t f = 0; f < catalog.size(); ++f) {
-    all[f].id = f;
-    all[f].value =
-        EvaluateServiceBaseline(index, eval, catalog.grid(f), &result.stats);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const RankedFacility& a, const RankedFacility& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.id < b.id;
-            });
-  all.resize(std::min(k, all.size()));
-  result.ranked = std::move(all);
-  return result;
-}
-
 double EvaluateServiceBaselineRTree(const PointRTree& index,
                                     const ServiceEvaluator& eval,
                                     const StopGrid& grid, QueryStats* stats) {
@@ -94,25 +93,17 @@ double EvaluateServiceBaselineRTree(const PointRTree& index,
                          stats);
 }
 
+TopKResult TopKFacilitiesBaseline(const PointQuadtree& index,
+                                  const FacilityCatalog& catalog,
+                                  const ServiceEvaluator& eval, size_t k) {
+  return TopKByScoring(index, catalog, eval, k);
+}
+
 TopKResult TopKFacilitiesBaselineRTree(const PointRTree& index,
                                        const FacilityCatalog& catalog,
                                        const ServiceEvaluator& eval,
                                        size_t k) {
-  TopKResult result;
-  std::vector<RankedFacility> all(catalog.size());
-  for (uint32_t f = 0; f < catalog.size(); ++f) {
-    all[f].id = f;
-    all[f].value = EvaluateServiceBaselineRTree(index, eval, catalog.grid(f),
-                                                &result.stats);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const RankedFacility& a, const RankedFacility& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.id < b.id;
-            });
-  all.resize(std::min(k, all.size()));
-  result.ranked = std::move(all);
-  return result;
+  return TopKByScoring(index, catalog, eval, k);
 }
 
 void CollectServedBaseline(const PointQuadtree& index,

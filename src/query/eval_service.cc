@@ -175,32 +175,12 @@ double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                   });
     return so;
   }
-  // Segmented: credit each served constituent once via an arena
-  // accumulator reused across queries on this thread (Rebind clears marks
-  // but keeps the table/word allocations warm).
-  static thread_local ServiceAccumulator acc(&eval);
-  acc.Rebind(&eval);
-  const bool length = eval.model().scenario == Scenario::kLength;
-  Walk(
-      tree, grid,
-      [&](const TrajEntry& e) {
-        if (stats != nullptr) stats->exact_checks++;
-        if (e.IsWhole()) {
-          // Segmented trees store single-point trajectories as whole units;
-          // their value must flow through the accumulator like everything
-          // else in the segmented pipeline.
-          if (!length && grid.Serves(e.start)) acc.MarkPoint(e.traj_id, 0);
-        } else if (length) {
-          if (grid.Serves(e.start) && grid.Serves(e.end)) {
-            acc.MarkSegment(e.traj_id, e.seg_index);
-          }
-        } else {
-          if (grid.Serves(e.start)) acc.MarkPoint(e.traj_id, e.seg_index);
-          if (grid.Serves(e.end)) acc.MarkPoint(e.traj_id, e.seg_index + 1);
-        }
-      },
-      stats);
-  return acc.Total();
+  // Segmented: the walk gathers each served point or segment once into a
+  // gather reused across queries on this thread, and the masks are summed
+  // in ascending id like every other SO.
+  static thread_local ServedGather gather;
+  CollectServedTQ(tree, eval, grid, &gather, nullptr, stats);
+  return gather.SumAscending();
 }
 
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,

@@ -3,9 +3,10 @@
 // (TQTree::MarkCandidates) and one exact check per set bit, summed in
 // ascending id order. Algorithms 1 & 2 of the paper — divide-and-conquer
 // over the quadtree with the two-phase pruning (q-node pruning + zReduce) —
-// serve the trees without tables: segmented trees, and whole trees between
-// a prune-mode flip and the next freeze, where the walk only marks the
-// bitmap that feeds the same id-order sum.
+// serve the trees without tables: segmented trees, where the walk gathers
+// served masks that are summed in the same ascending id order, and whole
+// trees between a prune-mode flip and the next freeze, where the walk only
+// marks the bitmap that feeds the id-order sum.
 #ifndef TQCOVER_QUERY_EVAL_SERVICE_H_
 #define TQCOVER_QUERY_EVAL_SERVICE_H_
 
@@ -15,7 +16,6 @@
 
 #include "query/query_stats.h"
 #include "query/served_gather.h"
-#include "service/accumulator.h"
 #include "service/evaluator.h"
 #include "service/stop_grid.h"
 #include "tqtree/tq_tree.h"
@@ -47,8 +47,10 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
 /// summation order whatever the tree's variant, β or update history (and
 /// equals EvaluateServiceBaseline's bits). `stats->exact_checks` counts the
 /// set bits; `nodes_visited` stays 0 unless the tree has no tables. On a
-/// segmented tree: Algorithm 1 (evaluateService), crediting each served
-/// point or segment once.
+/// segmented tree: Algorithm 1 (evaluateService) gathers each served point
+/// or segment once (CollectServedTQ; one exact check per walked unit), then
+/// Σ ServiceEvaluator::ValueOfMask over the gathered users in ascending id
+/// (ServedGather::SumAscending) — the same bits again.
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats = nullptr);
 

@@ -1,5 +1,7 @@
 #include "query/served_gather.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace tq {
@@ -39,6 +41,15 @@ void ServedGather::AddDetail(uint32_t user, const StopGrid& grid) {
 
 void ServedGather::SetBit(uint32_t user, size_t bit) {
   Mask(user)[bit >> 6] |= uint64_t{1} << (bit & 63);
+}
+
+double ServedGather::SumAscending() {
+  std::sort(users_.begin(), users_.end());
+  double so = 0.0;
+  for (const uint32_t user : users_) {
+    so += eval_->ValueOfMask(user, MaskOf(user));
+  }
+  return so;
 }
 
 std::span<const uint64_t> ServedGather::MaskOf(uint32_t user) const {

@@ -1,5 +1,7 @@
 // Per-facility served-mask gather, shared by CollectServedTQ and
-// CollectServedBaseline.
+// CollectServedBaseline. It also backs SO on segmented trees: the walk
+// gathers each served point or segment once, and SumAscending() folds the
+// masks in ascending user id, the order every other index sums in.
 //
 // A gather is a slot table over dense user ids plus one word arena: a
 // user's first mark appends its zeroed mask words to the arena and records
@@ -33,8 +35,14 @@ class ServedGather {
   /// Sets bit `bit` of `user`'s mask.
   void SetBit(uint32_t user, size_t bit);
 
-  /// Users with a mask, in first-touch order.
+  /// Users with a mask: in first-touch order, ascending after
+  /// SumAscending().
   const std::vector<uint32_t>& users() const { return users_; }
+
+  /// Sorts users() ascending and returns Σ ServiceEvaluator::ValueOfMask
+  /// over them in that order: SO(U, f) with the bits BL and whole trees
+  /// give.
+  double SumAscending();
 
   /// The mask of a user in users().
   std::span<const uint64_t> MaskOf(uint32_t user) const;

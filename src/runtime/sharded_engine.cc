@@ -594,9 +594,9 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
   // kernel layer underneath (StopGrid neighborhood lists, the tree's cell
   // tables and indexed-ids bitmap, the evaluator's served-mask batch path)
   // is immutable after freeze, and each thread's scratch (candidate mask,
-  // segmented accumulator) lives in thread_locals inside EvaluateServiceTQ
-  // — so a cache miss costs zero allocation on the steady state and no
-  // locks.
+  // segmented served-mask gather) lives in thread_locals inside
+  // EvaluateServiceTQ — so a cache miss costs zero allocation on the steady
+  // state and no locks.
   value = EvaluateServiceTQ(shard.tree.get(), *shard.eval, catalog.grid(f),
                             stats);
   if (cache_.enabled()) {

@@ -4,22 +4,6 @@
 
 namespace tq {
 
-double ServiceModel::UpperBound(const ServiceAggregates& agg) const {
-  switch (scenario) {
-    case Scenario::kEndpoints:
-      return agg.traj_count;
-    case Scenario::kPointCount:
-      // Normalised S(u,f) ≤ 1 per trajectory, so the trajectory count is a
-      // tighter bound than the paper's raw point total.
-      return normalization == Normalization::kPerUser ? agg.traj_count
-                                                      : agg.point_count;
-    case Scenario::kLength:
-      return normalization == Normalization::kPerUser ? agg.traj_count
-                                                      : agg.total_length;
-  }
-  return agg.traj_count;
-}
-
 std::string ServiceModel::ToString() const {
   const char* sc = scenario == Scenario::kEndpoints     ? "endpoints"
                    : scenario == Scenario::kPointCount ? "point-count"

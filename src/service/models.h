@@ -9,8 +9,9 @@
 //             within ψ of a stop of f.
 //
 // The paper normalises scenarios 2/3 per user (S ≤ 1) but stores raw point
-// counts / lengths as node upper bounds; we support both normalisations and
-// pick the tightest valid upper bound for each.
+// counts / lengths as node upper bounds; we support both normalisations.
+// The per-unit bounds behind a node's "sub" are UnitUpperBound
+// (tqtree/aggregates.h); the facility bound is TQTree::CellUpperBound.
 #ifndef TQCOVER_SERVICE_MODELS_H_
 #define TQCOVER_SERVICE_MODELS_H_
 
@@ -34,30 +35,6 @@ enum class Normalization {
   kNone = 1,
 };
 
-/// Per-node aggregates from which the "sub" upper bound (§III) is derived.
-/// A node stores the totals over all trajectories in its subtree; the model
-/// selects the component that bounds its own SO contribution.
-struct ServiceAggregates {
-  double traj_count = 0.0;
-  double point_count = 0.0;
-  double total_length = 0.0;
-
-  void Add(const ServiceAggregates& o) {
-    traj_count += o.traj_count;
-    point_count += o.point_count;
-    total_length += o.total_length;
-  }
-  void Subtract(const ServiceAggregates& o) {
-    traj_count -= o.traj_count;
-    point_count -= o.point_count;
-    total_length -= o.total_length;
-  }
-  /// Aggregate contribution of one trajectory (or trajectory segment).
-  static ServiceAggregates ForTrajectory(size_t num_points, double length) {
-    return ServiceAggregates{1.0, static_cast<double>(num_points), length};
-  }
-};
-
 /// Immutable description of the service function in use.
 struct ServiceModel {
   Scenario scenario = Scenario::kEndpoints;
@@ -76,10 +53,6 @@ struct ServiceModel {
                              Normalization norm = Normalization::kPerUser) {
     return ServiceModel{Scenario::kLength, norm, psi};
   }
-
-  /// Upper bound ("sub", §III) on the summed service value of the
-  /// trajectories described by `agg`. Valid for any facility.
-  double UpperBound(const ServiceAggregates& agg) const;
 
   /// True when the model only inspects a trajectory's first and last points.
   bool EndpointsOnly() const { return scenario == Scenario::kEndpoints; }

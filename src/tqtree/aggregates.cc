@@ -59,7 +59,6 @@ TrajEntry MakeWholeEntry(const TrajectorySet& users, uint32_t traj,
   e.end = pts.back();
   e.mbr = users.mbr(traj);
   e.ub = UnitUpperBound(users, traj, kWholeUnit, model);
-  e.agg = ServiceAggregates::ForTrajectory(pts.size(), users.length(traj));
   return e;
 }
 
@@ -76,7 +75,6 @@ TrajEntry MakeSegmentEntry(const TrajectorySet& users, uint32_t traj,
   e.mbr.Include(e.start);
   e.mbr.Include(e.end);
   e.ub = UnitUpperBound(users, traj, seg, model);
-  e.agg = ServiceAggregates::ForTrajectory(2, Distance(e.start, e.end));
   return e;
 }
 

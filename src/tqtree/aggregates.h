@@ -27,7 +27,7 @@ TrajEntry MakeSegmentEntry(const TrajectorySet& users, uint32_t traj,
 ///     non-additive, so each endpoint segment must cover the whole value);
 ///   * Scenario 2: each point to exactly one owner segment (segment i owns
 ///     point i+1; segment 0 also owns point 0), so subtree bounds stay exact
-///     under the union/dedup accumulator;
+///     under the served-mask dedup;
 ///   * Scenario 3: the segment's own (normalised) length.
 double UnitUpperBound(const TrajectorySet& users, uint32_t traj, uint32_t seg,
                       const ServiceModel& model);

@@ -8,7 +8,6 @@
 
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "service/models.h"
 
 namespace tq {
 
@@ -25,8 +24,6 @@ struct TrajEntry {
   /// Maximum service value this unit can still contribute under the tree's
   /// service model — the per-unit share of the node upper bound "sub" (§III).
   double ub = 0.0;
-  /// Raw aggregates (trajectory/point/length counts) for stats & ablations.
-  ServiceAggregates agg;
 
   bool IsWhole() const { return seg_index == kWholeUnit; }
 };

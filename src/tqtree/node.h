@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "service/models.h"
 #include "tqtree/entry.h"
 #include "tqtree/zindex.h"
 
@@ -37,9 +36,6 @@ struct TQNode {
   double local_ub = 0.0;
   /// Upper bound over the whole subtree (the paper's "sub").
   double sub = 0.0;
-
-  ServiceAggregates local_agg;
-  ServiceAggregates sub_agg;
 
   /// Z-order bucket index over `entries` (TQ(Z) only); immutable once built,
   /// shared across page copies and forked trees; rebuilt when dirty.

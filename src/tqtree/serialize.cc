@@ -355,18 +355,13 @@ class TQTreeSerializer {
             std::to_string(tree->num_units_) + ")");
       }
     }
-    // Recompute subtree aggregates bottom-up (children have larger indices
+    // Recompute subtree bounds bottom-up (children have larger indices
     // than their parent by construction order).
     for (auto i = static_cast<int64_t>(node_count) - 1; i >= 0; --i) {
       TQNode& n = tree->MutableNode(static_cast<int32_t>(i));
       n.sub = n.local_ub;
-      n.sub_agg = n.local_agg;
       if (!n.IsLeaf()) {
-        for (int q = 0; q < 4; ++q) {
-          const TQNode& c = tree->node(n.first_child + q);
-          n.sub += c.sub;
-          n.sub_agg.Add(c.sub_agg);
-        }
+        for (int q = 0; q < 4; ++q) n.sub += tree->node(n.first_child + q).sub;
       }
     }
     tree->IndexEntries();
@@ -416,7 +411,7 @@ class TQTreeSerializer {
           (static_cast<uint64_t>(n.first_child) + 4 > node_count ||
            n.first_child <= id)) {
         // Children always follow their parent in construction order; the
-        // bottom-up aggregate pass depends on it.
+        // bottom-up bound pass depends on it.
         return Status::InvalidArgument(
             "snapshot child index out of range");
       }
@@ -452,10 +447,7 @@ class TQTreeSerializer {
           tree->num_units_++;
         }
       }
-      for (const TrajEntry& e : n.entries) {
-        n.local_ub += e.ub;
-        n.local_agg.Add(e.agg);
-      }
+      for (const TrajEntry& e : n.entries) n.local_ub += e.ub;
       n.zindex_dirty = true;
     }
     std::string stored;

@@ -213,13 +213,12 @@ int32_t TQTree::ChildContaining(int32_t idx, const Rect& mbr) const {
 
 void TQTree::InsertEntry(const TrajEntry& e) {
   // Copy-on-write descent: only the root-to-store path is made writable
-  // (aggregate repair happens along this copied spine), so a fork touches
+  // (bound repair happens along this copied spine), so a fork touches
   // O(depth) pages per inserted unit.
   int32_t idx = 0;
   for (;;) {
     TQNode& n = MutableNode(idx);
     n.sub += e.ub;
-    n.sub_agg.Add(e.agg);
     if (n.IsLeaf()) {
       StoreAt(idx, e);
       MaybeSplit(idx);
@@ -238,7 +237,6 @@ void TQTree::StoreAt(int32_t idx, const TrajEntry& e) {
   TQNode& n = MutableNode(idx);
   n.entries.push_back(e);
   n.local_ub += e.ub;
-  n.local_agg.Add(e.agg);
   n.zindex.reset();
   n.zindex_dirty = true;
   ++num_units_;
@@ -311,21 +309,15 @@ void TQTree::MaybeSplit(int32_t idx) {
     n.zindex_dirty = true;
     // Recompute local bookkeeping for the kept list.
     n.local_ub = 0.0;
-    n.local_agg = ServiceAggregates{};
-    for (const TrajEntry& e : n.entries) {
-      n.local_ub += e.ub;
-      n.local_agg.Add(e.agg);
-    }
+    for (const TrajEntry& e : n.entries) n.local_ub += e.ub;
   }
   for (const TrajEntry& e : moved) {
     const int q = node(idx).rect.QuadrantOf(e.mbr.Center());
     const int32_t child = first + q;
     TQNode& c = MutableNode(child);
     c.sub += e.ub;
-    c.sub_agg.Add(e.agg);
     c.entries.push_back(e);
     c.local_ub += e.ub;
-    c.local_agg.Add(e.agg);
     c.zindex.reset();
     c.zindex_dirty = true;
   }
@@ -504,7 +496,7 @@ bool TQTree::Remove(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   if (options_.mode == TrajMode::kWhole || users_->NumPoints(traj_id) < 2) {
     const TrajEntry e = MakeWholeEntry(*users_, traj_id, options_.model);
-    if (!RemoveUnit(traj_id, e.seg_index, e.mbr, e.ub, e.agg)) return false;
+    if (!RemoveUnit(traj_id, e.seg_index, e.mbr, e.ub)) return false;
     RasterApply(traj_id, -1.0);
     SetIndexed(traj_id, false);
     return true;
@@ -513,7 +505,7 @@ bool TQTree::Remove(uint32_t traj_id) {
   const size_t n = users_->NumPoints(traj_id);
   for (uint32_t s = 0; s + 1 < n; ++s) {
     const TrajEntry e = MakeSegmentEntry(*users_, traj_id, s, options_.model);
-    all = RemoveUnit(traj_id, s, e.mbr, e.ub, e.agg) && all;
+    all = RemoveUnit(traj_id, s, e.mbr, e.ub) && all;
   }
   // Withdraw the raster mass and the indexed bit only on a complete
   // removal: leftover segments keep their deposits, which can only
@@ -526,8 +518,7 @@ bool TQTree::Remove(uint32_t traj_id) {
 }
 
 bool TQTree::RemoveUnit(uint32_t traj_id, uint32_t seg_index,
-                        const Rect& unit_mbr, double ub,
-                        const ServiceAggregates& agg) {
+                        const Rect& unit_mbr, double ub) {
   // Locate the storing node by re-descending with the unit's MBR. Read-only:
   // pages are copied only once the unit is found (a miss costs nothing).
   std::vector<int32_t> path;
@@ -563,15 +554,10 @@ bool TQTree::RemoveUnit(uint32_t traj_id, uint32_t seg_index,
   TQNode& n = MutableNode(store);
   n.entries.erase(n.entries.begin() + pos);
   n.local_ub -= ub;
-  n.local_agg.Subtract(agg);
   n.zindex.reset();
   n.zindex_dirty = true;
-  // Aggregate repair along the copied spine only.
-  for (const int32_t p : path) {
-    TQNode& pn = MutableNode(p);
-    pn.sub -= ub;
-    pn.sub_agg.Subtract(agg);
-  }
+  // Bound repair along the copied spine only.
+  for (const int32_t p : path) MutableNode(p).sub -= ub;
   --num_units_;
   return true;
 }

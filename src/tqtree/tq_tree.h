@@ -259,7 +259,7 @@ class TQTree {
   void StoreAt(int32_t idx, const TrajEntry& e);
   void MaybeSplit(int32_t idx);
   bool RemoveUnit(uint32_t traj_id, uint32_t seg_index, const Rect& unit_mbr,
-                  double ub, const ServiceAggregates& agg);
+                  double ub);
   /// Child of `idx` whose rect contains `mbr`, or -1.
   int32_t ChildContaining(int32_t idx, const Rect& mbr) const;
 

@@ -122,7 +122,8 @@ TEST(Equivalence, PresetWorkloadNytLike) {
 
 TEST(Equivalence, MultipointSegmentedVsWholeAgree) {
   // S-TQ and F-TQ are different layouts of the same data; their SO values
-  // must match each other (and the oracle) for every facility.
+  // must match each other bit for bit (both sum in ascending user id), and
+  // the oracle, for every facility.
   Rng rng(705);
   const Rect w = Rect::Of(0, 0, 30000, 30000);
   const TrajectorySet users = testing::RandomUsers(&rng, 300, 3, 8, w);
@@ -144,6 +145,7 @@ TEST(Equivalence, MultipointSegmentedVsWholeAgree) {
       const double f_val = EvaluateServiceTQ(&f_tq, eval, grid);
       const double oracle =
           testing::BruteForceSO(users, facs.points(f), model);
+      EXPECT_EQ(s_val, f_val) << model.ToString() << " facility " << f;
       EXPECT_NEAR(s_val, oracle, 1e-6) << "S-TQ " << model.ToString();
       EXPECT_NEAR(f_val, oracle, 1e-6) << "F-TQ " << model.ToString();
     }

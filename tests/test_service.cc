@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "service/accumulator.h"
 #include "service/evaluator.h"
 #include "service/facility_index.h"
 #include "service/models.h"
@@ -10,23 +9,6 @@
 
 namespace tq {
 namespace {
-
-TEST(ServiceModel, UpperBoundsPickTightestValidComponent) {
-  const ServiceAggregates agg{10.0, 55.0, 1234.5};
-  EXPECT_DOUBLE_EQ(ServiceModel::Endpoints(100).UpperBound(agg), 10.0);
-  EXPECT_DOUBLE_EQ(
-      ServiceModel::PointCount(100, Normalization::kPerUser).UpperBound(agg),
-      10.0);
-  EXPECT_DOUBLE_EQ(
-      ServiceModel::PointCount(100, Normalization::kNone).UpperBound(agg),
-      55.0);
-  EXPECT_DOUBLE_EQ(
-      ServiceModel::Length(100, Normalization::kPerUser).UpperBound(agg),
-      10.0);
-  EXPECT_DOUBLE_EQ(
-      ServiceModel::Length(100, Normalization::kNone).UpperBound(agg),
-      1234.5);
-}
 
 TEST(ServiceModel, ToStringMentionsScenario) {
   EXPECT_NE(ServiceModel::Endpoints(50).ToString().find("endpoints"),
@@ -150,44 +132,6 @@ TEST_F(EvaluatorScenarioTest, MaskSizeLayout) {
   const ServiceEvaluator len(&users_, ServiceModel::Length(20.0));
   EXPECT_EQ(pts.MaskSize(2), 4u);  // points
   EXPECT_EQ(len.MaskSize(2), 3u);  // segments
-}
-
-TEST(Accumulator, IncrementalTotalsMatchValueOfMask) {
-  Rng rng(209);
-  const Rect w = Rect::Of(0, 0, 1000, 1000);
-  const TrajectorySet users = testing::RandomUsers(&rng, 40, 2, 6, w);
-  for (const ServiceModel& model : testing::AllModels(100.0)) {
-    const ServiceEvaluator eval(&users, model);
-    ServiceAccumulator acc(&eval);
-    // Random marks, with duplicates, across users.
-    std::vector<std::pair<uint32_t, DynamicBitset>> shadow;
-    for (int i = 0; i < 300; ++i) {
-      const auto u = static_cast<uint32_t>(rng.NextBelow(users.size()));
-      const size_t msize = eval.MaskSize(u);
-      if (msize == 0) continue;
-      const auto bit = static_cast<uint32_t>(rng.NextBelow(msize));
-      if (model.scenario == Scenario::kLength) {
-        acc.MarkSegment(u, bit);
-      } else {
-        acc.MarkPoint(u, bit);
-      }
-      auto it = std::find_if(shadow.begin(), shadow.end(),
-                             [&](const auto& p) { return p.first == u; });
-      if (it == shadow.end()) {
-        shadow.emplace_back(u, DynamicBitset(msize));
-        it = shadow.end() - 1;
-      }
-      it->second.Set(bit);
-    }
-    double expected = 0.0;
-    for (const auto& [u, mask] : shadow) {
-      expected += eval.ValueOfMask(u, mask);
-    }
-    EXPECT_NEAR(acc.Total(), expected, 1e-9) << model.ToString();
-    acc.Clear();
-    EXPECT_DOUBLE_EQ(acc.Total(), 0.0);
-    EXPECT_EQ(acc.TouchedUsers(), 0u);
-  }
 }
 
 }  // namespace

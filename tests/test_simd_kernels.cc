@@ -27,7 +27,6 @@
 #include "geom/distance.h"
 #include "query/eval_service.h"
 #include "query/topk.h"
-#include "service/accumulator.h"
 #include "service/facility_index.h"
 #include "service/evaluator.h"
 #include "service/models.h"
@@ -290,72 +289,6 @@ TEST(SimdKernels, CorridorReachesAgreesWithScalar) {
                               min_y + rng.NextUniform(0, 800));
       EXPECT_EQ(corridor.Reaches(r), corridor.ReachesScalar(r));
     }
-  }
-}
-
-TEST(SimdKernels, AccumulatorArenaMatchesMapReference) {
-  const TrajectorySet users = EdgeShapeUsers(47);
-  Rng rng(53);
-  for (const ServiceModel& model : AllModels(150.0)) {
-    const ServiceEvaluator eval(&users, model);
-    ServiceAccumulator acc(&eval);
-    // Shadow with the exact semantics of the old map-of-bitsets
-    // implementation, applied in the same mark order; totals must agree to
-    // the bit since the same doubles are added in the same sequence.
-    std::unordered_map<uint32_t, DynamicBitset> shadow;
-    double shadow_total = 0.0;
-    const bool segmented = model.scenario == Scenario::kLength;
-    for (int round = 0; round < 2; ++round) {
-      acc.Clear();
-      shadow.clear();
-      shadow_total = 0.0;
-      for (int i = 0; i < 3000; ++i) {
-        const auto user = static_cast<uint32_t>(rng.NextBelow(users.size()));
-        const size_t mask_size = eval.MaskSize(user);
-        if (mask_size == 0) continue;
-        const auto index = static_cast<uint32_t>(rng.NextBelow(mask_size));
-        auto it = shadow.find(user);
-        if (it == shadow.end()) {
-          it = shadow.emplace(user, DynamicBitset(mask_size)).first;
-        }
-        DynamicBitset& mask = it->second;
-        if (segmented) {
-          acc.MarkSegment(user, index);
-          if (!mask.Test(index)) {
-            mask.Set(index);
-            const auto pts = users.points(user);
-            const double seg_len = Distance(pts[index], pts[index + 1]);
-            if (model.normalization == Normalization::kPerUser) {
-              const double total_len = users.length(user);
-              shadow_total += total_len > 0.0 ? seg_len / total_len : 0.0;
-            } else {
-              shadow_total += seg_len;
-            }
-          }
-        } else {
-          acc.MarkPoint(user, index);
-          if (!mask.Test(index)) {
-            mask.Set(index);
-            const size_t n = users.NumPoints(user);
-            if (model.scenario == Scenario::kEndpoints) {
-              if ((index == 0 || index == n - 1) && mask.Test(0) &&
-                  mask.Test(n - 1)) {
-                shadow_total += 1.0;
-              }
-            } else {
-              shadow_total += model.normalization == Normalization::kPerUser
-                                  ? 1.0 / static_cast<double>(n)
-                                  : 1.0;
-            }
-          }
-        }
-        EXPECT_BIT_EQ(acc.Total(), shadow_total);
-      }
-      EXPECT_EQ(acc.TouchedUsers(), shadow.size());
-    }
-    acc.Clear();
-    EXPECT_EQ(acc.TouchedUsers(), 0u);
-    EXPECT_BIT_EQ(acc.Total(), 0.0);
   }
 }
 

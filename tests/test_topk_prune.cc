@@ -622,21 +622,26 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
   }
 }
 
-// Segmented trees route top-k through the accumulator-dedup path; the bound
-// protocol must stay sound there too (per-unit bounds over-count a
-// trajectory that spans many nodes, which only loosens the bound).
+// Segmented trees route top-k through the walk and the served-mask gather;
+// the bound protocol must stay sound there too (per-unit bounds over-count
+// a trajectory that spans many nodes, which only loosens the bound). The
+// fractional per-user models run each pool thread's reused gather across
+// shards, and must still give the serial pass's bits.
 TEST(TopKPrune, SegmentedModeAgreesWithExhaustive) {
   const TrajectorySet users = presets::NyfCheckins(600);
   const TrajectorySet routes = presets::NyBusRoutes(24, 8);
-  const ServiceModel model =
-      ServiceModel::PointCount(200.0, Normalization::kNone);
-  for (const size_t shards : {1u, 4u}) {
-    ShardedEngineOptions so = Options(shards, model);
-    so.tree.mode = TrajMode::kSegmented;
-    ShardedEngine engine(users, routes, so);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ExpectSameRanking(engine.Submit(QueryRequest::TopK(6)).get().ranked,
-                      SnapshotRanking(*engine.snapshot(), 6));
+  for (const ServiceModel& model :
+       {ServiceModel::PointCount(200.0, Normalization::kNone),
+        ServiceModel::PointCount(200.0, Normalization::kPerUser),
+        ServiceModel::Length(200.0, Normalization::kPerUser)}) {
+    for (const size_t shards : {1u, 4u}) {
+      ShardedEngineOptions so = Options(shards, model);
+      so.tree.mode = TrajMode::kSegmented;
+      ShardedEngine engine(users, routes, so);
+      SCOPED_TRACE(model.ToString() + " shards=" + std::to_string(shards));
+      ExpectSameRanking(engine.Submit(QueryRequest::TopK(6)).get().ranked,
+                        SnapshotRanking(*engine.snapshot(), 6));
+    }
   }
 }
 

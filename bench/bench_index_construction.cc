@@ -1,6 +1,12 @@
 // §VI-B.4 "Index construction time": TQ(B) and TQ(Z) build times over the
 // NYT user sweep (paper: 0.74-3.74 s for TQ(B), 1.03-9.95 s for TQ(Z) at
 // full scale in Java).
+//
+// Both trees here are whole-trajectory trees, which answer from point-cell
+// tables and build no z-index, so TQ(Z) builds the same structure as TQ(B)
+// and the two columns time the same work. The paper's gap comes back once
+// a build-time switch (ROADMAP item 2, `cell_tables`) lets a tree run
+// Algorithms 1-2 with zReduce as published.
 #include <cstdio>
 
 #include "bench_util.h"

@@ -1,6 +1,13 @@
 // §III-C dynamic maintenance: insert/remove throughput of the TQ-tree at
-// different index sizes, and the cost of the first query after churn (lazy
-// z-index rebuilds). The paper claims O(h) updates; this quantifies them.
+// different index sizes, and the cost of the first query after churn. The
+// paper claims O(h) updates; this quantifies them.
+//
+// The tree is a whole-trajectory TQ(Z) tree: it answers from point-cell
+// tables and builds no z-index, so it does the same work as TQ(B), and the
+// churned query pays for the inserts pending outside the tables, not for
+// lazy z-index rebuilds. The paper's TQ(Z) comes back once a build-time
+// switch (ROADMAP item 2, `cell_tables`) lets a tree run zReduce as
+// published.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -26,7 +33,7 @@ int main() {
     opt.model = model;
     TQTree tree(&users, opt);
 
-    // Clean query cost (z-indexes warm).
+    // Clean query cost (frozen tree, no pending inserts).
     double sink = 0.0;
     const double q_clean = TimeAvgSeconds(env.reps, [&] {
                              for (uint32_t f = 0; f < catalog.size(); ++f) {
@@ -45,7 +52,7 @@ int main() {
     for (uint32_t u = 0; u < churn; ++u) tree.Insert(u);
     const double in_s = t_in.ElapsedSeconds();
 
-    // First query after churn pays the lazy z-index rebuilds.
+    // First query after churn: the churned ids are pending candidates.
     Timer t_q;
     for (uint32_t f = 0; f < catalog.size(); ++f) {
       sink += EvaluateServiceTQ(&tree, eval, catalog.grid(f));

@@ -28,8 +28,8 @@ int main() {
               tq::EvaluateServiceTQ(&index, evaluator, probe),
               index.num_units());
 
-  // Fresh trips arrive; the z-indexes of the touched nodes rebuild lazily
-  // on the next query.
+  // Fresh trips arrive; until the next freeze they are candidates of every
+  // query beside the point-cell tables.
   const tq::CityModel city = tq::presets::NewYork();
   tq::Rng rng(99);
   for (int i = 0; i < 8000; ++i) {

@@ -73,7 +73,7 @@ void ForEachSetBit(const uint64_t* mask, const uint64_t* pool, size_t words,
 
 // Applies `fn` to every entry of node `idx`'s list that survives pruning
 // against the facility component's serving corridor: the zReduce step for
-// TQ(Z) trees, the plain linear scan for TQ(B).
+// segmented TQ(Z) trees, the plain linear scan for the rest.
 template <typename Fn>
 void VisitCandidates(TQTree* tree, int32_t idx,
                      const ZIndex::Corridor& corridor, Fn& fn,

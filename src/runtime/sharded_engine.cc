@@ -67,8 +67,8 @@ ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
   for (size_t s = 0; s < n; ++s) {
     auto shard_users =
         std::make_shared<TrajectorySet>(std::move(shard_sets[s]));
+    // Frozen by its constructor: published trees are never written.
     auto tree = std::make_shared<TQTree>(shard_users.get(), options_.tree);
-    tree->BuildAllZIndexes();  // freeze: published trees are never written
     auto state = std::make_shared<ShardState>();
     state->shard = static_cast<uint32_t>(s);
     state->generation = 1;
@@ -217,9 +217,7 @@ Status ShardedEngine::RecoverFrom(
       // Non-owned shards mirror a live worker: empty set, empty tree, an
       // exact 0.0 contribution to every sum.
       auto shard_users = std::make_shared<TrajectorySet>();
-      auto tree = std::make_shared<TQTree>(shard_users.get(), options_.tree);
-      tree->BuildAllZIndexes();
-      state->tree = std::move(tree);
+      state->tree = std::make_shared<TQTree>(shard_users.get(), options_.tree);
       state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
                                                        options_.tree.model);
       state->users = std::move(shard_users);
@@ -674,13 +672,15 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
       locals.push_back(users->Add(batch.inserts[i]));
     }
     // Persistent path copy: the forked shard tree shares untouched node
-    // pages (and their z-indexes) with the published shard state.
+    // pages, the cell tables and the raster with the published shard state.
     std::shared_ptr<TQTree> tree = old.tree->Fork(users.get());
     for (const uint32_t local : locals) tree->Insert(local);
     for (const uint32_t local : shard_removes[s]) {
       if (tree->Remove(local)) ++removed;
     }
-    tree->BuildAllZIndexes();  // freeze: rebuilds only dirtied z-indexes
+    // Freeze: whole trees fold pending inserts into the cell tables past 1/8
+    // of them; only segmented TQ(Z) trees rebuild dropped z-indexes.
+    tree->Freeze();
     nodes_copied += tree->cow_stats().nodes_copied;
     pages_shared += tree->cow_stats().pages_shared();
 

@@ -4,8 +4,8 @@
 // Concurrency model — single-writer, many lock-free readers: the engine
 // owns an immutable ShardedSnapshot behind a shared_ptr, tagged with a
 // monotonically increasing version. Readers grab the current pointer (one
-// mutex-protected copy) and then run lock-free on frozen trees (every
-// z-index built before publication); in-flight queries keep their snapshot
+// mutex-protected copy) and then run lock-free on frozen trees (cell
+// tables built before publication); in-flight queries keep their snapshot
 // alive until they finish. The engine partitions the user set into N
 // shards by Z-order range (shard_router.h), each shard owning its own
 // TQ-tree + evaluator over its own user subset:
@@ -22,7 +22,7 @@
 //     is routed per shard, and only the AFFECTED shards are forked
 //     (TQTree::Fork) and republished — and each fork path-copies only the
 //     node pages the batch's root-to-leaf paths touch, sharing the rest
-//     (z-indexes included) with the previous shard state. Untouched shards
+//     with the previous shard state. Untouched shards
 //     keep their snapshot, generation, and — because cache keys carry
 //     (shard, shard generation) — their warm result-cache entries. Gathered
 //     top-k answers are memoised under the full per-shard generation
@@ -101,7 +101,7 @@ struct ShardState {
   uint32_t shard = 0;
   uint64_t generation = 0;
   std::shared_ptr<const TrajectorySet> users;  // this shard's users only
-  /// Frozen (all z-indexes built); non-const only because the query API
+  /// Frozen (TQTree::Freeze); non-const only because the query API
   /// takes TQTree* — no query mutates a frozen tree.
   std::shared_ptr<TQTree> tree;
   std::shared_ptr<const ServiceEvaluator> eval;

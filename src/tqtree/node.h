@@ -22,8 +22,7 @@ namespace tq {
 /// Copyable: the persistent page store (tq_tree.h) duplicates whole nodes
 /// when a shared page is first written. The z-index is an immutable shared
 /// object so a copied-but-unmodified node keeps the already-built index
-/// instead of rebuilding it — that sharing is what makes forked snapshots
-/// cheap.
+/// instead of rebuilding it.
 struct TQNode {
   Rect rect;
   int32_t first_child = -1;  // children contiguous in the node id space
@@ -37,10 +36,11 @@ struct TQNode {
   /// Upper bound over the whole subtree (the paper's "sub").
   double sub = 0.0;
 
-  /// Z-order bucket index over `entries` (TQ(Z) only); immutable once built,
-  /// shared across page copies and forked trees; rebuilt when dirty.
+  /// Z-order bucket index over `entries`, built only on segmented TQ(Z)
+  /// trees (TQTree::zindex); immutable once built, shared across page
+  /// copies and forked trees. Every write to `entries` drops it; null on
+  /// a non-empty list means stale.
   std::shared_ptr<const ZIndex> zindex;
-  bool zindex_dirty = true;
 
   /// Entry count at which the last split attempt found nothing movable;
   /// retried only once the list doubles (keeps inserts amortised-cheap).

@@ -365,7 +365,7 @@ class TQTreeSerializer {
       }
     }
     tree->IndexEntries();
-    tree->BuildAllZIndexes();  // freeze, as the constructor does
+    tree->Freeze();  // as the constructor does
     return tree;
   }
 
@@ -448,7 +448,6 @@ class TQTreeSerializer {
         }
       }
       for (const TrajEntry& e : n.entries) n.local_ub += e.ub;
-      n.zindex_dirty = true;
     }
     std::string stored;
     TQ_RETURN_NOT_OK(ReadExact(source, &stored, sizeof(uint32_t), "page crc"));

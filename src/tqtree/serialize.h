@@ -3,8 +3,8 @@
 // The paper sizes β as "a memory block (or a disk block for a disk-resident
 // list)" — this module provides the disk side: a packed binary image of the
 // quadtree skeleton plus per-node unit-id lists. Unit geometry, upper bounds
-// and z-indexes are rebuilt from the user TrajectorySet on load, which keeps
-// files small and makes stale files (wrong user set) detectable.
+// and what a freeze builds are rebuilt from the user TrajectorySet on load,
+// which keeps files small and makes stale files (wrong user set) detectable.
 //
 // The codec is STREAMING, not path-bound: WriteTQTreeSnapshot emits the tree
 // one node PAGE at a time into any SnapshotSink, and ReadTQTreeSnapshot
@@ -134,7 +134,7 @@ Status WriteTQTreeSnapshot(const TQTree& tree, SnapshotSink* sink);
 /// Reads a snapshot stream written by WriteTQTreeSnapshot. `users` must be
 /// the trajectory set the tree was built over (checked by size; per-entry
 /// ids are bounds-checked) and must outlive the tree. The tree comes back
-/// frozen (BuildAllZIndexes), mirroring the building constructor. All
+/// frozen (TQTree::Freeze), mirroring the building constructor. All
 /// failures are typed Status values (kInvalidArgument for format/geometry
 /// trouble, kIOError passed through from the source).
 Result<std::unique_ptr<TQTree>> ReadTQTreeSnapshot(SnapshotSource* source,

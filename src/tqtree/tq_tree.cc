@@ -73,7 +73,7 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options)
   root.rect = world_;
   root.depth = 0;
   BulkBuild();
-  BuildAllZIndexes();
+  Freeze();
 }
 
 // ---------------------------------------------------------- page storage
@@ -118,14 +118,6 @@ void TQTree::ResizeNodes(size_t n) {
   num_nodes_ = n;
 }
 
-void TQTree::MarkAllZIndexesDirty() {
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    TQNode& n = MutableNode(static_cast<int32_t>(i));
-    n.zindex.reset();
-    n.zindex_dirty = true;
-  }
-}
-
 std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   TQ_CHECK(users != nullptr);
   // Every entry references a trajectory id of the original set; a superset
@@ -160,12 +152,11 @@ std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   fork->end_cells_ = end_cells_;
   fork->cell_pending_ = cell_pending_;
   if (fork->prune_mode_ != prune_mode_) {
-    // The extended user set changed the soundness-preserving prune mode
-    // (e.g. a longer trajectory appeared); every shared z-index was built
-    // for the old mode and must be rebuilt, and so must the cell tables,
-    // whose kind follows the mode. Degenerates to full-clone cost, but
-    // stays correct. Rare: mode depends only on max_points crossing 2.
-    fork->MarkAllZIndexesDirty();
+    // The extended user set changed the prune mode (a longer trajectory
+    // appeared in a two-point whole tree; a segmented mode follows the
+    // scenario alone). The cell tables' kind follows the mode, so the fork
+    // drops them until its next freeze; it has no z-index to invalidate.
+    TQ_DCHECK(!HasZIndexes());
     fork->cells_.reset();
     fork->end_cells_.reset();
     fork->cell_pending_.clear();
@@ -238,7 +229,6 @@ void TQTree::StoreAt(int32_t idx, const TrajEntry& e) {
   n.entries.push_back(e);
   n.local_ub += e.ub;
   n.zindex.reset();
-  n.zindex_dirty = true;
   ++num_units_;
 }
 
@@ -306,7 +296,6 @@ void TQTree::MaybeSplit(int32_t idx) {
     }
     n.entries.swap(keep);
     n.zindex.reset();
-    n.zindex_dirty = true;
     // Recompute local bookkeeping for the kept list.
     n.local_ub = 0.0;
     for (const TrajEntry& e : n.entries) n.local_ub += e.ub;
@@ -319,28 +308,30 @@ void TQTree::MaybeSplit(int32_t idx) {
     c.entries.push_back(e);
     c.local_ub += e.ub;
     c.zindex.reset();
-    c.zindex_dirty = true;
   }
   for (int q = 0; q < 4; ++q) MaybeSplit(first + q);
 }
 
 const ZIndex* TQTree::zindex(int32_t idx) {
-  if (options_.variant != IndexVariant::kZOrder) return nullptr;
-  // Const pre-checks first: an up-to-date (possibly shared) index must not
-  // trigger a page copy, or forks would duplicate every queried page.
+  if (!HasZIndexes()) return nullptr;
+  // Const pre-checks first: a built (possibly shared) index must not
+  // trigger a page copy, or forks would duplicate every queried page. Every
+  // write to a node's list drops its index, so a non-empty list without one
+  // is exactly a stale node.
   const TQNode& cn = node(idx);
   if (cn.entries.empty()) return nullptr;
-  if (!cn.zindex_dirty) return cn.zindex.get();
+  if (cn.zindex != nullptr) return cn.zindex.get();
   TQNode& n = MutableNode(idx);
   n.zindex = std::make_shared<const ZIndex>(n.rect, n.entries, options_.beta,
                                             prune_mode_);
-  n.zindex_dirty = false;
   return n.zindex.get();
 }
 
-void TQTree::BuildAllZIndexes() {
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    (void)zindex(static_cast<int32_t>(i));
+void TQTree::Freeze() {
+  if (HasZIndexes()) {
+    for (size_t i = 0; i < num_nodes_; ++i) {
+      (void)zindex(static_cast<int32_t>(i));
+    }
   }
   // Freezing also materialises the point-mass raster (first freeze, or a
   // deserialised tree): forks inherit it, so steady-state publishes only
@@ -555,7 +546,6 @@ bool TQTree::RemoveUnit(uint32_t traj_id, uint32_t seg_index,
   n.entries.erase(n.entries.begin() + pos);
   n.local_ub -= ub;
   n.zindex.reset();
-  n.zindex_dirty = true;
   // Bound repair along the copied spine only.
   for (const int32_t p : path) MutableNode(p).sub -= ub;
   --num_units_;

@@ -5,11 +5,12 @@
 //            segments) that span E's children (internal nodes) or fit inside
 //            E (leaves), so longer units live higher in the tree;
 //   level 2: per node, a z-order bucket list (ZIndex) grouping co-located,
-//            similarly-oriented units — the structure zReduce prunes.
+//            similarly-oriented units — the structure zReduce prunes (on
+//            segmented TQ(Z) trees; whole trees answer from cell tables).
 //
 // Variants (all from the paper's evaluation):
 //   * IndexVariant::kBasic  — TQ(B): flat per-node lists, no z-ordering.
-//   * IndexVariant::kZOrder — TQ(Z): z-ordered buckets per node.
+//   * IndexVariant::kZOrder — TQ(Z): z-ordered buckets (segmented trees).
 //   * TrajMode::kWhole      — trajectories stored whole: the two-point index
 //                             of §III and the full-trajectory index of §III-A.
 //   * TrajMode::kSegmented  — every consecutive point pair stored as its own
@@ -21,8 +22,8 @@
 // a new tree sharing EVERY page with its parent in O(num_pages) pointer
 // copies; a subsequent Insert/Remove on either tree path-copies only the
 // pages its root-to-leaf paths (and split allocations) touch, re-tagging
-// them with the writing tree's epoch. Untouched pages — including their
-// already-built z-indexes — stay shared, so publishing a small write batch
+// them with the writing tree's epoch. Untouched pages (with the z-indexes a
+// segmented TQ(Z) tree built) stay shared, so publishing a small write batch
 // costs O(batch × depth) node copies instead of a full-tree clone.
 #ifndef TQCOVER_TQTREE_TQ_TREE_H_
 #define TQCOVER_TQTREE_TQ_TREE_H_
@@ -91,8 +92,8 @@ struct CowStats {
 };
 
 /// The TQ-tree. Bulk-built over a TrajectorySet (not owned; must outlive the
-/// tree); supports dynamic Insert/Remove (§III-C). Not thread-safe: z-index
-/// rebuilds after updates are lazy and mutate internal state on first query.
+/// tree); supports dynamic Insert/Remove (§III-C). Not thread-safe until
+/// frozen: segmented TQ(Z) trees rebuild dropped z-indexes on first query.
 class TQTree {
  public:
   TQTree(const TrajectorySet* users, TQTreeOptions options);
@@ -117,8 +118,8 @@ class TQTree {
   size_t num_pages() const { return pages_.size(); }
   size_t num_units() const { return num_units_; }
 
-  /// Structurally-shared copy: the fork shares every node page (and every
-  /// built z-index) with this tree; both sides then copy pages on first
+  /// Structurally-shared copy: the fork shares every node page (and any
+  /// z-index on it) with this tree; both sides then copy pages on first
   /// write, so neither can disturb the other. `users` must be the same
   /// trajectory set or an append-only extension of it (ids are stable), and
   /// must outlive the fork. Cost: O(num_pages) shared_ptr copies — this is
@@ -129,10 +130,11 @@ class TQTree {
   /// side is written next.
   ///
   /// Rare slow path: if the extended user set flips the tree's
-  /// soundness-preserving z-prune mode (a longer trajectory appears and
-  /// EndpointsOnly no longer holds), the shared z-indexes are invalid for
-  /// the fork and every node is marked dirty — the publish then costs a
-  /// rebuild, like the old full clone, but never answers wrongly.
+  /// soundness-preserving prune mode (a longer trajectory appears in a
+  /// two-point whole tree), the fork drops the shared cell tables, whose
+  /// kind follows the mode, until its next Freeze() rebuilds them. Only a
+  /// whole tree's mode can flip, and whole trees carry no z-index, so the
+  /// fork still shares every page.
   std::unique_ptr<TQTree> Fork(const TrajectorySet* users);
 
   /// Copy-on-write accounting since the last Fork() that created this tree.
@@ -179,20 +181,21 @@ class TQTree {
   double CellUpperBound(const StopGrid& grid,
                         std::vector<uint32_t>* candidates = nullptr) const;
 
-  /// Z-index over `idx`'s list, rebuilding if dirty. Returns nullptr for
-  /// kBasic trees and for empty lists.
+  /// Z-index over `idx`'s list, building it if an update dropped it.
+  /// Returns nullptr for empty lists and on trees without z-indexes (see
+  /// HasZIndexes), whose walks scan the linear list instead.
   const ZIndex* zindex(int32_t idx);
 
-  /// Rebuilds every dirty z-index now (no-op for kBasic trees). After this,
-  /// queries are read-only until the next Insert/Remove — the freezing step
-  /// the concurrent runtime performs before publishing a tree snapshot. On a
-  /// fork, only nodes the write batch touched are dirty, so this rebuilds
-  /// O(batch × depth) z-indexes, not the whole tree's. Freezing also
-  /// materialises the point-mass raster and, on whole-trajectory trees, the
+  /// Makes queries read-only until the next Insert/Remove — the step the
+  /// concurrent runtime performs before publishing a tree snapshot. Builds
+  /// the point-mass raster if missing; on whole-trajectory trees, the
   /// point-cell tables (rebuilt only once the inserts pending since their
-  /// build exceed 1/8 of the trajectories they hold). Trees of both
-  /// variants are frozen at construction and at load.
-  void BuildAllZIndexes();
+  /// build exceed 1/8 of the trajectories they hold); on segmented TQ(Z)
+  /// trees, every z-index an update dropped (on a fork, O(batch × depth) of
+  /// them). Every tree is frozen at construction and at load.
+  void Freeze();
+  /// Freeze()'s former name, still called by bench_layers/.
+  void BuildAllZIndexes() { Freeze(); }
 
   /// Inserts trajectory `traj_id` of the user set (as a whole unit or as all
   /// of its segments, per the tree mode). O(h) descent per unit (§III-C).
@@ -252,7 +255,13 @@ class TQTree {
   /// Allocates `count` owned pages holding exactly `n` default nodes (load
   /// path; no sharing, no copy accounting).
   void ResizeNodes(size_t n);
-  void MarkAllZIndexesDirty();
+  /// The z-index rule: only segmented TQ(Z) trees, served by walks, build
+  /// them. A whole tree walks only as a flipped fork before its next freeze
+  /// and then scans the linear list, so it builds none at all.
+  bool HasZIndexes() const {
+    return options_.variant == IndexVariant::kZOrder &&
+           options_.mode == TrajMode::kSegmented;
+  }
 
   void BulkBuild();
   void InsertEntry(const TrajEntry& e);

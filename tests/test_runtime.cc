@@ -121,7 +121,7 @@ TEST(TQTreeFork, ForkAnswersIdenticallyAndIsIndependent) {
   EXPECT_EQ(fork->cow_stats().nodes_copied, 0u);
 
   fork->Insert(new_id);
-  fork->BuildAllZIndexes();
+  fork->Freeze();
   EXPECT_EQ(fork->num_units(), original.num_units() + 1);
   // The insert path-copied the touched pages — and only those.
   EXPECT_GT(fork->cow_stats().nodes_copied, 0u);

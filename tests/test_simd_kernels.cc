@@ -336,7 +336,7 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
   TQTreeOptions opt;
   opt.model = model;
   TQTree tree(&users, opt);
-  tree.BuildAllZIndexes();
+  tree.Freeze();
   ASSERT_TRUE(tree.has_cell_tables());
   const std::vector<uint64_t> serial = ReaderDigest(&tree, eval, catalog);
   std::vector<std::thread> threads;
@@ -366,7 +366,7 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
     }
     fork->Insert(round);
     EXPECT_TRUE(fork->Remove(round + 1));
-    fork->BuildAllZIndexes();
+    fork->Freeze();
     EXPECT_NE(ReaderDigest(fork.get(), eval, catalog), serial);
   }
   for (auto& th : threads) th.join();

@@ -169,7 +169,7 @@ TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
       }
       ExpectBoundNeverBelowExact(fork.get(), eval, catalog,
                                  "fork before freeze");
-      fork->BuildAllZIndexes();
+      fork->Freeze();
       ExpectBoundNeverBelowExact(fork.get(), eval, catalog, "fork frozen");
       ExpectBoundNeverBelowExact(&tree, eval, catalog,
                                  "parent after fork writes");

@@ -240,6 +240,26 @@ bool IntegerValued(const ServiceModel& m) {
           m.normalization == Normalization::kNone);
 }
 
+// The z-index rule on a frozen tree: a segmented TQ(Z) tree, whose walks
+// read z-indexes, has one on every non-empty node; every other tree (whole
+// trees of both variants, answered from their cell tables) has none, and
+// zindex() returns what the node holds without building anything.
+void ExpectZIndexRule(TQTree* tree, const std::string& where) {
+  const bool walked = tree->options().variant == IndexVariant::kZOrder &&
+                      tree->options().mode == TrajMode::kSegmented;
+  for (size_t i = 0; i < tree->num_nodes(); ++i) {
+    const auto idx = static_cast<int32_t>(i);
+    const ZIndex* held = tree->node(idx).zindex.get();
+    EXPECT_EQ(held != nullptr, walked && !tree->node(idx).entries.empty())
+        << where << ", node " << i;
+    EXPECT_EQ(tree->zindex(idx), held) << where << ", node " << i;
+    if (held != nullptr) {
+      EXPECT_EQ(held->num_entries(), tree->node(idx).entries.size())
+          << where << ", node " << i;
+    }
+  }
+}
+
 // Checks the filter on `tree` against every facility: each indexed user
 // that scores > 0 (by the evaluator and by brute force) has its bit set in
 // the default mask, each user with any served detail has its bit set in the
@@ -249,11 +269,12 @@ bool IntegerValued(const ServiceModel& m) {
 // exactly the users with a served detail, and the library's answers equal
 // brute force over the indexed users — exactly for the integer-valued
 // models, and top-k always returns EvaluateServiceTQ's bits in the
-// exhaustive order. Returns how many (user, facility) pairs the default
-// mask cleared.
+// exhaustive order. Also checks that the whole tree holds no z-index.
+// Returns how many (user, facility) pairs the default mask cleared.
 size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
                             const std::string& where) {
   SCOPED_TRACE(where);
+  ExpectZIndexRule(tree, "whole tree");
   const TrajectorySet& users = tree->users();
   const ServiceModel& model = tree->options().model;
   const ServiceEvaluator eval(&users, model);
@@ -439,7 +460,7 @@ void CheckPointCellLifecycle(bool two_point) {
     std::unique_ptr<TQTree> fork = fresh.Fork(&extended);
     for (const uint32_t u : outside) fork->Insert(u);
     CheckCandidateFilter(fork.get(), facs, "fork, pending inserts");
-    fork->BuildAllZIndexes();
+    fork->Freeze();
     EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), outside.size());
     CheckCandidateFilter(fork.get(), facs, "fork, frozen with pending");
     // The parent keeps its own (empty) pending list and its answers.
@@ -452,7 +473,7 @@ void CheckPointCellLifecycle(bool two_point) {
       std::unique_ptr<TQTree> grandchild = fork->Fork(&extended);
       ASSERT_TRUE(grandchild->Remove(1));
       ASSERT_TRUE(grandchild->Remove(outside[1]));
-      grandchild->BuildAllZIndexes();
+      grandchild->Freeze();
       CheckCandidateFilter(grandchild.get(), facs, "grandchild");
       CheckCandidateFilter(fork.get(), facs, "fork after grandchild writes");
     }
@@ -469,7 +490,7 @@ void CheckPointCellLifecycle(bool two_point) {
     for (const uint32_t u : later) fork->Insert(u);
     fork->Insert(outside[0]);
     CheckCandidateFilter(fork.get(), facs, "fork, many pending");
-    fork->BuildAllZIndexes();
+    fork->Freeze();
     EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), 0u);
     CheckCandidateFilter(fork.get(), facs, "fork, folded table");
 
@@ -518,6 +539,8 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
                                   model, 16));
   ASSERT_EQ(tree.prune_mode(), ZPruneMode::kStartEnd);
   std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+  // Whole trees hold no z-index to invalidate, so the flip copies no page.
+  EXPECT_EQ(fork->cow_stats().pages_copied, 0u);
   ASSERT_EQ(fork->prune_mode(), ZPruneMode::kMbr);
   for (uint32_t u = static_cast<uint32_t>(users.size()); u < extended.size();
        ++u) {
@@ -553,9 +576,48 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
       }
     }
   }
-  fork->BuildAllZIndexes();
+  fork->Freeze();
   CheckCandidateFilter(fork.get(), facs, "flipped fork, frozen");
   CheckCandidateFilter(&tree, facs, "parent");
+}
+
+// Segmented trees have no cell tables, so their walk is their only filter:
+// a segmented TQ(Z) tree holds a z-index on every non-empty node after
+// construction, after a fork's writes and freeze (on both sides) and after
+// a save/load round trip; a segmented TQ(B) tree holds none.
+TEST(TQTree, ZIndexesOnlyOnSegmentedZOrderTrees) {
+  Rng rng(341);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 6, w);
+  TrajectorySet extended = users;
+  const TrajectorySet more = testing::RandomUsers(&rng, 40, 2, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
+  for (const IndexVariant variant :
+       {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+    SCOPED_TRACE(variant == IndexVariant::kZOrder ? "TQ(Z)" : "TQ(B)");
+    TQTree tree(&users, MakeOptions(variant, TrajMode::kSegmented,
+                                    ServiceModel::PointCount(150.0)));
+    ExpectZIndexRule(&tree, "constructed");
+    std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+    for (uint32_t u = static_cast<uint32_t>(users.size());
+         u < extended.size(); ++u) {
+      fork->Insert(u);
+    }
+    for (uint32_t u = 0; u < users.size(); u += 7) {
+      ASSERT_TRUE(fork->Remove(u));
+    }
+    fork->Freeze();
+    ExpectZIndexRule(fork.get(), "fork, frozen");
+    ExpectZIndexRule(&tree, "parent after fork writes");
+    std::string bytes;
+    StringSnapshotSink sink(&bytes);
+    ASSERT_TRUE(WriteTQTreeSnapshot(*fork, &sink).ok());
+    StringSnapshotSource source(bytes);
+    Result<std::unique_ptr<TQTree>> loaded =
+        ReadTQTreeSnapshot(&source, &extended);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectZIndexRule(loaded->get(), "loaded");
+  }
 }
 
 }  // namespace

@@ -141,28 +141,56 @@ TEST(Updates, ZIndexRebuildsAfterUpdates) {
   Rng rng(811);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 2, w);
-  const TrajectorySet facs = testing::RandomFacilities(&rng, 6, 10, w);
+  // A route through the endpoints of the first 12 users serves them all.
+  std::vector<Point> route;
+  for (uint32_t u = 0; u < 12; ++u) {
+    route.push_back(users.points(u).front());
+    route.push_back(users.points(u).back());
+  }
   const ServiceModel model = ServiceModel::Endpoints(200.0);
   const ServiceEvaluator eval(&users, model);
   TQTreeOptions opt;
   opt.beta = 8;
   opt.variant = IndexVariant::kZOrder;
+  // Segmented TQ(Z) trees are the ones whose walks read z-indexes.
+  opt.mode = TrajMode::kSegmented;
   opt.model = model;
   TQTree tree(&users, opt);
   // Query, mutate, query again: the z-index must reflect the removal.
-  const StopGrid grid(facs.points(0), model.psi);
-  const double before = EvaluateServiceTQ(&tree, eval, grid);
+  const StopGrid grid(route, model.psi);
+  QueryStats stats;
+  const double before = EvaluateServiceTQ(&tree, eval, grid, &stats);
+  EXPECT_GT(stats.zreduce.buckets_total, 0u);
   // Remove every user the facility fully serves.
   std::vector<uint32_t> served;
   for (uint32_t u = 0; u < users.size(); ++u) {
-    if (testing::BruteForceService(users, u, facs.points(0), model) > 0.0) {
+    if (testing::BruteForceService(users, u, route, model) > 0.0) {
       served.push_back(u);
     }
   }
-  for (const uint32_t u : served) ASSERT_TRUE(tree.Remove(u));
-  const double after = EvaluateServiceTQ(&tree, eval, grid);
+  ASSERT_GE(served.size(), 12u);
+  // Every other one first: the survivors sit at shifted list positions.
+  for (size_t i = 0; i < served.size(); i += 2) {
+    ASSERT_TRUE(tree.Remove(served[i]));
+  }
+  EXPECT_EQ(EvaluateServiceTQ(&tree, eval, grid),
+            static_cast<double>(served.size() / 2));
+  for (size_t i = 1; i < served.size(); i += 2) {
+    ASSERT_TRUE(tree.Remove(served[i]));
+  }
+  stats = QueryStats{};
+  const double after = EvaluateServiceTQ(&tree, eval, grid, &stats);
+  EXPECT_GT(stats.zreduce.buckets_total, 0u);
   EXPECT_NEAR(after, 0.0, 1e-9);
   EXPECT_NEAR(before, static_cast<double>(served.size()), 1e-9);
+  // No z-index outlives a removal from its node's list.
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    const auto idx = static_cast<int32_t>(i);
+    const ZIndex* zi = tree.zindex(idx);
+    EXPECT_EQ(zi == nullptr ? 0 : zi->num_entries(),
+              tree.node(idx).entries.size())
+        << "node " << i;
+  }
 }
 
 // ------------------------------------------- removals and the cell tables
@@ -288,10 +316,10 @@ void CheckRemovalsAgainstTables(size_t min_pts, size_t max_pts,
   for (size_t i = 0; i < listed.size(); i += 2) {
     ASSERT_TRUE(tree.Remove(listed[i]));
     live[listed[i]] = false;
-    if (i == listed.size() / 2) tree.BuildAllZIndexes();
+    if (i == listed.size() / 2) tree.Freeze();
   }
   ExpectLiveAnswers(&tree, live, facs, "removed listed ids");
-  tree.BuildAllZIndexes();
+  tree.Freeze();
   const std::vector<double> parent_values =
       ExpectLiveAnswers(&tree, live, facs, "removed listed ids, frozen");
 
@@ -319,7 +347,7 @@ void CheckRemovalsAgainstTables(size_t min_pts, size_t max_pts,
   EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child unfrozen"),
             parent_values);
   ExpectLiveAnswers(child.get(), child_live, facs, "child, unfrozen");
-  child->BuildAllZIndexes();
+  child->Freeze();
   ExpectLiveAnswers(child.get(), child_live, facs, "child, frozen");
   EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child frozen"),
             parent_values);

@@ -75,8 +75,10 @@ namespace tq::runtime {
 //   checkpoints/checkpoint_ns/pages_reclaimed
 //                            checkpointer accounting: checkpoints committed,
 //                            total checkpoint wall ns (stream + trim +
-//                            compact), node pages released from live fork
-//                            chains by post-checkpoint compaction
+//                            compact), node pages of the shard trees that
+//                            post-checkpoint compaction replaced with
+//                            rebuilds (forks share pages only with retained
+//                            snapshots, so no fork chain is freed)
 #define TQ_METRICS_COUNTERS(X) \
   X(queries_total)             \
   X(service_queries)           \

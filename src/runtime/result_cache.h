@@ -1,16 +1,17 @@
 // Sharded LRU cache memoising EvaluateServiceTQ results for the serving
 // engine.
 //
-// Key = (facility id, ψ bits, shard generation, data shard): a service value
-// is a pure function of the shard's user set and the facility's stop disk
-// radius, and the shard's user set is identified by its own publish
-// generation (sharded_engine.h) — so a hit is exact, never approximate.
+// Key = (facility id, shard generation, data shard): a service value is a
+// pure function of the shard's user set and the facility's stops (ψ is fixed
+// for an engine's lifetime), and the shard's user set is identified by its
+// own publish generation (sharded_engine.h) — so a hit is exact, never
+// approximate.
 // Republishing a single shard makes only that shard's entries unreachable;
 // InvalidateShardsBefore() reclaims their memory eagerly on publish, LRU
 // eviction reclaims the rest lazily, and the other shards keep hitting.
 //
 // A second, smaller section memoises gathered TOP-K answers keyed by
-// (k, ψ, per-shard generation vector): a ranked list is a pure function of
+// (k, per-shard generation vector): a ranked list is a pure function of
 // every shard's user set, so the key carries the whole generation vector
 // and a single-shard republish invalidates exactly the lists that shard
 // contributed to. Top-k is bound-and-prune, which evaluates only a few
@@ -26,7 +27,6 @@
 #define TQCOVER_RUNTIME_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,29 +38,20 @@
 
 namespace tq::runtime {
 
-/// Bit pattern of ψ for exact-equality cache keying.
-inline uint64_t PsiBits(double psi) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(psi));
-  std::memcpy(&bits, &psi, sizeof(bits));
-  return bits;
-}
-
-/// Thread-safe sharded LRU map from (facility, ψ, shard generation, shard)
+/// Thread-safe sharded LRU map from (facility, shard generation, shard)
 /// to a cached service value. A zero capacity disables the cache (every Get
 /// misses, Put is a no-op) — used by benches measuring raw compute scaling.
 class ResultCache {
  public:
   struct Key {
     FacilityId facility = 0;
-    uint64_t psi_bits = 0;  // bit pattern of ψ (doubles as exact equality)
     /// The owning shard's publish generation.
     uint64_t snapshot_version = 0;
     /// Data shard the value was computed on.
     uint32_t shard = 0;
 
     bool operator==(const Key& o) const {
-      return facility == o.facility && psi_bits == o.psi_bits &&
+      return facility == o.facility &&
              snapshot_version == o.snapshot_version && shard == o.shard;
     }
   };
@@ -70,11 +61,10 @@ class ResultCache {
   /// a hit can never mix shard states.
   struct TopKKey {
     size_t k = 0;
-    uint64_t psi_bits = 0;
     std::vector<uint64_t> gens;
 
     bool operator==(const TopKKey& o) const {
-      return k == o.k && psi_bits == o.psi_bits && gens == o.gens;
+      return k == o.k && gens == o.gens;
     }
   };
 
@@ -106,7 +96,7 @@ class ResultCache {
                                 uint64_t generation);
 
   /// True and fills `*ranked` on a memoised top-k answer for exactly this
-  /// (k, ψ, generation vector); refreshes the entry's LRU position.
+  /// (k, generation vector); refreshes the entry's LRU position.
   bool GetTopK(const TopKKey& key, std::vector<RankedFacility>* ranked);
 
   /// Memoises one gathered top-k answer. Returns entries evicted (0 or 1).
@@ -132,9 +122,9 @@ class ResultCache {
   }
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      // 64-bit mix of the four components.
+      // 64-bit mix of the three components.
       const uint64_t h =
-          k.psi_bits ^ (k.snapshot_version * 0x9e3779b97f4a7c15ull) ^
+          (k.snapshot_version * 0x9e3779b97f4a7c15ull) ^
           (static_cast<uint64_t>(k.facility) << 32) ^
           (static_cast<uint64_t>(k.shard) * 0xd1342543de82ef95ull);
       return static_cast<size_t>(Mix64(h));
@@ -156,7 +146,7 @@ class ResultCache {
   };
   struct TopKKeyHash {
     size_t operator()(const TopKKey& k) const {
-      uint64_t h = k.psi_bits ^ (static_cast<uint64_t>(k.k) << 48);
+      uint64_t h = static_cast<uint64_t>(k.k) << 48;
       for (const uint64_t g : k.gens) {
         h ^= g + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
       }
@@ -167,7 +157,7 @@ class ResultCache {
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Top-k section: answers are few (one per (k, ψ) in steady state) and
+  // Top-k section: answers are few (one per k in steady state) and
   // each is worth a full catalog scan per data shard, so a small single-
   // mutex LRU off the per-facility fast path is enough.
   size_t topk_capacity_ = 0;

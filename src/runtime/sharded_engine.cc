@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "net/protocol.h"
 #include "query/eval_service.h"
-#include "tqtree/serialize.h"
 
 namespace {
 
@@ -20,10 +19,25 @@ tq::runtime::ResultCache::TopKKey TopKKeyFor(
     const tq::runtime::ShardedSnapshot& snap, size_t k) {
   tq::runtime::ResultCache::TopKKey key;
   key.k = k;
-  key.psi_bits = tq::runtime::PsiBits(snap.catalog->psi());
   key.gens.reserve(snap.shards.size());
   for (const auto& shard : snap.shards) key.gens.push_back(shard->generation);
   return key;
+}
+
+/// The ids below `num_users` that the ascending `ids` lacks: a shard's
+/// removed ids from its indexed ones, and back.
+std::vector<uint32_t> MissingIds(size_t num_users,
+                                 const std::vector<uint32_t>& ids) {
+  std::vector<uint32_t> missing;
+  size_t next = 0;
+  for (uint32_t id = 0; id < num_users; ++id) {
+    if (next < ids.size() && ids[next] == id) {
+      ++next;
+    } else {
+      missing.push_back(id);
+    }
+  }
+  return missing;
 }
 
 }  // namespace
@@ -135,7 +149,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Recover(
   // The recovering process must be CONFIGURED with the geometry the
   // checkpoint was written under — a different ψ, service model, or world
   // would rebuild different trees and silently change answers.
-  const uint64_t hash = TQTreeGeometryHash(options.tree, manifest->world);
+  const uint64_t hash =
+      storage::TQTreeGeometryHash(options.tree, manifest->world);
   if (hash != manifest->geometry_hash) {
     return Status::InvalidArgument(
         "tree options do not match the checkpoint's geometry hash");
@@ -193,9 +208,9 @@ Status ShardedEngine::RecoverFrom(
     // (cache keys, kUpdate responses) matches the uninterrupted run.
     state->generation = manifest.shards[s].generation;
     if (Owns(s)) {
-      if (!manifest.shards[s].has_tree) {
+      if (!manifest.shards[s].has_shard) {
         return Status::InvalidArgument(
-            "checkpoint has no tree for owned shard " + std::to_string(s));
+            "checkpoint has no files for owned shard " + std::to_string(s));
       }
       auto users = storage::LoadCheckpointShardUsers(
           checkpoint_dir, static_cast<uint32_t>(s));
@@ -204,12 +219,12 @@ Status ShardedEngine::RecoverFrom(
       if (shard_users->size() != manifest.shards[s].user_count) {
         return Status::InvalidArgument("checkpoint shard user count mismatch");
       }
-      auto tree = LoadTQTree(
-          storage::CheckpointShardTreePath(checkpoint_dir,
-                                           static_cast<uint32_t>(s)),
-          shard_users.get());
-      TQ_RETURN_NOT_OK(tree.status());
-      state->tree = std::shared_ptr<TQTree>(std::move(*tree));
+      auto removed = storage::LoadCheckpointShardRemoved(
+          checkpoint_dir, static_cast<uint32_t>(s), shard_users->size());
+      TQ_RETURN_NOT_OK(removed.status());
+      state->tree = std::make_shared<TQTree>(
+          shard_users.get(), options_.tree,
+          MissingIds(shard_users->size(), *removed));
       state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
                                                        options_.tree.model);
       state->users = std::move(shard_users);
@@ -293,9 +308,9 @@ storage::RecoveryInfo ShardedEngine::recovery_info() const {
 Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
   // Capture (snapshot, registry, logical counts) as one consistent cut:
   // publishes happen under writer_mu_, so holding it pins all three at the
-  // same LSN. The capture is O(users) copies; the expensive streaming below
-  // runs OFF the lock, with the snapshot shared_ptr keeping every shard
-  // tree alive while writers move on.
+  // same LSN. The capture is O(users) copies; the expensive writing below
+  // runs OFF the lock, with the snapshot shared_ptr keeping every shard's
+  // users and tree alive while writers move on.
   ShardedSnapshotPtr snap;
   std::vector<UserLocation> registry;
   std::vector<uint32_t> counts;
@@ -324,18 +339,20 @@ Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
   storage::CheckpointManifest manifest;
   manifest.lsn = snap->version;
   manifest.users_total = registry.size();
-  manifest.geometry_hash = TQTreeGeometryHash(options_.tree, router_.world());
+  manifest.geometry_hash =
+      storage::TQTreeGeometryHash(options_.tree, router_.world());
   manifest.world = router_.world();
   manifest.splits = router_.splits();
   manifest.shards.resize(n);
   for (size_t s = 0; s < n; ++s) {
     manifest.shards[s].generation = snap->shards[s]->generation;
     manifest.shards[s].user_count = counts[s];
-    manifest.shards[s].has_tree = Owns(s);
+    manifest.shards[s].has_shard = Owns(s);
     if (Owns(s)) {
-      TQ_RETURN_NOT_OK((*writer)->WriteShard(static_cast<uint32_t>(s),
-                                             *snap->shards[s]->users,
-                                             *snap->shards[s]->tree));
+      const ShardState& shard = *snap->shards[s];
+      TQ_RETURN_NOT_OK((*writer)->WriteShard(
+          static_cast<uint32_t>(s), *shard.users,
+          MissingIds(shard.users->size(), shard.tree->IndexedTrajectories())));
     }
   }
   TQ_RETURN_NOT_OK((*writer)->Commit(manifest));
@@ -343,43 +360,41 @@ Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
 }
 
 uint64_t ShardedEngine::CompactShards(uint64_t /*lsn*/) {
-  // Round-trip each owned shard tree through the snapshot codec into fresh
-  // dense pages. NEVER rebuild from the user set: the codec restores the
-  // stored structure (node geometry, entries, split history) so query
-  // answers stay bit-identical; only upper/aggregate BOUNDS are re-derived,
-  // and the prune-threshold proof makes bounds answer-neutral.
-  uint64_t reclaimed = 0;
+  // Rebuild each owned shard tree over its indexed ids: the same rebuild
+  // recovery runs, so a shard the checkpoint captured becomes exactly what
+  // recovery would build from it. A rebuild folds the inserts pending since
+  // the cell tables were built into fresh tables, off the publish path, and
+  // answers keep their bits: they do not depend on the tree's shape.
+  uint64_t replaced = 0;
   const ShardedSnapshotPtr captured = snapshot();
   for (size_t s = owned_begin_; s < owned_end_; ++s) {
     const ShardStatePtr old_state = captured->shards[s];
-    std::string buf;
-    StringSnapshotSink sink(&buf);
-    if (!WriteTQTreeSnapshot(*old_state->tree, &sink).ok()) continue;
-    StringSnapshotSource source(buf);
-    auto fresh = ReadTQTreeSnapshot(&source, old_state->users.get());
-    if (!fresh.ok()) continue;
+    // Not a fork: already what a rebuild gives.
+    if (old_state->tree->cow_stats().pages_at_fork == 0) continue;
+    auto fresh = std::make_shared<TQTree>(
+        old_state->users.get(), options_.tree,
+        old_state->tree->IndexedTrajectories());
 
     // Swap only if the shard has not republished meanwhile: same version,
     // same generation, same users/eval — readers and the result cache
     // cannot tell, and the recovery LSN sequence is untouched. A racing
-    // publish wins by pointer inequality (its fork replaced the chain we
-    // compacted anyway).
+    // publish wins by pointer inequality.
     std::lock_guard<std::mutex> writer_lock(writer_mu_);
     const ShardedSnapshotPtr live = snapshot();
     if (live->shards[s] != old_state) continue;
     auto state = std::make_shared<ShardState>(*old_state);
-    state->tree = std::shared_ptr<TQTree>(std::move(*fresh));
+    state->tree = std::move(fresh);
     auto next = std::make_shared<ShardedSnapshot>(*live);
     next->shards[s] = std::move(state);
     {
       std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
       snapshot_ = std::move(next);
     }
-    // The live snapshot dropped its references to the old tree's pages (the
-    // tail of the fork chain it pinned).
-    reclaimed += old_state->tree->num_pages();
+    // Forks share pages only with retained snapshots, so this frees no
+    // fork chain: it counts the pages of the tree the rebuild replaced.
+    replaced += old_state->tree->num_pages();
   }
-  return reclaimed;
+  return replaced;
 }
 
 void ShardedEngine::Publish(ShardedSnapshotPtr snap,
@@ -579,8 +594,7 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
                                         const FacilityCatalog& catalog,
                                         FacilityId f, QueryStats* stats,
                                         bool* cache_hit) {
-  const ResultCache::Key key{f, PsiBits(catalog.psi()), shard.generation,
-                             shard.shard};
+  const ResultCache::Key key{f, shard.generation, shard.shard};
   double value = 0.0;
   if (cache_.Get(key, &value)) {
     *cache_hit = true;

@@ -131,8 +131,9 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
                 ShardedEngineOptions options);
 
   /// Rebuilds an engine from `options.durability.data_dir`: loads the
-  /// current checkpoint (geometry, facilities, registry, owned shard trees),
-  /// replays the WAL records after its LSN through the normal update path,
+  /// current checkpoint (geometry, facilities, registry, owned shards' users
+  /// and removed ids), rebuilds each owned shard tree over its users minus
+  /// its removed ids, replays the WAL records after its LSN through the normal update path,
   /// and resumes logging — the recovered engine is bit-identical to the
   /// SIGKILL'd one, including snapshot version and per-shard generations.
   /// `options.tree` must match the checkpoint's geometry hash;
@@ -281,15 +282,16 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   std::vector<uint32_t> ApplyUpdatesImpl(const UpdateBatch& batch,
                                          bool log_to_wal);
   /// DurabilityManager's WriteCheckpointFn: captures (snapshot, registry,
-  /// logical counts) consistently under writer_mu_, then streams everything
+  /// logical counts) consistently under writer_mu_, then writes the
+  /// facilities, the registry and each owned shard's users and removed ids
   /// into a CheckpointWriter OFF the lock — the snapshot shared_ptr pins the
-  /// trees while writers keep publishing. Returns the captured LSN.
+  /// shards while writers keep publishing. Returns the captured LSN.
   Result<uint64_t> WriteCheckpointImpl();
-  /// DurabilityManager's CompactFn: round-trips each owned shard tree
-  /// through the snapshot codec into fresh dense pages and swaps it in at
-  /// the SAME version + generation (answers, cache keys, and the recovery
-  /// LSN sequence are all unchanged — only the page backing is). Returns
-  /// node pages the live snapshot stopped pinning.
+  /// DurabilityManager's CompactFn: rebuilds each owned shard tree that is
+  /// a fork over its indexed ids (the rebuild recovery runs), and swaps it
+  /// in at the SAME version and generation (answers, cache keys, and the
+  /// recovery LSN sequence are all unchanged). Returns the pages of the
+  /// trees it replaced.
   uint64_t CompactShards(uint64_t lsn);
 
   ShardedEngineOptions options_;

@@ -9,9 +9,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "common/crc32c.h"
-#include "tqtree/serialize.h"
 #include "traj/io.h"
 
 namespace tq::storage {
@@ -19,8 +19,11 @@ namespace tq::storage {
 namespace {
 
 constexpr char kManifestMagic[4] = {'T', 'Q', 'C', 'K'};
-constexpr uint32_t kManifestVersion = 1;
+/// Version 1 stored each shard's tree; version 2 stores the shard's removed
+/// ids, and recovery rebuilds the tree.
+constexpr uint32_t kManifestVersion = 2;
 constexpr char kRegistryMagic[4] = {'T', 'Q', 'R', 'G'};
+constexpr char kRemovedMagic[4] = {'T', 'Q', 'R', 'M'};
 
 Status IOErr(const std::string& what, const std::string& path) {
   return Status::IOError(what + " " + path + ": " + std::strerror(errno));
@@ -175,11 +178,73 @@ std::string ShardUsersPath(const std::string& dir, uint32_t shard) {
   return dir + "/shard-" + std::to_string(shard) + ".users";
 }
 
+std::string ShardRemovedPath(const std::string& dir, uint32_t shard) {
+  return dir + "/shard-" + std::to_string(shard) + ".removed";
+}
+
+/// Writes the framing registry.bin and shard-<s>.removed share: magic, u64
+/// entry count, `width` u32 words per entry, then the CRC32C of everything
+/// after the magic; fsyncs the file.
+Status WriteWordFile(const std::string& path, const char (&magic)[4],
+                     size_t width, std::span<const uint32_t> words) {
+  std::string buf;
+  buf.reserve(16 + words.size() * 4);
+  buf.append(magic, sizeof(magic));
+  PutU64(&buf, words.size() / width);
+  for (const uint32_t w : words) PutU32(&buf, w);
+  const uint32_t crc = Crc32c(buf.data() + 4, buf.size() - 4);
+  PutU32(&buf, crc);
+  return WriteFileSynced(path, buf);
+}
+
+/// Reads a WriteWordFile file back into its words; a wrong magic, CRC or
+/// length is a typed error.
+Result<std::vector<uint32_t>> ReadWordFile(const std::string& path,
+                                           const char (&magic)[4],
+                                           size_t width, const char* what) {
+  auto raw = ReadFileToString(path);
+  TQ_RETURN_NOT_OK(raw.status());
+  if (raw->size() < 4 || std::memcmp(raw->data(), magic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument(std::string("not a ") + what + ": " + path);
+  }
+  auto body = CheckedBody(*raw, what);
+  TQ_RETURN_NOT_OK(body.status());
+  Reader r(*body);
+  uint64_t count = 0;
+  const size_t entry_bytes = 4 * width;
+  if (!r.GetU64(&count) || r.remaining() % entry_bytes != 0 ||
+      r.remaining() / entry_bytes != count) {
+    return Status::InvalidArgument(std::string(what) + " malformed");
+  }
+  std::vector<uint32_t> words(count * width);
+  for (uint32_t& w : words) r.GetU32(&w);
+  return words;
+}
+
 }  // namespace
 
-std::string CheckpointShardTreePath(const std::string& checkpoint_dir,
-                                    uint32_t shard) {
-  return checkpoint_dir + "/shard-" + std::to_string(shard) + ".tree";
+uint64_t TQTreeGeometryHash(const TQTreeOptions& options, const Rect& world) {
+  std::string packed;
+  PutU64(&packed, options.beta);
+  PutU32(&packed, static_cast<uint32_t>(options.max_depth));
+  packed.push_back(static_cast<char>(options.variant));
+  packed.push_back(static_cast<char>(options.mode));
+  packed.push_back(static_cast<char>(options.model.scenario));
+  packed.push_back(static_cast<char>(options.model.normalization));
+  PutF64(&packed, options.model.psi);
+  PutF64(&packed, world.min_x);
+  PutF64(&packed, world.min_y);
+  PutF64(&packed, world.max_x);
+  PutF64(&packed, world.max_y);
+  // FNV-1a over the packed bytes: stable across runs (no pointer or seed
+  // material), cheap, and collision-safe enough for a configuration check;
+  // the file CRCs handle corruption.
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : packed) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 Result<std::unique_ptr<CheckpointWriter>> CheckpointWriter::Begin(
@@ -208,28 +273,23 @@ Status CheckpointWriter::WriteFacilities(const TrajectorySet& facilities) {
 
 Status CheckpointWriter::WriteRegistry(
     const std::vector<std::pair<uint32_t, uint32_t>>& entries) {
-  std::string buf;
-  buf.reserve(16 + entries.size() * 8);
-  buf.append(kRegistryMagic, sizeof(kRegistryMagic));
-  PutU64(&buf, entries.size());
+  std::vector<uint32_t> words;
+  words.reserve(entries.size() * 2);
   for (const auto& [shard, local] : entries) {
-    PutU32(&buf, shard);
-    PutU32(&buf, local);
+    words.push_back(shard);
+    words.push_back(local);
   }
-  const uint32_t crc = Crc32c(buf.data() + 4, buf.size() - 4);
-  PutU32(&buf, crc);
-  return WriteFileSynced(tmp_dir_ + "/registry.bin", buf);
+  return WriteWordFile(tmp_dir_ + "/registry.bin", kRegistryMagic,
+                       /*width=*/2, words);
 }
 
 Status CheckpointWriter::WriteShard(uint32_t shard, const TrajectorySet& users,
-                                    const TQTree& tree) {
+                                    std::span<const uint32_t> removed) {
   const std::string users_path = ShardUsersPath(tmp_dir_, shard);
   TQ_RETURN_NOT_OK(SaveTrajectoryBinary(users_path, users));
   TQ_RETURN_NOT_OK(SyncFile(users_path));
-  auto sink = FileSnapshotSink::Open(CheckpointShardTreePath(tmp_dir_, shard));
-  TQ_RETURN_NOT_OK(sink.status());
-  TQ_RETURN_NOT_OK(WriteTQTreeSnapshot(tree, sink->get()));
-  return (*sink)->Close(/*sync=*/true);
+  return WriteWordFile(ShardRemovedPath(tmp_dir_, shard), kRemovedMagic,
+                       /*width=*/1, removed);
 }
 
 Status CheckpointWriter::Commit(const CheckpointManifest& manifest) {
@@ -249,7 +309,7 @@ Status CheckpointWriter::Commit(const CheckpointManifest& manifest) {
   for (const CheckpointShardInfo& s : manifest.shards) {
     PutU64(&buf, s.generation);
     PutU64(&buf, s.user_count);
-    buf.push_back(s.has_tree ? 1 : 0);
+    buf.push_back(s.has_shard ? 1 : 0);
   }
   const uint32_t crc = Crc32c(buf.data() + 4, buf.size() - 4);
   PutU32(&buf, crc);
@@ -343,12 +403,12 @@ Result<CheckpointManifest> ReadCheckpointManifest(
   }
   m.shards.resize(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    uint8_t has_tree = 0;
+    uint8_t has_shard = 0;
     if (!r.GetU64(&m.shards[s].generation) ||
-        !r.GetU64(&m.shards[s].user_count) || !r.GetU8(&has_tree)) {
+        !r.GetU64(&m.shards[s].user_count) || !r.GetU8(&has_shard)) {
       return Status::InvalidArgument("checkpoint manifest truncated");
     }
-    m.shards[s].has_tree = has_tree != 0;
+    m.shards[s].has_shard = has_shard != 0;
   }
   return m;
 }
@@ -364,28 +424,13 @@ Result<TrajectorySet> LoadCheckpointFacilities(
 Status LoadCheckpointRegistry(
     const std::string& checkpoint_dir,
     std::vector<std::pair<uint32_t, uint32_t>>* out) {
-  auto raw = ReadFileToString(checkpoint_dir + "/registry.bin");
-  TQ_RETURN_NOT_OK(raw.status());
-  if (raw->size() < 4 ||
-      std::memcmp(raw->data(), kRegistryMagic, sizeof(kRegistryMagic)) != 0) {
-    return Status::InvalidArgument("not a checkpoint registry: " +
-                                   checkpoint_dir);
-  }
-  auto body = CheckedBody(*raw, "checkpoint registry");
-  TQ_RETURN_NOT_OK(body.status());
-  Reader r(*body);
-  uint64_t count = 0;
-  if (!r.GetU64(&count) || r.remaining() != count * 8ull) {
-    return Status::InvalidArgument("checkpoint registry malformed");
-  }
+  auto words = ReadWordFile(checkpoint_dir + "/registry.bin", kRegistryMagic,
+                            /*width=*/2, "checkpoint registry");
+  TQ_RETURN_NOT_OK(words.status());
   out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t shard = 0, local = 0;
-    if (!r.GetU32(&shard) || !r.GetU32(&local)) {
-      return Status::InvalidArgument("checkpoint registry truncated");
-    }
-    out->emplace_back(shard, local);
+  out->reserve(words->size() / 2);
+  for (size_t i = 0; i < words->size(); i += 2) {
+    out->emplace_back((*words)[i], (*words)[i + 1]);
   }
   return Status::OK();
 }
@@ -397,6 +442,23 @@ Result<std::shared_ptr<TrajectorySet>> LoadCheckpointShardUsers(
       LoadTrajectoryBinary(ShardUsersPath(checkpoint_dir, shard),
                            users.get()));
   return users;
+}
+
+Result<std::vector<uint32_t>> LoadCheckpointShardRemoved(
+    const std::string& checkpoint_dir, uint32_t shard, size_t num_users) {
+  auto removed = ReadWordFile(ShardRemovedPath(checkpoint_dir, shard),
+                              kRemovedMagic, /*width=*/1,
+                              "checkpoint removed ids");
+  TQ_RETURN_NOT_OK(removed.status());
+  for (size_t i = 0; i < removed->size(); ++i) {
+    const uint32_t id = (*removed)[i];
+    if (id >= num_users || (i > 0 && id <= (*removed)[i - 1])) {
+      return Status::InvalidArgument(
+          "checkpoint removed ids malformed for shard " +
+          std::to_string(shard));
+    }
+  }
+  return removed;
 }
 
 }  // namespace tq::storage

@@ -13,8 +13,12 @@
 //       facilities.bin            # facility TrajectorySet ("TQJ1")
 //       registry.bin              # "TQRG": global id -> (shard, local id)
 //       shard-<s>.users           # shard s's user TrajectorySet ("TQJ1")
-//       shard-<s>.tree            # shard s's TQ-tree snapshot ("TQT2")
+//       shard-<s>.removed         # "TQRM": shard s's de-indexed local ids
 //     wal/                        # storage/wal.h segments
+//
+// No tree is stored: recovery rebuilds each shard's TQ-tree over its users
+// minus its removed ids (the TQTree id-list constructor), the same rebuild
+// compaction runs on the live engine.
 //
 // Atomicity: everything is streamed into checkpoint-<lsn>.tmp, each file
 // fsync'd, then the directory is renamed into place and CURRENT is swapped
@@ -25,12 +29,13 @@
 //
 // Shard files exist only for the shards the writing process OWNED (manifest
 // rows record which). A recovering process may own any subrange of those;
-// owning a shard the checkpoint has no tree for is a typed error.
+// owning a shard the checkpoint has no files for is a typed error.
 #ifndef TQCOVER_STORAGE_CHECKPOINT_H_
 #define TQCOVER_STORAGE_CHECKPOINT_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +47,12 @@
 
 namespace tq::storage {
 
+/// Hash of the geometry a tree's answers depend on: construction options,
+/// service model and world rectangle. The manifest stores it so a process
+/// configured differently refuses to recover rather than rebuild other
+/// trees.
+uint64_t TQTreeGeometryHash(const TQTreeOptions& options, const Rect& world);
+
 /// One shard's manifest row.
 struct CheckpointShardInfo {
   /// Engine version at the shard's last republish (restored verbatim so the
@@ -50,8 +61,8 @@ struct CheckpointShardInfo {
   /// LOGICAL routed user count — what the shard's set size would be if the
   /// shard were owned. Restores local-id assignment for non-owned shards.
   uint64_t user_count = 0;
-  /// Whether shard-<s>.users / shard-<s>.tree exist in this checkpoint.
-  bool has_tree = false;
+  /// Whether shard-<s>.users / shard-<s>.removed exist in this checkpoint.
+  bool has_shard = false;
 };
 
 struct CheckpointManifest {
@@ -61,7 +72,7 @@ struct CheckpointManifest {
   /// Global-id registry size at capture (== registry.bin entry count).
   uint64_t users_total = 0;
   /// TQTreeGeometryHash(tree options, world): a recovering process must be
-  /// configured with matching tree options or its answers would diverge.
+  /// configured with matching tree options or it would rebuild other trees.
   uint64_t geometry_hash = 0;
   Rect world;
   /// Router split keys (num_shards - 1 of them) — the partition geometry,
@@ -85,8 +96,10 @@ class CheckpointWriter {
   /// Registry entries are (shard, local id), global-id order.
   Status WriteRegistry(
       const std::vector<std::pair<uint32_t, uint32_t>>& entries);
+  /// Writes shard `shard`'s users and the ascending local ids its tree no
+  /// longer indexes.
   Status WriteShard(uint32_t shard, const TrajectorySet& users,
-                    const TQTree& tree);
+                    std::span<const uint32_t> removed);
   /// Writes MANIFEST, fsyncs, renames the directory into place, swaps
   /// CURRENT, and garbage-collects superseded checkpoints.
   Status Commit(const CheckpointManifest& manifest);
@@ -115,10 +128,11 @@ Status LoadCheckpointRegistry(
     std::vector<std::pair<uint32_t, uint32_t>>* out);
 Result<std::shared_ptr<TrajectorySet>> LoadCheckpointShardUsers(
     const std::string& checkpoint_dir, uint32_t shard);
-/// Path of shard `shard`'s tree snapshot (read it with LoadTQTree against
-/// the set LoadCheckpointShardUsers returned).
-std::string CheckpointShardTreePath(const std::string& checkpoint_dir,
-                                    uint32_t shard);
+/// Shard `shard`'s removed local ids, ascending, each below `num_users`
+/// (the size of the set LoadCheckpointShardUsers returned); anything else
+/// is a typed error.
+Result<std::vector<uint32_t>> LoadCheckpointShardRemoved(
+    const std::string& checkpoint_dir, uint32_t shard, size_t num_users);
 
 /// The conventional WAL subdirectory of a data dir.
 inline std::string WalDir(const std::string& data_dir) {

@@ -5,16 +5,17 @@
 // Division of labour with the engine (runtime/sharded_engine.cc):
 //
 //   * The ENGINE knows its own state — so it provides two closures: one that
-//     streams a consistent snapshot into a CheckpointWriter and returns the
-//     captured LSN, and one that compacts the live fork chains a committed
-//     checkpoint makes droppable (returning pages reclaimed).
+//     writes a consistent snapshot into a CheckpointWriter and returns the
+//     captured LSN, and one that compacts after a committed checkpoint:
+//     it rebuilds the live shard trees over their indexed ids, the same
+//     rebuild recovery runs, and returns the pages of the trees it replaced.
 //   * The MANAGER owns everything else: WAL append with the sync policy,
 //     the background thread that ticks the kBatch fsync and fires interval
 //     checkpoints, trimming WAL segments the checkpoint covers, and the
 //     wal_* / checkpoint* / pages_reclaimed metrics + trace spans.
 //
 // Checkpoints never run on the publish path: the engine's capture closure
-// retains the published snapshot (shared_ptr pin) and streams it while
+// retains the published snapshot (shared_ptr pin) and writes it while
 // writers keep publishing.
 #ifndef TQCOVER_STORAGE_DURABILITY_H_
 #define TQCOVER_STORAGE_DURABILITY_H_
@@ -64,6 +65,8 @@ struct RecoveryInfo {
 /// One committed checkpoint's accounting.
 struct CheckpointStats {
   uint64_t lsn = 0;
+  /// Pages of the shard trees compaction replaced (the counter keeps its
+  /// old name; no fork chain is freed).
   uint64_t pages_reclaimed = 0;
   uint64_t wal_bytes_trimmed = 0;
   uint64_t checkpoint_ns = 0;
@@ -71,12 +74,12 @@ struct CheckpointStats {
 
 class DurabilityManager {
  public:
-  /// Streams a consistent engine snapshot to disk (CheckpointWriter) and
+  /// Writes a consistent engine snapshot to disk (CheckpointWriter) and
   /// returns its LSN. Runs on the checkpointer thread; must synchronize
   /// with publishes internally.
   using WriteCheckpointFn = std::function<Result<uint64_t>()>;
-  /// Compacts what checkpoint `lsn` made droppable; returns pages freed
-  /// from the live fork chains.
+  /// Compacts after checkpoint `lsn` commits (the engine rebuilds its live
+  /// shard trees); returns the pages of the trees replaced.
   using CompactFn = std::function<uint64_t(uint64_t lsn)>;
 
   /// `metrics` and `tracer` must outlive the manager (the engine owns all

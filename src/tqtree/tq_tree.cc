@@ -22,6 +22,13 @@ uint64_t NewEpoch() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::vector<uint32_t> AllIds(const TrajectorySet* users) {
+  TQ_CHECK(users != nullptr);
+  std::vector<uint32_t> ids(users->size());
+  for (uint32_t u = 0; u < ids.size(); ++u) ids[u] = u;
+  return ids;
+}
+
 }  // namespace
 
 ZPruneMode DerivePruneMode(TrajMode mode, const ServiceModel& model,
@@ -41,8 +48,7 @@ ZPruneMode DerivePruneMode(TrajMode mode, const ServiceModel& model,
   return ZPruneMode::kMbr;
 }
 
-TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options,
-               DeserializeTag)
+TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options, ForkTag)
     : users_(users), options_(options), epoch_(NewEpoch()) {
   TQ_CHECK(users != nullptr);
   for (uint32_t u = 0; u < users_->size(); ++u) {
@@ -52,8 +58,11 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options,
 }
 
 TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options)
-    : users_(users), options_(options), epoch_(NewEpoch()) {
-  TQ_CHECK(users != nullptr);
+    : TQTree(users, options, AllIds(users)) {}
+
+TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options,
+               std::span<const uint32_t> ids)
+    : TQTree(users, options, ForkTag{}) {
   TQ_CHECK(options_.beta > 0);
   TQ_CHECK(options_.max_depth >= 1 && options_.max_depth <= 32);
   Rect box = users_->empty() ? Rect::Of(0, 0, 1, 1) : users_->BoundingBox();
@@ -63,16 +72,11 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options)
       0.001 * std::max({box.Width(), box.Height(), 1.0});
   world_ = box.Expanded(pad);
 
-  for (uint32_t u = 0; u < users_->size(); ++u) {
-    max_points_ = std::max(max_points_, users_->NumPoints(u));
-  }
-  prune_mode_ = DerivePruneMode(options_.mode, options_.model, max_points_);
-
   const int32_t root_id = AppendNode();
   TQNode& root = MutableNode(root_id);
   root.rect = world_;
   root.depth = 0;
-  BulkBuild();
+  for (const uint32_t u : ids) Insert(u);
   Freeze();
 }
 
@@ -107,24 +111,13 @@ int32_t TQTree::AppendNode() {
   return id;
 }
 
-void TQTree::ResizeNodes(size_t n) {
-  TQ_CHECK(pages_.empty() && num_nodes_ == 0);
-  const size_t num_pages = (n + kNodePageSize - 1) / kNodePageSize;
-  pages_.reserve(num_pages);
-  for (size_t p = 0; p < num_pages; ++p) {
-    pages_.push_back(std::make_shared<NodePage>());
-    pages_.back()->epoch = epoch_;
-  }
-  num_nodes_ = n;
-}
-
 std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
   TQ_CHECK(users != nullptr);
   // Every entry references a trajectory id of the original set; a superset
   // keeps them all valid (ids are stable — TrajectorySet is append-only).
   TQ_CHECK(users->size() >= users_->size());
   auto fork = std::unique_ptr<TQTree>(
-      new TQTree(users, options_, DeserializeTag{}));
+      new TQTree(users, options_, ForkTag{}));
   fork->world_ = world_;
   fork->num_units_ = num_units_;
   fork->num_nodes_ = num_nodes_;
@@ -165,10 +158,6 @@ std::unique_ptr<TQTree> TQTree::Fork(const TrajectorySet* users) {
 }
 
 // ------------------------------------------------------------ build paths
-
-void TQTree::BulkBuild() {
-  for (uint32_t u = 0; u < users_->size(); ++u) Insert(u);
-}
 
 void TQTree::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
@@ -333,9 +322,9 @@ void TQTree::Freeze() {
       (void)zindex(static_cast<int32_t>(i));
     }
   }
-  // Freezing also materialises the point-mass raster (first freeze, or a
-  // deserialised tree): forks inherit it, so steady-state publishes only
-  // pay the copy-on-write path in RasterApply.
+  // Freezing also materialises the point-mass raster (first freeze): forks
+  // inherit it, so steady-state publishes only pay the copy-on-write path in
+  // RasterApply.
   if (raster_ == nullptr) BuildRaster();
   // The point-cell tables are rebuilt only once the pending inserts they
   // have to carry exceed 1/8 of their size, so a steady stream of small
@@ -361,14 +350,6 @@ void TQTree::SetIndexed(uint32_t traj_id, bool on) {
     live[traj_id >> 6] |= bit;
   } else {
     live[traj_id >> 6] &= ~bit;
-  }
-}
-
-void TQTree::IndexEntries() {
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    for (const TrajEntry& e : node(static_cast<int32_t>(i)).entries) {
-      SetIndexed(e.traj_id, true);
-    }
   }
 }
 
@@ -446,7 +427,7 @@ bool TQTree::MarkCandidates(std::span<const Point> stops, double psi,
 
 double TQTree::CellUpperBound(const StopGrid& grid,
                               std::vector<uint32_t>* candidates) const {
-  TQ_DCHECK(raster_ != nullptr);  // built at construction and at load
+  TQ_DCHECK(raster_ != nullptr);  // built at construction
   // No tables (segmented trees, a fork whose prune mode flipped until its
   // next freeze): the raster's mass near the stops alone bounds SO.
   if (cells_ == nullptr) {

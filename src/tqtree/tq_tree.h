@@ -76,11 +76,11 @@ struct TQTreeStats {
   std::string ToString() const;
 };
 
-/// Copy-on-write accounting since this tree was forked (all zero for trees
-/// built from scratch or loaded from disk). `nodes_copied` counts the nodes
-/// living in pages this tree had to duplicate before writing — the physical
-/// publish cost a write batch pays; `pages_shared` is how many of the
-/// fork-time pages are still shared with the parent snapshot.
+/// Copy-on-write accounting since this tree was forked (all zero for built
+/// trees). `nodes_copied` counts the nodes living in pages this tree had to
+/// duplicate before writing — the physical publish cost a write batch pays;
+/// `pages_shared` is how many of the fork-time pages are still shared with
+/// the parent snapshot.
 struct CowStats {
   uint64_t pages_copied = 0;
   uint64_t nodes_copied = 0;
@@ -96,7 +96,15 @@ struct CowStats {
 /// frozen: segmented TQ(Z) trees rebuild dropped z-indexes on first query.
 class TQTree {
  public:
+  /// Bulk-builds the tree over every trajectory of `users`.
   TQTree(const TrajectorySet* users, TQTreeOptions options);
+  /// Bulk-builds the tree over the trajectories `ids` of `users` alone (each
+  /// id < users->size(), no repeats), inserted in the given order. The world
+  /// and the prune mode still follow the whole set, like a fork's. This is
+  /// the one rebuild of a shard from its users and indexed ids: recovery
+  /// runs it on a checkpoint, compaction on the live tree.
+  TQTree(const TrajectorySet* users, TQTreeOptions options,
+         std::span<const uint32_t> ids);
 
   // A plain copy would share pages AND the ownership epoch — both sides
   // would then write shared pages in place. Fork() is the only sanctioned
@@ -167,6 +175,10 @@ class TQTree {
   /// True when MarkCandidates filters (the tree has point-cell tables).
   bool has_cell_tables() const { return cells_ != nullptr; }
 
+  /// Ids of the indexed trajectories (inserted and not fully removed),
+  /// ascending.
+  std::vector<uint32_t> IndexedTrajectories() const;
+
   /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`
   /// from the cell structures alone — no node or bucket is visited: the
   /// smaller of the raster's mass near the stops and Σ UnitUpperBound over
@@ -192,7 +204,7 @@ class TQTree {
   /// point-cell tables (rebuilt only once the inserts pending since their
   /// build exceed 1/8 of the trajectories they hold); on segmented TQ(Z)
   /// trees, every z-index an update dropped (on a fork, O(batch × depth) of
-  /// them). Every tree is frozen at construction and at load.
+  /// them). Every tree is frozen at construction.
   void Freeze();
   /// Freeze()'s former name, still called by bench_layers/.
   void BuildAllZIndexes() { Freeze(); }
@@ -214,11 +226,10 @@ class TQTree {
 
  private:
   friend class TQTreeBuilderAccess;  // test hook
-  friend class TQTreeSerializer;     // serialize.cc: raw node access
 
-  /// Deserialisation constructor: sets up members without bulk-building.
-  struct DeserializeTag {};
-  TQTree(const TrajectorySet* users, TQTreeOptions options, DeserializeTag);
+  /// Fork()'s constructor: sets up members without building.
+  struct ForkTag {};
+  TQTree(const TrajectorySet* users, TQTreeOptions options, ForkTag);
 
   /// Writable reference to node `idx`: copies its page first if the page is
   /// shared with (or still owned by) another tree instance. References stay
@@ -233,12 +244,8 @@ class TQTree {
   /// Sets (`on`) or clears `traj_id`'s bit of the indexed-ids bitmap,
   /// copying a bitmap shared with forks first.
   void SetIndexed(uint32_t traj_id, bool on);
-  /// Rebuilds the indexed-ids bitmap from the node lists (load path).
-  void IndexEntries();
-  /// Ids of the indexed trajectories, ascending.
-  std::vector<uint32_t> IndexedTrajectories() const;
-  /// Rebuilds the point-mass raster from the currently indexed
-  /// trajectories (first freeze, and deserialised trees).
+  /// Builds the point-mass raster from the currently indexed trajectories
+  /// (first freeze).
   void BuildRaster();
   /// Rebuilds the point-cell tables from the currently indexed trajectories
   /// and empties the pending list.
@@ -252,9 +259,6 @@ class TQTree {
   /// Appends a default node, growing (and if needed copy-owning) the last
   /// page; returns its id.
   int32_t AppendNode();
-  /// Allocates `count` owned pages holding exactly `n` default nodes (load
-  /// path; no sharing, no copy accounting).
-  void ResizeNodes(size_t n);
   /// The z-index rule: only segmented TQ(Z) trees, served by walks, build
   /// them. A whole tree walks only as a flipped fork before its next freeze
   /// and then scans the linear list, so it builds none at all.
@@ -263,7 +267,6 @@ class TQTree {
            options_.mode == TrajMode::kSegmented;
   }
 
-  void BulkBuild();
   void InsertEntry(const TrajEntry& e);
   void StoreAt(int32_t idx, const TrajEntry& e);
   void MaybeSplit(int32_t idx);

@@ -24,7 +24,7 @@ Status SaveTrajectoryCsv(const std::string& path, const TrajectorySet& set);
 Status ParseTrajectoryLine(const std::string& line, std::vector<Point>* out);
 
 /// Packed binary format ("TQJ1" magic) — ~6× smaller and ~20× faster than
-/// CSV for million-trip sets; the natural companion of SaveTQTree.
+/// CSV for million-trip sets; checkpoints store shard users in it.
 Status SaveTrajectoryBinary(const std::string& path,
                             const TrajectorySet& set);
 

@@ -1,29 +1,32 @@
 // Tests for the durability subsystem (src/storage) and its ShardedEngine
 // wiring: WAL framing / rotation / trim / torn-tail semantics, the
-// crash-recovery kill-point matrix (recover = load checkpoint + replay WAL,
-// bit-identical to the uninterrupted engine), checkpoint-triggered fork-chain
-// compaction (pages reclaimed without perturbing retained snapshots), and the
-// protocol-v2 surfaces the subsystem rides on (EncodeUpdateBody, kStatus
+// crash-recovery kill-point matrix (recover = rebuild the checkpoint's trees
+// + replay WAL, bit-identical to the uninterrupted engine), the checkpoint
+// files' damage checks, checkpoint-triggered compaction (a rebuild that
+// leaves retained snapshots alone), and the protocol-v2 surfaces the subsystem rides on (EncodeUpdateBody, kStatus
 // durability block).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "net/protocol.h"
+#include "query/eval_service.h"
 #include "runtime/sharded_engine.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
 #include "storage/wal.h"
 #include "test_util.h"
-#include "tqtree/serialize.h"
 
 namespace tq {
 namespace {
@@ -531,12 +534,171 @@ TEST(CrashRecovery, GeometryMismatchIsRejected) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
+// ------------------------------------------------ rebuilt shard trees
+
+// Per shard and facility, the shard tree's own SO (EvaluateServiceTQ): the
+// bits a shard contributes to every engine answer.
+std::vector<double> ShardAnswers(const runtime::ShardedSnapshot& snap) {
+  std::vector<double> out;
+  for (const runtime::ShardStatePtr& shard : snap.shards) {
+    for (uint32_t f = 0; f < snap.catalog->size(); ++f) {
+      out.push_back(EvaluateServiceTQ(shard->tree.get(), *shard->eval,
+                                      snap.catalog->grid(f), nullptr));
+    }
+  }
+  return out;
+}
+
+std::vector<std::vector<uint32_t>> IndexedIds(
+    const runtime::ShardedSnapshot& snap) {
+  std::vector<std::vector<uint32_t>> out;
+  for (const runtime::ShardStatePtr& shard : snap.shards) {
+    out.push_back(shard->tree->IndexedTrajectories());
+  }
+  return out;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A checkpoint stores users and removed ids, never a tree; recovery rebuilds
+// every owned shard over exactly the ids the killed engine indexed.
+TEST(CrashRecovery, CheckpointStoresNoTreeAndRecoveryRebuildsTheLiveIds) {
+  const std::string dir = TempDir("rebuild_ids");
+  const Workload wl = MakeWorkload(/*seed=*/181, /*num_batches=*/6);
+  const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
+  std::vector<std::vector<uint32_t>> live_ids;
+  AnswerSurface live_answers;
+  {
+    ShardedEngine victim(wl.users, wl.facilities, DurableOptions(dir));
+    for (size_t b = 0; b < wl.batches.size(); ++b) {
+      victim.ApplyUpdates(wl.batches[b]);
+      if (b == 3) {
+        ASSERT_TRUE(victim.Checkpoint().ok());
+      }
+    }
+    live_ids = IndexedIds(*victim.snapshot());
+    live_answers = Answers(&victim, nf);
+  }
+  auto checkpoint = storage::CurrentCheckpointDir(dir);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  size_t removed_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(*checkpoint)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_NE(entry.path().extension(), ".tree") << name;
+    if (entry.path().extension() == ".removed") ++removed_files;
+  }
+  EXPECT_EQ(removed_files, live_ids.size());
+
+  auto recovered = ShardedEngine::Recover(DurableOptions(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(IndexedIds(*(*recovered)->snapshot()), live_ids);
+  size_t removed = 0;
+  for (size_t s = 0; s < live_ids.size(); ++s) {
+    removed += (*recovered)->snapshot()->shards[s]->users->size() -
+               live_ids[s].size();
+  }
+  EXPECT_EQ(removed, 2 * wl.batches.size());
+  ExpectBitIdentical(Answers(recovered->get(), nf), live_answers);
+}
+
+// Every damaged or foreign checkpoint file is a typed error, never a crash:
+// each truncation and single-bit flip of a shard's removed ids, ids a
+// correct CRC cannot vouch for, and a MANIFEST of the version that stored
+// TQT2 trees.
+TEST(CrashRecovery, DamagedRemovedIdsAndOldManifestAreTypedErrors) {
+  const std::string dir = TempDir("damaged_removed");
+  const Workload wl = MakeWorkload(/*seed=*/191, /*num_batches=*/4);
+  {
+    ShardedEngine victim(wl.users, wl.facilities, DurableOptions(dir));
+    for (const UpdateBatch& batch : wl.batches) victim.ApplyUpdates(batch);
+    ASSERT_TRUE(victim.Checkpoint().ok());
+  }
+  auto checkpoint = storage::CurrentCheckpointDir(dir);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  // The shard with the most removed ids.
+  std::string path;
+  std::string pristine;
+  for (uint32_t s = 0; s < 4; ++s) {
+    const std::string p =
+        *checkpoint + "/shard-" + std::to_string(s) + ".removed";
+    const std::string bytes = ReadBytes(p);
+    if (bytes.size() > pristine.size()) {
+      path = p;
+      pristine = bytes;
+    }
+  }
+  ASSERT_GT(pristine.size(), 20u) << "no shard has two removed ids";
+  ASSERT_TRUE(ShardedEngine::Recover(DurableOptions(dir)).ok());
+
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const std::string& what) {
+    WriteBytes(path, bytes);
+    const Status st = ShardedEngine::Recover(DurableOptions(dir)).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << what << ": " << st.ToString();
+  };
+  for (size_t len = 0; len < pristine.size(); ++len) {
+    expect_rejected(pristine.substr(0, len),
+                    "truncated to " + std::to_string(len));
+  }
+  for (size_t bit = 0; bit < pristine.size() * 8; ++bit) {
+    std::string flipped = pristine;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    expect_rejected(flipped, "bit " + std::to_string(bit) + " flipped");
+  }
+  // Well-framed files whose ids no shard can have: re-framed with a valid
+  // CRC, so only the id checks stand between them and a tree.
+  const auto reframed = [&](const std::vector<uint32_t>& ids) {
+    std::string bytes = pristine.substr(0, 4);
+    const uint64_t count = ids.size();
+    bytes.append(reinterpret_cast<const char*>(&count), 8);
+    for (const uint32_t id : ids) {
+      bytes.append(reinterpret_cast<const char*>(&id), 4);
+    }
+    const uint32_t crc = Crc32c(bytes.data() + 4, bytes.size() - 4);
+    bytes.append(reinterpret_cast<const char*>(&crc), 4);
+    return bytes;
+  };
+  expect_rejected(reframed({0, 0}), "repeated id");
+  expect_rejected(reframed({3, 1}), "descending ids");
+  expect_rejected(reframed({1u << 30}), "id past the shard's users");
+  {
+    std::string bytes = reframed({1, 2});
+    bytes[4] = 3;  // count 3 over two ids
+    const uint32_t crc = Crc32c(bytes.data() + 4, bytes.size() - 8);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+    expect_rejected(bytes, "count past the ids");
+  }
+  WriteBytes(path, pristine);
+  ASSERT_TRUE(ShardedEngine::Recover(DurableOptions(dir)).ok());
+
+  // A version-1 MANIFEST (its shards stored TQT2 trees), CRC intact.
+  const std::string manifest_path = *checkpoint + "/MANIFEST";
+  std::string manifest = ReadBytes(manifest_path);
+  const uint32_t old_version = 1;
+  std::memcpy(manifest.data() + 4, &old_version, 4);
+  const uint32_t crc = Crc32c(manifest.data() + 4, manifest.size() - 8);
+  std::memcpy(manifest.data() + manifest.size() - 4, &crc, 4);
+  WriteBytes(manifest_path, manifest);
+  const Status st = ShardedEngine::Recover(DurableOptions(dir)).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
 // ------------------------------------------------------------ compaction
 
-TEST(Compaction, ReclaimsPagesWithoutPerturbingRetainedSnapshots) {
+// Compaction rebuilds each live shard tree over its indexed ids (the
+// rebuild recovery runs): same ids, same answer bits, and the snapshot a
+// reader or checkpoint still pins keeps its tree as it was.
+TEST(Compaction, RebuildsLiveTreesAndLeavesRetainedSnapshotsAlone) {
   const std::string dir = TempDir("compaction");
-  // Plenty of batches: each fork path-copies pages, growing the chain the
-  // compactor is there to fold.
   const Workload wl = MakeWorkload(/*seed=*/171, /*num_batches=*/8);
   const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
   ShardedEngineOptions options = DurableOptions(dir);
@@ -546,42 +708,53 @@ TEST(Compaction, ReclaimsPagesWithoutPerturbingRetainedSnapshots) {
   }
 
   // Pin the pre-compaction snapshot the way a long-running checkpoint or
-  // slow reader would, and fingerprint one shard's tree byte-for-byte.
+  // slow reader would.
   const runtime::ShardedSnapshotPtr retained = engine.snapshot();
-  const uint64_t pages_before = retained->shards[0]->tree->num_pages();
-  std::string fingerprint_before;
-  {
-    StringSnapshotSink sink(&fingerprint_before);
-    ASSERT_TRUE(
-        WriteTQTreeSnapshot(*retained->shards[0]->tree, &sink).ok());
+  std::vector<TQTreeStats> stats_before;
+  for (const runtime::ShardStatePtr& shard : retained->shards) {
+    stats_before.push_back(shard->tree->ComputeStats());
   }
+  const std::vector<double> shard_answers_before = ShardAnswers(*retained);
   const AnswerSurface before = Answers(&engine, nf);
-  const uint64_t reclaimed_before = engine.metrics().Read().pages_reclaimed;
+  const uint64_t replaced_before = engine.metrics().Read().pages_reclaimed;
 
   ASSERT_TRUE(engine.Checkpoint().ok());
 
-  // Pages were actually reclaimed...
-  const runtime::MetricsView m = engine.metrics().Read();
-  EXPECT_GT(m.pages_reclaimed, reclaimed_before);
-  // ...the live snapshot kept its version, generations, and answers (the
-  // swap changes page backing only, never the logical state)...
+  // Every shard tree was a fork, so every one was rebuilt and counted...
   const runtime::ShardedSnapshotPtr live = engine.snapshot();
+  uint64_t replaced_pages = 0;
+  for (const runtime::ShardStatePtr& shard : retained->shards) {
+    replaced_pages += shard->tree->num_pages();
+  }
+  EXPECT_EQ(engine.metrics().Read().pages_reclaimed - replaced_before,
+            replaced_pages);
+  // ...the live snapshot kept its version, generations, indexed ids and
+  // answer bits...
   EXPECT_EQ(live->version, retained->version);
   for (size_t s = 0; s < live->shards.size(); ++s) {
     EXPECT_EQ(live->shards[s]->generation, retained->shards[s]->generation)
         << "shard " << s;
+    EXPECT_NE(live->shards[s]->tree.get(), retained->shards[s]->tree.get())
+        << "shard " << s;
+    EXPECT_EQ(live->shards[s]->tree->cow_stats().pages_at_fork, 0u)
+        << "shard " << s;
   }
-  EXPECT_NE(live->shards[0]->tree.get(), retained->shards[0]->tree.get());
-  EXPECT_LE(live->shards[0]->tree->num_pages(), pages_before);
+  EXPECT_EQ(IndexedIds(*live), IndexedIds(*retained));
+  EXPECT_EQ(ShardAnswers(*live), shard_answers_before);
   ExpectBitIdentical(Answers(&engine, nf), before);
-  // ...and the RETAINED snapshot is untouched, byte for byte.
-  std::string fingerprint_after;
-  {
-    StringSnapshotSink sink(&fingerprint_after);
-    ASSERT_TRUE(
-        WriteTQTreeSnapshot(*retained->shards[0]->tree, &sink).ok());
+  // ...and the RETAINED snapshot's trees are untouched.
+  for (size_t s = 0; s < retained->shards.size(); ++s) {
+    const TQTreeStats after = retained->shards[s]->tree->ComputeStats();
+    EXPECT_EQ(after.ToString(), stats_before[s].ToString()) << "shard " << s;
   }
-  EXPECT_EQ(fingerprint_before, fingerprint_after);
+  EXPECT_EQ(ShardAnswers(*retained), shard_answers_before);
+
+  // A second checkpoint with no publish between finds only rebuilt trees:
+  // nothing to replace.
+  const uint64_t replaced_after = engine.metrics().Read().pages_reclaimed;
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  EXPECT_EQ(engine.metrics().Read().pages_reclaimed, replaced_after);
+  EXPECT_EQ(engine.snapshot()->shards, live->shards);
 }
 
 }  // namespace

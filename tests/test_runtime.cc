@@ -61,7 +61,7 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
 
 TEST(ResultCache, HitAfterPutAndLruEviction) {
   ResultCache cache(/*capacity=*/2, /*num_shards=*/1);
-  const ResultCache::Key a{1, 0, 7}, b{2, 0, 7}, c{3, 0, 7};
+  const ResultCache::Key a{1, 7}, b{2, 7}, c{3, 7};
   double v = 0.0;
   EXPECT_FALSE(cache.Get(a, &v));
   cache.Put(a, 1.5);
@@ -77,9 +77,9 @@ TEST(ResultCache, HitAfterPutAndLruEviction) {
 TEST(ResultCache, ZeroCapacityDisables) {
   ResultCache cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.Put(ResultCache::Key{1, 0, 1}, 1.0);
+  cache.Put(ResultCache::Key{1, 1}, 1.0);
   double v = 0.0;
-  EXPECT_FALSE(cache.Get(ResultCache::Key{1, 0, 1}, &v));
+  EXPECT_FALSE(cache.Get(ResultCache::Key{1, 1}, &v));
   EXPECT_EQ(cache.size(), 0u);
 }
 

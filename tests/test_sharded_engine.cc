@@ -34,7 +34,7 @@ using runtime::UpdateBatch;
 
 TEST(ResultCacheSharded, KeysWithDifferentShardsAreIndependent) {
   ResultCache cache(16, 2);
-  const ResultCache::Key shard0{5, 0, 1, 0}, shard1{5, 0, 1, 1};
+  const ResultCache::Key shard0{5, 1, 0}, shard1{5, 1, 1};
   cache.Put(shard0, 10.0);
   cache.Put(shard1, 20.0);
   double v = 0.0;
@@ -49,16 +49,16 @@ TEST(ResultCacheSharded, InvalidateShardBeforeDropsOnlyThatShard) {
   // Two shards, generations 1 and 2 each.
   for (uint32_t shard = 0; shard < 2; ++shard) {
     for (uint64_t gen = 1; gen <= 2; ++gen) {
-      cache.Put(ResultCache::Key{7, 0, gen, shard},
+      cache.Put(ResultCache::Key{7, gen, shard},
                 static_cast<double>(10 * shard + gen));
     }
   }
   EXPECT_EQ(cache.InvalidateShardBefore(0, 2), 1u);  // shard 0 gen 1 only
   double v = 0.0;
-  EXPECT_FALSE(cache.Get(ResultCache::Key{7, 0, 1, 0}, &v));
-  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 0, 2, 0}, &v));
-  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 0, 1, 1}, &v));
-  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 0, 2, 1}, &v));
+  EXPECT_FALSE(cache.Get(ResultCache::Key{7, 1, 0}, &v));
+  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 2, 0}, &v));
+  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 1, 1}, &v));
+  EXPECT_TRUE(cache.Get(ResultCache::Key{7, 2, 1}, &v));
 }
 
 // ----------------------------------------------------------- ShardRouter

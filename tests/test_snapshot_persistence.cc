@@ -296,7 +296,7 @@ TEST(ShardedForkedPublish, BitIdenticalToFromScratchBuildAtEveryShardCount) {
 TEST(ResultCacheTopK, MemoisesByGenerationVectorAndInvalidatesPerShard) {
   ResultCache cache(/*capacity=*/1024, /*num_shards=*/4);
   const std::vector<RankedFacility> answer{{3, 9.0}, {1, 7.0}};
-  const ResultCache::TopKKey key{5, 0, {2, 1, 1}};
+  const ResultCache::TopKKey key{5, {2, 1, 1}};
   std::vector<RankedFacility> got;
   EXPECT_FALSE(cache.GetTopK(key, &got));
   cache.PutTopK(key, answer);
@@ -306,8 +306,8 @@ TEST(ResultCacheTopK, MemoisesByGenerationVectorAndInvalidatesPerShard) {
   EXPECT_EQ(got[1].value, 7.0);
 
   // A different k or generation vector is a different answer.
-  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{4, 0, {2, 1, 1}}, &got));
-  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{5, 0, {2, 1, 2}}, &got));
+  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{4, {2, 1, 1}}, &got));
+  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{5, {2, 1, 2}}, &got));
 
   // Republishing shard 2 at generation 2 kills it (it contributed gen 1);
   // republishing shard 0 at generation 2 would not (it contributed gen 2).

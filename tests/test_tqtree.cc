@@ -15,7 +15,6 @@
 #include "test_util.h"
 #include "tqtree/aggregates.h"
 #include "tqtree/point_raster.h"
-#include "tqtree/serialize.h"
 #include "tqtree/tq_tree.h"
 
 namespace tq {
@@ -367,8 +366,8 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
 
 // Soundness of the point-cell filter under every model, through the life of
 // a tree: fresh, after inserts (pending list, then folded into a rebuilt
-// table), after removals, on both sides of a fork and after a save/load
-// round trip. Points and stops sit on raster cell borders (a point exactly
+// table), after removals, on both sides of a fork and after a rebuild over
+// the indexed ids. Points and stops sit on raster cell borders (a point exactly
 // ψ beyond a stop across a border) and outside the world box, where cells
 // clamp. `two_point` builds source-destination users, whose Scenario 1 and
 // 3 trees filter by source and destination tables (both near, or either
@@ -494,18 +493,15 @@ void CheckPointCellLifecycle(bool two_point) {
     EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), 0u);
     CheckCandidateFilter(fork.get(), facs, "fork, folded table");
 
-    // Save/load round trip rebuilds the tables from the node lists, for
-    // both variants.
-    for (TQTree* saved : {fork.get(), &basic}) {
-      std::string bytes;
-      StringSnapshotSink sink(&bytes);
-      ASSERT_TRUE(WriteTQTreeSnapshot(*saved, &sink).ok());
-      StringSnapshotSource source(bytes);
-      Result<std::unique_ptr<TQTree>> loaded =
-          ReadTQTreeSnapshot(&source, saved == &basic ? &users : &extended);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(**loaded), 0u);
-      CheckCandidateFilter(loaded->get(), facs, "loaded");
+    // A rebuild over the indexed ids (recovery's and compaction's) builds
+    // the tables afresh, for both variants.
+    for (TQTree* live : {fork.get(), &basic}) {
+      TQTree rebuilt(live == &basic ? &users : &extended, live->options(),
+                     live->IndexedTrajectories());
+      EXPECT_EQ(rebuilt.IndexedTrajectories(), live->IndexedTrajectories());
+      EXPECT_EQ(rebuilt.num_units(), live->num_units());
+      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(rebuilt), 0u);
+      CheckCandidateFilter(&rebuilt, facs, "rebuilt");
     }
   }
 }
@@ -584,7 +580,7 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
 // Segmented trees have no cell tables, so their walk is their only filter:
 // a segmented TQ(Z) tree holds a z-index on every non-empty node after
 // construction, after a fork's writes and freeze (on both sides) and after
-// a save/load round trip; a segmented TQ(B) tree holds none.
+// a rebuild over the indexed ids; a segmented TQ(B) tree holds none.
 TEST(TQTree, ZIndexesOnlyOnSegmentedZOrderTrees) {
   Rng rng(341);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -609,14 +605,70 @@ TEST(TQTree, ZIndexesOnlyOnSegmentedZOrderTrees) {
     fork->Freeze();
     ExpectZIndexRule(fork.get(), "fork, frozen");
     ExpectZIndexRule(&tree, "parent after fork writes");
-    std::string bytes;
-    StringSnapshotSink sink(&bytes);
-    ASSERT_TRUE(WriteTQTreeSnapshot(*fork, &sink).ok());
-    StringSnapshotSource source(bytes);
-    Result<std::unique_ptr<TQTree>> loaded =
-        ReadTQTreeSnapshot(&source, &extended);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectZIndexRule(loaded->get(), "loaded");
+    TQTree rebuilt(&extended, fork->options(), fork->IndexedTrajectories());
+    EXPECT_EQ(rebuilt.IndexedTrajectories(), fork->IndexedTrajectories());
+    ExpectZIndexRule(&rebuilt, "rebuilt");
+  }
+}
+
+// The one rebuild: a tree built over a live tree's indexed ids answers
+// every facility with the same bits, under every model, for whole and
+// segmented trees of both variants, although its world, splits and pending
+// list differ from the forked tree's.
+TEST(TQTree, RebuildOverIndexedIdsAnswersBitIdentically) {
+  Rng rng(343);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 6, w);
+  TrajectorySet extended = users;
+  const TrajectorySet more = testing::RandomUsers(&rng, 30, 2, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) extended.Add(more.points(u));
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  for (const ServiceModel& model :
+       {ServiceModel::Endpoints(300.0),
+        ServiceModel::PointCount(300.0, Normalization::kNone),
+        ServiceModel::PointCount(300.0, Normalization::kPerUser),
+        ServiceModel::Length(300.0, Normalization::kNone),
+        ServiceModel::Length(300.0, Normalization::kPerUser)}) {
+    const ServiceEvaluator eval(&extended, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+      for (const IndexVariant variant :
+           {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+        SCOPED_TRACE("scenario " +
+                     std::to_string(static_cast<int>(model.scenario)) +
+                     " norm " +
+                     std::to_string(static_cast<int>(model.normalization)) +
+                     (mode == TrajMode::kWhole ? " whole" : " segmented") +
+                     (variant == IndexVariant::kZOrder ? " TQ(Z)" : " TQ(B)"));
+        TQTree tree(&users, MakeOptions(variant, mode, model, 16));
+        std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+        for (uint32_t u = static_cast<uint32_t>(users.size());
+             u < extended.size(); ++u) {
+          fork->Insert(u);
+        }
+        for (uint32_t u = 0; u < users.size(); u += 5) {
+          ASSERT_TRUE(fork->Remove(u));
+        }
+        fork->Freeze();
+        TQTree rebuilt(&extended, fork->options(),
+                       fork->IndexedTrajectories());
+        EXPECT_EQ(rebuilt.IndexedTrajectories(), fork->IndexedTrajectories());
+        EXPECT_EQ(rebuilt.num_units(), fork->num_units());
+        for (uint32_t f = 0; f < catalog.size(); ++f) {
+          EXPECT_EQ(EvaluateServiceTQ(&rebuilt, eval, catalog.grid(f)),
+                    EvaluateServiceTQ(fork.get(), eval, catalog.grid(f)))
+              << "facility " << f;
+        }
+        const TopKResult want = TopKFacilitiesTQ(fork.get(), catalog, eval, 5);
+        const TopKResult got = TopKFacilitiesTQ(&rebuilt, catalog, eval, 5);
+        ASSERT_EQ(got.ranked.size(), want.ranked.size());
+        for (size_t i = 0; i < want.ranked.size(); ++i) {
+          EXPECT_EQ(got.ranked[i].id, want.ranked[i].id) << "rank " << i;
+          EXPECT_EQ(got.ranked[i].value, want.ranked[i].value)
+              << "rank " << i;
+        }
+      }
+    }
   }
 }
 

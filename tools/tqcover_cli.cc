@@ -7,8 +7,6 @@
 //   tqcover_cli stats    --in trips.bin
 //   tqcover_cli topk     --users trips.bin --facilities routes.bin --k 8
 //   tqcover_cli cover    --users trips.bin --facilities routes.bin --k 8
-//   tqcover_cli topk ... --save-index trips.tqt   # persist the TQ-tree
-//   tqcover_cli topk ... --load-index trips.tqt   # reuse it
 //   tqcover_cli serve    --users trips.bin --facilities routes.bin
 //                        --threads 4 --queries 2000   # concurrent runtime
 //   tqcover_cli serve    ... --shards 8   # scatter/gather over 8 TQ-trees
@@ -51,7 +49,6 @@
 #include "runtime/sharded_engine.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
-#include "tqtree/serialize.h"
 #include "traj/io.h"
 #include "traj/stats.h"
 
@@ -149,7 +146,6 @@ int Usage() {
       "  topk     --users FILE --facilities FILE [--k 8] [--psi 200]\n"
       "           [--scenario endpoints|points|length] [--method tqz|tqb|bl|blr]\n"
       "           [--mode whole|segmented] [--beta 64]\n"
-      "           [--save-index FILE] [--load-index FILE]\n"
       "  cover    --users FILE --facilities FILE [--k 8] [--psi 200]\n"
       "           [--scenario ...] [--solver greedy|genetic|baseline]\n"
       "  serve    --users FILE --facilities FILE [--threads 4] [--shards 1]\n"
@@ -705,28 +701,8 @@ int CmdTopK(const Args& args) {
                                   : tq::IndexVariant::kZOrder;
     opt.mode = mode == "segmented" ? tq::TrajMode::kSegmented
                                    : tq::TrajMode::kWhole;
-    std::unique_ptr<tq::TQTree> tree;
-    const std::string load = args.Get("load-index");
-    if (!load.empty()) {
-      auto loaded = tq::LoadTQTree(load, &users);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
-      tree = std::move(*loaded);
-    } else {
-      tree = std::make_unique<tq::TQTree>(&users, opt);
-    }
-    const std::string save = args.Get("save-index");
-    if (!save.empty()) {
-      const Status sst = tq::SaveTQTree(save, *tree);
-      if (!sst.ok()) {
-        std::fprintf(stderr, "%s\n", sst.ToString().c_str());
-        return 1;
-      }
-      std::printf("index saved to %s\n", save.c_str());
-    }
-    result = tq::TopKFacilitiesTQ(tree.get(), catalog, evaluator, k);
+    tq::TQTree tree(&users, opt);
+    result = tq::TopKFacilitiesTQ(&tree, catalog, evaluator, k);
   }
   std::printf("top-%zu facilities by %s service:\n", k,
               model.ToString().c_str());

@@ -1,4 +1,4 @@
-// Concurrent serving: run the TQ-tree behind the multi-threaded query
+// Concurrent serving: run the cell index behind the multi-threaded query
 // engine — shared-nothing snapshot reads, copy-on-write updates, and a
 // sharded result cache — instead of calling the evaluators inline.
 //
@@ -15,10 +15,9 @@ int main() {
   tq::TrajectorySet users = tq::presets::NytTrips(20000);
   tq::TrajectorySet routes = tq::presets::NyBusRoutes(32, 24);
   tq::runtime::ShardedEngineOptions options;
-  options.num_shards = 1;  // one TQ-tree; raise to scatter/gather over N
+  options.num_shards = 1;  // one shard; raise to scatter/gather over N
   options.num_threads = 4;
   options.cache_capacity = 1024;
-  options.tree.beta = 64;
   options.tree.model = tq::ServiceModel::Endpoints(200.0);
 
   // 2. The engine bulk-builds the index and publishes snapshot version 1.
@@ -53,8 +52,9 @@ int main() {
               ranked.ranked.front().value == best ? "yes" : "no");
 
   // 4. Live update: a new commuter cohort appears along the winning route.
-  //    The writer forks the tree copy-on-write and publishes version 2;
-  //    queries that were in flight keep reading version 1 until they finish.
+  //    The writer forks the shard's index copy-on-write and publishes
+  //    version 2; queries that were in flight keep reading version 1 until
+  //    they finish.
   const auto stops = engine.snapshot()->facilities->points(best_id);
   tq::runtime::UpdateBatch batch;
   for (int i = 0; i < 500; ++i) {

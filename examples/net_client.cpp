@@ -19,11 +19,10 @@
 
 int main() {
   // 1. An engine, as in concurrent_serving: taxi trips vs candidate bus
-  //    routes, partitioned over 4 shard TQ-trees.
+  //    routes, partitioned over 4 shards.
   tq::runtime::ShardedEngineOptions options;
   options.num_shards = 4;
   options.num_threads = 4;
-  options.tree.beta = 64;
   options.tree.model = tq::ServiceModel::Endpoints(200.0);
   tq::runtime::ShardedEngine engine(tq::presets::NytTrips(20000),
                                     tq::presets::NyBusRoutes(32, 24),

@@ -110,7 +110,7 @@ CoverResult GreedyCoverTQ(TQTree* tree, const FacilityCatalog& catalog,
       const std::span<const Point> s = catalog.grid(rf.id).stops();
       stops.insert(stops.end(), s.begin(), s.end());
     }
-    if (tree->MarkCandidates(stops, catalog.psi(), &pool_mask)) {
+    if (tree->cells().MarkCandidates(stops, catalog.psi(), &pool_mask)) {
       pool_candidates = pool_mask.data();
     }
   }

@@ -137,43 +137,37 @@ void Walk(TQTree* tree, const StopGrid& grid, Fn&& fn, QueryStats* stats) {
   WalkRec(tree, tree->root(), grid, FullComponent(grid), fn, stats);
 }
 
-// The candidate bitmap of a whole-trajectory tree: the point-cell filter
-// (TQTree::MarkCandidates, in its `any_endpoint` form if asked), or, on a
-// tree without tables, the units the walk keeps. Thread-local, valid until
-// the next call on this thread.
-const uint64_t* WholeCandidates(TQTree* tree, const StopGrid& grid,
-                                bool any_endpoint, QueryStats* stats) {
+// The candidate bitmap of whole trajectories (CellIndex::MarkCandidates, in
+// its `any_endpoint` form if asked). Thread-local, valid until the next
+// call on this thread.
+const uint64_t* WholeCandidates(const CellIndex& cells, const StopGrid& grid,
+                                bool any_endpoint) {
   static thread_local std::vector<uint64_t> mask;
-  if (tree->MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint)) {
-    return mask.data();
-  }
-  // Only kStartEnd trees collect by either endpoint, and they always have
-  // tables: the one whole tree without them, a fork whose prune mode
-  // flipped, is a kMbr tree. So the walk's zReduce never needs weakening.
-  TQ_DCHECK(!any_endpoint);
-  mask.assign((tree->users().size() + 63) / 64, 0);
-  Walk(
-      tree, grid,
-      [](const TrajEntry& e) {
-        mask[e.traj_id >> 6] |= uint64_t{1} << (e.traj_id & 63);
-      },
-      stats);
+  const bool filtered =
+      cells.MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint);
+  TQ_CHECK(filtered);  // a whole tree and a serving shard have tables
   return mask.data();
 }
 
 }  // namespace
 
+double EvaluateServiceCells(const CellIndex& cells,
+                            const ServiceEvaluator& eval, const StopGrid& grid,
+                            QueryStats* stats) {
+  const uint64_t* mask = WholeCandidates(cells, grid, /*any_endpoint=*/false);
+  double so = 0.0;
+  ForEachSetBit(mask, nullptr, (cells.users().size() + 63) / 64,
+                [&](uint32_t id) {
+                  if (stats != nullptr) stats->exact_checks++;
+                  so += eval.Evaluate(id, grid);
+                });
+  return so;
+}
+
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats) {
   if (tree->options().mode == TrajMode::kWhole) {
-    const uint64_t* mask = WholeCandidates(tree, grid, false, stats);
-    double so = 0.0;
-    ForEachSetBit(mask, nullptr, (tree->users().size() + 63) / 64,
-                  [&](uint32_t id) {
-                    if (stats != nullptr) stats->exact_checks++;
-                    so += eval.Evaluate(id, grid);
-                  });
-    return so;
+    return EvaluateServiceCells(tree->cells(), eval, grid, stats);
   }
   // Segmented: the walk gathers each served point or segment once into a
   // gather reused across queries on this thread, and the masks are summed
@@ -203,7 +197,7 @@ void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
   };
   if (tree->options().mode == TrajMode::kWhole) {
     const uint64_t* mask = WholeCandidates(
-        tree, grid, AnyEndpointCollection(*tree, eval), stats);
+        tree->cells(), grid, AnyEndpointCollection(*tree, eval));
     ForEachSetBit(mask, pool, (users.size() + 63) / 64, gather_whole);
     return;
   }

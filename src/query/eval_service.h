@@ -1,12 +1,9 @@
-// Service-value evaluation over the TQ-tree. On a whole-trajectory tree
-// with point-cell tables, SO(U, f) is one candidate mask
-// (TQTree::MarkCandidates) and one exact check per set bit, summed in
-// ascending id order. Algorithms 1 & 2 of the paper — divide-and-conquer
-// over the quadtree with the two-phase pruning (q-node pruning + zReduce) —
-// serve the trees without tables: segmented trees, where the walk gathers
-// served masks that are summed in the same ascending id order, and whole
-// trees between a prune-mode flip and the next freeze, where the walk only
-// marks the bitmap that feeds the id-order sum.
+// Service-value evaluation. Whole trajectories are evaluated from a cell
+// index (a whole tree's own, or a serving shard's): one candidate mask and
+// one exact check per set bit, summed in ascending id order. Algorithms 1 &
+// 2 of the paper — divide-and-conquer over the quadtree with q-node pruning
+// and zReduce — serve segmented trees, whose walk gathers served masks that
+// are summed in the same ascending id order.
 #ifndef TQCOVER_QUERY_EVAL_SERVICE_H_
 #define TQCOVER_QUERY_EVAL_SERVICE_H_
 
@@ -42,20 +39,24 @@ Rect ComponentEmbr(const StopGrid& grid, const Component& comp);
 std::vector<Point> ComponentStops(const StopGrid& grid,
                                   const Component& comp);
 
-/// SO(U, f). On a whole-trajectory tree: Σ ServiceEvaluator::Evaluate over
-/// the candidate mask's ids in ascending order, so the value has one
-/// summation order whatever the tree's variant, β or update history (and
-/// equals EvaluateServiceBaseline's bits). `stats->exact_checks` counts the
-/// set bits; `nodes_visited` stays 0 unless the tree has no tables. On a
-/// segmented tree: Algorithm 1 (evaluateService) gathers each served point
-/// or segment once (CollectServedTQ; one exact check per walked unit), then
-/// Σ ServiceEvaluator::ValueOfMask over the gathered users in ascending id
-/// (ServedGather::SumAscending) — the same bits again.
+/// SO(U, f) over the trajectories `cells` (which must have tables) indexes:
+/// Σ ServiceEvaluator::Evaluate over the candidate mask's ids in ascending
+/// order, whatever the index's update history — EvaluateServiceBaseline's
+/// bits. `stats->exact_checks` counts the set bits. Thread-safe once frozen.
+double EvaluateServiceCells(const CellIndex& cells,
+                            const ServiceEvaluator& eval, const StopGrid& grid,
+                            QueryStats* stats = nullptr);
+
+/// SO(U, f). On a whole-trajectory tree: EvaluateServiceCells over its cell
+/// index. On a segmented tree: Algorithm 1 (evaluateService) gathers each
+/// served point or segment once (CollectServedTQ; one exact check per walked
+/// unit), then Σ ServiceEvaluator::ValueOfMask over the gathered users in
+/// ascending id (ServedGather::SumAscending) — the same bits again.
 double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
                          const StopGrid& grid, QueryStats* stats = nullptr);
 
 /// Σ ServiceEvaluator::Evaluate over `ids` in the given order: with the
-/// ascending ids of a whole tree's candidate set (TQTree::CellUpperBound
+/// ascending ids of a whole tree's candidate set (CellIndex::CellUpperBound
 /// lists them), the bits EvaluateServiceTQ returns.
 double EvaluateServiceOver(std::span<const uint32_t> ids,
                            const ServiceEvaluator& eval, const StopGrid& grid,
@@ -69,9 +70,9 @@ bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval);
 
 /// Same candidates, but gathers each served user's ServeDetail mask into
 /// `out` (reset first) instead of a value: the per-facility served sets
-/// MaxkCovRST consumes. A non-null `pool` — a MarkCandidates bitmap of this
-/// tree — further restricts the exact checks to the users whose bit it has
-/// set. Whole-trajectory trees gather in ascending id order.
+/// MaxkCovRST consumes. A non-null `pool` — a MarkCandidates bitmap of the
+/// tree's cell index — further restricts the exact checks to the users
+/// whose bit it has set. Whole-trajectory trees gather in ascending id order.
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      const StopGrid& grid, ServedGather* out,
                      const uint64_t* pool = nullptr,

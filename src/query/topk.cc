@@ -37,7 +37,7 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
   // The bound pass walks each facility's candidate set anyway; with tables
   // it keeps the ids (facility f's are ids[begin[f], begin[f + 1])), so a
   // refinement sums over them instead of marking the mask again.
-  const bool listed = tree->has_cell_tables();
+  const bool listed = tree->cells().has_tables();
   static thread_local std::vector<uint32_t> ids;
   static thread_local std::vector<size_t> begin;
   ids.clear();
@@ -46,8 +46,8 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
   items.reserve(num_fac);
   for (uint32_t f = 0; f < num_fac; ++f) {
     items.push_back(HeapItem{
-        tree->CellUpperBound(catalog.grid(f), listed ? &ids : nullptr), f,
-        false});
+        tree->cells().CellUpperBound(catalog.grid(f), listed ? &ids : nullptr),
+        f, false});
     begin[f + 1] = ids.size();
   }
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapLess> pq(

@@ -35,13 +35,13 @@ struct TopKResult {
 };
 
 /// kMaxRRST via the paper's best-first strategy (Algorithm 3): one max-heap
-/// over facilities, each keyed by TQTree::CellUpperBound. A popped bound is
-/// replaced by the facility's exact EvaluateServiceTQ value — with tables,
-/// summed over the candidate ids the bound pass listed. A popped exact value
-/// is final, since every key left in the heap bounds its facility's value
-/// from above. Ties pop by ascending id, bounds and exact values
-/// alike, so the answer is the exhaustive ranking's first k, ids and value
-/// bits included. `stats.relax_rounds` counts the exact refinements.
+/// over facilities, each keyed by the tree's CellIndex::CellUpperBound. A
+/// popped bound is replaced by the facility's exact EvaluateServiceTQ value —
+/// with tables, summed over the candidate ids the bound pass listed. A popped
+/// exact value is final, since every key left in the heap bounds its
+/// facility's value from above. Ties pop by ascending id, bounds and exact
+/// values alike, so the answer is the exhaustive ranking's first k, ids and
+/// value bits included. `stats.relax_rounds` counts the exact refinements.
 TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
                             const ServiceEvaluator& eval, size_t k);
 

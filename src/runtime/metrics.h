@@ -40,10 +40,7 @@ namespace tq::runtime {
 //   shard_publishes          individual shard snapshots republished (a
 //                            publish touching 2 of 8 shards counts 2)
 //   trajectories_*           write-batch insert / remove totals
-//   nodes_copied/pages_shared/publish_ns
-//                            copy-on-write publish accounting: nodes
-//                            physically duplicated, node pages still shared
-//                            at publish time, total ApplyUpdates wall ns
+//   publish_ns               total ApplyUpdates wall ns
 //   facilities_evaluated/facilities_pruned/prune_rounds
 //                            bound-and-prune top-k accounting (the
 //                            coordinator): exact per-participant
@@ -72,13 +69,10 @@ namespace tq::runtime {
 //                            durability accounting (src/storage/): update
 //                            batches logged, record payload bytes logged,
 //                            batches replayed from the WAL during recovery
-//   checkpoints/checkpoint_ns/pages_reclaimed
+//   checkpoints/checkpoint_ns
 //                            checkpointer accounting: checkpoints committed,
 //                            total checkpoint wall ns (stream + trim +
-//                            compact), node pages of the shard trees that
-//                            post-checkpoint compaction replaced with
-//                            rebuilds (forks share pages only with retained
-//                            snapshots, so no fork chain is freed)
+//                            compact)
 #define TQ_METRICS_COUNTERS(X) \
   X(queries_total)             \
   X(service_queries)           \
@@ -92,8 +86,6 @@ namespace tq::runtime {
   X(shard_publishes)           \
   X(trajectories_inserted)     \
   X(trajectories_removed)      \
-  X(nodes_copied)              \
-  X(pages_shared)              \
   X(publish_ns)                \
   X(facilities_evaluated)      \
   X(facilities_pruned)         \
@@ -118,8 +110,7 @@ namespace tq::runtime {
   X(wal_bytes)                 \
   X(wal_replayed)              \
   X(checkpoints)               \
-  X(checkpoint_ns)             \
-  X(pages_reclaimed)
+  X(checkpoint_ns)
 
 /// Plain-value snapshot of a MetricsRegistry, safe to copy and format.
 struct MetricsView {
@@ -208,11 +199,8 @@ class MetricsRegistry {
   void AddRemoved(uint64_t n) {
     if (n) trajectories_removed_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Folds one forked publish's copy-on-write cost into the registry.
-  void AddPublishCost(uint64_t nodes_copied, uint64_t pages_shared,
-                      uint64_t ns) {
-    nodes_copied_.fetch_add(nodes_copied, std::memory_order_relaxed);
-    pages_shared_.fetch_add(pages_shared, std::memory_order_relaxed);
+  /// Folds one publish's wall time into the registry.
+  void AddPublishCost(uint64_t ns) {
     publish_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
@@ -287,9 +275,6 @@ class MetricsRegistry {
   void AddCheckpoint(uint64_t ns) {
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     checkpoint_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void AddPagesReclaimed(uint64_t n) {
-    if (n) pages_reclaimed_.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Folds one query's traversal counters into the registry.

@@ -1,7 +1,7 @@
 // The coordinator side of multi-process serving: a ServingEngine whose
 // "shards" are shard-worker PROCESSES reached over the wire protocol.
 //
-// A RemoteShardSet owns no trees. It holds one channel (a small pool of
+// A RemoteShardSet owns no indexes. It holds one channel (a small pool of
 // pipelined NetClient connections) per worker and a WorkerRegistry tracking
 // liveness, and it is the remote ShardTransport of the serving protocol's
 // one Coordinator (coordinator.h) — the same sum and bound-and-prune top-k

@@ -1,7 +1,7 @@
 // The serving protocol (QueryRequest / QueryResponse / UpdateBatch) and the
 // abstract serving-engine surface the network front-end talks to — the
 // same front-end (wire protocol, epoll loop, pipelining) over an in-process
-// engine and over a coordinator that owns no trees, only connections to
+// engine and over a coordinator that owns no indexes, only connections to
 // shard-worker processes. This interface is exactly the slice of engine
 // behaviour the front-end consumes:
 //

@@ -1,14 +1,14 @@
-// Z-order range partitioning of the user set across TQ-tree shards.
+// Z-order range partitioning of the user set across shards.
 //
 // The sharded engine (sharded_engine.h) splits the user trajectories into N
-// disjoint shards, each owning its own TQ-tree. The router decides, once and
+// disjoint shards, each owning its own cell index. The router decides, once and
 // deterministically, which shard a trajectory belongs to:
 //
 //   * Every trajectory is keyed by the full-depth Morton code of its FIRST
 //     point inside a fixed world rectangle (zorder/zid.h). Co-located users
 //     therefore land in the same shard, which keeps a facility query's
 //     per-shard work spatially coherent instead of touching every shard's
-//     whole tree.
+//     whole index.
 //   * The 48-bit Morton key space is cut into N contiguous ranges by N-1
 //     split keys chosen at construction so the INITIAL users spread evenly
 //     (equal-count quantiles of the sorted key multiset). The ranges cover

@@ -40,6 +40,15 @@ std::vector<uint32_t> MissingIds(size_t num_users,
   return missing;
 }
 
+/// A shard's cell index over trajectories `ids` of `users`: with tables,
+/// whatever the configured tree mode.
+std::shared_ptr<const tq::CellIndex> ShardCells(
+    const tq::TrajectorySet* users, const tq::ServiceModel& model,
+    std::span<const uint32_t> ids) {
+  return std::make_shared<const tq::CellIndex>(users, model, /*tables=*/true,
+                                               ids);
+}
+
 }  // namespace
 
 namespace tq::runtime {
@@ -62,7 +71,7 @@ ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
     const auto shard = static_cast<uint32_t>(router_.Route(users.points(u)));
     // Non-owned shards advance only the logical counter: the (shard, local)
     // assignment stays identical to a worker that DOES own the shard, but
-    // no set (and later no tree) is materialized for it.
+    // no set (and later no index) is materialized for it.
     const uint32_t local = Owns(shard)
                                ? shard_sets[shard].Add(users.points(u))
                                : shard_user_counts_[shard];
@@ -81,12 +90,11 @@ ShardedEngine::ShardedEngine(TrajectorySet users, TrajectorySet facilities,
   for (size_t s = 0; s < n; ++s) {
     auto shard_users =
         std::make_shared<TrajectorySet>(std::move(shard_sets[s]));
-    // Frozen by its constructor: published trees are never written.
-    auto tree = std::make_shared<TQTree>(shard_users.get(), options_.tree);
     auto state = std::make_shared<ShardState>();
     state->shard = static_cast<uint32_t>(s);
     state->generation = 1;
-    state->tree = std::move(tree);
+    state->cells = ShardCells(shard_users.get(), options_.tree.model,
+                              AllIds(*shard_users));
     state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
                                                      options_.tree.model);
     state->users = std::move(shard_users);
@@ -148,7 +156,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Recover(
   TQ_RETURN_NOT_OK(manifest.status());
   // The recovering process must be CONFIGURED with the geometry the
   // checkpoint was written under — a different ψ, service model, or world
-  // would rebuild different trees and silently change answers.
+  // would rebuild different indexes and silently change answers.
   const uint64_t hash =
       storage::TQTreeGeometryHash(options.tree, manifest->world);
   if (hash != manifest->geometry_hash) {
@@ -207,6 +215,11 @@ Status ShardedEngine::RecoverFrom(
     // Generations restore verbatim so the recovered generation vector
     // (cache keys, kUpdate responses) matches the uninterrupted run.
     state->generation = manifest.shards[s].generation;
+    // Non-owned shards mirror a live worker: empty set, empty index, an
+    // exact 0.0 contribution to every sum.
+    std::shared_ptr<TrajectorySet> shard_users =
+        std::make_shared<TrajectorySet>();
+    std::vector<uint32_t> ids;
     if (Owns(s)) {
       if (!manifest.shards[s].has_shard) {
         return Status::InvalidArgument(
@@ -215,28 +228,19 @@ Status ShardedEngine::RecoverFrom(
       auto users = storage::LoadCheckpointShardUsers(
           checkpoint_dir, static_cast<uint32_t>(s));
       TQ_RETURN_NOT_OK(users.status());
-      std::shared_ptr<TrajectorySet> shard_users = std::move(*users);
+      shard_users = std::move(*users);
       if (shard_users->size() != manifest.shards[s].user_count) {
         return Status::InvalidArgument("checkpoint shard user count mismatch");
       }
       auto removed = storage::LoadCheckpointShardRemoved(
           checkpoint_dir, static_cast<uint32_t>(s), shard_users->size());
       TQ_RETURN_NOT_OK(removed.status());
-      state->tree = std::make_shared<TQTree>(
-          shard_users.get(), options_.tree,
-          MissingIds(shard_users->size(), *removed));
-      state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
-                                                       options_.tree.model);
-      state->users = std::move(shard_users);
-    } else {
-      // Non-owned shards mirror a live worker: empty set, empty tree, an
-      // exact 0.0 contribution to every sum.
-      auto shard_users = std::make_shared<TrajectorySet>();
-      state->tree = std::make_shared<TQTree>(shard_users.get(), options_.tree);
-      state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
-                                                       options_.tree.model);
-      state->users = std::move(shard_users);
+      ids = MissingIds(shard_users->size(), *removed);
     }
+    state->cells = ShardCells(shard_users.get(), options_.tree.model, ids);
+    state->eval = std::make_shared<ServiceEvaluator>(shard_users.get(),
+                                                     options_.tree.model);
+    state->users = std::move(shard_users);
     snap->shards.push_back(std::move(state));
   }
   Publish(std::move(snap), n);
@@ -310,7 +314,7 @@ Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
   // publishes happen under writer_mu_, so holding it pins all three at the
   // same LSN. The capture is O(users) copies; the expensive writing below
   // runs OFF the lock, with the snapshot shared_ptr keeping every shard's
-  // users and tree alive while writers move on.
+  // users and cells alive while writers move on.
   ShardedSnapshotPtr snap;
   std::vector<UserLocation> registry;
   std::vector<uint32_t> counts;
@@ -352,28 +356,26 @@ Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
       const ShardState& shard = *snap->shards[s];
       TQ_RETURN_NOT_OK((*writer)->WriteShard(
           static_cast<uint32_t>(s), *shard.users,
-          MissingIds(shard.users->size(), shard.tree->IndexedTrajectories())));
+          MissingIds(shard.users->size(), shard.cells->IndexedTrajectories())));
     }
   }
   TQ_RETURN_NOT_OK((*writer)->Commit(manifest));
   return snap->version;
 }
 
-uint64_t ShardedEngine::CompactShards(uint64_t /*lsn*/) {
-  // Rebuild each owned shard tree over its indexed ids: the same rebuild
+void ShardedEngine::CompactShards(uint64_t /*lsn*/) {
+  // Rebuild each owned shard's index over its indexed ids: the same rebuild
   // recovery runs, so a shard the checkpoint captured becomes exactly what
   // recovery would build from it. A rebuild folds the inserts pending since
   // the cell tables were built into fresh tables, off the publish path, and
-  // answers keep their bits: they do not depend on the tree's shape.
-  uint64_t replaced = 0;
+  // answers keep their bits: SO sums the scoring ids in ascending order,
+  // whichever candidates the tables mark.
   const ShardedSnapshotPtr captured = snapshot();
   for (size_t s = owned_begin_; s < owned_end_; ++s) {
     const ShardStatePtr old_state = captured->shards[s];
-    // Not a fork: already what a rebuild gives.
-    if (old_state->tree->cow_stats().pages_at_fork == 0) continue;
-    auto fresh = std::make_shared<TQTree>(
-        old_state->users.get(), options_.tree,
-        old_state->tree->IndexedTrajectories());
+    if (old_state->cells->fresh()) continue;  // already what a rebuild gives
+    auto rebuilt = ShardCells(old_state->users.get(), options_.tree.model,
+                              old_state->cells->IndexedTrajectories());
 
     // Swap only if the shard has not republished meanwhile: same version,
     // same generation, same users/eval — readers and the result cache
@@ -383,18 +385,12 @@ uint64_t ShardedEngine::CompactShards(uint64_t /*lsn*/) {
     const ShardedSnapshotPtr live = snapshot();
     if (live->shards[s] != old_state) continue;
     auto state = std::make_shared<ShardState>(*old_state);
-    state->tree = std::move(fresh);
+    state->cells = std::move(rebuilt);
     auto next = std::make_shared<ShardedSnapshot>(*live);
     next->shards[s] = std::move(state);
-    {
-      std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-      snapshot_ = std::move(next);
-    }
-    // Forks share pages only with retained snapshots, so this frees no
-    // fork chain: it counts the pages of the tree the rebuild replaced.
-    replaced += old_state->tree->num_pages();
+    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
+    snapshot_ = std::move(next);
   }
-  return replaced;
 }
 
 void ShardedEngine::Publish(ShardedSnapshotPtr snap,
@@ -544,11 +540,11 @@ void ShardedEngine::RunShardTask(const CoordinatedQueryPtr& query, size_t p,
   const FacilityCatalog& catalog = *snap.catalog;
   ParticipantAnswer& answer = query->answers[p];
   if (bound) {
-    // One cheap cell bound per facility, no node visited.
+    // One cheap cell bound per facility.
     std::vector<double>& bounds = query->bounds[p];
     bounds.resize(catalog.size());
     for (uint32_t f = 0; f < catalog.size(); ++f) {
-      bounds[f] = shard.tree->CellUpperBound(catalog.grid(f));
+      bounds[f] = shard.cells->CellUpperBound(catalog.grid(f));
     }
   } else {
     bool all_hit = true;
@@ -602,15 +598,14 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
     return value;
   }
   *cache_hit = false;
-  // Pool threads land here concurrently on the same frozen shard tree; the
-  // kernel layer underneath (StopGrid neighborhood lists, the tree's cell
-  // tables and indexed-ids bitmap, the evaluator's served-mask batch path)
-  // is immutable after freeze, and each thread's scratch (candidate mask,
-  // segmented served-mask gather) lives in thread_locals inside
-  // EvaluateServiceTQ — so a cache miss costs zero allocation on the steady
-  // state and no locks.
-  value = EvaluateServiceTQ(shard.tree.get(), *shard.eval, catalog.grid(f),
-                            stats);
+  // Pool threads land here concurrently on the same frozen shard index; the
+  // kernel layer underneath (StopGrid neighborhood lists, the cell tables
+  // and indexed-ids bitmap, the evaluator) is immutable after freeze, and
+  // each thread's candidate mask lives in a thread_local inside
+  // EvaluateServiceCells — so a cache miss costs zero allocation on the
+  // steady state and no locks.
+  value = EvaluateServiceCells(*shard.cells, *shard.eval, catalog.grid(f),
+                               stats);
   if (cache_.enabled()) {
     metrics_.AddCacheMiss();
     metrics_.AddCacheEvictions(cache_.Put(key, value));
@@ -669,8 +664,6 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
   next->catalog = cur->catalog;
   next->shards = cur->shards;
   uint64_t removed = 0;
-  uint64_t nodes_copied = 0;
-  uint64_t pages_shared = 0;
   std::vector<uint32_t> touched_shards;
   for (size_t s = 0; s < n; ++s) {
     // Writes routed to a non-owned shard are someone else's work: the
@@ -685,18 +678,15 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
     for (const uint32_t i : shard_inserts[s]) {
       locals.push_back(users->Add(batch.inserts[i]));
     }
-    // Persistent path copy: the forked shard tree shares untouched node
-    // pages, the cell tables and the raster with the published shard state.
-    std::shared_ptr<TQTree> tree = old.tree->Fork(users.get());
-    for (const uint32_t local : locals) tree->Insert(local);
+    // The fork shares the cell tables with the published shard state and
+    // copies its raster and bitmap on the first write; the freeze folds
+    // pending inserts into the tables past 1/8 of them.
+    std::unique_ptr<CellIndex> cells = old.cells->Fork(users.get());
+    for (const uint32_t local : locals) cells->Insert(local);
     for (const uint32_t local : shard_removes[s]) {
-      if (tree->Remove(local)) ++removed;
+      if (cells->Remove(local)) ++removed;
     }
-    // Freeze: whole trees fold pending inserts into the cell tables past 1/8
-    // of them; only segmented TQ(Z) trees rebuild dropped z-indexes.
-    tree->Freeze();
-    nodes_copied += tree->cow_stats().nodes_copied;
-    pages_shared += tree->cow_stats().pages_shared();
+    cells->Freeze();
 
     auto state = std::make_shared<ShardState>();
     state->shard = static_cast<uint32_t>(s);
@@ -704,7 +694,7 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
     // untouched ones entirely) — the shard_generations() contract that
     // the result cache relies on.
     state->generation = next->version;
-    state->tree = std::move(tree);
+    state->cells = std::move(cells);
     state->eval =
         std::make_shared<ServiceEvaluator>(users.get(), options_.tree.model);
     state->users = std::move(users);
@@ -734,8 +724,7 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
   metrics_.AddCacheInvalidated(invalidated);
   const auto publish_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - publish_start);
-  metrics_.AddPublishCost(nodes_copied, pages_shared,
-                          static_cast<uint64_t>(publish_ns.count()));
+  metrics_.AddPublishCost(static_cast<uint64_t>(publish_ns.count()));
   metrics_.RecordLatency(OpFamily::kPublish,
                          static_cast<uint64_t>(publish_ns.count()));
   return new_ids;

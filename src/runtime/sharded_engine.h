@@ -1,48 +1,43 @@
-// Scatter/gather serving across N sharded TQ-trees — the in-process serving
-// engine (one shard is the unpartitioned case).
+// Scatter/gather serving across N shards — the in-process serving engine
+// (one shard is the unpartitioned case).
 //
 // Concurrency model — single-writer, many lock-free readers: the engine
 // owns an immutable ShardedSnapshot behind a shared_ptr, tagged with a
 // monotonically increasing version. Readers grab the current pointer (one
-// mutex-protected copy) and then run lock-free on frozen trees (cell
-// tables built before publication); in-flight queries keep their snapshot
-// alive until they finish. The engine partitions the user set into N
-// shards by Z-order range (shard_router.h), each shard owning its own
-// TQ-tree + evaluator over its own user subset:
+// mutex-protected copy) and then run lock-free on frozen cell indexes;
+// in-flight queries keep their snapshot alive until they finish. The engine
+// partitions the user set into N shards by Z-order range (shard_router.h),
+// each shard owning a cell index (tqtree/cell_index.h; no quadtree: every
+// SO and bound reads the cells) + evaluator over its own user subset:
 //
 //   * Queries scatter: the engine is the in-process ShardTransport of the
 //     serving protocol's one Coordinator (coordinator.h). A wave posts one
 //     pool task per owned shard of the query's pinned snapshot; each task
-//     answers from its shard's frozen tree (cache-assisted), and the last
+//     answers from its shard's frozen index (cache-assisted), and the last
 //     finisher hands the wave back to the coordinator, which sums in
 //     ascending shard order or plans the next top-k wave. No pool thread
 //     ever blocks waiting on another task, so a pool of any size cannot
 //     deadlock.
-//   * Writers are incremental twice over: a trajectory insert/remove batch
-//     is routed per shard, and only the AFFECTED shards are forked
-//     (TQTree::Fork) and republished — and each fork path-copies only the
-//     node pages the batch's root-to-leaf paths touch, sharing the rest
-//     with the previous shard state. Untouched shards
-//     keep their snapshot, generation, and — because cache keys carry
-//     (shard, shard generation) — their warm result-cache entries. Gathered
-//     top-k answers are memoised under the full per-shard generation
-//     vector, so they too survive writes to shards and die exactly when a
-//     contributing shard republishes.
+//   * Writers are incremental: a trajectory insert/remove batch is routed
+//     per shard, and only the AFFECTED shards are forked (CellIndex::Fork)
+//     and republished. Untouched shards keep their snapshot, generation,
+//     and — because cache keys carry (shard, shard generation) — their warm
+//     result-cache entries. Gathered top-k answers are memoised under the
+//     full per-shard generation vector, so they too survive writes to
+//     shards and die exactly when a contributing shard republishes.
 //   * Correctness of the merge: service is additive over a disjoint user
-//     partition, SO(U, f) = Σ_s SO(U_s, f). Whole trajectories (and, in
-//     segmented mode, all segments of a trajectory) stay within one shard,
-//     so no cross-shard deduplication is needed. Per-shard top-k lists
-//     alone would NOT compose — a global winner may rank low in every
+//     partition, SO(U, f) = Σ_s SO(U_s, f). Whole trajectories stay within
+//     one shard, so no cross-shard deduplication is needed. Per-shard top-k
+//     lists alone would NOT compose — a global winner may rank low in every
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the single-tree values, bit for bit.
 //   * Top-k is BOUND-AND-PRUNE (prune_plan.h), the only top-k protocol and
-//     exact for every k: a bound wave (TQTree::CellUpperBound per facility —
-//     point-cell tables and the raster, no node or entry visited), then
-//     refinement waves for the window's unsettled slots until the window is
-//     settled. A top-k response reports cache_hit only for memoised
-//     whole-answer hits; per-(facility, shard) hits inside the waves still
-//     count in the hit/miss metrics.
+//     exact for every k: a bound wave (CellIndex::CellUpperBound per
+//     facility), then refinement waves for the window's unsettled slots
+//     until the window is settled. A top-k response reports cache_hit only
+//     for memoised whole-answer hits; per-(facility, shard) hits inside the
+//     waves still count in the hit/miss metrics.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -64,6 +59,7 @@
 #include "service/facility_index.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
+#include "tqtree/cell_index.h"
 #include "tqtree/tq_tree.h"
 #include "traj/dataset.h"
 
@@ -71,7 +67,7 @@ namespace tq::runtime {
 
 /// Sharded engine construction parameters.
 struct ShardedEngineOptions {
-  /// Number of user-set partitions, each with its own TQ-tree.
+  /// Number of user-set partitions, each with its own cell index.
   size_t num_shards = 4;
   /// Worker threads executing per-shard scatter tasks.
   size_t num_threads = 4;
@@ -80,7 +76,7 @@ struct ShardedEngineOptions {
   /// Owned Z-order shard range [owned_begin, owned_end) for shard-worker
   /// processes: the router still partitions the FULL user set `num_shards`
   /// ways (so every worker agrees on the geometry and on global id
-  /// assignment), but only the owned shards get trees built and answer
+  /// assignment), but only the owned shards get indexes built and answer
   /// queries — the others stay empty and are never evaluated or cached.
   /// (0, 0) means "own everything" (the single-process default).
   uint32_t owned_begin = 0;
@@ -90,7 +86,10 @@ struct ShardedEngineOptions {
   /// existing state with ShardedEngine::Recover instead), writes an initial
   /// checkpoint, and WAL-logs every ApplyUpdates batch before publishing it.
   storage::DurabilityOptions durability;
-  /// TQ-tree construction parameters (the service model lives here).
+  /// The engine reads `tree.model` alone: every shard is a whole-trajectory
+  /// cell index with tables, whatever the mode, variant or β. The other
+  /// fields enter only the checkpoint geometry hash, so a recovering engine
+  /// must still be configured with the same ones.
   TQTreeOptions tree;
 };
 
@@ -101,9 +100,8 @@ struct ShardState {
   uint32_t shard = 0;
   uint64_t generation = 0;
   std::shared_ptr<const TrajectorySet> users;  // this shard's users only
-  /// Frozen (TQTree::Freeze); non-const only because the query API
-  /// takes TQTree* — no query mutates a frozen tree.
-  std::shared_ptr<TQTree> tree;
+  /// Frozen over `users`, never written once published.
+  std::shared_ptr<const CellIndex> cells;
   std::shared_ptr<const ServiceEvaluator> eval;
 };
 using ShardStatePtr = std::shared_ptr<const ShardState>;
@@ -119,7 +117,7 @@ struct ShardedSnapshot {
 };
 using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 
-/// Multi-threaded scatter/gather engine over sharded TQ-trees. Thread-safe:
+/// Multi-threaded scatter/gather engine over sharded cell indexes. Thread-safe:
 /// any thread may Submit / RunBatch / ApplyUpdates / snapshot() concurrently.
 /// Writers are serialized among themselves; readers never block.
 class ShardedEngine : public ServingEngine, private ShardTransport {
@@ -132,8 +130,9 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
 
   /// Rebuilds an engine from `options.durability.data_dir`: loads the
   /// current checkpoint (geometry, facilities, registry, owned shards' users
-  /// and removed ids), rebuilds each owned shard tree over its users minus
-  /// its removed ids, replays the WAL records after its LSN through the normal update path,
+  /// and removed ids), rebuilds each owned shard's cell index over its users
+  /// minus its removed ids, replays the WAL records after its LSN through
+  /// the normal update path,
   /// and resumes logging — the recovered engine is bit-identical to the
   /// SIGKILL'd one, including snapshot version and per-shard generations.
   /// `options.tree` must match the checkpoint's geometry hash;
@@ -224,7 +223,7 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   std::vector<QueryResponse> RunBatch(const std::vector<QueryRequest>& batch);
 
   /// Routes `batch` per shard and republishes ONLY the affected shards
-  /// (copy-on-write clone per shard). Returns the global ids assigned to
+  /// (one CellIndex::Fork per shard). Returns the global ids assigned to
   /// `batch.inserts` (in order). Serialized internally; concurrent readers
   /// are never blocked.
   std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override;
@@ -271,7 +270,7 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   /// the query is untraced) — the queue-wait span.
   void RunShardTask(const CoordinatedQueryPtr& query, size_t p, bool bound,
                     uint64_t post_ns);
-  /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
+  /// Cache-assisted SO(U_s, f) on one shard's frozen index.
   double ShardServiceValue(const ShardState& shard,
                            const FacilityCatalog& catalog, FacilityId f,
                            QueryStats* stats, bool* cache_hit);
@@ -287,12 +286,12 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   /// into a CheckpointWriter OFF the lock — the snapshot shared_ptr pins the
   /// shards while writers keep publishing. Returns the captured LSN.
   Result<uint64_t> WriteCheckpointImpl();
-  /// DurabilityManager's CompactFn: rebuilds each owned shard tree that is
-  /// a fork over its indexed ids (the rebuild recovery runs), and swaps it
-  /// in at the SAME version and generation (answers, cache keys, and the
-  /// recovery LSN sequence are all unchanged). Returns the pages of the
-  /// trees it replaced.
-  uint64_t CompactShards(uint64_t lsn);
+  /// DurabilityManager's CompactFn: rebuilds each owned shard's cell index
+  /// that a rebuild would change (any but a fresh one) over its indexed ids
+  /// — the rebuild recovery runs — and swaps it in at the SAME version and
+  /// generation (answers, cache keys, and the recovery LSN sequence are all
+  /// unchanged).
+  void CompactShards(uint64_t lsn);
 
   ShardedEngineOptions options_;
   /// Resolved owned range ((0,0) in options = own all shards).

@@ -11,7 +11,7 @@
 // The paper normalises scenarios 2/3 per user (S ≤ 1) but stores raw point
 // counts / lengths as node upper bounds; we support both normalisations.
 // The per-unit bounds behind a node's "sub" are UnitUpperBound
-// (tqtree/aggregates.h); the facility bound is TQTree::CellUpperBound.
+// (tqtree/aggregates.h); the facility bound is CellIndex::CellUpperBound.
 #ifndef TQCOVER_SERVICE_MODELS_H_
 #define TQCOVER_SERVICE_MODELS_H_
 

@@ -16,9 +16,9 @@
 //       shard-<s>.removed         # "TQRM": shard s's de-indexed local ids
 //     wal/                        # storage/wal.h segments
 //
-// No tree is stored: recovery rebuilds each shard's TQ-tree over its users
-// minus its removed ids (the TQTree id-list constructor), the same rebuild
-// compaction runs on the live engine.
+// No index is stored: recovery rebuilds each shard's cell index over its
+// users minus its removed ids, the same rebuild compaction runs on the live
+// engine.
 //
 // Atomicity: everything is streamed into checkpoint-<lsn>.tmp, each file
 // fsync'd, then the directory is renamed into place and CURRENT is swapped
@@ -47,10 +47,9 @@
 
 namespace tq::storage {
 
-/// Hash of the geometry a tree's answers depend on: construction options,
-/// service model and world rectangle. The manifest stores it so a process
-/// configured differently refuses to recover rather than rebuild other
-/// trees.
+/// Hash of the engine's tree options (service model included) and world
+/// rectangle. The manifest stores it so a process configured differently
+/// refuses to recover rather than rebuild other indexes.
 uint64_t TQTreeGeometryHash(const TQTreeOptions& options, const Rect& world);
 
 /// One shard's manifest row.
@@ -72,7 +71,8 @@ struct CheckpointManifest {
   /// Global-id registry size at capture (== registry.bin entry count).
   uint64_t users_total = 0;
   /// TQTreeGeometryHash(tree options, world): a recovering process must be
-  /// configured with matching tree options or it would rebuild other trees.
+  /// configured with matching tree options or it would rebuild other
+  /// indexes.
   uint64_t geometry_hash = 0;
   Rect world;
   /// Router split keys (num_shards - 1 of them) — the partition geometry,
@@ -96,8 +96,8 @@ class CheckpointWriter {
   /// Registry entries are (shard, local id), global-id order.
   Status WriteRegistry(
       const std::vector<std::pair<uint32_t, uint32_t>>& entries);
-  /// Writes shard `shard`'s users and the ascending local ids its tree no
-  /// longer indexes.
+  /// Writes shard `shard`'s users and the ascending local ids its index no
+  /// longer holds.
   Status WriteShard(uint32_t shard, const TrajectorySet& users,
                     std::span<const uint32_t> removed);
   /// Writes MANIFEST, fsyncs, renames the directory into place, swaps

@@ -78,13 +78,12 @@ Result<CheckpointStats> DurabilityManager::CheckpointNow() {
 
   if (compact_) {
     const uint64_t compact_start = runtime::NowNs();
-    stats.pages_reclaimed = compact_(stats.lsn);
+    compact_(stats.lsn);
     trace->AddSpan("compact", -1, compact_start, runtime::NowNs());
   }
 
   stats.checkpoint_ns = runtime::NowNs() - start_ns;
   metrics_->AddCheckpoint(stats.checkpoint_ns);
-  metrics_->AddPagesReclaimed(stats.pages_reclaimed);
   tracer_->Finish(*trace, stats.lsn);
   return stats;
 }

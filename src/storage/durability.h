@@ -7,12 +7,12 @@
 //   * The ENGINE knows its own state — so it provides two closures: one that
 //     writes a consistent snapshot into a CheckpointWriter and returns the
 //     captured LSN, and one that compacts after a committed checkpoint:
-//     it rebuilds the live shard trees over their indexed ids, the same
-//     rebuild recovery runs, and returns the pages of the trees it replaced.
+//     it rebuilds the live shard indexes over their indexed ids, the same
+//     rebuild recovery runs.
 //   * The MANAGER owns everything else: WAL append with the sync policy,
 //     the background thread that ticks the kBatch fsync and fires interval
 //     checkpoints, trimming WAL segments the checkpoint covers, and the
-//     wal_* / checkpoint* / pages_reclaimed metrics + trace spans.
+//     wal_* / checkpoint* metrics + trace spans.
 //
 // Checkpoints never run on the publish path: the engine's capture closure
 // retains the published snapshot (shared_ptr pin) and writes it while
@@ -65,9 +65,6 @@ struct RecoveryInfo {
 /// One committed checkpoint's accounting.
 struct CheckpointStats {
   uint64_t lsn = 0;
-  /// Pages of the shard trees compaction replaced (the counter keeps its
-  /// old name; no fork chain is freed).
-  uint64_t pages_reclaimed = 0;
   uint64_t wal_bytes_trimmed = 0;
   uint64_t checkpoint_ns = 0;
 };
@@ -79,8 +76,8 @@ class DurabilityManager {
   /// with publishes internally.
   using WriteCheckpointFn = std::function<Result<uint64_t>()>;
   /// Compacts after checkpoint `lsn` commits (the engine rebuilds its live
-  /// shard trees); returns the pages of the trees replaced.
-  using CompactFn = std::function<uint64_t(uint64_t lsn)>;
+  /// shard indexes).
+  using CompactFn = std::function<void(uint64_t lsn)>;
 
   /// `metrics` and `tracer` must outlive the manager (the engine owns all
   /// three). Call Start() before anything else.

@@ -1,8 +1,8 @@
-// Tree-level rasters over a fixed R×R grid of the TQ-tree's world: the
-// point-mass raster behind the cheap per-facility service upper bound
-// (TQTree::CellUpperBound) and the point-cell tables behind both that bound
-// and the exact-check candidate filter of whole-trajectory trees
-// (TQTree::MarkCandidates).
+// Rasters over a fixed R×R grid of a cell index's world: the point-mass
+// raster behind the cheap per-facility service upper bound
+// (CellIndex::CellUpperBound) and the point-cell tables behind both that
+// bound and the exact-check candidate filter of whole trajectories
+// (CellIndex::MarkCandidates).
 //
 // Node-granularity aggregates (sub / local_ub) cannot discriminate
 // facilities on workloads where units roam: a check-in trajectory spanning
@@ -36,11 +36,11 @@
 // sound. Cost per facility is O(stops × cells-per-ψ-square) for the walk —
 // independent of both the number of users and the tree shape.
 //
-// The raster is shared across TQTree::Fork() like node pages are: forks
-// alias it read-only and the first Insert/Remove on either side copies it
-// (one R×R memcpy per writing publish), so retained snapshots keep the
-// exact mass their answers were bounded with. The tables are immutable and
-// shared outright; see TQTree for how inserts reach them.
+// The raster is shared across CellIndex::Fork(): forks alias it read-only
+// and the first Insert/Remove on either side copies it (one R×R memcpy per
+// writing publish), so retained snapshots keep the exact mass their answers
+// were bounded with. The tables are immutable and shared outright; see
+// CellIndex for how inserts reach them.
 #ifndef TQCOVER_TQTREE_POINT_RASTER_H_
 #define TQCOVER_TQTREE_POINT_RASTER_H_
 

@@ -309,8 +309,8 @@ TEST(GreedyCoverTQ, MatchesPlainGreedyOverBaselineSetsOfThePool) {
   }
 }
 
-TEST(GreedyCoverTQ, MatchesPlainGreedyOnAForkAfterUpdates) {
-  // A fork with removals (stale candidate bits) and inserts the candidate
+TEST(GreedyCoverTQ, MatchesPlainGreedyOnATreeAfterUpdates) {
+  // A tree with removals (stale candidate bits) and inserts the candidate
   // tables have not absorbed (pending inserts).
   Rng rng(1045);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -323,19 +323,19 @@ TEST(GreedyCoverTQ, MatchesPlainGreedyOnAForkAfterUpdates) {
     TQTreeOptions opt;
     opt.beta = 16;
     opt.model = model;
-    TQTree tree(&base, opt);
-    std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+    TQTree tree(&extended, opt, AllIds(base));
     std::vector<bool> indexed(extended.size(), true);
     for (uint32_t u = 0; u < base.size(); u += 4) {
-      ASSERT_TRUE(fork->Remove(u));
+      ASSERT_TRUE(tree.Remove(u));
       indexed[u] = false;
     }
-    for (uint32_t u = base.size(); u < extended.size(); ++u) fork->Insert(u);
+    for (uint32_t u = base.size(); u < extended.size(); ++u) tree.Insert(u);
+    ASSERT_EQ(tree.cells().num_pending(), more.size());
     const auto pq = BaselineIndex(extended, indexed);
     const ServiceEvaluator eval(&extended, model);
     const FacilityCatalog catalog(&facs, model.psi);
-    ExpectTwoStepMatchesPlainGreedy(fork.get(), *pq, catalog, eval,
-                                    "fork " + model.ToString());
+    ExpectTwoStepMatchesPlainGreedy(&tree, *pq, catalog, eval,
+                                    "updated " + model.ToString());
   }
 }
 
@@ -395,7 +395,7 @@ TEST(GreedyCoverTQ, PoolFiltersKeepCrossFacilityUsersOnly) {
     // no pooled stop. Trees without candidate tables mark nothing.
     std::vector<uint64_t> pool_mask;
     const std::vector<Point> pooled = {fa[0], fa[1], fb[0], fb[1]};
-    if (tree.MarkCandidates(pooled, model.psi, &pool_mask)) {
+    if (tree.cells().MarkCandidates(pooled, model.psi, &pool_mask)) {
       const FacilityServedSet in_pool =
           CollectServedSetTQ(&tree, catalog, eval, 0, pool_mask.data());
       EXPECT_EQ(in_pool.users, (std::vector<uint32_t>{0, 1, y}));

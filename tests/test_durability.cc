@@ -534,16 +534,16 @@ TEST(CrashRecovery, GeometryMismatchIsRejected) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
-// ------------------------------------------------ rebuilt shard trees
+// ----------------------------------------------- rebuilt shard indexes
 
-// Per shard and facility, the shard tree's own SO (EvaluateServiceTQ): the
+// Per shard and facility, the shard's own SO (EvaluateServiceCells): the
 // bits a shard contributes to every engine answer.
 std::vector<double> ShardAnswers(const runtime::ShardedSnapshot& snap) {
   std::vector<double> out;
   for (const runtime::ShardStatePtr& shard : snap.shards) {
     for (uint32_t f = 0; f < snap.catalog->size(); ++f) {
-      out.push_back(EvaluateServiceTQ(shard->tree.get(), *shard->eval,
-                                      snap.catalog->grid(f), nullptr));
+      out.push_back(EvaluateServiceCells(*shard->cells, *shard->eval,
+                                         snap.catalog->grid(f), nullptr));
     }
   }
   return out;
@@ -553,7 +553,7 @@ std::vector<std::vector<uint32_t>> IndexedIds(
     const runtime::ShardedSnapshot& snap) {
   std::vector<std::vector<uint32_t>> out;
   for (const runtime::ShardStatePtr& shard : snap.shards) {
-    out.push_back(shard->tree->IndexedTrajectories());
+    out.push_back(shard->cells->IndexedTrajectories());
   }
   return out;
 }
@@ -568,8 +568,8 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// A checkpoint stores users and removed ids, never a tree; recovery rebuilds
-// every owned shard over exactly the ids the killed engine indexed.
+// A checkpoint stores users and removed ids, never an index; recovery
+// rebuilds every owned shard over exactly the ids the killed engine indexed.
 TEST(CrashRecovery, CheckpointStoresNoTreeAndRecoveryRebuildsTheLiveIds) {
   const std::string dir = TempDir("rebuild_ids");
   const Workload wl = MakeWorkload(/*seed=*/181, /*num_batches=*/6);
@@ -655,7 +655,7 @@ TEST(CrashRecovery, DamagedRemovedIdsAndOldManifestAreTypedErrors) {
     expect_rejected(flipped, "bit " + std::to_string(bit) + " flipped");
   }
   // Well-framed files whose ids no shard can have: re-framed with a valid
-  // CRC, so only the id checks stand between them and a tree.
+  // CRC, so only the id checks stand between them and an index.
   const auto reframed = [&](const std::vector<uint32_t>& ids) {
     std::string bytes = pristine.substr(0, 4);
     const uint64_t count = ids.size();
@@ -694,10 +694,11 @@ TEST(CrashRecovery, DamagedRemovedIdsAndOldManifestAreTypedErrors) {
 
 // ------------------------------------------------------------ compaction
 
-// Compaction rebuilds each live shard tree over its indexed ids (the
-// rebuild recovery runs): same ids, same answer bits, and the snapshot a
-// reader or checkpoint still pins keeps its tree as it was.
-TEST(Compaction, RebuildsLiveTreesAndLeavesRetainedSnapshotsAlone) {
+// Compaction rebuilds each live shard's cell index over its indexed ids
+// (the rebuild recovery runs): same ids, same answer bits, no pending
+// insert, and the snapshot a reader or checkpoint still pins keeps its
+// index as it was.
+TEST(Compaction, RebuildsLiveIndexesAndLeavesRetainedSnapshotsAlone) {
   const std::string dir = TempDir("compaction");
   const Workload wl = MakeWorkload(/*seed=*/171, /*num_batches=*/8);
   const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
@@ -708,52 +709,46 @@ TEST(Compaction, RebuildsLiveTreesAndLeavesRetainedSnapshotsAlone) {
   }
 
   // Pin the pre-compaction snapshot the way a long-running checkpoint or
-  // slow reader would.
+  // slow reader would. Every shard's index is a fork carrying pending
+  // inserts.
   const runtime::ShardedSnapshotPtr retained = engine.snapshot();
-  std::vector<TQTreeStats> stats_before;
+  std::vector<size_t> pending_before;
   for (const runtime::ShardStatePtr& shard : retained->shards) {
-    stats_before.push_back(shard->tree->ComputeStats());
+    EXPECT_FALSE(shard->cells->fresh()) << "shard " << shard->shard;
+    pending_before.push_back(shard->cells->num_pending());
   }
+  const std::vector<std::vector<uint32_t>> ids_before = IndexedIds(*retained);
   const std::vector<double> shard_answers_before = ShardAnswers(*retained);
   const AnswerSurface before = Answers(&engine, nf);
-  const uint64_t replaced_before = engine.metrics().Read().pages_reclaimed;
 
   ASSERT_TRUE(engine.Checkpoint().ok());
 
-  // Every shard tree was a fork, so every one was rebuilt and counted...
+  // Every shard index was rebuilt: the live snapshot kept its version,
+  // generations, indexed ids and answer bits, with no pending insert left...
   const runtime::ShardedSnapshotPtr live = engine.snapshot();
-  uint64_t replaced_pages = 0;
-  for (const runtime::ShardStatePtr& shard : retained->shards) {
-    replaced_pages += shard->tree->num_pages();
-  }
-  EXPECT_EQ(engine.metrics().Read().pages_reclaimed - replaced_before,
-            replaced_pages);
-  // ...the live snapshot kept its version, generations, indexed ids and
-  // answer bits...
   EXPECT_EQ(live->version, retained->version);
   for (size_t s = 0; s < live->shards.size(); ++s) {
     EXPECT_EQ(live->shards[s]->generation, retained->shards[s]->generation)
         << "shard " << s;
-    EXPECT_NE(live->shards[s]->tree.get(), retained->shards[s]->tree.get())
+    EXPECT_NE(live->shards[s]->cells, retained->shards[s]->cells)
         << "shard " << s;
-    EXPECT_EQ(live->shards[s]->tree->cow_stats().pages_at_fork, 0u)
-        << "shard " << s;
+    EXPECT_TRUE(live->shards[s]->cells->fresh()) << "shard " << s;
+    EXPECT_EQ(live->shards[s]->cells->num_pending(), 0u) << "shard " << s;
   }
-  EXPECT_EQ(IndexedIds(*live), IndexedIds(*retained));
+  EXPECT_EQ(IndexedIds(*live), ids_before);
   EXPECT_EQ(ShardAnswers(*live), shard_answers_before);
   ExpectBitIdentical(Answers(&engine, nf), before);
-  // ...and the RETAINED snapshot's trees are untouched.
+  // ...and the RETAINED snapshot's indexes are untouched.
   for (size_t s = 0; s < retained->shards.size(); ++s) {
-    const TQTreeStats after = retained->shards[s]->tree->ComputeStats();
-    EXPECT_EQ(after.ToString(), stats_before[s].ToString()) << "shard " << s;
+    EXPECT_EQ(retained->shards[s]->cells->num_pending(), pending_before[s])
+        << "shard " << s;
   }
+  EXPECT_EQ(IndexedIds(*retained), ids_before);
   EXPECT_EQ(ShardAnswers(*retained), shard_answers_before);
 
-  // A second checkpoint with no publish between finds only rebuilt trees:
-  // nothing to replace.
-  const uint64_t replaced_after = engine.metrics().Read().pages_reclaimed;
+  // A second checkpoint with no publish between finds only rebuilt
+  // indexes: nothing to replace.
   ASSERT_TRUE(engine.Checkpoint().ok());
-  EXPECT_EQ(engine.metrics().Read().pages_reclaimed, replaced_after);
   EXPECT_EQ(engine.snapshot()->shards, live->shards);
 }
 

@@ -153,7 +153,7 @@ TEST(EvalService, StatsCountPruning) {
   // A whole tree with point-cell tables visits no node: one exact check per
   // bit of the candidate mask.
   std::vector<uint64_t> mask;
-  ASSERT_TRUE(tree.MarkCandidates(grid.stops(), grid.psi(), &mask));
+  ASSERT_TRUE(tree.cells().MarkCandidates(grid.stops(), grid.psi(), &mask));
   size_t marked = 0;
   for (const uint64_t word : mask) marked += std::popcount(word);
   EXPECT_EQ(stats.nodes_visited, 0u);

@@ -1,6 +1,6 @@
 // Tests for the concurrent query runtime (src/runtime/): thread pool, result
-// cache, tree forks, and — most importantly — that N concurrent Submits to
-// a one-shard ShardedEngine agree with the serial evaluators and that a
+// cache, cell-index forks, and — most importantly — that N concurrent Submits
+// to a one-shard ShardedEngine agree with the serial evaluators and that a
 // snapshot publish mid-stream never produces a torn read. Run this binary
 // under -fsanitize=thread (cmake -DTQ_SANITIZE=thread) to verify the
 // lock-free reader claim; CI's Debug job does.
@@ -83,54 +83,45 @@ TEST(ResultCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(TQTreeFork, ForkAnswersIdenticallyAndIsIndependent) {
+TEST(CellIndexFork, ForkAnswersIdenticallyAndIsIndependent) {
   Rng rng(71);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet base = testing::RandomUsers(&rng, 300, 2, 5, w);
   const TrajectorySet facs = testing::RandomFacilities(&rng, 8, 8, w);
   const ServiceModel model = ServiceModel::PointCount(250.0);
-  TQTreeOptions opt;
-  opt.beta = 16;
-  opt.model = model;
-  TQTree original(&base, opt);
+  const CellIndex original(&base, model, /*tables=*/true, AllIds(base));
 
   // Fork against an extended copy of the user set, then insert the new
-  // trajectory into the fork only — the copy-on-write writer's exact moves.
+  // trajectory into the fork only — the engine writer's exact moves.
   TrajectorySet extended = base;
   std::vector<Point> extra;
   for (int i = 0; i < 4; ++i) {
     extra.push_back(Point{5000.0 + 100.0 * i, 5000.0});
   }
   const uint32_t new_id = extended.Add(extra);
-  std::unique_ptr<TQTree> fork = original.Fork(&extended);
+  std::unique_ptr<CellIndex> fork = original.Fork(&extended);
   ASSERT_NE(fork, nullptr);
-  EXPECT_EQ(fork->num_units(), original.num_units());
-  // Pure structural sharing until the first write: nothing copied yet.
-  EXPECT_EQ(fork->cow_stats().nodes_copied, 0u);
-  EXPECT_EQ(fork->cow_stats().pages_shared(), original.num_pages());
+  EXPECT_EQ(fork->IndexedTrajectories(), original.IndexedTrajectories());
 
   const ServiceEvaluator eval_base(&base, model);
   const ServiceEvaluator eval_ext(&extended, model);
   const FacilityCatalog catalog(&facs, model.psi);
   for (uint32_t f = 0; f < catalog.size(); ++f) {
     EXPECT_DOUBLE_EQ(
-        EvaluateServiceTQ(&original, eval_base, catalog.grid(f)),
-        EvaluateServiceTQ(fork.get(), eval_ext, catalog.grid(f)));
+        EvaluateServiceCells(original, eval_base, catalog.grid(f)),
+        EvaluateServiceCells(*fork, eval_ext, catalog.grid(f)));
   }
-  // Read-only queries on either side never break the page sharing.
-  EXPECT_EQ(fork->cow_stats().nodes_copied, 0u);
 
   fork->Insert(new_id);
   fork->Freeze();
-  EXPECT_EQ(fork->num_units(), original.num_units() + 1);
-  // The insert path-copied the touched pages — and only those.
-  EXPECT_GT(fork->cow_stats().nodes_copied, 0u);
-  EXPECT_LT(fork->cow_stats().nodes_copied, original.num_nodes());
+  EXPECT_EQ(fork->IndexedTrajectories().size(), base.size() + 1);
+  EXPECT_EQ(fork->num_pending(), 1u);
+  EXPECT_EQ(original.IndexedTrajectories().size(), base.size());
   for (uint32_t f = 0; f < catalog.size(); ++f) {
     // The fork now reflects the extended set; the original is untouched.
-    EXPECT_NEAR(EvaluateServiceTQ(fork.get(), eval_ext, catalog.grid(f)),
+    EXPECT_NEAR(EvaluateServiceCells(*fork, eval_ext, catalog.grid(f)),
                 testing::BruteForceSO(extended, facs.points(f), model), 1e-6);
-    EXPECT_NEAR(EvaluateServiceTQ(&original, eval_base, catalog.grid(f)),
+    EXPECT_NEAR(EvaluateServiceCells(original, eval_base, catalog.grid(f)),
                 testing::BruteForceSO(base, facs.points(f), model), 1e-6);
   }
 }
@@ -186,8 +177,8 @@ TEST(OneShardEngine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
   }
   const std::vector<QueryResponse> responses = engine.RunBatch(batch);
   ASSERT_EQ(responses.size(), batch.size());
-  // The shard tree is a whole tree with point-cell tables: an evaluation
-  // visits no node and exact-checks each bit of the facility's mask once.
+  // The shard is a cell index with point-cell tables: an evaluation visits
+  // no node and exact-checks each bit of the facility's mask once.
   size_t want_checks = 0;
   for (size_t i = 0; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].snapshot_version, 1u);
@@ -195,7 +186,8 @@ TEST(OneShardEngine, ConcurrentSubmitsAgreeWithSerialEvaluation) {
     if (responses[i].cache_hit) continue;
     const StopGrid& grid = serial_catalog.grid(batch[i].facility);
     std::vector<uint64_t> mask;
-    ASSERT_TRUE(serial_tree.MarkCandidates(grid.stops(), grid.psi(), &mask));
+    ASSERT_TRUE(
+        serial_tree.cells().MarkCandidates(grid.stops(), grid.psi(), &mask));
     for (const uint64_t word : mask) want_checks += std::popcount(word);
   }
   // Second pass over the same facilities: all cache hits, same answers.
@@ -293,8 +285,8 @@ TEST(OneShardEngine, ApplyUpdatesPublishesNewVersionWithCorrectValues) {
 
   // The retained snapshot still answers with pre-update state.
   for (uint32_t f = 0; f < world.facilities.size(); ++f) {
-    EXPECT_NEAR(EvaluateServiceTQ(old_shard.tree.get(), *old_shard.eval,
-                                  old_snap->catalog->grid(f)),
+    EXPECT_NEAR(EvaluateServiceCells(*old_shard.cells, *old_shard.eval,
+                                     old_snap->catalog->grid(f)),
                 testing::BruteForceSO(world.users,
                                       world.facilities.points(f), world.model),
                 1e-6);

@@ -201,6 +201,70 @@ TEST(ShardedEngine, NormalizedModelAgreesWithOracleAtEveryShardCount) {
   }
 }
 
+// The engine reads only the service model of its tree options: whatever
+// mode and variant are configured, every shard is a cell index, and its
+// answers keep the bits of the library's segmented TQ(Z) tree, which walks
+// the quadtree instead. On one shard for every model; on four for the
+// integer-valued models, whose cross-shard sums are exact.
+TEST(ShardedEngine, EveryTreeConfigurationAnswersWithTheLibrarysBits) {
+  Rng rng(23);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 400, 2, 6, w);
+  TrajectorySet facs = testing::RandomFacilities(&rng, 10, 8, w);
+  // Routes along users' own points, so that every model scores positive.
+  for (const uint32_t u : {0u, 1u, 2u}) facs.Add(users.points(u));
+  for (const ServiceModel& model : testing::AllModels(300.0)) {
+    SCOPED_TRACE(model.ToString());
+    TQTreeOptions segmented = ShardedOptions(1, model).tree;
+    segmented.variant = IndexVariant::kZOrder;
+    segmented.mode = TrajMode::kSegmented;
+    TQTree library(&users, segmented);
+    const ServiceEvaluator eval(&users, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    std::vector<RankedFacility> want(facs.size());
+    size_t positive = 0;
+    for (uint32_t f = 0; f < facs.size(); ++f) {
+      want[f] = {f, EvaluateServiceTQ(&library, eval, catalog.grid(f))};
+      if (want[f].value > 0.0) ++positive;
+    }
+    EXPECT_GE(positive, 3u);
+    std::vector<RankedFacility> want_top = want;
+    std::sort(want_top.begin(), want_top.end(), RankedBefore);
+    want_top.resize(5);
+    const bool integer_valued =
+        model.scenario == Scenario::kEndpoints ||
+        (model.scenario == Scenario::kPointCount &&
+         model.normalization == Normalization::kNone);
+    for (const size_t shards : {1u, 4u}) {
+      if (shards > 1 && !integer_valued) continue;
+      for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+        for (const IndexVariant variant :
+             {IndexVariant::kBasic, IndexVariant::kZOrder}) {
+          SCOPED_TRACE(std::to_string(shards) + " shards" +
+                       (mode == TrajMode::kWhole ? " whole" : " segmented") +
+                       (variant == IndexVariant::kZOrder ? " TQ(Z)"
+                                                         : " TQ(B)"));
+          ShardedEngineOptions options = ShardedOptions(shards, model);
+          options.tree.mode = mode;
+          options.tree.variant = variant;
+          ShardedEngine engine(users, facs, options);
+          for (uint32_t f = 0; f < facs.size(); ++f) {
+            EXPECT_EQ(engine.Submit(QueryRequest::ServiceValue(f)).get().value,
+                      want[f].value)
+                << "facility " << f;
+          }
+          const QueryResponse top = engine.Submit(QueryRequest::TopK(5)).get();
+          ASSERT_EQ(top.ranked.size(), want_top.size());
+          for (size_t i = 0; i < want_top.size(); ++i) {
+            EXPECT_EQ(top.ranked[i].id, want_top[i].id) << "rank " << i;
+            EXPECT_EQ(top.ranked[i].value, want_top[i].value) << "rank " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // kMaxRRST tie-break: duplicated facilities have exactly equal values, and
 // the gathered ranking must list them by ascending facility id — matching
 // the library's documented order.

@@ -296,18 +296,33 @@ TEST(SimdKernels, CorridorReachesAgreesWithScalar) {
 // sharded engine runs the kernels and its bound sweep in. TSan runs this
 // suite in CI; any hidden shared mutable state in the batch paths or in the
 // bound's scratch (cell lists, candidate masks) trips it.
-// Everything a reader takes from one frozen whole tree, as raw bits: per
-// facility the cell bound, SO and the served set (users ascending, then
-// their mask words), then the top-k ids and value bits.
-std::vector<uint64_t> ReaderDigest(TQTree* tree, const ServiceEvaluator& eval,
-                                   const FacilityCatalog& catalog) {
+// Everything a reader takes from one frozen cell index, as raw bits: per
+// facility the cell bound, the candidate ids it lists and SO.
+std::vector<uint64_t> CellDigest(const CellIndex& cells,
+                                 const ServiceEvaluator& eval,
+                                 const FacilityCatalog& catalog) {
+  std::vector<uint64_t> out;
+  std::vector<uint32_t> ids;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    ids.clear();
+    out.push_back(std::bit_cast<uint64_t>(cells.CellUpperBound(grid, &ids)));
+    out.insert(out.end(), ids.begin(), ids.end());
+    out.push_back(
+        std::bit_cast<uint64_t>(EvaluateServiceCells(cells, eval, grid)));
+  }
+  return out;
+}
+
+// Everything a reader takes from one frozen whole tree: per facility the
+// served set (users ascending, then their mask words), then the top-k ids
+// and value bits.
+std::vector<uint64_t> TreeDigest(TQTree* tree, const ServiceEvaluator& eval,
+                                 const FacilityCatalog& catalog) {
   std::vector<uint64_t> out;
   ServedGather served;
   for (uint32_t f = 0; f < catalog.size(); ++f) {
-    const StopGrid& grid = catalog.grid(f);
-    out.push_back(std::bit_cast<uint64_t>(tree->CellUpperBound(grid)));
-    out.push_back(std::bit_cast<uint64_t>(EvaluateServiceTQ(tree, eval, grid)));
-    CollectServedTQ(tree, eval, grid, &served);
+    CollectServedTQ(tree, eval, catalog.grid(f), &served);
     std::vector<uint32_t> users = served.users();
     std::sort(users.begin(), users.end());
     for (const uint32_t u : users) {
@@ -323,28 +338,31 @@ std::vector<uint64_t> ReaderDigest(TQTree* tree, const ServiceEvaluator& eval,
   return out;
 }
 
-// Concurrent readers of one frozen whole tree get a serial pass's bits
-// while a writer forks it and publishes Insert/Remove batches on the fork:
-// the fork shares the tree's pages, raster and indexed-ids bitmap and
-// copies each on its first write.
+// Concurrent readers of one frozen cell index and one frozen whole tree get
+// a serial pass's bits while a writer forks the index and publishes
+// Insert/Remove batches on the fork: the fork shares the index's tables,
+// raster and indexed-ids bitmap and copies the raster and the bitmap on its
+// first write.
 TEST(SimdKernels, ConcurrentReadersAgree) {
   const TrajectorySet users = presets::NyfCheckins(200);
   const TrajectorySet routes = presets::NyBusRoutes(4, 16);
   const ServiceModel model = ServiceModel::PointCount(400.0);
   const ServiceEvaluator eval(&users, model);
   const FacilityCatalog catalog(&routes, model.psi);
+  const CellIndex cells(&users, model, /*tables=*/true, AllIds(users));
   TQTreeOptions opt;
   opt.model = model;
   TQTree tree(&users, opt);
-  tree.Freeze();
-  ASSERT_TRUE(tree.has_cell_tables());
-  const std::vector<uint64_t> serial = ReaderDigest(&tree, eval, catalog);
+  ASSERT_TRUE(cells.has_tables());
+  const std::vector<uint64_t> serial_cells = CellDigest(cells, eval, catalog);
+  const std::vector<uint64_t> serial_tree = TreeDigest(&tree, eval, catalog);
   std::vector<std::thread> threads;
   std::vector<int> failures(4, 0);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 10; ++rep) {
-        if (ReaderDigest(&tree, eval, catalog) != serial) failures[t]++;
+        if (CellDigest(cells, eval, catalog) != serial_cells) failures[t]++;
+        if (TreeDigest(&tree, eval, catalog) != serial_tree) failures[t]++;
       }
       for (uint32_t f = 0; f < catalog.size(); ++f) {
         const StopGrid& grid = catalog.grid(f);
@@ -360,14 +378,14 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
   // The writer: fork, remove, re-insert (a pending id), remove again, and
   // freeze, the way a publish does.
   for (uint32_t round = 0; round < 6; ++round) {
-    std::unique_ptr<TQTree> fork = tree.Fork(&users);
+    std::unique_ptr<CellIndex> fork = cells.Fork(&users);
     for (uint32_t u = round; u < users.size(); u += 7) {
       EXPECT_TRUE(fork->Remove(u));
     }
     fork->Insert(round);
     EXPECT_TRUE(fork->Remove(round + 1));
     fork->Freeze();
-    EXPECT_NE(ReaderDigest(fork.get(), eval, catalog), serial);
+    EXPECT_NE(CellDigest(*fork, eval, catalog), serial_cells);
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 4; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;

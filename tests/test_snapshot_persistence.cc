@@ -1,8 +1,7 @@
-// Persistent path-copying snapshot tests (tqtree page store + runtime
-// integration):
-//   * publish cost — a single-trajectory ApplyUpdates on the NYF preset
-//     must path-copy, not clone: < 5% of tree nodes duplicated (the
-//     acceptance bar), most pages still shared with the old snapshot;
+// Persistent snapshot tests (cell-index forks + runtime integration):
+//   * publish isolation — a single-trajectory ApplyUpdates on the NYF
+//     preset leaves the retained snapshot's cell index untouched, bounds
+//     and answers alike, and publishes what a from-scratch build answers;
 //   * snapshot immutability — after K random write batches, every retained
 //     older snapshot still answers a fixed query set byte-identically to
 //     its recorded answers, and the newest snapshot matches a from-scratch
@@ -11,12 +10,14 @@
 //     a single-tree from-scratch build for N ∈ {1, 2, 4, 8};
 //   * the top-k section of ResultCache: memoisation keyed by (k, ψ,
 //     generation vector), per-shard invalidation, engine integration.
-// The single-tree cases run a one-shard ShardedEngine and read its tree
-// through snapshot()->shards[0].
-// Run under -fsanitize=address and -fsanitize=thread in CI: page sharing
-// across snapshots is exactly where lifetime and data-race bugs would live.
+// The single-shard cases run a one-shard ShardedEngine and read its cell
+// index through snapshot()->shards[0].
+// Run under -fsanitize=address and -fsanitize=thread in CI: the raster,
+// bitmap and tables a fork shares with retained snapshots are exactly where
+// lifetime and data-race bugs would live.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -39,15 +40,27 @@ using runtime::ShardedEngine;
 using runtime::ShardedEngineOptions;
 using runtime::UpdateBatch;
 
-// ------------------------------------------------------------ publish cost
+// Top-k of one shard's frozen cell index: every facility evaluated, then
+// ranked by (value desc, id asc).
+std::vector<RankedFacility> ShardTopK(const runtime::ShardState& shard,
+                                      const FacilityCatalog& catalog,
+                                      size_t k) {
+  std::vector<RankedFacility> all(catalog.size());
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    all[f] = RankedFacility{
+        f, EvaluateServiceCells(*shard.cells, *shard.eval, catalog.grid(f))};
+  }
+  std::sort(all.begin(), all.end(), RankedBefore);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
 
-// The acceptance criterion: publishing a single-trajectory update on the
-// NYF preset copies < 5% of the tree's nodes. A full clone would copy 100%.
-// Segmented mode is the write-heavy configuration: NYF's multipoint
-// check-ins have city-wide MBRs that pile up as shallow inter-node lists
-// when stored whole, while per-segment units build the deep tree the paper's
-// dynamic-update section (§III-C) targets.
-TEST(ForkPublishCost, SingleTrajectoryNyfPublishCopiesUnder5PercentOfNodes) {
+// ------------------------------------------------------- publish isolation
+
+// A single-trajectory publish on the NYF preset forks the shard's cell
+// index: the retained snapshot keeps its indexed ids, bound bits and
+// answer bits, while the new one lists the insert as pending.
+TEST(ForkPublish, SingleTrajectoryNyfPublishLeavesRetainedSnapshotUntouched) {
   const TrajectorySet users = presets::NyfCheckins(20000);
   const TrajectorySet routes = presets::NyBusRoutes(12, 10);
   ShardedEngineOptions options;
@@ -58,8 +71,18 @@ TEST(ForkPublishCost, SingleTrajectoryNyfPublishCopiesUnder5PercentOfNodes) {
   options.tree.model = ServiceModel::PointCount(200.0, Normalization::kNone);
   ShardedEngine engine(users, routes, options);
 
-  const size_t total_nodes = engine.snapshot()->shards[0]->tree->num_nodes();
-  ASSERT_GT(total_nodes, 500u) << "preset too small to be meaningful";
+  const runtime::ShardedSnapshotPtr retained = engine.snapshot();
+  const runtime::ShardState& old_shard = *retained->shards[0];
+  const FacilityCatalog& old_catalog = *retained->catalog;
+  const std::vector<uint32_t> old_ids = old_shard.cells->IndexedTrajectories();
+  ASSERT_EQ(old_ids.size(), users.size());
+  std::vector<double> old_bounds;
+  std::vector<double> old_values;
+  for (uint32_t f = 0; f < old_catalog.size(); ++f) {
+    old_bounds.push_back(old_shard.cells->CellUpperBound(old_catalog.grid(f)));
+    old_values.push_back(EvaluateServiceCells(*old_shard.cells, *old_shard.eval,
+                                              old_catalog.grid(f)));
+  }
 
   const std::vector<Point> traj{
       Point{1000.0, 1000.0}, Point{1200.0, 1150.0}, Point{1400.0, 1300.0}};
@@ -68,12 +91,22 @@ TEST(ForkPublishCost, SingleTrajectoryNyfPublishCopiesUnder5PercentOfNodes) {
   engine.ApplyUpdates(batch);
 
   const runtime::MetricsView m = engine.metrics().Read();
-  EXPECT_GT(m.nodes_copied, 0u);
-  EXPECT_LT(m.nodes_copied, total_nodes / 20)
-      << "single-trajectory publish copied " << m.nodes_copied << " of "
-      << total_nodes << " nodes — copy-on-write regressed toward full clone";
-  EXPECT_GT(m.pages_shared, 0u);
   EXPECT_GT(m.publish_ns, 0u);
+  const runtime::ShardState& new_shard = *engine.snapshot()->shards[0];
+  EXPECT_NE(new_shard.cells, old_shard.cells);
+  EXPECT_EQ(new_shard.cells->num_pending(), 1u);
+  EXPECT_EQ(new_shard.cells->IndexedTrajectories().size(), users.size() + 1);
+  EXPECT_EQ(old_shard.cells->num_pending(), 0u);
+  EXPECT_EQ(old_shard.cells->IndexedTrajectories(), old_ids);
+  for (uint32_t f = 0; f < old_catalog.size(); ++f) {
+    EXPECT_EQ(old_shard.cells->CellUpperBound(old_catalog.grid(f)),
+              old_bounds[f])
+        << "facility " << f;
+    EXPECT_EQ(EvaluateServiceCells(*old_shard.cells, *old_shard.eval,
+                                   old_catalog.grid(f)),
+              old_values[f])
+        << "facility " << f;
+  }
 
   // The published fork answers like a from-scratch build over the extended
   // set (integer-valued model: bit-identical).
@@ -119,12 +152,10 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
     r.snap = snap;
     const runtime::ShardState& shard = *snap->shards[0];
     for (uint32_t f = 0; f < snap->catalog->size(); ++f) {
-      r.values.push_back(EvaluateServiceTQ(shard.tree.get(), *shard.eval,
-                                           snap->catalog->grid(f)));
+      r.values.push_back(EvaluateServiceCells(*shard.cells, *shard.eval,
+                                              snap->catalog->grid(f)));
     }
-    r.topk =
-        TopKFacilitiesTQ(shard.tree.get(), *snap->catalog, *shard.eval, 5)
-            .ranked;
+    r.topk = ShardTopK(shard, *snap->catalog, 5);
     return r;
   };
 
@@ -163,14 +194,13 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
     const runtime::ShardState& shard = *r.snap->shards[0];
     EXPECT_EQ(r.snap->version, i + 1);
     for (uint32_t f = 0; f < r.snap->catalog->size(); ++f) {
-      EXPECT_EQ(EvaluateServiceTQ(shard.tree.get(), *shard.eval,
-                                  r.snap->catalog->grid(f)),
+      EXPECT_EQ(EvaluateServiceCells(*shard.cells, *shard.eval,
+                                     r.snap->catalog->grid(f)),
                 r.values[f])
           << "version " << r.snap->version << " facility " << f;
     }
     const std::vector<RankedFacility> again =
-        TopKFacilitiesTQ(shard.tree.get(), *r.snap->catalog, *shard.eval, 5)
-            .ranked;
+        ShardTopK(shard, *r.snap->catalog, 5);
     ASSERT_EQ(again.size(), r.topk.size());
     for (size_t j = 0; j < again.size(); ++j) {
       EXPECT_EQ(again[j].id, r.topk[j].id);
@@ -190,8 +220,8 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
   TQTree oracle(&survivors, options.tree);
   const ServiceEvaluator oracle_eval(&survivors, options.tree.model);
   for (uint32_t f = 0; f < newest->catalog->size(); ++f) {
-    EXPECT_EQ(EvaluateServiceTQ(newest_shard.tree.get(), *newest_shard.eval,
-                                newest->catalog->grid(f)),
+    EXPECT_EQ(EvaluateServiceCells(*newest_shard.cells, *newest_shard.eval,
+                                   newest->catalog->grid(f)),
               EvaluateServiceTQ(&oracle, oracle_eval,
                                 newest->catalog->grid(f)))
         << "facility " << f;
@@ -200,7 +230,7 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
 
 // --------------------------------------------------- sharded equivalence
 
-// Acceptance: after forked (path-copying) publishes, an N-shard engine's
+// Acceptance: after forked publishes, an N-shard engine's
 // gathered answers stay bit-identical to a single-tree from-scratch build
 // over the same surviving user set, for N ∈ {1, 2, 4, 8}.
 TEST(ShardedForkedPublish, BitIdenticalToFromScratchBuildAtEveryShardCount) {

@@ -1,5 +1,5 @@
 // Tests for bound-and-prune distributed top-k (src/runtime/sharded_engine
-// sweep + refinement waves, src/tqtree TQTree::CellUpperBound):
+// sweep + refinement waves, src/tqtree CellIndex::CellUpperBound):
 //   * the cell bound is sound — never below the exact service value — in
 //     every tree mode and service model tested;
 //   * top-k answers agree bit-for-bit with the snapshot oracle (every
@@ -79,7 +79,7 @@ std::vector<RankedFacility> OracleRanking(const TrajectorySet& users,
 }
 
 // Snapshot oracle: every facility evaluated exactly on every shard of
-// `snap` (EvaluateServiceTQ), summed in ascending shard order and ranked by
+// `snap` (EvaluateServiceCells), summed in ascending shard order and ranked by
 // (value desc, id asc). These are the bits any exact sharded top-k must
 // return, computed without any coordinator code.
 std::vector<RankedFacility> SnapshotRanking(
@@ -89,8 +89,8 @@ std::vector<RankedFacility> SnapshotRanking(
   for (uint32_t f = 0; f < catalog.size(); ++f) all[f].id = f;
   for (const runtime::ShardStatePtr& shard : snap.shards) {
     for (uint32_t f = 0; f < catalog.size(); ++f) {
-      all[f].value += EvaluateServiceTQ(shard->tree.get(), *shard->eval,
-                                        catalog.grid(f), nullptr);
+      all[f].value += EvaluateServiceCells(*shard->cells, *shard->eval,
+                                           catalog.grid(f), nullptr);
     }
   }
   std::sort(all.begin(), all.end(), RankedBefore);
@@ -107,7 +107,7 @@ void ExpectSameRanking(const std::vector<RankedFacility>& got,
   }
 }
 
-// ------------------------------------------------- TQTree::CellUpperBound
+// ---------------------------------------------- CellIndex::CellUpperBound
 
 // CellUpperBound ≥ the exact value for every facility.
 void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
@@ -117,7 +117,21 @@ void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
   for (uint32_t f = 0; f < catalog.size(); ++f) {
     const double exact =
         EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr);
-    EXPECT_GE(tree->CellUpperBound(catalog.grid(f)), exact)
+    EXPECT_GE(tree->cells().CellUpperBound(catalog.grid(f)), exact)
+        << "facility=" << f;
+  }
+}
+
+// The same on a cell index alone, exact over its indexed ids.
+void ExpectBoundNeverBelowExact(const CellIndex& cells,
+                                const ServiceEvaluator& eval,
+                                const FacilityCatalog& catalog,
+                                const std::string& where) {
+  SCOPED_TRACE(where);
+  const std::vector<uint32_t> ids = cells.IndexedTrajectories();
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const double exact = EvaluateServiceOver(ids, eval, catalog.grid(f));
+    EXPECT_GE(cells.CellUpperBound(catalog.grid(f)), exact)
         << "facility=" << f;
   }
 }
@@ -125,10 +139,11 @@ void ExpectBoundNeverBelowExact(TQTree* tree, const ServiceEvaluator& eval,
 // Soundness: the bound may be loose but must never fall below the exact
 // value, or pruning would drop answers. Covers every scenario and
 // normalisation (the point-mass raster deposits each differently), whole
-// trees (cell tables, pending inserts before the fork's freeze) and
-// segmented trees (raster alone), fresh and through a fork that inserts and
-// removes: the fork's raster is copied on its first write, so the parent's
-// bound must still cover the parent's own exact values afterwards.
+// trees (cell tables, pending inserts before the freeze) and segmented
+// trees (raster alone), fresh and after inserts and removes in place; and
+// the same through a cell-index fork: the fork's raster is copied on its
+// first write, so the parent's bound must still cover the parent's own
+// exact values afterwards.
 TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
   Rng rng(97);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -152,14 +167,26 @@ TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
       options.beta = 16;
       options.mode = mode;
       options.model = model;
-      TQTree tree(&users, options);
+      TQTree tree(&extended, options, AllIds(users));
       // The extended set is an append-only extension, so one evaluator
-      // serves the parent and the fork alike.
+      // serves the base and the extended ids alike.
       const ServiceEvaluator eval(&extended, model);
       const FacilityCatalog catalog(&facs, model.psi);
       ExpectBoundNeverBelowExact(&tree, eval, catalog, "fresh");
+      for (uint32_t u = static_cast<uint32_t>(users.size());
+           u < extended.size(); ++u) {
+        tree.Insert(u);
+      }
+      for (uint32_t u = 0; u < users.size(); u += 4) {
+        ASSERT_TRUE(tree.Remove(u));
+      }
+      ExpectBoundNeverBelowExact(&tree, eval, catalog, "before freeze");
+      tree.Freeze();
+      ExpectBoundNeverBelowExact(&tree, eval, catalog, "frozen");
 
-      std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+      const CellIndex parent(&users, model, mode == TrajMode::kWhole,
+                             AllIds(users));
+      std::unique_ptr<CellIndex> fork = parent.Fork(&extended);
       for (uint32_t u = static_cast<uint32_t>(users.size());
            u < extended.size(); ++u) {
         fork->Insert(u);
@@ -167,11 +194,10 @@ TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
       for (uint32_t u = 0; u < users.size(); u += 4) {
         ASSERT_TRUE(fork->Remove(u));
       }
-      ExpectBoundNeverBelowExact(fork.get(), eval, catalog,
-                                 "fork before freeze");
+      ExpectBoundNeverBelowExact(*fork, eval, catalog, "fork before freeze");
       fork->Freeze();
-      ExpectBoundNeverBelowExact(fork.get(), eval, catalog, "fork frozen");
-      ExpectBoundNeverBelowExact(&tree, eval, catalog,
+      ExpectBoundNeverBelowExact(*fork, eval, catalog, "fork frozen");
+      ExpectBoundNeverBelowExact(parent, eval, catalog,
                                  "parent after fork writes");
     }
   }
@@ -191,7 +217,7 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
   for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
     options.mode = mode;
     TQTree tree(&users, options);
-    EXPECT_EQ(tree.CellUpperBound(catalog.grid(0)), 0.0)
+    EXPECT_EQ(tree.cells().CellUpperBound(catalog.grid(0)), 0.0)
         << "mode=" << static_cast<int>(mode);
   }
 }
@@ -315,11 +341,11 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   std::vector<uint64_t> positive_slots(routes.size(), 0);
   for (const runtime::ShardStatePtr& shard : snap->shards) {
     for (uint32_t f = 0; f < routes.size(); ++f) {
-      const double ub = shard->tree->CellUpperBound(catalog.grid(f));
+      const double ub = shard->cells->CellUpperBound(catalog.grid(f));
       bound[f] += ub;
       if (ub > 0.0) ++positive_slots[f];
-      exact[f] += EvaluateServiceTQ(shard->tree.get(), *shard->eval,
-                                    catalog.grid(f), nullptr);
+      exact[f] += EvaluateServiceCells(*shard->cells, *shard->eval,
+                                       catalog.grid(f), nullptr);
     }
   }
   std::vector<double> ranked_exact = exact;
@@ -622,11 +648,9 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
   }
 }
 
-// Segmented trees route top-k through the walk and the served-mask gather;
-// the bound protocol must stay sound there too (per-unit bounds over-count
-// a trajectory that spans many nodes, which only loosens the bound). The
-// fractional per-user models run each pool thread's reused gather across
-// shards, and must still give the serial pass's bits.
+// An engine configured with segmented trees still serves from whole-
+// trajectory cell indexes (the engine reads only the model): its top-k must
+// match the snapshot oracle, fractional per-user models included.
 TEST(TopKPrune, SegmentedModeAgreesWithExhaustive) {
   const TrajectorySet users = presets::NyfCheckins(600);
   const TrajectorySet routes = presets::NyBusRoutes(24, 8);

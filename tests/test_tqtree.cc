@@ -19,14 +19,6 @@
 
 namespace tq {
 
-// Test hook (friend of TQTree): the point-cell filter's pending list.
-class TQTreeBuilderAccess {
- public:
-  static size_t PendingCandidates(const TQTree& tree) {
-    return tree.cell_pending_.size();
-  }
-};
-
 namespace {
 
 TQTreeOptions MakeOptions(IndexVariant variant, TrajMode mode,
@@ -259,38 +251,36 @@ void ExpectZIndexRule(TQTree* tree, const std::string& where) {
   }
 }
 
-// Checks the filter on `tree` against every facility: each indexed user
-// that scores > 0 (by the evaluator and by brute force) has its bit set in
-// the default mask, each user with any served detail has its bit set in the
-// any-endpoint mask, no user outside the index has a bit, the exact checks
-// are exactly the set bits, the
-// cell bound is never below the exact value, served-set collection finds
-// exactly the users with a served detail, and the library's answers equal
-// brute force over the indexed users — exactly for the integer-valued
-// models, and top-k always returns EvaluateServiceTQ's bits in the
-// exhaustive order. Also checks that the whole tree holds no z-index.
-// Returns how many (user, facility) pairs the default mask cleared.
-size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
-                            const std::string& where) {
-  SCOPED_TRACE(where);
-  ExpectZIndexRule(tree, "whole tree");
-  const TrajectorySet& users = tree->users();
-  const ServiceModel& model = tree->options().model;
+// Checks the filter of `cells`, which must index exactly `indexed`, against
+// every facility: each indexed user that scores > 0 (by the evaluator and
+// by brute force) has its bit set in the default mask, each user with any
+// served detail has its bit set in the any-endpoint mask, no user outside
+// the index has a bit, EvaluateServiceCells exact-checks exactly the set
+// bits, the cell bound is never below the exact value, and SO equals brute
+// force over the indexed users — exactly for the integer-valued models.
+// Adds to `*cleared` how many (user, facility) pairs the default mask
+// cleared; returns the SO values.
+std::vector<double> CheckCellFilter(const CellIndex& cells,
+                                    const std::vector<uint32_t>& indexed,
+                                    const TrajectorySet& facs,
+                                    size_t* cleared) {
+  EXPECT_EQ(cells.IndexedTrajectories(), indexed);
+  EXPECT_TRUE(cells.has_tables());
+  const TrajectorySet& users = cells.users();
+  const ServiceModel& model = cells.model();
   const ServiceEvaluator eval(&users, model);
   const FacilityCatalog catalog(&facs, model.psi);
-  const std::vector<uint32_t> indexed = IndexedIds(*tree);
   const auto bit = [](const std::vector<uint64_t>& mask, uint32_t u) {
     return ((mask[u >> 6] >> (u & 63)) & 1) != 0;
   };
-  size_t cleared = 0;
-  std::vector<RankedFacility> exact(facs.size());
+  std::vector<double> values(facs.size(), 0.0);
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid& grid = catalog.grid(f);
     std::vector<uint64_t> mask;
     std::vector<uint64_t> any_mask;
     const bool filtered =
-        tree->MarkCandidates(grid.stops(), grid.psi(), &mask) &&
-        tree->MarkCandidates(grid.stops(), grid.psi(), &any_mask,
+        cells.MarkCandidates(grid.stops(), grid.psi(), &mask) &&
+        cells.MarkCandidates(grid.stops(), grid.psi(), &any_mask,
                              /*any_endpoint=*/true);
     EXPECT_TRUE(filtered) << "facility " << f;
     if (!filtered) continue;
@@ -298,23 +288,20 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
     EXPECT_EQ(any_mask.size(), mask.size());
     double so = 0.0;
     size_t candidates = 0;
-    std::map<uint32_t, DynamicBitset> want_served;
     for (const uint32_t u : indexed) {
       const double v = testing::BruteForceService(users, u, grid.stops(), model);
       so += v;
       if (bit(mask, u)) {
         ++candidates;
       } else {
-        ++cleared;
+        ++*cleared;
       }
       if (v > 0.0 || eval.Evaluate(u, grid) > 0.0) {
         EXPECT_TRUE(bit(mask, u)) << "user " << u << " facility " << f;
       }
-      ServeDetail detail = eval.EvaluateDetail(u, grid);
-      if (detail.Any()) {
+      if (eval.EvaluateDetail(u, grid).Any()) {
         EXPECT_TRUE(bit(any_mask, u))
             << "any-endpoint: user " << u << " facility " << f;
-        want_served.emplace(u, std::move(detail.mask));
       }
     }
     // Only indexed users have bits: removed ones stay listed in the tables
@@ -323,16 +310,48 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
     for (const uint64_t word : mask) marked += std::popcount(word);
     EXPECT_EQ(marked, candidates) << "facility " << f;
     QueryStats stats;
-    const double got = EvaluateServiceTQ(tree, eval, grid, &stats);
-    exact[f] = RankedFacility{f, got};
-    // One exact check per candidate bit, and no tree walk.
+    const double got = EvaluateServiceCells(cells, eval, grid, &stats);
+    values[f] = got;
+    // One exact check per candidate bit.
     EXPECT_EQ(stats.exact_checks, candidates) << "facility " << f;
-    EXPECT_EQ(stats.nodes_visited, 0u) << "facility " << f;
-    EXPECT_GE(tree->CellUpperBound(grid), got) << "facility " << f;
+    EXPECT_GE(cells.CellUpperBound(grid), got) << "facility " << f;
     if (IntegerValued(model)) {
       EXPECT_EQ(got, so) << "facility " << f;
     } else {
       EXPECT_NEAR(got, so, 1e-9 * std::max(1.0, so)) << "facility " << f;
+    }
+  }
+  return values;
+}
+
+// CheckCellFilter on a whole tree's cell index, over the ids its node lists
+// hold, plus the tree's own answers: EvaluateServiceTQ returns the cells'
+// bits without a walk, served-set collection finds exactly the users with
+// a served detail, and top-k returns EvaluateServiceTQ's bits in the
+// exhaustive order. Also checks that the whole tree holds no z-index.
+// Returns how many (user, facility) pairs the default mask cleared.
+size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
+                            const std::string& where) {
+  SCOPED_TRACE(where);
+  ExpectZIndexRule(tree, "whole tree");
+  const std::vector<uint32_t> indexed = IndexedIds(*tree);
+  size_t cleared = 0;
+  const std::vector<double> values =
+      CheckCellFilter(tree->cells(), indexed, facs, &cleared);
+  const TrajectorySet& users = tree->users();
+  const ServiceEvaluator eval(&users, tree->options().model);
+  const FacilityCatalog catalog(&facs, tree->options().model.psi);
+  std::vector<RankedFacility> exact(facs.size());
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    QueryStats stats;
+    exact[f] = RankedFacility{f, EvaluateServiceTQ(tree, eval, grid, &stats)};
+    EXPECT_EQ(exact[f].value, values[f]) << "facility " << f;
+    EXPECT_EQ(stats.nodes_visited, 0u) << "facility " << f;
+    std::map<uint32_t, DynamicBitset> want_served;
+    for (const uint32_t u : indexed) {
+      ServeDetail detail = eval.EvaluateDetail(u, grid);
+      if (detail.Any()) want_served.emplace(u, std::move(detail.mask));
     }
     ServedGather served;
     CollectServedTQ(tree, eval, grid, &served);
@@ -364,16 +383,26 @@ size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
   return cleared;
 }
 
+// CheckCellFilter on a cell index alone, which must index exactly `ids`.
+void CheckCells(const CellIndex& cells, const std::set<uint32_t>& ids,
+                const TrajectorySet& facs, const std::string& where) {
+  SCOPED_TRACE(where);
+  size_t cleared = 0;
+  CheckCellFilter(cells, std::vector<uint32_t>(ids.begin(), ids.end()), facs,
+                  &cleared);
+}
+
 // Soundness of the point-cell filter under every model, through the life of
-// a tree: fresh, after inserts (pending list, then folded into a rebuilt
-// table), after removals, on both sides of a fork and after a rebuild over
-// the indexed ids. Points and stops sit on raster cell borders (a point exactly
-// ψ beyond a stop across a border) and outside the world box, where cells
-// clamp. `two_point` builds source-destination users, whose Scenario 1 and
-// 3 trees filter by source and destination tables (both near, or either
-// near for served-set collection) and whose Scenario 2 trees by the
-// any-point table; multipoint users get endpoint tables under Scenario 1
-// and the any-point table otherwise.
+// an index: fresh, after inserts (pending list, then folded into a rebuilt
+// table), after removals, on both sides of a cell-index fork, in place on a
+// tree and after a rebuild over the indexed ids. Points and stops sit on
+// raster cell borders (a point exactly ψ beyond a stop across a border) and
+// outside the world box, where cells clamp. `two_point` builds
+// source-destination users, whose Scenario 1 and 3 trees filter by source
+// and destination tables (both near, or either near for served-set
+// collection) and whose Scenario 2 trees by the any-point table; multipoint
+// users get endpoint tables under Scenario 1 and the any-point table
+// otherwise.
 void CheckPointCellLifecycle(bool two_point) {
   Rng rng(two_point ? 337 : 331);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -446,6 +475,7 @@ void CheckPointCellLifecycle(bool two_point) {
     ASSERT_EQ(fresh.world(), world);
     ASSERT_EQ(fresh.prune_mode(),
               DerivePruneMode(TrajMode::kWhole, model, two_point ? 2 : 3));
+    ASSERT_EQ(fresh.cells().kind(), fresh.prune_mode());
     const size_t fresh_cleared = CheckCandidateFilter(&fresh, facs, "fresh");
     // The filter must actually filter.
     EXPECT_GT(fresh_cleared, 0u);
@@ -454,53 +484,93 @@ void CheckPointCellLifecycle(bool two_point) {
                                      model, 16));
     CheckCandidateFilter(&basic, facs, "TQ(B)");
 
-    // Inserts go to the pending list (no refreeze yet), then stay there
-    // through a freeze while they are few.
-    std::unique_ptr<TQTree> fork = fresh.Fork(&extended);
-    for (const uint32_t u : outside) fork->Insert(u);
-    CheckCandidateFilter(fork.get(), facs, "fork, pending inserts");
+    // A fork of the tree's cell index over the extended set keeps the
+    // tree's world, so the outside users clamp into border cells. Inserts
+    // go to the pending list (no refreeze yet), then stay there through a
+    // freeze while they are few.
+    const std::vector<uint32_t> fresh_ids = IndexedIds(fresh);
+    std::set<uint32_t> ids(fresh_ids.begin(), fresh_ids.end());
+    std::unique_ptr<CellIndex> fork = fresh.cells().Fork(&extended);
+    ASSERT_EQ(fork->world(), world);
+    for (const uint32_t u : outside) {
+      fork->Insert(u);
+      ids.insert(u);
+    }
+    CheckCells(*fork, ids, facs, "fork, pending inserts");
     fork->Freeze();
-    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), outside.size());
-    CheckCandidateFilter(fork.get(), facs, "fork, frozen with pending");
+    EXPECT_EQ(fork->num_pending(), outside.size());
+    CheckCells(*fork, ids, facs, "fork, frozen with pending");
     // The parent keeps its own (empty) pending list and its answers.
-    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(fresh), 0u);
+    EXPECT_EQ(fresh.cells().num_pending(), 0u);
     CheckCandidateFilter(&fresh, facs, "parent after fork writes");
 
-    // A fork of a tree with pending inserts inherits them; both sides share
-    // the tables and write independently.
+    // A fork of an index with pending inserts inherits them; both sides
+    // share the tables and write independently.
     {
-      std::unique_ptr<TQTree> grandchild = fork->Fork(&extended);
+      std::unique_ptr<CellIndex> grandchild = fork->Fork(&extended);
       ASSERT_TRUE(grandchild->Remove(1));
       ASSERT_TRUE(grandchild->Remove(outside[1]));
       grandchild->Freeze();
-      CheckCandidateFilter(grandchild.get(), facs, "grandchild");
-      CheckCandidateFilter(fork.get(), facs, "fork after grandchild writes");
+      std::set<uint32_t> grandchild_ids = ids;
+      grandchild_ids.erase(1);
+      grandchild_ids.erase(outside[1]);
+      CheckCells(*grandchild, grandchild_ids, facs, "grandchild");
+      CheckCells(*fork, ids, facs, "fork after grandchild writes");
     }
 
     // Removals leave stale ids in the tables; no mask may carry them.
     for (uint32_t u = 0; u < users.size(); u += 3) {
       ASSERT_TRUE(fork->Remove(u));
+      ids.erase(u);
     }
     ASSERT_TRUE(fork->Remove(outside[0]));
-    CheckCandidateFilter(fork.get(), facs, "fork after removes");
+    ASSERT_FALSE(fork->Remove(outside[0]));
+    ids.erase(outside[0]);
+    CheckCells(*fork, ids, facs, "fork after removes");
 
     // Enough inserts to pass 1/8 of the tables fold into a rebuild at the
     // next freeze; re-inserting a removed user is a pending insert too.
-    for (const uint32_t u : later) fork->Insert(u);
+    for (const uint32_t u : later) {
+      fork->Insert(u);
+      ids.insert(u);
+    }
     fork->Insert(outside[0]);
-    CheckCandidateFilter(fork.get(), facs, "fork, many pending");
+    ids.insert(outside[0]);
+    CheckCells(*fork, ids, facs, "fork, many pending");
     fork->Freeze();
-    EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(*fork), 0u);
-    CheckCandidateFilter(fork.get(), facs, "fork, folded table");
+    EXPECT_EQ(fork->num_pending(), 0u);
+    CheckCells(*fork, ids, facs, "fork, folded table");
+
+    // The same writes in place on a tree built over the base ids of the
+    // extended set.
+    TQTree live(&extended, fresh.options(), AllIds(users));
+    for (const uint32_t u : outside) live.Insert(u);
+    CheckCandidateFilter(&live, facs, "in place, pending inserts");
+    live.Freeze();
+    EXPECT_EQ(live.cells().num_pending(), outside.size());
+    for (uint32_t u = 0; u < users.size(); u += 3) {
+      ASSERT_TRUE(live.Remove(u));
+    }
+    ASSERT_TRUE(live.Remove(outside[0]));
+    CheckCandidateFilter(&live, facs, "in place after removes");
+    for (const uint32_t u : later) live.Insert(u);
+    live.Insert(outside[0]);
+    CheckCandidateFilter(&live, facs, "in place, many pending");
+    live.Freeze();
+    EXPECT_EQ(live.cells().num_pending(), 0u);
+    CheckCandidateFilter(&live, facs, "in place, folded table");
+    EXPECT_EQ(live.cells().IndexedTrajectories(), fork->IndexedTrajectories());
 
     // A rebuild over the indexed ids (recovery's and compaction's) builds
     // the tables afresh, for both variants.
-    for (TQTree* live : {fork.get(), &basic}) {
-      TQTree rebuilt(live == &basic ? &users : &extended, live->options(),
-                     live->IndexedTrajectories());
-      EXPECT_EQ(rebuilt.IndexedTrajectories(), live->IndexedTrajectories());
-      EXPECT_EQ(rebuilt.num_units(), live->num_units());
-      EXPECT_EQ(TQTreeBuilderAccess::PendingCandidates(rebuilt), 0u);
+    for (const TQTree* tree : {&live, &basic}) {
+      TQTree rebuilt(tree == &basic ? &users : &extended, tree->options(),
+                     tree->cells().IndexedTrajectories());
+      EXPECT_EQ(rebuilt.cells().IndexedTrajectories(),
+                tree->cells().IndexedTrajectories());
+      EXPECT_EQ(rebuilt.num_units(), tree->num_units());
+      EXPECT_EQ(rebuilt.cells().num_pending(), 0u);
+      EXPECT_TRUE(rebuilt.cells().fresh());
       CheckCandidateFilter(&rebuilt, facs, "rebuilt");
     }
   }
@@ -514,7 +584,7 @@ TEST(TQTree, EndpointCellFilterNeverDropsAServedUser) {
   CheckPointCellLifecycle(/*two_point=*/true);
 }
 
-// A fork whose extended user set turns a two-point Scenario 3 tree
+// A fork whose extended user set turns a two-point Scenario 3 index
 // (endpoint tables) into a multipoint one (any-point table) drops the
 // shared tables until its next freeze rebuilds them in the new kind.
 TEST(TQTree, PruneModeFlipRebuildsCellTables) {
@@ -534,35 +604,46 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
   TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
                                   model, 16));
   ASSERT_EQ(tree.prune_mode(), ZPruneMode::kStartEnd);
-  std::unique_ptr<TQTree> fork = tree.Fork(&extended);
-  // Whole trees hold no z-index to invalidate, so the flip copies no page.
-  EXPECT_EQ(fork->cow_stats().pages_copied, 0u);
-  ASSERT_EQ(fork->prune_mode(), ZPruneMode::kMbr);
+  std::unique_ptr<CellIndex> fork = tree.cells().Fork(&extended);
+  ASSERT_EQ(fork->kind(), ZPruneMode::kMbr);
+  const std::vector<uint32_t> tree_ids = IndexedIds(tree);
+  std::set<uint32_t> ids(tree_ids.begin(), tree_ids.end());
   for (uint32_t u = static_cast<uint32_t>(users.size()); u < extended.size();
        ++u) {
     fork->Insert(u);
+    ids.insert(u);
   }
   std::vector<uint64_t> mask;
+  EXPECT_FALSE(fork->has_tables());
   EXPECT_FALSE(fork->MarkCandidates(facs.points(0), 150.0, &mask));
   // Without tables the bound falls back to the raster alone; it must stay
-  // sound, and the library top-k keyed on it must stay exact.
+  // sound.
+  const ServiceEvaluator eval(&extended, model);
+  const FacilityCatalog catalog(&facs, model.psi);
   {
     SCOPED_TRACE("flipped fork, no tables");
-    const ServiceEvaluator eval(&extended, model);
-    const FacilityCatalog catalog(&facs, model.psi);
     size_t positive = 0;
     for (uint32_t f = 0; f < facs.size(); ++f) {
       const double exact =
-          EvaluateServiceTQ(fork.get(), eval, catalog.grid(f), nullptr);
+          EvaluateServiceOver(fork->IndexedTrajectories(), eval,
+                              catalog.grid(f));
       EXPECT_GE(fork->CellUpperBound(catalog.grid(f)), exact)
           << "facility " << f;
       if (exact > 0.0) ++positive;
     }
     EXPECT_GE(positive, 6u);
+  }
+  // The library's tree without tables, a segmented one, keys its top-k on
+  // the raster bound alone; the answer must stay exact.
+  {
+    SCOPED_TRACE("segmented tree, no tables");
+    TQTree segmented(&extended, MakeOptions(IndexVariant::kZOrder,
+                                            TrajMode::kSegmented, model, 16));
+    ASSERT_FALSE(segmented.cells().has_tables());
     for (const size_t k : {size_t{1}, size_t{5}, facs.size()}) {
-      const TopKResult top = TopKFacilitiesTQ(fork.get(), catalog, eval, k);
+      const TopKResult top = TopKFacilitiesTQ(&segmented, catalog, eval, k);
       const TopKResult want =
-          TopKFacilitiesExhaustiveTQ(fork.get(), catalog, eval, k);
+          TopKFacilitiesExhaustiveTQ(&segmented, catalog, eval, k);
       ASSERT_EQ(top.ranked.size(), want.ranked.size()) << "k=" << k;
       for (size_t i = 0; i < want.ranked.size(); ++i) {
         EXPECT_EQ(top.ranked[i].id, want.ranked[i].id)
@@ -573,14 +654,15 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
     }
   }
   fork->Freeze();
-  CheckCandidateFilter(fork.get(), facs, "flipped fork, frozen");
+  EXPECT_EQ(fork->num_pending(), 0u);
+  CheckCells(*fork, ids, facs, "flipped fork, frozen");
   CheckCandidateFilter(&tree, facs, "parent");
 }
 
 // Segmented trees have no cell tables, so their walk is their only filter:
 // a segmented TQ(Z) tree holds a z-index on every non-empty node after
-// construction, after a fork's writes and freeze (on both sides) and after
-// a rebuild over the indexed ids; a segmented TQ(B) tree holds none.
+// construction, after inserts, removes and a freeze, and after a rebuild
+// over the indexed ids; a segmented TQ(B) tree holds none.
 TEST(TQTree, ZIndexesOnlyOnSegmentedZOrderTrees) {
   Rng rng(341);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -591,30 +673,34 @@ TEST(TQTree, ZIndexesOnlyOnSegmentedZOrderTrees) {
   for (const IndexVariant variant :
        {IndexVariant::kBasic, IndexVariant::kZOrder}) {
     SCOPED_TRACE(variant == IndexVariant::kZOrder ? "TQ(Z)" : "TQ(B)");
-    TQTree tree(&users, MakeOptions(variant, TrajMode::kSegmented,
-                                    ServiceModel::PointCount(150.0)));
+    TQTree tree(&extended,
+                MakeOptions(variant, TrajMode::kSegmented,
+                            ServiceModel::PointCount(150.0)),
+                AllIds(users));
     ExpectZIndexRule(&tree, "constructed");
-    std::unique_ptr<TQTree> fork = tree.Fork(&extended);
     for (uint32_t u = static_cast<uint32_t>(users.size());
          u < extended.size(); ++u) {
-      fork->Insert(u);
+      tree.Insert(u);
     }
     for (uint32_t u = 0; u < users.size(); u += 7) {
-      ASSERT_TRUE(fork->Remove(u));
+      ASSERT_TRUE(tree.Remove(u));
     }
-    fork->Freeze();
-    ExpectZIndexRule(fork.get(), "fork, frozen");
-    ExpectZIndexRule(&tree, "parent after fork writes");
-    TQTree rebuilt(&extended, fork->options(), fork->IndexedTrajectories());
-    EXPECT_EQ(rebuilt.IndexedTrajectories(), fork->IndexedTrajectories());
+    tree.Freeze();
+    ExpectZIndexRule(&tree, "updated, frozen");
+    TQTree rebuilt(&extended, tree.options(),
+                   tree.cells().IndexedTrajectories());
+    EXPECT_EQ(rebuilt.cells().IndexedTrajectories(),
+              tree.cells().IndexedTrajectories());
     ExpectZIndexRule(&rebuilt, "rebuilt");
   }
 }
 
-// The one rebuild: a tree built over a live tree's indexed ids answers
+// The one rebuild: a tree built over an updated tree's indexed ids answers
 // every facility with the same bits, under every model, for whole and
-// segmented trees of both variants, although its world, splits and pending
-// list differ from the forked tree's.
+// segmented trees of both variants, although its splits and pending list
+// differ from the updated tree's; and a cell index rebuilt over a fork's
+// indexed ids answers with the fork's bits, although its world differs
+// too.
 TEST(TQTree, RebuildOverIndexedIdsAnswersBitIdentically) {
   Rng rng(343);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -631,35 +717,36 @@ TEST(TQTree, RebuildOverIndexedIdsAnswersBitIdentically) {
         ServiceModel::Length(300.0, Normalization::kPerUser)}) {
     const ServiceEvaluator eval(&extended, model);
     const FacilityCatalog catalog(&facs, model.psi);
+    const std::string scenario =
+        "scenario " + std::to_string(static_cast<int>(model.scenario)) +
+        " norm " + std::to_string(static_cast<int>(model.normalization));
     for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
       for (const IndexVariant variant :
            {IndexVariant::kBasic, IndexVariant::kZOrder}) {
-        SCOPED_TRACE("scenario " +
-                     std::to_string(static_cast<int>(model.scenario)) +
-                     " norm " +
-                     std::to_string(static_cast<int>(model.normalization)) +
+        SCOPED_TRACE(scenario +
                      (mode == TrajMode::kWhole ? " whole" : " segmented") +
                      (variant == IndexVariant::kZOrder ? " TQ(Z)" : " TQ(B)"));
-        TQTree tree(&users, MakeOptions(variant, mode, model, 16));
-        std::unique_ptr<TQTree> fork = tree.Fork(&extended);
+        TQTree tree(&extended, MakeOptions(variant, mode, model, 16),
+                    AllIds(users));
         for (uint32_t u = static_cast<uint32_t>(users.size());
              u < extended.size(); ++u) {
-          fork->Insert(u);
+          tree.Insert(u);
         }
         for (uint32_t u = 0; u < users.size(); u += 5) {
-          ASSERT_TRUE(fork->Remove(u));
+          ASSERT_TRUE(tree.Remove(u));
         }
-        fork->Freeze();
-        TQTree rebuilt(&extended, fork->options(),
-                       fork->IndexedTrajectories());
-        EXPECT_EQ(rebuilt.IndexedTrajectories(), fork->IndexedTrajectories());
-        EXPECT_EQ(rebuilt.num_units(), fork->num_units());
+        tree.Freeze();
+        TQTree rebuilt(&extended, tree.options(),
+                       tree.cells().IndexedTrajectories());
+        EXPECT_EQ(rebuilt.cells().IndexedTrajectories(),
+                  tree.cells().IndexedTrajectories());
+        EXPECT_EQ(rebuilt.num_units(), tree.num_units());
         for (uint32_t f = 0; f < catalog.size(); ++f) {
           EXPECT_EQ(EvaluateServiceTQ(&rebuilt, eval, catalog.grid(f)),
-                    EvaluateServiceTQ(fork.get(), eval, catalog.grid(f)))
+                    EvaluateServiceTQ(&tree, eval, catalog.grid(f)))
               << "facility " << f;
         }
-        const TopKResult want = TopKFacilitiesTQ(fork.get(), catalog, eval, 5);
+        const TopKResult want = TopKFacilitiesTQ(&tree, catalog, eval, 5);
         const TopKResult got = TopKFacilitiesTQ(&rebuilt, catalog, eval, 5);
         ASSERT_EQ(got.ranked.size(), want.ranked.size());
         for (size_t i = 0; i < want.ranked.size(); ++i) {
@@ -668,6 +755,27 @@ TEST(TQTree, RebuildOverIndexedIdsAnswersBitIdentically) {
               << "rank " << i;
         }
       }
+    }
+    SCOPED_TRACE(scenario + " cell-index fork");
+    const CellIndex parent(&users, model, /*tables=*/true, AllIds(users));
+    std::unique_ptr<CellIndex> fork = parent.Fork(&extended);
+    for (uint32_t u = static_cast<uint32_t>(users.size());
+         u < extended.size(); ++u) {
+      fork->Insert(u);
+    }
+    for (uint32_t u = 0; u < users.size(); u += 5) {
+      ASSERT_TRUE(fork->Remove(u));
+    }
+    fork->Freeze();
+    EXPECT_FALSE(fork->fresh());
+    const CellIndex rebuilt(&extended, model, /*tables=*/true,
+                            fork->IndexedTrajectories());
+    EXPECT_NE(rebuilt.world(), fork->world());
+    EXPECT_TRUE(rebuilt.fresh());
+    for (uint32_t f = 0; f < catalog.size(); ++f) {
+      EXPECT_EQ(EvaluateServiceCells(rebuilt, eval, catalog.grid(f)),
+                EvaluateServiceCells(*fork, eval, catalog.grid(f)))
+          << "facility " << f;
     }
   }
 }

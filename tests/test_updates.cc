@@ -212,30 +212,29 @@ PointQuadtree LiveBaseline(const TrajectorySet& users,
   return pq;
 }
 
-// Checks every facility of `facs` on `tree` against the baseline over
-// `live`: equal SO bits and served sets, no candidate bit (either form) of a
-// de-indexed user, and a cell bound no lower than SO. Returns the SO values.
-std::vector<double> ExpectLiveAnswers(TQTree* tree,
-                                      const std::vector<bool>& live,
-                                      const TrajectorySet& facs,
-                                      const char* what) {
+// Checks every facility of `facs` on `cells` against the baseline over
+// `live`: equal SO bits, no candidate bit (either form) of a de-indexed
+// user, and a cell bound no lower than SO. Returns the SO values.
+std::vector<double> ExpectLiveCells(const CellIndex& cells,
+                                    const std::vector<bool>& live,
+                                    const TrajectorySet& facs,
+                                    const char* what) {
   SCOPED_TRACE(what);
-  const TrajectorySet& users = tree->users();
-  const ServiceModel& model = tree->options().model;
-  const ServiceEvaluator eval(&users, model);
-  const FacilityCatalog catalog(&facs, model.psi);
+  const TrajectorySet& users = cells.users();
+  const ServiceEvaluator eval(&users, cells.model());
+  const FacilityCatalog catalog(&facs, cells.model().psi);
   const PointQuadtree pq = LiveBaseline(users, live);
   std::vector<double> values;
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid& grid = catalog.grid(f);
-    const double so = EvaluateServiceTQ(tree, eval, grid);
+    const double so = EvaluateServiceCells(cells, eval, grid);
     values.push_back(so);
     EXPECT_EQ(so, EvaluateServiceBaseline(pq, eval, grid)) << "facility " << f;
-    EXPECT_GE(tree->CellUpperBound(grid), so) << "facility " << f;
+    EXPECT_GE(cells.CellUpperBound(grid), so) << "facility " << f;
     for (const bool any_endpoint : {false, true}) {
       std::vector<uint64_t> mask;
-      EXPECT_TRUE(
-          tree->MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint));
+      EXPECT_TRUE(cells.MarkCandidates(grid.stops(), grid.psi(), &mask,
+                                       any_endpoint));
       mask.resize((users.size() + 63) / 64);
       for (uint32_t u = 0; u < users.size(); ++u) {
         if (live[u]) continue;
@@ -244,6 +243,28 @@ std::vector<double> ExpectLiveAnswers(TQTree* tree,
             << " any_endpoint " << any_endpoint;
       }
     }
+  }
+  return values;
+}
+
+// ExpectLiveCells on `tree`'s cell index, plus the tree's own answers:
+// EvaluateServiceTQ's bits and served sets equal to the baseline's.
+std::vector<double> ExpectLiveAnswers(TQTree* tree,
+                                      const std::vector<bool>& live,
+                                      const TrajectorySet& facs,
+                                      const char* what) {
+  const std::vector<double> values =
+      ExpectLiveCells(tree->cells(), live, facs, what);
+  SCOPED_TRACE(what);
+  const TrajectorySet& users = tree->users();
+  const ServiceModel& model = tree->options().model;
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&facs, model.psi);
+  const PointQuadtree pq = LiveBaseline(users, live);
+  for (uint32_t f = 0; f < facs.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    EXPECT_EQ(EvaluateServiceTQ(tree, eval, grid), values[f])
+        << "facility " << f;
     ServedGather got;
     CollectServedTQ(tree, eval, grid, &got);
     ServedGather want;
@@ -270,8 +291,8 @@ std::vector<uint32_t> ListedIds(const TQTree& tree, const TrajectorySet& facs) {
   std::vector<bool> seen(tree.users().size(), false);
   for (uint32_t f = 0; f < facs.size(); ++f) {
     std::vector<uint64_t> mask;
-    EXPECT_TRUE(tree.MarkCandidates(facs.points(f),
-                                    tree.options().model.psi, &mask));
+    EXPECT_TRUE(tree.cells().MarkCandidates(facs.points(f),
+                                            tree.options().model.psi, &mask));
     for (uint32_t u = 0; u < seen.size(); ++u) {
       if ((mask[u >> 6] >> (u & 63)) & 1) seen[u] = true;
     }
@@ -307,8 +328,9 @@ void CheckRemovalsAgainstTables(size_t min_pts, size_t max_pts,
   opt.beta = 8;
   opt.variant = variant;
   opt.model = model;
-  TQTree tree(&users, opt);
-  std::vector<bool> live(users.size(), true);
+  TQTree tree(&extended, opt, AllIds(users));
+  std::vector<bool> live(extended.size(), false);
+  std::fill(live.begin(), live.begin() + users.size(), true);
 
   // (1) Remove ids the tables list, half before and half after a freeze.
   const std::vector<uint32_t> listed = ListedIds(tree, facs);
@@ -323,34 +345,52 @@ void CheckRemovalsAgainstTables(size_t min_pts, size_t max_pts,
   const std::vector<double> parent_values =
       ExpectLiveAnswers(&tree, live, facs, "removed listed ids, frozen");
 
-  // (4) A fork whose child writes while the parent is still read.
-  std::unique_ptr<TQTree> child = tree.Fork(&extended);
+  // (2)-(4) run twice: on a fork of the tree's cell index, which writes
+  // while the tree is still read, then on the tree itself, in place.
+  std::unique_ptr<CellIndex> child = tree.cells().Fork(&extended);
   std::vector<bool> child_live = live;
-  child_live.resize(extended.size(), false);
-  // (2) Insert then remove a pending id.
-  for (const uint32_t u : added) {
-    child->Insert(u);
-    child_live[u] = true;
-  }
-  for (size_t i = 0; i < added.size(); i += 2) {
-    ASSERT_TRUE(child->Remove(added[i]));
-    child_live[added[i]] = false;
-  }
-  // (3) Remove then re-insert: both a table-listed and a pending id.
-  ASSERT_TRUE(child->Remove(listed[1]));
-  child->Insert(listed[1]);
-  ASSERT_TRUE(child->Remove(added[1]));
-  child->Insert(added[1]);
-  // The child's removals must not reach the parent.
-  ASSERT_TRUE(child->Remove(listed[3]));
-  child_live[listed[3]] = false;
+  const auto write = [&](auto&& insert, auto&& remove) {
+    child_live = live;
+    // (2) Insert then remove a pending id.
+    for (const uint32_t u : added) {
+      insert(u);
+      child_live[u] = true;
+    }
+    for (size_t i = 0; i < added.size(); i += 2) {
+      ASSERT_TRUE(remove(added[i]));
+      child_live[added[i]] = false;
+    }
+    // (3) Remove then re-insert: both a table-listed and a pending id.
+    ASSERT_TRUE(remove(listed[1]));
+    insert(listed[1]);
+    ASSERT_TRUE(remove(added[1]));
+    insert(added[1]);
+    // (4) A removal the parent must not see.
+    ASSERT_TRUE(remove(listed[3]));
+    child_live[listed[3]] = false;
+  };
+  write([&](uint32_t u) { child->Insert(u); },
+        [&](uint32_t u) { return child->Remove(u); });
   EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child unfrozen"),
             parent_values);
-  ExpectLiveAnswers(child.get(), child_live, facs, "child, unfrozen");
+  const std::vector<double> child_values =
+      ExpectLiveCells(*child, child_live, facs, "child, unfrozen");
   child->Freeze();
-  ExpectLiveAnswers(child.get(), child_live, facs, "child, frozen");
+  EXPECT_EQ(ExpectLiveCells(*child, child_live, facs, "child, frozen"),
+            child_values);
   EXPECT_EQ(ExpectLiveAnswers(&tree, live, facs, "parent, child frozen"),
             parent_values);
+
+  write([&](uint32_t u) { tree.Insert(u); },
+        [&](uint32_t u) { return tree.Remove(u); });
+  EXPECT_EQ(ExpectLiveAnswers(&tree, child_live, facs, "in place, unfrozen"),
+            child_values);
+  tree.Freeze();
+  EXPECT_EQ(ExpectLiveAnswers(&tree, child_live, facs, "in place, frozen"),
+            child_values);
+  EXPECT_EQ(
+      ExpectLiveCells(*child, child_live, facs, "child after tree writes"),
+      child_values);
 }
 
 TEST(Updates, RemovedIdsLeaveTwoPointEndpointTables) {

@@ -9,7 +9,7 @@
 //   tqcover_cli cover    --users trips.bin --facilities routes.bin --k 8
 //   tqcover_cli serve    --users trips.bin --facilities routes.bin
 //                        --threads 4 --queries 2000   # concurrent runtime
-//   tqcover_cli serve    ... --shards 8   # scatter/gather over 8 TQ-trees
+//   tqcover_cli serve    ... --shards 8   # scatter/gather over 8 shards
 //   tqcover_cli serve    ... --listen 7070   # TCP front-end (net/server.h)
 //   tqcover_cli stats 127.0.0.1:7070         # scrape a live server's
 //                                            # metrics/histograms/traces
@@ -32,6 +32,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -123,7 +124,7 @@ int Usage() {
       "usage: tqcover_cli <command> [--key value ...]\n"
       "commands:\n"
       "  generate --preset nyt|nyf|bjg|nybus|bjbus --n N [--stops S]\n"
-      "           --out FILE [--format bin|csv]\n"
+      "           --out FILE    # .bin: packed binary; else CSV\n"
       "  stats    --in FILE            # dataset statistics, or:\n"
       "  stats    HOST:PORT [--traces N]   # scrape a live server's\n"
       "           metrics, per-op latency histograms, and recent traces\n"
@@ -150,7 +151,7 @@ int Usage() {
       "           [--scenario ...] [--solver greedy|genetic|baseline]\n"
       "  serve    --users FILE --facilities FILE [--threads 4] [--shards 1]\n"
       "           [--queries 1000] [--topk-every 0] [--k 8] [--psi 200]\n"
-      "           [--scenario ...] [--beta 64] [--cache 4096]\n"
+      "           [--scenario ...] [--cache 4096]\n"
       "           [--updates 0] [--update-size 64] [--update-batch 1]\n"
       "           [--listen PORT [--duration S]]  # serve the binary TCP\n"
       "                         # protocol (docs/PROTOCOL.md) instead of a\n"
@@ -999,7 +1000,6 @@ int CmdServe(const Args& args) {
   const size_t cache_capacity = args.GetSize("cache", 4096);
   const size_t num_shards = std::max<size_t>(1, args.GetSize("shards", 1));
   tq::TQTreeOptions tree;
-  tree.beta = args.GetSize("beta", 64);
   tree.model = ModelFromArgs(args);
   const bool listen = args.kv.count("listen") != 0;
   // --worker LO:HI: build trees only for an owned slice of the partition (a
@@ -1151,6 +1151,36 @@ int main(int argc, char** argv) {
       args.kv[argv[i] + 2] = "1";
     }
   }
+  // The flags each command reads. Any other is a usage error, reported
+  // before any file is loaded: a mistyped or retired flag never runs the
+  // command with a default in its place.
+  static const std::map<std::string_view, std::set<std::string_view>> kFlags =
+      {{"generate", {"preset", "n", "stops", "out"}},
+       {"stats", {"in", "traces"}},
+       {"status", {}},
+       {"query",
+        {"sums", "topks", "k", "batch", "facility-range", "dump", "updates",
+         "update-size", "update-removes", "update-remove-start"}},
+       {"flood",
+        {"frames", "batch", "topk", "facility-range", "stall-ms",
+         "rcvbuf-kb"}},
+       {"topk",
+        {"users", "facilities", "k", "psi", "scenario", "method", "mode",
+         "beta"}},
+       {"cover",
+        {"users", "facilities", "k", "psi", "scenario", "solver", "beta"}},
+       {"serve",
+        {"users", "facilities", "threads", "shards", "queries", "topk-every",
+         "k", "psi", "scenario", "cache", "updates", "update-size",
+         "update-batch", "listen", "duration", "max-outbox-kb", "max-queued",
+         "worker", "data-dir", "wal-sync", "checkpoint-interval-ms",
+         "coordinator", "workers", "rpc-timeout-ms", "heartbeat-ms",
+         "heartbeat-timeout-ms", "slow-query-ms", "stats-interval"}}};
+  const auto flags = kFlags.find(args.command);
+  if (flags == kFlags.end()) return Usage();
+  for (const auto& [key, value] : args.kv) {
+    if (flags->second.count(key) == 0) BadFlag(key, value);
+  }
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "stats") return CmdStats(args);
   if (args.command == "status") return CmdStatusNet(args);
@@ -1158,6 +1188,5 @@ int main(int argc, char** argv) {
   if (args.command == "flood") return CmdFlood(args);
   if (args.command == "topk") return CmdTopK(args);
   if (args.command == "cover") return CmdCover(args);
-  if (args.command == "serve") return CmdServe(args);
-  return Usage();
+  return CmdServe(args);
 }

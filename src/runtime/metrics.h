@@ -1,10 +1,10 @@
 // Lock-free operational counters + latency histograms for the query runtime.
 //
 // One MetricsRegistry lives inside each serving engine; every worker thread
-// bumps the atomics as it executes queries, and the per-query QueryStats
-// instrumentation (nodes visited, entries scanned, ...) is folded in through
-// RecordQueryStats so serving-side dashboards see the same counters the
-// ablation benches do. Read() takes a consistent-enough snapshot for
+// bumps the atomics as it executes queries, and the exact checks of each
+// query's QueryStats are folded in through RecordQueryStats (engine shards
+// are cell indexes: no node is visited and no unit list scanned, so only
+// exact_checks moves). Read() takes a consistent-enough snapshot for
 // monitoring (each field is individually atomic; cross-field skew of a few
 // in-flight queries is acceptable by design).
 //
@@ -33,8 +33,7 @@ namespace tq::runtime {
 
 // The single source of truth for the counter set. Field semantics:
 //   queries_total/service_queries/topk_queries  queries submitted, by kind
-//   cache_*                  result-cache hits / misses / LRU evictions /
-//                            entries invalidated by republishes
+//   cache_*                  result-cache hits / misses / LRU evictions
 //   snapshots_published      engine-wide snapshot swaps
 //   shard_tasks              per-shard scatter tasks executed
 //   shard_publishes          individual shard snapshots republished (a
@@ -46,10 +45,9 @@ namespace tq::runtime {
 //                            coordinator): exact per-participant
 //                            evaluations done vs. skipped, and waves run
 //                            (the bound wave + each refinement)
-//   nodes_visited/entries_scanned/exact_checks/heap_pops
-//                            folded per-query traversal QueryStats of the
-//                            exact evaluations (the top-k bound sweep
-//                            visits no node)
+//   exact_checks             folded per-query QueryStats of the exact
+//                            evaluations (the top-k bound sweep checks
+//                            nothing exactly)
 //   net_*                    network front-end accounting (src/net/server.h):
 //                            connections accepted, frames decoded, update
 //                            frames merged into a pending publish, payload
@@ -80,7 +78,6 @@ namespace tq::runtime {
   X(cache_hits)                \
   X(cache_misses)              \
   X(cache_evictions)           \
-  X(cache_invalidated)         \
   X(snapshots_published)       \
   X(shard_tasks)               \
   X(shard_publishes)           \
@@ -90,10 +87,7 @@ namespace tq::runtime {
   X(facilities_evaluated)      \
   X(facilities_pruned)         \
   X(prune_rounds)              \
-  X(nodes_visited)             \
-  X(entries_scanned)           \
   X(exact_checks)              \
-  X(heap_pops)                 \
   X(net_connections)           \
   X(net_requests_decoded)      \
   X(net_batches_coalesced)     \
@@ -180,9 +174,6 @@ class MetricsRegistry {
   }
   void AddCacheEvictions(uint64_t n) {
     if (n) cache_evictions_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddCacheInvalidated(uint64_t n) {
-    if (n) cache_invalidated_.fetch_add(n, std::memory_order_relaxed);
   }
   void AddSnapshotPublished() {
     snapshots_published_.fetch_add(1, std::memory_order_relaxed);
@@ -277,12 +268,9 @@ class MetricsRegistry {
     checkpoint_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Folds one query's traversal counters into the registry.
+  /// Folds one query's exact checks into the registry.
   void RecordQueryStats(const QueryStats& s) {
-    nodes_visited_.fetch_add(s.nodes_visited, std::memory_order_relaxed);
-    entries_scanned_.fetch_add(s.entries_scanned, std::memory_order_relaxed);
     exact_checks_.fetch_add(s.exact_checks, std::memory_order_relaxed);
-    heap_pops_.fetch_add(s.heap_pops, std::memory_order_relaxed);
   }
 
   /// One latency sample for the given family.

@@ -63,6 +63,8 @@ struct QueryResponse {
   Status status;
   /// Version of the snapshot this answer was computed against.
   uint64_t snapshot_version = 0;
+  /// kServiceValue: every participant answered from its result cache.
+  /// Always false for kTopK, whose bound wave runs on every query.
   bool cache_hit = false;
   double value = 0.0;                  // kServiceValue
   std::vector<RankedFacility> ranked;  // kTopK

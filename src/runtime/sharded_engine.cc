@@ -12,18 +12,6 @@
 
 namespace {
 
-/// The top-k cache key of a sharded snapshot: every shard's generation, in
-/// shard order. Exact vector equality means a hit can never mix two shard
-/// states.
-tq::runtime::ResultCache::TopKKey TopKKeyFor(
-    const tq::runtime::ShardedSnapshot& snap, size_t k) {
-  tq::runtime::ResultCache::TopKKey key;
-  key.k = k;
-  key.gens.reserve(snap.shards.size());
-  for (const auto& shard : snap.shards) key.gens.push_back(shard->generation);
-  return key;
-}
-
 /// The ids below `num_users` that the ascending `ids` lacks: a shard's
 /// removed ids from its indexed ones, and back.
 std::vector<uint32_t> MissingIds(size_t num_users,
@@ -458,35 +446,6 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
                                 ResponseCallback done, uint64_t start_ns) {
   const uint64_t t0 = start_ns != 0 ? start_ns : NowNs();
   ShardedSnapshotPtr snap = snapshot();
-  if (request.kind == QueryKind::kTopK) {
-    // A memoised top-k answer for this exact generation vector
-    // short-circuits every wave (per-shard invalidation: only a republish
-    // of a contributing shard can stale it).
-    ResultCache::TopKKey key = TopKKeyFor(*snap, request.k);
-    QueryResponse response;
-    if (cache_.GetTopK(key, &response.ranked)) {
-      metrics_.AddQuery(/*topk=*/true);
-      metrics_.AddCacheHit();
-      response.kind = QueryKind::kTopK;
-      response.snapshot_version = snap->version;
-      response.cache_hit = true;
-      metrics_.RecordLatency(OpFamily::kTopKQuery, NowNs() - t0);
-      done(std::move(response));
-      return;
-    }
-    // Otherwise memoise the ranking the waves produce. A k = 0 or
-    // empty-catalog request ranks nothing and is not memoised.
-    if (cache_.enabled()) {
-      done = [this, key = std::move(key),
-              inner = std::move(done)](QueryResponse response) {
-        if (response.status.ok() && !response.ranked.empty()) {
-          metrics_.AddCacheMiss();
-          metrics_.AddCacheEvictions(cache_.PutTopK(key, response.ranked));
-        }
-        inner(std::move(response));
-      };
-    }
-  }
   // The query pins its snapshot (braced initializers run in order).
   coordinator_.Submit(request,
                       {snap->catalog->size(), snap->version, std::move(snap)},
@@ -664,7 +623,7 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
   next->catalog = cur->catalog;
   next->shards = cur->shards;
   uint64_t removed = 0;
-  std::vector<uint32_t> touched_shards;
+  uint64_t republished = 0;
   for (size_t s = 0; s < n; ++s) {
     // Writes routed to a non-owned shard are someone else's work: the
     // owning worker applies them from the same fanned-out batch, and the
@@ -692,14 +651,15 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
     state->shard = static_cast<uint32_t>(s);
     // Generation advances ONLY for republished shards (this loop skips
     // untouched ones entirely) — the shard_generations() contract that
-    // the result cache relies on.
+    // the result cache relies on: the old generation's entries are never
+    // looked up again, and LRU eviction reclaims them.
     state->generation = next->version;
     state->cells = std::move(cells);
     state->eval =
         std::make_shared<ServiceEvaluator>(users.get(), options_.tree.model);
     state->users = std::move(users);
     next->shards[s] = std::move(state);
-    touched_shards.push_back(static_cast<uint32_t>(s));
+    ++republished;
   }
   // Write-ahead: the batch is logged (and, under --wal-sync=always, on the
   // platter) BEFORE its snapshot becomes visible, so every observable state
@@ -714,14 +674,10 @@ std::vector<uint32_t> ShardedEngine::ApplyUpdatesImpl(const UpdateBatch& batch,
     TQ_CHECK_MSG(logged.ok(), logged.message().c_str());
   }
 
-  // One cache pass for the whole batch, however many shards it republished.
-  const size_t invalidated =
-      cache_.InvalidateShardsBefore(touched_shards, next->version);
-  Publish(std::move(next), touched_shards.size());
+  Publish(std::move(next), republished);
 
   metrics_.AddInserted(new_ids.size());
   metrics_.AddRemoved(removed);
-  metrics_.AddCacheInvalidated(invalidated);
   const auto publish_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - publish_start);
   metrics_.AddPublishCost(static_cast<uint64_t>(publish_ns.count()));

@@ -22,9 +22,8 @@
 //     per shard, and only the AFFECTED shards are forked (CellIndex::Fork)
 //     and republished. Untouched shards keep their snapshot, generation,
 //     and — because cache keys carry (shard, shard generation) — their warm
-//     result-cache entries. Gathered top-k answers are memoised under the
-//     full per-shard generation vector, so they too survive writes to
-//     shards and die exactly when a contributing shard republishes.
+//     result-cache entries. A republished shard's old entries are never
+//     looked up again; the cache's LRU eviction reclaims them.
 //   * Correctness of the merge: service is additive over a disjoint user
 //     partition, SO(U, f) = Σ_s SO(U_s, f). Whole trajectories stay within
 //     one shard, so no cross-shard deduplication is needed. Per-shard top-k
@@ -35,9 +34,10 @@
 //   * Top-k is BOUND-AND-PRUNE (prune_plan.h), the only top-k protocol and
 //     exact for every k: a bound wave (CellIndex::CellUpperBound per
 //     facility), then refinement waves for the window's unsettled slots
-//     until the window is settled. A top-k response reports cache_hit only
-//     for memoised whole-answer hits; per-(facility, shard) hits inside the
-//     waves still count in the hit/miss metrics.
+//     until the window is settled. Every top-k runs the bound wave; its
+//     refinement waves read the per-(facility, shard) cache entries, whose
+//     hits and misses count in the metrics, and a top-k response never
+//     reports cache_hit.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -191,7 +191,7 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
 
   /// Completion callback for SubmitAsync. Runs exactly once: on the pool
   /// thread that finishes the gather, or inline on the submitting thread
-  /// for cache hits, rejected requests, and degenerate queries.
+  /// for rejected requests and degenerate queries.
   using ResponseCallback = ServingEngine::ResponseCallback;
 
   /// Callback-style Submit — the dispatch hook event-driven front-ends

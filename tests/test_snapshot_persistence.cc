@@ -8,8 +8,9 @@
 //     TQTree oracle bit-for-bit (integer-valued model);
 //   * sharded equivalence — N-shard forked publishes stay bit-identical to
 //     a single-tree from-scratch build for N ∈ {1, 2, 4, 8};
-//   * the top-k section of ResultCache: memoisation keyed by (k, ψ,
-//     generation vector), per-shard invalidation, engine integration.
+//   * top-k over the result cache: a repeated top-k reruns its waves with
+//     every refinement slot served from the per-(facility, shard) entries,
+//     and after a one-shard publish only that shard's slots miss.
 // The single-shard cases run a one-shard ShardedEngine and read its cell
 // index through snapshot()->shards[0].
 // Run under -fsanitize=address and -fsanitize=thread in CI: the raster,
@@ -26,7 +27,6 @@
 #include "datagen/presets.h"
 #include "query/eval_service.h"
 #include "query/topk.h"
-#include "runtime/result_cache.h"
 #include "runtime/sharded_engine.h"
 #include "test_util.h"
 
@@ -35,7 +35,6 @@ namespace {
 
 using runtime::QueryRequest;
 using runtime::QueryResponse;
-using runtime::ResultCache;
 using runtime::ShardedEngine;
 using runtime::ShardedEngineOptions;
 using runtime::UpdateBatch;
@@ -323,31 +322,32 @@ TEST(ShardedForkedPublish, BitIdenticalToFromScratchBuildAtEveryShardCount) {
 
 // ------------------------------------------------------ top-k result cache
 
-TEST(ResultCacheTopK, MemoisesByGenerationVectorAndInvalidatesPerShard) {
-  ResultCache cache(/*capacity=*/1024, /*num_shards=*/4);
-  const std::vector<RankedFacility> answer{{3, 9.0}, {1, 7.0}};
-  const ResultCache::TopKKey key{5, {2, 1, 1}};
-  std::vector<RankedFacility> got;
-  EXPECT_FALSE(cache.GetTopK(key, &got));
-  cache.PutTopK(key, answer);
-  ASSERT_TRUE(cache.GetTopK(key, &got));
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].id, 3u);
-  EXPECT_EQ(got[1].value, 7.0);
-
-  // A different k or generation vector is a different answer.
-  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{4, {2, 1, 1}}, &got));
-  EXPECT_FALSE(cache.GetTopK(ResultCache::TopKKey{5, {2, 1, 2}}, &got));
-
-  // Republishing shard 2 at generation 2 kills it (it contributed gen 1);
-  // republishing shard 0 at generation 2 would not (it contributed gen 2).
-  EXPECT_EQ(cache.InvalidateShardsBefore({0}, 2), 0u);
-  ASSERT_TRUE(cache.GetTopK(key, &got));
-  EXPECT_EQ(cache.InvalidateShardsBefore({2}, 2), 1u);
-  EXPECT_FALSE(cache.GetTopK(key, &got));
+// The counters one repeated query moved.
+runtime::MetricsView Delta(const runtime::MetricsView& after,
+                           const runtime::MetricsView& before) {
+  runtime::MetricsView d;
+  d.cache_hits = after.cache_hits - before.cache_hits;
+  d.cache_misses = after.cache_misses - before.cache_misses;
+  d.exact_checks = after.exact_checks - before.exact_checks;
+  d.prune_rounds = after.prune_rounds - before.prune_rounds;
+  d.facilities_evaluated =
+      after.facilities_evaluated - before.facilities_evaluated;
+  return d;
 }
 
-TEST(OneShardEngine, TopKMemoisedUntilPublishThenRecomputed) {
+void ExpectSameRanking(const QueryResponse& got, const QueryResponse& want) {
+  ASSERT_EQ(got.ranked.size(), want.ranked.size());
+  for (size_t i = 0; i < want.ranked.size(); ++i) {
+    EXPECT_EQ(got.ranked[i].id, want.ranked[i].id) << "rank " << i;
+    EXPECT_EQ(got.ranked[i].value, want.ranked[i].value) << "rank " << i;
+  }
+}
+
+// A repeated top-k at unchanged generations reruns the bound wave and its
+// refinement waves, and every slot they evaluate is a cache hit: no miss,
+// no exact check, the same bits. A publish gives the shard a new
+// generation, so the next top-k misses on every slot it evaluates.
+TEST(OneShardEngine, RepeatedTopKRefinesFromCachedSlotsUntilPublish) {
   Rng rng(55);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet users = testing::RandomUsers(&rng, 300, 2, 5, w);
@@ -360,27 +360,36 @@ TEST(OneShardEngine, TopKMemoisedUntilPublishThenRecomputed) {
   ShardedEngine engine(users, facs, options);
 
   const QueryResponse first = engine.Submit(QueryRequest::TopK(4)).get();
-  EXPECT_FALSE(first.cache_hit);
+  const runtime::MetricsView m1 = engine.metrics().Read();
+  ASSERT_GT(m1.facilities_evaluated, 0u);
   const QueryResponse second = engine.Submit(QueryRequest::TopK(4)).get();
-  EXPECT_TRUE(second.cache_hit);
-  ASSERT_EQ(second.ranked.size(), first.ranked.size());
-  for (size_t i = 0; i < first.ranked.size(); ++i) {
-    EXPECT_EQ(second.ranked[i].id, first.ranked[i].id);
-    EXPECT_EQ(second.ranked[i].value, first.ranked[i].value);
-  }
-  // A different k misses.
-  EXPECT_FALSE(engine.Submit(QueryRequest::TopK(3)).get().cache_hit);
+  const runtime::MetricsView repeat = Delta(engine.metrics().Read(), m1);
+  EXPECT_FALSE(second.cache_hit);  // top-k never reports a cache hit
+  ExpectSameRanking(second, first);
+  EXPECT_EQ(repeat.cache_misses, 0u);
+  EXPECT_EQ(repeat.exact_checks, 0u);
+  EXPECT_GE(repeat.prune_rounds, 1u);
+  EXPECT_EQ(repeat.facilities_evaluated, m1.facilities_evaluated);
+  EXPECT_EQ(repeat.cache_hits, repeat.facilities_evaluated);
 
-  // A publish invalidates; the recomputed answer reflects the new snapshot.
   UpdateBatch batch;
-  batch.removes = {first.ranked.empty() ? 0u : 1u};
+  batch.removes = {1};
   engine.ApplyUpdates(batch);
+  const runtime::MetricsView m2 = engine.metrics().Read();
   const QueryResponse after = engine.Submit(QueryRequest::TopK(4)).get();
+  const runtime::MetricsView fresh = Delta(engine.metrics().Read(), m2);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.snapshot_version, 2u);
+  EXPECT_GT(fresh.facilities_evaluated, 0u);
+  EXPECT_EQ(fresh.cache_hits, 0u);
+  EXPECT_EQ(fresh.cache_misses, fresh.facilities_evaluated);
 }
 
-TEST(ShardedEngine, TopKMemoisedAcrossUntouchedShardsOnly) {
+// Four shards: a repeated top-k is served from cached slots, and after a
+// publish touching one shard, only that shard's facilities miss — each
+// once, whether a top-k refinement or a sum asks first — while every
+// other shard's warm entries keep hitting.
+TEST(ShardedEngine, RepeatedTopKMissesOnlyOnTheRepublishedShard) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet routes = presets::NyBusRoutes(8, 8);
   ShardedEngineOptions so;
@@ -389,26 +398,51 @@ TEST(ShardedEngine, TopKMemoisedAcrossUntouchedShardsOnly) {
   so.tree.beta = 16;
   so.tree.model = ServiceModel::PointCount(200.0, Normalization::kNone);
   ShardedEngine engine(users, routes, so);
+  const size_t num_fac = routes.size();
 
   const QueryResponse first = engine.Submit(QueryRequest::TopK(5)).get();
-  EXPECT_FALSE(first.cache_hit);
+  const runtime::MetricsView m1 = engine.metrics().Read();
   const QueryResponse second = engine.Submit(QueryRequest::TopK(5)).get();
-  EXPECT_TRUE(second.cache_hit);
-  ASSERT_EQ(second.ranked.size(), first.ranked.size());
-  for (size_t i = 0; i < first.ranked.size(); ++i) {
-    EXPECT_EQ(second.ranked[i].id, first.ranked[i].id);
-    EXPECT_EQ(second.ranked[i].value, first.ranked[i].value);
-  }
+  const runtime::MetricsView repeat = Delta(engine.metrics().Read(), m1);
+  EXPECT_FALSE(second.cache_hit);
+  ExpectSameRanking(second, first);
+  EXPECT_EQ(repeat.cache_misses, 0u);
+  EXPECT_EQ(repeat.exact_checks, 0u);
+  EXPECT_GE(repeat.prune_rounds, 1u);
+  EXPECT_EQ(repeat.cache_hits, repeat.facilities_evaluated);
 
-  // Touch ONE shard: the memoised gathered answer must die (its generation
-  // vector has a stale component) and the recomputed one must agree with
-  // the updated engine state.
+  // Warm every (facility, shard) slot, then republish exactly one shard.
+  std::vector<QueryRequest> sums;
+  for (uint32_t f = 0; f < num_fac; ++f) {
+    sums.push_back(QueryRequest::ServiceValue(f));
+  }
+  engine.RunBatch(sums);
   UpdateBatch batch;
   batch.removes = {0};
   engine.ApplyUpdates(batch);
+  ASSERT_EQ(engine.metrics().Read().shard_publishes,
+            m1.shard_publishes + 1);
+
+  const runtime::MetricsView m2 = engine.metrics().Read();
   const QueryResponse after = engine.Submit(QueryRequest::TopK(5)).get();
+  const runtime::MetricsView topk = Delta(engine.metrics().Read(), m2);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.snapshot_version, 2u);
+  EXPECT_GT(topk.cache_misses, 0u);
+  EXPECT_LE(topk.cache_misses, num_fac);
+  EXPECT_EQ(topk.cache_hits + topk.cache_misses, topk.facilities_evaluated);
+  engine.RunBatch(sums);
+  const runtime::MetricsView all = Delta(engine.metrics().Read(), m2);
+  EXPECT_EQ(all.cache_misses, num_fac);
+  EXPECT_EQ(all.cache_hits + all.cache_misses,
+            topk.facilities_evaluated + so.num_shards * num_fac);
+
+  // The recomputed ranking is what an engine built on the updated users
+  // answers (integer-valued model: bit for bit).
+  TrajectorySet active;
+  for (uint32_t u = 1; u < users.size(); ++u) active.Add(users.points(u));
+  ShardedEngine rebuilt(active, routes, so);
+  ExpectSameRanking(after, rebuilt.Submit(QueryRequest::TopK(5)).get());
 }
 
 }  // namespace

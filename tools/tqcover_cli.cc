@@ -856,6 +856,7 @@ int RunServeLoop(tq::runtime::ShardedEngine& engine, tq::TrajectorySet mirror,
   futures.reserve(num_queries);
   tq::runtime::UpdateBatch pending;
   size_t pending_events = 0;
+  size_t fired = 0;
   for (size_t q = 0; q < num_queries; ++q) {
     if (topk_every > 0 && q % topk_every == 0) {
       futures.push_back(engine.Submit(tq::runtime::QueryRequest::TopK(k)));
@@ -864,11 +865,14 @@ int RunServeLoop(tq::runtime::ShardedEngine& engine, tq::TrajectorySet mirror,
       futures.push_back(
           engine.Submit(tq::runtime::QueryRequest::ServiceValue(f)));
     }
-    // Churn: periodically remove and re-insert one trajectory block,
-    // exercising the copy-on-write writer mid-stream. Events accumulate in
-    // `pending` and publish every `update_batch` events.
-    if (num_updates > 0 && q > 0 &&
-        q % std::max<size_t>(1, num_queries / num_updates) == 0) {
+    // Churn: exactly `num_updates` events, each removing and re-inserting
+    // one trajectory block to exercise the copy-on-write writer
+    // mid-stream; event e follows query floor((2e + 1) Q / 2N), spreading
+    // them evenly. Events accumulate in `pending` and publish every
+    // `update_batch` events.
+    while (fired < num_updates &&
+           q == (2 * fired + 1) * num_queries / (2 * num_updates)) {
+      ++fired;
       for (size_t i = 0; i < update_size && i < mirror.size(); ++i) {
         const auto id = static_cast<uint32_t>((q + i) % mirror.size());
         const auto pts = mirror.points(id);

@@ -1,6 +1,8 @@
 // Ablation: the node/bucket capacity β ("size of a memory block", §III).
-// Sweeps β and reports TQ(Z) build time, tree shape, and per-facility
-// service-value time — the trade-off the paper's β embodies.
+// Sweeps β and reports segmented TQ(Z) build time, tree shape, and
+// per-facility service-value time — the trade-off the paper's β embodies.
+// β shapes the quadtree, which only segmented trees build (one segment per
+// NYT trip here); a whole tree is its cell index and ignores β.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -23,6 +25,7 @@ int main() {
   for (const size_t beta : {8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
     TQTreeOptions opt;
     opt.beta = beta;
+    opt.mode = TrajMode::kSegmented;
     opt.model = model;
     Timer build;
     TQTree tree(&users, opt);

@@ -1,8 +1,9 @@
 // Figure 10: MaxkCovRST on NYT.
 //   (a) time vs #users    (b) #users served vs #users
 //   (c) time vs #facilities  (d) #users served vs #facilities
-// Series: G-BL (straightforward greedy, baseline evaluation), G-TQ(B),
-// G-TQ(Z) (two-step greedy), Gn-TQ(Z) (genetic, 20 iterations).
+// Series: G-BL (straightforward greedy, baseline evaluation), G-TQ (two-step
+// greedy) and Gn-TQ (genetic, 20 iterations) over the whole-trajectory tree,
+// which answers from its cell index whatever its variant.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -15,8 +16,8 @@ using namespace tq::bench;   // NOLINT(build/namespaces)
 namespace {
 
 struct Row {
-  double t_gbl, t_gtb, t_gtz, t_gn;
-  size_t u_gbl, u_gtb, u_gtz, u_gn;
+  double t_gbl, t_gtq, t_gn;
+  size_t u_gbl, u_gtq, u_gn;
 };
 
 Row Measure(Workload* w, size_t k) {
@@ -31,21 +32,14 @@ Row Measure(Workload* w, size_t k) {
   {
     Timer t;
     const CoverResult res =
-        GreedyCoverTQ(w->tq_basic.get(), *w->catalog, *w->eval, k);
-    r.t_gtb = t.ElapsedSeconds();
-    r.u_gtb = res.users_served;
+        GreedyCoverTQ(w->tq.get(), *w->catalog, *w->eval, k);
+    r.t_gtq = t.ElapsedSeconds();
+    r.u_gtq = res.users_served;
   }
   {
     Timer t;
     const CoverResult res =
-        GreedyCoverTQ(w->tq_z.get(), *w->catalog, *w->eval, k);
-    r.t_gtz = t.ElapsedSeconds();
-    r.u_gtz = res.users_served;
-  }
-  {
-    Timer t;
-    const CoverResult res =
-        GeneticCoverTQ(w->tq_z.get(), *w->catalog, *w->eval, k);
+        GeneticCoverTQ(w->tq.get(), *w->catalog, *w->eval, k);
     r.t_gn = t.ElapsedSeconds();
     r.u_gn = res.users_served;
   }
@@ -53,12 +47,11 @@ Row Measure(Workload* w, size_t k) {
 }
 
 void PrintRow(const std::string& label, const Row& r) {
-  PrintTimeRow(label, {"G_BL", "G_TQ_B", "G_TQ_Z", "Gn_TQ_Z"},
-               {r.t_gbl, r.t_gtb, r.t_gtz, r.t_gn});
-  std::printf("%-14s served: G_BL=%zu G_TQ_B=%zu G_TQ_Z=%zu Gn_TQ_Z=%zu\n",
-              "", r.u_gbl, r.u_gtb, r.u_gtz, r.u_gn);
-  std::printf("# csv-served:%s,G_BL=%zu,G_TQ_B=%zu,G_TQ_Z=%zu,Gn_TQ_Z=%zu\n",
-              label.c_str(), r.u_gbl, r.u_gtb, r.u_gtz, r.u_gn);
+  PrintTimeRow(label, {"G_BL", "G_TQ", "Gn_TQ"}, {r.t_gbl, r.t_gtq, r.t_gn});
+  std::printf("%-14s served: G_BL=%zu G_TQ=%zu Gn_TQ=%zu\n", "", r.u_gbl,
+              r.u_gtq, r.u_gn);
+  std::printf("# csv-served:%s,G_BL=%zu,G_TQ=%zu,Gn_TQ=%zu\n", label.c_str(),
+              r.u_gbl, r.u_gtq, r.u_gn);
 }
 
 }  // namespace
@@ -70,7 +63,7 @@ int main() {
               env.DefaultK());
 
   Banner("Fig 10(a,b): time and #users served vs #user trajectories");
-  PrintSeriesHeader({"G_BL", "G_TQ_B", "G_TQ_Z", "Gn_TQ_Z"});
+  PrintSeriesHeader({"G_BL", "G_TQ", "Gn_TQ"});
   {
     const std::vector<const char*> day_labels = {"0.5d", "1d", "2d", "3d"};
     const std::vector<size_t> sweep = presets::NytUserSweep(env.scale);
@@ -84,7 +77,7 @@ int main() {
   }
 
   Banner("Fig 10(c,d): time and #users served vs #facilities");
-  PrintSeriesHeader({"G_BL", "G_TQ_B", "G_TQ_Z", "Gn_TQ_Z"});
+  PrintSeriesHeader({"G_BL", "G_TQ", "Gn_TQ"});
   for (const size_t nf : {16u, 32u, 64u, 128u, 256u, 512u}) {
     Workload w = BuildWorkload(presets::NytTrips(env.DefaultUsers()),
                                presets::NyBusRoutes(nf, env.DefaultStops()),

@@ -1,7 +1,9 @@
 // Figure 6: average time to compute the service value of a single facility.
 //   (a) vs number of user trajectories (NYT 0.5/1/2/3 days, Table III);
 //   (b) vs number of stops per facility (8..512).
-// Series: BL (point-quadtree baseline), TQ(B), TQ(Z).
+// Series: BL (point-quadtree baseline) and TQ, the whole-trajectory tree,
+// which answers from its cell index whatever its variant (the TQ(B)/TQ(Z)
+// comparison lives on segmented trees: Figs. 8 and 9).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -23,21 +25,14 @@ void MeasureRow(Workload* w, const BenchEnv& env, const std::string& label) {
                       }
                     }) /
                     static_cast<double>(nf);
-  const double tb = TimeAvgSeconds(env.reps, [&] {
+  const double tq = TimeAvgSeconds(env.reps, [&] {
                       for (uint32_t f = 0; f < nf; ++f) {
-                        sink += EvaluateServiceTQ(w->tq_basic.get(), *w->eval,
+                        sink += EvaluateServiceTQ(w->tq.get(), *w->eval,
                                                   w->catalog->grid(f));
                       }
                     }) /
                     static_cast<double>(nf);
-  const double tz = TimeAvgSeconds(env.reps, [&] {
-                      for (uint32_t f = 0; f < nf; ++f) {
-                        sink += EvaluateServiceTQ(w->tq_z.get(), *w->eval,
-                                                  w->catalog->grid(f));
-                      }
-                    }) /
-                    static_cast<double>(nf);
-  PrintTimeRow(label, {"BL", "TQ_B", "TQ_Z"}, {bl, tb, tz});
+  PrintTimeRow(label, {"BL", "TQ"}, {bl, tq});
   if (sink < 0) std::printf("impossible\n");  // keep the work observable
 }
 
@@ -51,7 +46,7 @@ int main() {
               env.scale, env.reps);
 
   Banner("Fig 6(a): time vs #user trajectories (days of NYT)");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   {
     const std::vector<const char*> day_labels = {"0.5d", "1d", "2d", "3d"};
     const std::vector<size_t> sweep = presets::NytUserSweep(env.scale);
@@ -65,7 +60,7 @@ int main() {
   }
 
   Banner("Fig 6(b): time vs #stops per facility");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   for (const size_t stops : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
     Workload w = BuildWorkload(presets::NytTrips(env.DefaultUsers()),
                                presets::NyBusRoutes(16, stops), model,

@@ -1,6 +1,7 @@
 // Figure 7: total kMaxRRST query time on NYT.
 //   (a) vs #user trajectories; (b) vs k; (c) vs #stops; (d) vs #facilities.
-// Series: BL, TQ(B), TQ(Z) — TQ rows use the best-first search (Alg. 3).
+// Series: BL and TQ, the whole-trajectory tree, which runs the best-first
+// search (Alg. 3) over its cell index whatever its variant.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -18,17 +19,12 @@ void MeasureTopK(Workload* w, size_t k, const BenchEnv& env,
                 .ranked[0]
                 .value;
   });
-  const double tb = TimeAvgSeconds(env.reps, [&] {
-    sink += TopKFacilitiesTQ(w->tq_basic.get(), *w->catalog, *w->eval, k)
+  const double tq = TimeAvgSeconds(env.reps, [&] {
+    sink += TopKFacilitiesTQ(w->tq.get(), *w->catalog, *w->eval, k)
                 .ranked[0]
                 .value;
   });
-  const double tz = TimeAvgSeconds(env.reps, [&] {
-    sink += TopKFacilitiesTQ(w->tq_z.get(), *w->catalog, *w->eval, k)
-                .ranked[0]
-                .value;
-  });
-  PrintTimeRow(label, {"BL", "TQ_B", "TQ_Z"}, {bl, tb, tz});
+  PrintTimeRow(label, {"BL", "TQ"}, {bl, tq});
   if (sink < 0) std::printf("impossible\n");
 }
 
@@ -41,7 +37,7 @@ int main() {
               env.reps);
 
   Banner("Fig 7(a): time vs #user trajectories (days of NYT)");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   {
     const std::vector<const char*> day_labels = {"0.5d", "1d", "2d", "3d"};
     const std::vector<size_t> sweep = presets::NytUserSweep(env.scale);
@@ -55,7 +51,7 @@ int main() {
   }
 
   Banner("Fig 7(b): time vs k");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   {
     Workload w = BuildWorkload(
         presets::NytTrips(env.DefaultUsers()),
@@ -67,7 +63,7 @@ int main() {
   }
 
   Banner("Fig 7(c): time vs #stops");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   for (const size_t stops : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
     Workload w = BuildWorkload(
         presets::NytTrips(env.DefaultUsers()),
@@ -77,7 +73,7 @@ int main() {
   }
 
   Banner("Fig 7(d): time vs #facilities");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   for (const size_t nf : {16u, 32u, 64u, 128u, 256u, 512u}) {
     Workload w = BuildWorkload(presets::NytTrips(env.DefaultUsers()),
                                presets::NyBusRoutes(nf, env.DefaultStops()),

@@ -1,8 +1,9 @@
 // Figure 8: kMaxRRST on the multipoint NYF (Foursquare-like) dataset.
 //   (a) vs #stops; (b) vs #facilities.
-// Series: S-BL, S-TQ(B), S-TQ(Z) (segmented index) and F-BL(=same baseline),
-// F-TQ(B), F-TQ(Z) (full-trajectory index). The baseline is identical in
-// both framings; it is printed once per group like the paper's figure.
+// Series: BL, S-TQ(B) and S-TQ(Z) (segmented index: Algorithms 1-2, with
+// zReduce on TQ(Z)) and F-TQ (full-trajectory index, which answers from its
+// cell index whatever its variant). The baseline is the same in both
+// framings, so it is printed once.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -12,9 +13,10 @@ using namespace tq::bench;   // NOLINT(build/namespaces)
 
 namespace {
 
+// The segmented workload and, over the same users, the full-trajectory tree.
 struct MultiWorkload {
-  Workload segmented;  // S-TQ(B)/S-TQ(Z) + BL
-  Workload full;       // F-TQ(B)/F-TQ(Z)
+  Workload segmented;
+  std::unique_ptr<TQTree> full;
 };
 
 MultiWorkload Build(const BenchEnv& env, size_t num_users, size_t routes,
@@ -24,38 +26,31 @@ MultiWorkload Build(const BenchEnv& env, size_t num_users, size_t routes,
   mw.segmented = BuildWorkload(presets::NyfCheckins(num_users),
                                presets::NyBusRoutes(routes, stops), model,
                                env.DefaultBeta(), TrajMode::kSegmented);
-  mw.full = BuildWorkload(presets::NyfCheckins(num_users),
-                          presets::NyBusRoutes(routes, stops), model,
-                          env.DefaultBeta(), TrajMode::kWhole,
-                          static_cast<BuildWhat>(
-                              static_cast<unsigned>(BuildWhat::kBasic) |
-                              static_cast<unsigned>(BuildWhat::kZOrder)));
+  TQTreeOptions opt;
+  opt.model = model;
+  mw.full = std::make_unique<TQTree>(mw.segmented.users.get(), opt);
   return mw;
 }
 
 void MeasureRow(MultiWorkload* mw, size_t k, const BenchEnv& env,
                 const std::string& label) {
+  const Workload& w = mw->segmented;
   double sink = 0.0;
   const double bl = TimeAvgSeconds(env.reps, [&] {
-    sink += TopKFacilitiesBaseline(*mw->segmented.bl_index,
-                                   *mw->segmented.catalog,
-                                   *mw->segmented.eval, k)
+    sink += TopKFacilitiesBaseline(*w.bl_index, *w.catalog, *w.eval, k)
                 .ranked[0]
                 .value;
   });
-  auto tq_time = [&](TQTree* tree, const Workload& w) {
+  auto tq_time = [&](TQTree* tree) {
     return TimeAvgSeconds(env.reps, [&] {
-      sink += TopKFacilitiesTQ(tree, *w.catalog, *w.eval, k)
-                  .ranked[0]
-                  .value;
+      sink += TopKFacilitiesTQ(tree, *w.catalog, *w.eval, k).ranked[0].value;
     });
   };
-  const double stb = tq_time(mw->segmented.tq_basic.get(), mw->segmented);
-  const double stz = tq_time(mw->segmented.tq_z.get(), mw->segmented);
-  const double ftb = tq_time(mw->full.tq_basic.get(), mw->full);
-  const double ftz = tq_time(mw->full.tq_z.get(), mw->full);
-  PrintTimeRow(label, {"BL", "S_TQ_B", "S_TQ_Z", "F_TQ_B", "F_TQ_Z"},
-               {bl, stb, stz, ftb, ftz});
+  const double stb = tq_time(w.tq_basic.get());
+  const double stz = tq_time(w.tq.get());
+  const double ftq = tq_time(mw->full.get());
+  PrintTimeRow(label, {"BL", "S_TQ_B", "S_TQ_Z", "F_TQ"},
+               {bl, stb, stz, ftq});
   if (sink < 0) std::printf("impossible\n");
 }
 
@@ -73,14 +68,14 @@ int main() {
               num_users, env.reps);
 
   Banner("Fig 8(a): time vs #stops");
-  PrintSeriesHeader({"BL", "S_TQ_B", "S_TQ_Z", "F_TQ_B", "F_TQ_Z"});
+  PrintSeriesHeader({"BL", "S_TQ_B", "S_TQ_Z", "F_TQ"});
   for (const size_t stops : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
     MultiWorkload mw = Build(env, num_users, 64, stops);
     MeasureRow(&mw, env.DefaultK(), env, "S=" + std::to_string(stops));
   }
 
   Banner("Fig 8(b): time vs #facilities");
-  PrintSeriesHeader({"BL", "S_TQ_B", "S_TQ_Z", "F_TQ_B", "F_TQ_Z"});
+  PrintSeriesHeader({"BL", "S_TQ_B", "S_TQ_Z", "F_TQ"});
   for (const size_t nf : {16u, 32u, 64u, 128u, 256u, 512u}) {
     MultiWorkload mw = Build(env, num_users, nf, env.DefaultStops());
     MeasureRow(&mw, env.DefaultK(), env, "N=" + std::to_string(nf));

@@ -24,7 +24,7 @@ void MeasureRow(Workload* w, size_t k, const BenchEnv& env,
                 .value;
   });
   const double tz = TimeAvgSeconds(env.reps, [&] {
-    sink += TopKFacilitiesTQ(w->tq_z.get(), *w->catalog, *w->eval, k)
+    sink += TopKFacilitiesTQ(w->tq.get(), *w->catalog, *w->eval, k)
                 .ranked[0]
                 .value;
   });

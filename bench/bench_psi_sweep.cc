@@ -1,6 +1,6 @@
 // §VI-B.1(iii): distance threshold ψ sweep (the paper varied ψ, observed no
 // significant change for the TQ-tree approaches, and omitted the graph; we
-// print it).
+// print it). TQ is the whole-trajectory tree.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -13,7 +13,7 @@ int main() {
   std::printf("psi sweep: single-facility service value (scale=%.3f)\n",
               env.scale);
   Banner("time vs psi (m), NYT default workload");
-  PrintSeriesHeader({"BL", "TQ_B", "TQ_Z"});
+  PrintSeriesHeader({"BL", "TQ"});
   double sink = 0.0;
   for (const double psi : {50.0, 100.0, 200.0, 400.0, 800.0}) {
     const ServiceModel model = ServiceModel::Endpoints(psi);
@@ -28,23 +28,16 @@ int main() {
                         }
                       }) /
                       static_cast<double>(nf);
-    const double tb = TimeAvgSeconds(env.reps, [&] {
+    const double tq = TimeAvgSeconds(env.reps, [&] {
                         for (uint32_t f = 0; f < nf; ++f) {
-                          sink += EvaluateServiceTQ(w.tq_basic.get(), *w.eval,
-                                                    w.catalog->grid(f));
-                        }
-                      }) /
-                      static_cast<double>(nf);
-    const double tz = TimeAvgSeconds(env.reps, [&] {
-                        for (uint32_t f = 0; f < nf; ++f) {
-                          sink += EvaluateServiceTQ(w.tq_z.get(), *w.eval,
+                          sink += EvaluateServiceTQ(w.tq.get(), *w.eval,
                                                     w.catalog->grid(f));
                         }
                       }) /
                       static_cast<double>(nf);
     char label[32];
     std::snprintf(label, sizeof(label), "psi=%.0f", psi);
-    PrintTimeRow(label, {"BL", "TQ_B", "TQ_Z"}, {bl, tb, tz});
+    PrintTimeRow(label, {"BL", "TQ"}, {bl, tq});
   }
   if (sink < 0) std::printf("impossible\n");
   return 0;

@@ -62,9 +62,12 @@ struct BenchEnv {
   size_t DefaultBeta() const { return 64; }
 };
 
-/// One fully-built workload: users + facilities + all three indexes.
-/// The trajectory sets live behind unique_ptr so the evaluator/catalog/tree
-/// pointers into them stay valid when a Workload itself is moved.
+/// One fully-built workload: users, facilities, the baseline index and the
+/// TQ-trees. The trajectory sets live behind unique_ptr so the evaluator,
+/// catalog and tree pointers into them stay valid when a Workload itself is
+/// moved. A whole-trajectory workload has one tree, `tq`: a whole tree is
+/// its cell index, which the variant does not change. A segmented workload
+/// has TQ(Z) in `tq` and TQ(B) in `tq_basic`.
 struct Workload {
   std::unique_ptr<TrajectorySet> users;
   std::unique_ptr<TrajectorySet> facilities;
@@ -72,26 +75,14 @@ struct Workload {
   std::unique_ptr<ServiceEvaluator> eval;
   std::unique_ptr<FacilityCatalog> catalog;
   std::unique_ptr<PointQuadtree> bl_index;
+  std::unique_ptr<TQTree> tq;
   std::unique_ptr<TQTree> tq_basic;
-  std::unique_ptr<TQTree> tq_z;
-  double build_bl_s = 0, build_basic_s = 0, build_z_s = 0;
 };
-
-enum class BuildWhat : unsigned {
-  kBaseline = 1,
-  kBasic = 2,
-  kZOrder = 4,
-  kAll = 7,
-};
-inline bool Has(BuildWhat set, BuildWhat bit) {
-  return (static_cast<unsigned>(set) & static_cast<unsigned>(bit)) != 0;
-}
 
 /// Builds the indexes for a given user/facility pair.
 inline Workload BuildWorkload(TrajectorySet users, TrajectorySet facilities,
                               const ServiceModel& model, size_t beta,
-                              TrajMode mode = TrajMode::kWhole,
-                              BuildWhat what = BuildWhat::kAll) {
+                              TrajMode mode = TrajMode::kWhole) {
   Workload w;
   w.users = std::make_unique<TrajectorySet>(std::move(users));
   w.facilities = std::make_unique<TrajectorySet>(std::move(facilities));
@@ -99,28 +90,17 @@ inline Workload BuildWorkload(TrajectorySet users, TrajectorySet facilities,
   w.eval = std::make_unique<ServiceEvaluator>(w.users.get(), model);
   w.catalog =
       std::make_unique<FacilityCatalog>(w.facilities.get(), model.psi);
-  if (Has(what, BuildWhat::kBaseline)) {
-    Timer t;
-    w.bl_index = std::make_unique<PointQuadtree>(
-        w.users->BoundingBox().Expanded(1.0), 128);
-    w.bl_index->InsertAll(*w.users);
-    w.build_bl_s = t.ElapsedSeconds();
-  }
+  w.bl_index = std::make_unique<PointQuadtree>(
+      w.users->BoundingBox().Expanded(1.0), 128);
+  w.bl_index->InsertAll(*w.users);
   TQTreeOptions opt;
   opt.beta = beta;
   opt.mode = mode;
   opt.model = model;
-  if (Has(what, BuildWhat::kBasic)) {
-    Timer t;
+  w.tq = std::make_unique<TQTree>(w.users.get(), opt);
+  if (mode == TrajMode::kSegmented) {
     opt.variant = IndexVariant::kBasic;
     w.tq_basic = std::make_unique<TQTree>(w.users.get(), opt);
-    w.build_basic_s = t.ElapsedSeconds();
-  }
-  if (Has(what, BuildWhat::kZOrder)) {
-    Timer t;
-    opt.variant = IndexVariant::kZOrder;
-    w.tq_z = std::make_unique<TQTree>(w.users.get(), opt);
-    w.build_z_s = t.ElapsedSeconds();
   }
   return w;
 }

@@ -17,9 +17,9 @@ int main() {
   const tq::FacilityCatalog catalog(&routes, model.psi);
 
   const tq::StopGrid& probe = catalog.grid(0);
-  std::printf("initial:  SO(U, route0) = %.0f   [%s]\n",
+  std::printf("initial:  SO(U, route0) = %.0f   (units=%zu)\n",
               tq::EvaluateServiceTQ(&index, evaluator, probe),
-              index.ComputeStats().ToString().c_str());
+              index.num_units());
 
   // Retire the oldest quarter of the data (e.g. a sliding-window feed).
   const uint32_t retired = static_cast<uint32_t>(trips.size() / 4);

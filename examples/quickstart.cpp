@@ -19,12 +19,12 @@ int main() {
   //    pickup and drop-off are within ψ = 200 m of some stop.
   const tq::ServiceModel model = tq::ServiceModel::Endpoints(200.0);
 
-  // 3. Index: the TQ-tree (z-order variant) over the users.
+  // 3. Index: the TQ-tree over the users. A tree of whole trips is a cell
+  //    index (grid-cell tables of every trip's pickup and drop-off).
   tq::TQTreeOptions options;
-  options.beta = 64;
   options.model = model;
   tq::TQTree index(&users, options);
-  std::printf("TQ-tree built: %s\n", index.ComputeStats().ToString().c_str());
+  std::printf("TQ-tree built: %zu trips indexed\n", index.num_units());
 
   // 4. kMaxRRST: the 5 routes serving the most commuters.
   const tq::ServiceEvaluator evaluator(&users, model);

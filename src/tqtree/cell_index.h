@@ -2,9 +2,9 @@
 // facility bound reads (point_raster.h), without the quadtree — the
 // point-mass raster, the indexed-ids bitmap and, optionally, the point-cell
 // tables with the pending list of trajectories inserted since their build.
-// A TQTree owns one (with tables on whole trees, without on segmented
-// ones); a serving shard is one alone, since the engine answers every SO
-// and every bound from the cells.
+// A whole TQTree is one (with tables), a segmented TQTree keeps one beside
+// its quadtree (without); a serving shard is one alone, since the engine
+// answers every SO and every bound from the cells.
 //
 // Fork() is the engine's snapshot-publish primitive: the fork shares the
 // raster, the bitmap and the tables with its parent, and whichever side

@@ -1,6 +1,5 @@
-// The unit stored by a TQ-tree: either a whole trajectory (two-point or
-// full-trajectory mode, §III) or one segment of a trajectory (segmented
-// mode, §III-A).
+// The unit a segmented TQ-tree's quadtree stores: one segment of a
+// trajectory (§III-A), or a single-point trajectory whole.
 #ifndef TQCOVER_TQTREE_ENTRY_H_
 #define TQCOVER_TQTREE_ENTRY_H_
 

@@ -1,4 +1,4 @@
-// The q-node of a TQ-tree (§III).
+// The q-node of a segmented TQ-tree (§III).
 #ifndef TQCOVER_TQTREE_NODE_H_
 #define TQCOVER_TQTREE_NODE_H_
 
@@ -25,8 +25,6 @@ struct TQNode {
   /// UL(E): the node's trajectory (unit) list.
   std::vector<TrajEntry> entries;
 
-  /// Upper bound over this node's own list only.
-  double local_ub = 0.0;
   /// Upper bound over the whole subtree (the paper's "sub").
   double sub = 0.0;
 

@@ -4,12 +4,11 @@
 // bound and the exact-check candidate filter of whole trajectories
 // (CellIndex::MarkCandidates).
 //
-// Node-granularity aggregates (sub / local_ub) cannot discriminate
-// facilities on workloads where units roam: a check-in trajectory spanning
-// half the city parks in an upper node whose list bound charges EVERY
-// facility the unit's full value. The raster bounds SO from the other
-// side — it forgets units entirely and aggregates the per-POINT value caps
-// on the grid:
+// A node-granularity aggregate (a segmented tree's per-node `sub`) cannot
+// discriminate facilities on workloads where units roam: a long unit parks
+// in an upper node whose subtree bound charges EVERY facility the unit's
+// full value. The raster bounds SO from the other side — it forgets units
+// entirely and aggregates the per-POINT value caps on the grid:
 //
 //   * every indexed trajectory deposits, into the cell of each of its
 //     points, the largest service value that point alone can unlock under

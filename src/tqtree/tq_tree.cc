@@ -8,6 +8,26 @@
 
 namespace tq {
 
+namespace {
+
+// Calls `fn` on every quadtree unit of trajectory `traj_id`: its segments, or
+// one whole unit for a single-point trajectory, which degenerates to a
+// zero-length segment so it still participates in point-count service.
+template <typename Fn>
+void ForEachSegmentUnit(const TrajectorySet& users, uint32_t traj_id,
+                        const ServiceModel& model, Fn&& fn) {
+  const size_t n = users.NumPoints(traj_id);
+  if (n < 2) {
+    fn(MakeWholeEntry(users, traj_id, model));
+    return;
+  }
+  for (uint32_t s = 0; s + 1 < n; ++s) {
+    fn(MakeSegmentEntry(users, traj_id, s, model));
+  }
+}
+
+}  // namespace
+
 TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options)
     : TQTree(users, options, AllIds(*users)) {}
 
@@ -22,11 +42,15 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options,
                                         0)) {
   TQ_CHECK(options_.beta > 0);
   TQ_CHECK(options_.max_depth >= 1 && options_.max_depth <= 32);
-  // The cell index's world is padded so boundary points sit strictly inside
-  // and top splits cannot degenerate.
-  nodes_.emplace_back();
-  nodes_[0].rect = cells_.world();
-  for (const uint32_t u : ids) InsertUnits(u);
+  if (options_.mode == TrajMode::kWhole) {
+    num_units_ = ids.size();
+  } else {
+    // The cell index's world is padded so boundary points sit strictly
+    // inside and top splits cannot degenerate.
+    nodes_.emplace_back();
+    nodes_[0].rect = cells_.world();
+    for (const uint32_t u : ids) InsertUnits(u);
+  }
   Freeze();
 }
 
@@ -34,24 +58,16 @@ TQTree::TQTree(const TrajectorySet* users, TQTreeOptions options,
 
 void TQTree::Insert(uint32_t traj_id) {
   cells_.Insert(traj_id);
-  InsertUnits(traj_id);
+  if (options_.mode == TrajMode::kWhole) {
+    ++num_units_;
+  } else {
+    InsertUnits(traj_id);
+  }
 }
 
 void TQTree::InsertUnits(uint32_t traj_id) {
-  if (options_.mode == TrajMode::kWhole) {
-    InsertEntry(MakeWholeEntry(*users_, traj_id, options_.model));
-  } else {
-    const size_t n = users_->NumPoints(traj_id);
-    if (n < 2) {
-      // A single-point trajectory degenerates to a zero-length segment so
-      // it still participates in point-count service.
-      InsertEntry(MakeWholeEntry(*users_, traj_id, options_.model));
-      return;
-    }
-    for (uint32_t s = 0; s + 1 < n; ++s) {
-      InsertEntry(MakeSegmentEntry(*users_, traj_id, s, options_.model));
-    }
-  }
+  ForEachSegmentUnit(*users_, traj_id, options_.model,
+                     [&](const TrajEntry& e) { InsertEntry(e); });
 }
 
 int32_t TQTree::ChildContaining(int32_t idx, const Rect& mbr) const {
@@ -88,7 +104,6 @@ void TQTree::InsertEntry(const TrajEntry& e) {
 void TQTree::StoreAt(int32_t idx, const TrajEntry& e) {
   TQNode& n = nodes_[idx];
   n.entries.push_back(e);
-  n.local_ub += e.ub;
   n.zindex.reset();
   ++num_units_;
 }
@@ -151,9 +166,6 @@ void TQTree::MaybeSplit(int32_t idx) {
     }
     n.entries.swap(keep);
     n.zindex.reset();
-    // Recompute local bookkeeping for the kept list.
-    n.local_ub = 0.0;
-    for (const TrajEntry& e : n.entries) n.local_ub += e.ub;
   }
   for (const TrajEntry& e : moved) {
     const int q = node(idx).rect.QuadrantOf(e.mbr.Center());
@@ -161,7 +173,6 @@ void TQTree::MaybeSplit(int32_t idx) {
     TQNode& c = nodes_[child];
     c.sub += e.ub;
     c.entries.push_back(e);
-    c.local_ub += e.ub;
     c.zindex.reset();
   }
   for (int q = 0; q < 4; ++q) MaybeSplit(first + q);
@@ -191,58 +202,40 @@ void TQTree::Freeze() {
 
 bool TQTree::Remove(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
-  if (options_.mode == TrajMode::kWhole || users_->NumPoints(traj_id) < 2) {
-    const TrajEntry e = MakeWholeEntry(*users_, traj_id, options_.model);
-    return RemoveUnit(traj_id, e.seg_index, e.mbr, e.ub) &&
-           cells_.Remove(traj_id);
+  if (options_.mode == TrajMode::kWhole) {
+    if (!cells_.Remove(traj_id)) return false;
+    --num_units_;
+    return true;
   }
   bool all = true;
-  const size_t n = users_->NumPoints(traj_id);
-  for (uint32_t s = 0; s + 1 < n; ++s) {
-    const TrajEntry e = MakeSegmentEntry(*users_, traj_id, s, options_.model);
-    all = RemoveUnit(traj_id, s, e.mbr, e.ub) && all;
-  }
+  ForEachSegmentUnit(*users_, traj_id, options_.model,
+                     [&](const TrajEntry& e) { all = RemoveUnit(e) && all; });
   // De-index the cells only on a complete removal: leftover segments keep
   // their deposits, which can only overstate (never understate) the bound.
   return all && cells_.Remove(traj_id);
 }
 
-bool TQTree::RemoveUnit(uint32_t traj_id, uint32_t seg_index,
-                        const Rect& unit_mbr, double ub) {
+bool TQTree::RemoveUnit(const TrajEntry& unit) {
   // Locate the storing node by re-descending with the unit's MBR.
   std::vector<int32_t> path;
   int32_t idx = 0;
-  int32_t store = -1;
   for (;;) {
     path.push_back(idx);
-    const TQNode& n = node(idx);
-    if (n.IsLeaf()) {
-      store = idx;
-      break;
-    }
-    const int32_t child = ChildContaining(idx, unit_mbr);
-    if (child < 0) {
-      store = idx;
-      break;
-    }
+    if (node(idx).IsLeaf()) break;
+    const int32_t child = ChildContaining(idx, unit.mbr);
+    if (child < 0) break;
     idx = child;
   }
-  std::ptrdiff_t pos = -1;
-  {
-    const TQNode& n = node(store);
-    const auto it = std::find_if(n.entries.begin(), n.entries.end(),
-                                 [&](const TrajEntry& e) {
-                                   return e.traj_id == traj_id &&
-                                          e.seg_index == seg_index;
-                                 });
-    if (it == n.entries.end()) return false;
-    pos = it - n.entries.begin();
-  }
-  TQNode& n = nodes_[store];
-  n.entries.erase(n.entries.begin() + pos);
-  n.local_ub -= ub;
+  TQNode& n = nodes_[idx];
+  const auto it = std::find_if(n.entries.begin(), n.entries.end(),
+                               [&](const TrajEntry& e) {
+                                 return e.traj_id == unit.traj_id &&
+                                        e.seg_index == unit.seg_index;
+                               });
+  if (it == n.entries.end()) return false;
+  n.entries.erase(it);
   n.zindex.reset();
-  for (const int32_t p : path) nodes_[p].sub -= ub;
+  for (const int32_t p : path) nodes_[p].sub -= unit.ub;
   --num_units_;
   return true;
 }

@@ -1,26 +1,24 @@
 // The Trajectory Quadtree (TQ-tree) — the paper's core contribution (§III).
 //
-// Two-level index over user trajectories:
-//   level 1: a quadtree whose node E stores, in UL(E), the trajectories (or
-//            segments) that span E's children (internal nodes) or fit inside
-//            E (leaves), so longer units live higher in the tree;
+// A whole-trajectory tree (TrajMode::kWhole: the two-point index of §III and
+// the full-trajectory index of §III-A) is its CellIndex (cell_index.h): the
+// point-mass raster, the indexed-ids bitmap and the point-cell tables, from
+// which SO, served-set collection and kMaxRRST's bounds are answered. It
+// builds no quadtree and stores no unit.
+//
+// A segmented tree (TrajMode::kSegmented: every consecutive point pair
+// stored as its own unit, §III-A) is the paper's two-level index, walked by
+// Algorithms 1-2:
+//   level 1: a quadtree whose node E stores, in UL(E), the units that span
+//            E's children (internal nodes) or fit inside E (leaves), so
+//            longer units live higher in the tree;
 //   level 2: per node, a z-order bucket list (ZIndex) grouping co-located,
-//            similarly-oriented units — the structure zReduce prunes (on
-//            segmented TQ(Z) trees; whole trees answer from cell tables).
+//            similarly-oriented units — the structure zReduce prunes.
+// Its variant is IndexVariant::kBasic — TQ(B): flat per-node lists, no
+// z-ordering — or IndexVariant::kZOrder — TQ(Z): z-ordered buckets. Its
+// CellIndex keeps the raster and the bitmap, without tables.
 //
-// Variants (all from the paper's evaluation):
-//   * IndexVariant::kBasic  — TQ(B): flat per-node lists, no z-ordering.
-//   * IndexVariant::kZOrder — TQ(Z): z-ordered buckets (segmented trees).
-//   * TrajMode::kWhole      — trajectories stored whole: the two-point index
-//                             of §III and the full-trajectory index of §III-A.
-//   * TrajMode::kSegmented  — every consecutive point pair stored as its own
-//                             unit (the segmented index of §III-A).
-//
-// The tree's grid-cell structures (the point-mass raster, the indexed-ids
-// bitmap and, on whole trees, the point-cell tables) live in its CellIndex
-// (cell_index.h), which whole-trajectory SO, served-set collection and
-// kMaxRRST's bounds read instead of walking. The serving engine's shards
-// hold a CellIndex alone; the quadtree is the library's index.
+// The serving engine's shards hold a CellIndex alone.
 #ifndef TQCOVER_TQTREE_TQ_TREE_H_
 #define TQCOVER_TQTREE_TQ_TREE_H_
 
@@ -40,7 +38,8 @@ namespace tq {
 /// Which second-level organisation a tree uses.
 enum class IndexVariant { kBasic, kZOrder };
 
-/// Construction parameters.
+/// Construction parameters. `beta`, `max_depth` and `variant` shape the
+/// quadtree, so they matter on segmented trees only.
 struct TQTreeOptions {
   /// Node capacity and z-bucket size — the paper's β ("size of a memory
   /// block").
@@ -49,11 +48,12 @@ struct TQTreeOptions {
   int max_depth = 20;
   IndexVariant variant = IndexVariant::kZOrder;
   TrajMode mode = TrajMode::kWhole;
-  /// Service model the per-node upper bounds are computed for.
+  /// Service model of the unit upper bounds and the cell structures.
   ServiceModel model;
 };
 
-/// Structural statistics (index size accounting of §III-B).
+/// Structural statistics of the quadtree (index size accounting of §III-B);
+/// all zero on a whole tree, which has none.
 struct TQTreeStats {
   size_t num_nodes = 0;
   size_t num_leaves = 0;
@@ -68,6 +68,8 @@ struct TQTreeStats {
 /// The TQ-tree. Bulk-built over a TrajectorySet (not owned; must outlive the
 /// tree); supports dynamic Insert/Remove (§III-C). Not thread-safe until
 /// frozen: segmented TQ(Z) trees rebuild dropped z-indexes on first query.
+/// The quadtree accessors (root, node, num_nodes, zindex) serve segmented
+/// trees; a whole tree has no node.
 class TQTree {
  public:
   /// Bulk-builds the tree over every trajectory of `users`.
@@ -91,6 +93,8 @@ class TQTree {
     return nodes_[static_cast<size_t>(idx)];
   }
   size_t num_nodes() const { return nodes_.size(); }
+  /// Indexed trajectories on a whole tree; stored units (segments, and
+  /// single-point trajectories as whole units) on a segmented one.
   size_t num_units() const { return num_units_; }
 
   /// The tree's cell structures. Whole trees always have tables (their
@@ -112,8 +116,9 @@ class TQTree {
   /// Freeze()'s former name, still called by bench_layers/.
   void BuildAllZIndexes() { Freeze(); }
 
-  /// Inserts trajectory `traj_id` of the user set (as a whole unit or as all
-  /// of its segments, per the tree mode). O(h) descent per unit (§III-C).
+  /// Indexes trajectory `traj_id` of the user set: in the cell index, and
+  /// on a segmented tree as all of its segments, with an O(h) descent per
+  /// segment (§III-C).
   void Insert(uint32_t traj_id);
 
   /// De-indexes trajectory `traj_id`. Returns false if it was not indexed.
@@ -123,25 +128,19 @@ class TQTree {
 
   TQTreeStats ComputeStats() const;
 
-  /// Total of all per-node `sub` consistency: root sub must equal the sum of
-  /// every stored unit's upper bound. Used by tests / TQ_DCHECK audits.
-  double RootUpperBound() const { return node(0).sub; }
-
  private:
-  /// The z-index rule: only segmented TQ(Z) trees, served by walks, build
-  /// them. Whole trees answer from their cell tables and build none.
+  /// The z-index rule: TQ(Z) trees build them on their nodes, which only
+  /// segmented trees have.
   bool HasZIndexes() const {
-    return options_.variant == IndexVariant::kZOrder &&
-           options_.mode == TrajMode::kSegmented;
+    return options_.variant == IndexVariant::kZOrder;
   }
 
-  /// Stores trajectory `traj_id`'s units in the quadtree.
+  /// Stores segmented trajectory `traj_id`'s units in the quadtree.
   void InsertUnits(uint32_t traj_id);
   void InsertEntry(const TrajEntry& e);
   void StoreAt(int32_t idx, const TrajEntry& e);
   void MaybeSplit(int32_t idx);
-  bool RemoveUnit(uint32_t traj_id, uint32_t seg_index, const Rect& unit_mbr,
-                  double ub);
+  bool RemoveUnit(const TrajEntry& e);
   /// Child of `idx` whose rect contains `mbr`, or -1.
   int32_t ChildContaining(int32_t idx, const Rect& mbr) const;
 

@@ -31,18 +31,20 @@ TQTreeOptions MakeOptions(IndexVariant variant, TrajMode mode,
   return opt;
 }
 
-// Walks the tree checking the §III invariants.
+// Walks a segmented tree's quadtree checking the §III invariants.
 void CheckStructure(const TQTree& tree) {
   size_t stored_units = 0;
   double sum_unit_ub = 0.0;
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
     const TQNode& n = tree.node(static_cast<int32_t>(i));
     stored_units += n.entries.size();
+    // sub = Σ own entries' ub + Σ children sub.
+    double expect_sub = 0.0;
     // Every stored unit's MBR fits the node.
     for (const TrajEntry& e : n.entries) {
       EXPECT_TRUE(n.rect.ContainsRect(e.mbr))
           << "unit " << e.traj_id << " escapes node " << i;
-      sum_unit_ub += e.ub;
+      expect_sub += e.ub;
       if (!n.IsLeaf()) {
         // Inter-node unit: no single child may contain it.
         for (int q = 0; q < 4; ++q) {
@@ -52,33 +54,30 @@ void CheckStructure(const TQTree& tree) {
         }
       }
     }
-    // sub = own local + Σ children sub.
-    double expect_sub = n.local_ub;
+    sum_unit_ub += expect_sub;
     if (!n.IsLeaf()) {
       for (int q = 0; q < 4; ++q) {
         expect_sub += tree.node(n.first_child + q).sub;
       }
     }
     EXPECT_NEAR(n.sub, expect_sub, 1e-9) << "node " << i;
-    // local_ub equals the sum of its entries' ubs.
-    double local = 0.0;
-    for (const TrajEntry& e : n.entries) local += e.ub;
-    EXPECT_NEAR(n.local_ub, local, 1e-9) << "node " << i;
   }
   EXPECT_EQ(stored_units, tree.num_units());
-  EXPECT_NEAR(tree.RootUpperBound(), sum_unit_ub, 1e-6);
+  EXPECT_NEAR(tree.node(tree.root()).sub, sum_unit_ub, 1e-6);
 }
 
-TEST(TQTree, EveryTrajectoryStoredExactlyOnceWholeMode) {
+// With two-point users, a segmented tree stores one segment per user: the
+// quadtree the paper builds over whole two-point trajectories.
+TEST(TQTree, EveryTwoPointUserStoredExactlyOnce) {
   Rng rng(301);
   const Rect w = Rect::Of(0, 0, 10000, 10000);
   const TrajectorySet users = testing::RandomUsers(&rng, 500, 2, 2, w);
-  TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
+  TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kSegmented,
                                   ServiceModel::Endpoints(100)));
   std::map<uint32_t, int> count;
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
     for (const TrajEntry& e : tree.node(static_cast<int32_t>(i)).entries) {
-      EXPECT_TRUE(e.IsWhole());
+      EXPECT_EQ(e.seg_index, 0u);
       count[e.traj_id]++;
     }
   }
@@ -113,7 +112,7 @@ TEST(TQTree, LeavesRespectBetaUnlessUnsplittable) {
   Rng rng(305);
   const Rect w = Rect::Of(0, 0, 10000, 10000);
   const TrajectorySet users = testing::RandomUsers(&rng, 2000, 2, 2, w);
-  TQTreeOptions opt = MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
+  TQTreeOptions opt = MakeOptions(IndexVariant::kBasic, TrajMode::kSegmented,
                                   ServiceModel::Endpoints(100), 16);
   TQTree tree(&users, opt);
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
@@ -138,7 +137,7 @@ TEST(TQTree, LongerTrajectoriesLiveHigher) {
     const Point t[] = {{x, 100}, {x + 1, 101}};
     users.Add(t);
   }
-  TQTree tree(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kWhole,
+  TQTree tree(&users, MakeOptions(IndexVariant::kBasic, TrajMode::kSegmented,
                                   ServiceModel::Endpoints(50), 4));
   bool root_has_long = false;
   for (const TrajEntry& e : tree.node(tree.root()).entries) {
@@ -176,7 +175,7 @@ TEST(TQTree, StatsAreCoherent) {
   Rng rng(313);
   const Rect w = Rect::Of(0, 0, 10000, 10000);
   const TrajectorySet users = testing::RandomUsers(&rng, 800, 2, 2, w);
-  TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kWhole,
+  TQTree tree(&users, MakeOptions(IndexVariant::kZOrder, TrajMode::kSegmented,
                                   ServiceModel::Endpoints(100)));
   const TQTreeStats s = tree.ComputeStats();
   EXPECT_EQ(s.num_entries, users.size());
@@ -212,32 +211,17 @@ TEST(TQTree, UnitUpperBoundSegmentPointOwnership) {
 
 // ------------------------------------------- point-cell candidate filter
 
-// Ids the tree's node lists currently hold.
-std::vector<uint32_t> IndexedIds(const TQTree& tree) {
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < tree.num_nodes(); ++i) {
-    for (const TrajEntry& e : tree.node(static_cast<int32_t>(i)).entries) {
-      ids.push_back(e.traj_id);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 bool IntegerValued(const ServiceModel& m) {
   return m.scenario == Scenario::kEndpoints ||
          (m.scenario == Scenario::kPointCount &&
           m.normalization == Normalization::kNone);
 }
 
-// The z-index rule on a frozen tree: a segmented TQ(Z) tree, whose walks
-// read z-indexes, has one on every non-empty node; every other tree (whole
-// trees of both variants, answered from their cell tables) has none, and
-// zindex() returns what the node holds without building anything.
+// The z-index rule on a frozen segmented tree: a TQ(Z) tree, whose walks
+// read z-indexes, has one on every non-empty node; a TQ(B) tree has none,
+// and zindex() returns what the node holds without building anything.
 void ExpectZIndexRule(TQTree* tree, const std::string& where) {
-  const bool walked = tree->options().variant == IndexVariant::kZOrder &&
-                      tree->options().mode == TrajMode::kSegmented;
+  const bool walked = tree->options().variant == IndexVariant::kZOrder;
   for (size_t i = 0; i < tree->num_nodes(); ++i) {
     const auto idx = static_cast<int32_t>(i);
     const ZIndex* held = tree->node(idx).zindex.get();
@@ -324,17 +308,20 @@ std::vector<double> CheckCellFilter(const CellIndex& cells,
   return values;
 }
 
-// CheckCellFilter on a whole tree's cell index, over the ids its node lists
-// hold, plus the tree's own answers: EvaluateServiceTQ returns the cells'
-// bits without a walk, served-set collection finds exactly the users with
-// a served detail, and top-k returns EvaluateServiceTQ's bits in the
-// exhaustive order. Also checks that the whole tree holds no z-index.
-// Returns how many (user, facility) pairs the default mask cleared.
+// CheckCellFilter on a whole tree's cell index, over the ids it indexes,
+// plus the tree's own answers: EvaluateServiceTQ returns the cells' bits
+// without a walk, served-set collection finds exactly the users with a
+// served detail, and top-k returns EvaluateServiceTQ's bits in the
+// exhaustive order. Also checks that the whole tree builds no quadtree (no
+// node, no stored unit) and counts its indexed trajectories. Returns how
+// many (user, facility) pairs the default mask cleared.
 size_t CheckCandidateFilter(TQTree* tree, const TrajectorySet& facs,
                             const std::string& where) {
   SCOPED_TRACE(where);
-  ExpectZIndexRule(tree, "whole tree");
-  const std::vector<uint32_t> indexed = IndexedIds(*tree);
+  EXPECT_EQ(tree->num_nodes(), 0u);
+  EXPECT_EQ(tree->ComputeStats().num_entries, 0u);
+  const std::vector<uint32_t> indexed = tree->cells().IndexedTrajectories();
+  EXPECT_EQ(tree->num_units(), indexed.size());
   size_t cleared = 0;
   const std::vector<double> values =
       CheckCellFilter(tree->cells(), indexed, facs, &cleared);
@@ -488,7 +475,7 @@ void CheckPointCellLifecycle(bool two_point) {
     // tree's world, so the outside users clamp into border cells. Inserts
     // go to the pending list (no refreeze yet), then stay there through a
     // freeze while they are few.
-    const std::vector<uint32_t> fresh_ids = IndexedIds(fresh);
+    const std::vector<uint32_t> fresh_ids = fresh.cells().IndexedTrajectories();
     std::set<uint32_t> ids(fresh_ids.begin(), fresh_ids.end());
     std::unique_ptr<CellIndex> fork = fresh.cells().Fork(&extended);
     ASSERT_EQ(fork->world(), world);
@@ -606,7 +593,7 @@ TEST(TQTree, PruneModeFlipRebuildsCellTables) {
   ASSERT_EQ(tree.prune_mode(), ZPruneMode::kStartEnd);
   std::unique_ptr<CellIndex> fork = tree.cells().Fork(&extended);
   ASSERT_EQ(fork->kind(), ZPruneMode::kMbr);
-  const std::vector<uint32_t> tree_ids = IndexedIds(tree);
+  const std::vector<uint32_t> tree_ids = tree.cells().IndexedTrajectories();
   std::set<uint32_t> ids(tree_ids.begin(), tree_ids.end());
   for (uint32_t u = static_cast<uint32_t>(users.size()); u < extended.size();
        ++u) {

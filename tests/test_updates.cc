@@ -96,6 +96,9 @@ TEST(Updates, SubBookkeepingSurvivesChurn) {
   const TrajectorySet users = testing::RandomUsers(&rng, 500, 2, 2, w);
   TQTreeOptions opt;
   opt.beta = 8;
+  // Whole trees keep no node aggregate; with two-point users, a segmented
+  // tree stores one segment per user.
+  opt.mode = TrajMode::kSegmented;
   opt.model = ServiceModel::Endpoints(100);
   TQTree tree(&users, opt);
   // Churn: remove random trajectories, re-insert them, repeatedly.
@@ -110,10 +113,11 @@ TEST(Updates, SubBookkeepingSurvivesChurn) {
     present[u] = !present[u];
   }
   // sub consistency: root sub equals number of present trajectories (each
-  // whole 2-point unit contributes exactly 1 under the endpoints model).
+  // 2-point user's one segment contributes exactly 1 under the endpoints
+  // model).
   size_t live = 0;
   for (const bool p : present) live += p;
-  EXPECT_NEAR(tree.RootUpperBound(), static_cast<double>(live), 1e-9);
+  EXPECT_NEAR(tree.node(tree.root()).sub, static_cast<double>(live), 1e-9);
   EXPECT_EQ(tree.num_units(), live);
 }
 

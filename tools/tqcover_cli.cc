@@ -146,7 +146,9 @@ int Usage() {
       "           coordinator) the per-worker liveness/RTT table\n"
       "  topk     --users FILE --facilities FILE [--k 8] [--psi 200]\n"
       "           [--scenario endpoints|points|length] [--method tqz|tqb|bl|blr]\n"
-      "           [--mode whole|segmented] [--beta 64]\n"
+      "           [--mode whole|segmented] [--beta 64]  # tqz vs tqb and\n"
+      "                         # --beta matter only with --mode segmented:\n"
+      "                         # a whole tree is its cell index\n"
       "  cover    --users FILE --facilities FILE [--k 8] [--psi 200]\n"
       "           [--scenario ...] [--solver greedy|genetic|baseline]\n"
       "  serve    --users FILE --facilities FILE [--threads 4] [--shards 1]\n"
@@ -736,7 +738,6 @@ int CmdCover(const Args& args) {
     result = tq::GreedyCoverBaseline(pq, catalog, evaluator, k);
   } else {
     tq::TQTreeOptions opt;
-    opt.beta = args.GetSize("beta", 64);
     opt.model = model;
     tq::TQTree tree(&users, opt);
     result = solver == "genetic"
@@ -1172,7 +1173,7 @@ int main(int argc, char** argv) {
         {"users", "facilities", "k", "psi", "scenario", "method", "mode",
          "beta"}},
        {"cover",
-        {"users", "facilities", "k", "psi", "scenario", "solver", "beta"}},
+        {"users", "facilities", "k", "psi", "scenario", "solver"}},
        {"serve",
         {"users", "facilities", "threads", "shards", "queries", "topk-every",
          "k", "psi", "scenario", "cache", "updates", "update-size",

@@ -5,10 +5,11 @@
 //   tqcover_inspect --users trips.bin --facilities routes.bin
 //                   --facility 4 --out picture.svg [--psi 200] [--beta 64]
 //
-// Rendering: q-node rectangles (thicker = higher level), z-bucket counts as
-// node opacity, facility stops as dots joined by the route polyline, served
-// users as green segments, candidate-but-unserved as amber, the EMBR as a
-// dashed border.
+// Rendering: the q-node rectangles of a segmented TQ-tree over the users
+// (thicker = higher level; a whole tree is a cell index and has no nodes),
+// facility stops as dots joined by the route polyline, served users as
+// green segments, candidate-but-unserved as amber, the EMBR as a dashed
+// border.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -118,6 +119,9 @@ int main(int argc, char** argv) {
   const tq::ServiceModel model = tq::ServiceModel::Endpoints(psi);
   tq::TQTreeOptions opt;
   opt.beta = static_cast<size_t>(args.GetDouble("beta", 64));
+  // The skeleton is the quadtree's alone: no z-index is drawn.
+  opt.variant = tq::IndexVariant::kBasic;
+  opt.mode = tq::TrajMode::kSegmented;
   opt.model = model;
   tq::TQTree tree(&users, opt);
   const tq::ServiceEvaluator eval(&users, model);

@@ -46,11 +46,27 @@ bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval) {
          eval.model().scenario == Scenario::kEndpoints;
 }
 
+namespace {
+
+// The user points Evaluate passes to the serve predicate, as
+// QueryStats::points_probed counts them: Scenario 1's two-probe check counts
+// both endpoints, the others every point.
+size_t PointsEvaluated(const ServiceEvaluator& eval, uint32_t id) {
+  return eval.model().scenario == Scenario::kEndpoints
+             ? 2
+             : eval.users().NumPoints(id);
+}
+
+}  // namespace
+
 double EvaluateServiceOver(std::span<const uint32_t> ids,
                            const ServiceEvaluator& eval, const StopGrid& grid,
                            QueryStats* stats) {
   double so = 0.0;
-  for (const uint32_t id : ids) so += eval.Evaluate(id, grid);
+  for (const uint32_t id : ids) {
+    so += eval.Evaluate(id, grid);
+    if (stats != nullptr) stats->points_probed += PointsEvaluated(eval, id);
+  }
   if (stats != nullptr) stats->exact_checks += ids.size();
   return so;
 }
@@ -154,13 +170,48 @@ const uint64_t* WholeCandidates(const CellIndex& cells, const StopGrid& grid,
 double EvaluateServiceCells(const CellIndex& cells,
                             const ServiceEvaluator& eval, const StopGrid& grid,
                             QueryStats* stats) {
-  const uint64_t* mask = WholeCandidates(cells, grid, /*any_endpoint=*/false);
+  const size_t words = (cells.users().size() + 63) / 64;
   double so = 0.0;
-  ForEachSetBit(mask, nullptr, (cells.users().size() + 63) / 64,
-                [&](uint32_t id) {
-                  if (stats != nullptr) stats->exact_checks++;
-                  so += eval.Evaluate(id, grid);
-                });
+  if (eval.model().scenario != Scenario::kPointCount) {
+    const uint64_t* mask =
+        WholeCandidates(cells, grid, /*any_endpoint=*/false);
+    ForEachSetBit(mask, nullptr, words, [&](uint32_t id) {
+      if (stats != nullptr) {
+        stats->exact_checks++;
+        stats->points_probed += PointsEvaluated(eval, id);
+      }
+      so += eval.Evaluate(id, grid);
+    });
+    return so;
+  }
+  // Scenario 2: the table's near cells count each candidate's served points
+  // (zero-initialised scratch, cleared through `touched` after the sum);
+  // pending ids are evaluated in full. A candidate with no served point
+  // would add +0.0, so skipping it keeps the bits.
+  static thread_local std::vector<uint64_t> mask;
+  static thread_local std::vector<uint32_t> counts;
+  static thread_local std::vector<uint32_t> touched;
+  if (counts.size() < cells.users().size()) {
+    counts.resize(cells.users().size(), 0);
+  }
+  size_t probed = cells.CountServedPoints(grid, &mask, counts.data(), &touched);
+  size_t checks = 0;
+  ForEachSetBit(mask.data(), nullptr, words, [&](uint32_t id) {
+    ++checks;
+    const uint32_t count = counts[id];
+    if (count == CellIndex::kPendingCount) {
+      so += eval.Evaluate(id, grid);
+      probed += PointsEvaluated(eval, id);
+    } else if (count != 0) {
+      so += eval.ValueOfCount(id, count);
+    }
+  });
+  for (const uint32_t id : touched) counts[id] = 0;
+  touched.clear();
+  if (stats != nullptr) {
+    stats->exact_checks += checks;
+    stats->points_probed += probed;
+  }
   return so;
 }
 

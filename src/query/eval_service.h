@@ -1,9 +1,11 @@
 // Service-value evaluation. Whole trajectories are evaluated from a cell
 // index (a whole tree's own, or a serving shard's): one candidate mask and
-// one exact check per set bit, summed in ascending id order. Algorithms 1 &
-// 2 of the paper — divide-and-conquer over the quadtree with q-node pruning
-// and zReduce — serve segmented trees, whose walk gathers served masks that
-// are summed in the same ascending id order.
+// one exact value per set bit, summed in ascending id order. Under
+// Scenario 2 the values come from the points the cell table lists near the
+// route (the point path), not from every point of every candidate.
+// Algorithms 1 & 2 of the paper — divide-and-conquer over the quadtree with
+// q-node pruning and zReduce — serve segmented trees, whose walk gathers
+// served masks that are summed in the same ascending id order.
 #ifndef TQCOVER_QUERY_EVAL_SERVICE_H_
 #define TQCOVER_QUERY_EVAL_SERVICE_H_
 
@@ -42,7 +44,16 @@ std::vector<Point> ComponentStops(const StopGrid& grid,
 /// SO(U, f) over the trajectories `cells` (which must have tables) indexes:
 /// Σ ServiceEvaluator::Evaluate over the candidate mask's ids in ascending
 /// order, whatever the index's update history — EvaluateServiceBaseline's
-/// bits. `stats->exact_checks` counts the set bits. Thread-safe once frozen.
+/// bits. Scenarios 1 and 3 evaluate each candidate in full. Scenario 2 takes
+/// the point path (CellIndex::CountServedPoints): the serve predicate runs
+/// over the points the all-points table lists in the cells near the stops,
+/// one contiguous run per cell, counting served points per owner; pending
+/// ids are evaluated in full; and Σ ServiceEvaluator::ValueOfCount over the
+/// candidates with a non-zero count (a zero count adds +0.0, which cannot
+/// change the sum) gives the same bits. `stats->exact_checks` counts the
+/// candidates (the set bits of CellIndex::MarkCandidates) on both paths, and
+/// `stats->points_probed` the user points passed to the serve predicate.
+/// Thread-safe once frozen.
 double EvaluateServiceCells(const CellIndex& cells,
                             const ServiceEvaluator& eval, const StopGrid& grid,
                             QueryStats* stats = nullptr);
@@ -57,7 +68,8 @@ double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
 
 /// Σ ServiceEvaluator::Evaluate over `ids` in the given order: with the
 /// ascending ids of a whole tree's candidate set (CellIndex::CellUpperBound
-/// lists them), the bits EvaluateServiceTQ returns.
+/// lists them), the bits EvaluateServiceTQ returns. Every point of every id
+/// is probed (Scenario 1: both endpoints).
 double EvaluateServiceOver(std::span<const uint32_t> ids,
                            const ServiceEvaluator& eval, const StopGrid& grid,
                            QueryStats* stats = nullptr);

@@ -16,6 +16,8 @@ struct QueryStats {
   size_t entries_scanned = 0;    // entries touched in node lists
   size_t exact_checks = 0;       // users (whole trees) or entries
                                  // (segmented) given the exact check
+  size_t points_probed = 0;      // user points passed to the serve
+                                 // predicate by whole-trajectory SO
   size_t heap_pops = 0;          // best-first top-k pops
   size_t relax_rounds = 0;       // exact refinements of best-first top-k
   ZIndex::ReduceStats zreduce;
@@ -25,6 +27,7 @@ struct QueryStats {
     lists_evaluated += o.lists_evaluated;
     entries_scanned += o.entries_scanned;
     exact_checks += o.exact_checks;
+    points_probed += o.points_probed;
     heap_pops += o.heap_pops;
     relax_rounds += o.relax_rounds;
     zreduce.buckets_total += o.zreduce.buckets_total;

@@ -36,8 +36,12 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
 
   // The bound pass walks each facility's candidate set anyway; with tables
   // it keeps the ids (facility f's are ids[begin[f], begin[f + 1])), so a
-  // refinement sums over them instead of marking the mask again.
-  const bool listed = tree->cells().has_tables();
+  // refinement sums over them instead of marking the mask again. Point-count
+  // facilities refine on the cell table's served points instead
+  // (EvaluateServiceCells), which probes fewer points than the candidates
+  // hold.
+  const bool listed = tree->cells().has_tables() &&
+                      eval.model().scenario != Scenario::kPointCount;
   static thread_local std::vector<uint32_t> ids;
   static thread_local std::vector<size_t> begin;
   ids.clear();

@@ -30,6 +30,14 @@ bool ServiceEvaluator::EndpointsServed(uint32_t user,
   return grid.Serves(pts.front()) && grid.Serves(pts.back());
 }
 
+double ServiceEvaluator::ValueOfCount(uint32_t user, size_t served) const {
+  if (model_.normalization == Normalization::kPerUser) {
+    return static_cast<double>(served) /
+           static_cast<double>(users_->NumPoints(user));
+  }
+  return static_cast<double>(served);
+}
+
 double ServiceEvaluator::Evaluate(uint32_t user, const StopGrid& grid) const {
   const auto pts = users_->points(user);
   switch (model_.scenario) {
@@ -44,10 +52,7 @@ double ServiceEvaluator::Evaluate(uint32_t user, const StopGrid& grid) const {
       grid.ServesBatch(pts, mask.data());
       size_t served = 0;
       for (size_t w = 0; w < words; ++w) served += std::popcount(mask[w]);
-      if (model_.normalization == Normalization::kPerUser) {
-        return static_cast<double>(served) / static_cast<double>(pts.size());
-      }
-      return static_cast<double>(served);
+      return ValueOfCount(user, served);
     }
     case Scenario::kLength: {
       if (pts.size() < 2) return 0.0;
@@ -202,11 +207,7 @@ double ServiceEvaluator::ValueOfMask(uint32_t user,
     case Scenario::kPointCount: {
       size_t count = 0;
       for (const uint64_t w : mask) count += std::popcount(w);
-      const auto served = static_cast<double>(count);
-      if (model_.normalization == Normalization::kPerUser) {
-        return served / static_cast<double>(n);
-      }
-      return served;
+      return ValueOfCount(user, count);
     }
     case Scenario::kLength: {
       // Set bits in ascending order: the same additions, in the same order,

@@ -45,6 +45,10 @@ class ServiceEvaluator {
   /// S(u, f) per §II-A, where f is represented by its StopGrid.
   double Evaluate(uint32_t user, const StopGrid& grid) const;
 
+  /// Scenario 2's S(u, f) of `user` with `served` of its points served:
+  /// the value Evaluate computes from the same count.
+  double ValueOfCount(uint32_t user, size_t served) const;
+
   /// Scalar reference for Evaluate: the original per-point loop over
   /// StopGrid::ServesScalar. Retained in every build for the agreement suite.
   double EvaluateScalar(uint32_t user, const StopGrid& grid) const;

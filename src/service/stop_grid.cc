@@ -19,6 +19,10 @@ inline uint64_t MixKey(int64_t key) {
   return z ^ (z >> 31);
 }
 
+// Largest scratch table a thread keeps between grids (768 KiB: the 9·stops
+// keys of a facility of up to ~1,800 stops).
+constexpr size_t kKeptScratchSlots = size_t{1} << 15;
+
 inline uint64_t NextPow2(uint64_t v) {
   uint64_t p = 1;
   while (p < v) p <<= 1;
@@ -55,32 +59,49 @@ StopGrid::StopGrid(std::span<const Point> stops, double psi)
     }
   }
 
-  // First pass inserts unique keys into the table and counts per-cell sizes.
-  // Capacity 2 × the 9·stops insertions bounds the load factor at 1/2 even
-  // if every neighborhood key were unique, so probe chains stay short.
-  table_.assign(NextPow2(std::max<uint64_t>(8, uint64_t{num_stops} * 9 * 2)),
-                Cell{});
-  table_mask_ = table_.size() - 1;
+  // First pass inserts the keys into a scratch table reused across grids,
+  // counting per-cell sizes and listing the occupied slots in first-insert
+  // order. Capacity 2 × the 9·stops insertions bounds its load factor at 1/2
+  // even if every neighborhood key were unique, so probe chains stay short.
+  static thread_local std::vector<Cell> scratch;
+  static thread_local std::vector<uint64_t> occupied;
+  const uint64_t capacity =
+      NextPow2(std::max<uint64_t>(8, uint64_t{num_stops} * 9 * 2));
+  if (scratch.size() < capacity) scratch.assign(capacity, Cell{});
+  const uint64_t scratch_mask = scratch.size() - 1;
+  occupied.clear();
   for (const int64_t key : keys) {
-    uint64_t slot = MixKey(key) & table_mask_;
-    while (table_[slot].n != 0 && table_[slot].key != key) {
-      slot = (slot + 1) & table_mask_;
+    uint64_t slot = MixKey(key) & scratch_mask;
+    while (scratch[slot].n != 0 && scratch[slot].key != key) {
+      slot = (slot + 1) & scratch_mask;
     }
-    table_[slot].key = key;
-    ++table_[slot].n;
+    if (scratch[slot].n == 0) occupied.push_back(slot);
+    scratch[slot].key = key;
+    ++scratch[slot].n;
   }
 
-  // Assign padded [begin, begin+padded) ranges per cell.
+  // Neighborhoods of nearby stops share cells (a route's consecutive stops
+  // are often closer than ψ), so the distinct cells are far fewer than the
+  // insertions: the kept table is sized 2 × distinct, load factor ≤ 1/2.
+  // Moving a cell assigns its padded [begin, begin+padded) range and leaves
+  // the scratch table empty for the next grid.
+  table_.assign(NextPow2(std::max<uint64_t>(8, occupied.size() * 2)), Cell{});
+  table_mask_ = table_.size() - 1;
   uint32_t offset = 0;
-  for (Cell& c : table_) {
-    if (c.n == 0) continue;
+  for (const uint64_t from : occupied) {
+    Cell c = scratch[from];
+    scratch[from] = Cell{};
     c.begin = offset;
     c.padded = (c.n + 3u) & ~3u;
     offset += c.padded;
+    uint64_t slot = MixKey(c.key) & table_mask_;
+    while (table_[slot].n != 0) slot = (slot + 1) & table_mask_;
+    table_[slot] = c;
   }
+  // A facility of thousands of stops leaves no scratch behind on its thread.
+  if (scratch.size() > kKeptScratchSlots) std::vector<Cell>().swap(scratch);
   bucket_x_.assign(offset, 0.0);
   bucket_y_.assign(offset, 0.0);
-  bucket_idx_.assign(offset, 0);
 
   // Second pass scatters stops into their neighborhood runs, then pads each
   // run to a multiple of 4 lanes with copies of the run's first stop.
@@ -95,14 +116,12 @@ StopGrid::StopGrid(std::span<const Point> stops, double psi)
       const uint32_t at = table_[slot].begin + fill[slot]++;
       bucket_x_[at] = stops_[i].x;
       bucket_y_[at] = stops_[i].y;
-      bucket_idx_[at] = i;
     }
   }
   for (const Cell& c : table_) {
     for (uint32_t j = c.n; j < c.padded; ++j) {
       bucket_x_[c.begin + j] = bucket_x_[c.begin];
       bucket_y_[c.begin + j] = bucket_y_[c.begin];
-      bucket_idx_[c.begin + j] = bucket_idx_[c.begin];
     }
   }
 }
@@ -191,9 +210,8 @@ double StopGrid::NearbyStopDistance(const Point& p) const {
   double best = std::numeric_limits<double>::infinity();
   const Cell* c = FindCell(CellKey(p.x, p.y));
   if (c == nullptr) return best;
-  for (uint32_t k = 0; k < c->n; ++k) {
-    const uint32_t si = bucket_idx_[c->begin + k];
-    best = std::min(best, DistanceSquared(p, stops_[si]));
+  for (uint32_t k = c->begin; k < c->begin + c->n; ++k) {
+    best = std::min(best, DistanceSquared(p, Point{bucket_x_[k], bucket_y_[k]}));
   }
   return std::sqrt(best);
 }

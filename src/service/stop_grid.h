@@ -16,7 +16,11 @@
 // distance scan — not the nine per-neighbor lookups of the classic 3×3
 // probe, which dominate the profile (the seed's unordered_map version spent
 // 21% of SO evaluation in hashtable find alone). Each stop appears in at
-// most 9 neighborhood lists, so memory stays O(9 · stops).
+// most 9 neighborhood lists, so memory stays O(9 · stops). The table is
+// built in a scratch table of 2 × 9·stops slots (load ≤ 1/2 even if every
+// neighborhood key were distinct), then kept at 2 × its distinct cells:
+// consecutive stops of a route share most of their neighborhoods, and a
+// catalog holds one grid per route.
 //
 // Neighborhood runs live in SoA coordinate arrays padded to a multiple of 4
 // lanes by duplicating the first stop, so the ψ² check scans whole cells
@@ -90,10 +94,9 @@ class StopGrid {
   std::vector<Cell> table_;  // power-of-two open-addressed cell table
   uint64_t table_mask_ = 0;
   // SoA stop coordinates grouped by dilated cell, each run padded to 4 lanes
-  // by repeating its first stop. bucket_idx_ maps padded slots to stop ids.
+  // by repeating its first stop.
   std::vector<double> bucket_x_;
   std::vector<double> bucket_y_;
-  std::vector<uint32_t> bucket_idx_;
 };
 
 }  // namespace tq

@@ -206,6 +206,22 @@ bool CellIndex::MarkCandidates(std::span<const Point> stops, double psi,
   return true;
 }
 
+size_t CellIndex::CountServedPoints(const StopGrid& grid,
+                                    std::vector<uint64_t>* mask,
+                                    uint32_t* counts,
+                                    std::vector<uint32_t>* touched) const {
+  TQ_CHECK(cells_ != nullptr && end_cells_ == nullptr);
+  static thread_local std::vector<uint32_t> cells;
+  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
+  MarkCandidateCells(cells, /*any_endpoint=*/false, mask);
+  const size_t probed = cells_->CountServed(cells, grid, counts, touched);
+  for (const uint32_t id : pending_) {
+    if (counts[id] == 0) touched->push_back(id);
+    counts[id] = kPendingCount;
+  }
+  return probed;
+}
+
 double CellIndex::CellUpperBound(const StopGrid& grid,
                                  std::vector<uint32_t>* candidates) const {
   if (cells_ == nullptr) {

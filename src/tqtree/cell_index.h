@@ -2,6 +2,10 @@
 // facility bound reads (point_raster.h), without the quadtree — the
 // point-mass raster, the indexed-ids bitmap and, optionally, the point-cell
 // tables with the pending list of trajectories inserted since their build.
+// Under the point-count model the all-points table is also the evaluator:
+// it lists each point with its coordinates, so a Scenario 2 SO probes only
+// the points in cells near the route (CountServedPoints) and evaluates
+// only the pending trajectories in full.
 // A whole TQTree is one (with tables), a segmented TQTree keeps one beside
 // its quadtree (without); a serving shard is one alone, since the engine
 // answers every SO and every bound from the cells.
@@ -113,6 +117,25 @@ class CellIndex {
   /// True when MarkCandidates filters.
   bool has_tables() const { return cells_ != nullptr; }
 
+  /// CountServedPoints's mark of a pending id.
+  static constexpr uint32_t kPendingCount = ~uint32_t{0};
+
+  /// The point-count (Scenario 2) evaluation's walk of the all-points
+  /// table. Replaces `mask` as MarkCandidates(grid.stops(), grid.psi(),
+  /// mask) does and, over the same near cells, adds to `counts[id]` one per
+  /// point of trajectory id listed there that `grid` serves — each served
+  /// point of a listed trajectory, since a point in no near cell is farther
+  /// than ψ from every stop (PointCellTable::CountServed). A pending id's
+  /// listed points are not its own count (a removed-then-reinserted id is
+  /// still listed), so its entry is set to kPendingCount instead and the
+  /// caller evaluates it in full. `counts` holds users().size() zeros on
+  /// entry; every entry left non-zero is in `touched` (which is appended
+  /// to). Returns the number of listed points probed. Needs an all-points
+  /// table, which every point-count index has once frozen.
+  size_t CountServedPoints(const StopGrid& grid, std::vector<uint64_t>* mask,
+                           uint32_t* counts,
+                           std::vector<uint32_t>* touched) const;
+
   /// Trajectories inserted since the tables were built.
   size_t num_pending() const { return pending_.size(); }
 
@@ -165,9 +188,9 @@ class CellIndex {
   /// Grows on demand; missing words read as zero.
   std::shared_ptr<std::vector<uint64_t>> indexed_;
   /// kStartEnd tables list sources in `cells_` and destinations in
-  /// `end_cells_`; the others list every point in `cells_` and have no
-  /// `end_cells_`. De-indexed ids stay listed in both and in `pending_`;
-  /// MarkCandidateCells clears them with the bitmap.
+  /// `end_cells_`; the others list every point, with its coordinates, in
+  /// `cells_` and have no `end_cells_`. De-indexed ids stay listed in both
+  /// and in `pending_`; MarkCandidateCells clears them with the bitmap.
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> pending_;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "geom/distance.h"
+#include "service/stop_grid.h"
 
 namespace tq {
 
@@ -153,33 +154,24 @@ PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
     if (all.empty() || points == CellPoints::kAll) return all;
     return points == CellPoints::kSource ? all.first(1) : all.last(1);
   };
-  // Two passes (count, then fill) over the points, so no (cell, id) pair
-  // list is ever materialised. `last[c]` is the id that last claimed cell
-  // c, which lists a trajectory once per cell however many of its points
-  // the cell holds. Counts land in offsets_[c + 1], so the prefix sum leaves
-  // each cell's start in offsets_[c]; the fill then advances offsets_[c]
-  // to its end, which is where the final shift by one slot puts it back.
-  constexpr uint32_t kNone = ~uint32_t{0};
-  std::vector<uint32_t> last(RasterGrid::kNumCells, kNone);
+  // Two passes (count, then fill) over the points, so no (cell, point) pair
+  // list is ever materialised. Counts land in offsets_[c + 1], so the prefix
+  // sum leaves each cell's start in offsets_[c]; the fill then advances
+  // offsets_[c] to its end, which is where the final shift by one slot puts
+  // it back.
   for (const uint32_t id : ids) {
-    for (const Point& p : listed(id)) {
-      const uint32_t c = grid_.CellOf(p);
-      if (last[c] == id) continue;
-      last[c] = id;
-      ++offsets_[c + 1];
-    }
+    for (const Point& p : listed(id)) ++offsets_[grid_.CellOf(p) + 1];
   }
   for (size_t c = 0; c < RasterGrid::kNumCells; ++c) {
     offsets_[c + 1] += offsets_[c];
   }
-  ids_.resize(offsets_.back());
-  std::fill(last.begin(), last.end(), kNone);
+  owners_.resize(offsets_.back());
+  if (points == CellPoints::kAll) points_.resize(offsets_.back());
   for (const uint32_t id : ids) {
     for (const Point& p : listed(id)) {
-      const uint32_t c = grid_.CellOf(p);
-      if (last[c] == id) continue;
-      last[c] = id;
-      ids_[offsets_[c]++] = id;
+      const uint32_t at = offsets_[grid_.CellOf(p)]++;
+      owners_[at] = id;
+      if (points == CellPoints::kAll) points_[at] = p;
     }
   }
   std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
@@ -190,10 +182,33 @@ void PointCellTable::MarkCells(std::span<const uint32_t> cells,
                                uint64_t* mask) const {
   for (const uint32_t c : cells) {
     for (uint32_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
-      const uint32_t id = ids_[i];
+      const uint32_t id = owners_[i];
       mask[id >> 6] |= uint64_t{1} << (id & 63);
     }
   }
+}
+
+size_t PointCellTable::CountServed(std::span<const uint32_t> cells,
+                                   const StopGrid& grid, uint32_t* counts,
+                                   std::vector<uint32_t>* touched) const {
+  TQ_CHECK(points_.size() == owners_.size());
+  static thread_local std::vector<uint64_t> served;
+  size_t probed = 0;
+  for (const uint32_t c : cells) {
+    const uint32_t begin = offsets_[c];
+    const uint32_t n = offsets_[c + 1] - begin;
+    if (n == 0) continue;
+    probed += n;
+    served.resize(std::max<size_t>(served.size(), (n + 63) / 64));
+    grid.ServesBatch(std::span(points_).subspan(begin, n), served.data());
+    for (uint32_t w = 0; w * 64 < n; ++w) {
+      for (uint64_t bits = served[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t id = owners_[begin + w * 64 + std::countr_zero(bits)];
+        if (counts[id]++ == 0) touched->push_back(id);
+      }
+    }
+  }
+  return probed;
 }
 
 }  // namespace tq

@@ -22,13 +22,18 @@
 //     overlap it).
 //
 // A point-cell table walks the same cells for the same reason, but keeps
-// identities instead of mass: per cell, the trajectories with a listed
-// point in it — any point, only the source, or only the destination (see
-// CellPoints). A whole unit none of whose points lies in a cell near the
+// the points instead of their mass: per cell, a run of the listed points in
+// it — any point, only the source, or only the destination (see
+// CellPoints) — each with its owner's id, and in the all-points table its
+// coordinates. A whole unit none of whose points lies in a cell near the
 // stops has no point within ψ of any stop, so it scores exactly 0 under
 // every scenario and its exact check can be skipped without changing any
 // sum; under both-endpoint service (Scenario 1, and Scenario 3 on two-point
 // units) a unit whose source OR destination cell is far scores 0 as well.
+// The same argument makes the all-points table a point-count (Scenario 2)
+// evaluator of its own: running the serve predicate over the near cells'
+// runs alone counts every served point of every listed trajectory, so the
+// points of a candidate that lie in far cells are never probed.
 //
 // Cell coordinates clamp monotonically at the world border, so points and
 // stops beyond it still land in consistent border cells and both stay
@@ -53,6 +58,8 @@
 #include "traj/dataset.h"
 
 namespace tq {
+
+class StopGrid;  // service/stop_grid.h
 
 /// Cells per axis of every tree's raster grid.
 inline constexpr size_t kRasterResolution = 256;
@@ -127,9 +134,10 @@ class PointRaster {
 /// Which points of each trajectory a PointCellTable lists.
 enum class CellPoints { kAll, kSource, kDestination };
 
-/// Immutable per-cell trajectory lists (CSR over the grid's cells): cell c
-/// lists, in build order, every trajectory of the build set with a listed
-/// point (per CellPoints) in c.
+/// Immutable per-cell point runs (CSR over the grid's cells): cell c lists,
+/// in build order, every listed point (per CellPoints) of the build set that
+/// lies in c, as its owner's id and — in kAll tables — its coordinates. A
+/// trajectory with several points in one cell is listed once per point.
 class PointCellTable {
  public:
   /// Indexes trajectories `ids` (distinct) of `users` over the grid of
@@ -148,11 +156,22 @@ class PointCellTable {
   /// listed point within ψ of a stop is set.
   void MarkCells(std::span<const uint32_t> cells, uint64_t* mask) const;
 
+  /// kAll tables only. Runs `grid`'s serve predicate over the points listed
+  /// in `cells` — one contiguous run per cell — and adds one to
+  /// `counts[owner]` per served point, appending each owner whose count
+  /// leaves 0 to `touched`. With the cells of RasterGrid::CellsNearStops
+  /// (for grid.stops() and grid.psi()), every point of the build set that
+  /// `grid` serves is counted: a point in no near cell is farther than ψ
+  /// from every stop. Returns the number of points probed.
+  size_t CountServed(std::span<const uint32_t> cells, const StopGrid& grid,
+                     uint32_t* counts, std::vector<uint32_t>* touched) const;
+
  private:
   RasterGrid grid_;
   size_t num_trajectories_ = 0;
   std::vector<uint32_t> offsets_;  // kNumCells + 1: cell c is [c, c + 1)
-  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> owners_;   // the trajectory of each listed point
+  std::vector<Point> points_;      // kAll: parallel to owners_; else empty
 };
 
 }  // namespace tq

@@ -87,9 +87,13 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
               return a.entry_index < b.entry_index;
             });
 
-  entry_mbrs_.resize(refs_.size());
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    entry_mbrs_[i] = entries[refs_[i].entry_index].mbr;
+  // Only MBR pruning reads the entry and bucket unit MBRs.
+  const bool mbr = prune_mode_ == ZPruneMode::kMbr;
+  if (mbr) {
+    entry_mbrs_.resize(refs_.size());
+    for (size_t i = 0; i < refs_.size(); ++i) {
+      entry_mbrs_[i] = entries[refs_[i].entry_index].mbr;
+    }
   }
 
   // Chunk the sorted list into z-nodes of ≤ β entries.
@@ -107,7 +111,7 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
       const TrajEntry& e = entries[refs_[i].entry_index];
       b.start_mbr.Include(e.start);
       b.end_mbr.Include(e.end);
-      b.units_mbr = b.units_mbr.UnionWith(e.mbr);
+      if (mbr) b.units_mbr = b.units_mbr.UnionWith(e.mbr);
     }
     buckets_.push_back(b);
   }

@@ -118,7 +118,7 @@ class ZIndex {
     uint64_t max_start_key = 0;
     Rect start_mbr = Rect::Empty();
     Rect end_mbr = Rect::Empty();
-    Rect units_mbr = Rect::Empty();  // union of unit MBRs (kMbr pruning)
+    Rect units_mbr = Rect::Empty();  // union of unit MBRs (kMbr only)
   };
 
   ZPruneMode prune_mode_;
@@ -127,7 +127,7 @@ class ZIndex {
   std::unique_ptr<CellTree> end_tree_;
   std::vector<EntryRef> refs_;
   std::vector<Bucket> buckets_;
-  std::vector<Rect> entry_mbrs_;  // parallel to refs_, for kMbr pruning
+  std::vector<Rect> entry_mbrs_;  // kMbr only: parallel to refs_
   // Entries with points outside the node rectangle (possible after dynamic
   // inserts beyond the construction-time world): z-cells cannot represent
   // them, so they are always scanned. Empty in the common case.

@@ -4,7 +4,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "datagen/presets.h"
+#include "quadtree/point_quadtree.h"
+#include "query/baseline.h"
 #include "query/eval_service.h"
+#include "service/facility_index.h"
 #include "test_util.h"
 
 namespace tq {
@@ -170,6 +174,143 @@ TEST(EvalService, StatsCountPruning) {
   EXPECT_GT(seg_stats.nodes_visited, 0u);
   EXPECT_LT(seg_stats.exact_checks, users.size() / 2)
       << "pruning had no effect";
+}
+
+// Candidate popcount and total points of the candidates of `cells` for the
+// facility behind `grid`.
+std::pair<size_t, size_t> CandidateLoad(const CellIndex& cells,
+                                        const StopGrid& grid) {
+  std::vector<uint64_t> mask;
+  EXPECT_TRUE(cells.MarkCandidates(grid.stops(), grid.psi(), &mask));
+  size_t candidates = 0;
+  size_t points = 0;
+  for (size_t w = 0; w < mask.size(); ++w) {
+    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      ++candidates;
+      points += cells.users().NumPoints(
+          static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+  return {candidates, points};
+}
+
+// Scenario 2 on check-in data: every SO from the cell index's point path
+// equals the baseline's (a point quadtree over the indexed users, scored in
+// ascending id) bit for bit, and exact-checks exactly the candidates.
+// Returns how many facilities score above zero.
+size_t CheckPointPath(const CellIndex& cells, const ServiceEvaluator& eval,
+                      const FacilityCatalog& catalog) {
+  const TrajectorySet& users = cells.users();
+  PointQuadtree pq(users.BoundingBox().Expanded(1.0), 32);
+  for (const uint32_t id : cells.IndexedTrajectories()) {
+    const std::span<const Point> pts = users.points(id);
+    for (uint32_t i = 0; i < pts.size(); ++i) {
+      pq.Insert(PointEntry{pts[i], id, i});
+    }
+  }
+  size_t positive = 0;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    QueryStats stats;
+    const double got = EvaluateServiceCells(cells, eval, grid, &stats);
+    EXPECT_EQ(got, EvaluateServiceBaseline(pq, eval, grid)) << "facility " << f;
+    EXPECT_EQ(stats.exact_checks, CandidateLoad(cells, grid).first)
+        << "facility " << f;
+    if (got > 0.0) ++positive;
+  }
+  return positive;
+}
+
+TEST(EvalService, PointPathKeepsBitsUnderUpdates) {
+  const TrajectorySet users = presets::NyfCheckins(1500);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 16);
+  const uint32_t initial = 1200;
+  std::vector<uint32_t> ids(initial);
+  for (uint32_t u = 0; u < initial; ++u) ids[u] = u;
+  for (const Normalization norm :
+       {Normalization::kPerUser, Normalization::kNone}) {
+    const ServiceModel model = ServiceModel::PointCount(400.0, norm);
+    SCOPED_TRACE(model.ToString());
+    const ServiceEvaluator eval(&users, model);
+    const FacilityCatalog catalog(&routes, model.psi);
+
+    const CellIndex fresh(&users, model, /*tables=*/true, ids);
+    {
+      SCOPED_TRACE("fresh");
+      EXPECT_GE(CheckPointPath(fresh, eval, catalog), 8u);
+    }
+    // Pending inserts: too few for a rebuild at Freeze.
+    std::unique_ptr<CellIndex> inserted = fresh.Fork(&users);
+    for (uint32_t u = initial; u < initial + 100; ++u) inserted->Insert(u);
+    inserted->Freeze();
+    ASSERT_EQ(inserted->num_pending(), 100u);
+    {
+      SCOPED_TRACE("pending inserts");
+      CheckPointPath(*inserted, eval, catalog);
+    }
+    // Removals of listed and of pending ids.
+    std::unique_ptr<CellIndex> removed = inserted->Fork(&users);
+    for (uint32_t u = 0; u < initial + 100; u += 5) {
+      EXPECT_TRUE(removed->Remove(u));
+    }
+    removed->Freeze();
+    {
+      SCOPED_TRACE("removals");
+      CheckPointPath(*removed, eval, catalog);
+    }
+    // Listed ids removed above come back as pending ones: their table
+    // points must not count on top of their full evaluation.
+    std::unique_ptr<CellIndex> reinserted = removed->Fork(&users);
+    for (uint32_t u = 0; u < initial; u += 50) reinserted->Insert(u);
+    reinserted->Freeze();
+    ASSERT_EQ(reinserted->num_pending(), 100u + initial / 50);
+    {
+      SCOPED_TRACE("removed then reinserted");
+      CheckPointPath(*reinserted, eval, catalog);
+    }
+    // Enough pending inserts that Freeze rebuilds the tables.
+    std::unique_ptr<CellIndex> rebuilt = reinserted->Fork(&users);
+    for (uint32_t u = initial + 100; u < users.size(); ++u) rebuilt->Insert(u);
+    rebuilt->Freeze();
+    ASSERT_EQ(rebuilt->num_pending(), 0u);
+    {
+      SCOPED_TRACE("rebuilt");
+      CheckPointPath(*rebuilt, eval, catalog);
+    }
+  }
+}
+
+// The point path probes only the points that lie in cells near the route;
+// the per-candidate path probes every point of every candidate. Both count
+// the points they pass to the serve predicate.
+TEST(EvalService, PointPathProbesFewerPointsThanCandidatesHold) {
+  const TrajectorySet users = presets::NyfCheckins(1500);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 16);
+  const ServiceModel model = ServiceModel::PointCount(400.0);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&routes, model.psi);
+  const CellIndex cells(&users, model, /*tables=*/true, AllIds(users));
+  size_t probed = 0;
+  size_t held = 0;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    QueryStats stats;
+    EvaluateServiceCells(cells, eval, grid, &stats);
+    probed += stats.points_probed;
+    held += CandidateLoad(cells, grid).second;
+    // The per-candidate path over the same candidates probes all they hold.
+    std::vector<uint32_t> ids;
+    cells.CellUpperBound(grid, &ids);
+    QueryStats over;
+    EXPECT_EQ(EvaluateServiceOver(ids, eval, grid, &over),
+              EvaluateServiceCells(cells, eval, grid))
+        << "facility " << f;
+    EXPECT_EQ(over.points_probed, CandidateLoad(cells, grid).second)
+        << "facility " << f;
+  }
+  EXPECT_GT(probed, 0u);
+  EXPECT_LT(3 * probed, held)
+      << "the point path probed " << probed << " of " << held << " points";
 }
 
 }  // namespace

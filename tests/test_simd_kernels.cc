@@ -338,11 +338,14 @@ std::vector<uint64_t> TreeDigest(TQTree* tree, const ServiceEvaluator& eval,
   return out;
 }
 
-// Concurrent readers of one frozen cell index and one frozen whole tree get
-// a serial pass's bits while a writer forks the index and publishes
+// Concurrent readers of frozen cell indexes and one frozen whole tree get a
+// serial pass's bits while a writer forks an index and publishes
 // Insert/Remove batches on the fork: the fork shares the index's tables,
 // raster and indexed-ids bitmap and copies the raster and the bitmap on its
-// first write.
+// first write. The indexes are per-user-normalised Scenario 2 ones, so every
+// SO runs the point path (the all-points table's runs and the thread-local
+// count scratch); one of them is a frozen fork with pending ids, one of them
+// removed and re-inserted, so readers also evaluate pending ids in full.
 TEST(SimdKernels, ConcurrentReadersAgree) {
   const TrajectorySet users = presets::NyfCheckins(200);
   const TrajectorySet routes = presets::NyBusRoutes(4, 16);
@@ -350,11 +353,21 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
   const ServiceEvaluator eval(&users, model);
   const FacilityCatalog catalog(&routes, model.psi);
   const CellIndex cells(&users, model, /*tables=*/true, AllIds(users));
+  const std::unique_ptr<CellIndex> pending = cells.Fork(&users);
+  for (const uint32_t u : {3u, 17u, 40u}) {
+    ASSERT_TRUE(pending->Remove(u));
+    pending->Insert(u);
+  }
+  ASSERT_TRUE(pending->Remove(41));
+  pending->Freeze();
+  ASSERT_EQ(pending->num_pending(), 3u);
   TQTreeOptions opt;
   opt.model = model;
   TQTree tree(&users, opt);
   ASSERT_TRUE(cells.has_tables());
   const std::vector<uint64_t> serial_cells = CellDigest(cells, eval, catalog);
+  const std::vector<uint64_t> serial_pending =
+      CellDigest(*pending, eval, catalog);
   const std::vector<uint64_t> serial_tree = TreeDigest(&tree, eval, catalog);
   std::vector<std::thread> threads;
   std::vector<int> failures(4, 0);
@@ -362,6 +375,9 @@ TEST(SimdKernels, ConcurrentReadersAgree) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 10; ++rep) {
         if (CellDigest(cells, eval, catalog) != serial_cells) failures[t]++;
+        if (CellDigest(*pending, eval, catalog) != serial_pending) {
+          failures[t]++;
+        }
         if (TreeDigest(&tree, eval, catalog) != serial_tree) failures[t]++;
       }
       for (uint32_t f = 0; f < catalog.size(); ++f) {

@@ -153,14 +153,11 @@ void Walk(TQTree* tree, const StopGrid& grid, Fn&& fn, QueryStats* stats) {
   WalkRec(tree, tree->root(), grid, FullComponent(grid), fn, stats);
 }
 
-// The candidate bitmap of whole trajectories (CellIndex::MarkCandidates, in
-// its `any_endpoint` form if asked). Thread-local, valid until the next
-// call on this thread.
-const uint64_t* WholeCandidates(const CellIndex& cells, const StopGrid& grid,
-                                bool any_endpoint) {
+// The candidate bitmap of whole trajectories (CellIndex::MarkCandidates).
+// Thread-local, valid until the next call on this thread.
+const uint64_t* WholeCandidates(const CellIndex& cells, const StopGrid& grid) {
   static thread_local std::vector<uint64_t> mask;
-  const bool filtered =
-      cells.MarkCandidates(grid.stops(), grid.psi(), &mask, any_endpoint);
+  const bool filtered = cells.MarkCandidates(grid.stops(), grid.psi(), &mask);
   TQ_CHECK(filtered);  // a whole tree and a serving shard have tables
   return mask.data();
 }
@@ -173,8 +170,7 @@ double EvaluateServiceCells(const CellIndex& cells,
   const size_t words = (cells.users().size() + 63) / 64;
   double so = 0.0;
   if (eval.model().scenario != Scenario::kPointCount) {
-    const uint64_t* mask =
-        WholeCandidates(cells, grid, /*any_endpoint=*/false);
+    const uint64_t* mask = WholeCandidates(cells, grid);
     ForEachSetBit(mask, nullptr, words, [&](uint32_t id) {
       if (stats != nullptr) {
         stats->exact_checks++;
@@ -247,9 +243,36 @@ void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
     }
   };
   if (tree->options().mode == TrajMode::kWhole) {
-    const uint64_t* mask = WholeCandidates(
-        tree->cells(), grid, AnyEndpointCollection(*tree, eval));
-    ForEachSetBit(mask, pool, (users.size() + 63) / 64, gather_whole);
+    const size_t words = (users.size() + 63) / 64;
+    if (!AnyEndpointCollection(*tree, eval)) {
+      ForEachSetBit(WholeCandidates(tree->cells(), grid), pool, words,
+                    gather_whole);
+      return;
+    }
+    // Scenario 1: a served source lies in a near source cell and a served
+    // destination in a near destination cell, so each endpoint is probed
+    // only where its own mask has the user.
+    static thread_local std::vector<uint64_t> sources;
+    static thread_local std::vector<uint64_t> destinations;
+    const bool filtered = tree->cells().MarkEndpointCandidates(
+        grid.stops(), grid.psi(), &sources, &destinations);
+    TQ_CHECK(filtered);  // AnyEndpointCollection: kStartEnd tables
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = sources[w] | destinations[w];
+      if (pool != nullptr) bits &= pool[w];
+      for (; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const auto id = static_cast<uint32_t>(w * 64 + b);
+        if (stats != nullptr) stats->exact_checks++;
+        const std::span<const Point> pts = users.points(id);
+        if (((sources[w] >> b) & 1) != 0 && grid.Serves(pts.front())) {
+          out->SetBit(id, 0);
+        }
+        if (((destinations[w] >> b) & 1) != 0 && grid.Serves(pts.back())) {
+          out->SetBit(id, pts.size() - 1);
+        }
+      }
+    }
     return;
   }
   const auto pooled = [pool](uint32_t id) {

@@ -76,15 +76,20 @@ double EvaluateServiceOver(std::span<const uint32_t> ids,
 
 /// Lemma 1: a user whose source alone is served still matters for combined
 /// coverage, so on kStartEnd trees under Scenario 1 served-set collection
-/// weakens the both-endpoints candidate mask to either-endpoint. True when
-/// that applies.
+/// reads the per-endpoint masks of CellIndex::MarkEndpointCandidates
+/// instead of the both-endpoints candidate mask. True when that applies.
 bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval);
 
-/// Same candidates, but gathers each served user's ServeDetail mask into
-/// `out` (reset first) instead of a value: the per-facility served sets
-/// MaxkCovRST consumes. A non-null `pool` — a MarkCandidates bitmap of the
+/// Gathers each served user's ServeDetail mask into `out` (reset first)
+/// instead of a value: the per-facility served sets MaxkCovRST consumes.
+/// Whole-trajectory trees gather in ascending id order, over the
+/// MarkCandidates set — or, where AnyEndpointCollection holds, over the
+/// users with a source or a destination bit of MarkEndpointCandidates,
+/// probing each endpoint only where its own bit is set (one exact check per
+/// such user, as `stats->exact_checks` counts). Segmented trees gather from
+/// the Algorithm 1 walk. A non-null `pool` — a MarkCandidates bitmap of the
 /// tree's cell index — further restricts the exact checks to the users
-/// whose bit it has set. Whole-trajectory trees gather in ascending id order.
+/// whose bit it has set.
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      const StopGrid& grid, ServedGather* out,
                      const uint64_t* pool = nullptr,

@@ -7,7 +7,6 @@ namespace tq {
 
 double UnitUpperBound(const TrajectorySet& users, uint32_t traj, uint32_t seg,
                       const ServiceModel& model) {
-  const size_t n = users.NumPoints(traj);
   if (seg == kWholeUnit) {
     switch (model.scenario) {
       case Scenario::kEndpoints:
@@ -15,7 +14,7 @@ double UnitUpperBound(const TrajectorySet& users, uint32_t traj, uint32_t seg,
       case Scenario::kPointCount:
         return model.normalization == Normalization::kPerUser
                    ? 1.0
-                   : static_cast<double>(n);
+                   : static_cast<double>(users.NumPoints(traj));
       case Scenario::kLength:
         return model.normalization == Normalization::kPerUser
                    ? 1.0
@@ -23,6 +22,7 @@ double UnitUpperBound(const TrajectorySet& users, uint32_t traj, uint32_t seg,
     }
     return 1.0;
   }
+  const size_t n = users.NumPoints(traj);
   TQ_DCHECK(seg + 1 < n);
   const uint32_t last_seg = static_cast<uint32_t>(n) - 2;
   switch (model.scenario) {

@@ -169,40 +169,54 @@ void CellIndex::BuildCellTables() {
   pending_.clear();
 }
 
-void CellIndex::MarkCandidateCells(std::span<const uint32_t> cells,
-                                   bool any_endpoint,
-                                   std::vector<uint64_t>* mask) const {
-  const size_t words = (users_->size() + 63) / 64;
-  mask->assign(words, 0);
-  cells_->MarkCells(cells, mask->data());
-  if (end_cells_ != nullptr) {
-    if (any_endpoint) {
-      end_cells_->MarkCells(cells, mask->data());
-    } else {
-      // Both endpoints near: destinations go to a second mask, which the
-      // sources' mask is then intersected with.
-      static thread_local std::vector<uint64_t> ends;
-      ends.assign(words, 0);
-      end_cells_->MarkCells(cells, ends.data());
-      for (size_t w = 0; w < words; ++w) (*mask)[w] &= ends[w];
-    }
-  }
+void CellIndex::AddPendingKeepIndexed(size_t words, uint64_t* mask) const {
   for (const uint32_t id : pending_) {
-    (*mask)[id >> 6] |= uint64_t{1} << (id & 63);
+    mask[id >> 6] |= uint64_t{1} << (id & 63);
   }
   const std::vector<uint64_t>& live = *indexed_;
   for (size_t w = 0; w < words; ++w) {
-    (*mask)[w] &= w < live.size() ? live[w] : 0;
+    mask[w] &= w < live.size() ? live[w] : 0;
   }
 }
 
+void CellIndex::MarkCandidateCells(std::span<const CellRun> runs,
+                                   std::vector<uint64_t>* mask) const {
+  const size_t words = (users_->size() + 63) / 64;
+  mask->assign(words, 0);
+  cells_->MarkCells(runs, mask->data());
+  if (end_cells_ != nullptr) {
+    // Both endpoints near: destinations go to a second mask, which the
+    // sources' mask is then intersected with.
+    static thread_local std::vector<uint64_t> ends;
+    ends.assign(words, 0);
+    end_cells_->MarkCells(runs, ends.data());
+    for (size_t w = 0; w < words; ++w) (*mask)[w] &= ends[w];
+  }
+  AddPendingKeepIndexed(words, mask->data());
+}
+
 bool CellIndex::MarkCandidates(std::span<const Point> stops, double psi,
-                               std::vector<uint64_t>* mask,
-                               bool any_endpoint) const {
+                               std::vector<uint64_t>* mask) const {
   if (cells_ == nullptr) return false;
-  static thread_local std::vector<uint32_t> cells;
-  cells_->grid().CellsNearStops(stops, psi, &cells);
-  MarkCandidateCells(cells, any_endpoint, mask);
+  static thread_local std::vector<CellRun> runs;
+  cells_->grid().CellsNearStops(stops, psi, &runs);
+  MarkCandidateCells(runs, mask);
+  return true;
+}
+
+bool CellIndex::MarkEndpointCandidates(
+    std::span<const Point> stops, double psi, std::vector<uint64_t>* sources,
+    std::vector<uint64_t>* destinations) const {
+  if (end_cells_ == nullptr) return false;
+  static thread_local std::vector<CellRun> runs;
+  cells_->grid().CellsNearStops(stops, psi, &runs);
+  const size_t words = (users_->size() + 63) / 64;
+  sources->assign(words, 0);
+  destinations->assign(words, 0);
+  cells_->MarkCells(runs, sources->data());
+  end_cells_->MarkCells(runs, destinations->data());
+  AddPendingKeepIndexed(words, sources->data());
+  AddPendingKeepIndexed(words, destinations->data());
   return true;
 }
 
@@ -211,10 +225,10 @@ size_t CellIndex::CountServedPoints(const StopGrid& grid,
                                     uint32_t* counts,
                                     std::vector<uint32_t>* touched) const {
   TQ_CHECK(cells_ != nullptr && end_cells_ == nullptr);
-  static thread_local std::vector<uint32_t> cells;
-  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
-  MarkCandidateCells(cells, /*any_endpoint=*/false, mask);
-  const size_t probed = cells_->CountServed(cells, grid, counts, touched);
+  static thread_local std::vector<CellRun> runs;
+  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
+  MarkCandidateCells(runs, mask);
+  const size_t probed = cells_->CountServed(runs, grid, counts, touched);
   for (const uint32_t id : pending_) {
     if (counts[id] == 0) touched->push_back(id);
     counts[id] = kPendingCount;
@@ -227,10 +241,10 @@ double CellIndex::CellUpperBound(const StopGrid& grid,
   if (cells_ == nullptr) {
     return raster_->MassNearStops(grid.stops(), grid.psi());
   }
-  static thread_local std::vector<uint32_t> cells;
+  static thread_local std::vector<CellRun> runs;
   static thread_local std::vector<uint64_t> mask;
-  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &cells);
-  MarkCandidateCells(cells, /*any_endpoint=*/false, &mask);
+  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
+  MarkCandidateCells(runs, &mask);
   // Every unit that scores has its bit set and scores at most its own
   // upper bound; no de-indexed trajectory has a bit.
   double sum = 0.0;
@@ -244,7 +258,7 @@ double CellIndex::CellUpperBound(const StopGrid& grid,
   // Inflated like the raster: a unit's cap and the exact value it caps are
   // computed by different formulas, which may round differently.
   sum *= kRasterDriftInflation;
-  return std::min(sum, raster_->MassInCells(cells));
+  return std::min(sum, raster_->MassInCells(runs));
 }
 
 }  // namespace tq

@@ -32,6 +32,7 @@ namespace tq {
 
 class PointCellTable;  // tqtree/point_raster.h
 class PointRaster;     // tqtree/point_raster.h
+struct CellRun;        // tqtree/point_raster.h
 class StopGrid;        // service/stop_grid.h
 
 /// Whether trajectories are stored whole or as independent segments.
@@ -97,22 +98,35 @@ class CellIndex {
   /// from the tables' cells near the stops:
   ///   * kStartEnd tables (Scenario 1, and Scenario 3 on two-point units),
   ///     where a unit scores only with both endpoints within ψ: the
-  ///     trajectories whose source cell AND destination cell are near. With
-  ///     `any_endpoint`, source OR destination — the partially served users
-  ///     served-set collection keeps (Lemma 1);
+  ///     trajectories whose source cell AND destination cell are near;
   ///   * kStartOrEnd and kMbr tables: the trajectories with any point in a
-  ///     near cell (`any_endpoint` changes nothing);
-  /// plus, in every form, each pending trajectory; then ANDed with the
-  /// indexed-ids bitmap, so no bit of a de-indexed trajectory is ever set. A
-  /// unit whose bit is clear scores exactly 0 (with `any_endpoint`, serves
-  /// no point at all), so summing the exact values of the set bits alone
-  /// gives SO.
+  ///     near cell;
+  /// plus each pending trajectory; then ANDed with the indexed-ids bitmap,
+  /// so no bit of a de-indexed trajectory is ever set. A unit whose bit is
+  /// clear scores exactly 0, so summing the exact values of the set bits
+  /// alone gives SO.
   ///
   /// Returns false, leaving `mask` alone, without tables (segmented trees,
   /// and a fork whose kind flipped until its next freeze).
   bool MarkCandidates(std::span<const Point> stops, double psi,
-                      std::vector<uint64_t>* mask,
-                      bool any_endpoint = false) const;
+                      std::vector<uint64_t>* mask) const;
+
+  /// kStartEnd tables only: the per-endpoint form of MarkCandidates that
+  /// Scenario 1 served-set collection reads, since a user whose source
+  /// alone is served still matters for combined coverage (Lemma 1).
+  /// Replaces `sources` and `destinations` with one bit per id of users()
+  /// and sets, in `sources`, every trajectory whose source cell is near the
+  /// stops and, in `destinations`, every one whose destination cell is;
+  /// each pending trajectory is set in both; both are then ANDed with the
+  /// indexed-ids bitmap. An endpoint within ψ of a stop lies in a near
+  /// cell, so an indexed trajectory whose source (destination) bit is clear
+  /// has no served source (destination).
+  ///
+  /// Returns false, leaving both masks alone, unless the tables exist and
+  /// are kStartEnd.
+  bool MarkEndpointCandidates(std::span<const Point> stops, double psi,
+                              std::vector<uint64_t>* sources,
+                              std::vector<uint64_t>* destinations) const;
 
   /// True when MarkCandidates filters.
   bool has_tables() const { return cells_ != nullptr; }
@@ -169,9 +183,12 @@ class CellIndex {
   /// Rebuilds the tables from the indexed trajectories and empties the
   /// pending list.
   void BuildCellTables();
-  /// MarkCandidates over precomputed near-stop `cells`.
-  void MarkCandidateCells(std::span<const uint32_t> cells, bool any_endpoint,
+  /// MarkCandidates over precomputed near-stop `runs`.
+  void MarkCandidateCells(std::span<const CellRun> runs,
                           std::vector<uint64_t>* mask) const;
+  /// Sets every pending id in the first `words` words of `mask`, then ANDs
+  /// them with the indexed-ids bitmap.
+  void AddPendingKeepIndexed(size_t words, uint64_t* mask) const;
 
   const TrajectorySet* users_;
   ServiceModel model_;
@@ -190,7 +207,7 @@ class CellIndex {
   /// kStartEnd tables list sources in `cells_` and destinations in
   /// `end_cells_`; the others list every point, with its coordinates, in
   /// `cells_` and have no `end_cells_`. De-indexed ids stay listed in both
-  /// and in `pending_`; MarkCandidateCells clears them with the bitmap.
+  /// and in `pending_`; AddPendingKeepIndexed clears them with the bitmap.
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> pending_;

@@ -19,6 +19,17 @@ namespace {
 /// point's cell in the walk.
 constexpr double kWalkSlack = 1e-12;
 
+// Sets bits [begin, end) of `words`.
+void SetBits(uint64_t* words, size_t begin, size_t end) {
+  while (begin < end) {
+    const size_t at = begin & 63;
+    const size_t n = std::min<size_t>(64 - at, end - begin);
+    const uint64_t ones = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+    words[begin >> 6] |= ones << at;
+    begin += n;
+  }
+}
+
 }  // namespace
 
 RasterGrid::RasterGrid(const Rect& world) : world_(world) {
@@ -45,12 +56,13 @@ size_t RasterGrid::RowOf(double y) const {
 }
 
 void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
-                                std::vector<uint32_t>* cells) const {
+                                std::vector<CellRun>* runs) const {
   // Dedupe covered cells: consecutive stops of one route overlap heavily at
   // ψ scale, and a cell listed twice would be summed (or scanned) twice.
-  // Each covered cell sets its bit in a thread-local bitmap over the grid;
-  // reading the touched words back lists every cell once, ascending, and
-  // leaves the bitmap clear for the next call.
+  // Each stop's square sets one bit range per row in a thread-local bitmap
+  // over the grid; reading the touched words back as runs of set bits lists
+  // every cell once, ascending, and leaves the bitmap clear for the next
+  // call.
   static thread_local std::vector<uint64_t> covered(kNumCells / 64, 0);
   size_t lo = covered.size();
   size_t hi = 0;
@@ -62,20 +74,29 @@ void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
     const size_t r0 = RowOf(s.y - ry);
     const size_t r1 = RowOf(s.y + ry);
     for (size_t r = r0; r <= r1; ++r) {
-      for (size_t c = c0; c <= c1; ++c) {
-        const size_t cell = r * kRasterResolution + c;
-        covered[cell >> 6] |= uint64_t{1} << (cell & 63);
-      }
+      SetBits(covered.data(), r * kRasterResolution + c0,
+              r * kRasterResolution + c1 + 1);
     }
     lo = std::min(lo, (r0 * kRasterResolution + c0) >> 6);
     hi = std::max(hi, ((r1 * kRasterResolution + c1) >> 6) + 1);
   }
-  cells->clear();
+  runs->clear();
   for (size_t w = lo; w < hi; ++w) {
-    for (uint64_t bits = covered[w]; bits != 0; bits &= bits - 1) {
-      cells->push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
-    }
+    uint64_t bits = covered[w];
     covered[w] = 0;
+    while (bits != 0) {
+      const int first = std::countr_zero(bits);
+      const int past = first + std::countr_one(bits >> first);
+      const auto begin = static_cast<uint32_t>(w * 64 + first);
+      const auto end = static_cast<uint32_t>(w * 64 + past);
+      // A run ending at a word's last bit continues into the next word.
+      if (!runs->empty() && runs->back().end == begin) {
+        runs->back().end = end;
+      } else {
+        runs->push_back({begin, end});
+      }
+      bits = past == 64 ? 0 : bits & (~uint64_t{0} << past);
+    }
   }
 }
 
@@ -122,16 +143,20 @@ double PointRaster::MassNearStops(std::span<const Point> stops,
   // thread_local scratch: this runs once per (facility, shard) inside the
   // bound sweep, so per-call allocation would churn (same pattern as the
   // ZKeyRanges scratch in zindex.cc).
-  static thread_local std::vector<uint32_t> cells;
-  grid_.CellsNearStops(stops, psi, &cells);
-  return MassInCells(cells);
+  static thread_local std::vector<CellRun> runs;
+  grid_.CellsNearStops(stops, psi, &runs);
+  return MassInCells(runs);
 }
 
-double PointRaster::MassInCells(std::span<const uint32_t> cells) const {
+double PointRaster::MassInCells(std::span<const CellRun> runs) const {
   double sum = 0.0;
   // max(0): a cell whose deposits all cancelled may hold a tiny negative
   // residue; it must not subtract from other cells' real mass.
-  for (const uint32_t cell : cells) sum += std::max(0.0, mass_[cell]);
+  for (const CellRun& run : runs) {
+    for (uint32_t cell = run.begin; cell < run.end; ++cell) {
+      sum += std::max(0.0, mass_[cell]);
+    }
+  }
   return sum * kRasterDriftInflation;
 }
 
@@ -178,25 +203,25 @@ PointCellTable::PointCellTable(const Rect& world, const TrajectorySet& users,
   offsets_[0] = 0;
 }
 
-void PointCellTable::MarkCells(std::span<const uint32_t> cells,
+void PointCellTable::MarkCells(std::span<const CellRun> runs,
                                uint64_t* mask) const {
-  for (const uint32_t c : cells) {
-    for (uint32_t i = offsets_[c]; i < offsets_[c + 1]; ++i) {
+  for (const CellRun& run : runs) {
+    for (uint32_t i = offsets_[run.begin]; i < offsets_[run.end]; ++i) {
       const uint32_t id = owners_[i];
       mask[id >> 6] |= uint64_t{1} << (id & 63);
     }
   }
 }
 
-size_t PointCellTable::CountServed(std::span<const uint32_t> cells,
+size_t PointCellTable::CountServed(std::span<const CellRun> runs,
                                    const StopGrid& grid, uint32_t* counts,
                                    std::vector<uint32_t>* touched) const {
   TQ_CHECK(points_.size() == owners_.size());
   static thread_local std::vector<uint64_t> served;
   size_t probed = 0;
-  for (const uint32_t c : cells) {
-    const uint32_t begin = offsets_[c];
-    const uint32_t n = offsets_[c + 1] - begin;
+  for (const CellRun& run : runs) {
+    const uint32_t begin = offsets_[run.begin];
+    const uint32_t n = offsets_[run.end] - begin;
     if (n == 0) continue;
     probed += n;
     served.resize(std::max<size_t>(served.size(), (n + 63) / 64));

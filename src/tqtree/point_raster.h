@@ -37,8 +37,13 @@
 //
 // Cell coordinates clamp monotonically at the world border, so points and
 // stops beyond it still land in consistent border cells and both stay
-// sound. Cost per facility is O(stops × cells-per-ψ-square) for the walk —
-// independent of both the number of users and the tree shape.
+// sound. The near cells come as runs of consecutive row-major ids
+// (RasterGrid::CellsNearStops): a route's ψ-squares cover a few long
+// stretches of each row, and since the tables are indexed by cell id, a run
+// is one contiguous range of listed points and of masses. Cost per facility
+// is O(stops × rows-per-ψ-square) to cover the cells, one pass over the
+// touched bitmap words to read the runs back, and one range per run for
+// each reader — independent of both the number of users and the tree shape.
 //
 // The raster is shared across CellIndex::Fork(): forks alias it read-only
 // and the first Insert/Remove on either side copies it (one R×R memcpy per
@@ -71,6 +76,13 @@ inline constexpr size_t kRasterResolution = 256;
 /// would prune real answers. Zero stays exactly zero.
 inline constexpr double kRasterDriftInflation = 1.0 + 1e-6;
 
+/// Cells [begin, end) of a grid: consecutive row-major ids, so a run may
+/// wrap from the end of one row to the start of the next.
+struct CellRun {
+  uint32_t begin;
+  uint32_t end;
+};
+
 /// The R×R cell geometry over a tree's world, shared by the point-mass
 /// raster and the point-cell table.
 class RasterGrid {
@@ -86,12 +98,13 @@ class RasterGrid {
                                  ColOf(p.x));
   }
 
-  /// Replaces `cells` with the ascending, de-duplicated ids of every cell
-  /// intersecting some stop's ψ-square. Every point within ψ of a stop lies
-  /// in one of them, including under floating-point rounding of the
-  /// distance predicate.
+  /// Replaces `runs` with the cells intersecting some stop's ψ-square, as
+  /// ascending, disjoint, maximal runs (each non-empty, and each `end`
+  /// below the next `begin`), so every such cell is listed exactly once.
+  /// Every point within ψ of a stop lies in one of them, including under
+  /// floating-point rounding of the distance predicate.
   void CellsNearStops(std::span<const Point> stops, double psi,
-                      std::vector<uint32_t>* cells) const;
+                      std::vector<CellRun>* runs) const;
 
  private:
   size_t ColOf(double x) const;
@@ -119,9 +132,9 @@ class PointRaster {
   /// cell counted once, inflated by kRasterDriftInflation.
   double MassNearStops(std::span<const Point> stops, double psi) const;
 
-  /// MassNearStops over precomputed `cells` (RasterGrid::CellsNearStops of
-  /// the same world).
-  double MassInCells(std::span<const uint32_t> cells) const;
+  /// MassNearStops over precomputed `runs` (RasterGrid::CellsNearStops of
+  /// the same world), summed cell by cell in ascending id.
+  double MassInCells(std::span<const CellRun> runs) const;
 
   /// Total deposited mass (tests / diagnostics).
   double TotalMass() const;
@@ -151,19 +164,21 @@ class PointCellTable {
   size_t num_trajectories() const { return num_trajectories_; }
 
   /// ORs into `mask` (one bit per trajectory id) the id of every trajectory
-  /// listed in `cells` (ids of this table's grid). With the cells of
+  /// listed in the cells of `runs` (of this table's grid), reading each run
+  /// as one range of listed points. With the runs of
   /// RasterGrid::CellsNearStops, every trajectory of the build set with a
   /// listed point within ψ of a stop is set.
-  void MarkCells(std::span<const uint32_t> cells, uint64_t* mask) const;
+  void MarkCells(std::span<const CellRun> runs, uint64_t* mask) const;
 
   /// kAll tables only. Runs `grid`'s serve predicate over the points listed
-  /// in `cells` — one contiguous run per cell — and adds one to
-  /// `counts[owner]` per served point, appending each owner whose count
-  /// leaves 0 to `touched`. With the cells of RasterGrid::CellsNearStops
-  /// (for grid.stops() and grid.psi()), every point of the build set that
-  /// `grid` serves is counted: a point in no near cell is farther than ψ
-  /// from every stop. Returns the number of points probed.
-  size_t CountServed(std::span<const uint32_t> cells, const StopGrid& grid,
+  /// in the cells of `runs` — one contiguous range and one
+  /// StopGrid::ServesBatch call per run — and adds one to `counts[owner]`
+  /// per served point, appending each owner whose count leaves 0 to
+  /// `touched`. With the runs of RasterGrid::CellsNearStops (for
+  /// grid.stops() and grid.psi()), every point of the build set that `grid`
+  /// serves is counted: a point in no near cell is farther than ψ from every
+  /// stop. Returns the number of points probed.
+  size_t CountServed(std::span<const CellRun> runs, const StopGrid& grid,
                      uint32_t* counts, std::vector<uint32_t>* touched) const;
 
  private:

@@ -207,37 +207,79 @@ bool TQTree::Remove(uint32_t traj_id) {
     --num_units_;
     return true;
   }
-  bool all = true;
+  // Locate each unit's storing node by re-descending with its MBR; the
+  // descents share one buffer, unit i's path ending at path_end[i].
+  std::vector<double> ubs;
+  std::vector<int32_t> paths;
+  std::vector<size_t> path_end;
   ForEachSegmentUnit(*users_, traj_id, options_.model,
-                     [&](const TrajEntry& e) { all = RemoveUnit(e) && all; });
+                     [&](const TrajEntry& e) {
+                       ubs.push_back(e.ub);
+                       Descend(e.mbr, &paths);
+                       path_end.push_back(paths.size());
+                     });
+  const auto store = [&](size_t i) { return paths[path_end[i] - 1]; };
+  // Each storing node's list is scanned once, up to the first stored copy
+  // of every unit that descends to it, and closed up in one stable pass
+  // that moves each block between two erased entries once, so list order
+  // (and every answer) stays. `found` records which units were stored.
+  std::vector<char> found(ubs.size(), 0);
+  std::vector<int32_t> nodes;
+  for (size_t i = 0; i < ubs.size(); ++i) nodes.push_back(store(i));
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<ptrdiff_t> hits;
+  for (auto at = nodes.begin(); at != nodes.end();) {
+    const int32_t idx = *at;
+    const auto next_node = std::upper_bound(at, nodes.end(), idx);
+    const auto want = static_cast<size_t>(next_node - at);
+    at = next_node;
+    std::vector<TrajEntry>& list = nodes_[idx].entries;
+    hits.clear();
+    for (auto it = list.begin(); hits.size() < want; ++it) {
+      it = std::find_if(it, list.end(), [traj_id](const TrajEntry& e) {
+        return e.traj_id == traj_id;
+      });
+      if (it == list.end()) break;
+      const size_t i = it->IsWhole() ? 0 : it->seg_index;
+      if (i >= ubs.size() || found[i] != 0 || store(i) != idx) continue;
+      found[i] = 1;
+      hits.push_back(it - list.begin());
+    }
+    if (hits.empty()) continue;
+    auto out = list.begin() + hits[0];
+    for (size_t h = 0; h < hits.size(); ++h) {
+      const auto block_end =
+          h + 1 < hits.size() ? list.begin() + hits[h + 1] : list.end();
+      out = std::move(list.begin() + hits[h] + 1, block_end, out);
+    }
+    list.erase(out, list.end());
+    nodes_[idx].zindex.reset();
+    num_units_ -= hits.size();
+  }
+  // Bound repair unit by unit, root to store, as each unit was inserted.
+  bool all = true;
+  for (size_t i = 0; i < ubs.size(); ++i) {
+    if (found[i] == 0) {
+      all = false;
+      continue;
+    }
+    for (size_t p = i == 0 ? 0 : path_end[i - 1]; p < path_end[i]; ++p) {
+      nodes_[paths[p]].sub -= ubs[i];
+    }
+  }
   // De-index the cells only on a complete removal: leftover segments keep
   // their deposits, which can only overstate (never understate) the bound.
   return all && cells_.Remove(traj_id);
 }
 
-bool TQTree::RemoveUnit(const TrajEntry& unit) {
-  // Locate the storing node by re-descending with the unit's MBR.
-  std::vector<int32_t> path;
+void TQTree::Descend(const Rect& mbr, std::vector<int32_t>* path) const {
   int32_t idx = 0;
   for (;;) {
-    path.push_back(idx);
-    if (node(idx).IsLeaf()) break;
-    const int32_t child = ChildContaining(idx, unit.mbr);
-    if (child < 0) break;
-    idx = child;
+    path->push_back(idx);
+    if (node(idx).IsLeaf()) return;
+    idx = ChildContaining(idx, mbr);
+    if (idx < 0) return;
   }
-  TQNode& n = nodes_[idx];
-  const auto it = std::find_if(n.entries.begin(), n.entries.end(),
-                               [&](const TrajEntry& e) {
-                                 return e.traj_id == unit.traj_id &&
-                                        e.seg_index == unit.seg_index;
-                               });
-  if (it == n.entries.end()) return false;
-  n.entries.erase(it);
-  n.zindex.reset();
-  for (const int32_t p : path) nodes_[p].sub -= unit.ub;
-  --num_units_;
-  return true;
 }
 
 TQTreeStats TQTree::ComputeStats() const {

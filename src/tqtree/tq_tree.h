@@ -140,7 +140,9 @@ class TQTree {
   void InsertEntry(const TrajEntry& e);
   void StoreAt(int32_t idx, const TrajEntry& e);
   void MaybeSplit(int32_t idx);
-  bool RemoveUnit(const TrajEntry& e);
+  /// Appends to `path` the root-to-store descent of a unit with `mbr`: the
+  /// nodes whose `sub` it adds to, ending at the node that stores it.
+  void Descend(const Rect& mbr, std::vector<int32_t>* path) const;
   /// Child of `idx` whose rect contains `mbr`, or -1.
   int32_t ChildContaining(int32_t idx, const Rect& mbr) const;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
 #include <span>
@@ -9,6 +11,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "datagen/presets.h"
+#include "geom/distance.h"
 #include "query/eval_service.h"
 #include "query/topk.h"
 #include "service/facility_index.h"
@@ -105,6 +109,32 @@ TEST(TQTree, SegmentedModeStoresEverySegmentOnce) {
     }
   }
   for (const auto& [key, c] : count) EXPECT_EQ(c, 1);
+  CheckStructure(tree);
+  // Removing every third user erases exactly its units, several of which
+  // may share a node, and leaves every other unit where it was, in order.
+  const auto units_of = [](const std::vector<TrajEntry>& list, bool all) {
+    std::vector<std::pair<uint32_t, uint32_t>> ids;
+    for (const TrajEntry& e : list) {
+      if (all || e.traj_id % 3 != 0) ids.emplace_back(e.traj_id, e.seg_index);
+    }
+    return ids;
+  };
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> kept;
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    kept.push_back(
+        units_of(tree.node(static_cast<int32_t>(i)).entries, false));
+  }
+  for (uint32_t u = 0; u < users.size(); u += 3) {
+    expected -= users.NumPoints(u) - 1;
+    ASSERT_TRUE(tree.Remove(u));
+  }
+  EXPECT_FALSE(tree.Remove(0));
+  EXPECT_EQ(tree.num_units(), expected);
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    EXPECT_EQ(units_of(tree.node(static_cast<int32_t>(i)).entries, true),
+              kept[i])
+        << "node " << i;
+  }
   CheckStructure(tree);
 }
 
@@ -237,9 +267,12 @@ void ExpectZIndexRule(TQTree* tree, const std::string& where) {
 
 // Checks the filter of `cells`, which must index exactly `indexed`, against
 // every facility: each indexed user that scores > 0 (by the evaluator and
-// by brute force) has its bit set in the default mask, each user with any
-// served detail has its bit set in the any-endpoint mask, no user outside
-// the index has a bit, EvaluateServiceCells exact-checks exactly the set
+// by brute force) has its bit set in the default mask; on kStartEnd tables
+// each served source has its bit in the source mask of
+// MarkEndpointCandidates and each served destination in the destination
+// mask (elsewhere each user with a served detail has its bit in the
+// default mask, which collection reads); no user outside the index
+// has a bit in any mask, EvaluateServiceCells exact-checks exactly the set
 // bits, the cell bound is never below the exact value, and SO equals brute
 // force over the indexed users — exactly for the integer-valued models.
 // Adds to `*cleared` how many (user, facility) pairs the default mask
@@ -257,19 +290,32 @@ std::vector<double> CheckCellFilter(const CellIndex& cells,
   const auto bit = [](const std::vector<uint64_t>& mask, uint32_t u) {
     return ((mask[u >> 6] >> (u & 63)) & 1) != 0;
   };
+  std::vector<bool> is_indexed(users.size(), false);
+  for (const uint32_t u : indexed) is_indexed[u] = true;
   std::vector<double> values(facs.size(), 0.0);
   for (uint32_t f = 0; f < facs.size(); ++f) {
     const StopGrid& grid = catalog.grid(f);
     std::vector<uint64_t> mask;
-    std::vector<uint64_t> any_mask;
-    const bool filtered =
-        cells.MarkCandidates(grid.stops(), grid.psi(), &mask) &&
-        cells.MarkCandidates(grid.stops(), grid.psi(), &any_mask,
-                             /*any_endpoint=*/true);
+    std::vector<uint64_t> sources;
+    std::vector<uint64_t> destinations;
+    const bool filtered = cells.MarkCandidates(grid.stops(), grid.psi(), &mask);
     EXPECT_TRUE(filtered) << "facility " << f;
     if (!filtered) continue;
     EXPECT_EQ(mask.size(), (users.size() + 63) / 64);
-    EXPECT_EQ(any_mask.size(), mask.size());
+    const bool endpoint_masks = cells.MarkEndpointCandidates(
+        grid.stops(), grid.psi(), &sources, &destinations);
+    EXPECT_EQ(endpoint_masks, cells.kind() == ZPruneMode::kStartEnd)
+        << "facility " << f;
+    if (endpoint_masks) {
+      EXPECT_EQ(sources.size(), mask.size());
+      EXPECT_EQ(destinations.size(), mask.size());
+      // Only indexed users have endpoint bits.
+      for (uint32_t u = 0; u < users.size(); ++u) {
+        if (is_indexed[u]) continue;
+        EXPECT_FALSE(bit(sources, u) || bit(destinations, u))
+            << "unindexed user " << u << " facility " << f;
+      }
+    }
     double so = 0.0;
     size_t candidates = 0;
     for (const uint32_t u : indexed) {
@@ -283,9 +329,20 @@ std::vector<double> CheckCellFilter(const CellIndex& cells,
       if (v > 0.0 || eval.Evaluate(u, grid) > 0.0) {
         EXPECT_TRUE(bit(mask, u)) << "user " << u << " facility " << f;
       }
-      if (eval.EvaluateDetail(u, grid).Any()) {
-        EXPECT_TRUE(bit(any_mask, u))
-            << "any-endpoint: user " << u << " facility " << f;
+      if (endpoint_masks) {
+        const std::span<const Point> pts = users.points(u);
+        if (grid.Serves(pts.front())) {
+          EXPECT_TRUE(bit(sources, u))
+              << "served source: user " << u << " facility " << f;
+        }
+        if (grid.Serves(pts.back())) {
+          EXPECT_TRUE(bit(destinations, u))
+              << "served destination: user " << u << " facility " << f;
+        }
+      } else if (eval.EvaluateDetail(u, grid).Any()) {
+        // Without endpoint tables, collection reads the candidate mask.
+        EXPECT_TRUE(bit(mask, u))
+            << "served point: user " << u << " facility " << f;
       }
     }
     // Only indexed users have bits: removed ones stay listed in the tables
@@ -386,8 +443,8 @@ void CheckCells(const CellIndex& cells, const std::set<uint32_t>& ids,
 // raster cell borders (a point exactly ψ beyond a stop across a border) and
 // outside the world box, where cells clamp. `two_point` builds
 // source-destination users, whose Scenario 1 and 3 trees filter by source
-// and destination tables (both near, or either near for served-set
-// collection) and whose Scenario 2 trees by the any-point table; multipoint
+// and destination tables (both near, or each endpoint against its own
+// table for served-set collection) and whose Scenario 2 trees by the any-point table; multipoint
 // users get endpoint tables under Scenario 1 and the any-point table
 // otherwise.
 void CheckPointCellLifecycle(bool two_point) {
@@ -569,6 +626,103 @@ TEST(TQTree, PointCellFilterNeverDropsAServedUser) {
 
 TEST(TQTree, EndpointCellFilterNeverDropsAServedUser) {
   CheckPointCellLifecycle(/*two_point=*/true);
+}
+
+// ------------------------------------------------------- near-cell runs
+
+// Checks the runs CellsNearStops gives for `stops` and `psi` on `grid`:
+// ascending, non-empty, in range and maximal (each ends before the next
+// begins, so no two could merge); the cell of every lattice point within ψ
+// of a stop, and of points on each stop's ψ-circle, lies in a run. Returns
+// the runs.
+std::vector<CellRun> CheckRuns(const RasterGrid& grid,
+                               std::span<const Point> stops, double psi) {
+  std::vector<CellRun> runs;
+  grid.CellsNearStops(stops, psi, &runs);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_LT(runs[i].begin, runs[i].end) << "run " << i;
+    EXPECT_LE(runs[i].end, RasterGrid::kNumCells) << "run " << i;
+    if (i > 0) {
+      EXPECT_LT(runs[i - 1].end, runs[i].begin) << "run " << i;
+    }
+  }
+  const auto covered = [&runs](uint32_t cell) {
+    const auto it = std::upper_bound(
+        runs.begin(), runs.end(), cell,
+        [](uint32_t c, const CellRun& r) { return c < r.begin; });
+    return it != runs.begin() && cell < std::prev(it)->end;
+  };
+  constexpr int kLattice = 8;  // lattice steps per ψ
+  constexpr int kCircle = 64;  // points on each ψ-circle
+  const double two_pi = 2.0 * std::acos(-1.0);
+  for (const Point& s : stops) {
+    for (int i = -kLattice; i <= kLattice; ++i) {
+      for (int j = -kLattice; j <= kLattice; ++j) {
+        const Point p{s.x + psi * i / kLattice, s.y + psi * j / kLattice};
+        if (Distance(p, s) > psi) continue;
+        EXPECT_TRUE(covered(grid.CellOf(p)))
+            << "lattice point (" << p.x << ", " << p.y << ")";
+      }
+    }
+    for (int k = 0; k < kCircle; ++k) {
+      const double a = two_pi * k / kCircle;
+      const Point p{s.x + psi * std::cos(a), s.y + psi * std::sin(a)};
+      EXPECT_TRUE(covered(grid.CellOf(p)))
+          << "circle point (" << p.x << ", " << p.y << ")";
+    }
+  }
+  return runs;
+}
+
+// The paper's default setting (NYT trips, 128 bus routes of 64 stops,
+// ψ = 200 m): a route's near cells come as a few long runs, and their total
+// pins the walk's output. A large ψ fills whole bitmap words and rows, so
+// runs cross word and row boundaries and a word's run can end at its last
+// bit.
+TEST(TQTree, CellsNearStopsGivesMaximalRunsOfNearCells) {
+  const TrajectorySet users = presets::NytTrips(35713);
+  const TrajectorySet routes = presets::NyBusRoutes(128, 64);
+  const CellIndex index(&users, ServiceModel::Endpoints(200.0),
+                        /*tables=*/false, {});
+  const RasterGrid grid(index.world());
+  size_t cells = 0;
+  size_t runs = 0;
+  for (uint32_t f = 0; f < routes.size(); ++f) {
+    SCOPED_TRACE("route " + std::to_string(f));
+    for (const CellRun& run : CheckRuns(grid, routes.points(f), 200.0)) {
+      cells += run.end - run.begin;
+      ++runs;
+    }
+  }
+  EXPECT_EQ(cells, 93564u);
+  EXPECT_EQ(runs, 18717u);
+
+  const Rect& w = index.world();
+  const double psi = 0.4 * std::max(w.Width(), w.Height());
+  const double mid_y = 0.5 * (w.min_y + w.max_y);
+  // One stop near each side: every row they share holds [c0, 255] of the
+  // left-reaching square and [0, c1] of the right-reaching one, so runs
+  // wrap from row to row.
+  const std::vector<Point> sides = {{w.max_x - 1.0, mid_y},
+                                    {w.min_x + 1.0, mid_y + 1.0}};
+  const std::vector<CellRun> wide = CheckRuns(grid, sides, psi);
+  bool whole_word = false;
+  bool wraps = false;
+  for (const CellRun& run : wide) {
+    whole_word = whole_word || (run.begin + 63) / 64 * 64 + 64 <= run.end;
+    wraps = wraps || run.begin / kRasterResolution !=
+                         (run.end - 1) / kRasterResolution;
+  }
+  EXPECT_TRUE(whole_word);
+  EXPECT_TRUE(wraps);
+  // A square over the whole world: one run of every cell, whose words are
+  // all full.
+  const Point centre{0.5 * (w.min_x + w.max_x), mid_y};
+  const std::vector<CellRun> all =
+      CheckRuns(grid, std::span(&centre, 1), 2.0 * psi);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].begin, 0u);
+  EXPECT_EQ(all[0].end, RasterGrid::kNumCells);
 }
 
 // A fork whose extended user set turns a two-point Scenario 3 index

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -217,8 +219,10 @@ PointQuadtree LiveBaseline(const TrajectorySet& users,
 }
 
 // Checks every facility of `facs` on `cells` against the baseline over
-// `live`: equal SO bits, no candidate bit (either form) of a de-indexed
-// user, and a cell bound no lower than SO. Returns the SO values.
+// `live`: equal SO bits, no candidate bit of a de-indexed user (in the
+// candidate mask, nor in either endpoint mask of kStartEnd tables), every
+// served endpoint of a live user set in its own endpoint mask, and a cell
+// bound no lower than SO. Returns the SO values.
 std::vector<double> ExpectLiveCells(const CellIndex& cells,
                                     const std::vector<bool>& live,
                                     const TrajectorySet& facs,
@@ -235,24 +239,77 @@ std::vector<double> ExpectLiveCells(const CellIndex& cells,
     values.push_back(so);
     EXPECT_EQ(so, EvaluateServiceBaseline(pq, eval, grid)) << "facility " << f;
     EXPECT_GE(cells.CellUpperBound(grid), so) << "facility " << f;
-    for (const bool any_endpoint : {false, true}) {
-      std::vector<uint64_t> mask;
-      EXPECT_TRUE(cells.MarkCandidates(grid.stops(), grid.psi(), &mask,
-                                       any_endpoint));
-      mask.resize((users.size() + 63) / 64);
-      for (uint32_t u = 0; u < users.size(); ++u) {
-        if (live[u]) continue;
-        EXPECT_EQ((mask[u >> 6] >> (u & 63)) & 1, 0u)
-            << "de-indexed user " << u << " facility " << f
-            << " any_endpoint " << any_endpoint;
+    std::vector<uint64_t> mask;
+    EXPECT_TRUE(cells.MarkCandidates(grid.stops(), grid.psi(), &mask));
+    std::vector<uint64_t> sources;
+    std::vector<uint64_t> destinations;
+    const bool endpoint_masks = cells.MarkEndpointCandidates(
+        grid.stops(), grid.psi(), &sources, &destinations);
+    EXPECT_EQ(endpoint_masks, cells.kind() == ZPruneMode::kStartEnd);
+    const size_t words = (users.size() + 63) / 64;
+    const bool sized = mask.size() == words &&
+                       (!endpoint_masks || (sources.size() == words &&
+                                            destinations.size() == words));
+    EXPECT_TRUE(sized) << "facility " << f;
+    if (!sized) continue;
+    const auto bit = [](const std::vector<uint64_t>& m, uint32_t u) {
+      return ((m[u >> 6] >> (u & 63)) & 1) != 0;
+    };
+    for (uint32_t u = 0; u < users.size(); ++u) {
+      if (!live[u]) {
+        EXPECT_FALSE(bit(mask, u))
+            << "de-indexed user " << u << " facility " << f;
+        if (endpoint_masks) {
+          EXPECT_FALSE(bit(sources, u))
+              << "de-indexed user " << u << " facility " << f << " source";
+          EXPECT_FALSE(bit(destinations, u))
+              << "de-indexed user " << u << " facility " << f
+              << " destination";
+        }
+        continue;
+      }
+      if (!endpoint_masks) continue;
+      const std::span<const Point> pts = users.points(u);
+      if (grid.Serves(pts.front())) {
+        EXPECT_TRUE(bit(sources, u))
+            << "served source: user " << u << " facility " << f;
+      }
+      if (grid.Serves(pts.back())) {
+        EXPECT_TRUE(bit(destinations, u))
+            << "served destination: user " << u << " facility " << f;
       }
     }
   }
   return values;
 }
 
+// Expects `got` to hold exactly the users of `want` whose `pool` bit is set
+// (every user of `want` when `pool` is null), each with an equal mask.
+void ExpectSameServed(const ServedGather& got, const ServedGather& want,
+                      const uint64_t* pool, const std::string& what) {
+  std::vector<uint32_t> got_users = got.users();
+  std::vector<uint32_t> want_users;
+  for (const uint32_t u : want.users()) {
+    if (pool == nullptr || ((pool[u >> 6] >> (u & 63)) & 1) != 0) {
+      want_users.push_back(u);
+    }
+  }
+  std::sort(got_users.begin(), got_users.end());
+  std::sort(want_users.begin(), want_users.end());
+  EXPECT_EQ(got_users, want_users) << what;
+  if (got_users != want_users) return;
+  for (const uint32_t u : got_users) {
+    const auto a = got.MaskOf(u);
+    const auto b = want.MaskOf(u);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "user " << u << " " << what;
+  }
+}
+
 // ExpectLiveCells on `tree`'s cell index, plus the tree's own answers:
-// EvaluateServiceTQ's bits and served sets equal to the baseline's.
+// EvaluateServiceTQ's bits, and served sets equal to the baseline's — in
+// full, and restricted to a pool mask (the candidates near facility f and
+// its successor, as MaxkCovRST pools them).
 std::vector<double> ExpectLiveAnswers(TQTree* tree,
                                       const std::vector<bool>& live,
                                       const TrajectorySet& facs,
@@ -269,22 +326,20 @@ std::vector<double> ExpectLiveAnswers(TQTree* tree,
     const StopGrid& grid = catalog.grid(f);
     EXPECT_EQ(EvaluateServiceTQ(tree, eval, grid), values[f])
         << "facility " << f;
-    ServedGather got;
-    CollectServedTQ(tree, eval, grid, &got);
     ServedGather want;
     CollectServedBaseline(pq, eval, grid, &want);
-    std::vector<uint32_t> got_users = got.users();
-    std::vector<uint32_t> want_users = want.users();
-    std::sort(got_users.begin(), got_users.end());
-    std::sort(want_users.begin(), want_users.end());
-    EXPECT_EQ(got_users, want_users) << "facility " << f;
-    if (got_users != want_users) continue;
-    for (const uint32_t u : got_users) {
-      const auto a = got.MaskOf(u);
-      const auto b = want.MaskOf(u);
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "user " << u << " facility " << f;
-    }
+    ServedGather got;
+    CollectServedTQ(tree, eval, grid, &got);
+    ExpectSameServed(got, want, nullptr, "facility " + std::to_string(f));
+    std::vector<Point> pooled(facs.points(f).begin(), facs.points(f).end());
+    const std::span<const Point> next = facs.points((f + 1) % facs.size());
+    pooled.insert(pooled.end(), next.begin(), next.end());
+    std::vector<uint64_t> pool;
+    EXPECT_TRUE(tree->cells().MarkCandidates(pooled, model.psi, &pool));
+    if (pool.empty()) continue;
+    CollectServedTQ(tree, eval, grid, &got, pool.data());
+    ExpectSameServed(got, want, pool.data(),
+                     "pooled, facility " + std::to_string(f));
   }
   return values;
 }

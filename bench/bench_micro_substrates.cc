@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geom/distance.h"
@@ -21,6 +23,7 @@
 #include "datagen/presets.h"
 #include "quadtree/point_quadtree.h"
 #include "service/evaluator.h"
+#include "service/facility_index.h"
 #include "service/stop_grid.h"
 #include "tqtree/aggregates.h"
 #include "tqtree/tq_tree.h"
@@ -168,6 +171,36 @@ void BM_StopGridServesBatch(benchmark::State& state) {
                           static_cast<int64_t>(w.probes.size()));
 }
 BENCHMARK(BM_StopGridServesBatch);
+
+// Catalog-scale probe: NYT endpoints against the 2,024-route NY bus catalog
+// (64 stops a route, ψ = 200 m), route by route as an SO query probes one
+// facility for many users: each route's grid against every endpoint its
+// EMBR holds. Unlike the single-grid pair above, whose grid stays
+// cache-resident, the grids come and go from cache over a catalog far larger
+// than it. Not part of the kernel_micro series.
+void BM_StopGridServesCatalog(benchmark::State& state) {
+  const TrajectorySet routes = presets::NyBusRoutes(2024, 64);
+  const FacilityCatalog catalog(&routes, 200.0);
+  const TrajectorySet trips = presets::NytTrips(1000);
+  std::vector<std::pair<const StopGrid*, Point>> probes;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    for (uint32_t t = 0; t < trips.size(); ++t) {
+      for (const Point& p : {trips.points(t).front(), trips.points(t).back()}) {
+        if (catalog.embr(f).Contains(p)) {
+          probes.push_back({&catalog.grid(f), p});
+        }
+      }
+    }
+  }
+  for (auto _ : state) {
+    size_t served = 0;
+    for (const auto& [grid, p] : probes) served += grid->Serves(p);
+    benchmark::DoNotOptimize(served);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_StopGridServesCatalog)->Unit(benchmark::kMillisecond);
 
 // Exact service evaluation per scenario, NYF users vs one route grid — the
 // inner loop of every query algorithm. Scenario 1 = endpoint probes,

@@ -44,11 +44,6 @@ typedef double F64x4 __attribute__((vector_size(32), aligned(8)));
 typedef int64_t Mask64x4 __attribute__((vector_size(32), aligned(8)));
 
 inline F64x4 Broadcast(double v) { return F64x4{v, v, v, v}; }
-inline F64x4 Load(const double* p) {
-  F64x4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 /// Gathers the x (or y) coordinates of 4 array-of-structs points laid out
 /// with stride 2 doubles (struct Point).
 inline F64x4 GatherStride2(const double* p) {
@@ -66,11 +61,17 @@ inline uint32_t LaneMaskLe(F64x4 a, F64x4 b) {
   return static_cast<uint32_t>((m[0] & 1) | (m[1] & 2) | (m[2] & 4) |
                                (m[3] & 8));
 }
-/// Bit i set iff lane i satisfies lo <= v && v <= hi (closed interval).
-inline uint32_t LaneMaskInRange(F64x4 v, F64x4 lo, F64x4 hi) {
-  const Mask64x4 m = (lo <= v) & (v <= hi);
-  return static_cast<uint32_t>((m[0] & 1) | (m[1] & 2) | (m[2] & 4) |
-                               (m[3] & 8));
+
+typedef double F64x2 __attribute__((vector_size(16), aligned(8)));
+typedef int64_t Mask64x2 __attribute__((vector_size(16), aligned(8)));
+/// 1 iff the AoS point (p[0], p[1]) lies in the closed box [lo, hi], in one
+/// 2-lane compare pair: no stride-2 gather, and no 4-lane double compare,
+/// which baseline x86-64 lacks and GCC lowers one scalar lane at a time.
+inline uint32_t PointInBox(const double* p, F64x2 lo, F64x2 hi) {
+  F64x2 v;
+  std::memcpy(&v, p, sizeof(v));
+  const Mask64x2 m = (lo <= v) & (v <= hi);
+  return static_cast<uint32_t>(m[0] & m[1] & 1);
 }
 
 #else  // pure-scalar fallback with the identical API
@@ -80,7 +81,6 @@ struct F64x4 {
 };
 
 inline F64x4 Broadcast(double x) { return F64x4{{x, x, x, x}}; }
-inline F64x4 Load(const double* p) { return F64x4{{p[0], p[1], p[2], p[3]}}; }
 inline F64x4 GatherStride2(const double* p) {
   return F64x4{{p[0], p[2], p[4], p[6]}};
 }
@@ -106,39 +106,30 @@ inline uint32_t LaneMaskLe(F64x4 a, F64x4 b) {
   for (int i = 0; i < 4; ++i) m |= (a.v[i] <= b.v[i] ? 1u : 0u) << i;
   return m;
 }
-inline uint32_t LaneMaskInRange(F64x4 v, F64x4 lo, F64x4 hi) {
-  uint32_t m = 0;
-  for (int i = 0; i < 4; ++i) {
-    m |= ((lo.v[i] <= v.v[i] && v.v[i] <= hi.v[i]) ? 1u : 0u) << i;
-  }
-  return m;
+struct F64x2 {
+  double v[2];
+};
+inline uint32_t PointInBox(const double* p, F64x2 lo, F64x2 hi) {
+  return lo.v[0] <= p[0] && p[0] <= hi.v[0] && lo.v[1] <= p[1] &&
+         p[1] <= hi.v[1];
 }
 
 #endif  // TQ_SIMD_VECTOR_EXT
 
 // ------------------------------------------------------------------ kernels
-// The three predicate kernels the service-value hot paths decompose into.
+// The two 4-wide predicate kernels of the service-value hot paths.
 // Each has a scalar reference twin in tq::simd::scalar below; the agreement
 // suite asserts lane-for-lane equality between the two.
-
-/// Lanes whose squared distance from (px, py) to (xs[i], ys[i]) is <= psi2.
-/// Expression shape matches Point DistanceSquared: dx*dx + dy*dy.
-inline uint32_t LanesWithinPsi2(const double* xs, const double* ys, double px,
-                                double py, double psi2) {
-  const F64x4 dx = Sub(Broadcast(px), Load(xs));
-  const F64x4 dy = Sub(Broadcast(py), Load(ys));
-  const F64x4 d2 = Add(Mul(dx, dx), Mul(dy, dy));
-  return LaneMaskLe(d2, Broadcast(psi2));
-}
 
 /// Lanes of 4 consecutive AoS points (stride-2 doubles at `pts`) inside the
 /// closed rectangle [min_x, max_x] x [min_y, max_y].
 inline uint32_t LanesInRect(const double* pts, double min_x, double min_y,
                             double max_x, double max_y) {
-  const F64x4 xs = GatherStride2(pts);
-  const F64x4 ys = GatherStride2(pts + 1);
-  return LaneMaskInRange(xs, Broadcast(min_x), Broadcast(max_x)) &
-         LaneMaskInRange(ys, Broadcast(min_y), Broadcast(max_y));
+  const F64x2 lo{min_x, min_y};
+  const F64x2 hi{max_x, max_y};
+  uint32_t m = 0;
+  for (int i = 0; i < 4; ++i) m |= PointInBox(pts + 2 * i, lo, hi) << i;
+  return m;
 }
 
 /// Lanes of 4 consecutive AoS points whose squared min-distance to the
@@ -162,20 +153,13 @@ namespace scalar {
 // These are the ground truth the vector kernels must agree with bit-for-bit
 // (and the implementation the TQ_SIMD=scalar build effectively runs).
 
+/// The per-stop ψ² predicate of StopGrid's probe. Expression shape matches
+/// Point DistanceSquared: dx*dx + dy*dy.
 inline bool WithinPsi2(double sx, double sy, double px, double py,
                        double psi2) {
   const double dx = px - sx;
   const double dy = py - sy;
   return dx * dx + dy * dy <= psi2;
-}
-
-inline uint32_t LanesWithinPsi2(const double* xs, const double* ys, double px,
-                                double py, double psi2) {
-  uint32_t m = 0;
-  for (int i = 0; i < 4; ++i) {
-    m |= (WithinPsi2(xs[i], ys[i], px, py, psi2) ? 1u : 0u) << i;
-  }
-  return m;
 }
 
 inline bool InRect(double x, double y, double min_x, double min_y,

@@ -8,29 +8,30 @@
 // facility components re-unify here because the grid always holds the full
 // facility.
 //
-// Layout: cells are ψ×ψ, and the table stores the DILATED occupancy — every
-// cell whose 3×3 neighborhood contains a stop gets an entry listing all the
-// stops of that neighborhood. A stop within ψ of a probe point is always in
-// the probe cell's 3×3 window (cell size = ψ), so one open-addressed find
-// returns every candidate stop and a probe costs one hash lookup + one SoA
-// distance scan — not the nine per-neighbor lookups of the classic 3×3
-// probe, which dominate the profile (the seed's unordered_map version spent
-// 21% of SO evaluation in hashtable find alone). Each stop appears in at
-// most 9 neighborhood lists, so memory stays O(9 · stops). The table is
-// built in a scratch table of 2 × 9·stops slots (load ≤ 1/2 even if every
-// neighborhood key were distinct), then kept at 2 × its distinct cells:
-// consecutive stops of a route share most of their neighborhoods, and a
-// catalog holds one grid per route.
+// Layout: cells are ψ×ψ (widened by 2^-20 of ψ against rounding), and the
+// table stores the DILATED occupancy — every cell whose 3×3 neighborhood
+// contains a stop gets an entry listing all the stops of that neighborhood.
+// A stop within ψ of a probe point is always in the probe cell's 3×3 window
+// (cell size ≥ ψ), so one open-addressed find returns every candidate stop,
+// not the nine per-neighbor lookups of the classic 3×3 probe (the seed's
+// unordered_map version spent 21% of SO evaluation in hashtable find alone).
 //
-// Neighborhood runs live in SoA coordinate arrays padded to a multiple of 4
-// lanes by duplicating the first stop, so the ψ² check scans whole cells
-// with the 4-wide kernels in common/simd.h without a tail loop — duplicated
-// stops cannot change an any-within-ψ or min-distance answer. `ServesScalar`
-// retains the per-stop scalar reference over the unpadded ranges; the
-// agreement suite holds `Serves`/`ServesBatch` bit-equal to it.
+// A probe reads one table line plus the stop it names, because everything
+// is stored compactly: a slot is 16 bytes {key, n, ref}, the table has twice
+// as many slots as distinct cells, and each stop is stored once as a Point
+// (a 64-stop NY route's grid is ~18 KB). A cell listing one stop — the
+// common case: NYT endpoints probed against NY bus routes at ψ = 200 m find
+// ~1.2 stops per listed cell on average — names it in `ref` directly; a
+// longer list is a run of the shared stop-id array `ids_`, in stop order.
+// The within-ψ check is `simd::scalar::WithinPsi2` per listed stop, with an
+// early exit. Construction is one sort of the (key, stop) pairs.
+// `ServesScalar` keeps the general id-list lookup (no one-stop shortcut) as
+// the in-binary reference; the agreement suite holds `Serves`/`ServesBatch`
+// equal to it and to brute force.
 #ifndef TQCOVER_SERVICE_STOP_GRID_H_
 #define TQCOVER_SERVICE_STOP_GRID_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -70,18 +71,25 @@ class StopGrid {
   /// +inf when no stop is that close. Used by diagnostics and tests.
   double NearbyStopDistance(const Point& p) const;
 
+  /// Heap bytes held by the grid, counted from its containers' capacities.
+  size_t heap_bytes() const;
+
  private:
   // Open-addressed table slot for one dilated cell. `n == 0` marks an empty
   // slot; every real entry lists at least one neighborhood stop.
-  struct Cell {
+  struct Slot {
     int64_t key = 0;
-    uint32_t begin = 0;   // offset into bucket_x_/bucket_y_ (padded layout)
-    uint32_t n = 0;       // real stop count (unpadded)
-    uint32_t padded = 0;  // n rounded up to a multiple of 4
+    uint32_t n = 0;    // stops listed
+    uint32_t ref = 0;  // n == 1: the stop's index; n > 1: offset into ids_
   };
+  static_assert(sizeof(Slot) == 16, "a slot is a quarter cache line");
 
   int64_t CellKey(double x, double y) const;
-  const Cell* FindCell(int64_t key) const;
+  size_t HomeSlot(int64_t key) const;
+  size_t NextSlot(size_t slot) const;
+  const Slot* FindSlot(int64_t key) const;
+  // The stop ids a slot lists, through the general id-list path.
+  std::span<const uint32_t> Listed(const Slot& s) const;
   // Neighborhood scan of p's cell; true iff any stop is within ψ².
   bool ProbeCell(const Point& p) const;
 
@@ -91,12 +99,9 @@ class StopGrid {
   double inv_cell_;
   Rect mbr_;
   Rect embr_;
-  std::vector<Cell> table_;  // power-of-two open-addressed cell table
-  uint64_t table_mask_ = 0;
-  // SoA stop coordinates grouped by dilated cell, each run padded to 4 lanes
-  // by repeating its first stop.
-  std::vector<double> bucket_x_;
-  std::vector<double> bucket_y_;
+  Rect box_;  // embr_ grown by a rounding margin: the probe prefilter
+  std::vector<Slot> table_;  // open-addressed cell table, 2 × cells slots
+  std::vector<uint32_t> ids_;  // stop ids of the cells listing more than one
 };
 
 }  // namespace tq

@@ -81,20 +81,12 @@ std::vector<Point> RandomStops(Rng& rng, size_t n) {
 TEST(SimdKernels, LanePredicatesAgreeWithScalarReference) {
   Rng rng(7);
   for (int trial = 0; trial < 2000; ++trial) {
-    double xs[4];
-    double ys[4];
     double pts[8];
     for (int i = 0; i < 4; ++i) {
-      xs[i] = rng.NextUniform(-100, 100);
-      ys[i] = rng.NextUniform(-100, 100);
       pts[2 * i] = rng.NextUniform(-100, 100);
       pts[2 * i + 1] = rng.NextUniform(-100, 100);
     }
-    const double px = rng.NextUniform(-100, 100);
-    const double py = rng.NextUniform(-100, 100);
     const double psi2 = rng.NextUniform(0, 400);
-    EXPECT_EQ(simd::LanesWithinPsi2(xs, ys, px, py, psi2),
-              simd::scalar::LanesWithinPsi2(xs, ys, px, py, psi2));
     const double min_x = rng.NextUniform(-100, 50);
     const double min_y = rng.NextUniform(-100, 50);
     const double max_x = min_x + rng.NextUniform(0, 100);
@@ -109,18 +101,10 @@ TEST(SimdKernels, LanePredicatesAgreeWithScalarReference) {
 }
 
 TEST(SimdKernels, LanePredicatesAgreeAtExactThreshold) {
-  // 3-4-5 triangle: d² is exactly 25, and ψ² = 25 is exactly representable,
-  // so <= sits precisely on the boundary. One ulp either side must flip both
+  // Rect reach with the point exactly ψ away from the rect edge: d² is
+  // exactly 25 (a 3-4-5 triangle), and ψ² = 25 is exactly representable, so
+  // <= sits precisely on the boundary. One ulp either side must flip both
   // implementations together.
-  const double xs[4] = {3.0, 3.0, std::nextafter(3.0, 4.0),
-                        std::nextafter(3.0, 0.0)};
-  const double ys[4] = {4.0, 4.0, 4.0, 4.0};
-  for (const double psi2 :
-       {25.0, std::nextafter(25.0, 0.0), std::nextafter(25.0, 26.0)}) {
-    EXPECT_EQ(simd::LanesWithinPsi2(xs, ys, 0.0, 0.0, psi2),
-              simd::scalar::LanesWithinPsi2(xs, ys, 0.0, 0.0, psi2));
-  }
-  // Rect reach with the point exactly ψ away from the rect edge.
   const double pts[8] = {-3.0, -4.0, -3.0, 4.0, 3.0, -4.0, 0.0, 0.0};
   for (const double psi2 :
        {25.0, std::nextafter(25.0, 0.0), std::nextafter(25.0, 26.0)}) {
@@ -128,6 +112,11 @@ TEST(SimdKernels, LanePredicatesAgreeAtExactThreshold) {
               simd::scalar::LanesDiskReachRect(pts, 0.0, 0.0, 10.0, 10.0,
                                                psi2));
   }
+  // Points on the closed rect's edges are in; one ulp outside is out.
+  const double edge[8] = {0.0, 5.0, 10.0, 5.0, std::nextafter(0.0, -1.0),
+                          5.0, 5.0, std::nextafter(10.0, 11.0)};
+  EXPECT_EQ(simd::LanesInRect(edge, 0.0, 0.0, 10.0, 10.0), 0b0011u);
+  EXPECT_EQ(simd::scalar::LanesInRect(edge, 0.0, 0.0, 10.0, 10.0), 0b0011u);
 }
 
 TEST(SimdKernels, ServesAndBatchAgreeWithScalarAcrossShapes) {

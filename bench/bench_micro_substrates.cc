@@ -9,9 +9,11 @@
 // the AVX2 cell additionally asserts the ≥2× speedup acceptance bar.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -296,33 +298,66 @@ BENCHMARK(BM_ZIndexRebuild)->Arg(1000)->Arg(10000);
 // Deliberately independent of google-benchmark's reporter so the CI gate
 // parses a stable format (same "# json:" convention as the other binaries).
 
-// Best-of-3 timing of `fn`, each rep running `fn` until ≥ 50 ms elapsed.
-// Returns nanoseconds per work unit.
-template <typename Fn>
-double TimeNsPerUnit(size_t units_per_call, Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    fn();  // warm caches, fault pages
-    size_t calls = 0;
-    Timer t;
-    do {
-      fn();
-      ++calls;
-    } while (t.ElapsedSeconds() < 0.05);
-    const double ns =
-        t.ElapsedSeconds() * 1e9 / (static_cast<double>(calls) * units_per_call);
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
+// Interleaved timing of one kernel's three implementations: kReps rounds,
+// each timing scalar and active back to back (which goes first alternates
+// per round), then seed, ~20 ms apiece. A round is
+// a paired sample: its times come from the same few tens of milliseconds, so
+// a ratio taken within a round cancels drift (frequency steps, a
+// neighbour's burst) that separately timed best-of-N runs pick up.
+constexpr int kReps = 9;
+
+// Nanoseconds per work unit of `fn` over one ~20 ms sample, after one warm
+// call (the previous sample ran another implementation).
+double SampleNsPerUnit(size_t units_per_call, const std::function<void()>& fn) {
+  fn();
+  size_t calls = 0;
+  Timer t;
+  do {
+    fn();
+    ++calls;
+  } while (t.ElapsedSeconds() < 0.02);
+  return t.ElapsedSeconds() * 1e9 /
+         (static_cast<double>(calls) * static_cast<double>(units_per_call));
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 struct KernelRow {
   const char* kernel;
-  double seed_ns;    // pre-vectorization implementation (bench-local replica);
-                     // 0 when no faithful seed replica exists for the kernel
+  // Medians of the rounds' ns per unit:
+  double seed_ns;    // pre-vectorization implementation (bench-local replica)
   double scalar_ns;  // retained scalar reference on the NEW data layout
   double vector_ns;  // active (vectorized or forced-scalar) path
+  // Medians of the per-round ratios (the gated numbers):
+  double vector_vs_scalar;  // vector_ns / scalar_ns
+  double speedup_vs_seed;   // seed_ns / vector_ns
 };
+
+KernelRow TimeKernel(const char* kernel, size_t units_per_call,
+                     const std::function<void()>& seed,
+                     const std::function<void()>& scalar,
+                     const std::function<void()>& vector) {
+  const std::function<void()>* fns[3] = {&seed, &scalar, &vector};
+  std::vector<double> ns[3];
+  std::vector<double> vs_scalar;
+  std::vector<double> vs_seed;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const int order[2][3] = {{1, 2, 0}, {2, 1, 0}};
+    double round[3];
+    for (const int which : order[rep % 2]) {
+      round[which] = SampleNsPerUnit(units_per_call, *fns[which]);
+    }
+    for (int i = 0; i < 3; ++i) ns[i].push_back(round[i]);
+    vs_scalar.push_back(round[2] / round[1]);
+    vs_seed.push_back(round[0] / round[2]);
+  }
+  return KernelRow{kernel,        Median(ns[0]),     Median(ns[1]),
+                   Median(ns[2]), Median(vs_scalar), Median(vs_seed)};
+}
 
 // Seed-replica evaluation loop: the pre-PR ServiceEvaluator bodies called
 // grid.Serves(p) per point on the unordered_map grid.
@@ -364,21 +399,22 @@ void EmitKernelMicroJson() {
     const ServesWorkload w;
     std::vector<uint64_t> mask((w.probes.size() + 63) / 64);
     volatile size_t sink = 0;
-    const double seed_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      size_t served = 0;
-      for (const Point& p : w.probes) served += w.seed_grid.Serves(p);
-      sink = served;
-    });
-    const double scalar_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      size_t served = 0;
-      for (const Point& p : w.probes) served += w.grid.ServesScalar(p);
-      sink = served;
-    });
-    const double vector_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      w.grid.ServesBatch(w.probes, mask.data());
-      sink = mask[0];
-    });
-    rows.push_back({"stopgrid_serves", seed_ns, scalar_ns, vector_ns});
+    rows.push_back(TimeKernel(
+        "stopgrid_serves", w.probes.size(),
+        [&] {
+          size_t served = 0;
+          for (const Point& p : w.probes) served += w.seed_grid.Serves(p);
+          sink = served;
+        },
+        [&] {
+          size_t served = 0;
+          for (const Point& p : w.probes) served += w.grid.ServesScalar(p);
+          sink = served;
+        },
+        [&] {
+          w.grid.ServesBatch(w.probes, mask.data());
+          sink = mask[0];
+        }));
   }
 
   {  // Exact evaluation, all three scenarios over the same NYF users.
@@ -393,28 +429,29 @@ void EmitKernelMicroJson() {
       const ServiceEvaluator eval(&users, models[s]);
       const StopGrid grid(routes.points(0), models[s].psi);
       const SeedStopGrid seed_grid(routes.points(0), models[s].psi);
-      const double seed_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += SeedEvaluate(seed_grid, users, u, models[s]);
-        }
-        sink = total;
-      });
-      const double scalar_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += eval.EvaluateScalar(u, grid);
-        }
-        sink = total;
-      });
-      const double vector_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += eval.Evaluate(u, grid);
-        }
-        sink = total;
-      });
-      rows.push_back({names[s], seed_ns, scalar_ns, vector_ns});
+      rows.push_back(TimeKernel(
+          names[s], users.size(),
+          [&] {
+            double total = 0.0;
+            for (uint32_t u = 0; u < users.size(); ++u) {
+              total += SeedEvaluate(seed_grid, users, u, models[s]);
+            }
+            sink = total;
+          },
+          [&] {
+            double total = 0.0;
+            for (uint32_t u = 0; u < users.size(); ++u) {
+              total += eval.EvaluateScalar(u, grid);
+            }
+            sink = total;
+          },
+          [&] {
+            double total = 0.0;
+            for (uint32_t u = 0; u < users.size(); ++u) {
+              total += eval.Evaluate(u, grid);
+            }
+            sink = total;
+          }));
     }
   }
 
@@ -423,15 +460,16 @@ void EmitKernelMicroJson() {
 #else
   const char* simd_path = "vector";
 #endif
-  std::printf("\nkernel_micro (ns/unit, best of 3; active path: %s)\n",
-              simd_path);
+  std::printf(
+      "\nkernel_micro (ns/unit, medians of %d interleaved rounds; ratios are "
+      "medians of per-round ratios; active path: %s)\n",
+      kReps, simd_path);
   std::printf("  %-20s %10s %10s %10s %9s %9s\n", "kernel", "seed", "scalar",
               "active", "vs_seed", "vs_scalar");
   for (const KernelRow& r : rows) {
     std::printf("  %-20s %10.2f %10.2f %10.2f %8.2fx %8.2fx\n", r.kernel,
-                r.seed_ns, r.scalar_ns, r.vector_ns,
-                r.vector_ns > 0 ? r.seed_ns / r.vector_ns : 0.0,
-                r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0.0);
+                r.seed_ns, r.scalar_ns, r.vector_ns, r.speedup_vs_seed,
+                1.0 / r.vector_vs_scalar);
   }
   std::printf("# json: {\"bench\":\"kernel_micro\",\"simd\":\"%s\","
               "\"kernels\":[",
@@ -439,11 +477,11 @@ void EmitKernelMicroJson() {
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
     std::printf("%s{\"kernel\":\"%s\",\"seed_ns\":%.3f,\"scalar_ns\":%.3f,"
-                "\"vector_ns\":%.3f,\"speedup_vs_seed\":%.3f,"
-                "\"speedup_vs_scalar\":%.3f}",
+                "\"vector_ns\":%.3f,\"vector_vs_scalar_ratio\":%.4f,"
+                "\"speedup_vs_seed\":%.3f,\"speedup_vs_scalar\":%.3f}",
                 i == 0 ? "" : ",", r.kernel, r.seed_ns, r.scalar_ns,
-                r.vector_ns, r.vector_ns > 0 ? r.seed_ns / r.vector_ns : 0.0,
-                r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0.0);
+                r.vector_ns, r.vector_vs_scalar, r.speedup_vs_seed,
+                1.0 / r.vector_vs_scalar);
   }
   std::printf("]}\n");
 }

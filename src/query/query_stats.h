@@ -18,6 +18,8 @@ struct QueryStats {
                                  // (segmented) given the exact check
   size_t points_probed = 0;      // user points passed to the serve
                                  // predicate by whole-trajectory SO
+  size_t bounds_computed = 0;    // CellIndex::CellUpperBound calls (0
+                                 // when a top-k reads memoised bounds)
   size_t heap_pops = 0;          // best-first top-k pops
   size_t relax_rounds = 0;       // exact refinements of best-first top-k
   ZIndex::ReduceStats zreduce;
@@ -28,6 +30,7 @@ struct QueryStats {
     entries_scanned += o.entries_scanned;
     exact_checks += o.exact_checks;
     points_probed += o.points_probed;
+    bounds_computed += o.bounds_computed;
     heap_pops += o.heap_pops;
     relax_rounds += o.relax_rounds;
     zreduce.buckets_total += o.zreduce.buckets_total;

@@ -1,8 +1,8 @@
 #include "query/topk.h"
 
 #include <algorithm>
+#include <memory>
 #include <queue>
-#include <span>
 #include <vector>
 
 namespace tq {
@@ -34,25 +34,19 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
   k = std::min(k, num_fac);
   if (k == 0) return result;
 
-  // The bound pass walks each facility's candidate set anyway; with tables
-  // it keeps the ids (facility f's are ids[begin[f], begin[f + 1])), so a
-  // refinement sums over them instead of marking the mask again. Point-count
-  // facilities refine on the cell table's served points instead
-  // (EvaluateServiceCells), which probes fewer points than the candidates
-  // hold.
-  const bool listed = tree->cells().has_tables() &&
-                      eval.model().scenario != Scenario::kPointCount;
-  static thread_local std::vector<uint32_t> ids;
-  static thread_local std::vector<size_t> begin;
-  ids.clear();
-  begin.assign(num_fac + 1, 0);
+  // The index's bounds for this catalog, swept on the first top-k since its
+  // last write. With listed candidates (facility f's are
+  // bounds.candidates(f)) a refinement sums over them instead of marking
+  // the mask again; point-count facilities refine on the cell table's served
+  // points instead (EvaluateServiceCells), which probes fewer points than
+  // the candidates hold.
+  const std::shared_ptr<const FacilityBounds> memo =
+      tree->cells().Bounds(catalog, &result.stats.bounds_computed);
+  const FacilityBounds& bounds = *memo;
   std::vector<HeapItem> items;
   items.reserve(num_fac);
   for (uint32_t f = 0; f < num_fac; ++f) {
-    items.push_back(HeapItem{
-        tree->cells().CellUpperBound(catalog.grid(f), listed ? &ids : nullptr),
-        f, false});
-    begin[f + 1] = ids.size();
+    items.push_back(HeapItem{bounds.bound[f], f, false});
   }
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapLess> pq(
       HeapLess{}, std::move(items));
@@ -67,11 +61,10 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
     result.stats.relax_rounds++;
     const StopGrid& grid = catalog.grid(top.id);
     const double value =
-        listed ? EvaluateServiceOver(
-                     std::span(ids).subspan(begin[top.id],
-                                            begin[top.id + 1] - begin[top.id]),
-                     eval, grid, &result.stats)
-               : EvaluateServiceTQ(tree, eval, grid, &result.stats);
+        bounds.listed()
+            ? EvaluateServiceOver(bounds.candidates(top.id), eval, grid,
+                                  &result.stats)
+            : EvaluateServiceTQ(tree, eval, grid, &result.stats);
     pq.push(HeapItem{value, top.id, true});
   }
   return result;

@@ -1,12 +1,12 @@
 // Lock-free operational counters + latency histograms for the query runtime.
 //
 // One MetricsRegistry lives inside each serving engine; every worker thread
-// bumps the atomics as it executes queries, and the exact checks of each
-// query's QueryStats are folded in through RecordQueryStats (engine shards
-// are cell indexes: no node is visited and no unit list scanned, so only
-// exact_checks moves). Read() takes a consistent-enough snapshot for
-// monitoring (each field is individually atomic; cross-field skew of a few
-// in-flight queries is acceptable by design).
+// bumps the atomics as it executes queries, and the exact checks, points
+// probed and bounds computed of each query's QueryStats are folded in
+// through RecordQueryStats (engine shards are cell indexes: no node is
+// visited and no unit list scanned). Read() takes a consistent-enough
+// snapshot for monitoring (each field is individually atomic; cross-field
+// skew of a few in-flight queries is acceptable by design).
 //
 // The counter set is declared ONCE, in the TQ_METRICS_COUNTERS X-macro
 // below; the MetricsView fields, the registry atomics, Read(), ToJson()
@@ -48,6 +48,11 @@ namespace tq::runtime {
 //   exact_checks             folded per-query QueryStats of the exact
 //                            evaluations (the top-k bound sweep checks
 //                            nothing exactly)
+//   points_probed            folded per-query QueryStats: user points the
+//                            exact evaluations passed to the serve predicate
+//   bounds_computed          folded per-query QueryStats: CellUpperBound
+//                            calls of top-k bound waves (0 for a shard
+//                            whose bounds its generation already memoised)
 //   net_*                    network front-end accounting (src/net/server.h):
 //                            connections accepted, frames decoded, update
 //                            frames merged into a pending publish, payload
@@ -88,6 +93,8 @@ namespace tq::runtime {
   X(facilities_pruned)         \
   X(prune_rounds)              \
   X(exact_checks)              \
+  X(points_probed)             \
+  X(bounds_computed)           \
   X(net_connections)           \
   X(net_requests_decoded)      \
   X(net_batches_coalesced)     \
@@ -268,9 +275,19 @@ class MetricsRegistry {
     checkpoint_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Folds one query's exact checks into the registry.
+  /// Folds one query's exact checks, points probed and bounds computed
+  /// into the registry.
   void RecordQueryStats(const QueryStats& s) {
-    exact_checks_.fetch_add(s.exact_checks, std::memory_order_relaxed);
+    if (s.exact_checks) {
+      exact_checks_.fetch_add(s.exact_checks, std::memory_order_relaxed);
+    }
+    if (s.points_probed) {
+      points_probed_.fetch_add(s.points_probed, std::memory_order_relaxed);
+    }
+    if (s.bounds_computed) {
+      bounds_computed_.fetch_add(s.bounds_computed,
+                                 std::memory_order_relaxed);
+    }
   }
 
   /// One latency sample for the given family.

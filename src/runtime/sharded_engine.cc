@@ -499,12 +499,10 @@ void ShardedEngine::RunShardTask(const CoordinatedQueryPtr& query, size_t p,
   const FacilityCatalog& catalog = *snap.catalog;
   ParticipantAnswer& answer = query->answers[p];
   if (bound) {
-    // One cheap cell bound per facility.
-    std::vector<double>& bounds = query->bounds[p];
-    bounds.resize(catalog.size());
-    for (uint32_t f = 0; f < catalog.size(); ++f) {
-      bounds[f] = shard.cells->CellUpperBound(catalog.grid(f));
-    }
+    // One cell bound per facility, swept once per shard generation: a
+    // published shard is never written, so its memo stays valid.
+    query->bounds[p] =
+        shard.cells->Bounds(catalog, &answer.stats.bounds_computed)->bound;
   } else {
     bool all_hit = true;
     for (const FacilityId f : query->window) {

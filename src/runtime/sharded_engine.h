@@ -16,8 +16,9 @@
 //     answers from its shard's frozen index (cache-assisted), and the last
 //     finisher hands the wave back to the coordinator, which sums in
 //     ascending shard order or plans the next top-k wave. No pool thread
-//     ever blocks waiting on another task, so a pool of any size cannot
-//     deadlock.
+//     ever blocks waiting on another task (a bound task may wait out
+//     another's fill of the same shard's bounds memo, which itself waits
+//     on nothing), so a pool of any size cannot deadlock.
 //   * Writers are incremental: a trajectory insert/remove batch is routed
 //     per shard, and only the AFFECTED shards are forked (CellIndex::Fork)
 //     and republished. Untouched shards keep their snapshot, generation,
@@ -34,10 +35,13 @@
 //   * Top-k is BOUND-AND-PRUNE (prune_plan.h), the only top-k protocol and
 //     exact for every k: a bound wave (CellIndex::CellUpperBound per
 //     facility), then refinement waves for the window's unsettled slots
-//     until the window is settled. Every top-k runs the bound wave; its
-//     refinement waves read the per-(facility, shard) cache entries, whose
-//     hits and misses count in the metrics, and a top-k response never
-//     reports cache_hit.
+//     until the window is settled. Every top-k runs the bound wave, which
+//     reads each shard's bounds memo (CellIndex::Bounds): a published
+//     shard is never written, so its bounds are swept once per generation
+//     and a publish recomputes only the shards it touched (the
+//     bounds_computed counter). The refinement waves read the
+//     per-(facility, shard) cache entries, whose hits and misses count in
+//     the metrics, and a top-k response never reports cache_hit.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 

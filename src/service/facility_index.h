@@ -3,6 +3,7 @@
 #ifndef TQCOVER_SERVICE_FACILITY_INDEX_H_
 #define TQCOVER_SERVICE_FACILITY_INDEX_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,6 +19,16 @@ class FacilityCatalog {
  public:
   FacilityCatalog(const TrajectorySet* facilities, double psi);
 
+  // The serial names this catalog's grids: a moved-from catalog would keep
+  // it without them.
+  FacilityCatalog(const FacilityCatalog&) = delete;
+  FacilityCatalog& operator=(const FacilityCatalog&) = delete;
+
+  /// Unique among the catalogs this process ever constructs, so a cache
+  /// keyed on it (CellIndex::Bounds) never mistakes a new catalog for a
+  /// destroyed one at the same address.
+  uint64_t serial() const { return serial_; }
+
   const TrajectorySet& facilities() const { return *facilities_; }
   size_t size() const { return grids_.size(); }
   double psi() const { return psi_; }
@@ -28,6 +39,7 @@ class FacilityCatalog {
  private:
   const TrajectorySet* facilities_;
   double psi_;
+  uint64_t serial_;
   std::vector<std::unique_ptr<StopGrid>> grids_;
 };
 

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/check.h"
+#include "service/facility_index.h"
 #include "service/stop_grid.h"
 #include "tqtree/aggregates.h"
 #include "tqtree/point_raster.h"
@@ -119,6 +120,7 @@ void CellIndex::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   Own();
   fresh_ = false;
+  DropBounds();
   raster_->AddTrajectory(users_->points(traj_id), model_, 1.0);
   SetIndexed(traj_id, true);
   if (cells_ != nullptr) pending_.push_back(traj_id);
@@ -131,6 +133,7 @@ bool CellIndex::Remove(uint32_t traj_id) {
   if (w >= live.size() || ((live[w] >> (traj_id & 63)) & 1) == 0) return false;
   Own();
   fresh_ = false;
+  DropBounds();
   raster_->AddTrajectory(users_->points(traj_id), model_, -1.0);
   SetIndexed(traj_id, false);
   return true;
@@ -155,6 +158,7 @@ std::vector<uint32_t> CellIndex::IndexedTrajectories() const {
 }
 
 void CellIndex::BuildCellTables() {
+  DropBounds();
   const std::vector<uint32_t> ids = IndexedTrajectories();
   if (kind_ == ZPruneMode::kStartEnd) {
     cells_ = std::make_shared<const PointCellTable>(world_, *users_, ids,
@@ -167,6 +171,11 @@ void CellIndex::BuildCellTables() {
     end_cells_.reset();
   }
   pending_.clear();
+}
+
+void CellIndex::DropBounds() {
+  const std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_.reset();
 }
 
 void CellIndex::AddPendingKeepIndexed(size_t words, uint64_t* mask) const {
@@ -259,6 +268,29 @@ double CellIndex::CellUpperBound(const StopGrid& grid,
   // computed by different formulas, which may round differently.
   sum *= kRasterDriftInflation;
   return std::min(sum, raster_->MassInCells(runs));
+}
+
+std::shared_ptr<const FacilityBounds> CellIndex::Bounds(
+    const FacilityCatalog& catalog, size_t* computed) const {
+  const std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_ != nullptr && memo_serial_ == catalog.serial()) return memo_;
+  auto bounds = std::make_shared<FacilityBounds>();
+  const size_t num_fac = catalog.size();
+  bounds->bound.resize(num_fac);
+  std::vector<uint32_t>* ids = nullptr;
+  if (lists_candidates()) {
+    ids = &bounds->ids;
+    bounds->begin.assign(num_fac + 1, 0);
+  }
+  for (uint32_t f = 0; f < num_fac; ++f) {
+    bounds->bound[f] = CellUpperBound(catalog.grid(f), ids);
+    if (ids != nullptr) bounds->begin[f + 1] = ids->size();
+  }
+  bounds->ids.shrink_to_fit();
+  if (computed != nullptr) *computed += num_fac;
+  memo_serial_ = catalog.serial();
+  memo_ = bounds;
+  return bounds;
 }
 
 }  // namespace tq

@@ -10,6 +10,11 @@
 // its quadtree (without); a serving shard is one alone, since the engine
 // answers every SO and every bound from the cells.
 //
+// A frozen index's facility bounds depend only on its cells and the
+// facility, so Bounds() computes them once per catalog and keeps them (the
+// memo) until the next write: every later top-k, library or engine, reads
+// them instead of sweeping the catalog again.
+//
 // Fork() is the engine's snapshot-publish primitive: the fork shares the
 // raster, the bitmap and the tables with its parent, and whichever side
 // writes first copies the raster and the bitmap, so a retained snapshot
@@ -18,8 +23,10 @@
 #ifndef TQCOVER_TQTREE_CELL_INDEX_H_
 #define TQCOVER_TQTREE_CELL_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -30,10 +37,11 @@
 
 namespace tq {
 
-class PointCellTable;  // tqtree/point_raster.h
-class PointRaster;     // tqtree/point_raster.h
-struct CellRun;        // tqtree/point_raster.h
-class StopGrid;        // service/stop_grid.h
+class FacilityCatalog;  // service/facility_index.h
+class PointCellTable;   // tqtree/point_raster.h
+class PointRaster;      // tqtree/point_raster.h
+struct CellRun;         // tqtree/point_raster.h
+class StopGrid;         // service/stop_grid.h
 
 /// Whether trajectories are stored whole or as independent segments.
 enum class TrajMode { kWhole, kSegmented };
@@ -45,6 +53,22 @@ ZPruneMode DerivePruneMode(TrajMode mode, const ServiceModel& model,
 
 /// The ids 0, 1, ..., users.size() - 1.
 std::vector<uint32_t> AllIds(const TrajectorySet& users);
+
+/// One frozen index's CellUpperBound of every facility of one catalog
+/// (CellIndex::Bounds).
+struct FacilityBounds {
+  /// bound[f] = CellUpperBound(catalog.grid(f)).
+  std::vector<double> bound;
+  /// When the index lists candidates, facility f's ascending candidate ids
+  /// are ids[begin[f], begin[f + 1]); otherwise both are empty.
+  std::vector<uint32_t> ids;
+  std::vector<size_t> begin;
+
+  bool listed() const { return !begin.empty(); }
+  std::span<const uint32_t> candidates(uint32_t f) const {
+    return std::span(ids).subspan(begin[f], begin[f + 1] - begin[f]);
+  }
+};
 
 /// Cell structures over the indexed trajectories of a user set (not owned;
 /// must outlive the index). Writes (Insert, Remove, Freeze, Fork) come from
@@ -173,6 +197,25 @@ class CellIndex {
   double CellUpperBound(const StopGrid& grid,
                         std::vector<uint32_t>* candidates = nullptr) const;
 
+  /// True when CellUpperBound lists candidates a caller can refine over:
+  /// the tables exist and the model is not point-count, whose SO probes the
+  /// cell table's served points instead (EvaluateServiceCells), fewer than
+  /// the candidates hold.
+  bool lists_candidates() const {
+    return cells_ != nullptr && model_.scenario != Scenario::kPointCount;
+  }
+
+  /// CellUpperBound of every facility of `catalog`, with the candidate ids
+  /// when lists_candidates(): computed on the first call for the catalog
+  /// since the last write, then kept and shared until the next write or a
+  /// call for another catalog (keyed on catalog.serial()). Insert, Remove
+  /// and a Freeze that rebuilds the tables drop them; a fork starts with
+  /// none. Thread-safe once frozen: the caller that computes fills them
+  /// under a lock it holds for nothing else and adds catalog.size() to
+  /// `*computed` (when non-null); a caller that reads them adds 0.
+  std::shared_ptr<const FacilityBounds> Bounds(const FacilityCatalog& catalog,
+                                               size_t* computed = nullptr) const;
+
  private:
   /// Fork()'s constructor.
   CellIndex(const CellIndex& parent, const TrajectorySet* users);
@@ -189,6 +232,8 @@ class CellIndex {
   /// Sets every pending id in the first `words` words of `mask`, then ANDs
   /// them with the indexed-ids bitmap.
   void AddPendingKeepIndexed(size_t words, uint64_t* mask) const;
+  /// Drops the memoised bounds (a write changes them).
+  void DropBounds();
 
   const TrajectorySet* users_;
   ServiceModel model_;
@@ -211,6 +256,11 @@ class CellIndex {
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> pending_;
+  /// Bounds()'s memo: the bounds of the catalog with serial `memo_serial_`
+  /// (serials start at 1), or null.
+  mutable std::mutex memo_mu_;
+  mutable uint64_t memo_serial_ = 0;
+  mutable std::shared_ptr<const FacilityBounds> memo_;
 };
 
 }  // namespace tq

@@ -10,21 +10,17 @@ uint32_t TrajectorySet::Add(std::span<const Point> points) {
   const auto id = static_cast<uint32_t>(size());
   points_.insert(points_.end(), points.begin(), points.end());
   offsets_.push_back(points_.size());
-  mbrs_.push_back(Rect::BoundingBox(points));
   lengths_.push_back(PolylineLength(points));
   return id;
 }
 
 Rect TrajectorySet::BoundingBox() const {
-  Rect r = Rect::Empty();
-  for (const Rect& m : mbrs_) r = r.UnionWith(m);
-  return r;
+  return Rect::BoundingBox(points_);
 }
 
 void TrajectorySet::Reserve(size_t num_trajectories, size_t avg_points) {
   points_.reserve(num_trajectories * avg_points);
   offsets_.reserve(num_trajectories + 1);
-  mbrs_.reserve(num_trajectories);
   lengths_.reserve(num_trajectories);
 }
 

@@ -13,8 +13,8 @@
 namespace tq {
 
 /// Owning, append-only trajectory store. Points live in one flat array;
-/// per-trajectory offsets, MBRs and lengths are materialised at Add() time so
-/// index construction and service evaluation never re-derive them.
+/// per-trajectory offsets and lengths are materialised at Add() time so
+/// service evaluation never re-derives them.
 class TrajectorySet {
  public:
   TrajectorySet() = default;
@@ -36,7 +36,8 @@ class TrajectorySet {
   size_t NumPoints(uint32_t id) const {
     return offsets_[id + 1] - offsets_[id];
   }
-  const Rect& mbr(uint32_t id) const { return mbrs_[id]; }
+  /// Computed from the points on each call: only index construction asks.
+  Rect mbr(uint32_t id) const { return Rect::BoundingBox(points(id)); }
   double length(uint32_t id) const { return lengths_[id]; }
 
   /// Total number of points across all trajectories.
@@ -51,7 +52,6 @@ class TrajectorySet {
  private:
   std::vector<Point> points_;
   std::vector<size_t> offsets_ = {0};
-  std::vector<Rect> mbrs_;
   std::vector<double> lengths_;
 };
 

@@ -12,6 +12,9 @@
 //     facilities_evaluated stays within the positive-bound slots of
 //     facilities whose bound reaches the k-th value, with the skipped slots
 //     accounted in facilities_pruned;
+//   * the bounds memo (CellIndex::Bounds): every write drops it, each
+//     catalog gets its own, an engine publish recomputes only the shards it
+//     touched, and racing first top-ks fill it once;
 //   * the shared window planner (runtime/prune_plan.h), iterated to its
 //     fixpoint on random bound/exact matrices against a brute-force top-k:
 //     B == value ties across ids, k ≥ |F|, all-zero bounds and dropped
@@ -24,7 +27,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -220,6 +225,236 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
     EXPECT_EQ(tree.cells().CellUpperBound(catalog.grid(0)), 0.0)
         << "mode=" << static_cast<int>(mode);
   }
+}
+
+// ---------------------------------------------------- CellIndex::Bounds memo
+
+// What one tree's memoised bounds must hold at any step: they equal a live
+// CellUpperBound sweep bit for bit (with the same candidate ids when the
+// index lists them) and never fall below the exact SO.
+void ExpectMemoMatchesLiveBounds(TQTree* tree, const ServiceEvaluator& eval,
+                                 const FacilityCatalog& catalog) {
+  const std::shared_ptr<const FacilityBounds> memo =
+      tree->cells().Bounds(catalog);
+  ASSERT_EQ(memo->bound.size(), catalog.size());
+  EXPECT_EQ(memo->listed(), tree->cells().lists_candidates());
+  std::vector<uint32_t> ids;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    ids.clear();
+    EXPECT_EQ(memo->bound[f], tree->cells().CellUpperBound(catalog.grid(f),
+                                                           &ids))
+        << "facility=" << f;
+    if (memo->listed()) {
+      const std::span<const uint32_t> listed = memo->candidates(f);
+      EXPECT_EQ(std::vector<uint32_t>(listed.begin(), listed.end()), ids)
+          << "facility=" << f;
+    }
+    EXPECT_GE(memo->bound[f],
+              EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr))
+        << "facility=" << f;
+  }
+}
+
+// One step of the churn: the first top-k since the step computes
+// `expect_computed` bounds and ranks exactly as the exhaustive search does;
+// a repeat computes none and returns the same prefix; the memo then matches
+// a live sweep.
+void ExpectMemoStep(TQTree* tree, const ServiceEvaluator& eval,
+                    const FacilityCatalog& catalog, size_t expect_computed,
+                    const std::string& step) {
+  SCOPED_TRACE(step);
+  const size_t n = catalog.size();
+  const TopKResult all = TopKFacilitiesTQ(tree, catalog, eval, n);
+  EXPECT_EQ(all.stats.bounds_computed, expect_computed);
+  const std::vector<RankedFacility> want =
+      TopKFacilitiesExhaustiveTQ(tree, catalog, eval, n).ranked;
+  ExpectSameRanking(all.ranked, want);
+  const TopKResult again = TopKFacilitiesTQ(tree, catalog, eval, 5);
+  EXPECT_EQ(again.stats.bounds_computed, 0u);
+  ExpectSameRanking(again.ranked,
+                    std::vector<RankedFacility>(want.begin(), want.begin() + 5));
+  ExpectMemoMatchesLiveBounds(tree, eval, catalog);
+}
+
+// Insert → remove → reinsert → freeze on whole and segmented trees, under
+// all three scenarios: every write drops the memo, so the first top-k after
+// it sweeps the catalog again, and the memo never serves a stale bound.
+TEST(BoundsMemo, ChurnRecomputesAfterEachWrite) {
+  Rng rng(53);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet base = testing::RandomUsers(&rng, 300, 2, 6, w);
+  TrajectorySet users = base;
+  const TrajectorySet more = testing::RandomUsers(&rng, 60, 2, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) users.Add(more.points(u));
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 20, 8, w);
+  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+    for (const ServiceModel& model :
+         {ServiceModel::Endpoints(300.0), ServiceModel::PointCount(300.0),
+          ServiceModel::Length(300.0)}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " model=" + model.ToString());
+      TQTreeOptions options;
+      options.beta = 16;
+      options.mode = mode;
+      options.model = model;
+      TQTree tree(&users, options, AllIds(base));
+      const ServiceEvaluator eval(&users, model);
+      const FacilityCatalog catalog(&facs, model.psi);
+      const size_t n = catalog.size();
+      ExpectMemoStep(&tree, eval, catalog, n, "fresh");
+      for (uint32_t u = static_cast<uint32_t>(base.size()); u < users.size();
+           ++u) {
+        tree.Insert(u);
+      }
+      ExpectMemoStep(&tree, eval, catalog, n, "inserted");
+      std::vector<uint32_t> removed;
+      for (uint32_t u = 0; u < base.size(); u += 3) {
+        ASSERT_TRUE(tree.Remove(u));
+        removed.push_back(u);
+      }
+      ExpectMemoStep(&tree, eval, catalog, n, "removed");
+      for (const uint32_t u : removed) tree.Insert(u);
+      ExpectMemoStep(&tree, eval, catalog, n, "reinserted");
+      // The whole tree's 160 pending inserts (of 300 listed) force a table
+      // rebuild, which changes its bounds; the segmented tree's cell index
+      // has no tables, so its freeze keeps the memo.
+      tree.Freeze();
+      ExpectMemoStep(&tree, eval, catalog,
+                     mode == TrajMode::kWhole ? n : 0, "frozen");
+    }
+  }
+}
+
+// Bounds are per catalog: two catalogs of one facility set at different ψ,
+// used alternately on one tree, each get their own (the memo holds one
+// catalog's, so each switch sweeps again); and a catalog built at a
+// destroyed one's address gets its own too.
+TEST(BoundsMemo, EachCatalogGetsItsOwnBounds) {
+  Rng rng(59);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 400, 2, 6, w);
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 16, 8, w);
+  const ServiceModel model = ServiceModel::Endpoints(300.0);
+  TQTreeOptions options;
+  options.model = model;
+  TQTree tree(&users, options);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog narrow(&facs, 150.0);
+  const FacilityCatalog wide(&facs, 600.0);
+  EXPECT_NE(narrow.serial(), wide.serial());
+  ExpectMemoStep(&tree, eval, narrow, facs.size(), "narrow");
+  ExpectMemoStep(&tree, eval, wide, facs.size(), "wide");
+  ExpectMemoStep(&tree, eval, narrow, facs.size(), "narrow again");
+  ExpectMemoStep(&tree, eval, wide, facs.size(), "wide again");
+  EXPECT_NE(tree.cells().Bounds(narrow)->bound,
+            tree.cells().Bounds(wide)->bound);
+
+  // The replacement is built in the destroyed catalog's own storage.
+  std::optional<FacilityCatalog> slot;
+  slot.emplace(&facs, 150.0);
+  ExpectMemoStep(&tree, eval, *slot, facs.size(), "to be destroyed");
+  const uint64_t gone_serial = slot->serial();
+  slot.reset();
+  slot.emplace(&facs, 450.0);
+  EXPECT_NE(slot->serial(), gone_serial);
+  ExpectMemoStep(&tree, eval, *slot, facs.size(), "replacement");
+}
+
+// Engine shards memoise per generation: a repeated top-k computes no bound,
+// and a publish touching one of four shards recomputes that shard's bounds
+// alone. Under the integer point count every partition sums to the same
+// bits, so the answer equals a fresh engine's over the same users.
+TEST(BoundsMemo, EnginePublishRecomputesOnlyTheTouchedShard) {
+  const TrajectorySet users = presets::NyfCheckins(800);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 8);
+  const ServiceModel model =
+      ServiceModel::PointCount(200.0, Normalization::kNone);
+  constexpr size_t kShards = 4;
+  constexpr size_t kK = 5;
+  const uint64_t nf = routes.size();
+  ShardedEngine engine(users, routes, Options(kShards, model));
+  const auto computed = [&] { return engine.metrics().Read().bounds_computed; };
+  engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(computed(), kShards * nf);
+  engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(computed(), kShards * nf) << "a repeat swept the bounds again";
+
+  TrajectorySet now = users;
+  const TrajectorySet extra = presets::NyfCheckins(820);
+  runtime::UpdateBatch batch;
+  batch.inserts.emplace_back(extra.points(810).begin(),
+                             extra.points(810).end());
+  now.Add(extra.points(810));
+  const std::vector<uint64_t> before = engine.shard_generations();
+  engine.ApplyUpdates(batch);
+  const std::vector<uint64_t> after = engine.shard_generations();
+  size_t touched = 0;
+  for (size_t s = 0; s < kShards; ++s) touched += before[s] != after[s];
+  ASSERT_EQ(touched, 1u);
+
+  const QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(computed(), (kShards + 1) * nf);
+  ShardedEngine fresh(now, routes, Options(kShards, model));
+  ExpectSameRanking(got.ranked,
+                    fresh.Submit(QueryRequest::TopK(kK)).get().ranked);
+  ExpectSameRanking(got.ranked, OracleRanking(now, routes, model, kK));
+}
+
+// Several threads start the first top-k at once, on one frozen tree and on
+// one engine, racing the memo fills: each memo is filled exactly once and
+// every reader gets the serial answer's bits. TSan runs this suite in CI.
+TEST(BoundsMemo, ConcurrentFirstTopKFillsEachMemoOnce) {
+  const TrajectorySet users = presets::NytTrips(1200);
+  const TrajectorySet routes = presets::NyBusRoutes(24, 16);
+  const ServiceModel model = ServiceModel::Endpoints(200.0);
+  constexpr size_t kShards = 4;
+  constexpr size_t kK = 5;
+  constexpr int kThreads = 4;
+  TQTreeOptions options;
+  options.model = model;
+  TQTree tree(&users, options);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&routes, model.psi);
+  // Neither reference touches the memos under test.
+  const std::vector<RankedFacility> want_tree =
+      TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, kK).ranked;
+  ShardedEngine engine(users, routes, Options(kShards, model));
+  ShardedEngine reference(users, routes, Options(kShards, model));
+  const std::vector<RankedFacility> want_engine =
+      reference.Submit(QueryRequest::TopK(kK)).get().ranked;
+
+  const auto same = [](const std::vector<RankedFacility>& a,
+                       const std::vector<RankedFacility>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].id != b[i].id || a[i].value != b[i].value) return false;
+    }
+    return true;
+  };
+  std::atomic<int> waiting{kThreads};
+  std::vector<size_t> computed(kThreads, 0);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      std::future<QueryResponse> pending =
+          engine.Submit(QueryRequest::TopK(kK));
+      const TopKResult top = TopKFacilitiesTQ(&tree, catalog, eval, kK);
+      computed[t] = top.stats.bounds_computed;
+      if (!same(top.ranked, want_tree)) failures[t]++;
+      if (!same(pending.get().ranked, want_engine)) failures[t]++;
+    });
+  }
+  for (auto& th : threads) th.join();
+  size_t total = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    total += computed[t];
+  }
+  EXPECT_EQ(total, catalog.size());
+  EXPECT_EQ(engine.metrics().Read().bounds_computed, kShards * catalog.size());
 }
 
 // ---------------------------------------------------------- top-k answers

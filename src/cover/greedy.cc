@@ -1,6 +1,7 @@
 #include "cover/greedy.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "query/topk.h"
@@ -70,6 +71,96 @@ void DropUsersThePoolCannotServe(std::vector<FacilityServedSet>* sets,
   state->Clear();
 }
 
+// Step 2 under Scenario 1 where AnyEndpointCollection holds. A user
+// scores 1 exactly when some chosen facility serves its source and some
+// (maybe other) chosen facility its destination (Lemma 1), and 0
+// otherwise, so a group's SO is popcount(S ∧ D) over its served-source
+// bitmap S and served-destination bitmap D. Every gain is then an exact
+// integer, and the argmax and ties are GreedyOverSets'. Only users whose
+// source and destination cells are both near some pooled stop can score;
+// bitmap rows index them by rank among those users (prefix popcounts), so
+// they scale with the pool, not with |U|.
+CoverResult EndpointGreedy(const TQTree& tree, const FacilityCatalog& catalog,
+                           const std::vector<RankedFacility>& pool, size_t k,
+                           QueryStats* stats) {
+  std::vector<Point> stops;
+  for (const RankedFacility& rf : pool) {
+    const std::span<const Point> s = catalog.grid(rf.id).stops();
+    stops.insert(stops.end(), s.begin(), s.end());
+  }
+  static thread_local std::vector<uint64_t> pooled;
+  const bool filtered =
+      tree.cells().MarkCandidates(stops, catalog.psi(), &pooled);
+  TQ_CHECK(filtered);  // AnyEndpointCollection: kStartEnd tables
+  static thread_local std::vector<uint32_t> rank_base;
+  rank_base.resize(pooled.size());
+  uint32_t num_pooled = 0;
+  for (size_t w = 0; w < pooled.size(); ++w) {
+    rank_base[w] = num_pooled;
+    num_pooled += std::popcount(pooled[w]);
+  }
+  const auto set_ranked_bit = [&](uint32_t id, uint64_t* row) {
+    const uint64_t below = (uint64_t{1} << (id & 63)) - 1;
+    const uint32_t r =
+        rank_base[id >> 6] + std::popcount(pooled[id >> 6] & below);
+    row[r >> 6] |= uint64_t{1} << (r & 63);
+  };
+  // Pooled facility i's served sources are row 2i, its served
+  // destinations row 2i + 1; S and D, the chosen group's, are rows 2|pool|
+  // and 2|pool| + 1.
+  const size_t words = (num_pooled + 63) / 64;
+  static thread_local std::vector<uint64_t> rows;
+  rows.assign((2 * pool.size() + 2) * words, 0);
+  static thread_local std::vector<uint32_t> sources;
+  static thread_local std::vector<uint32_t> destinations;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    CollectServedEndpoints(tree, catalog.grid(pool[i].id), pooled.data(),
+                           &sources, &destinations, stats);
+    uint64_t* row = rows.data() + 2 * i * words;
+    for (const uint32_t id : sources) set_ranked_bit(id, row);
+    for (const uint32_t id : destinations) set_ranked_bit(id, row + words);
+  }
+  uint64_t* const chosen_s = rows.data() + 2 * pool.size() * words;
+  uint64_t* const chosen_d = chosen_s + words;
+  CoverResult result;
+  result.pool_size = pool.size();
+  std::vector<bool> used(pool.size(), false);
+  size_t best_count = 0;
+  const size_t rounds = std::min(k, pool.size());
+  for (size_t round = 0; round < rounds; ++round) {
+    // A gain is count − popcount(S ∧ D), the same for every candidate of
+    // a round, so the largest count wins; ties by facility id, as in
+    // GreedyOverSets.
+    size_t best = pool.size();
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (used[i]) continue;
+      const uint64_t* s = rows.data() + 2 * i * words;
+      const uint64_t* d = s + words;
+      size_t count = 0;
+      for (size_t w = 0; w < words; ++w) {
+        count += std::popcount((chosen_s[w] | s[w]) & (chosen_d[w] | d[w]));
+      }
+      if (best == pool.size() || count > best_count ||
+          (count == best_count && pool[i].id < pool[best].id)) {
+        best_count = count;
+        best = i;
+      }
+    }
+    used[best] = true;
+    const uint64_t* s = rows.data() + 2 * best * words;
+    const uint64_t* d = s + words;
+    for (size_t w = 0; w < words; ++w) {
+      chosen_s[w] |= s[w];
+      chosen_d[w] |= d[w];
+    }
+    result.chosen.push_back(pool[best].id);
+  }
+  // After the last round, best_count is popcount(S ∧ D).
+  result.total = static_cast<double>(best_count);
+  result.users_served = best_count;
+  return result;
+}
+
 }  // namespace
 
 CoverResult GreedyCover(const std::vector<FacilityServedSet>& sets, size_t k,
@@ -97,32 +188,26 @@ CoverResult GreedyCoverTQ(TQTree* tree, const FacilityCatalog& catalog,
   pool_size = std::min(pool_size, catalog.size());
   // Step 1: pool the k′ highest-serving facilities with kMaxRRST (Alg. 3).
   const TopKResult pool = TopKFacilitiesTQ(tree, catalog, eval, pool_size);
-  // Step 2: exact greedy inside the pool. Under Scenario 1 on a kStartEnd
-  // tree a user scores only with its source near some pooled stop and its
-  // destination near some (maybe other) pooled stop: one candidate mask
-  // over every pooled stop narrows each facility's either-endpoint
-  // collection to those users.
-  std::vector<uint64_t> pool_mask;
-  const uint64_t* pool_candidates = nullptr;
+  // Step 2: exact greedy inside the pool.
+  QueryStats collection;
+  CoverResult result;
   if (AnyEndpointCollection(*tree, eval)) {
-    std::vector<Point> stops;
+    result = EndpointGreedy(*tree, catalog, pool.ranked, k, &collection);
+  } else {
+    std::vector<FacilityServedSet> sets;
+    sets.reserve(pool.ranked.size());
     for (const RankedFacility& rf : pool.ranked) {
-      const std::span<const Point> s = catalog.grid(rf.id).stops();
-      stops.insert(stops.end(), s.begin(), s.end());
+      sets.push_back(
+          CollectServedSetTQ(tree, catalog, eval, rf.id, &collection));
     }
-    if (tree->cells().MarkCandidates(stops, catalog.psi(), &pool_mask)) {
-      pool_candidates = pool_mask.data();
-    }
+    CoverageState state(&eval);
+    DropUsersThePoolCannotServe(&sets, &state);
+    result = GreedyOverSets(sets, k, &state);
   }
-  std::vector<FacilityServedSet> sets;
-  sets.reserve(pool.ranked.size());
-  for (const RankedFacility& rf : pool.ranked) {
-    sets.push_back(
-        CollectServedSetTQ(tree, catalog, eval, rf.id, pool_candidates));
-  }
-  CoverageState state(&eval);
-  DropUsersThePoolCannotServe(&sets, &state);
-  return GreedyOverSets(sets, k, &state);
+  result.stats = pool.stats;
+  result.stats.exact_checks += collection.exact_checks;
+  result.stats.points_probed += collection.points_probed;
+  return result;
 }
 
 }  // namespace tq

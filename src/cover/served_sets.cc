@@ -39,9 +39,9 @@ void FacilityServedSet::Append(uint32_t user, std::span<const uint64_t> mask) {
 FacilityServedSet CollectServedSetTQ(TQTree* tree,
                                      const FacilityCatalog& catalog,
                                      const ServiceEvaluator& eval,
-                                     FacilityId id, const uint64_t* pool) {
+                                     FacilityId id, QueryStats* stats) {
   ServedGather& gather = ThreadGather();
-  CollectServedTQ(tree, eval, catalog.grid(id), &gather, pool);
+  CollectServedTQ(tree, eval, catalog.grid(id), &gather, stats);
   return FinalizeServedSet(id, gather);
 }
 

@@ -38,14 +38,13 @@ struct FacilityServedSet {
   void Append(uint32_t user, std::span<const uint64_t> mask);
 };
 
-/// Served set via the TQ-tree traversal (Algorithm 1's pruning). A
-/// non-null `pool` restricts it to the users with a bit set there (see
-/// CollectServedTQ).
+/// Served set via the TQ-tree traversal (Algorithm 1's pruning), with
+/// CollectServedTQ's counters added to `stats`.
 FacilityServedSet CollectServedSetTQ(TQTree* tree,
                                      const FacilityCatalog& catalog,
                                      const ServiceEvaluator& eval,
                                      FacilityId id,
-                                     const uint64_t* pool = nullptr);
+                                     QueryStats* stats = nullptr);
 
 /// Served set via baseline range queries (for G-BL).
 FacilityServedSet CollectServedSetBaseline(const PointQuadtree& index,

@@ -73,15 +73,12 @@ double EvaluateServiceOver(std::span<const uint32_t> ids,
 
 namespace {
 
-// Calls `fn(id)` for every set bit of the first `words` words of `mask`
-// (ANDed with `pool` when non-null), in ascending id order.
+// Calls `fn(id)` for every set bit of the first `words` words of `mask`,
+// in ascending id order.
 template <typename Fn>
-void ForEachSetBit(const uint64_t* mask, const uint64_t* pool, size_t words,
-                   Fn&& fn) {
+void ForEachSetBit(const uint64_t* mask, size_t words, Fn&& fn) {
   for (size_t w = 0; w < words; ++w) {
-    uint64_t bits = mask[w];
-    if (pool != nullptr) bits &= pool[w];
-    for (; bits != 0; bits &= bits - 1) {
+    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
       fn(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
     }
   }
@@ -171,7 +168,7 @@ double EvaluateServiceCells(const CellIndex& cells,
   double so = 0.0;
   if (eval.model().scenario != Scenario::kPointCount) {
     const uint64_t* mask = WholeCandidates(cells, grid);
-    ForEachSetBit(mask, nullptr, words, [&](uint32_t id) {
+    ForEachSetBit(mask, words, [&](uint32_t id) {
       if (stats != nullptr) {
         stats->exact_checks++;
         stats->points_probed += PointsEvaluated(eval, id);
@@ -192,7 +189,7 @@ double EvaluateServiceCells(const CellIndex& cells,
   }
   size_t probed = cells.CountServedPoints(grid, &mask, counts.data(), &touched);
   size_t checks = 0;
-  ForEachSetBit(mask.data(), nullptr, words, [&](uint32_t id) {
+  ForEachSetBit(mask.data(), words, [&](uint32_t id) {
     ++checks;
     const uint32_t count = counts[id];
     if (count == CellIndex::kPendingCount) {
@@ -220,83 +217,112 @@ double EvaluateServiceTQ(TQTree* tree, const ServiceEvaluator& eval,
   // gather reused across queries on this thread, and the masks are summed
   // in ascending id like every other SO.
   static thread_local ServedGather gather;
-  CollectServedTQ(tree, eval, grid, &gather, nullptr, stats);
+  CollectServedTQ(tree, eval, grid, &gather, stats);
   return gather.SumAscending();
+}
+
+void CollectServedEndpoints(const TQTree& tree, const StopGrid& grid,
+                            const uint64_t* pool,
+                            std::vector<uint32_t>* sources,
+                            std::vector<uint32_t>* destinations,
+                            QueryStats* stats) {
+  // A served source lies in a near source cell and a served destination in
+  // a near destination cell, so each endpoint is probed only where its own
+  // mask has the user.
+  static thread_local std::vector<uint64_t> near_sources;
+  static thread_local std::vector<uint64_t> near_destinations;
+  const bool filtered = tree.cells().MarkEndpointCandidates(
+      grid.stops(), grid.psi(), &near_sources, &near_destinations);
+  TQ_CHECK(filtered);  // AnyEndpointCollection: kStartEnd tables
+  sources->clear();
+  destinations->clear();
+  const TrajectorySet& users = tree.users();
+  size_t checks = 0;
+  size_t probed = 0;
+  for (size_t w = 0; w < near_sources.size(); ++w) {
+    const uint64_t src = near_sources[w];
+    const uint64_t dst = near_destinations[w];
+    uint64_t bits = src | dst;
+    if (pool != nullptr) bits &= pool[w];
+    for (; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const auto id = static_cast<uint32_t>(w * 64 + b);
+      ++checks;
+      const std::span<const Point> pts = users.points(id);
+      if (((src >> b) & 1) != 0) {
+        ++probed;
+        if (grid.Serves(pts.front())) sources->push_back(id);
+      }
+      if (((dst >> b) & 1) != 0) {
+        ++probed;
+        if (grid.Serves(pts.back())) destinations->push_back(id);
+      }
+    }
+  }
+  if (stats != nullptr) {
+    stats->exact_checks += checks;
+    stats->points_probed += probed;
+  }
 }
 
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      const StopGrid& grid, ServedGather* out,
-                     const uint64_t* pool, QueryStats* stats) {
+                     QueryStats* stats) {
   out->Reset(eval);
   const Scenario scenario = eval.model().scenario;
   const TrajectorySet& users = tree->users();
+  // The serve predicate on one user point, counted.
+  const auto serves = [&](const Point& p) {
+    if (stats != nullptr) stats->points_probed++;
+    return grid.Serves(p);
+  };
   // A whole trajectory's detail. Scenario 1 details hold the source and
   // destination bits only (see ServeDetail).
   const auto gather_whole = [&](uint32_t id) {
     if (stats != nullptr) stats->exact_checks++;
     if (scenario == Scenario::kEndpoints) {
       const std::span<const Point> pts = users.points(id);
-      if (grid.Serves(pts.front())) out->SetBit(id, 0);
-      if (grid.Serves(pts.back())) out->SetBit(id, pts.size() - 1);
+      if (serves(pts.front())) out->SetBit(id, 0);
+      if (serves(pts.back())) out->SetBit(id, pts.size() - 1);
     } else {
+      if (stats != nullptr) stats->points_probed += users.NumPoints(id);
       out->AddDetail(id, grid);
     }
   };
   if (tree->options().mode == TrajMode::kWhole) {
-    const size_t words = (users.size() + 63) / 64;
-    if (!AnyEndpointCollection(*tree, eval)) {
-      ForEachSetBit(WholeCandidates(tree->cells(), grid), pool, words,
-                    gather_whole);
+    if (AnyEndpointCollection(*tree, eval)) {
+      static thread_local std::vector<uint32_t> sources;
+      static thread_local std::vector<uint32_t> destinations;
+      CollectServedEndpoints(*tree, grid, nullptr, &sources, &destinations,
+                             stats);
+      for (const uint32_t id : sources) out->SetBit(id, 0);
+      for (const uint32_t id : destinations) {
+        out->SetBit(id, users.NumPoints(id) - 1);
+      }
       return;
     }
-    // Scenario 1: a served source lies in a near source cell and a served
-    // destination in a near destination cell, so each endpoint is probed
-    // only where its own mask has the user.
-    static thread_local std::vector<uint64_t> sources;
-    static thread_local std::vector<uint64_t> destinations;
-    const bool filtered = tree->cells().MarkEndpointCandidates(
-        grid.stops(), grid.psi(), &sources, &destinations);
-    TQ_CHECK(filtered);  // AnyEndpointCollection: kStartEnd tables
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t bits = sources[w] | destinations[w];
-      if (pool != nullptr) bits &= pool[w];
-      for (; bits != 0; bits &= bits - 1) {
-        const int b = std::countr_zero(bits);
-        const auto id = static_cast<uint32_t>(w * 64 + b);
-        if (stats != nullptr) stats->exact_checks++;
-        const std::span<const Point> pts = users.points(id);
-        if (((sources[w] >> b) & 1) != 0 && grid.Serves(pts.front())) {
-          out->SetBit(id, 0);
-        }
-        if (((destinations[w] >> b) & 1) != 0 && grid.Serves(pts.back())) {
-          out->SetBit(id, pts.size() - 1);
-        }
-      }
-    }
+    ForEachSetBit(WholeCandidates(tree->cells(), grid),
+                  (users.size() + 63) / 64, gather_whole);
     return;
   }
-  const auto pooled = [pool](uint32_t id) {
-    return pool == nullptr || ((pool[id >> 6] >> (id & 63)) & 1) != 0;
-  };
   Walk(
       tree, grid,
       [&](const TrajEntry& e) {
-        if (!pooled(e.traj_id)) return;
         // Segmented trees store single-point trajectories as whole units.
         if (e.IsWhole()) return gather_whole(e.traj_id);
         if (stats != nullptr) stats->exact_checks++;
         if (scenario == Scenario::kLength) {
-          if (grid.Serves(e.start) && grid.Serves(e.end)) {
+          if (serves(e.start) && serves(e.end)) {
             out->SetBit(e.traj_id, e.seg_index);
           }
           return;
         }
         const size_t last = users.NumPoints(e.traj_id) - 1;
         const bool endpoints = scenario == Scenario::kEndpoints;
-        if ((!endpoints || e.seg_index == 0) && grid.Serves(e.start)) {
+        if ((!endpoints || e.seg_index == 0) && serves(e.start)) {
           out->SetBit(e.traj_id, e.seg_index);
         }
-        if ((!endpoints || e.seg_index + 1 == last) && grid.Serves(e.end)) {
+        if ((!endpoints || e.seg_index + 1 == last) && serves(e.end)) {
           out->SetBit(e.traj_id, e.seg_index + 1);
         }
       },

@@ -77,22 +77,34 @@ double EvaluateServiceOver(std::span<const uint32_t> ids,
 /// Lemma 1: a user whose source alone is served still matters for combined
 /// coverage, so on kStartEnd trees under Scenario 1 served-set collection
 /// reads the per-endpoint masks of CellIndex::MarkEndpointCandidates
-/// instead of the both-endpoints candidate mask. True when that applies.
+/// instead of the both-endpoints candidate mask (CollectServedEndpoints).
+/// True when that applies; it implies a whole-trajectory tree.
 bool AnyEndpointCollection(const TQTree& tree, const ServiceEvaluator& eval);
+
+/// The Scenario 1 served endpoints of the facility behind `grid`, where
+/// AnyEndpointCollection holds. Walks, in ascending id, the users with a
+/// source or a destination bit of CellIndex::MarkEndpointCandidates (ANDed
+/// with `pool` when non-null) and probes each endpoint only where its own
+/// bit is set. Replaces `sources` with the ids whose source `grid` serves
+/// and `destinations` with those whose destination it serves, both
+/// ascending; a one-point user's one point is both. `stats->exact_checks`
+/// counts the users walked, `stats->points_probed` the endpoints probed.
+void CollectServedEndpoints(const TQTree& tree, const StopGrid& grid,
+                            const uint64_t* pool,
+                            std::vector<uint32_t>* sources,
+                            std::vector<uint32_t>* destinations,
+                            QueryStats* stats = nullptr);
 
 /// Gathers each served user's ServeDetail mask into `out` (reset first)
 /// instead of a value: the per-facility served sets MaxkCovRST consumes.
 /// Whole-trajectory trees gather in ascending id order, over the
-/// MarkCandidates set — or, where AnyEndpointCollection holds, over the
-/// users with a source or a destination bit of MarkEndpointCandidates,
-/// probing each endpoint only where its own bit is set (one exact check per
-/// such user, as `stats->exact_checks` counts). Segmented trees gather from
-/// the Algorithm 1 walk. A non-null `pool` — a MarkCandidates bitmap of the
-/// tree's cell index — further restricts the exact checks to the users
-/// whose bit it has set.
+/// MarkCandidates set — or, where AnyEndpointCollection holds, from
+/// CollectServedEndpoints (its source and destination bits). Segmented
+/// trees gather from the Algorithm 1 walk. `stats->exact_checks` counts
+/// the users (whole) or entries (segmented) checked, and
+/// `stats->points_probed` the user points passed to the serve predicate.
 void CollectServedTQ(TQTree* tree, const ServiceEvaluator& eval,
                      const StopGrid& grid, ServedGather* out,
-                     const uint64_t* pool = nullptr,
                      QueryStats* stats = nullptr);
 
 }  // namespace tq

@@ -17,7 +17,8 @@ struct QueryStats {
   size_t exact_checks = 0;       // users (whole trees) or entries
                                  // (segmented) given the exact check
   size_t points_probed = 0;      // user points passed to the serve
-                                 // predicate by whole-trajectory SO
+                                 // predicate by SO and served-set
+                                 // collection
   size_t bounds_computed = 0;    // CellIndex::CellUpperBound calls (0
                                  // when a top-k reads memoised bounds)
   size_t heap_pops = 0;          // best-first top-k pops

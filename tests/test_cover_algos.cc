@@ -1,6 +1,8 @@
 // MaxkCovRST solvers: exact enumeration, greedy variants, genetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -253,27 +255,36 @@ std::unique_ptr<PointQuadtree> BaselineIndex(const TrajectorySet& users,
   return pq;
 }
 
-// GreedyCoverTQ against the plain greedy over the baseline's served sets of
-// the same pool. The pool filters drop only users that add an exact 0 to
-// every gain, so chosen, total and users served agree bit for bit.
+// GreedyCoverTQ(k, pool_size; 0 selects the default) against the plain
+// greedy over the baseline's served sets of the same pool. The pool
+// filters and the Scenario 1 bitmaps drop only users that add an exact 0
+// to every gain, so chosen, total and users served agree bit for bit.
+void ExpectCoverMatchesPlainGreedy(TQTree* tree, const PointQuadtree& pq,
+                                   const FacilityCatalog& catalog,
+                                   const ServiceEvaluator& eval, size_t k,
+                                   size_t pool_size) {
+  const TopKResult pool = TopKFacilitiesTQ(
+      tree, catalog, eval,
+      pool_size != 0 ? pool_size : DefaultPoolSize(k, catalog.size()));
+  std::vector<FacilityServedSet> sets;
+  for (const RankedFacility& rf : pool.ranked) {
+    sets.push_back(CollectServedSetBaseline(pq, catalog, eval, rf.id));
+  }
+  const CoverResult want = GreedyCover(sets, k, eval);
+  const CoverResult got = GreedyCoverTQ(tree, catalog, eval, k, pool_size);
+  EXPECT_EQ(got.chosen, want.chosen);
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.users_served, want.users_served);
+  EXPECT_EQ(got.pool_size, pool.ranked.size());
+}
+
 void ExpectTwoStepMatchesPlainGreedy(TQTree* tree, const PointQuadtree& pq,
                                      const FacilityCatalog& catalog,
                                      const ServiceEvaluator& eval,
                                      const std::string& label) {
   for (const size_t k : {1u, 4u, 8u, 16u}) {
     SCOPED_TRACE(label + " k=" + std::to_string(k));
-    const TopKResult pool = TopKFacilitiesTQ(
-        tree, catalog, eval, DefaultPoolSize(k, catalog.size()));
-    std::vector<FacilityServedSet> sets;
-    for (const RankedFacility& rf : pool.ranked) {
-      sets.push_back(CollectServedSetBaseline(pq, catalog, eval, rf.id));
-    }
-    const CoverResult want = GreedyCover(sets, k, eval);
-    const CoverResult got = GreedyCoverTQ(tree, catalog, eval, k);
-    EXPECT_EQ(got.chosen, want.chosen);
-    EXPECT_EQ(got.total, want.total);
-    EXPECT_EQ(got.users_served, want.users_served);
-    EXPECT_EQ(got.pool_size, pool.ranked.size());
+    ExpectCoverMatchesPlainGreedy(tree, pq, catalog, eval, k, 0);
   }
 }
 
@@ -339,6 +350,80 @@ TEST(GreedyCoverTQ, MatchesPlainGreedyOnATreeAfterUpdates) {
   }
 }
 
+// The Scenario 1 bitmap greedy (whole trees) against the plain greedy:
+// one-point, two-point and multipoint users, both normalisations, k below,
+// at and above the pool size, and a tree with removals and pending
+// inserts. Facility 0 duplicates the best facility, so the two tie in the
+// first round and the lower id must win; once every gain is 0, the
+// remaining facilities tie and go in ascending id.
+TEST(GreedyCoverTQ, EndpointBitmapsMatchPlainGreedy) {
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  for (const auto& [min_pts, max_pts] :
+       {std::pair<size_t, size_t>{1, 1}, {2, 2}, {1, 6}}) {
+    Rng rng(1049 + max_pts);
+    const TrajectorySet base =
+        testing::RandomUsers(&rng, 500, min_pts, max_pts, w);
+    const TrajectorySet more =
+        testing::RandomUsers(&rng, 40, min_pts, max_pts, w);
+    TrajectorySet users = base;
+    for (uint32_t u = 0; u < more.size(); ++u) users.Add(more.points(u));
+    const TrajectorySet drawn = testing::RandomFacilities(&rng, 24, 10, w);
+    for (const Normalization norm :
+         {Normalization::kPerUser, Normalization::kNone}) {
+      const ServiceModel model{Scenario::kEndpoints, norm, 300.0};
+      uint32_t best = 0;
+      for (uint32_t f = 1; f < drawn.size(); ++f) {
+        if (testing::BruteForceSO(base, drawn.points(f), model) >
+            testing::BruteForceSO(base, drawn.points(best), model)) {
+          best = f;
+        }
+      }
+      TrajectorySet facs;
+      facs.Add(drawn.points(best));
+      for (uint32_t f = 0; f < drawn.size(); ++f) facs.Add(drawn.points(f));
+      const ServiceEvaluator eval(&users, model);
+      const FacilityCatalog catalog(&facs, model.psi);
+      for (const bool updated : {false, true}) {
+        SCOPED_TRACE(std::to_string(min_pts) + "-" + std::to_string(max_pts) +
+                     " points " + model.ToString() +
+                     (updated ? " updated" : ""));
+        TQTreeOptions opt;
+        opt.beta = 16;
+        opt.model = model;
+        TQTree tree(&users, opt, AllIds(base));
+        std::vector<bool> indexed(users.size(), false);
+        std::fill(indexed.begin(), indexed.begin() + base.size(), true);
+        if (updated) {
+          for (uint32_t u = 0; u < base.size(); u += 4) {
+            ASSERT_TRUE(tree.Remove(u));
+            indexed[u] = false;
+          }
+          for (uint32_t u = base.size(); u < users.size(); ++u) {
+            tree.Insert(u);
+            indexed[u] = true;
+          }
+          ASSERT_EQ(tree.cells().num_pending(), more.size());
+        }
+        ASSERT_TRUE(AnyEndpointCollection(tree, eval));
+        const auto pq = BaselineIndex(users, indexed);
+        if (!updated) {
+          const CoverResult first = GreedyCoverTQ(&tree, catalog, eval, 1);
+          ASSERT_EQ(first.chosen.size(), 1u);
+          EXPECT_EQ(first.chosen[0], 0u);
+        }
+        for (const auto& [k, pool_size] :
+             {std::pair<size_t, size_t>{1, 0}, {2, 0}, {4, 0}, {8, 0},
+              {6, 6}, {9, 6}, {25, 25}, {40, 0}}) {
+          SCOPED_TRACE("k=" + std::to_string(k) +
+                       " pool=" + std::to_string(pool_size));
+          ExpectCoverMatchesPlainGreedy(&tree, *pq, catalog, eval, k,
+                                        pool_size);
+        }
+      }
+    }
+  }
+}
+
 TEST(GreedyCoverTQ, ZeroKIsEmptyAndDoesNoTreeWork) {
   CoverWorld cw = CoverWorld::Make(1047, 100, 10);
   const CoverResult r = GreedyCoverTQ(cw.tree.get(), *cw.catalog, *cw.eval, 0);
@@ -392,14 +477,28 @@ TEST(GreedyCoverTQ, PoolFiltersKeepCrossFacilityUsersOnly) {
     EXPECT_EQ(alone.users, (std::vector<uint32_t>{0, 1, x, y}));
     EXPECT_EQ(alone.so, 2.0);
     // Restricted to the pool {A, B}, x drops out: its destination is near
-    // no pooled stop. Trees without candidate tables mark nothing.
-    std::vector<uint64_t> pool_mask;
-    const std::vector<Point> pooled = {fa[0], fa[1], fb[0], fb[1]};
-    if (tree.cells().MarkCandidates(pooled, model.psi, &pool_mask)) {
-      const FacilityServedSet in_pool =
-          CollectServedSetTQ(&tree, catalog, eval, 0, pool_mask.data());
-      EXPECT_EQ(in_pool.users, (std::vector<uint32_t>{0, 1, y}));
-      EXPECT_EQ(in_pool.so, 2.0);
+    // no pooled stop. Only whole trees collect per endpoint.
+    const bool whole = AnyEndpointCollection(tree, eval);
+    if (whole) {
+      std::vector<uint64_t> pool_mask;
+      const std::vector<Point> pooled = {fa[0], fa[1], fb[0], fb[1]};
+      ASSERT_TRUE(tree.cells().MarkCandidates(pooled, model.psi, &pool_mask));
+      std::vector<uint32_t> sources;
+      std::vector<uint32_t> destinations;
+      CollectServedEndpoints(tree, catalog.grid(0), pool_mask.data(),
+                             &sources, &destinations);
+      EXPECT_EQ(sources, (std::vector<uint32_t>{0, 1, y}));
+      EXPECT_EQ(destinations, (std::vector<uint32_t>{0, 1}));
+      // A's served users in the pool, and its SO: the users with both.
+      std::vector<uint32_t> in_pool;
+      std::set_union(sources.begin(), sources.end(), destinations.begin(),
+                     destinations.end(), std::back_inserter(in_pool));
+      EXPECT_EQ(in_pool, (std::vector<uint32_t>{0, 1, y}));
+      std::vector<uint32_t> both;
+      std::set_intersection(sources.begin(), sources.end(),
+                            destinations.begin(), destinations.end(),
+                            std::back_inserter(both));
+      EXPECT_EQ(both.size(), 2u);
     }
     // The cover of the pool counts y (A's source, B's destination) and not
     // x, even though the chosen A serves x's source.
@@ -409,10 +508,27 @@ TEST(GreedyCoverTQ, PoolFiltersKeepCrossFacilityUsersOnly) {
               (std::set<FacilityId>{0, 1}));
     EXPECT_EQ(cover.total, 5.0);
     EXPECT_EQ(cover.users_served, 5u);
+    // The first cover sweeps every facility's bound.
+    EXPECT_EQ(cover.stats.bounds_computed, 3u);
     // With C pooled too, x completes only through C.
     const CoverResult all = GreedyCoverTQ(&tree, catalog, eval, 3, 3);
     EXPECT_EQ(all.total, 7.0);
     EXPECT_EQ(all.users_served, 7u);
+    // A repeated cover reads the memoised bounds.
+    EXPECT_EQ(all.stats.bounds_computed, 0u);
+    if (whole) {
+      // Pool {A, B}: the top-k refines A over users 0, 1 and B over 2, 3
+      // (two endpoints each: 4 checks, 8 points); collection walks 0, 1, y
+      // for A and 2, 3, y for B, probing y's one near endpoint only (6
+      // checks, 10 points).
+      EXPECT_EQ(cover.stats.exact_checks, 10u);
+      EXPECT_EQ(cover.stats.points_probed, 18u);
+      // Pool {A, B, C}: the top-k also refines C over user 4 (5 checks, 10
+      // points); collection walks 0, 1, x, y for A (6 points), 2, 3, y for
+      // B (5) and 4, x for C (3): 9 checks, 14 points.
+      EXPECT_EQ(all.stats.exact_checks, 14u);
+      EXPECT_EQ(all.stats.points_probed, 24u);
+    }
   }
 }
 

@@ -283,17 +283,12 @@ std::vector<double> ExpectLiveCells(const CellIndex& cells,
   return values;
 }
 
-// Expects `got` to hold exactly the users of `want` whose `pool` bit is set
-// (every user of `want` when `pool` is null), each with an equal mask.
+// Expects `got` to hold exactly the users of `want`, each with an equal
+// mask.
 void ExpectSameServed(const ServedGather& got, const ServedGather& want,
-                      const uint64_t* pool, const std::string& what) {
+                      const std::string& what) {
   std::vector<uint32_t> got_users = got.users();
-  std::vector<uint32_t> want_users;
-  for (const uint32_t u : want.users()) {
-    if (pool == nullptr || ((pool[u >> 6] >> (u & 63)) & 1) != 0) {
-      want_users.push_back(u);
-    }
-  }
+  std::vector<uint32_t> want_users = want.users();
   std::sort(got_users.begin(), got_users.end());
   std::sort(want_users.begin(), want_users.end());
   EXPECT_EQ(got_users, want_users) << what;
@@ -306,10 +301,35 @@ void ExpectSameServed(const ServedGather& got, const ServedGather& want,
   }
 }
 
+// Expects `sources` and `destinations` (CollectServedEndpoints' output) to
+// list exactly the users of the Scenario 1 gather `want` whose `pool` bit
+// is set and whose source (destination) bit `want` has.
+void ExpectSameEndpoints(const std::vector<uint32_t>& sources,
+                         const std::vector<uint32_t>& destinations,
+                         const ServedGather& want, const TrajectorySet& users,
+                         const uint64_t* pool, const std::string& what) {
+  std::vector<uint32_t> ids = want.users();
+  std::sort(ids.begin(), ids.end());
+  std::vector<uint32_t> want_sources;
+  std::vector<uint32_t> want_destinations;
+  for (const uint32_t u : ids) {
+    if (((pool[u >> 6] >> (u & 63)) & 1) == 0) continue;
+    const std::span<const uint64_t> mask = want.MaskOf(u);
+    const size_t last = users.NumPoints(u) - 1;
+    if ((mask[0] & 1) != 0) want_sources.push_back(u);
+    if (((mask[last >> 6] >> (last & 63)) & 1) != 0) {
+      want_destinations.push_back(u);
+    }
+  }
+  EXPECT_EQ(sources, want_sources) << what;
+  EXPECT_EQ(destinations, want_destinations) << what;
+}
+
 // ExpectLiveCells on `tree`'s cell index, plus the tree's own answers:
-// EvaluateServiceTQ's bits, and served sets equal to the baseline's — in
-// full, and restricted to a pool mask (the candidates near facility f and
-// its successor, as MaxkCovRST pools them).
+// EvaluateServiceTQ's bits, served sets equal to the baseline's and, under
+// Scenario 1, the served endpoints restricted to a pool mask (the
+// candidates near facility f and its successor, as MaxkCovRST pools them)
+// equal to the baseline's.
 std::vector<double> ExpectLiveAnswers(TQTree* tree,
                                       const std::vector<bool>& live,
                                       const TrajectorySet& facs,
@@ -330,16 +350,18 @@ std::vector<double> ExpectLiveAnswers(TQTree* tree,
     CollectServedBaseline(pq, eval, grid, &want);
     ServedGather got;
     CollectServedTQ(tree, eval, grid, &got);
-    ExpectSameServed(got, want, nullptr, "facility " + std::to_string(f));
+    ExpectSameServed(got, want, "facility " + std::to_string(f));
     std::vector<Point> pooled(facs.points(f).begin(), facs.points(f).end());
     const std::span<const Point> next = facs.points((f + 1) % facs.size());
     pooled.insert(pooled.end(), next.begin(), next.end());
     std::vector<uint64_t> pool;
     EXPECT_TRUE(tree->cells().MarkCandidates(pooled, model.psi, &pool));
-    if (pool.empty()) continue;
-    CollectServedTQ(tree, eval, grid, &got, pool.data());
-    ExpectSameServed(got, want, pool.data(),
-                     "pooled, facility " + std::to_string(f));
+    if (pool.empty() || !AnyEndpointCollection(*tree, eval)) continue;
+    std::vector<uint32_t> sources;
+    std::vector<uint32_t> destinations;
+    CollectServedEndpoints(*tree, grid, pool.data(), &sources, &destinations);
+    ExpectSameEndpoints(sources, destinations, want, users, pool.data(),
+                        "pooled, facility " + std::to_string(f));
   }
   return values;
 }

@@ -748,6 +748,13 @@ int CmdCover(const Args& args) {
               solver.c_str(), k, result.total, result.users_served);
   std::printf("chosen:");
   for (const tq::FacilityId f : result.chosen) std::printf(" %u", f);
+  std::printf("\npool: %zu facilities", result.pool_size);
+  if (solver == "greedy") {
+    // G-TQ's work: the pool top-k plus served-set collection.
+    std::printf(", exact checks %zu, points probed %zu, bounds computed %zu",
+                result.stats.exact_checks, result.stats.points_probed,
+                result.stats.bounds_computed);
+  }
   std::printf("\n");
   return 0;
 }

@@ -201,7 +201,11 @@ CoverResult GreedyCoverTQ(TQTree* tree, const FacilityCatalog& catalog,
           CollectServedSetTQ(tree, catalog, eval, rf.id, &collection));
     }
     CoverageState state(&eval);
-    DropUsersThePoolCannotServe(&sets, &state);
+    // Under the point count every gathered mask has a bit set, so every
+    // user scores above 0 and the drop would keep them all.
+    if (eval.model().scenario != Scenario::kPointCount) {
+      DropUsersThePoolCannotServe(&sets, &state);
+    }
     result = GreedyOverSets(sets, k, &state);
   }
   result.stats = pool.stats;

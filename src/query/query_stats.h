@@ -19,8 +19,10 @@ struct QueryStats {
   size_t points_probed = 0;      // user points passed to the serve
                                  // predicate by SO and served-set
                                  // collection
-  size_t bounds_computed = 0;    // CellIndex::CellUpperBound calls (0
-                                 // when a top-k reads memoised bounds)
+  size_t bounds_computed = 0;    // facility bounds swept (0 when a top-k
+                                 // reads or patches memoised bounds)
+  size_t bounds_patched = 0;     // writes replayed into a bound memo (0
+                                 // when a top-k reads it as it is)
   size_t heap_pops = 0;          // best-first top-k pops
   size_t relax_rounds = 0;       // exact refinements of best-first top-k
   ZIndex::ReduceStats zreduce;
@@ -32,6 +34,7 @@ struct QueryStats {
     exact_checks += o.exact_checks;
     points_probed += o.points_probed;
     bounds_computed += o.bounds_computed;
+    bounds_patched += o.bounds_patched;
     heap_pops += o.heap_pops;
     relax_rounds += o.relax_rounds;
     zreduce.buckets_total += o.zreduce.buckets_total;

@@ -41,7 +41,8 @@ TopKResult TopKFacilitiesTQ(TQTree* tree, const FacilityCatalog& catalog,
   // points instead (EvaluateServiceCells), which probes fewer points than
   // the candidates hold.
   const std::shared_ptr<const FacilityBounds> memo =
-      tree->cells().Bounds(catalog, &result.stats.bounds_computed);
+      tree->cells().Bounds(catalog, &result.stats.bounds_computed,
+                           &result.stats.bounds_patched);
   const FacilityBounds& bounds = *memo;
   std::vector<HeapItem> items;
   items.reserve(num_fac);

@@ -50,9 +50,13 @@ namespace tq::runtime {
 //                            nothing exactly)
 //   points_probed            folded per-query QueryStats: user points the
 //                            exact evaluations passed to the serve predicate
-//   bounds_computed          folded per-query QueryStats: CellUpperBound
-//                            calls of top-k bound waves (0 for a shard
-//                            whose bounds its generation already memoised)
+//   bounds_computed          folded per-query QueryStats: facility bounds
+//                            the top-k bound waves swept (0 for a shard
+//                            holding a memo for the catalog, patched or not:
+//                            a publish does not drop it)
+//   bounds_patched           folded per-query QueryStats: shard writes the
+//                            bound waves replayed into a memo (0 on a
+//                            repeat)
 //   net_*                    network front-end accounting (src/net/server.h):
 //                            connections accepted, frames decoded, update
 //                            frames merged into a pending publish, payload
@@ -95,6 +99,7 @@ namespace tq::runtime {
   X(exact_checks)              \
   X(points_probed)             \
   X(bounds_computed)           \
+  X(bounds_patched)            \
   X(net_connections)           \
   X(net_requests_decoded)      \
   X(net_batches_coalesced)     \
@@ -275,8 +280,8 @@ class MetricsRegistry {
     checkpoint_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Folds one query's exact checks, points probed and bounds computed
-  /// into the registry.
+  /// Folds one query's exact checks, points probed and bound sweeps and
+  /// patches into the registry.
   void RecordQueryStats(const QueryStats& s) {
     if (s.exact_checks) {
       exact_checks_.fetch_add(s.exact_checks, std::memory_order_relaxed);
@@ -287,6 +292,9 @@ class MetricsRegistry {
     if (s.bounds_computed) {
       bounds_computed_.fetch_add(s.bounds_computed,
                                  std::memory_order_relaxed);
+    }
+    if (s.bounds_patched) {
+      bounds_patched_.fetch_add(s.bounds_patched, std::memory_order_relaxed);
     }
   }
 

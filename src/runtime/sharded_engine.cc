@@ -499,10 +499,13 @@ void ShardedEngine::RunShardTask(const CoordinatedQueryPtr& query, size_t p,
   const FacilityCatalog& catalog = *snap.catalog;
   ParticipantAnswer& answer = query->answers[p];
   if (bound) {
-    // One cell bound per facility, swept once per shard generation: a
-    // published shard is never written, so its memo stays valid.
-    query->bounds[p] =
-        shard.cells->Bounds(catalog, &answer.stats.bounds_computed)->bound;
+    // One cell bound per facility, swept once and then patched from each
+    // publish's writes: a published shard is never written, so its memo
+    // stays valid.
+    query->bounds[p] = shard.cells
+                           ->Bounds(catalog, &answer.stats.bounds_computed,
+                                    &answer.stats.bounds_patched)
+                           ->bound;
   } else {
     bool all_hit = true;
     for (const FacilityId f : query->window) {

@@ -37,9 +37,11 @@
 //     facility), then refinement waves for the window's unsettled slots
 //     until the window is settled. Every top-k runs the bound wave, which
 //     reads each shard's bounds memo (CellIndex::Bounds): a published
-//     shard is never written, so its bounds are swept once per generation
-//     and a publish recomputes only the shards it touched (the
-//     bounds_computed counter). The refinement waves read the
+//     shard is never written, and a publish forks the touched shards with
+//     the memo and a log of their writes, so each shard's bounds are swept
+//     once and the next bound wave after a publish patches the touched
+//     shards' memos (the bounds_computed and bounds_patched counters). The
+//     refinement waves read the
 //     per-(facility, shard) cache entries, whose hits and misses count in
 //     the metrics, and a top-k response never reports cache_hit.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/check.h"
 #include "service/facility_index.h"
@@ -61,6 +62,7 @@ CellIndex::CellIndex(const TrajectorySet* users, const ServiceModel& model,
     TQ_CHECK(id < users->size());
     SetIndexed(id, true);
   }
+  num_indexed_ = ids.size();
   raster_ = std::make_shared<PointRaster>(world_);
   for (const uint32_t id : IndexedTrajectories()) {
     raster_->AddTrajectory(users_->points(id), model_, 1.0);
@@ -76,7 +78,8 @@ CellIndex::CellIndex(const CellIndex& parent, const TrajectorySet* users)
       fresh_(false),
       shared_(true),
       raster_(parent.raster_),
-      indexed_(parent.indexed_) {
+      indexed_(parent.indexed_),
+      num_indexed_(parent.num_indexed_) {
   TQ_CHECK(users != nullptr);
   // Every indexed id names a trajectory of the parent's set; an append-only
   // extension keeps them all valid.
@@ -85,11 +88,16 @@ CellIndex::CellIndex(const CellIndex& parent, const TrajectorySet* users)
                           parent.max_points_);
   kind_ = DerivePruneMode(TrajMode::kWhole, model_, max_points_);
   // The tables' kind follows the longest trajectory: a flipped fork drops
-  // them until its next freeze.
+  // them until its next freeze, and the memo, whose candidates follow the
+  // kind.
   if (kind_ == parent.kind_) {
     cells_ = parent.cells_;
     end_cells_ = parent.end_cells_;
     pending_ = parent.pending_;
+    const std::lock_guard<std::mutex> lock(parent.memo_mu_);
+    memo_serial_ = parent.memo_serial_;
+    memo_ = parent.memo_;
+    log_ = parent.log_;
   }
 }
 
@@ -120,10 +128,11 @@ void CellIndex::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   Own();
   fresh_ = false;
-  DropBounds();
   raster_->AddTrajectory(users_->points(traj_id), model_, 1.0);
   SetIndexed(traj_id, true);
+  ++num_indexed_;
   if (cells_ != nullptr) pending_.push_back(traj_id);
+  LogWrite(traj_id, true);
 }
 
 bool CellIndex::Remove(uint32_t traj_id) {
@@ -133,9 +142,10 @@ bool CellIndex::Remove(uint32_t traj_id) {
   if (w >= live.size() || ((live[w] >> (traj_id & 63)) & 1) == 0) return false;
   Own();
   fresh_ = false;
-  DropBounds();
   raster_->AddTrajectory(users_->points(traj_id), model_, -1.0);
   SetIndexed(traj_id, false);
+  --num_indexed_;
+  LogWrite(traj_id, false);
   return true;
 }
 
@@ -158,7 +168,16 @@ std::vector<uint32_t> CellIndex::IndexedTrajectories() const {
 }
 
 void CellIndex::BuildCellTables() {
-  DropBounds();
+  // A memo with candidate caps stays valid: its candidates are those of a
+  // fresh index over the indexed trajectories, which is what the rebuilt
+  // tables list. One swept without tables (a flipped fork's) has no caps.
+  {
+    const std::lock_guard<std::mutex> lock(memo_mu_);
+    if (memo_ != nullptr && memo_->cap.empty()) {
+      memo_.reset();
+      log_.clear();
+    }
+  }
   const std::vector<uint32_t> ids = IndexedTrajectories();
   if (kind_ == ZPruneMode::kStartEnd) {
     cells_ = std::make_shared<const PointCellTable>(world_, *users_, ids,
@@ -173,13 +192,22 @@ void CellIndex::BuildCellTables() {
   pending_.clear();
 }
 
-void CellIndex::DropBounds() {
+void CellIndex::LogWrite(uint32_t traj_id, bool insert) {
   const std::lock_guard<std::mutex> lock(memo_mu_);
-  memo_.reset();
+  if (memo_ == nullptr) return;
+  log_.push_back(Write{traj_id, insert});
+  // Freeze's rule for the tables: past 1/8, a sweep is the cheaper update.
+  if (log_.size() * 8 > num_indexed_) {
+    memo_.reset();
+    log_.clear();
+  }
 }
 
-void CellIndex::AddPendingKeepIndexed(size_t words, uint64_t* mask) const {
+void CellIndex::AddPendingKeepIndexed(
+    size_t words, uint64_t* mask,
+    const std::span<const CellRun>* qualifying) const {
   for (const uint32_t id : pending_) {
+    if (qualifying != nullptr && !Qualifies(id, *qualifying)) continue;
     mask[id >> 6] |= uint64_t{1} << (id & 63);
   }
   const std::vector<uint64_t>& live = *indexed_;
@@ -188,8 +216,22 @@ void CellIndex::AddPendingKeepIndexed(size_t words, uint64_t* mask) const {
   }
 }
 
+bool CellIndex::Qualifies(uint32_t id, std::span<const CellRun> runs) const {
+  const std::span<const Point> points = users_->points(id);
+  if (points.empty()) return false;
+  const RasterGrid& grid = raster_->grid();
+  if (end_cells_ != nullptr) {
+    return RunsContain(runs, grid.CellOf(points.front())) &&
+           RunsContain(runs, grid.CellOf(points.back()));
+  }
+  return std::any_of(points.begin(), points.end(), [&](const Point& p) {
+    return RunsContain(runs, grid.CellOf(p));
+  });
+}
+
 void CellIndex::MarkCandidateCells(std::span<const CellRun> runs,
-                                   std::vector<uint64_t>* mask) const {
+                                   std::vector<uint64_t>* mask,
+                                   bool qualifying_pending) const {
   const size_t words = (users_->size() + 63) / 64;
   mask->assign(words, 0);
   cells_->MarkCells(runs, mask->data());
@@ -201,7 +243,8 @@ void CellIndex::MarkCandidateCells(std::span<const CellRun> runs,
     end_cells_->MarkCells(runs, ends.data());
     for (size_t w = 0; w < words; ++w) (*mask)[w] &= ends[w];
   }
-  AddPendingKeepIndexed(words, mask->data());
+  AddPendingKeepIndexed(words, mask->data(),
+                        qualifying_pending ? &runs : nullptr);
 }
 
 bool CellIndex::MarkCandidates(std::span<const Point> stops, double psi,
@@ -245,52 +288,167 @@ size_t CellIndex::CountServedPoints(const StopGrid& grid,
   return probed;
 }
 
-double CellIndex::CellUpperBound(const StopGrid& grid,
-                                 std::vector<uint32_t>* candidates) const {
-  if (cells_ == nullptr) {
-    return raster_->MassNearStops(grid.stops(), grid.psi());
-  }
-  static thread_local std::vector<CellRun> runs;
+namespace {
+
+/// The bound from its two parts: the smaller of the candidates' caps and
+/// the near cells' mass, both inflated — a unit's cap and the exact value
+/// it caps are computed by different formulas, which may round differently,
+/// and the raster drifts. A patched part may drift below zero.
+double CombineBound(bool capped, double cap, double mass) {
+  const double by_mass = std::max(0.0, mass) * kRasterDriftInflation;
+  if (!capped) return by_mass;
+  return std::min(std::max(0.0, cap) * kRasterDriftInflation, by_mass);
+}
+
+}  // namespace
+
+double CellIndex::BoundInCells(std::span<const CellRun> runs, double* cap,
+                               double* mass,
+                               std::vector<uint32_t>* candidates) const {
+  *mass = raster_->MassInCells(runs);
+  *cap = 0.0;
+  if (cells_ == nullptr) return CombineBound(false, *cap, *mass);
   static thread_local std::vector<uint64_t> mask;
-  cells_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
-  MarkCandidateCells(runs, &mask);
+  MarkCandidateCells(runs, &mask, /*qualifying_pending=*/true);
   // Every unit that scores has its bit set and scores at most its own
   // upper bound; no de-indexed trajectory has a bit.
-  double sum = 0.0;
   for (size_t w = 0; w < mask.size(); ++w) {
     for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
       const auto id = static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
-      sum += UnitUpperBound(*users_, id, kWholeUnit, model_);
+      *cap += UnitUpperBound(*users_, id, kWholeUnit, model_);
       if (candidates != nullptr) candidates->push_back(id);
     }
   }
-  // Inflated like the raster: a unit's cap and the exact value it caps are
-  // computed by different formulas, which may round differently.
-  sum *= kRasterDriftInflation;
-  return std::min(sum, raster_->MassInCells(runs));
+  return CombineBound(true, *cap, *mass);
 }
 
-std::shared_ptr<const FacilityBounds> CellIndex::Bounds(
-    const FacilityCatalog& catalog, size_t* computed) const {
-  const std::lock_guard<std::mutex> lock(memo_mu_);
-  if (memo_ != nullptr && memo_serial_ == catalog.serial()) return memo_;
+double CellIndex::CellUpperBound(const StopGrid& grid,
+                                 std::vector<uint32_t>* candidates) const {
+  static thread_local std::vector<CellRun> runs;
+  raster_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
+  double cap = 0.0;
+  double mass = 0.0;
+  return BoundInCells(runs, &cap, &mass, candidates);
+}
+
+std::shared_ptr<FacilityBounds> CellIndex::Sweep(
+    const FacilityCatalog& catalog) const {
   auto bounds = std::make_shared<FacilityBounds>();
   const size_t num_fac = catalog.size();
+  auto footprints = std::make_shared<Footprints>();
+  footprints->begin.assign(num_fac + 1, 0);
   bounds->bound.resize(num_fac);
+  bounds->mass.resize(num_fac);
+  if (cells_ != nullptr) bounds->cap.resize(num_fac);
   std::vector<uint32_t>* ids = nullptr;
   if (lists_candidates()) {
     ids = &bounds->ids;
     bounds->begin.assign(num_fac + 1, 0);
   }
+  static thread_local std::vector<CellRun> runs;
+  double cap = 0.0;
   for (uint32_t f = 0; f < num_fac; ++f) {
-    bounds->bound[f] = CellUpperBound(catalog.grid(f), ids);
+    const StopGrid& grid = catalog.grid(f);
+    raster_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
+    footprints->runs.insert(footprints->runs.end(), runs.begin(), runs.end());
+    footprints->begin[f + 1] = footprints->runs.size();
+    bounds->bound[f] = BoundInCells(runs, &cap, &bounds->mass[f], ids);
+    if (cells_ != nullptr) bounds->cap[f] = cap;
     if (ids != nullptr) bounds->begin[f + 1] = ids->size();
   }
+  footprints->runs.shrink_to_fit();
   bounds->ids.shrink_to_fit();
-  if (computed != nullptr) *computed += num_fac;
-  memo_serial_ = catalog.serial();
-  memo_ = bounds;
+  bounds->footprints = std::move(footprints);
   return bounds;
+}
+
+std::shared_ptr<FacilityBounds> CellIndex::Patch(
+    const FacilityBounds& base) const {
+  auto next = std::make_shared<FacilityBounds>();
+  next->cap = base.cap;
+  next->mass = base.mass;
+  next->footprints = base.footprints;
+  const Footprints& footprints = *base.footprints;
+  const size_t num_fac = base.bound.size();
+  const bool capped = !base.cap.empty();
+  // Each write adds (or takes away) its deposits in a facility's near cells
+  // and, where it is a candidate, its cap: the change a fresh sweep would
+  // see, summed in log order.
+  std::vector<std::pair<uint32_t, double>> deposits;
+  for (const Write& write : log_) {
+    const std::span<const Point> points = users_->points(write.id);
+    deposits.clear();
+    raster_->ForEachDeposit(points, model_, [&](uint32_t cell, double value) {
+      deposits.emplace_back(cell, value);
+    });
+    const double sign = write.insert ? 1.0 : -1.0;
+    const double unit_cap =
+        capped ? UnitUpperBound(*users_, write.id, kWholeUnit, model_) : 0.0;
+    for (uint32_t f = 0; f < num_fac; ++f) {
+      const std::span<const CellRun> runs = footprints.of(f);
+      for (const auto& [cell, value] : deposits) {
+        if (RunsContain(runs, cell)) next->mass[f] += sign * value;
+      }
+      if (capped && Qualifies(write.id, runs)) next->cap[f] += sign * unit_cap;
+    }
+  }
+  next->bound.resize(num_fac);
+  for (uint32_t f = 0; f < num_fac; ++f) {
+    next->bound[f] =
+        CombineBound(capped, capped ? next->cap[f] : 0.0, next->mass[f]);
+  }
+  if (!base.listed()) return next;
+  // A written id's final membership of facility f's list: indexed after the
+  // last write, and qualifying. Every other id keeps its membership.
+  std::vector<uint32_t> written;
+  for (const Write& write : log_) written.push_back(write.id);
+  std::sort(written.begin(), written.end());
+  written.erase(std::unique(written.begin(), written.end()), written.end());
+  std::vector<uint32_t> live;
+  const std::vector<uint64_t>& indexed = *indexed_;
+  for (const uint32_t id : written) {
+    if ((id >> 6) < indexed.size() && ((indexed[id >> 6] >> (id & 63)) & 1)) {
+      live.push_back(id);
+    }
+  }
+  next->begin.assign(num_fac + 1, 0);
+  next->ids.reserve(base.ids.size() + live.size());
+  std::vector<uint32_t> joining;
+  for (uint32_t f = 0; f < num_fac; ++f) {
+    joining.clear();
+    for (const uint32_t id : live) {
+      if (Qualifies(id, footprints.of(f))) joining.push_back(id);
+    }
+    // Merge the kept old ids (those not written) with the joining ones.
+    auto add = joining.begin();
+    for (const uint32_t id : base.candidates(f)) {
+      if (std::binary_search(written.begin(), written.end(), id)) continue;
+      for (; add != joining.end() && *add < id; ++add) {
+        next->ids.push_back(*add);
+      }
+      next->ids.push_back(id);
+    }
+    next->ids.insert(next->ids.end(), add, joining.end());
+    next->begin[f + 1] = next->ids.size();
+  }
+  return next;
+}
+
+std::shared_ptr<const FacilityBounds> CellIndex::Bounds(
+    const FacilityCatalog& catalog, size_t* computed, size_t* patched) const {
+  const std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_ != nullptr && memo_serial_ == catalog.serial()) {
+    if (log_.empty()) return memo_;
+    memo_ = Patch(*memo_);
+    if (patched != nullptr) *patched += log_.size();
+    log_.clear();
+    return memo_;
+  }
+  memo_ = Sweep(catalog);
+  log_.clear();
+  if (computed != nullptr) *computed += catalog.size();
+  memo_serial_ = catalog.serial();
+  return memo_;
 }
 
 }  // namespace tq

@@ -10,10 +10,14 @@
 // its quadtree (without); a serving shard is one alone, since the engine
 // answers every SO and every bound from the cells.
 //
-// A frozen index's facility bounds depend only on its cells and the
-// facility, so Bounds() computes them once per catalog and keeps them (the
-// memo) until the next write: every later top-k, library or engine, reads
-// them instead of sweeping the catalog again.
+// A frozen index's facility bounds depend only on its indexed trajectories
+// and the facility, so Bounds() computes them once per catalog and keeps
+// them (the memo). A write does not drop the memo: it logs the written id,
+// and the next Bounds() call replays the log into a copy of the memo — per
+// facility whose footprint (near-cell runs, stored once per memo) holds the
+// id's cells, the id's deposits and cap — instead of sweeping the catalog
+// again. Fork() carries the memo and the log over, so a publish costs the
+// next top-k a patch, not a sweep.
 //
 // Fork() is the engine's snapshot-publish primitive: the fork shares the
 // raster, the bitmap and the tables with its parent, and whichever side
@@ -32,15 +36,13 @@
 
 #include "geom/rect.h"
 #include "service/models.h"
+#include "tqtree/point_raster.h"
 #include "traj/dataset.h"
 #include "tqtree/zindex.h"
 
 namespace tq {
 
 class FacilityCatalog;  // service/facility_index.h
-class PointCellTable;   // tqtree/point_raster.h
-class PointRaster;      // tqtree/point_raster.h
-struct CellRun;         // tqtree/point_raster.h
 class StopGrid;         // service/stop_grid.h
 
 /// Whether trajectories are stored whole or as independent segments.
@@ -54,15 +56,36 @@ ZPruneMode DerivePruneMode(TrajMode mode, const ServiceModel& model,
 /// The ids 0, 1, ..., users.size() - 1.
 std::vector<uint32_t> AllIds(const TrajectorySet& users);
 
-/// One frozen index's CellUpperBound of every facility of one catalog
-/// (CellIndex::Bounds).
+/// The near-cell runs (RasterGrid::CellsNearStops) of every facility of one
+/// catalog, over one world: facility f's are runs[begin[f], begin[f + 1]).
+/// Immutable once built, and shared by every bound memo of the catalog over
+/// the world, patched copies and forks alike.
+struct Footprints {
+  std::vector<CellRun> runs;
+  std::vector<size_t> begin;
+
+  std::span<const CellRun> of(uint32_t f) const {
+    return std::span(runs).subspan(begin[f], begin[f + 1] - begin[f]);
+  }
+};
+
+/// One index's CellUpperBound of every facility of one catalog
+/// (CellIndex::Bounds), with the two parts each bound is the smaller of, so
+/// a write can patch them.
 struct FacilityBounds {
-  /// bound[f] = CellUpperBound(catalog.grid(f)).
+  /// bound[f] = CellUpperBound(catalog.grid(f)), up to the order in which
+  /// patched sums were added (the same bits under integer-valued models).
   std::vector<double> bound;
+  /// cap[f]: Σ UnitUpperBound of the indexed trajectories that are
+  /// candidates of facility f; empty when the index has no tables.
+  std::vector<double> cap;
+  /// mass[f]: the raster's mass in facility f's near cells.
+  std::vector<double> mass;
   /// When the index lists candidates, facility f's ascending candidate ids
   /// are ids[begin[f], begin[f + 1]); otherwise both are empty.
   std::vector<uint32_t> ids;
   std::vector<size_t> begin;
+  std::shared_ptr<const Footprints> footprints;
 
   bool listed() const { return !begin.empty(); }
   std::span<const uint32_t> candidates(uint32_t f) const {
@@ -94,11 +117,12 @@ class CellIndex {
   /// The point-cell tables' kind (whatever `tables`).
   ZPruneMode kind() const { return kind_; }
 
-  /// An index sharing this one's cells and world over `users`, the same
-  /// trajectory set or an append-only extension of it (ids are stable) that
-  /// must outlive the fork. If the extension flips the tables' kind (a
-  /// longer trajectory appears in a two-point set), the fork drops the
-  /// tables until its next Freeze() rebuilds them.
+  /// An index sharing this one's cells, world and bounds memo (with its
+  /// write log) over `users`, the same trajectory set or an append-only
+  /// extension of it (ids are stable) that must outlive the fork. If the
+  /// extension flips the tables' kind (a longer trajectory appears in a
+  /// two-point set), the fork drops the tables until its next Freeze()
+  /// rebuilds them, and starts without a memo.
   std::unique_ptr<CellIndex> Fork(const TrajectorySet* users) const;
 
   /// Indexes trajectory `traj_id` of the user set: deposits its raster
@@ -186,14 +210,19 @@ class CellIndex {
 
   /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`:
   /// the smaller of the raster's mass near the stops and Σ UnitUpperBound
-  /// of a whole unit over the MarkCandidates set, the sum inflated by
+  /// of a whole unit over the facility's candidates, both inflated by
   /// kRasterDriftInflation. Without tables, the raster's mass alone. The
-  /// only facility bound: the key of the library's best-first kMaxRRST and
-  /// of the sharded engine's bound sweep.
+  /// candidates are the indexed trajectories a fresh index over them would
+  /// mark (MarkCandidates without the pending list): those whose source
+  /// and destination cells are both near under kStartEnd tables, those with
+  /// any point in a near cell otherwise. A pending trajectory counts only
+  /// where it qualifies, so the bound does not depend on when the tables
+  /// were last built. The only facility bound: the key of the library's
+  /// best-first kMaxRRST and of the sharded engine's bound sweep.
   ///
   /// With tables and a non-null `candidates`, also appends the ascending
-  /// ids of that MarkCandidates set, so a caller can later sum SO over
-  /// them without marking the mask again.
+  /// candidate ids, so a caller can later sum SO over them without marking
+  /// the mask again.
   double CellUpperBound(const StopGrid& grid,
                         std::vector<uint32_t>* candidates = nullptr) const;
 
@@ -206,15 +235,23 @@ class CellIndex {
   }
 
   /// CellUpperBound of every facility of `catalog`, with the candidate ids
-  /// when lists_candidates(): computed on the first call for the catalog
-  /// since the last write, then kept and shared until the next write or a
-  /// call for another catalog (keyed on catalog.serial()). Insert, Remove
-  /// and a Freeze that rebuilds the tables drop them; a fork starts with
-  /// none. Thread-safe once frozen: the caller that computes fills them
-  /// under a lock it holds for nothing else and adds catalog.size() to
-  /// `*computed` (when non-null); a caller that reads them adds 0.
+  /// when lists_candidates(), kept for the catalog (keyed on
+  /// catalog.serial()) until a call for another catalog. The first call
+  /// sweeps the catalog, adding catalog.size() to `*computed`. Each later
+  /// Insert or Remove appends its id to a write log, and the next call
+  /// replays the log into a copy of the memo, adding its length to
+  /// `*patched`: a written id changes the parts of exactly the facilities
+  /// whose footprint holds its cells. A log longer than 1/8 of the indexed
+  /// trajectories drops the memo, so the next call sweeps again. A fork
+  /// starts with its parent's memo and log (none if the fork's table kind
+  /// flipped), and a Freeze that rebuilds the tables keeps them. A caller
+  /// that only reads the memo adds 0 to both. Thread-safe once frozen: the
+  /// caller that sweeps or patches does it under a lock it holds for
+  /// nothing else (Fork() takes it too, so a fork made during a sweep gets
+  /// the swept memo).
   std::shared_ptr<const FacilityBounds> Bounds(const FacilityCatalog& catalog,
-                                               size_t* computed = nullptr) const;
+                                               size_t* computed = nullptr,
+                                               size_t* patched = nullptr) const;
 
  private:
   /// Fork()'s constructor.
@@ -226,14 +263,31 @@ class CellIndex {
   /// Rebuilds the tables from the indexed trajectories and empties the
   /// pending list.
   void BuildCellTables();
-  /// MarkCandidates over precomputed near-stop `runs`.
+  /// MarkCandidates over precomputed near-stop `runs`. With
+  /// `qualifying_pending`, a pending id is set only when its cells qualify
+  /// (Qualifies), as in CellUpperBound's candidate set.
   void MarkCandidateCells(std::span<const CellRun> runs,
-                          std::vector<uint64_t>* mask) const;
-  /// Sets every pending id in the first `words` words of `mask`, then ANDs
-  /// them with the indexed-ids bitmap.
-  void AddPendingKeepIndexed(size_t words, uint64_t* mask) const;
-  /// Drops the memoised bounds (a write changes them).
-  void DropBounds();
+                          std::vector<uint64_t>* mask,
+                          bool qualifying_pending = false) const;
+  /// Sets every pending id in the first `words` words of `mask` (with
+  /// `qualifying`, only those that Qualify in those runs), then ANDs them
+  /// with the indexed-ids bitmap.
+  void AddPendingKeepIndexed(
+      size_t words, uint64_t* mask,
+      const std::span<const CellRun>* qualifying = nullptr) const;
+  /// True when trajectory `id` would be marked by the tables' cells in
+  /// `runs`: both endpoint cells near under kStartEnd, any point's otherwise.
+  bool Qualifies(uint32_t id, std::span<const CellRun> runs) const;
+  /// CellUpperBound over precomputed `runs`, keeping its two parts.
+  double BoundInCells(std::span<const CellRun> runs, double* cap, double* mass,
+                      std::vector<uint32_t>* candidates) const;
+  /// Bounds()'s catalog sweep.
+  std::shared_ptr<FacilityBounds> Sweep(const FacilityCatalog& catalog) const;
+  /// Bounds()'s replay of `log_` into a copy of `base`.
+  std::shared_ptr<FacilityBounds> Patch(const FacilityBounds& base) const;
+  /// Appends a write to the log while a memo exists; past 1/8 of the
+  /// indexed trajectories, drops the memo and the log instead.
+  void LogWrite(uint32_t traj_id, bool insert);
 
   const TrajectorySet* users_;
   ServiceModel model_;
@@ -256,11 +310,18 @@ class CellIndex {
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> pending_;
+  size_t num_indexed_ = 0;
+  struct Write {
+    uint32_t id;
+    bool insert;
+  };
   /// Bounds()'s memo: the bounds of the catalog with serial `memo_serial_`
-  /// (serials start at 1), or null.
+  /// (serials start at 1) as they stood before the writes in `log_`, or
+  /// null (and `log_` empty).
   mutable std::mutex memo_mu_;
   mutable uint64_t memo_serial_ = 0;
   mutable std::shared_ptr<const FacilityBounds> memo_;
+  mutable std::vector<Write> log_;
 };
 
 }  // namespace tq

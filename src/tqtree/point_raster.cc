@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "geom/distance.h"
 #include "service/stop_grid.h"
 
 namespace tq {
@@ -100,6 +99,14 @@ void RasterGrid::CellsNearStops(std::span<const Point> stops, double psi,
   }
 }
 
+bool RunsContain(std::span<const CellRun> runs, uint32_t cell) {
+  // The first run ending past `cell` holds it, if any does.
+  const auto it = std::upper_bound(
+      runs.begin(), runs.end(), cell,
+      [](uint32_t c, const CellRun& run) { return c < run.end; });
+  return it != runs.end() && it->begin <= cell;
+}
+
 // ------------------------------------------------------------ PointRaster
 
 PointRaster::PointRaster(const Rect& world)
@@ -107,45 +114,9 @@ PointRaster::PointRaster(const Rect& world)
 
 void PointRaster::AddTrajectory(std::span<const Point> points,
                                 const ServiceModel& model, double sign) {
-  if (points.empty()) return;
-  switch (model.scenario) {
-    case Scenario::kEndpoints:
-      // S(u,f) = 1 requires the source within ψ of a stop; cap the whole
-      // user's value on its source point alone (destination would double
-      // the deposited mass for no extra soundness).
-      mass_[grid_.CellOf(points.front())] += sign;
-      break;
-    case Scenario::kPointCount: {
-      const double w = model.normalization == Normalization::kPerUser
-                           ? 1.0 / static_cast<double>(points.size())
-                           : 1.0;
-      for (const Point& p : points) mass_[grid_.CellOf(p)] += sign * w;
-      break;
-    }
-    case Scenario::kLength: {
-      // A served segment needs BOTH endpoints within ψ, so charging each
-      // segment's length to its start point is a cap.
-      const double total = PolylineLength(points);
-      const double norm = model.normalization == Normalization::kPerUser
-                              ? (total > 0.0 ? 1.0 / total : 0.0)
-                              : 1.0;
-      for (size_t i = 0; i + 1 < points.size(); ++i) {
-        mass_[grid_.CellOf(points[i])] +=
-            sign * Distance(points[i], points[i + 1]) * norm;
-      }
-      break;
-    }
-  }
-}
-
-double PointRaster::MassNearStops(std::span<const Point> stops,
-                                  double psi) const {
-  // thread_local scratch: this runs once per (facility, shard) inside the
-  // bound sweep, so per-call allocation would churn (same pattern as the
-  // ZKeyRanges scratch in zindex.cc).
-  static thread_local std::vector<CellRun> runs;
-  grid_.CellsNearStops(stops, psi, &runs);
-  return MassInCells(runs);
+  ForEachDeposit(points, model, [&](uint32_t cell, double value) {
+    mass_[cell] += sign * value;
+  });
 }
 
 double PointRaster::MassInCells(std::span<const CellRun> runs) const {
@@ -157,7 +128,7 @@ double PointRaster::MassInCells(std::span<const CellRun> runs) const {
       sum += std::max(0.0, mass_[cell]);
     }
   }
-  return sum * kRasterDriftInflation;
+  return sum;
 }
 
 double PointRaster::TotalMass() const {

@@ -57,6 +57,7 @@
 #include <span>
 #include <vector>
 
+#include "geom/distance.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "service/models.h"
@@ -82,6 +83,11 @@ struct CellRun {
   uint32_t begin;
   uint32_t end;
 };
+
+/// True when `cell` lies in one of `runs`, which are ascending and disjoint
+/// (as RasterGrid::CellsNearStops lists them): a facility footprint's
+/// membership test, by binary search.
+bool RunsContain(std::span<const CellRun> runs, uint32_t cell);
 
 /// The R×R cell geometry over a tree's world, shared by the point-mass
 /// raster and the point-cell table.
@@ -121,19 +127,25 @@ class PointRaster {
  public:
   explicit PointRaster(const Rect& world);
 
+  const RasterGrid& grid() const { return grid_; }
+
   /// Deposits (`sign` = +1) or withdraws (`sign` = -1) one trajectory's
   /// per-point value caps under `model`. Add/remove must use the same
   /// point sequence and model to cancel.
   void AddTrajectory(std::span<const Point> points, const ServiceModel& model,
                      double sign);
 
-  /// Upper bound on the service value reachable from `stops` with radius
-  /// `psi`: summed mass of every cell intersecting a stop's ψ-square, each
-  /// cell counted once, inflated by kRasterDriftInflation.
-  double MassNearStops(std::span<const Point> stops, double psi) const;
+  /// Calls `fn(cell, value)` for each deposit AddTrajectory(points, model,
+  /// +1) makes, in the same order and with the same values, so a sum kept
+  /// beside the raster (a memoised bound) can follow its writes exactly.
+  template <typename Fn>
+  void ForEachDeposit(std::span<const Point> points, const ServiceModel& model,
+                      Fn&& fn) const;
 
-  /// MassNearStops over precomputed `runs` (RasterGrid::CellsNearStops of
-  /// the same world), summed cell by cell in ascending id.
+  /// Summed mass of the cells of `runs` (RasterGrid::CellsNearStops of the
+  /// same world), cell by cell in ascending id, without inflation: the
+  /// caller inflates by kRasterDriftInflation to get an upper bound on the
+  /// service value reachable from those cells.
   double MassInCells(std::span<const CellRun> runs) const;
 
   /// Total deposited mass (tests / diagnostics).
@@ -143,6 +155,39 @@ class PointRaster {
   RasterGrid grid_;
   std::vector<double> mass_;  // row-major, RasterGrid::kNumCells
 };
+
+template <typename Fn>
+void PointRaster::ForEachDeposit(std::span<const Point> points,
+                                 const ServiceModel& model, Fn&& fn) const {
+  if (points.empty()) return;
+  switch (model.scenario) {
+    case Scenario::kEndpoints:
+      // S(u,f) = 1 requires the source within ψ of a stop; cap the whole
+      // user's value on its source point alone (destination would double
+      // the deposited mass for no extra soundness).
+      fn(grid_.CellOf(points.front()), 1.0);
+      break;
+    case Scenario::kPointCount: {
+      const double w = model.normalization == Normalization::kPerUser
+                           ? 1.0 / static_cast<double>(points.size())
+                           : 1.0;
+      for (const Point& p : points) fn(grid_.CellOf(p), w);
+      break;
+    }
+    case Scenario::kLength: {
+      // A served segment needs BOTH endpoints within ψ, so charging each
+      // segment's length to its start point is a cap.
+      const double total = PolylineLength(points);
+      const double norm = model.normalization == Normalization::kPerUser
+                              ? (total > 0.0 ? 1.0 / total : 0.0)
+                              : 1.0;
+      for (size_t i = 0; i + 1 < points.size(); ++i) {
+        fn(grid_.CellOf(points[i]), Distance(points[i], points[i + 1]) * norm);
+      }
+      break;
+    }
+  }
+}
 
 /// Which points of each trajectory a PointCellTable lists.
 enum class CellPoints { kAll, kSource, kDestination };

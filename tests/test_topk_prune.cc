@@ -12,9 +12,13 @@
 //     facilities_evaluated stays within the positive-bound slots of
 //     facilities whose bound reaches the k-th value, with the skipped slots
 //     accounted in facilities_pruned;
-//   * the bounds memo (CellIndex::Bounds): every write drops it, each
-//     catalog gets its own, an engine publish recomputes only the shards it
-//     touched, and racing first top-ks fill it once;
+//   * the bounds memo (CellIndex::Bounds): writes patch it instead of
+//     dropping it — the patched memo is sound, lists the live candidates
+//     and, under integer-valued models, equals a fresh index's bit for bit,
+//     through tree churn, a table rebuild and 240 engine publishes — a long
+//     write log falls back to a sweep, each catalog gets its own, racing
+//     first top-ks fill it once, and a fork racing the readers of its
+//     parent's memo gets a correct one;
 //   * the shared window planner (runtime/prune_plan.h), iterated to its
 //     fixpoint on random bound/exact matrices against a brute-force top-k:
 //     B == value ties across ids, k ≥ |F|, all-zero bounds and dropped
@@ -229,57 +233,111 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
 
 // ---------------------------------------------------- CellIndex::Bounds memo
 
-// What one tree's memoised bounds must hold at any step: they equal a live
-// CellUpperBound sweep bit for bit (with the same candidate ids when the
-// index lists them) and never fall below the exact SO.
-void ExpectMemoMatchesLiveBounds(TQTree* tree, const ServiceEvaluator& eval,
-                                 const FacilityCatalog& catalog) {
-  const std::shared_ptr<const FacilityBounds> memo =
-      tree->cells().Bounds(catalog);
+// Values that are integers sum to the same bits in any order, so a patched
+// memo must equal a fresh sweep exactly.
+bool IntegerValued(const ServiceModel& model) {
+  return model.scenario == Scenario::kEndpoints ||
+         (model.scenario == Scenario::kPointCount &&
+          model.normalization == Normalization::kNone);
+}
+
+bool SameBounds(const FacilityBounds& a, const FacilityBounds& b) {
+  return a.bound == b.bound && a.cap == b.cap && a.mass == b.mass &&
+         a.ids == b.ids && a.begin == b.begin;
+}
+
+// The bounds of an index built fresh over `cells`' indexed trajectories,
+// with its user set, model and tables.
+std::shared_ptr<const FacilityBounds> FreshBounds(
+    const CellIndex& cells, const FacilityCatalog& catalog) {
+  const CellIndex fresh(&cells.users(), cells.model(), cells.has_tables(),
+                        cells.IndexedTrajectories());
+  return fresh.Bounds(catalog);
+}
+
+// What an index's memoised bounds must hold at any step, against `exact`
+// (SO of each facility): no bound falls below the exact SO; the candidate
+// lists are a live CellUpperBound sweep's (sets, so exact under every
+// model); and under an integer-valued model every bound equals the live
+// sweep's bit for bit. With `fresh_oracle` (the index's world is its user
+// set's, so an index built over its indexed trajectories has the same
+// cells), bounds, caps, masses and lists also equal that fresh index's,
+// bit for bit for integer-valued models and to rounding otherwise.
+void ExpectMemoSound(const CellIndex& cells, const FacilityCatalog& catalog,
+                     const std::vector<double>& exact, bool fresh_oracle) {
+  const std::shared_ptr<const FacilityBounds> memo = cells.Bounds(catalog);
   ASSERT_EQ(memo->bound.size(), catalog.size());
-  EXPECT_EQ(memo->listed(), tree->cells().lists_candidates());
+  EXPECT_EQ(memo->listed(), cells.lists_candidates());
+  const bool integer = IntegerValued(cells.model());
   std::vector<uint32_t> ids;
   for (uint32_t f = 0; f < catalog.size(); ++f) {
+    SCOPED_TRACE("facility=" + std::to_string(f));
+    EXPECT_GE(memo->bound[f], exact[f]);
     ids.clear();
-    EXPECT_EQ(memo->bound[f], tree->cells().CellUpperBound(catalog.grid(f),
-                                                           &ids))
-        << "facility=" << f;
+    const double live = cells.CellUpperBound(catalog.grid(f), &ids);
+    if (integer) {
+      EXPECT_EQ(memo->bound[f], live);
+    }
     if (memo->listed()) {
       const std::span<const uint32_t> listed = memo->candidates(f);
-      EXPECT_EQ(std::vector<uint32_t>(listed.begin(), listed.end()), ids)
-          << "facility=" << f;
+      EXPECT_EQ(std::vector<uint32_t>(listed.begin(), listed.end()), ids);
     }
-    EXPECT_GE(memo->bound[f],
-              EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr))
-        << "facility=" << f;
+  }
+  if (!fresh_oracle) return;
+  const std::shared_ptr<const FacilityBounds> want =
+      FreshBounds(cells, catalog);
+  EXPECT_EQ(memo->ids, want->ids);
+  EXPECT_EQ(memo->begin, want->begin);
+  if (integer) {
+    EXPECT_TRUE(SameBounds(*memo, *want));
+    return;
+  }
+  ASSERT_EQ(memo->cap.size(), want->cap.size());
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const double tol = 1e-9 * std::max(1.0, want->bound[f]);
+    EXPECT_NEAR(memo->bound[f], want->bound[f], tol) << "facility=" << f;
+    EXPECT_NEAR(memo->mass[f], want->mass[f], tol) << "facility=" << f;
+    if (!want->cap.empty()) {
+      EXPECT_NEAR(memo->cap[f], want->cap[f], tol) << "facility=" << f;
+    }
   }
 }
 
-// One step of the churn: the first top-k since the step computes
-// `expect_computed` bounds and ranks exactly as the exhaustive search does;
-// a repeat computes none and returns the same prefix; the memo then matches
-// a live sweep.
+// One step of the churn: the first top-k since the step sweeps
+// `expect_computed` bounds and patches `expect_patched` writes, and ranks
+// exactly as the exhaustive search does; a repeat does neither and returns
+// the same prefix; the memo then holds (ExpectMemoSound).
 void ExpectMemoStep(TQTree* tree, const ServiceEvaluator& eval,
                     const FacilityCatalog& catalog, size_t expect_computed,
-                    const std::string& step) {
+                    size_t expect_patched, const std::string& step) {
   SCOPED_TRACE(step);
   const size_t n = catalog.size();
   const TopKResult all = TopKFacilitiesTQ(tree, catalog, eval, n);
   EXPECT_EQ(all.stats.bounds_computed, expect_computed);
+  EXPECT_EQ(all.stats.bounds_patched, expect_patched);
   const std::vector<RankedFacility> want =
       TopKFacilitiesExhaustiveTQ(tree, catalog, eval, n).ranked;
   ExpectSameRanking(all.ranked, want);
   const TopKResult again = TopKFacilitiesTQ(tree, catalog, eval, 5);
   EXPECT_EQ(again.stats.bounds_computed, 0u);
+  EXPECT_EQ(again.stats.bounds_patched, 0u);
   ExpectSameRanking(again.ranked,
                     std::vector<RankedFacility>(want.begin(), want.begin() + 5));
-  ExpectMemoMatchesLiveBounds(tree, eval, catalog);
+  std::vector<double> exact(n);
+  for (uint32_t f = 0; f < n; ++f) {
+    exact[f] = EvaluateServiceTQ(tree, eval, catalog.grid(f), nullptr);
+  }
+  ExpectMemoSound(tree->cells(), catalog, exact, /*fresh_oracle=*/true);
 }
 
-// Insert → remove → reinsert → freeze on whole and segmented trees, under
-// all three scenarios: every write drops the memo, so the first top-k after
-// it sweeps the catalog again, and the memo never serves a stale bound.
-TEST(BoundsMemo, ChurnRecomputesAfterEachWrite) {
+// Rounds of a few inserts, removes and reinserts on whole and segmented
+// trees, under all three scenarios (Scenario 2 raw and per-user): no write
+// drops the memo, so the first top-k after each round patches exactly that
+// round's writes and sweeps nothing, and the patched memo is sound and
+// equals a fresh index's. The whole tree's pending inserts then pass 1/8 of
+// its tables, so its freeze rebuilds them and keeps the memo, which still
+// equals a fresh index's.
+TEST(BoundsMemo, ChurnPatchesAfterEachWrite) {
   Rng rng(53);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
   const TrajectorySet base = testing::RandomUsers(&rng, 300, 2, 6, w);
@@ -289,8 +347,9 @@ TEST(BoundsMemo, ChurnRecomputesAfterEachWrite) {
   const TrajectorySet facs = testing::RandomFacilities(&rng, 20, 8, w);
   for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
     for (const ServiceModel& model :
-         {ServiceModel::Endpoints(300.0), ServiceModel::PointCount(300.0),
-          ServiceModel::Length(300.0)}) {
+         {ServiceModel::Endpoints(300.0),
+          ServiceModel::PointCount(300.0, Normalization::kNone),
+          ServiceModel::PointCount(300.0), ServiceModel::Length(300.0)}) {
       SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
                    " model=" + model.ToString());
       TQTreeOptions options;
@@ -300,28 +359,65 @@ TEST(BoundsMemo, ChurnRecomputesAfterEachWrite) {
       TQTree tree(&users, options, AllIds(base));
       const ServiceEvaluator eval(&users, model);
       const FacilityCatalog catalog(&facs, model.psi);
-      const size_t n = catalog.size();
-      ExpectMemoStep(&tree, eval, catalog, n, "fresh");
-      for (uint32_t u = static_cast<uint32_t>(base.size()); u < users.size();
-           ++u) {
-        tree.Insert(u);
-      }
-      ExpectMemoStep(&tree, eval, catalog, n, "inserted");
+      ExpectMemoStep(&tree, eval, catalog, catalog.size(), 0, "fresh");
+      auto next = static_cast<uint32_t>(base.size());
       std::vector<uint32_t> removed;
-      for (uint32_t u = 0; u < base.size(); u += 3) {
-        ASSERT_TRUE(tree.Remove(u));
-        removed.push_back(u);
+      for (uint32_t round = 0; round < 12; ++round) {
+        size_t writes = 0;
+        for (int i = 0; i < 3; ++i, ++writes) tree.Insert(next++);
+        for (uint32_t i = 0; i < 2; ++i, ++writes) {
+          ASSERT_TRUE(tree.Remove(7 * round + i));
+          removed.push_back(7 * round + i);
+        }
+        if (round % 3 == 2) {
+          tree.Insert(removed.back());
+          removed.pop_back();
+          ++writes;
+        }
+        ExpectMemoStep(&tree, eval, catalog, 0, writes,
+                       "round " + std::to_string(round));
       }
-      ExpectMemoStep(&tree, eval, catalog, n, "removed");
-      for (const uint32_t u : removed) tree.Insert(u);
-      ExpectMemoStep(&tree, eval, catalog, n, "reinserted");
-      // The whole tree's 160 pending inserts (of 300 listed) force a table
-      // rebuild, which changes its bounds; the segmented tree's cell index
-      // has no tables, so its freeze keeps the memo.
+      if (mode == TrajMode::kWhole) {
+        ASSERT_EQ(tree.cells().num_pending(), 40u);
+      }
       tree.Freeze();
-      ExpectMemoStep(&tree, eval, catalog,
-                     mode == TrajMode::kWhole ? n : 0, "frozen");
+      EXPECT_EQ(tree.cells().num_pending(), 0u);
+      ExpectMemoStep(&tree, eval, catalog, 0, 0, "frozen");
     }
+  }
+}
+
+// A write log longer than 1/8 of the indexed trajectories drops the memo:
+// the next top-k sweeps the catalog and patches nothing. A log at the
+// limit still patches.
+TEST(BoundsMemo, LongLogFallsBackToASweep) {
+  Rng rng(61);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet base = testing::RandomUsers(&rng, 320, 2, 6, w);
+  TrajectorySet users = base;
+  const TrajectorySet more = testing::RandomUsers(&rng, 60, 2, 6, w);
+  for (uint32_t u = 0; u < more.size(); ++u) users.Add(more.points(u));
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  const ServiceModel model = ServiceModel::Endpoints(300.0);
+  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+    SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+    TQTreeOptions options;
+    options.beta = 16;
+    options.mode = mode;
+    options.model = model;
+    TQTree tree(&users, options, AllIds(base));
+    const ServiceEvaluator eval(&users, model);
+    const FacilityCatalog catalog(&facs, model.psi);
+    ExpectMemoStep(&tree, eval, catalog, catalog.size(), 0, "fresh");
+    // 35 removes leave 285 indexed, and 35 × 8 = 280 is not above it.
+    for (uint32_t u = 0; u < 35; ++u) ASSERT_TRUE(tree.Remove(u));
+    ExpectMemoStep(&tree, eval, catalog, 0, 35, "log at the limit");
+    for (uint32_t u = 35; u < 75; ++u) ASSERT_TRUE(tree.Remove(u));
+    ExpectMemoStep(&tree, eval, catalog, catalog.size(), 0, "40 removes");
+    for (auto u = static_cast<uint32_t>(base.size()); u < users.size(); ++u) {
+      tree.Insert(u);
+    }
+    ExpectMemoStep(&tree, eval, catalog, catalog.size(), 0, "60 inserts");
   }
 }
 
@@ -342,29 +438,30 @@ TEST(BoundsMemo, EachCatalogGetsItsOwnBounds) {
   const FacilityCatalog narrow(&facs, 150.0);
   const FacilityCatalog wide(&facs, 600.0);
   EXPECT_NE(narrow.serial(), wide.serial());
-  ExpectMemoStep(&tree, eval, narrow, facs.size(), "narrow");
-  ExpectMemoStep(&tree, eval, wide, facs.size(), "wide");
-  ExpectMemoStep(&tree, eval, narrow, facs.size(), "narrow again");
-  ExpectMemoStep(&tree, eval, wide, facs.size(), "wide again");
+  ExpectMemoStep(&tree, eval, narrow, facs.size(), 0, "narrow");
+  ExpectMemoStep(&tree, eval, wide, facs.size(), 0, "wide");
+  ExpectMemoStep(&tree, eval, narrow, facs.size(), 0, "narrow again");
+  ExpectMemoStep(&tree, eval, wide, facs.size(), 0, "wide again");
   EXPECT_NE(tree.cells().Bounds(narrow)->bound,
             tree.cells().Bounds(wide)->bound);
 
   // The replacement is built in the destroyed catalog's own storage.
   std::optional<FacilityCatalog> slot;
   slot.emplace(&facs, 150.0);
-  ExpectMemoStep(&tree, eval, *slot, facs.size(), "to be destroyed");
+  ExpectMemoStep(&tree, eval, *slot, facs.size(), 0, "to be destroyed");
   const uint64_t gone_serial = slot->serial();
   slot.reset();
   slot.emplace(&facs, 450.0);
   EXPECT_NE(slot->serial(), gone_serial);
-  ExpectMemoStep(&tree, eval, *slot, facs.size(), "replacement");
+  ExpectMemoStep(&tree, eval, *slot, facs.size(), 0, "replacement");
 }
 
-// Engine shards memoise per generation: a repeated top-k computes no bound,
-// and a publish touching one of four shards recomputes that shard's bounds
-// alone. Under the integer point count every partition sums to the same
-// bits, so the answer equals a fresh engine's over the same users.
-TEST(BoundsMemo, EnginePublishRecomputesOnlyTheTouchedShard) {
+// Engine shards keep their memo through publishes: a repeated top-k sweeps
+// and patches nothing, and a publish touching one of four shards costs the
+// next top-k exactly that shard's writes, patched, with no sweep. Under the
+// integer point count every partition sums to the same bits, so the answer
+// equals a fresh engine's over the same users.
+TEST(BoundsMemo, EnginePublishPatchesOnlyTheTouchedShard) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet routes = presets::NyBusRoutes(16, 8);
   const ServiceModel model =
@@ -374,30 +471,246 @@ TEST(BoundsMemo, EnginePublishRecomputesOnlyTheTouchedShard) {
   const uint64_t nf = routes.size();
   ShardedEngine engine(users, routes, Options(kShards, model));
   const auto computed = [&] { return engine.metrics().Read().bounds_computed; };
+  const auto patched = [&] { return engine.metrics().Read().bounds_patched; };
   engine.Submit(QueryRequest::TopK(kK)).get();
   EXPECT_EQ(computed(), kShards * nf);
+  EXPECT_EQ(patched(), 0u);
   engine.Submit(QueryRequest::TopK(kK)).get();
   EXPECT_EQ(computed(), kShards * nf) << "a repeat swept the bounds again";
 
-  TrajectorySet now = users;
   const TrajectorySet extra = presets::NyfCheckins(820);
-  runtime::UpdateBatch batch;
-  batch.inserts.emplace_back(extra.points(810).begin(),
-                             extra.points(810).end());
+  const auto publish_one_shard = [&](const runtime::UpdateBatch& batch) {
+    const std::vector<uint64_t> before = engine.shard_generations();
+    const std::vector<uint32_t> ids = engine.ApplyUpdates(batch);
+    const std::vector<uint64_t> after = engine.shard_generations();
+    size_t touched = 0;
+    for (size_t s = 0; s < kShards; ++s) touched += before[s] != after[s];
+    EXPECT_EQ(touched, 1u);
+    return ids;
+  };
+  runtime::UpdateBatch insert;
+  insert.inserts.emplace_back(extra.points(810).begin(),
+                              extra.points(810).end());
+  const std::vector<uint32_t> ids = publish_one_shard(insert);
+  ASSERT_EQ(ids.size(), 1u);
+  TrajectorySet now = users;
   now.Add(extra.points(810));
-  const std::vector<uint64_t> before = engine.shard_generations();
-  engine.ApplyUpdates(batch);
-  const std::vector<uint64_t> after = engine.shard_generations();
-  size_t touched = 0;
-  for (size_t s = 0; s < kShards; ++s) touched += before[s] != after[s];
-  ASSERT_EQ(touched, 1u);
-
-  const QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
-  EXPECT_EQ(computed(), (kShards + 1) * nf);
+  QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(computed(), kShards * nf);
+  EXPECT_EQ(patched(), 1u);
   ShardedEngine fresh(now, routes, Options(kShards, model));
   ExpectSameRanking(got.ranked,
                     fresh.Submit(QueryRequest::TopK(kK)).get().ranked);
   ExpectSameRanking(got.ranked, OracleRanking(now, routes, model, kK));
+  engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(patched(), 1u) << "a repeat patched again";
+
+  // Removing the inserted user again touches the same shard.
+  runtime::UpdateBatch remove;
+  remove.removes.push_back(ids[0]);
+  publish_one_shard(remove);
+  got = engine.Submit(QueryRequest::TopK(kK)).get();
+  EXPECT_EQ(computed(), kShards * nf);
+  EXPECT_EQ(patched(), 2u);
+  ExpectSameRanking(got.ranked, OracleRanking(users, routes, model, kK));
+}
+
+// 240 random publishes of 1–3 inserts and 1–3 removes each on a 4-shard
+// engine, a top-k after every one, under Scenario 1 (listed memos),
+// Scenario 2 raw and Scenario 3 per-user: each answer equals the snapshot
+// oracle's bits, every shard's memo stays sound against its exact SO (and
+// equals a live sweep bit for bit under the integer-valued models), and
+// the engine swept each shard's bounds once, patching every write after.
+TEST(BoundsMemo, EngineBoundsStaySoundThroughRandomPublishes) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kK = 3;
+  constexpr int kPublishes = 240;
+  const TrajectorySet routes = presets::NyBusRoutes(12, 8);
+  struct Case {
+    TrajectorySet users;
+    TrajectorySet held;
+    ServiceModel model;
+  };
+  const Case cases[] = {
+      {presets::NytTrips(500), presets::NytTrips(900),
+       ServiceModel::Endpoints(300.0)},
+      {presets::NyfCheckins(500), presets::NyfCheckins(900),
+       ServiceModel::PointCount(200.0, Normalization::kNone)},
+      {presets::NyfCheckins(500), presets::NyfCheckins(900),
+       ServiceModel::Length(200.0, Normalization::kPerUser)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.model.ToString());
+    ShardedEngine engine(c.users, routes, Options(kShards, c.model));
+    engine.Submit(QueryRequest::TopK(kK)).get();  // sweeps every shard
+    Rng rng(71);
+    std::vector<uint32_t> live(c.users.size());
+    for (uint32_t g = 0; g < live.size(); ++g) live[g] = g;
+    uint64_t writes = 0;
+    uint32_t held_row = 0;
+    for (int step = 0; step < kPublishes; ++step) {
+      runtime::UpdateBatch batch;
+      const size_t inserts = 1 + rng.NextBelow(3);
+      const size_t removes = 1 + rng.NextBelow(3);
+      for (size_t i = 0; i < inserts; ++i) {
+        const auto pts = c.held.points(held_row++ % c.held.size());
+        batch.inserts.emplace_back(pts.begin(), pts.end());
+      }
+      for (size_t i = 0; i < removes; ++i) {
+        const size_t r = rng.NextBelow(live.size());
+        batch.removes.push_back(live[r]);
+        live[r] = live.back();
+        live.pop_back();
+      }
+      for (const uint32_t id : engine.ApplyUpdates(batch)) live.push_back(id);
+      writes += inserts + removes;
+      const QueryResponse got = engine.Submit(QueryRequest::TopK(kK)).get();
+      const runtime::ShardedSnapshotPtr snap = engine.snapshot();
+      ASSERT_EQ(got.snapshot_version, snap->version);
+      ExpectSameRanking(got.ranked, SnapshotRanking(*snap, kK));
+      if (step % 40 != 39) continue;
+      SCOPED_TRACE("step " + std::to_string(step));
+      const FacilityCatalog& catalog = *snap->catalog;
+      for (const runtime::ShardStatePtr& shard : snap->shards) {
+        std::vector<double> exact(catalog.size());
+        for (uint32_t f = 0; f < catalog.size(); ++f) {
+          exact[f] = EvaluateServiceCells(*shard->cells, *shard->eval,
+                                          catalog.grid(f), nullptr);
+        }
+        ExpectMemoSound(*shard->cells, catalog, exact,
+                        /*fresh_oracle=*/false);
+      }
+    }
+    const MetricsView m = engine.metrics().Read();
+    EXPECT_EQ(m.bounds_computed, kShards * routes.size());
+    EXPECT_EQ(m.bounds_patched, writes);
+  }
+}
+
+// A fork carries its parent's memo with the writes the parent has not
+// replayed yet, so a grandchild forked before any read patches both
+// generations' writes, and the retained parent keeps its own bounds. A fork
+// whose table kind flips starts without a memo and sweeps; the freeze that
+// builds its tables drops the table-less memo it swept.
+TEST(BoundsMemo, ForkCarriesTheMemoAndTheUnreplayedLog) {
+  const TrajectorySet users = presets::NytTrips(1300);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 16);
+  const ServiceModel model = ServiceModel::Endpoints(200.0);
+  const FacilityCatalog catalog(&routes, model.psi);
+  std::vector<uint32_t> first = AllIds(users);
+  first.resize(1200);
+  const CellIndex base(&users, model, true, first);
+  size_t computed = 0;
+  size_t patched = 0;
+  base.Bounds(catalog, &computed, &patched);
+  EXPECT_EQ(computed, catalog.size());
+  const std::unique_ptr<CellIndex> child = base.Fork(&users);
+  for (uint32_t u = 1200; u < 1203; ++u) child->Insert(u);
+  ASSERT_TRUE(child->Remove(5));
+  child->Freeze();
+  const std::unique_ptr<CellIndex> grandchild = child->Fork(&users);
+  grandchild->Insert(1203);
+  grandchild->Insert(1204);
+  grandchild->Freeze();
+  computed = patched = 0;
+  EXPECT_TRUE(SameBounds(*grandchild->Bounds(catalog, &computed, &patched),
+                         *FreshBounds(*grandchild, catalog)));
+  EXPECT_EQ(computed, 0u);
+  EXPECT_EQ(patched, 6u);
+  computed = patched = 0;
+  EXPECT_TRUE(SameBounds(*child->Bounds(catalog, &computed, &patched),
+                         *FreshBounds(*child, catalog)));
+  EXPECT_EQ(computed, 0u);
+  EXPECT_EQ(patched, 4u);
+  EXPECT_TRUE(SameBounds(*base.Bounds(catalog), *FreshBounds(base, catalog)));
+
+  // Two-point users under the point count keep kStartOrEnd tables; a
+  // four-point user, made of two users' points so the world stays the
+  // same, flips a fork to kMbr.
+  Rng rng(67);
+  const Rect w = Rect::Of(0, 0, 20000, 20000);
+  const TrajectorySet two = testing::RandomUsers(&rng, 300, 2, 2, w);
+  TrajectorySet extended = two;
+  std::vector<Point> joined(two.points(0).begin(), two.points(0).end());
+  joined.insert(joined.end(), two.points(1).begin(), two.points(1).end());
+  extended.Add(joined);
+  const TrajectorySet facs = testing::RandomFacilities(&rng, 12, 8, w);
+  const ServiceModel count =
+      ServiceModel::PointCount(300.0, Normalization::kNone);
+  const FacilityCatalog counts(&facs, count.psi);
+  const CellIndex parent(&two, count, true, AllIds(two));
+  parent.Bounds(counts);
+  ASSERT_EQ(parent.kind(), ZPruneMode::kStartOrEnd);
+  const std::unique_ptr<CellIndex> flipped = parent.Fork(&extended);
+  ASSERT_EQ(flipped->kind(), ZPruneMode::kMbr);
+  ASSERT_FALSE(flipped->has_tables());
+  flipped->Insert(300);
+  computed = patched = 0;
+  flipped->Bounds(counts, &computed, &patched);
+  EXPECT_EQ(computed, counts.size());
+  flipped->Freeze();
+  ASSERT_TRUE(flipped->has_tables());
+  computed = patched = 0;
+  EXPECT_TRUE(SameBounds(*flipped->Bounds(counts, &computed, &patched),
+                         *FreshBounds(*flipped, counts)));
+  EXPECT_EQ(computed, counts.size());
+  EXPECT_EQ(patched, 0u);
+}
+
+// A fork made while reader threads fill, then patch, its parent's memo:
+// every reader gets the bits of a fresh index over the parent's
+// trajectories, and the fork, written and frozen, gets those of a fresh
+// index over its own, whether it inherited the memo or not. TSan runs this.
+TEST(BoundsMemo, ForkWhileReadersFillOrPatchTheParentsMemo) {
+  const TrajectorySet users = presets::NytTrips(1300);
+  const TrajectorySet routes = presets::NyBusRoutes(24, 16);
+  const ServiceModel model = ServiceModel::Endpoints(200.0);
+  const FacilityCatalog catalog(&routes, model.psi);
+  constexpr int kReaders = 3;
+  constexpr int kReads = 20;
+  std::vector<uint32_t> first = AllIds(users);
+  first.resize(1200);
+  // Forks `parent` while the readers read its memo, then writes six
+  // inserts of unindexed ids and one remove to the fork and freezes it.
+  uint32_t next = 1200;
+  const auto race = [&](const CellIndex& parent) {
+    const std::shared_ptr<const FacilityBounds> want =
+        FreshBounds(parent, catalog);
+    std::atomic<int> waiting{kReaders + 1};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        for (int i = 0; i < kReads; ++i) {
+          if (!SameBounds(*parent.Bounds(catalog), *want)) failures++;
+        }
+      });
+    }
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) std::this_thread::yield();
+    std::unique_ptr<CellIndex> fork = parent.Fork(&users);
+    for (int i = 0; i < 6; ++i) fork->Insert(next++);
+    EXPECT_TRUE(fork->Remove(next - 1200));
+    fork->Freeze();
+    for (auto& th : readers) th.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_TRUE(
+        SameBounds(*fork->Bounds(catalog), *FreshBounds(*fork, catalog)));
+    return fork;
+  };
+  // Fill: the parent has no memo when the readers start.
+  const CellIndex parent(&users, model, true, first);
+  const std::unique_ptr<CellIndex> child = race(parent);
+  // Patch: the child holds a memo and a log only if it forked after the
+  // fill; a grandchild with writes and no read of its own holds the log.
+  std::unique_ptr<CellIndex> grandchild = child->Fork(&users);
+  for (int i = 0; i < 6; ++i) grandchild->Insert(next++);
+  grandchild->Freeze();
+  const std::unique_ptr<CellIndex> great = race(*grandchild);
+  EXPECT_TRUE(SameBounds(*grandchild->Bounds(catalog),
+                         *FreshBounds(*grandchild, catalog)));
 }
 
 // Several threads start the first top-k at once, on one frozen tree and on

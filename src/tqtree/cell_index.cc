@@ -335,8 +335,6 @@ std::shared_ptr<FacilityBounds> CellIndex::Sweep(
     const FacilityCatalog& catalog) const {
   auto bounds = std::make_shared<FacilityBounds>();
   const size_t num_fac = catalog.size();
-  auto footprints = std::make_shared<Footprints>();
-  footprints->begin.assign(num_fac + 1, 0);
   bounds->bound.resize(num_fac);
   bounds->mass.resize(num_fac);
   if (cells_ != nullptr) bounds->cap.resize(num_fac);
@@ -350,25 +348,39 @@ std::shared_ptr<FacilityBounds> CellIndex::Sweep(
   for (uint32_t f = 0; f < num_fac; ++f) {
     const StopGrid& grid = catalog.grid(f);
     raster_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
-    footprints->runs.insert(footprints->runs.end(), runs.begin(), runs.end());
-    footprints->begin[f + 1] = footprints->runs.size();
     bounds->bound[f] = BoundInCells(runs, &cap, &bounds->mass[f], ids);
     if (cells_ != nullptr) bounds->cap[f] = cap;
     if (ids != nullptr) bounds->begin[f + 1] = ids->size();
   }
-  footprints->runs.shrink_to_fit();
   bounds->ids.shrink_to_fit();
-  bounds->footprints = std::move(footprints);
   return bounds;
 }
 
+std::shared_ptr<const Footprints> CellIndex::FootprintsOf(
+    const FacilityCatalog& catalog) const {
+  auto footprints = std::make_shared<Footprints>();
+  footprints->begin.assign(catalog.size() + 1, 0);
+  static thread_local std::vector<CellRun> runs;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    const StopGrid& grid = catalog.grid(f);
+    raster_->grid().CellsNearStops(grid.stops(), grid.psi(), &runs);
+    footprints->runs.insert(footprints->runs.end(), runs.begin(), runs.end());
+    footprints->begin[f + 1] = footprints->runs.size();
+  }
+  footprints->runs.shrink_to_fit();
+  return footprints;
+}
+
 std::shared_ptr<FacilityBounds> CellIndex::Patch(
-    const FacilityBounds& base) const {
+    const FacilityBounds& base, const FacilityCatalog& catalog) const {
   auto next = std::make_shared<FacilityBounds>();
   next->cap = base.cap;
   next->mass = base.mass;
-  next->footprints = base.footprints;
-  const Footprints& footprints = *base.footprints;
+  // An index that is never written never stores footprints; the first
+  // patch of a lineage does, and every later copy and fork shares them.
+  next->footprints = base.footprints != nullptr ? base.footprints
+                                                : FootprintsOf(catalog);
+  const Footprints& footprints = *next->footprints;
   const size_t num_fac = base.bound.size();
   const bool capped = !base.cap.empty();
   // Each write adds (or takes away) its deposits in a facility's near cells
@@ -439,7 +451,7 @@ std::shared_ptr<const FacilityBounds> CellIndex::Bounds(
   const std::lock_guard<std::mutex> lock(memo_mu_);
   if (memo_ != nullptr && memo_serial_ == catalog.serial()) {
     if (log_.empty()) return memo_;
-    memo_ = Patch(*memo_);
+    memo_ = Patch(*memo_, catalog);
     if (patched != nullptr) *patched += log_.size();
     log_.clear();
     return memo_;

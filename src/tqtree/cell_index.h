@@ -14,9 +14,9 @@
 // and the facility, so Bounds() computes them once per catalog and keeps
 // them (the memo). A write does not drop the memo: it logs the written id,
 // and the next Bounds() call replays the log into a copy of the memo — per
-// facility whose footprint (near-cell runs, stored once per memo) holds the
-// id's cells, the id's deposits and cap — instead of sweeping the catalog
-// again. Fork() carries the memo and the log over, so a publish costs the
+// facility whose footprint (near-cell runs, stored at the first patch)
+// holds the id's cells, the id's deposits and cap — instead of sweeping the
+// catalog again. Fork() carries the memo and the log over, so a publish costs the
 // next top-k a patch, not a sweep.
 //
 // Fork() is the engine's snapshot-publish primitive: the fork shares the
@@ -58,8 +58,8 @@ std::vector<uint32_t> AllIds(const TrajectorySet& users);
 
 /// The near-cell runs (RasterGrid::CellsNearStops) of every facility of one
 /// catalog, over one world: facility f's are runs[begin[f], begin[f + 1]).
-/// Immutable once built, and shared by every bound memo of the catalog over
-/// the world, patched copies and forks alike.
+/// Built by the first patch of a bound memo, immutable, and shared by every
+/// later patched copy and fork (forks keep the world).
 struct Footprints {
   std::vector<CellRun> runs;
   std::vector<size_t> begin;
@@ -85,6 +85,7 @@ struct FacilityBounds {
   /// are ids[begin[f], begin[f + 1]); otherwise both are empty.
   std::vector<uint32_t> ids;
   std::vector<size_t> begin;
+  /// Null until the memo is first patched.
   std::shared_ptr<const Footprints> footprints;
 
   bool listed() const { return !begin.empty(); }
@@ -283,8 +284,13 @@ class CellIndex {
                       std::vector<uint32_t>* candidates) const;
   /// Bounds()'s catalog sweep.
   std::shared_ptr<FacilityBounds> Sweep(const FacilityCatalog& catalog) const;
-  /// Bounds()'s replay of `log_` into a copy of `base`.
-  std::shared_ptr<FacilityBounds> Patch(const FacilityBounds& base) const;
+  /// The near-cell runs of every facility of `catalog`.
+  std::shared_ptr<const Footprints> FootprintsOf(
+      const FacilityCatalog& catalog) const;
+  /// Bounds()'s replay of `log_` into a copy of `base`, the bounds of
+  /// `catalog`.
+  std::shared_ptr<FacilityBounds> Patch(const FacilityBounds& base,
+                                        const FacilityCatalog& catalog) const;
   /// Appends a write to the log while a memo exists; past 1/8 of the
   /// indexed trajectories, drops the memo and the log instead.
   void LogWrite(uint32_t traj_id, bool insert);

@@ -589,7 +589,8 @@ TEST(BoundsMemo, EngineBoundsStaySoundThroughRandomPublishes) {
 
 // A fork carries its parent's memo with the writes the parent has not
 // replayed yet, so a grandchild forked before any read patches both
-// generations' writes, and the retained parent keeps its own bounds. A fork
+// generations' writes, and the retained parent keeps its own bounds; the
+// first patch stores the footprints, which later forks share. A fork
 // whose table kind flips starts without a memo and sweeps; the freeze that
 // builds its tables drops the table-less memo it swept.
 TEST(BoundsMemo, ForkCarriesTheMemoAndTheUnreplayedLog) {
@@ -623,6 +624,17 @@ TEST(BoundsMemo, ForkCarriesTheMemoAndTheUnreplayedLog) {
   EXPECT_EQ(computed, 0u);
   EXPECT_EQ(patched, 4u);
   EXPECT_TRUE(SameBounds(*base.Bounds(catalog), *FreshBounds(base, catalog)));
+  // Footprints: none on the never-written base, built by the first patch,
+  // then shared by the patched memo of a fork.
+  EXPECT_EQ(base.Bounds(catalog)->footprints, nullptr);
+  const std::shared_ptr<const Footprints> footprints =
+      grandchild->Bounds(catalog)->footprints;
+  ASSERT_NE(footprints, nullptr);
+  const std::unique_ptr<CellIndex> next = grandchild->Fork(&users);
+  ASSERT_TRUE(next->Remove(1203));
+  next->Freeze();
+  EXPECT_EQ(next->Bounds(catalog)->footprints, footprints);
+  EXPECT_TRUE(SameBounds(*next->Bounds(catalog), *FreshBounds(*next, catalog)));
 
   // Two-point users under the point count keep kStartOrEnd tables; a
   // four-point user, made of two users' points so the world stays the

@@ -78,8 +78,7 @@ namespace tq::runtime {
 //                            batches replayed from the WAL during recovery
 //   checkpoints/checkpoint_ns
 //                            checkpointer accounting: checkpoints committed,
-//                            total checkpoint wall ns (stream + trim +
-//                            compact)
+//                            total checkpoint wall ns (stream + trim_wal)
 #define TQ_METRICS_COUNTERS(X) \
   X(queries_total)             \
   X(service_queries)           \

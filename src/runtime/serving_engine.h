@@ -166,7 +166,7 @@ class ServingEngine {
   }
 
   // ---- durability ------------------------------------------------------
-  /// Forces one synchronous checkpoint → WAL-trim → compaction cycle.
+  /// Forces one synchronous checkpoint → WAL-trim cycle.
   /// kUnimplemented on engines without a durability subsystem (the default,
   /// and any engine started without a data dir).
   virtual Status Checkpoint() {

@@ -270,8 +270,7 @@ void ShardedEngine::StartDurability(uint64_t next_lsn,
                                     bool initial_checkpoint) {
   durability_ = std::make_unique<storage::DurabilityManager>(
       options_.durability, [this] { return WriteCheckpointImpl(); },
-      [this](uint64_t lsn) { return CompactShards(lsn); }, &metrics_,
-      &tracer_);
+      &metrics_, &tracer_);
   const Status started = durability_->Start(next_lsn);
   TQ_CHECK_MSG(started.ok(), started.message().c_str());
   if (initial_checkpoint) {
@@ -349,36 +348,6 @@ Result<uint64_t> ShardedEngine::WriteCheckpointImpl() {
   }
   TQ_RETURN_NOT_OK((*writer)->Commit(manifest));
   return snap->version;
-}
-
-void ShardedEngine::CompactShards(uint64_t /*lsn*/) {
-  // Rebuild each owned shard's index over its indexed ids: the same rebuild
-  // recovery runs, so a shard the checkpoint captured becomes exactly what
-  // recovery would build from it. A rebuild folds the inserts pending since
-  // the cell tables were built into fresh tables, off the publish path, and
-  // answers keep their bits: SO sums the scoring ids in ascending order,
-  // whichever candidates the tables mark.
-  const ShardedSnapshotPtr captured = snapshot();
-  for (size_t s = owned_begin_; s < owned_end_; ++s) {
-    const ShardStatePtr old_state = captured->shards[s];
-    if (old_state->cells->fresh()) continue;  // already what a rebuild gives
-    auto rebuilt = ShardCells(old_state->users.get(), options_.tree.model,
-                              old_state->cells->IndexedTrajectories());
-
-    // Swap only if the shard has not republished meanwhile: same version,
-    // same generation, same users/eval — readers and the result cache
-    // cannot tell, and the recovery LSN sequence is untouched. A racing
-    // publish wins by pointer inequality.
-    std::lock_guard<std::mutex> writer_lock(writer_mu_);
-    const ShardedSnapshotPtr live = snapshot();
-    if (live->shards[s] != old_state) continue;
-    auto state = std::make_shared<ShardState>(*old_state);
-    state->cells = std::move(rebuilt);
-    auto next = std::make_shared<ShardedSnapshot>(*live);
-    next->shards[s] = std::move(state);
-    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    snapshot_ = std::move(next);
-  }
 }
 
 void ShardedEngine::Publish(ShardedSnapshotPtr snap,

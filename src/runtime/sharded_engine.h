@@ -229,14 +229,16 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   std::vector<QueryResponse> RunBatch(const std::vector<QueryRequest>& batch);
 
   /// Routes `batch` per shard and republishes ONLY the affected shards
-  /// (one CellIndex::Fork per shard). Returns the global ids assigned to
-  /// `batch.inserts` (in order). Serialized internally; concurrent readers
-  /// are never blocked.
+  /// (one CellIndex::Fork per shard, frozen before the publish, so a shard
+  /// whose pending inserts plus removals pass 1/8 of its tables rebuilds
+  /// them here). The published snapshot changes only here. Returns the
+  /// global ids assigned to `batch.inserts` (in order). Serialized
+  /// internally; concurrent readers are never blocked.
   std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override;
 
-  /// Forces one synchronous checkpoint → WAL-trim → compaction cycle
-  /// (storage::DurabilityManager::CheckpointNow). kUnimplemented without a
-  /// data dir.
+  /// Forces one synchronous checkpoint → WAL-trim cycle
+  /// (storage::DurabilityManager::CheckpointNow). It reads the published
+  /// snapshot and never replaces it. kUnimplemented without a data dir.
   Status Checkpoint() override;
   /// What recovery did at startup; checkpoint_lsn and last_lsn track the
   /// live subsystem state, the replay fields are frozen at construction.
@@ -292,12 +294,6 @@ class ShardedEngine : public ServingEngine, private ShardTransport {
   /// into a CheckpointWriter OFF the lock — the snapshot shared_ptr pins the
   /// shards while writers keep publishing. Returns the captured LSN.
   Result<uint64_t> WriteCheckpointImpl();
-  /// DurabilityManager's CompactFn: rebuilds each owned shard's cell index
-  /// that a rebuild would change (any but a fresh one) over its indexed ids
-  /// — the rebuild recovery runs — and swaps it in at the SAME version and
-  /// generation (answers, cache keys, and the recovery LSN sequence are all
-  /// unchanged).
-  void CompactShards(uint64_t lsn);
 
   ShardedEngineOptions options_;
   /// Resolved owned range ((0,0) in options = own all shards).

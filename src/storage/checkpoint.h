@@ -17,8 +17,8 @@
 //     wal/                        # storage/wal.h segments
 //
 // No index is stored: recovery rebuilds each shard's cell index over its
-// users minus its removed ids, the same rebuild compaction runs on the live
-// engine.
+// users minus its removed ids, the rebuild a live shard's Freeze runs once
+// its pending inserts plus removals pass 1/8 of its tables.
 //
 // Atomicity: everything is streamed into checkpoint-<lsn>.tmp, each file
 // fsync'd, then the directory is renamed into place and CURRENT is swapped

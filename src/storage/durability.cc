@@ -14,12 +14,10 @@ namespace tq::storage {
 
 DurabilityManager::DurabilityManager(DurabilityOptions options,
                                      WriteCheckpointFn write_checkpoint,
-                                     CompactFn compact,
                                      runtime::MetricsRegistry* metrics,
                                      runtime::Tracer* tracer)
     : options_(std::move(options)),
       write_checkpoint_(std::move(write_checkpoint)),
-      compact_(std::move(compact)),
       metrics_(metrics),
       tracer_(tracer) {
   TQ_CHECK(options_.enabled());
@@ -75,12 +73,6 @@ Result<CheckpointStats> DurabilityManager::CheckpointNow() {
   TQ_RETURN_NOT_OK(trimmed.status());
   stats.wal_bytes_trimmed = *trimmed;
   trace->AddSpan("trim_wal", -1, trim_start, runtime::NowNs());
-
-  if (compact_) {
-    const uint64_t compact_start = runtime::NowNs();
-    compact_(stats.lsn);
-    trace->AddSpan("compact", -1, compact_start, runtime::NowNs());
-  }
 
   stats.checkpoint_ns = runtime::NowNs() - start_ns;
   metrics_->AddCheckpoint(stats.checkpoint_ns);

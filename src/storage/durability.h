@@ -1,14 +1,14 @@
 // The durability subsystem's front door: one object owning the WAL writer,
-// the background checkpointer thread, and the WAL-trim / compaction
-// plumbing that runs after each checkpoint commits.
+// the background checkpointer thread, and the WAL trim that runs after each
+// checkpoint commits.
 //
 // Division of labour with the engine (runtime/sharded_engine.cc):
 //
-//   * The ENGINE knows its own state — so it provides two closures: one that
+//   * The ENGINE knows its own state — so it provides one closure that
 //     writes a consistent snapshot into a CheckpointWriter and returns the
-//     captured LSN, and one that compacts after a committed checkpoint:
-//     it rebuilds the live shard indexes over their indexed ids, the same
-//     rebuild recovery runs.
+//     captured LSN. A checkpoint only reads the engine: the live shard
+//     indexes reclaim by their own rule (CellIndex::Freeze), with or
+//     without a data dir.
 //   * The MANAGER owns everything else: WAL append with the sync policy,
 //     the background thread that ticks the kBatch fsync and fires interval
 //     checkpoints, trimming WAL segments the checkpoint covers, and the
@@ -75,14 +75,11 @@ class DurabilityManager {
   /// returns its LSN. Runs on the checkpointer thread; must synchronize
   /// with publishes internally.
   using WriteCheckpointFn = std::function<Result<uint64_t>()>;
-  /// Compacts after checkpoint `lsn` commits (the engine rebuilds its live
-  /// shard indexes).
-  using CompactFn = std::function<void(uint64_t lsn)>;
 
   /// `metrics` and `tracer` must outlive the manager (the engine owns all
   /// three). Call Start() before anything else.
   DurabilityManager(DurabilityOptions options,
-                    WriteCheckpointFn write_checkpoint, CompactFn compact,
+                    WriteCheckpointFn write_checkpoint,
                     runtime::MetricsRegistry* metrics,
                     runtime::Tracer* tracer);
   ~DurabilityManager();
@@ -98,7 +95,7 @@ class DurabilityManager {
   /// Appends one update batch record (engine writer path, pre-publish).
   Status Append(uint64_t lsn, std::string_view payload);
 
-  /// Runs one synchronous checkpoint → trim → compact cycle. Serialized
+  /// Runs one synchronous checkpoint → trim cycle. Serialized
   /// against the background thread's own cycles.
   Result<CheckpointStats> CheckpointNow();
 
@@ -116,7 +113,6 @@ class DurabilityManager {
 
   DurabilityOptions options_;
   WriteCheckpointFn write_checkpoint_;
-  CompactFn compact_;
   runtime::MetricsRegistry* metrics_;
   runtime::Tracer* tracer_;
 

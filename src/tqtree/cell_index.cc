@@ -75,7 +75,6 @@ CellIndex::CellIndex(const CellIndex& parent, const TrajectorySet* users)
       model_(parent.model_),
       tables_(parent.tables_),
       world_(parent.world_),
-      fresh_(false),
       shared_(true),
       raster_(parent.raster_),
       indexed_(parent.indexed_),
@@ -94,6 +93,7 @@ CellIndex::CellIndex(const CellIndex& parent, const TrajectorySet* users)
     cells_ = parent.cells_;
     end_cells_ = parent.end_cells_;
     pending_ = parent.pending_;
+    num_removed_ = parent.num_removed_;
     const std::lock_guard<std::mutex> lock(parent.memo_mu_);
     memo_serial_ = parent.memo_serial_;
     memo_ = parent.memo_;
@@ -127,7 +127,6 @@ void CellIndex::SetIndexed(uint32_t traj_id, bool on) {
 void CellIndex::Insert(uint32_t traj_id) {
   TQ_CHECK(traj_id < users_->size());
   Own();
-  fresh_ = false;
   raster_->AddTrajectory(users_->points(traj_id), model_, 1.0);
   SetIndexed(traj_id, true);
   ++num_indexed_;
@@ -141,17 +140,18 @@ bool CellIndex::Remove(uint32_t traj_id) {
   const size_t w = traj_id >> 6;
   if (w >= live.size() || ((live[w] >> (traj_id & 63)) & 1) == 0) return false;
   Own();
-  fresh_ = false;
   raster_->AddTrajectory(users_->points(traj_id), model_, -1.0);
   SetIndexed(traj_id, false);
   --num_indexed_;
+  if (cells_ != nullptr) ++num_removed_;
   LogWrite(traj_id, false);
   return true;
 }
 
 void CellIndex::Freeze() {
   if (tables_ && (cells_ == nullptr ||
-                  pending_.size() * 8 > cells_->num_trajectories())) {
+                  (pending_.size() + num_removed_) * 8 >
+                      cells_->num_trajectories())) {
     BuildCellTables();
   }
 }
@@ -190,6 +190,7 @@ void CellIndex::BuildCellTables() {
     end_cells_.reset();
   }
   pending_.clear();
+  num_removed_ = 0;
 }
 
 void CellIndex::LogWrite(uint32_t traj_id, bool insert) {

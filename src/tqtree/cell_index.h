@@ -136,9 +136,12 @@ class CellIndex {
 
   /// Makes queries read-only until the next write. With `tables`, rebuilds
   /// the point-cell tables from the indexed trajectories when they are
-  /// missing or the pending inserts exceed 1/8 of the trajectories they
-  /// hold, so a steady stream of small publishes pays O(1) amortised
-  /// rebuild work per insert.
+  /// missing or the pending inserts plus the removals since their build
+  /// exceed 1/8 of the trajectories they hold, so a steady stream of small
+  /// publishes pays O(1) amortised rebuild work per write. A removal
+  /// counts: its id stays listed, and every walk of its near cells still
+  /// reads its points. This is the index's only reclamation rule. The
+  /// raster is not rebuilt: every write updates it in place.
   void Freeze();
 
   /// Exact-check candidate filter of whole trajectories. Replaces `mask`
@@ -201,10 +204,6 @@ class CellIndex {
 
   /// Trajectories inserted since the tables were built.
   size_t num_pending() const { return pending_.size(); }
-
-  /// True when no write has run since construction, so a rebuild over
-  /// IndexedTrajectories() would build this very index.
-  bool fresh() const { return fresh_; }
 
   /// Ids of the indexed trajectories, ascending.
   std::vector<uint32_t> IndexedTrajectories() const;
@@ -301,7 +300,6 @@ class CellIndex {
   Rect world_;
   size_t max_points_ = 0;
   ZPruneMode kind_;
-  bool fresh_ = true;
   /// True while the raster and the bitmap may be shared with a fork. Fork()
   /// sets it on both sides — the one write a const method makes, on the
   /// writer thread only; no reader looks at it.
@@ -316,6 +314,9 @@ class CellIndex {
   std::shared_ptr<const PointCellTable> cells_;
   std::shared_ptr<const PointCellTable> end_cells_;
   std::vector<uint32_t> pending_;
+  /// Removals since the tables were built (a removed id stays in the
+  /// tables or on the pending list).
+  size_t num_removed_ = 0;
   size_t num_indexed_ = 0;
   struct Write {
     uint32_t id;

@@ -3,47 +3,17 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/simd.h"
 #include "geom/distance.h"
 
 namespace tq {
-
-bool ZIndex::Corridor::Reaches(const Rect& r) const {
-  const double psi2 = psi * psi;
-  const size_t n = stops.size();
-  static_assert(sizeof(Point) == 2 * sizeof(double),
-                "corridor kernel assumes Point is two packed doubles");
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (simd::LanesDiskReachRect(&stops[i].x, r.min_x, r.min_y, r.max_x,
-                                 r.max_y, psi2) != 0) {
-      return true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (simd::scalar::DiskReachRect(stops[i].x, stops[i].y, r.min_x, r.min_y,
-                                    r.max_x, r.max_y, psi2)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ZIndex::Corridor::ReachesScalar(const Rect& r) const {
-  const double psi2 = psi * psi;
-  for (const Point& s : stops) {
-    if (simd::scalar::DiskReachRect(s.x, s.y, r.min_x, r.min_y, r.max_x,
-                                    r.max_y, psi2)) {
-      return true;
-    }
-  }
-  return false;
-}
 
 ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
                size_t beta, ZPruneMode prune_mode)
     : prune_mode_(prune_mode), beta_(beta) {
   TQ_CHECK(beta > 0);
+  // Only segmented trees build z-indexes, and a segment exposes exactly its
+  // two endpoints (DerivePruneMode).
+  TQ_CHECK(prune_mode != ZPruneMode::kMbr);
   // Entries whose endpoints escape the node rectangle cannot be assigned
   // meaningful z-cells; route them to the always-scanned outlier list.
   std::vector<uint32_t> indexed;
@@ -87,15 +57,6 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
               return a.entry_index < b.entry_index;
             });
 
-  // Only MBR pruning reads the entry and bucket unit MBRs.
-  const bool mbr = prune_mode_ == ZPruneMode::kMbr;
-  if (mbr) {
-    entry_mbrs_.resize(refs_.size());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      entry_mbrs_[i] = entries[refs_[i].entry_index].mbr;
-    }
-  }
-
   // Chunk the sorted list into z-nodes of ≤ β entries.
   for (uint32_t begin = 0; begin < refs_.size();
        begin += static_cast<uint32_t>(beta)) {
@@ -111,7 +72,6 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
       const TrajEntry& e = entries[refs_[i].entry_index];
       b.start_mbr.Include(e.start);
       b.end_mbr.Include(e.end);
-      if (mbr) b.units_mbr = b.units_mbr.UnionWith(e.mbr);
     }
     buckets_.push_back(b);
   }
@@ -147,25 +107,6 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
     return;
   }
   const Rect& embr = corridor.embr;
-
-  if (prune_mode_ == ZPruneMode::kMbr) {
-    // Interior points may be served: only MBR pruning is sound. Buckets are
-    // pruned against the corridor (any stop disk touching the union MBR),
-    // entries against the cheap EMBR rectangle.
-    for (const Bucket& b : buckets_) {
-      if (!b.units_mbr.Intersects(embr)) continue;
-      if (!corridor.Reaches(b.units_mbr)) continue;
-      if (stats != nullptr) stats->buckets_visited++;
-      for (uint32_t i = b.begin; i < b.end; ++i) {
-        if (stats != nullptr) stats->entries_scanned++;
-        if (entry_mbrs_[i].Intersects(embr)) {
-          if (stats != nullptr) stats->candidates++;
-          fn(refs_[i].entry_index);
-        }
-      }
-    }
-    return;
-  }
 
   const bool require_both = prune_mode_ == ZPruneMode::kStartEnd;
   // Cheap pre-estimate: if the stops' serving squares alone would blanket

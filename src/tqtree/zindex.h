@@ -13,10 +13,9 @@
 //
 // zReduce covers the facility component's EMBR with start cells and end
 // cells; an entry survives only if its start z-id lies in a covered start
-// cell AND its end z-id lies in a covered end cell (Example 4). For models
-// that can serve interior points of multipoint trajectories the
-// start/end-based filter is unsound, so the index falls back to bucket/entry
-// MBR pruning (the z-ordering still provides the locality clustering).
+// cell AND its end z-id lies in a covered end cell (Example 4). Only
+// segmented trees build z-indexes, and a segment exposes exactly its two
+// endpoints, so a start/end filter is always sound here.
 #ifndef TQCOVER_TQTREE_ZINDEX_H_
 #define TQCOVER_TQTREE_ZINDEX_H_
 
@@ -33,21 +32,23 @@
 
 namespace tq {
 
-/// How zReduce may prune entries of this index. The paper's two-step filter
+/// How zReduce may prune entries of this index, and which points a cell
+/// index's tables list (CellIndex::kind). The paper's two-step filter
 /// (Example 4) keeps an entry only when both its start and end z-ids are
 /// covered; that is exact precisely when service requires both unit endpoints
 /// (binary Scenario 1, and Scenario 3 where a segment needs both ends within
 /// ψ). Partial point-count service can serve one endpoint alone, so those
 /// trees must use the union filter; interior points of multipoint whole
-/// trajectories are invisible to both and fall back to MBR pruning.
+/// trajectories are invisible to both.
 enum class ZPruneMode {
   /// start-covered AND end-covered (exact for both-endpoint service).
   kStartEnd,
   /// start-covered OR end-covered (exact for per-point service on
   /// two-endpoint units).
   kStartOrEnd,
-  /// Only unit-MBR intersection with the EMBR is sound (multipoint whole
-  /// trajectories under interior-point service models).
+  /// Multipoint whole trajectories under interior-point service models: a
+  /// cell-table kind only (the tables list every point); no z-index is
+  /// built with it.
   kMbr,
 };
 
@@ -63,6 +64,7 @@ class ZIndex {
     size_t candidates = 0;
   };
 
+  /// `prune_mode` is kStartEnd or kStartOrEnd.
   ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
          size_t beta, ZPruneMode prune_mode);
 
@@ -80,19 +82,6 @@ class ZIndex {
     std::span<const Point> stops;
     double psi = 0.0;
     Rect embr;
-
-    /// True iff some stop's ψ-disk intersects `r` — the reachability
-    /// predicate of zReduce's bucket filtering. Tested in squared form
-    /// (min_d²(stop, r) ≤ fl(ψ²)) with the 4-wide kernel: correctly
-    /// rounded subtract/multiply/add are monotone, so for any point p
-    /// inside r served by stop s the clamped rect distances compute
-    /// ≤ the serve predicate's — the filter can never drop a rect that
-    /// contains a served point.
-    bool Reaches(const Rect& r) const;
-
-    /// Scalar reference for Reaches — same squared predicate one stop at
-    /// a time. Retained for the agreement suite.
-    bool ReachesScalar(const Rect& r) const;
   };
 
   /// Invokes `fn` for every entry that survives zReduce pruning against the
@@ -118,7 +107,6 @@ class ZIndex {
     uint64_t max_start_key = 0;
     Rect start_mbr = Rect::Empty();
     Rect end_mbr = Rect::Empty();
-    Rect units_mbr = Rect::Empty();  // union of unit MBRs (kMbr only)
   };
 
   ZPruneMode prune_mode_;
@@ -127,7 +115,6 @@ class ZIndex {
   std::unique_ptr<CellTree> end_tree_;
   std::vector<EntryRef> refs_;
   std::vector<Bucket> buckets_;
-  std::vector<Rect> entry_mbrs_;  // kMbr only: parallel to refs_
   // Entries with points outside the node rectangle (possible after dynamic
   // inserts beyond the construction-time world): z-cells cannot represent
   // them, so they are always scanned. Empty in the common case.

@@ -2,9 +2,9 @@
 // wiring: WAL framing / rotation / trim / torn-tail semantics, the
 // crash-recovery kill-point matrix (recover = rebuild the checkpoint's trees
 // + replay WAL, bit-identical to the uninterrupted engine), the checkpoint
-// files' damage checks, checkpoint-triggered compaction (a rebuild that
-// leaves retained snapshots alone), and the protocol-v2 surfaces the subsystem rides on (EncodeUpdateBody, kStatus
-// durability block).
+// files' damage checks, checkpoints that leave the live snapshot and its
+// bounds memos alone, and the protocol-v2 surfaces the subsystem rides on
+// (EncodeUpdateBody, kStatus durability block).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -692,14 +692,14 @@ TEST(CrashRecovery, DamagedRemovedIdsAndOldManifestAreTypedErrors) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
-// ------------------------------------------------------------ compaction
+// ------------------------------------------------------------ checkpoint
 
-// Compaction rebuilds each live shard's cell index over its indexed ids
-// (the rebuild recovery runs): same ids, same answer bits, no pending
-// insert, and the snapshot a reader or checkpoint still pins keeps its
-// index as it was.
-TEST(Compaction, RebuildsLiveIndexesAndLeavesRetainedSnapshotsAlone) {
-  const std::string dir = TempDir("compaction");
+// A checkpoint only reads the engine: it leaves the live snapshot, every
+// shard's index and the indexes' bounds memos as they were, so a top-k
+// after it sweeps no bound and every answer keeps its bits. A snapshot a
+// reader pinned before the checkpoint keeps its indexes as they were.
+TEST(Checkpoint, LeavesLiveIndexesAndTheirBoundsMemosAlone) {
+  const std::string dir = TempDir("checkpoint_reads_only");
   const Workload wl = MakeWorkload(/*seed=*/171, /*num_batches=*/8);
   const uint32_t nf = static_cast<uint32_t>(wl.facilities.size());
   ShardedEngineOptions options = DurableOptions(dir);
@@ -708,37 +708,35 @@ TEST(Compaction, RebuildsLiveIndexesAndLeavesRetainedSnapshotsAlone) {
     engine.ApplyUpdates(batch);
   }
 
-  // Pin the pre-compaction snapshot the way a long-running checkpoint or
-  // slow reader would. Every shard's index is a fork carrying pending
-  // inserts.
+  // Pin the snapshot the way a long-running checkpoint or slow reader
+  // would.
   const runtime::ShardedSnapshotPtr retained = engine.snapshot();
   std::vector<size_t> pending_before;
   for (const runtime::ShardStatePtr& shard : retained->shards) {
-    EXPECT_FALSE(shard->cells->fresh()) << "shard " << shard->shard;
     pending_before.push_back(shard->cells->num_pending());
   }
   const std::vector<std::vector<uint32_t>> ids_before = IndexedIds(*retained);
   const std::vector<double> shard_answers_before = ShardAnswers(*retained);
+  // Answers() ends with a top-k, which fills every shard's bounds memo.
   const AnswerSurface before = Answers(&engine, nf);
+  const uint64_t computed = engine.metrics().Read().bounds_computed;
+  ASSERT_GT(computed, 0u);
 
   ASSERT_TRUE(engine.Checkpoint().ok());
 
-  // Every shard index was rebuilt: the live snapshot kept its version,
-  // generations, indexed ids and answer bits, with no pending insert left...
+  // The live snapshot and every shard's index are the ones published...
   const runtime::ShardedSnapshotPtr live = engine.snapshot();
-  EXPECT_EQ(live->version, retained->version);
+  EXPECT_EQ(live.get(), retained.get());
   for (size_t s = 0; s < live->shards.size(); ++s) {
-    EXPECT_EQ(live->shards[s]->generation, retained->shards[s]->generation)
+    EXPECT_EQ(live->shards[s]->cells.get(), retained->shards[s]->cells.get())
         << "shard " << s;
-    EXPECT_NE(live->shards[s]->cells, retained->shards[s]->cells)
-        << "shard " << s;
-    EXPECT_TRUE(live->shards[s]->cells->fresh()) << "shard " << s;
-    EXPECT_EQ(live->shards[s]->cells->num_pending(), 0u) << "shard " << s;
   }
-  EXPECT_EQ(IndexedIds(*live), ids_before);
-  EXPECT_EQ(ShardAnswers(*live), shard_answers_before);
+  // ...so a top-k after the checkpoint reads the memos: no bound is swept,
+  // and the answers keep their bits.
   ExpectBitIdentical(Answers(&engine, nf), before);
-  // ...and the RETAINED snapshot's indexes are untouched.
+  EXPECT_EQ(engine.metrics().Read().bounds_computed, computed);
+  EXPECT_EQ(ShardAnswers(*live), shard_answers_before);
+  // The retained snapshot's indexes are untouched.
   for (size_t s = 0; s < retained->shards.size(); ++s) {
     EXPECT_EQ(retained->shards[s]->cells->num_pending(), pending_before[s])
         << "shard " << s;
@@ -746,10 +744,9 @@ TEST(Compaction, RebuildsLiveIndexesAndLeavesRetainedSnapshotsAlone) {
   EXPECT_EQ(IndexedIds(*retained), ids_before);
   EXPECT_EQ(ShardAnswers(*retained), shard_answers_before);
 
-  // A second checkpoint with no publish between finds only rebuilt
-  // indexes: nothing to replace.
+  // A second checkpoint with no publish between changes nothing either.
   ASSERT_TRUE(engine.Checkpoint().ok());
-  EXPECT_EQ(engine.snapshot()->shards, live->shards);
+  EXPECT_EQ(engine.snapshot().get(), retained.get());
 }
 
 }  // namespace

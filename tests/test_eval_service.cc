@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -248,12 +250,14 @@ TEST(EvalService, PointPathKeepsBitsUnderUpdates) {
       SCOPED_TRACE("pending inserts");
       CheckPointPath(*inserted, eval, catalog);
     }
-    // Removals of listed and of pending ids.
+    // Removals of listed and of pending ids: with the pending inserts, too
+    // few for a rebuild at Freeze (removals count toward its 1/8 too).
     std::unique_ptr<CellIndex> removed = inserted->Fork(&users);
-    for (uint32_t u = 0; u < initial + 100; u += 5) {
+    for (uint32_t u = 0; u < initial + 100; u += 40) {
       EXPECT_TRUE(removed->Remove(u));
     }
     removed->Freeze();
+    ASSERT_EQ(removed->num_pending(), 100u);
     {
       SCOPED_TRACE("removals");
       CheckPointPath(*removed, eval, catalog);
@@ -261,9 +265,9 @@ TEST(EvalService, PointPathKeepsBitsUnderUpdates) {
     // Listed ids removed above come back as pending ones: their table
     // points must not count on top of their full evaluation.
     std::unique_ptr<CellIndex> reinserted = removed->Fork(&users);
-    for (uint32_t u = 0; u < initial; u += 50) reinserted->Insert(u);
+    for (uint32_t u = 0; u < initial; u += 80) reinserted->Insert(u);
     reinserted->Freeze();
-    ASSERT_EQ(reinserted->num_pending(), 100u + initial / 50);
+    ASSERT_EQ(reinserted->num_pending(), 100u + initial / 80);
     {
       SCOPED_TRACE("removed then reinserted");
       CheckPointPath(*reinserted, eval, catalog);
@@ -276,6 +280,52 @@ TEST(EvalService, PointPathKeepsBitsUnderUpdates) {
     {
       SCOPED_TRACE("rebuilt");
       CheckPointPath(*rebuilt, eval, catalog);
+    }
+  }
+}
+
+// Freeze counts removals toward its 1/8 rule, since a removed id stays
+// listed and every walk of its near cells reads its points. Up to ⌊n/8⌋
+// removals the tables stay, and the walks probe more points than an index
+// built over the remaining ids; one more rebuilds them, and the index then
+// answers and probes exactly as one built by the constructor.
+TEST(EvalService, RemovalsPastAnEighthRebuildTheTables) {
+  const TrajectorySet users = presets::NyfCheckins(1500);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 16);
+  const ServiceModel model = ServiceModel::PointCount(400.0);
+  const ServiceEvaluator eval(&users, model);
+  const FacilityCatalog catalog(&routes, model.psi);
+  const CellIndex base(&users, model, /*tables=*/true, AllIds(users));
+  ASSERT_EQ(base.kind(), ZPruneMode::kMbr);  // an all-points table
+  const uint32_t n = static_cast<uint32_t>(users.size());
+  for (const uint32_t removals : {n / 8, n / 8 + 1}) {
+    SCOPED_TRACE(std::to_string(removals) + " removals");
+    std::unique_ptr<CellIndex> fork = base.Fork(&users);
+    // Spread over the set: 7 is coprime to n, so the ids are distinct.
+    for (uint32_t i = 0; i < removals; ++i) {
+      ASSERT_TRUE(fork->Remove(i * 7 % n));
+    }
+    fork->Freeze();
+    const CellIndex built(&users, model, /*tables=*/true,
+                          fork->IndexedTrajectories());
+    const bool rebuilt = removals * 8 > n;
+    size_t fork_probed = 0;
+    size_t built_probed = 0;
+    for (uint32_t f = 0; f < catalog.size(); ++f) {
+      const StopGrid& grid = catalog.grid(f);
+      QueryStats got;
+      QueryStats want;
+      EXPECT_EQ(EvaluateServiceCells(*fork, eval, grid, &got),
+                EvaluateServiceCells(built, eval, grid, &want))
+          << "facility " << f;
+      if (rebuilt) {
+        EXPECT_EQ(got.points_probed, want.points_probed) << "facility " << f;
+      }
+      fork_probed += got.points_probed;
+      built_probed += want.points_probed;
+    }
+    if (!rebuilt) {
+      EXPECT_GT(fork_probed, built_probed);
     }
   }
 }

@@ -3,9 +3,9 @@
 //
 // Every vectorized path in the engine retains its scalar reference in the
 // same binary: simd::* vs simd::scalar::*, StopGrid::Serves/ServesBatch vs
-// ServesScalar, ServiceEvaluator::Evaluate/EvaluateDetail vs the *Scalar
-// twins, and Corridor::Reaches vs ReachesScalar. These tests hold each pair
-// bit-for-bit equal — EXPECT_EQ on the raw double bits, never a tolerance —
+// ServesScalar, and ServiceEvaluator::Evaluate/EvaluateDetail vs the *Scalar
+// twins. These tests hold each pair bit-for-bit equal — EXPECT_EQ on the raw
+// double bits, never a tolerance —
 // across scenarios × normalizations × edge shapes (1-point and 2-point
 // trajectories, segment scenarios on length-<2 inputs, spans crossing and
 // not crossing 64-bit mask words, exact ψ-threshold distances). The suite runs in every CI cell: baseline,
@@ -86,32 +86,16 @@ TEST(SimdKernels, LanePredicatesAgreeWithScalarReference) {
       pts[2 * i] = rng.NextUniform(-100, 100);
       pts[2 * i + 1] = rng.NextUniform(-100, 100);
     }
-    const double psi2 = rng.NextUniform(0, 400);
     const double min_x = rng.NextUniform(-100, 50);
     const double min_y = rng.NextUniform(-100, 50);
     const double max_x = min_x + rng.NextUniform(0, 100);
     const double max_y = min_y + rng.NextUniform(0, 100);
     EXPECT_EQ(simd::LanesInRect(pts, min_x, min_y, max_x, max_y),
               simd::scalar::LanesInRect(pts, min_x, min_y, max_x, max_y));
-    EXPECT_EQ(
-        simd::LanesDiskReachRect(pts, min_x, min_y, max_x, max_y, psi2),
-        simd::scalar::LanesDiskReachRect(pts, min_x, min_y, max_x, max_y,
-                                         psi2));
   }
 }
 
 TEST(SimdKernels, LanePredicatesAgreeAtExactThreshold) {
-  // Rect reach with the point exactly ψ away from the rect edge: d² is
-  // exactly 25 (a 3-4-5 triangle), and ψ² = 25 is exactly representable, so
-  // <= sits precisely on the boundary. One ulp either side must flip both
-  // implementations together.
-  const double pts[8] = {-3.0, -4.0, -3.0, 4.0, 3.0, -4.0, 0.0, 0.0};
-  for (const double psi2 :
-       {25.0, std::nextafter(25.0, 0.0), std::nextafter(25.0, 26.0)}) {
-    EXPECT_EQ(simd::LanesDiskReachRect(pts, 0.0, 0.0, 10.0, 10.0, psi2),
-              simd::scalar::LanesDiskReachRect(pts, 0.0, 0.0, 10.0, 10.0,
-                                               psi2));
-  }
   // Points on the closed rect's edges are in; one ulp outside is out.
   const double edge[8] = {0.0, 5.0, 10.0, 5.0, std::nextafter(0.0, -1.0),
                           5.0, 5.0, std::nextafter(10.0, 11.0)};
@@ -262,21 +246,6 @@ TEST(SimdKernels, SpanDetailAndValueAgreeWithScalar) {
           EXPECT_BIT_EQ(eval.ValueOfMask(u, m), eval.ValueOfMask(u, raw));
         }
       }
-    }
-  }
-}
-
-TEST(SimdKernels, CorridorReachesAgreesWithScalar) {
-  Rng rng(41);
-  for (const size_t num_stops : {0u, 1u, 2u, 3u, 4u, 5u, 9u, 40u}) {
-    const std::vector<Point> stops = RandomStops(rng, num_stops);
-    const ZIndex::Corridor corridor{stops, 120.0, Rect::Of(0, 0, 1, 1)};
-    for (int trial = 0; trial < 300; ++trial) {
-      const double min_x = rng.NextUniform(-500, 5000);
-      const double min_y = rng.NextUniform(-500, 5000);
-      const Rect r = Rect::Of(min_x, min_y, min_x + rng.NextUniform(0, 800),
-                              min_y + rng.NextUniform(0, 800));
-      EXPECT_EQ(corridor.Reaches(r), corridor.ReachesScalar(r));
     }
   }
 }

@@ -605,8 +605,8 @@ void CheckPointCellLifecycle(bool two_point) {
     CheckCandidateFilter(&live, facs, "in place, folded table");
     EXPECT_EQ(live.cells().IndexedTrajectories(), fork->IndexedTrajectories());
 
-    // A rebuild over the indexed ids (recovery's and compaction's) builds
-    // the tables afresh, for both variants.
+    // A rebuild over the indexed ids (recovery's) builds the tables
+    // afresh, for both variants.
     for (const TQTree* tree : {&live, &basic}) {
       TQTree rebuilt(tree == &basic ? &users : &extended, tree->options(),
                      tree->cells().IndexedTrajectories());
@@ -614,7 +614,6 @@ void CheckPointCellLifecycle(bool two_point) {
                 tree->cells().IndexedTrajectories());
       EXPECT_EQ(rebuilt.num_units(), tree->num_units());
       EXPECT_EQ(rebuilt.cells().num_pending(), 0u);
-      EXPECT_TRUE(rebuilt.cells().fresh());
       CheckCandidateFilter(&rebuilt, facs, "rebuilt");
     }
   }
@@ -908,11 +907,9 @@ TEST(TQTree, RebuildOverIndexedIdsAnswersBitIdentically) {
       ASSERT_TRUE(fork->Remove(u));
     }
     fork->Freeze();
-    EXPECT_FALSE(fork->fresh());
     const CellIndex rebuilt(&extended, model, /*tables=*/true,
                             fork->IndexedTrajectories());
     EXPECT_NE(rebuilt.world(), fork->world());
-    EXPECT_TRUE(rebuilt.fresh());
     for (uint32_t f = 0; f < catalog.size(); ++f) {
       EXPECT_EQ(EvaluateServiceCells(rebuilt, eval, catalog.grid(f)),
                 EvaluateServiceCells(*fork, eval, catalog.grid(f)))

@@ -71,27 +71,6 @@ TEST(ZIndex, StartOrEndFilterIsSoundForPointService) {
   }
 }
 
-TEST(ZIndex, MbrFilterIsSoundForInteriorService) {
-  Rng rng(405);
-  const Rect w = Rect::Of(0, 0, 10000, 10000);
-  const TrajectorySet users = testing::RandomUsers(&rng, 200, 3, 8, w);
-  const ServiceModel model = ServiceModel::PointCount(150.0);
-  const auto entries = MakeEntries(users, model);
-  const ZIndex zi(w, entries, 8, ZPruneMode::kMbr);
-
-  const TrajectorySet facs = testing::RandomFacilities(&rng, 10, 8, w);
-  for (uint32_t f = 0; f < facs.size(); ++f) {
-    const auto cands = Candidates(zi, facs.points(f), model.psi);
-    for (uint32_t i = 0; i < entries.size(); ++i) {
-      const double s = testing::BruteForceService(users, entries[i].traj_id,
-                                                  facs.points(f), model);
-      if (s > 0.0) {
-        EXPECT_TRUE(cands.count(i));
-      }
-    }
-  }
-}
-
 TEST(ZIndex, ActuallyPrunesOnClusteredData) {
   Rng rng(407);
   const Rect w = Rect::Of(0, 0, 100000, 100000);
@@ -175,7 +154,7 @@ TEST(ZIndex, WholeWorldEmbrReturnsEverything) {
     }
   }
   for (const ZPruneMode pm :
-       {ZPruneMode::kStartEnd, ZPruneMode::kStartOrEnd, ZPruneMode::kMbr}) {
+       {ZPruneMode::kStartEnd, ZPruneMode::kStartOrEnd}) {
     const ZIndex zi(w, entries, 8, pm);
     const auto cands = Candidates(zi, stops, 400.0);
     EXPECT_EQ(cands.size(), entries.size());

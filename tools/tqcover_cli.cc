@@ -1128,7 +1128,7 @@ int CmdServe(const Args& args) {
   }
   if (durability.enabled()) {
     std::printf("durable: data dir %s, wal-sync %s, checkpoint every "
-                "%llu ms, compacting\n",
+                "%llu ms\n",
                 durability.data_dir.c_str(),
                 tq::storage::WalSyncName(durability.wal_sync),
                 static_cast<unsigned long long>(
